@@ -7,9 +7,16 @@
 //! [`call`](EndpointHandle::call) run against the machine inside the
 //! loop (e.g. `Sender::send`), and deliveries / notices stream back as
 //! [`EndpointEvent`]s. Dropping the handle shuts the endpoint down.
+//!
+//! The loop is event-driven: it sleeps in the transport's
+//! `recv_timeout` until the machine's next deadline (or a pending
+//! bundle flush), and a posted command or a dropped handle wakes it
+//! through the transport's [`Waker`]. Only a transport without a waker
+//! is polled on a bounded tick.
 
 use std::io;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use lbrm_core::machine::{Action, Actions, Delivery, Machine, Notice};
@@ -18,7 +25,7 @@ use lbrm_wire::{
     bundled_entry_len, GroupId, Packet, TtlScope, BUNDLE_HEADER_LEN, DEFAULT_BUNDLE_MTU,
 };
 
-use crate::Transport;
+use crate::{Transport, Waker};
 
 /// An application-visible protocol event.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,20 +36,72 @@ pub enum EndpointEvent {
     Notice(Notice),
 }
 
-type Command<M> = Box<dyn FnOnce(&mut M, Time, &mut Actions) + Send>;
+type Call<M> = Box<dyn FnOnce(&mut M, Time, &mut Actions) + Send>;
 
-/// Upper bound on one receive wait, so posted commands are picked up
-/// promptly even while the machine has no imminent deadline.
-const MAX_WAIT: Duration = Duration::from_millis(10);
+enum Command<M> {
+    /// Run a closure against the machine.
+    Call(Call<M>),
+    /// The handle is gone: flush and exit.
+    Shutdown,
+}
+
+/// Upper bound on one receive wait over a transport that has no
+/// [`Waker`]: the only way such an endpoint notices a posted command.
+const FALLBACK_WAIT: Duration = Duration::from_millis(10);
+
+/// Capacity of the event channel; events beyond it are shed and counted.
+const EVENT_QUEUE: usize = 1024;
 
 /// The application's handle to a running [`Endpoint`].
 pub struct EndpointHandle<M> {
     cmd_tx: mpsc::Sender<Command<M>>,
     events: mpsc::Receiver<EndpointEvent>,
+    waker: Option<Waker>,
+    /// Set by the poster that sent a wake, cleared by the loop before
+    /// it drains commands: a burst of calls costs one wake.
+    wake_pending: Arc<AtomicBool>,
+    events_dropped: Arc<AtomicU64>,
+}
+
+impl<M> EndpointHandle<M> {
+    /// Queues `cmd` and makes sure the loop will come round for it.
+    fn post(&self, cmd: Command<M>) -> io::Result<()> {
+        self.cmd_tx
+            .send(cmd)
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "endpoint closed"))?;
+        if let Some(waker) = &self.waker {
+            // Both sides swap, so whichever comes later reads the
+            // other's write and synchronizes with it. Reading `true`
+            // here means the loop has yet to clear the flag, and the
+            // drain that follows its clear sees the command queued
+            // above; reading `false` means this poster must wake it.
+            if !self.wake_pending.swap(true, Ordering::SeqCst) {
+                waker.wake();
+            }
+        }
+        Ok(())
+    }
+
+    /// Deliveries and notices shed so far because the application let
+    /// the event queue fill up (the loop never blocks on a slow
+    /// consumer).
+    pub fn events_dropped(&self) -> u64 {
+        self.events_dropped.load(Ordering::Relaxed)
+    }
+}
+
+impl<M> Drop for EndpointHandle<M> {
+    fn drop(&mut self) {
+        // An explicit command, not just the channel closing: the wake
+        // fires while `cmd_tx` is still alive, so a loop woken by it
+        // would find the channel merely empty and go back to sleep.
+        let _ = self.post(Command::Shutdown);
+    }
 }
 
 impl<M: Machine> EndpointHandle<M> {
-    /// Runs `f` against the machine inside the endpoint loop.
+    /// Runs `f` against the machine inside the endpoint loop, as soon
+    /// as the loop finishes what it is doing.
     ///
     /// # Errors
     ///
@@ -51,9 +110,7 @@ impl<M: Machine> EndpointHandle<M> {
         &self,
         f: impl FnOnce(&mut M, Time, &mut Actions) + Send + 'static,
     ) -> io::Result<()> {
-        self.cmd_tx
-            .send(Box::new(f))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "endpoint closed"))
+        self.post(Command::Call(Box::new(f)))
     }
 
     /// Receives the next event, blocking; `None` after shutdown.
@@ -75,6 +132,11 @@ pub struct Endpoint<M: Machine, T: Transport> {
     groups: Vec<GroupId>,
     cmd_rx: mpsc::Receiver<Command<M>>,
     event_tx: mpsc::SyncSender<EndpointEvent>,
+    /// Longest single receive wait: unbounded when handles can wake
+    /// the loop, [`FALLBACK_WAIT`] when they cannot.
+    max_wait: Duration,
+    wake_pending: Arc<AtomicBool>,
+    events_dropped: Arc<AtomicU64>,
     origin: Option<Instant>,
     /// When set, multicast data packets are held up to this long so
     /// high-rate ticks coalesce into bundled datagrams.
@@ -91,7 +153,10 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
     /// Pairs a machine with a transport; `groups` are joined at startup.
     pub fn new(machine: M, transport: T, groups: Vec<GroupId>) -> (Self, EndpointHandle<M>) {
         let (cmd_tx, cmd_rx) = mpsc::channel();
-        let (event_tx, events) = mpsc::sync_channel(1024);
+        let (event_tx, events) = mpsc::sync_channel(EVENT_QUEUE);
+        let waker = transport.waker();
+        let wake_pending = Arc::new(AtomicBool::new(false));
+        let events_dropped = Arc::new(AtomicU64::new(0));
         (
             Endpoint {
                 machine,
@@ -99,6 +164,13 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 groups,
                 cmd_rx,
                 event_tx,
+                max_wait: if waker.is_some() {
+                    Duration::MAX
+                } else {
+                    FALLBACK_WAIT
+                },
+                wake_pending: Arc::clone(&wake_pending),
+                events_dropped: Arc::clone(&events_dropped),
                 origin: None,
                 flush_delay: None,
                 held: Vec::new(),
@@ -106,7 +178,13 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 held_since: None,
                 batch: Vec::new(),
             },
-            EndpointHandle { cmd_tx, events },
+            EndpointHandle {
+                cmd_tx,
+                events,
+                waker,
+                wake_pending,
+                events_dropped,
+            },
         )
     }
 
@@ -161,18 +239,20 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
         self.execute(&mut out)?;
 
         loop {
-            // Drain pending application commands; a disconnected channel
-            // means the handle is gone and the endpoint should exit.
+            // Clear the flag *before* draining: a command posted after
+            // this point either is seen by the drain or sends a wake
+            // that cuts the wait below short (see `EndpointHandle::post`).
+            self.wake_pending.swap(false, Ordering::SeqCst);
             loop {
                 match self.cmd_rx.try_recv() {
-                    Ok(cmd) => {
+                    Ok(Command::Call(f)) => {
                         let now = now_fn(origin);
-                        cmd(&mut self.machine, now, &mut out);
+                        f(&mut self.machine, now, &mut out);
                         self.machine.poll(now, &mut out);
                         self.execute(&mut out)?;
                     }
                     Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
+                    Ok(Command::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => {
                         // Shutdown: held data must still reach the wire.
                         self.flush_held()?;
                         return Ok(());
@@ -180,16 +260,11 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 }
             }
 
+            // Sleep until the machine's next deadline; with nothing
+            // scheduled, until a packet or a wake.
             let wait = match self.machine.next_deadline() {
-                Some(t) => {
-                    let now = now_fn(origin);
-                    if t.nanos() <= now.nanos() {
-                        Duration::ZERO
-                    } else {
-                        Duration::from_nanos(t.nanos() - now.nanos()).min(MAX_WAIT)
-                    }
-                }
-                None => MAX_WAIT,
+                Some(t) => Duration::from_nanos(t.nanos().saturating_sub(now_fn(origin).nanos())),
+                None => Duration::MAX,
             };
             // A pending coalesced run bounds the wait too: held data
             // must flush within its delay even on an idle endpoint.
@@ -197,6 +272,7 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 Some(d) => wait.min(d.saturating_duration_since(Instant::now())),
                 None => wait,
             };
+            let wait = wait.min(self.max_wait);
             if wait > Duration::ZERO {
                 if let Some((from, packet)) = self.transport.recv_timeout(wait)? {
                     self.machine
@@ -263,6 +339,15 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
         Ok(())
     }
 
+    /// Hands one event to the application. A slow or absent consumer
+    /// must not wedge the protocol: when the queue is full the event is
+    /// shed and counted.
+    fn emit(&self, event: EndpointEvent) {
+        if let Err(mpsc::TrySendError::Full(_)) = self.event_tx.try_send(event) {
+            self.events_dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Executes a machine's emitted actions, coalescing consecutive
     /// sends to one destination into bundle-capable runs. The machine's
     /// emission order is preserved exactly: a run only extends while
@@ -314,14 +399,8 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                         self.transport.send_multicast_bundle(scope, &self.batch)?;
                     }
                 }
-                Action::Deliver(d) => {
-                    // A slow or absent consumer must not wedge the
-                    // protocol; drop events if the channel is full.
-                    let _ = self.event_tx.try_send(EndpointEvent::Delivery(d));
-                }
-                Action::Notice(n) => {
-                    let _ = self.event_tx.try_send(EndpointEvent::Notice(n));
-                }
+                Action::Deliver(d) => self.emit(EndpointEvent::Delivery(d)),
+                Action::Notice(n) => self.emit(EndpointEvent::Notice(n)),
                 Action::Join(g) => {
                     self.flush_held()?;
                     self.transport.join(g)?;
@@ -339,12 +418,14 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hub::Hub;
+    use crate::hub::{Hub, HubTransport};
+    use crate::{GroupMap, LossyTransport, UdpTransport};
     use bytes::Bytes;
     use lbrm_core::logger::{Logger, LoggerConfig};
     use lbrm_core::receiver::{Receiver, ReceiverConfig};
     use lbrm_core::sender::{Sender, SenderConfig};
     use lbrm_wire::{HostId, Seq, SourceId};
+    use std::net::Ipv4Addr;
 
     const GROUP: GroupId = GroupId(1);
     const SRC: SourceId = SourceId(1);
@@ -478,29 +559,188 @@ mod tests {
         assert_eq!(got[1], (3, false));
     }
 
+    /// A machine with nothing scheduled. Its endpoint sleeps until a
+    /// packet or a wake arrives, so a test driving it cannot pass by
+    /// riding a timer tick.
+    struct Idle;
+
+    impl Machine for Idle {
+        fn on_packet(&mut self, _: Time, _: HostId, _: Packet, _: &mut Actions) {}
+        fn poll(&mut self, _: Time, _: &mut Actions) {}
+        fn next_deadline(&self) -> Option<Time> {
+            None
+        }
+    }
+
+    /// A transport that keeps the trait's default `waker()`, as an
+    /// out-of-tree implementation written before wakers would.
+    struct NoWaker(HubTransport);
+
+    impl Transport for NoWaker {
+        fn local_host(&self) -> HostId {
+            self.0.local_host()
+        }
+        fn send_unicast(&mut self, to: HostId, packet: &Packet) -> io::Result<()> {
+            self.0.send_unicast(to, packet)
+        }
+        fn send_multicast(&mut self, scope: TtlScope, packet: &Packet) -> io::Result<()> {
+            self.0.send_multicast(scope, packet)
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>> {
+            self.0.recv_timeout(timeout)
+        }
+        fn join(&mut self, group: GroupId) -> io::Result<()> {
+            self.0.join(group)
+        }
+        fn leave(&mut self, group: GroupId) -> io::Result<()> {
+            self.0.leave(group)
+        }
+    }
+
+    fn data(seq: u32) -> Packet {
+        Packet::Data {
+            group: GROUP,
+            source: SRC,
+            seq: Seq(seq),
+            epoch: lbrm_wire::EpochId(0),
+            payload: Bytes::from_static(b"x"),
+        }
+    }
+
+    /// Posts `calls` commands 2 ms apart to an otherwise idle endpoint
+    /// over `transport`; returns the posted→run delays, sorted.
+    fn pickup_delays<T: Transport>(transport: T, calls: usize) -> Vec<Duration> {
+        let (ep, handle) = Endpoint::new(Idle, transport, vec![]);
+        let task = ep.spawn();
+        let (ran_tx, ran_rx) = mpsc::channel();
+        let mut delays = Vec::with_capacity(calls);
+        for _ in 0..calls {
+            std::thread::sleep(Duration::from_millis(2));
+            let ran_tx = ran_tx.clone();
+            let posted = Instant::now();
+            handle
+                .call(move |_: &mut Idle, _, _| {
+                    let _ = ran_tx.send(Instant::now());
+                })
+                .unwrap();
+            let ran = ran_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a posted command must run");
+            delays.push(ran.duration_since(posted));
+        }
+        drop(handle);
+        assert!(matches!(task.join(), Ok(Ok(()))));
+        delays.sort();
+        delays
+    }
+
+    fn assert_prompt_pickup<T: Transport>(transport: T) {
+        let delays = pickup_delays(transport, 200);
+        let median = delays[delays.len() / 2];
+        assert!(
+            median < Duration::from_millis(1),
+            "a posted command must wake the loop, not wait for a tick: median {median:?}"
+        );
+    }
+
+    #[test]
+    fn command_pickup_is_prompt_over_hub() {
+        assert_prompt_pickup(Hub::new().attach(SRC_HOST));
+    }
+
+    #[test]
+    fn command_pickup_is_prompt_over_udp() {
+        let bind = || UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
+        assert_prompt_pickup(bind());
+        assert_prompt_pickup(LossyTransport::new(bind(), 0.5, 7));
+    }
+
+    /// A transport that does not override `waker()` still works: its
+    /// endpoint polls for commands on the bounded fallback tick.
+    #[test]
+    fn transport_without_waker_falls_back_to_the_tick() {
+        let delays = pickup_delays(NoWaker(Hub::new().attach(SRC_HOST)), 20);
+        let worst = delays[delays.len() - 1];
+        assert!(
+            worst < FALLBACK_WAIT + Duration::from_millis(50),
+            "pickup must stay within the fallback wait: worst {worst:?}"
+        );
+    }
+
+    /// One held packet on an idle endpoint: the flush deadline, not a
+    /// tick, must end the wait.
+    #[test]
+    fn held_packet_flushes_on_an_idle_endpoint() {
+        const DELAY: Duration = Duration::from_millis(2);
+        let hub = Hub::new();
+        let mut peer = hub.attach(RX_HOST);
+        peer.join(GROUP).unwrap();
+        let (mut ep, handle) = Endpoint::new(Idle, hub.attach(SRC_HOST), vec![]);
+        ep.set_flush_delay(DELAY);
+        ep.spawn();
+
+        let mut delays = Vec::new();
+        for seq in 1..=20 {
+            let posted = Instant::now();
+            handle
+                .call(move |_: &mut Idle, _, out| {
+                    out.push(Action::Multicast {
+                        scope: TtlScope::Site,
+                        packet: data(seq),
+                    })
+                })
+                .unwrap();
+            let got = peer.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got, Some((SRC_HOST, data(seq))));
+            delays.push(posted.elapsed());
+        }
+        delays.sort();
+        let median = delays[delays.len() / 2];
+        assert!(delays[0] >= DELAY, "held for the delay: {delays:?}");
+        assert!(
+            median <= DELAY + Duration::from_millis(5),
+            "flushed when the delay ran out: median {median:?}"
+        );
+    }
+
+    /// Events the application does not drain are shed, never block the
+    /// loop, and are counted.
+    #[test]
+    fn full_event_queue_sheds_and_counts() {
+        const EXTRA: usize = 6;
+        let (ep, handle) = Endpoint::new(Idle, Hub::new().attach(RX_HOST), vec![]);
+        ep.spawn();
+        handle
+            .call(|_: &mut Idle, _, out| {
+                out.extend((0..EVENT_QUEUE + EXTRA).map(|_| Action::Notice(Notice::FreshnessLost)))
+            })
+            .unwrap();
+        // Commands run in order, each followed by its actions: once
+        // this one ran, every notice above was queued or shed.
+        let (ran_tx, ran_rx) = mpsc::channel();
+        handle
+            .call(move |_: &mut Idle, _, _| {
+                let _ = ran_tx.send(());
+            })
+            .unwrap();
+        ran_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(handle.events_dropped(), EXTRA as u64);
+    }
+
     #[test]
     fn handle_drop_shuts_endpoint_down() {
-        let hub = Hub::new();
-        let (ep, handle) = Endpoint::new(
-            Receiver::new(ReceiverConfig::new(
-                GROUP,
-                SRC,
-                RX_HOST,
-                SRC_HOST,
-                vec![LOG_HOST],
-            )),
-            hub.attach(RX_HOST),
-            vec![GROUP],
-        );
+        // No deadline, no traffic: only the drop itself can wake it.
+        let (ep, handle) = Endpoint::new(Idle, Hub::new().attach(RX_HOST), vec![GROUP]);
         let task = ep.spawn();
+        std::thread::sleep(Duration::from_millis(20));
         drop(handle);
-        let deadline = Instant::now() + Duration::from_secs(2);
+        let deadline = Instant::now() + Duration::from_millis(100);
         while !task.is_finished() {
             assert!(
                 Instant::now() < deadline,
                 "endpoint must exit after handle drop"
             );
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(Duration::from_millis(1));
         }
         assert!(
             matches!(task.join(), Ok(Ok(()))),

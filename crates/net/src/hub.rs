@@ -15,11 +15,11 @@ use std::time::Duration;
 
 use lbrm_wire::{GroupId, HostId, Packet, TtlScope};
 
-use crate::Transport;
+use crate::{recv_inbound, Inbound, Transport, Waker};
 
 #[derive(Default)]
 struct HubState {
-    endpoints: HashMap<HostId, mpsc::Sender<(HostId, Packet)>>,
+    endpoints: HashMap<HostId, mpsc::Sender<Inbound>>,
     groups: HashMap<GroupId, BTreeSet<HostId>>,
     /// Failure injection: partitioned hosts receive nothing.
     partitioned: BTreeSet<HostId>,
@@ -50,13 +50,14 @@ impl Hub {
         let (tx, rx) = mpsc::channel();
         let mut st = self.lock();
         assert!(
-            st.endpoints.insert(host, tx).is_none(),
+            st.endpoints.insert(host, tx.clone()).is_none(),
             "host {host} attached twice"
         );
         HubTransport {
             hub: self.clone(),
             host,
             rx,
+            tx,
         }
     }
 
@@ -85,7 +86,7 @@ impl Hub {
         if let Some(tx) = st.endpoints.get(&to) {
             // A closed queue means the endpoint shut down; like UDP, the
             // packet is silently dropped.
-            let _ = tx.send((from, packet.clone()));
+            let _ = tx.send(Inbound::Packet(from, packet.clone()));
         }
     }
 
@@ -113,7 +114,7 @@ impl Hub {
         }
         if let Some(tx) = st.endpoints.get(&to) {
             for packet in packets {
-                let _ = tx.send((from, packet.clone()));
+                let _ = tx.send(Inbound::Packet(from, packet.clone()));
             }
         }
     }
@@ -123,7 +124,9 @@ impl Hub {
 pub struct HubTransport {
     hub: Hub,
     host: HostId,
-    rx: mpsc::Receiver<(HostId, Packet)>,
+    rx: mpsc::Receiver<Inbound>,
+    /// The sending end of `rx`, kept to mint wakers.
+    tx: mpsc::Sender<Inbound>,
 }
 
 impl Drop for HubTransport {
@@ -158,13 +161,11 @@ impl Transport for HubTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(v) => Ok(Some(v)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                Err(io::Error::new(io::ErrorKind::BrokenPipe, "hub closed"))
-            }
-        }
+        recv_inbound(&self.rx, timeout, "hub closed")
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        Some(Waker::for_channel(self.tx.clone()))
     }
 
     fn join(&mut self, group: GroupId) -> io::Result<()> {

@@ -35,16 +35,76 @@ pub use pool::{BufferPool, PooledBuf};
 pub use udp::{truncation_error, RecvCounters, SendCounters, UdpTransport};
 
 use std::io;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use lbrm_wire::{GroupId, HostId, Packet, TtlScope};
+
+/// Interrupts a transport's blocked
+/// [`recv_timeout`](Transport::recv_timeout) from another thread (see
+/// [`Transport::waker`]). Cheap to clone; waking a transport that has
+/// been dropped does nothing.
+#[derive(Clone)]
+pub struct Waker(Arc<dyn Fn() + Send + Sync>);
+
+impl Waker {
+    /// A waker that runs `wake` on every [`wake`](Waker::wake) call.
+    pub fn new(wake: impl Fn() + Send + Sync + 'static) -> Self {
+        Waker(Arc::new(wake))
+    }
+
+    /// Makes the transport's current (or, if it is not waiting, next)
+    /// `recv_timeout` return `Ok(None)` without waiting out its timeout.
+    pub fn wake(&self) {
+        (self.0)()
+    }
+
+    /// The waker of a transport whose `recv_timeout` waits on the
+    /// receiving end of `tx`: a [`Inbound::Wake`] item on the channel
+    /// the packets already arrive on, so a wake can neither be lost nor
+    /// overtake a packet queued before it.
+    pub(crate) fn for_channel(tx: mpsc::Sender<Inbound>) -> Self {
+        Waker::new(move || {
+            // A closed channel means the transport is gone: nothing
+            // left to wake.
+            let _ = tx.send(Inbound::Wake);
+        })
+    }
+}
+
+/// What the channel-backed transports queue for their endpoint.
+pub(crate) enum Inbound {
+    /// A decoded packet and the host that sent it.
+    Packet(HostId, Packet),
+    /// A [`Waker::wake`]: ends the current wait with no packet.
+    Wake,
+}
+
+/// Waits on a channel-backed transport's queue: a packet, or `None` on
+/// timeout or wake; `closed` names the transport in the error raised
+/// once every sender is gone.
+pub(crate) fn recv_inbound(
+    rx: &mpsc::Receiver<Inbound>,
+    timeout: Duration,
+    closed: &'static str,
+) -> io::Result<Option<(HostId, Packet)>> {
+    match rx.recv_timeout(timeout) {
+        Ok(Inbound::Packet(from, packet)) => Ok(Some((from, packet))),
+        Ok(Inbound::Wake) | Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            Err(io::Error::new(io::ErrorKind::BrokenPipe, closed))
+        }
+    }
+}
 
 /// A packet transport: how an endpoint reaches the world.
 ///
 /// Implementations: [`UdpTransport`] (real UDP multicast) and
 /// [`HubTransport`] (in-process). All calls are synchronous; the
 /// endpoint driver multiplexes receives against protocol timers by
-/// bounding each [`recv_timeout`](Transport::recv_timeout) wait.
+/// bounding each [`recv_timeout`](Transport::recv_timeout) wait, and
+/// against application commands through the transport's
+/// [`waker`](Transport::waker).
 pub trait Transport: Send + 'static {
     /// The local host identity packets will carry.
     fn local_host(&self) -> HostId;
@@ -89,8 +149,22 @@ pub trait Transport: Send + 'static {
     }
 
     /// Waits up to `timeout` for the next packet addressed to this
-    /// endpoint; `Ok(None)` on timeout.
+    /// endpoint; `Ok(None)` on timeout, or earlier when the transport's
+    /// [`waker`](Transport::waker) fired. An endpoint whose transport
+    /// has a waker passes timeouts up to [`Duration::MAX`] (nothing to
+    /// wait for but packets and wakes), so implementations must not
+    /// overflow on `Instant::now() + timeout`.
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>>;
+
+    /// A handle other threads use to end a blocked
+    /// [`recv_timeout`](Transport::recv_timeout) early. With one, the
+    /// endpoint loop sleeps until the next protocol deadline and picks
+    /// posted commands up the moment they arrive; without one (the
+    /// default) it falls back to waking on a short bounded tick.
+    /// Wrappers must forward the inner transport's waker.
+    fn waker(&self) -> Option<Waker> {
+        None
+    }
 
     /// Joins a multicast group.
     fn join(&mut self, group: GroupId) -> io::Result<()>;

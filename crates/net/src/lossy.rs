@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use lbrm_wire::{GroupId, HostId, Packet, TtlScope};
 
-use crate::Transport;
+use crate::{Transport, Waker};
 
 /// Drops received data packets at a fixed seeded rate.
 #[derive(Debug)]
@@ -101,22 +101,32 @@ impl<T: Transport> Transport for LossyTransport<T> {
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>> {
         // Honor the caller's deadline across discarded packets: a
-        // dropped datagram must not silently extend the wait.
-        let deadline = Instant::now() + timeout;
+        // dropped datagram must not silently extend the wait. A timeout
+        // too long to have a deadline (an endpoint with nothing
+        // scheduled passes `Duration::MAX`) is an unbounded wait.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = match deadline {
+                Some(d) => d.saturating_duration_since(Instant::now()),
+                None => timeout,
+            };
+            // `None` is a timeout or a wake: either ends this wait.
             let Some((from, packet)) = self.inner.recv_timeout(left)? else {
                 return Ok(None);
             };
             if matches!(packet, Packet::Data { .. }) && self.roll_drop() {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
-                if Instant::now() >= deadline {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
                     return Ok(None);
                 }
                 continue;
             }
             return Ok(Some((from, packet)));
         }
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        self.inner.waker()
     }
 
     fn join(&mut self, group: GroupId) -> io::Result<()> {
@@ -181,6 +191,28 @@ mod tests {
         let got = rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert!(matches!(got, Some((_, Packet::Data { .. }))), "{got:?}");
         assert_eq!(rx.dropped(), 0);
+    }
+
+    /// Regression: `Instant::now() + Duration::MAX` panics. An unbounded
+    /// wait must block until a packet (or a wake) arrives instead.
+    #[test]
+    fn unbounded_timeout_waits_instead_of_overflowing() {
+        let hub = Hub::new();
+        let mut tx = hub.attach(HostId(1));
+        let mut rx = LossyTransport::new(hub.attach(HostId(2)), 1.0, 7);
+
+        // A dropped data packet keeps the unbounded wait going; the
+        // NACK behind it ends it.
+        tx.send_unicast(HostId(2), &data(1)).unwrap();
+        tx.send_unicast(HostId(2), &nack(1)).unwrap();
+        let got = rx.recv_timeout(Duration::MAX).unwrap();
+        assert!(matches!(got, Some((_, Packet::Nack { .. }))), "{got:?}");
+
+        // With nothing queued, only the forwarded waker ends it.
+        let waker = rx.waker().expect("hub transports have a waker");
+        let t = std::thread::spawn(move || rx.recv_timeout(Duration::MAX).unwrap());
+        waker.wake();
+        assert_eq!(t.join().unwrap(), None);
     }
 
     /// The same seed replays the same drop decisions.

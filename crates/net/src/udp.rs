@@ -32,7 +32,7 @@ use lbrm_wire::{
 
 use crate::addr::{addr_of, host_of, GroupMap};
 use crate::pool::BufferPool;
-use crate::Transport;
+use crate::{recv_inbound, Inbound, Transport, Waker};
 
 /// How often reader threads wake to check for shutdown.
 const READ_TICK: Duration = Duration::from_millis(50);
@@ -48,7 +48,7 @@ const RECV_BUF_SIZE: usize = MAX_PACKET_SIZE + 1;
 /// matter how many short-lived reader threads come and go.
 static RECV_POOL: BufferPool = BufferPool::new(RECV_BUF_SIZE, 8);
 
-type PacketTx = mpsc::Sender<(HostId, Packet)>;
+type PacketTx = mpsc::Sender<Inbound>;
 
 /// Receive-path health counters for one endpoint, shared with its reader
 /// threads. Datagrams dropped before decoding used to vanish silently;
@@ -356,7 +356,7 @@ fn fanout_loop(sock: &UdpSocket, subscribers: &Mutex<Vec<Subscriber>>, stop: &At
                 for s in subs.iter() {
                     if s.me != from {
                         for packet in &packets {
-                            let _ = s.tx.send((from, packet.clone()));
+                            let _ = s.tx.send(Inbound::Packet(from, packet.clone()));
                         }
                     }
                 }
@@ -391,7 +391,7 @@ fn unicast_loop(
                     continue; // multicast loopback echo of our own send
                 }
                 for packet in packets.drain(..) {
-                    if tx.send((from, packet)).is_err() {
+                    if tx.send(Inbound::Packet(from, packet)).is_err() {
                         return;
                     }
                 }
@@ -408,7 +408,7 @@ pub struct UdpTransport {
     host: HostId,
     groups: GroupMap,
     interface: Ipv4Addr,
-    rx: mpsc::Receiver<(HostId, Packet)>,
+    rx: mpsc::Receiver<Inbound>,
     tx: PacketTx,
     members: Vec<GroupId>,
     counters: Arc<RecvCounters>,
@@ -418,6 +418,9 @@ pub struct UdpTransport {
     scratch: BytesMut,
     bundler: BundleBuilder,
     bundle: BundleMode,
+    /// The multicast TTL the socket currently carries: the option is
+    /// sticky, so only a scope change costs a `setsockopt`.
+    multicast_ttl: Option<u32>,
     stop: Arc<AtomicBool>,
 }
 
@@ -431,6 +434,8 @@ impl UdpTransport {
     pub fn bind(interface: Ipv4Addr, groups: GroupMap) -> io::Result<Self> {
         let unicast = UdpSocket::bind(SocketAddrV4::new(interface, 0))?;
         unicast.set_read_timeout(Some(READ_TICK))?;
+        // Loopback stays on so several endpoints can share one machine.
+        unicast.set_multicast_loop_v4(true)?;
         let unicast = Arc::new(unicast);
         let local = match unicast.local_addr()? {
             SocketAddr::V4(a) => a,
@@ -463,6 +468,7 @@ impl UdpTransport {
             scratch: BytesMut::with_capacity(2048),
             bundler: BundleBuilder::with_default_mtu(),
             bundle: BundleMode::from_env(),
+            multicast_ttl: None,
             stop,
         })
     }
@@ -508,6 +514,16 @@ impl UdpTransport {
     pub fn set_bundle_mode(&mut self, mode: BundleMode) {
         self.bundle = mode;
     }
+
+    /// Points the socket's multicast TTL at `scope`.
+    fn set_scope(&mut self, scope: TtlScope) -> io::Result<()> {
+        let ttl = u32::from(scope.ttl());
+        if self.multicast_ttl != Some(ttl) {
+            self.unicast.set_multicast_ttl_v4(ttl)?;
+            self.multicast_ttl = Some(ttl);
+        }
+        Ok(())
+    }
 }
 
 impl Drop for UdpTransport {
@@ -546,8 +562,7 @@ impl Transport for UdpTransport {
             return Err(io::Error::other(e));
         }
         let dst = self.groups.addr(packet.group());
-        self.unicast.set_multicast_ttl_v4(u32::from(scope.ttl()))?;
-        self.unicast.set_multicast_loop_v4(true)?;
+        self.set_scope(scope)?;
         send_frame(
             &self.unicast,
             &self.send,
@@ -596,8 +611,7 @@ impl Transport for UdpTransport {
             }
             return Ok(());
         }
-        self.unicast.set_multicast_ttl_v4(u32::from(scope.ttl()))?;
-        self.unicast.set_multicast_loop_v4(true)?;
+        self.set_scope(scope)?;
         let bundler = &mut self.bundler;
         let unicast = &self.unicast;
         let send = &self.send;
@@ -653,14 +667,11 @@ impl Transport for UdpTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(v) => Ok(Some(v)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "transport closed",
-            )),
-        }
+        recv_inbound(&self.rx, timeout, "transport closed")
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        Some(Waker::for_channel(self.tx.clone()))
     }
 
     fn join(&mut self, group: GroupId) -> io::Result<()> {
@@ -879,6 +890,33 @@ mod tests {
         t.send_unicast_fanout(&[to, to, to], &data(30)).unwrap();
         assert_eq!(t.send_counters().datagrams(), 6);
         assert_eq!(t.send_counters().packets(), 15);
+    }
+
+    /// The socket's multicast TTL is set only when the scope changes,
+    /// so it must always equal the TTL of the last scope sent at — on
+    /// the plain and the bundled path alike.
+    #[test]
+    fn multicast_ttl_follows_the_last_scope() {
+        let mut t = UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
+        assert!(t.unicast.multicast_loop_v4().unwrap());
+        let ttl = |t: &UdpTransport| t.unicast.multicast_ttl_v4().unwrap();
+        for scope in [
+            TtlScope::Site,
+            TtlScope::Global,
+            TtlScope::Global,
+            TtlScope::Site,
+            TtlScope::Region,
+        ] {
+            t.send_multicast(scope, &data(1)).unwrap();
+            assert_eq!(ttl(&t), u32::from(scope.ttl()));
+        }
+        t.set_bundle_mode(BundleMode::On);
+        t.send_multicast_bundle(TtlScope::Global, &[data(2), data(3)])
+            .unwrap();
+        assert_eq!(ttl(&t), u32::from(TtlScope::Global.ttl()));
+        t.send_multicast(TtlScope::Site, &data(4)).unwrap();
+        assert_eq!(ttl(&t), u32::from(TtlScope::Site.ttl()));
+        assert_eq!(t.send_counters().datagrams(), 7);
     }
 
     /// A packet too large for any datagram is rejected at encode time
