@@ -3,35 +3,34 @@
 //! Runs every failure shape (primary crash mid-NACK-service, partition
 //! then heal with a stale primary, simultaneous primary + replica
 //! failure, replica rejoin with an empty log, repeated crash/re-elect
-//! churn) across one or more seeds and event-queue backends, audits
-//! each run with the recovery forensics, and exits nonzero if any cell
-//! fails — incomplete delivery or a non-clean forensic verdict
+//! churn) across one or more seeds, audits each run with the recovery
+//! forensics, and exits nonzero if any cell fails — incomplete delivery
+//! or a non-clean forensic verdict
 //! (unrecovered gaps, stalled settlements, split-brain double-serve).
 //!
 //! ```text
-//! chaos [--shape NAME] [--seeds N,N,...] [--backend wheel|heap|both]
-//!       [--json] [--write-json PATH]
+//! chaos [--shape NAME] [--seeds N,N,...] [--json] [--write-json PATH]
 //! ```
 
 use std::io::Write as _;
 use std::process::ExitCode;
 
 use lbrm_bench::chaos::{matrix_to_json, run_shape, ChaosOutcome, SHAPES};
-use lbrm_sim::queue::QueueBackend;
+
+const USAGE: &str = "usage: chaos [--shape NAME] [--seeds N,N,...] [--json] [--write-json PATH]";
 
 struct Args {
     shape: Option<String>,
     seeds: Vec<u64>,
-    backends: Vec<QueueBackend>,
     json: bool,
     write_json: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// `Ok(None)` when `--help` was asked for.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         shape: None,
         seeds: vec![1, 2, 3],
-        backends: vec![QueueBackend::Wheel, QueueBackend::Heap],
         json: false,
         write_json: None,
     };
@@ -51,22 +50,10 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--seeds needs at least one seed".into());
                 }
             }
-            "--backend" => {
-                args.backends = match next_val("--backend", &mut it)?.as_str() {
-                    "wheel" => vec![QueueBackend::Wheel],
-                    "heap" => vec![QueueBackend::Heap],
-                    "both" => vec![QueueBackend::Wheel, QueueBackend::Heap],
-                    other => return Err(format!("--backend: unknown backend {other:?}")),
-                };
-            }
             "--json" => args.json = true,
             "--write-json" => args.write_json = Some(next_val("--write-json", &mut it)?),
-            "--help" | "-h" => {
-                return Err("usage: chaos [--shape NAME] [--seeds N,N,...] \
-                     [--backend wheel|heap|both] [--json] [--write-json PATH]"
-                    .into());
-            }
-            other => return Err(format!("unknown argument: {other}")),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument: {other}\n{USAGE}")),
         }
     }
     if let Some(s) = &args.shape {
@@ -74,12 +61,16 @@ fn parse_args() -> Result<Args, String> {
             return Err(format!("--shape: unknown shape {s:?} (known: {SHAPES:?})"));
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
@@ -92,13 +83,11 @@ fn main() -> ExitCode {
     let mut outcomes: Vec<ChaosOutcome> = Vec::new();
     for shape in shapes {
         for &seed in &args.seeds {
-            for &backend in &args.backends {
-                let o = run_shape(shape, seed, backend);
-                if !args.json {
-                    println!("{}", o.render());
-                }
-                outcomes.push(o);
+            let o = run_shape(shape, seed);
+            if !args.json {
+                println!("{}", o.render());
             }
+            outcomes.push(o);
         }
     }
     let json = matrix_to_json(&outcomes);

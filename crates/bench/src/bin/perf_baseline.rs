@@ -31,7 +31,7 @@ use lbrm_bench::experiments::table3_breakdown::{loaded_logger, serve_once};
 use lbrm_bench::microbench::bench_function;
 use lbrm_core::machine::{Actions, Machine};
 use lbrm_sim::loss::LossModel;
-use lbrm_sim::queue::{EventQueue, QueueBackend};
+use lbrm_sim::queue::EventQueue;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::topology::SiteParams;
 use lbrm_wire::packet::SeqRange;
@@ -198,7 +198,7 @@ fn bench_event_queue_churn() -> Workload {
         })
     }
     let run = || {
-        let mut q: EventQueue<u64> = EventQueue::new(QueueBackend::Wheel);
+        let mut q: EventQueue<u64> = EventQueue::new();
         let mut s = 0x5EED_CAFE_u64;
         for i in 0..RESIDENT as u64 {
             q.push(SimTime::from_nanos(splitmix(&mut s) % 1_000_000_000), i);

@@ -351,7 +351,6 @@ fn run_live_cmd(args: &Args) -> Result<(DoctorRun, bool), String> {
         admin_addr: args.admin_addr.clone(),
         capture: capture.clone().map(|s| s as Arc<dyn TraceSink>),
         doctor: lbrm_core::trace::DoctorConfig::default(),
-        bundle: None,
     };
     let linger = Duration::from_millis(args.linger_ms);
     let outcome = run_live(opts, |air| {

@@ -14,8 +14,8 @@
 //!    in particular no split-brain double-serve (a repair accepted from
 //!    a logger whose term authority had already been superseded).
 //!
-//! The matrix (`run_matrix`) crosses every shape with multiple seeds
-//! and both event-queue backends; the `chaos` binary gates CI on it.
+//! The matrix (`run_matrix`) crosses every shape with multiple seeds;
+//! the `chaos` binary gates CI on it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +27,6 @@ use lbrm_core::sender::Sender;
 use lbrm_core::trace::analyze::{analyze, AnalyzeConfig, CollectorSink, RecoveryReport};
 use lbrm_core::trace::{TraceSink, Tracer};
 use lbrm_sim::loss::LossModel;
-use lbrm_sim::queue::QueueBackend;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::topology::SiteParams;
 
@@ -51,7 +50,7 @@ const UNTIL: SimTime = SimTime::from_secs(45);
 /// site secondaries), so the primary's serving authority — the thing
 /// the election fences — is on the critical recovery path. Three
 /// replicas give an election quorum of 2, surviving any single failure.
-pub fn chaos_config(seed: u64, backend: QueueBackend) -> DisScenarioConfig {
+pub fn chaos_config(seed: u64) -> DisScenarioConfig {
     DisScenarioConfig {
         sites: 3,
         receivers_per_site: 3,
@@ -63,19 +62,16 @@ pub fn chaos_config(seed: u64, backend: QueueBackend) -> DisScenarioConfig {
         },
         receiver_nack_delay: Duration::from_millis(5),
         seed,
-        queue_backend: Some(backend),
         ..DisScenarioConfig::default()
     }
 }
 
-/// Outcome of one (shape, seed, backend) cell.
+/// Outcome of one (shape, seed) cell.
 pub struct ChaosOutcome {
     /// The failure shape.
     pub shape: &'static str,
     /// World seed.
     pub seed: u64,
-    /// Event-queue backend the world ran on.
-    pub backend: QueueBackend,
     /// Fraction of receivers that delivered the complete stream.
     pub completeness: f64,
     /// Elections the sender committed (terms elected).
@@ -97,13 +93,9 @@ impl ChaosOutcome {
     /// One line for the matrix summary.
     pub fn render(&self) -> String {
         format!(
-            "{:<26} seed {:<4} {:<5} {} (completeness {:.2}, {} elections, {} fenced, {} anomalies)",
+            "{:<26} seed {:<4} {} (completeness {:.2}, {} elections, {} fenced, {} anomalies)",
             self.shape,
             self.seed,
-            match self.backend {
-                QueueBackend::Wheel => "wheel",
-                QueueBackend::Heap => "heap",
-            },
             if self.passed() { "PASS" } else { "FAIL" },
             self.completeness,
             self.elections,
@@ -115,15 +107,11 @@ impl ChaosOutcome {
     /// JSON object for the per-scenario report artifact.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"shape\":\"{}\",\"seed\":{},\"backend\":\"{}\",\"passed\":{},\
+            "{{\"shape\":\"{}\",\"seed\":{},\"passed\":{},\
              \"completeness\":{},\"elections\":{},\"fenced_rejects\":{},\
              \"records\":{},\"report\":{}}}",
             self.shape,
             self.seed,
-            match self.backend {
-                QueueBackend::Wheel => "wheel",
-                QueueBackend::Heap => "heap",
-            },
             self.passed(),
             self.completeness,
             self.elections,
@@ -156,10 +144,10 @@ fn restart_replica(sc: &mut DisScenario, host: lbrm_wire::HostId, sink: Arc<dyn 
 /// # Panics
 ///
 /// On an unknown shape name.
-pub fn run_shape(shape: &'static str, seed: u64, backend: QueueBackend) -> ChaosOutcome {
+pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
     let collector = Arc::new(CollectorSink::default());
     let mut sc = DisScenario::build_with_sink(
-        chaos_config(seed, backend),
+        chaos_config(seed),
         Some(collector.clone() as Arc<dyn TraceSink>),
     );
     for i in 0..PACKETS {
@@ -244,7 +232,6 @@ pub fn run_shape(shape: &'static str, seed: u64, backend: QueueBackend) -> Chaos
     ChaosOutcome {
         shape,
         seed,
-        backend,
         completeness: sc.completeness(&expect),
         elections,
         fenced_rejects: report.fenced_rejects,
@@ -253,14 +240,12 @@ pub fn run_shape(shape: &'static str, seed: u64, backend: QueueBackend) -> Chaos
     }
 }
 
-/// Runs the full matrix: every shape crossed with `seeds` × `backends`.
-pub fn run_matrix(seeds: &[u64], backends: &[QueueBackend]) -> Vec<ChaosOutcome> {
+/// Runs the full matrix: every shape crossed with `seeds`.
+pub fn run_matrix(seeds: &[u64]) -> Vec<ChaosOutcome> {
     let mut out = Vec::new();
     for &shape in &SHAPES {
         for &seed in seeds {
-            for &backend in backends {
-                out.push(run_shape(shape, seed, backend));
-            }
+            out.push(run_shape(shape, seed));
         }
     }
     out
@@ -282,10 +267,10 @@ mod tests {
 
     /// One representative cell per tier-1 run: the full matrix is CI's
     /// chaos job; here we pin the hardest shape (partition + heal with a
-    /// stale primary) end to end on the default backend.
+    /// stale primary) end to end.
     #[test]
     fn partition_stale_primary_cell_is_clean() {
-        let o = run_shape("partition-stale-primary", 1, QueueBackend::Wheel);
+        let o = run_shape("partition-stale-primary", 1);
         assert!(
             o.passed(),
             "completeness {:.2}, anomalies {:?}",
@@ -297,10 +282,9 @@ mod tests {
 
     #[test]
     fn matrix_json_shape() {
-        let o = run_shape("primary-crash", 2, QueueBackend::Heap);
+        let o = run_shape("primary-crash", 2);
         let json = matrix_to_json(std::slice::from_ref(&o));
         assert!(json.starts_with("{\"passed\":"));
         assert!(json.contains("\"shape\":\"primary-crash\""));
-        assert!(json.contains("\"backend\":\"heap\""));
     }
 }

@@ -8,10 +8,10 @@
 //! contiguous run of retransmissions to that requester — all at one
 //! simulated instant, all to one destination. The simulator's
 //! [`BundleMeter`](lbrm_sim::stats::BundleMeter) folds both framing
-//! ledgers over one identical run (the differential test pins that the
-//! mode changes nothing else), so a single run yields the datagram
-//! count with bundling off (one per packet) and on (one per MTU-bounded
-//! frame), and the headline metric is their ratio on the repair path.
+//! ledgers over the one run, so it yields the datagram count that is
+//! sent (one per MTU-bounded frame) beside the unbundled counterfactual
+//! (one per packet), and the headline metric is their ratio on the
+//! repair path.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -101,10 +101,10 @@ pub fn run() -> String {
         "PDU bundling under a NACK storm: {BURST} same-tick updates lost on\n\
          every site's tail circuit ({sites} sites x {receivers} receivers), recovered\n\
          through gap NACKs served as contiguous repair runs.\n\n\
-         Datagrams per packet kind, bundling off (one per packet) vs on\n\
-         (one per MTU-bounded frame), from one identical run:\n\n"
+         Datagrams per packet kind: the unbundled counterfactual (one per\n\
+         packet) vs what is sent (one per MTU-bounded frame), from one run:\n\n"
     ));
-    let mut t = Table::new(&["kind", "packets (off)", "frames (on)", "reduction"]);
+    let mut t = Table::new(&["kind", "packets (unbundled)", "frames (sent)", "reduction"]);
     for (kind, k) in &storm.bundle.per_kind {
         t.row(&[
             (*kind).into(),

@@ -27,7 +27,7 @@ use lbrm_core::trace::doctor::{DoctorFinish, DoctorHandle};
 use lbrm_core::trace::{
     AdminServer, DoctorConfig, DoctorSidecar, MetricsRegistry, SerialFanoutSink, TraceSink, Tracer,
 };
-use lbrm_wire::{BundleMode, GroupId, HostId, SourceId};
+use lbrm_wire::{GroupId, HostId, SourceId};
 
 const GROUP: GroupId = GroupId(9);
 const SRC: SourceId = SourceId(1);
@@ -56,10 +56,6 @@ pub struct LiveOptions {
     pub capture: Option<Arc<dyn TraceSink>>,
     /// Sidecar tuning.
     pub doctor: DoctorConfig,
-    /// Pin the UDP transports' bundling mode (`None` inherits
-    /// `LBRM_BUNDLE` from the environment) — env-independent, so tests
-    /// can run a bundled leg without mutating process globals.
-    pub bundle: Option<BundleMode>,
 }
 
 impl Default for LiveOptions {
@@ -76,7 +72,6 @@ impl Default for LiveOptions {
             admin_addr: None,
             capture: None,
             doctor: DoctorConfig::default(),
-            bundle: None,
         }
     }
 }
@@ -224,16 +219,7 @@ fn bind_udp(
     UdpTransport,
     Vec<LossyTransport<UdpTransport>>,
 )> {
-    let bind = || {
-        UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(opts.port))
-            .ok()
-            .map(|mut t| {
-                if let Some(mode) = opts.bundle {
-                    t.set_bundle_mode(mode);
-                }
-                t
-            })
-    };
+    let bind = || UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(opts.port)).ok();
     let probe = |t: &mut UdpTransport| t.join(GROUP).is_ok();
 
     let sender_t = bind()?;

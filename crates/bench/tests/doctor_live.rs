@@ -17,7 +17,6 @@ use std::time::Duration;
 use lbrm_bench::live::{run_live, LiveOptions};
 use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig};
 use lbrm_core::trace::{DoctorConfig, JsonLinesSink, ReportBasis, TraceSink};
-use lbrm_wire::BundleMode;
 
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect admin");
@@ -111,7 +110,7 @@ fn live_admin_routes_answer_in_flight_and_fold_matches_batch() {
     }
 }
 
-/// Lossy live run with bundling pinned on: the send-side counters are
+/// Lossy live run over the bundling transports: the send-side counters are
 /// published as gauges the sidecar polls every tick, `/stats` exposes
 /// them mid-flight, and the datagram/packet ledger is coherent
 /// (bundling can only coalesce, never multiply datagrams). The gauge
@@ -128,7 +127,6 @@ fn live_bundled_run_publishes_send_gauges() {
         settle: Duration::from_secs(8),
         port: 49_613,
         admin_addr: Some("127.0.0.1:0".into()),
-        bundle: Some(BundleMode::On),
         doctor: DoctorConfig {
             tick: Duration::from_millis(25),
             ..DoctorConfig::default()
@@ -161,7 +159,7 @@ fn live_bundled_run_publishes_send_gauges() {
     }
 
     // Every endpoint published its send ledger; datagrams never exceed
-    // packets with bundling on, and at least one endpoint actually sent.
+    // packets, and at least one endpoint actually sent.
     let gauges = outcome.registry.gauges();
     let senders: Vec<_> = gauges
         .iter()

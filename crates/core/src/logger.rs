@@ -30,7 +30,7 @@ use lbrm_wire::packet::SeqRange;
 use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId, TtlScope};
 
 use crate::gaps::{GapTracker, SeqUnwrapper};
-use crate::logstore::{LogStore, Retention, StoreBackend};
+use crate::logstore::{LogStore, Retention};
 use crate::machine::{Action, Actions, Machine, Notice};
 use crate::time::{earliest, Time};
 use crate::trace::{ProtocolEvent, Tracer};
@@ -101,10 +101,6 @@ pub struct LoggerConfig {
     pub answer_discovery: bool,
     /// Determinism seed for the volunteer coin.
     pub seed: u64,
-    /// Log-store backend; `None` defers to the `LBRM_LOG_STORE`
-    /// environment variable (the differential tests pass both variants
-    /// explicitly).
-    pub store_backend: Option<StoreBackend>,
 }
 
 impl LoggerConfig {
@@ -132,7 +128,6 @@ impl LoggerConfig {
             volunteer: false,
             answer_discovery: true,
             seed: host.raw(),
-            store_backend: None,
         }
     }
 
@@ -235,10 +230,7 @@ impl Logger {
         Logger {
             role: config.role,
             parent: config.parent,
-            store: match config.store_backend {
-                Some(backend) => LogStore::with_backend(config.retention, backend),
-                None => LogStore::new(config.retention),
-            },
+            store: LogStore::new(config.retention),
             gaps: GapTracker::new(),
             unwrapper: SeqUnwrapper::new(),
             rng: SmallRng::seed_from_u64(config.seed),

@@ -6,18 +6,12 @@
 //! those policies; [`LogStore`] is the store itself, indexed by unwrapped
 //! sequence number so wraparound is a non-event.
 //!
-//! Two interchangeable backends sit behind the same API, selected by
-//! [`StoreBackend`] / the `LBRM_LOG_STORE` environment variable:
-//!
-//! * [`StoreBackend::Slab`] (the default) keeps entries in a
-//!   [`SeqSlab`] — segmented storage with per-segment presence bitmaps,
-//!   O(1) insert/get/has and word-scan span queries. This is the hot
-//!   tier the repair path serves from.
-//! * [`StoreBackend::Btree`] keeps the original `BTreeMap` and exists as
-//!   a differential reference: `tests/logstore_diff_sim.rs` pins
-//!   byte-identical traces across backends on seeded scenarios, and the
-//!   randomized property tests in `crates/core/tests/` drive both
-//!   through the same operation streams.
+//! Entries live in a [`SeqSlab`] — segmented storage with per-segment
+//! presence bitmaps, O(1) insert/get/has and word-scan span queries;
+//! this is the hot tier the repair path serves from. The randomized
+//! property tests in `crates/core/tests/logstore_diff.rs` drive the
+//! store against a plain `BTreeMap` model through the same operation
+//! streams and compare every observable.
 //!
 //! Contiguity claims ([`LogStore::contiguous_high`]) are deliberately
 //! *not* read from the slab's presence bitmaps: they come from an
@@ -47,56 +41,6 @@ pub enum Retention {
     Count(usize),
     /// Keep packets for their useful lifetime.
     Lifetime(Duration),
-}
-
-/// Which data structure backs a [`LogStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreBackend {
-    /// Segmented slab with presence bitmaps: O(1) lookups, word-scan
-    /// span queries (the default).
-    #[default]
-    Slab,
-    /// The original `BTreeMap` store. Kept for differential testing —
-    /// the slab must reproduce its visible behavior exactly.
-    Btree,
-}
-
-impl StoreBackend {
-    /// Backend selected by the `LBRM_LOG_STORE` environment variable.
-    /// This is the hook the differential tests and the CI matrix use to
-    /// run whole scenarios under both backends, so it is strict: only
-    /// `"slab"`, `"btree"`, the empty string, or unset are accepted. A
-    /// typo in the CI matrix must fail loudly — silently falling back to
-    /// the slab would run the same backend twice and the differential
-    /// coverage would evaporate without anyone noticing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value.
-    pub fn from_env() -> StoreBackend {
-        match std::env::var("LBRM_LOG_STORE") {
-            Err(std::env::VarError::NotPresent) => StoreBackend::Slab,
-            Err(e) => panic!("LBRM_LOG_STORE is not valid unicode: {e}"),
-            Ok(v) => match Self::parse(&v) {
-                Some(b) => b,
-                None => {
-                    panic!("LBRM_LOG_STORE must be \"slab\" or \"btree\" (or unset), got {v:?}")
-                }
-            },
-        }
-    }
-
-    /// Parses a backend name: `"slab"`, `"btree"` (case-insensitive), or
-    /// the empty string (treated as unset → the default slab).
-    pub fn parse(v: &str) -> Option<StoreBackend> {
-        if v.is_empty() || v.eq_ignore_ascii_case("slab") {
-            Some(StoreBackend::Slab)
-        } else if v.eq_ignore_ascii_case("btree") {
-            Some(StoreBackend::Btree)
-        } else {
-            None
-        }
-    }
 }
 
 /// One logged packet. The sequence number is not stored: the unwrapped
@@ -162,19 +106,12 @@ impl IntervalSet {
     }
 }
 
-/// Entry storage, one variant per [`StoreBackend`].
-#[derive(Debug, Clone)]
-enum Entries {
-    Slab(SeqSlab<Entry>),
-    Btree(BTreeMap<u64, Entry>),
-}
-
 /// An in-memory packet log with retention and contiguity tracking.
 #[derive(Debug, Clone)]
 pub struct LogStore {
     retention: Retention,
     unwrapper: SeqUnwrapper,
-    entries: Entries,
+    entries: SeqSlab<Entry>,
     /// Every index ever logged (survives pruning), as coalesced runs:
     /// contiguity claims are made from this, so pruning can never fake
     /// contiguity across a never-logged gap.
@@ -182,40 +119,19 @@ pub struct LogStore {
 }
 
 impl LogStore {
-    /// Creates an empty store with the given retention policy, on the
-    /// backend named by `LBRM_LOG_STORE` (default: slab).
+    /// Creates an empty store with the given retention policy.
     pub fn new(retention: Retention) -> Self {
-        Self::with_backend(retention, StoreBackend::from_env())
-    }
-
-    /// Creates an empty store on an explicit backend.
-    pub fn with_backend(retention: Retention, backend: StoreBackend) -> Self {
-        let entries = match backend {
-            StoreBackend::Slab => Entries::Slab(SeqSlab::new()),
-            StoreBackend::Btree => Entries::Btree(BTreeMap::new()),
-        };
         LogStore {
             retention,
             unwrapper: SeqUnwrapper::new(),
-            entries,
+            entries: SeqSlab::new(),
             logged: IntervalSet::default(),
-        }
-    }
-
-    /// The backend this store runs on.
-    pub fn backend(&self) -> StoreBackend {
-        match &self.entries {
-            Entries::Slab(_) => StoreBackend::Slab,
-            Entries::Btree(_) => StoreBackend::Btree,
         }
     }
 
     /// Number of packets currently held.
     pub fn len(&self) -> usize {
-        match &self.entries {
-            Entries::Slab(s) => s.len(),
-            Entries::Btree(m) => m.len(),
-        }
+        self.entries.len()
     }
 
     /// `true` when no packets are held.
@@ -233,14 +149,7 @@ impl LogStore {
                 payload,
                 logged_at: now,
             };
-            match &mut self.entries {
-                Entries::Slab(s) => {
-                    s.insert(idx, entry);
-                }
-                Entries::Btree(m) => {
-                    m.insert(idx, entry);
-                }
-            }
+            self.entries.insert(idx, entry);
             self.prune(now);
         }
         fresh
@@ -249,20 +158,13 @@ impl LogStore {
     /// Fetches a packet's payload if present.
     pub fn get(&self, seq: Seq) -> Option<Bytes> {
         let idx = self.unwrapper.peek(seq);
-        match &self.entries {
-            Entries::Slab(s) => s.get(idx).map(|e| e.payload.clone()),
-            Entries::Btree(m) => m.get(&idx).map(|e| e.payload.clone()),
-        }
+        self.entries.get(idx).map(|e| e.payload.clone())
     }
 
     /// `true` if the packet is currently held — answered from the
-    /// presence bitmap (or key set); the payload is never cloned.
+    /// presence bitmap; the payload is never cloned.
     pub fn has(&self, seq: Seq) -> bool {
-        let idx = self.unwrapper.peek(seq);
-        match &self.entries {
-            Entries::Slab(s) => s.contains(idx),
-            Entries::Btree(m) => m.contains_key(&idx),
-        }
+        self.entries.contains(self.unwrapper.peek(seq))
     }
 
     /// Highest sequence such that every packet from the lowest-ever
@@ -283,7 +185,7 @@ impl LogStore {
     /// parent). Cost is O(held + runs), never O(span): a request spanning
     /// millions of absent sequences returns a single run instead of
     /// iterating (and allocating) them all — a word scan over presence
-    /// bitmaps on the slab, a range walk on the btree.
+    /// bitmaps.
     pub fn missing_in(&self, first: Seq, last: Seq) -> Vec<SeqRange> {
         let lo = self.unwrapper.peek(first);
         let hi = self.unwrapper.peek(last);
@@ -297,34 +199,12 @@ impl LogStore {
 
     /// Appends the missing runs in `[lo, hi]` (unwrapped) to `out`.
     fn missing_runs(&self, lo: u64, hi: u64, out: &mut Vec<SeqRange>) {
-        match &self.entries {
-            Entries::Slab(s) => {
-                s.missing_runs_in(lo, hi, |start, end| {
-                    out.push(SeqRange {
-                        first: SeqUnwrapper::rewrap(start),
-                        last: SeqUnwrapper::rewrap(end),
-                    });
-                });
-            }
-            Entries::Btree(m) => {
-                let mut cursor = lo;
-                for &held in m.range(lo..=hi).map(|(k, _)| k) {
-                    if held > cursor {
-                        out.push(SeqRange {
-                            first: SeqUnwrapper::rewrap(cursor),
-                            last: SeqUnwrapper::rewrap(held - 1),
-                        });
-                    }
-                    cursor = held + 1;
-                }
-                if cursor <= hi {
-                    out.push(SeqRange {
-                        first: SeqUnwrapper::rewrap(cursor),
-                        last: SeqUnwrapper::rewrap(hi),
-                    });
-                }
-            }
-        }
+        self.entries.missing_runs_in(lo, hi, |start, end| {
+            out.push(SeqRange {
+                first: SeqUnwrapper::rewrap(start),
+                last: SeqUnwrapper::rewrap(end),
+            });
+        });
     }
 
     /// Batched repair serving: partitions the `count` sequences starting
@@ -344,18 +224,9 @@ impl LogStore {
         }
         let lo = self.unwrapper.peek(first);
         let hi = lo + (count - 1);
-        match &self.entries {
-            Entries::Slab(s) => {
-                s.for_each_in(lo, hi, |idx, e| {
-                    present.push((SeqUnwrapper::rewrap(idx), e.payload.clone()));
-                });
-            }
-            Entries::Btree(m) => {
-                for (&idx, e) in m.range(lo..=hi) {
-                    present.push((SeqUnwrapper::rewrap(idx), e.payload.clone()));
-                }
-            }
-        }
+        self.entries.for_each_in(lo, hi, |idx, e| {
+            present.push((SeqUnwrapper::rewrap(idx), e.payload.clone()));
+        });
         self.missing_runs(lo, hi, missing);
     }
 
@@ -363,39 +234,19 @@ impl LogStore {
     pub fn prune(&mut self, now: Time) {
         match self.retention {
             Retention::All => {}
-            Retention::Count(n) => match &mut self.entries {
-                // The slab drops whole sealed segments in O(1) and
-                // bit-trims only the head segment.
-                Entries::Slab(s) => s.truncate_front(n),
-                Entries::Btree(m) => {
-                    while m.len() > n {
-                        m.pop_first();
-                    }
-                }
-            },
+            // The slab drops whole sealed segments in O(1) and bit-trims
+            // only the head segment.
+            Retention::Count(n) => self.entries.truncate_front(n),
             Retention::Lifetime(ttl) => {
                 // Entries sit in logged order for the in-order common
                 // case, so expired ones cluster at the front: pop them
                 // directly and stop at the first unexpired entry — no
                 // temporary key Vec on every insert.
-                match &mut self.entries {
-                    Entries::Slab(s) => {
-                        while let Some((_, e)) = s.first() {
-                            if now.since(e.logged_at) > ttl {
-                                s.pop_first();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    Entries::Btree(m) => {
-                        while let Some(e) = m.first_entry() {
-                            if now.since(e.get().logged_at) > ttl {
-                                e.remove();
-                            } else {
-                                break;
-                            }
-                        }
+                while let Some((_, e)) = self.entries.first() {
+                    if now.since(e.logged_at) > ttl {
+                        self.entries.pop_first();
+                    } else {
+                        break;
                     }
                 }
             }
@@ -404,39 +255,23 @@ impl LogStore {
 
     /// Iterates held packets in sequence order.
     pub fn iter(&self) -> impl Iterator<Item = (Seq, &Bytes)> {
-        let (slab, btree) = match &self.entries {
-            Entries::Slab(s) => (Some(s.iter()), None),
-            Entries::Btree(m) => (None, Some(m.iter())),
-        };
-        slab.into_iter()
-            .flatten()
+        self.entries
+            .iter()
             .map(|(idx, e)| (SeqUnwrapper::rewrap(idx), &e.payload))
-            .chain(
-                btree
-                    .into_iter()
-                    .flatten()
-                    .map(|(&idx, e)| (SeqUnwrapper::rewrap(idx), &e.payload)),
-            )
     }
 
     /// The oldest held sequence, if any.
     pub fn oldest(&self) -> Option<Seq> {
-        match &self.entries {
-            Entries::Slab(s) => s.first().map(|(idx, _)| SeqUnwrapper::rewrap(idx)),
-            Entries::Btree(m) => m
-                .first_key_value()
-                .map(|(&idx, _)| SeqUnwrapper::rewrap(idx)),
-        }
+        self.entries
+            .first()
+            .map(|(idx, _)| SeqUnwrapper::rewrap(idx))
     }
 
     /// The newest held sequence, if any.
     pub fn newest(&self) -> Option<Seq> {
-        match &self.entries {
-            Entries::Slab(s) => s.last().map(|(idx, _)| SeqUnwrapper::rewrap(idx)),
-            Entries::Btree(m) => m
-                .last_key_value()
-                .map(|(&idx, _)| SeqUnwrapper::rewrap(idx)),
-        }
+        self.entries
+            .last()
+            .map(|(idx, _)| SeqUnwrapper::rewrap(idx))
     }
 }
 
@@ -448,171 +283,153 @@ mod tests {
         Bytes::from_static(s.as_bytes())
     }
 
-    /// Runs a test body against both backends — every unit test below
-    /// must hold identically on the slab and the btree reference.
-    fn both(retention: Retention, test: impl Fn(LogStore)) {
-        for backend in [StoreBackend::Slab, StoreBackend::Btree] {
-            test(LogStore::with_backend(retention, backend));
-        }
-    }
-
     #[test]
     fn insert_get_roundtrip() {
-        both(Retention::All, |mut log| {
-            assert!(log.insert(Time::ZERO, Seq(1), b("one")));
-            assert!(log.insert(Time::ZERO, Seq(2), b("two")));
-            assert!(!log.insert(Time::ZERO, Seq(1), b("dup")));
-            assert_eq!(log.get(Seq(1)), Some(b("one"))); // original kept
-            assert_eq!(log.get(Seq(3)), None);
-            assert_eq!(log.len(), 2);
-            assert!(!log.is_empty());
-        });
+        let mut log = LogStore::new(Retention::All);
+        assert!(log.insert(Time::ZERO, Seq(1), b("one")));
+        assert!(log.insert(Time::ZERO, Seq(2), b("two")));
+        assert!(!log.insert(Time::ZERO, Seq(1), b("dup")));
+        assert_eq!(log.get(Seq(1)), Some(b("one"))); // original kept
+        assert_eq!(log.get(Seq(3)), None);
+        assert_eq!(log.len(), 2);
+        assert!(!log.is_empty());
     }
 
     #[test]
     fn contiguity_tracks_gaps() {
-        both(Retention::All, |mut log| {
-            assert_eq!(log.contiguous_high(), None);
-            log.insert(Time::ZERO, Seq(1), b("a"));
-            assert_eq!(log.contiguous_high(), Some(Seq(1)));
-            log.insert(Time::ZERO, Seq(3), b("c"));
-            assert_eq!(log.contiguous_high(), Some(Seq(1))); // 2 missing
-            log.insert(Time::ZERO, Seq(2), b("b"));
-            assert_eq!(log.contiguous_high(), Some(Seq(3)));
-        });
+        let mut log = LogStore::new(Retention::All);
+        assert_eq!(log.contiguous_high(), None);
+        log.insert(Time::ZERO, Seq(1), b("a"));
+        assert_eq!(log.contiguous_high(), Some(Seq(1)));
+        log.insert(Time::ZERO, Seq(3), b("c"));
+        assert_eq!(log.contiguous_high(), Some(Seq(1))); // 2 missing
+        log.insert(Time::ZERO, Seq(2), b("b"));
+        assert_eq!(log.contiguous_high(), Some(Seq(3)));
     }
 
     #[test]
     fn missing_in_reports_holes() {
-        both(Retention::All, |mut log| {
-            log.insert(Time::ZERO, Seq(1), b("a"));
-            log.insert(Time::ZERO, Seq(4), b("d"));
-            assert_eq!(
-                log.missing_in(Seq(1), Seq(4)),
-                vec![SeqRange {
-                    first: Seq(2),
-                    last: Seq(3)
-                }]
-            );
-            assert_eq!(log.missing_in(Seq(4), Seq(1)), Vec::<SeqRange>::new());
-            assert_eq!(log.missing_in(Seq(1), Seq(1)), Vec::<SeqRange>::new());
-        });
+        let mut log = LogStore::new(Retention::All);
+        log.insert(Time::ZERO, Seq(1), b("a"));
+        log.insert(Time::ZERO, Seq(4), b("d"));
+        assert_eq!(
+            log.missing_in(Seq(1), Seq(4)),
+            vec![SeqRange {
+                first: Seq(2),
+                last: Seq(3)
+            }]
+        );
+        assert_eq!(log.missing_in(Seq(4), Seq(1)), Vec::<SeqRange>::new());
+        assert_eq!(log.missing_in(Seq(1), Seq(1)), Vec::<SeqRange>::new());
     }
 
     #[test]
     fn missing_in_emits_runs_not_sequences() {
         // A NACK spanning a mostly-empty range must cost O(held + runs):
         // the result is a handful of runs, never millions of elements.
-        both(Retention::All, |mut log| {
-            log.insert(Time::ZERO, Seq(1), b("a"));
-            log.insert(Time::ZERO, Seq(5_000_000), b("m"));
-            let missing = log.missing_in(Seq(1), Seq(10_000_000));
-            assert_eq!(
-                missing,
-                vec![
-                    SeqRange {
-                        first: Seq(2),
-                        last: Seq(4_999_999)
-                    },
-                    SeqRange {
-                        first: Seq(5_000_001),
-                        last: Seq(10_000_000)
-                    },
-                ]
-            );
-        });
+        let mut log = LogStore::new(Retention::All);
+        log.insert(Time::ZERO, Seq(1), b("a"));
+        log.insert(Time::ZERO, Seq(5_000_000), b("m"));
+        let missing = log.missing_in(Seq(1), Seq(10_000_000));
+        assert_eq!(
+            missing,
+            vec![
+                SeqRange {
+                    first: Seq(2),
+                    last: Seq(4_999_999)
+                },
+                SeqRange {
+                    first: Seq(5_000_001),
+                    last: Seq(10_000_000)
+                },
+            ]
+        );
         // Edge runs: hole at the very start and very end of the span.
-        both(Retention::All, |empty| {
-            assert_eq!(
-                empty.missing_in(Seq(10), Seq(20)),
-                vec![SeqRange {
-                    first: Seq(10),
-                    last: Seq(20)
-                }]
-            );
-        });
+        let empty = LogStore::new(Retention::All);
+        assert_eq!(
+            empty.missing_in(Seq(10), Seq(20)),
+            vec![SeqRange {
+                first: Seq(10),
+                last: Seq(20)
+            }]
+        );
         // Fully-held span has no runs.
-        both(Retention::All, |mut full| {
-            for i in 1..=5 {
-                full.insert(Time::ZERO, Seq(i), b("x"));
-            }
-            assert_eq!(full.missing_in(Seq(1), Seq(5)), Vec::<SeqRange>::new());
-        });
+        let mut full = LogStore::new(Retention::All);
+        for i in 1..=5 {
+            full.insert(Time::ZERO, Seq(i), b("x"));
+        }
+        assert_eq!(full.missing_in(Seq(1), Seq(5)), Vec::<SeqRange>::new());
     }
 
     #[test]
     fn collect_span_partitions_present_and_missing() {
-        both(Retention::All, |mut log| {
-            log.insert(Time::ZERO, Seq(1), b("a"));
-            log.insert(Time::ZERO, Seq(3), b("c"));
-            log.insert(Time::ZERO, Seq(4), b("d"));
-            let mut present = Vec::new();
-            let mut missing = Vec::new();
-            log.collect_span(Seq(1), 5, &mut present, &mut missing);
-            let seqs: Vec<Seq> = present.iter().map(|(s, _)| *s).collect();
-            assert_eq!(seqs, vec![Seq(1), Seq(3), Seq(4)]);
-            assert_eq!(present[0].1, b("a"));
-            assert_eq!(
-                missing,
-                vec![
-                    SeqRange {
-                        first: Seq(2),
-                        last: Seq(2)
-                    },
-                    SeqRange {
-                        first: Seq(5),
-                        last: Seq(5)
-                    },
-                ]
-            );
-            // Zero-count spans touch nothing.
-            present.clear();
-            missing.clear();
-            log.collect_span(Seq(1), 0, &mut present, &mut missing);
-            assert!(present.is_empty() && missing.is_empty());
-        });
+        let mut log = LogStore::new(Retention::All);
+        log.insert(Time::ZERO, Seq(1), b("a"));
+        log.insert(Time::ZERO, Seq(3), b("c"));
+        log.insert(Time::ZERO, Seq(4), b("d"));
+        let mut present = Vec::new();
+        let mut missing = Vec::new();
+        log.collect_span(Seq(1), 5, &mut present, &mut missing);
+        let seqs: Vec<Seq> = present.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![Seq(1), Seq(3), Seq(4)]);
+        assert_eq!(present[0].1, b("a"));
+        assert_eq!(
+            missing,
+            vec![
+                SeqRange {
+                    first: Seq(2),
+                    last: Seq(2)
+                },
+                SeqRange {
+                    first: Seq(5),
+                    last: Seq(5)
+                },
+            ]
+        );
+        // Zero-count spans touch nothing.
+        present.clear();
+        missing.clear();
+        log.collect_span(Seq(1), 0, &mut present, &mut missing);
+        assert!(present.is_empty() && missing.is_empty());
     }
 
     #[test]
     fn count_retention_evicts_oldest() {
-        both(Retention::Count(3), |mut log| {
-            for i in 1..=5 {
-                log.insert(Time::ZERO, Seq(i), b("x"));
-            }
-            assert_eq!(log.len(), 3);
-            assert_eq!(log.oldest(), Some(Seq(3)));
-            assert_eq!(log.newest(), Some(Seq(5)));
-            assert!(!log.has(Seq(1)));
-            assert!(log.has(Seq(5)));
-            // Contiguity is not broken by pruning: everything through 5
-            // was once logged.
-            assert_eq!(log.contiguous_high(), Some(Seq(5)));
-        });
+        let mut log = LogStore::new(Retention::Count(3));
+        for i in 1..=5 {
+            log.insert(Time::ZERO, Seq(i), b("x"));
+        }
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.oldest(), Some(Seq(3)));
+        assert_eq!(log.newest(), Some(Seq(5)));
+        assert!(!log.has(Seq(1)));
+        assert!(log.has(Seq(5)));
+        // Contiguity is not broken by pruning: everything through 5
+        // was once logged.
+        assert_eq!(log.contiguous_high(), Some(Seq(5)));
     }
 
     #[test]
     fn lifetime_retention_expires() {
-        both(Retention::Lifetime(Duration::from_secs(10)), |mut log| {
-            log.insert(Time::ZERO, Seq(1), b("a"));
-            log.insert(Time::from_secs(8), Seq(2), b("b"));
-            log.prune(Time::from_secs(11));
-            assert!(!log.has(Seq(1)));
-            assert!(log.has(Seq(2)));
-            log.prune(Time::from_secs(19));
-            assert!(log.is_empty());
-        });
+        let mut log = LogStore::new(Retention::Lifetime(Duration::from_secs(10)));
+        log.insert(Time::ZERO, Seq(1), b("a"));
+        log.insert(Time::from_secs(8), Seq(2), b("b"));
+        log.prune(Time::from_secs(11));
+        assert!(!log.has(Seq(1)));
+        assert!(log.has(Seq(2)));
+        log.prune(Time::from_secs(19));
+        assert!(log.is_empty());
     }
 
     #[test]
     fn iter_in_order_across_wrap() {
-        both(Retention::All, |mut log| {
-            log.insert(Time::ZERO, Seq(u32::MAX), b("a"));
-            log.insert(Time::ZERO, Seq(0), b("b"));
-            log.insert(Time::ZERO, Seq(1), b("c"));
-            let seqs: Vec<Seq> = log.iter().map(|(s, _)| s).collect();
-            assert_eq!(seqs, vec![Seq(u32::MAX), Seq(0), Seq(1)]);
-            assert_eq!(log.contiguous_high(), Some(Seq(1)));
-        });
+        let mut log = LogStore::new(Retention::All);
+        log.insert(Time::ZERO, Seq(u32::MAX), b("a"));
+        log.insert(Time::ZERO, Seq(0), b("b"));
+        log.insert(Time::ZERO, Seq(1), b("c"));
+        let seqs: Vec<Seq> = log.iter().map(|(s, _)| s).collect();
+        assert_eq!(seqs, vec![Seq(u32::MAX), Seq(0), Seq(1)]);
+        assert_eq!(log.contiguous_high(), Some(Seq(1)));
     }
 
     #[test]
@@ -620,78 +437,61 @@ mod tests {
         // Seq 2 is never logged; even after pruning hides the hole, the
         // store must not claim contiguity past 1 — a primary reporting
         // otherwise would let the source discard an unlogged packet.
-        both(Retention::Count(2), |mut log| {
-            log.insert(Time::ZERO, Seq(1), b("a"));
-            log.insert(Time::ZERO, Seq(3), b("c"));
-            log.insert(Time::ZERO, Seq(4), b("d"));
-            log.insert(Time::ZERO, Seq(5), b("e"));
-            assert_eq!(log.contiguous_high(), Some(Seq(1)));
-            // Late arrival of 2 (e.g. recovered from the source) repairs
-            // it.
-            log.insert(Time::ZERO, Seq(2), b("b"));
-            assert_eq!(log.contiguous_high(), Some(Seq(5)));
-        });
+        let mut log = LogStore::new(Retention::Count(2));
+        log.insert(Time::ZERO, Seq(1), b("a"));
+        log.insert(Time::ZERO, Seq(3), b("c"));
+        log.insert(Time::ZERO, Seq(4), b("d"));
+        log.insert(Time::ZERO, Seq(5), b("e"));
+        assert_eq!(log.contiguous_high(), Some(Seq(1)));
+        // Late arrival of 2 (e.g. recovered from the source) repairs
+        // it.
+        log.insert(Time::ZERO, Seq(2), b("b"));
+        assert_eq!(log.contiguous_high(), Some(Seq(5)));
     }
 
     #[test]
     fn out_of_order_inserts() {
-        both(Retention::All, |mut log| {
-            log.insert(Time::ZERO, Seq(5), b("e"));
-            log.insert(Time::ZERO, Seq(7), b("g"));
-            log.insert(Time::ZERO, Seq(6), b("f"));
-            assert_eq!(log.contiguous_high(), Some(Seq(7)));
-            assert_eq!(log.missing_in(Seq(5), Seq(7)), Vec::<SeqRange>::new());
-        });
+        let mut log = LogStore::new(Retention::All);
+        log.insert(Time::ZERO, Seq(5), b("e"));
+        log.insert(Time::ZERO, Seq(7), b("g"));
+        log.insert(Time::ZERO, Seq(6), b("f"));
+        assert_eq!(log.contiguous_high(), Some(Seq(7)));
+        assert_eq!(log.missing_in(Seq(5), Seq(7)), Vec::<SeqRange>::new());
     }
 
     #[test]
     fn lifetime_prune_pops_expired_front_and_stops() {
-        both(Retention::Lifetime(Duration::from_secs(10)), |mut log| {
-            for i in 1..=3 {
-                log.insert(Time::from_secs(i as u64), Seq(i), b("x"));
-            }
-            // At t=13 entries logged at 1 and 2 are expired, 3 is not.
-            log.prune(Time::from_secs(13));
-            assert!(!log.has(Seq(1)));
-            assert!(!log.has(Seq(2)));
-            assert!(log.has(Seq(3)));
-            // A late out-of-order arrival (low seq, fresh timestamp) sits
-            // at the front; the front-pop stops there — same shielding
-            // the original front-scan had.
-            log.insert(Time::from_secs(20), Seq(0), b("late-low"));
-            log.prune(Time::from_secs(25));
-            assert!(log.has(Seq(0)));
-            assert!(log.has(Seq(3)), "shielded by the unexpired front entry");
-        });
+        let mut log = LogStore::new(Retention::Lifetime(Duration::from_secs(10)));
+        for i in 1..=3 {
+            log.insert(Time::from_secs(i as u64), Seq(i), b("x"));
+        }
+        // At t=13 entries logged at 1 and 2 are expired, 3 is not.
+        log.prune(Time::from_secs(13));
+        assert!(!log.has(Seq(1)));
+        assert!(!log.has(Seq(2)));
+        assert!(log.has(Seq(3)));
+        // A late out-of-order arrival (low seq, fresh timestamp) sits
+        // at the front; the front-pop stops there — same shielding
+        // the original front-scan had.
+        log.insert(Time::from_secs(20), Seq(0), b("late-low"));
+        log.prune(Time::from_secs(25));
+        assert!(log.has(Seq(0)));
+        assert!(log.has(Seq(3)), "shielded by the unexpired front entry");
     }
 
     #[test]
     fn count_retention_across_segment_boundaries() {
         // Retention smaller than a segment, stream longer than several
-        // segments: whole-segment drops plus head trims must agree with
-        // the btree's pop_first loop.
-        both(Retention::Count(100), |mut log| {
-            for i in 1..=20_000u32 {
-                log.insert(Time::ZERO, Seq(i), b("x"));
-            }
-            assert_eq!(log.len(), 100);
-            assert_eq!(log.oldest(), Some(Seq(19_901)));
-            assert_eq!(log.newest(), Some(Seq(20_000)));
-            assert!(!log.has(Seq(19_900)));
-            assert!(log.has(Seq(19_901)));
-        });
-    }
-
-    #[test]
-    fn backend_parse_and_default() {
-        assert_eq!(StoreBackend::parse(""), Some(StoreBackend::Slab));
-        assert_eq!(StoreBackend::parse("slab"), Some(StoreBackend::Slab));
-        assert_eq!(StoreBackend::parse("SLAB"), Some(StoreBackend::Slab));
-        assert_eq!(StoreBackend::parse("btree"), Some(StoreBackend::Btree));
-        assert_eq!(StoreBackend::parse("lsm"), None);
-        assert_eq!(
-            LogStore::with_backend(Retention::All, StoreBackend::Btree).backend(),
-            StoreBackend::Btree
-        );
+        // segments: whole-segment drops plus head trims must leave
+        // exactly the newest 100.
+        let mut log = LogStore::new(Retention::Count(100));
+        for i in 1..=20_000u32 {
+            log.insert(Time::ZERO, Seq(i), b("x"));
+        }
+        assert_eq!(log.len(), 100);
+        assert_eq!(log.oldest(), Some(Seq(19_901)));
+        assert_eq!(log.newest(), Some(Seq(20_000)));
+        assert!(!log.has(Seq(19_900)));
+        assert!(log.has(Seq(19_901)));
     }
 }

@@ -46,8 +46,8 @@ pub fn recv_gauge_probe(
 /// Publishes one endpoint's send counters as gauges named
 /// `net.<addr>.send.datagrams`, `.send.packets`, `.send.bytes` and
 /// `.send.errors` — the outbound mirror of [`publish_recv_gauges`].
-/// With bundling on, the datagrams/packets ratio on `/stats` shows the
-/// framing savings live.
+/// The datagrams/packets ratio on `/stats` shows bundling's framing
+/// savings live.
 pub fn publish_send_gauges(host: HostId, counters: &SendCounters, registry: &MetricsRegistry) {
     let addr = addr_of(host);
     registry.set_gauge(&format!("net.{addr}.send.datagrams"), counters.datagrams());
@@ -161,10 +161,9 @@ mod tests {
         use crate::udp::UdpTransport;
         use crate::Transport;
         use bytes::Bytes;
-        use lbrm_wire::{BundleMode, EpochId, GroupId, Packet, Seq, SourceId};
+        use lbrm_wire::{EpochId, GroupId, Packet, Seq, SourceId};
 
         let mut t = UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
-        t.set_bundle_mode(BundleMode::On);
         let host = t.local_host();
         let counters = t.shared_send_counters();
         let registry = Arc::new(MetricsRegistry::default());

@@ -26,8 +26,8 @@ use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 use lbrm_wire::{
-    decode_bundle, decode_bytes, encode_into, is_bundle, BundleBuilder, BundleMode, GroupId,
-    HostId, Packet, TtlScope, MAX_PACKET_SIZE,
+    decode_bundle, decode_bytes, encode_into, is_bundle, BundleBuilder, GroupId, HostId, Packet,
+    TtlScope, MAX_PACKET_SIZE,
 };
 
 use crate::addr::{addr_of, host_of, GroupMap};
@@ -75,8 +75,8 @@ impl RecvCounters {
 }
 
 /// Send-path counters for one endpoint, the outbound mirror of
-/// [`RecvCounters`]. With bundling on, `datagrams` and `packets`
-/// diverge — their ratio is the live measure of how much framing
+/// [`RecvCounters`]. `datagrams` and `packets` diverge wherever runs
+/// were bundled — their ratio is the live measure of how much framing
 /// overhead bundling is saving.
 #[derive(Debug, Default)]
 pub struct SendCounters {
@@ -417,7 +417,6 @@ pub struct UdpTransport {
     /// capacity instead of allocating per packet.
     scratch: BytesMut,
     bundler: BundleBuilder,
-    bundle: BundleMode,
     /// The multicast TTL the socket currently carries: the option is
     /// sticky, so only a scope change costs a `setsockopt`.
     multicast_ttl: Option<u32>,
@@ -467,7 +466,6 @@ impl UdpTransport {
             send: Arc::new(SendCounters::default()),
             scratch: BytesMut::with_capacity(2048),
             bundler: BundleBuilder::with_default_mtu(),
-            bundle: BundleMode::from_env(),
             multicast_ttl: None,
             stop,
         })
@@ -503,24 +501,65 @@ impl UdpTransport {
         Arc::clone(&self.send)
     }
 
-    /// Whether bundle sends coalesce packets (set from `LBRM_BUNDLE` at
-    /// bind).
-    pub fn bundle_mode(&self) -> BundleMode {
-        self.bundle
-    }
-
-    /// Overrides the `LBRM_BUNDLE`-derived bundling mode, e.g. for
-    /// tests that must not depend on ambient environment.
-    pub fn set_bundle_mode(&mut self, mode: BundleMode) {
-        self.bundle = mode;
-    }
-
     /// Points the socket's multicast TTL at `scope`.
     fn set_scope(&mut self, scope: TtlScope) -> io::Result<()> {
         let ttl = u32::from(scope.ttl());
         if self.multicast_ttl != Some(ttl) {
             self.unicast.set_multicast_ttl_v4(ttl)?;
             self.multicast_ttl = Some(ttl);
+        }
+        Ok(())
+    }
+
+    /// Encodes `packet` into the scratch and sends it as a bare datagram.
+    fn send_bare(&mut self, dst: SocketAddr, packet: &Packet) -> io::Result<()> {
+        self.scratch.clear();
+        if let Err(e) = encode_into(packet, &mut self.scratch) {
+            self.send.count_error();
+            return Err(io::Error::other(e));
+        }
+        send_frame(&self.unicast, &self.send, &self.scratch, dst)
+    }
+
+    /// Sends a run of packets to one destination: a lone packet bare,
+    /// two or more coalesced into MTU-bounded bundle frames.
+    fn send_run(&mut self, dst: SocketAddr, packets: &[Packet]) -> io::Result<()> {
+        if let [packet] = packets {
+            return self.send_bare(dst, packet);
+        }
+        let sent = self.send_bundled(dst, packets);
+        // A refused frame abandons the run with the packet that opened
+        // the next frame still pending; left there, the next run would
+        // ship it to *its* destination.
+        self.bundler.reset();
+        sent
+    }
+
+    fn send_bundled(&mut self, dst: SocketAddr, packets: &[Packet]) -> io::Result<()> {
+        let UdpTransport {
+            bundler,
+            unicast,
+            send,
+            ..
+        } = self;
+        for p in packets {
+            match bundler.push(p) {
+                Ok(Some(frame)) => send_frame(unicast, send, frame, dst)?,
+                Ok(None) => {}
+                Err(e) => {
+                    // The failing packet never entered the frame; flush
+                    // the valid prefix so it still reaches `dst`, then
+                    // surface the error.
+                    send.count_error();
+                    if let Some(frame) = bundler.flush() {
+                        send_frame(unicast, send, frame, dst)?;
+                    }
+                    return Err(io::Error::other(e));
+                }
+            }
+        }
+        if let Some(frame) = bundler.flush() {
+            send_frame(unicast, send, frame, dst)?;
         }
         Ok(())
     }
@@ -542,109 +581,24 @@ impl Transport for UdpTransport {
     }
 
     fn send_unicast(&mut self, to: HostId, packet: &Packet) -> io::Result<()> {
-        self.scratch.clear();
-        if let Err(e) = encode_into(packet, &mut self.scratch) {
-            self.send.count_error();
-            return Err(io::Error::other(e));
-        }
-        send_frame(
-            &self.unicast,
-            &self.send,
-            &self.scratch,
-            SocketAddr::V4(addr_of(to)),
-        )
+        self.send_bare(SocketAddr::V4(addr_of(to)), packet)
     }
 
     fn send_multicast(&mut self, scope: TtlScope, packet: &Packet) -> io::Result<()> {
-        self.scratch.clear();
-        if let Err(e) = encode_into(packet, &mut self.scratch) {
-            self.send.count_error();
-            return Err(io::Error::other(e));
-        }
-        let dst = self.groups.addr(packet.group());
         self.set_scope(scope)?;
-        send_frame(
-            &self.unicast,
-            &self.send,
-            &self.scratch,
-            SocketAddr::V4(dst),
-        )
+        self.send_bare(SocketAddr::V4(self.groups.addr(packet.group())), packet)
     }
 
     fn send_unicast_bundle(&mut self, to: HostId, packets: &[Packet]) -> io::Result<()> {
-        if !self.bundle.is_on() || packets.len() < 2 {
-            for p in packets {
-                self.send_unicast(to, p)?;
-            }
-            return Ok(());
-        }
-        let dst = SocketAddr::V4(addr_of(to));
-        let bundler = &mut self.bundler;
-        let unicast = &self.unicast;
-        let send = &self.send;
-        for p in packets {
-            match bundler.push(p) {
-                Ok(Some(frame)) => send_frame(unicast, send, frame, dst)?,
-                Ok(None) => {}
-                Err(e) => {
-                    // The failing packet never entered the frame; flush
-                    // the valid prefix so it still reaches `to`, then
-                    // surface the error.
-                    send.count_error();
-                    if let Some(frame) = bundler.flush() {
-                        send_frame(unicast, send, frame, dst)?;
-                    }
-                    return Err(io::Error::other(e));
-                }
-            }
-        }
-        if let Some(frame) = bundler.flush() {
-            send_frame(unicast, send, frame, dst)?;
-        }
-        Ok(())
+        self.send_run(SocketAddr::V4(addr_of(to)), packets)
     }
 
     fn send_multicast_bundle(&mut self, scope: TtlScope, packets: &[Packet]) -> io::Result<()> {
-        if !self.bundle.is_on() || packets.len() < 2 {
-            for p in packets {
-                self.send_multicast(scope, p)?;
-            }
-            return Ok(());
-        }
         self.set_scope(scope)?;
-        let bundler = &mut self.bundler;
-        let unicast = &self.unicast;
-        let send = &self.send;
-        let groups = &self.groups;
-        // A frame goes to exactly one destination, so flush at every
-        // group boundary within the run.
-        let mut cur: Option<SocketAddr> = None;
-        for p in packets {
-            let dst = SocketAddr::V4(groups.addr(p.group()));
-            if cur != Some(dst) {
-                if let Some(prev) = cur {
-                    if let Some(frame) = bundler.flush() {
-                        send_frame(unicast, send, frame, prev)?;
-                    }
-                }
-                cur = Some(dst);
-            }
-            match bundler.push(p) {
-                Ok(Some(frame)) => send_frame(unicast, send, frame, dst)?,
-                Ok(None) => {}
-                Err(e) => {
-                    send.count_error();
-                    if let Some(frame) = bundler.flush() {
-                        send_frame(unicast, send, frame, dst)?;
-                    }
-                    return Err(io::Error::other(e));
-                }
-            }
-        }
-        if let Some(dst) = cur {
-            if let Some(frame) = bundler.flush() {
-                send_frame(unicast, send, frame, dst)?;
-            }
+        // A frame goes to exactly one destination: one run per group.
+        for run in packets.chunk_by(|a, b| a.group() == b.group()) {
+            let dst = SocketAddr::V4(self.groups.addr(run[0].group()));
+            self.send_run(dst, run)?;
         }
         Ok(())
     }
@@ -859,12 +813,11 @@ mod tests {
         assert!(out.is_empty(), "corrupt bundle must not deliver a prefix");
     }
 
-    /// Send counters: one datagram per plain send, and with bundling on
-    /// a run of packets collapses into fewer datagrams than packets.
+    /// Send counters: one datagram per plain send, and a bundled run of
+    /// packets collapses into fewer datagrams than packets.
     #[test]
     fn send_counters_track_datagrams_and_packets() {
         let mut t = UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
-        t.set_bundle_mode(BundleMode::Off);
         let peer = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         let SocketAddr::V4(peer_addr) = peer.local_addr().unwrap() else {
             panic!("ipv4 bind");
@@ -879,8 +832,7 @@ mod tests {
         assert_eq!(t.send_counters().bytes(), wire as u64);
         assert_eq!(t.send_counters().errors(), 0);
 
-        // Bundling on: ten packets in one run become one datagram.
-        t.set_bundle_mode(BundleMode::On);
+        // Ten packets in one run become one datagram.
         let run: Vec<Packet> = (10..20).map(data).collect();
         t.send_unicast_bundle(to, &run).unwrap();
         assert_eq!(t.send_counters().datagrams(), 3);
@@ -910,7 +862,6 @@ mod tests {
             t.send_multicast(scope, &data(1)).unwrap();
             assert_eq!(ttl(&t), u32::from(scope.ttl()));
         }
-        t.set_bundle_mode(BundleMode::On);
         t.send_multicast_bundle(TtlScope::Global, &[data(2), data(3)])
             .unwrap();
         assert_eq!(ttl(&t), u32::from(TtlScope::Global.ttl()));
@@ -944,7 +895,6 @@ mod tests {
 
         // Bundle path: the valid prefix is flushed, the oversized
         // packet is rejected, and later sends still work.
-        t.set_bundle_mode(BundleMode::On);
         let run = vec![data(1), data(2), oversized];
         assert!(t.send_unicast_bundle(to, &run).is_err());
         assert_eq!(t.send_counters().errors(), 2);
@@ -953,5 +903,42 @@ mod tests {
         t.send_unicast_bundle(to, &[data(3), data(4)]).unwrap();
         assert_eq!(t.send_counters().datagrams(), 2);
         assert_eq!(t.send_counters().packets(), 4);
+    }
+
+    /// Regression: a socket error on a sealed frame used to return with
+    /// the packet that opened the *next* frame still in the builder, and
+    /// the next bundled run — to whatever destination — shipped it.
+    #[test]
+    fn failed_bundle_run_leaves_nothing_for_the_next_destination() {
+        let mut t = UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
+        let big = |seq: u32| Packet::Retrans {
+            group: GroupId(1),
+            source: SourceId(1),
+            seq: Seq(seq),
+            payload: Bytes::from(vec![0x5A; 900]),
+        };
+        // Two 900-byte packets cannot share a 1400-byte frame, so the
+        // second push seals the first frame — and port 0 is unsendable.
+        let nowhere = host_of(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0));
+        assert!(t.send_unicast_bundle(nowhere, &[big(1), big(2)]).is_err());
+        assert_eq!(t.send_counters().datagrams(), 0);
+
+        let peer = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let SocketAddr::V4(peer_addr) = peer.local_addr().unwrap() else {
+            panic!("ipv4 bind");
+        };
+        t.send_unicast_bundle(host_of(peer_addr), &[data(3), data(4)])
+            .unwrap();
+        assert_eq!(t.send_counters().datagrams(), 1);
+        assert_eq!(t.send_counters().packets(), 2);
+
+        let counters = RecvCounters::default();
+        let mut buf = vec![0u8; RECV_BUF_SIZE];
+        let mut out = Vec::new();
+        recv_step(&peer, &mut buf, &mut out, &counters)
+            .unwrap()
+            .expect("the live run must arrive");
+        assert_eq!(out, vec![data(3), data(4)], "exactly the second run");
     }
 }

@@ -159,3 +159,106 @@ fn garbage_datagram_is_counted_not_delivered() {
     let got = t.recv_timeout(Duration::from_secs(5)).unwrap();
     assert!(got.is_some(), "valid packet after garbage must deliver");
 }
+
+/// The bundled path is what ships: a `Logger` endpoint on a
+/// default-constructed transport answers one 16-sequence `Nack` with
+/// bundle datagrams, not one datagram per `Retrans`.
+#[test]
+fn logger_answers_a_span_nack_with_bundle_datagrams() {
+    use lbrm_net::host_of;
+    use lbrm_wire::{decode_bundle, decode_bytes, encode, is_bundle, EpochId, Packet, SeqRange};
+    use std::net::{SocketAddr, UdpSocket};
+
+    let Some(log_t) = try_bind(49_435) else {
+        return;
+    };
+    let logger_addr = log_t.local_addr();
+    let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let SocketAddr::V4(client_addr) = client.local_addr().unwrap() else {
+        panic!("ipv4 bind");
+    };
+    let me = host_of(client_addr);
+
+    // The client plays source and requester; no multicast involved.
+    let (ep, _logger) = Endpoint::new(
+        Logger::new(LoggerConfig::primary(GROUP, SRC, log_t.local_host(), me)),
+        log_t,
+        vec![],
+    );
+    ep.spawn();
+
+    let payload = |seq: u32| Bytes::from(format!("logged-{seq:02}"));
+    let mut buf = vec![0u8; 65_536];
+    // One datagram: whether it was a bundle frame, and its packets.
+    let mut recv = || -> (bool, Vec<Packet>) {
+        let (n, _) = client.recv_from(&mut buf).expect("the logger must answer");
+        let datagram = Bytes::copy_from_slice(&buf[..n]);
+        if is_bundle(&datagram) {
+            (true, decode_bundle(&datagram).expect("valid bundle"))
+        } else {
+            (false, vec![decode_bytes(datagram).expect("valid packet")])
+        }
+    };
+
+    for seq in 1..=16 {
+        let data = Packet::Data {
+            group: GROUP,
+            source: SRC,
+            seq: Seq(seq),
+            epoch: EpochId(0),
+            payload: payload(seq),
+        };
+        client
+            .send_to(&encode(&data).unwrap(), logger_addr)
+            .unwrap();
+    }
+    // Wait until the log holds all 16 (cumulative LogAck).
+    loop {
+        let (_, packets) = recv();
+        if packets
+            .iter()
+            .any(|p| matches!(p, Packet::LogAck { primary_seq, .. } if *primary_seq == Seq(16)))
+        {
+            break;
+        }
+    }
+
+    let nack = Packet::Nack {
+        group: GROUP,
+        source: SRC,
+        requester: me,
+        ranges: vec![SeqRange {
+            first: Seq(1),
+            last: Seq(16),
+        }],
+    };
+    client
+        .send_to(&encode(&nack).unwrap(), logger_addr)
+        .unwrap();
+
+    let mut datagrams = 0;
+    let mut repairs: Vec<(Seq, Bytes)> = Vec::new();
+    while repairs.len() < 16 {
+        let (bundled, packets) = recv();
+        let before = repairs.len();
+        for p in packets {
+            if let Packet::Retrans { seq, payload, .. } = p {
+                repairs.push((seq, payload));
+            }
+        }
+        if repairs.len() > before {
+            assert!(bundled, "repairs must travel in bundle frames");
+            datagrams += 1;
+        }
+    }
+    assert!(
+        datagrams < repairs.len(),
+        "{datagrams} datagrams for {} repairs",
+        repairs.len()
+    );
+    let want: Vec<(Seq, Bytes)> = (1..=16).map(|s| (Seq(s), payload(s))).collect();
+    assert_eq!(repairs, want, "requested seqs, ascending, logged payloads");
+}

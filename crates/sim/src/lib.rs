@@ -15,15 +15,15 @@
 //!   [`lbrm_wire::Packet`]s over unicast and TTL-scoped multicast, set
 //!   timers, and draw from per-host deterministic RNG streams.
 //! * [`queue`] — the future-event queue behind the loop: a hierarchical
-//!   timer wheel (amortized O(1) push/pop) with a binary-heap reference
-//!   backend that pops in the identical order.
+//!   timer wheel (amortized O(1) push/pop) that pops in exactly a binary
+//!   heap's order.
 //! * `shard` (internal) — site-sharded parallel execution with
 //!   conservative synchronization; `LBRM_SIM_SHARDS` selects the shard
 //!   count and results are byte-identical for any value.
 //! * [`stats`] — per-segment-class, per-packet-kind traffic accounting
 //!   (the quantities the paper's evaluation counts), plus the
 //!   [`stats::BundleStats`] ledger modeling PDU-bundling framing
-//!   (`LBRM_BUNDLE`) without perturbing the event stream.
+//!   without perturbing the event stream.
 //!
 //! Everything is deterministic given the world seed: the same scenario
 //! replays identically, which the test-suite asserts.
@@ -40,7 +40,7 @@ pub mod topology;
 pub mod world;
 
 pub use loss::LossModel;
-pub use queue::{EventQueue, QueueBackend};
+pub use queue::EventQueue;
 pub use stats::{BundleStats, KindBundle, NetStats, SegmentClass};
 pub use time::SimTime;
 pub use topology::{SiteParams, Topology, TopologyBuilder};

@@ -1,12 +1,11 @@
-//! The simulator's future-event queue: a hierarchical timer wheel with a
-//! binary-heap reference backend.
+//! The simulator's future-event queue: a hierarchical timer wheel.
 //!
 //! Profiling showed [`crate::world::World`]'s event-queue pops dominating
 //! the DIS-scenario step rate once sites × receivers grows past a few
 //! hundred hosts — exactly the dense heartbeat/timer traffic LBRM §2.1
-//! generates. A [`BinaryHeap`] pays O(log n) compares *and moves* per
-//! pop; the [`QueueBackend::Wheel`] backend replaces that with a
-//! hierarchical timer wheel whose push and pop are amortized O(1).
+//! generates. A single [`BinaryHeap`] pays O(log n) compares *and moves*
+//! per pop; the hierarchical timer wheel's push and pop are amortized
+//! O(1).
 //!
 //! # Shape
 //!
@@ -32,68 +31,20 @@
 //!
 //! # Determinism
 //!
-//! Pop order is **exactly** the heap's: strictly increasing
+//! Pop order is **exactly** a binary heap's: strictly increasing
 //! `(deadline, tiebreak)` with the tiebreak assigned at push (FIFO within
 //! a deadline). The wheel only ever partitions events by time bucket —
 //! the `near` heap restores the total order inside a bucket, buckets are
 //! opened in time order, and cascading moves events between buckets
-//! without reordering them. Every experiment therefore produces
-//! byte-identical output under either backend, which
-//! `tests/event_queue_diff_sim.rs` pins on seeded lossy runs.
+//! without reordering them. This module's tests hold the wheel to that
+//! claim against a plain `BinaryHeap` oracle under random interleaved
+//! churn; `tests/event_queue_diff_sim.rs` pins whole seeded lossy runs
+//! byte-identical across shard counts on top of it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timer wheel: amortized O(1) push/pop (the default).
-    #[default]
-    Wheel,
-    /// Binary heap: O(log n) push/pop. Kept for differential testing —
-    /// the wheel must reproduce its pop order bit-for-bit.
-    Heap,
-}
-
-impl QueueBackend {
-    /// Backend selected by the `LBRM_SIM_QUEUE` environment variable.
-    /// This is the hook the differential tests use to run whole
-    /// experiment binaries under both backends, so it is strict: only
-    /// `"wheel"`, `"heap"`, the empty string, or unset are accepted. A
-    /// typo in the CI matrix must fail loudly — silently falling back to
-    /// the wheel would run the same backend twice and the differential
-    /// coverage would evaporate without anyone noticing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value.
-    pub fn from_env() -> QueueBackend {
-        match std::env::var("LBRM_SIM_QUEUE") {
-            Err(std::env::VarError::NotPresent) => QueueBackend::Wheel,
-            Err(e) => panic!("LBRM_SIM_QUEUE is not valid unicode: {e}"),
-            Ok(v) => match Self::parse(&v) {
-                Some(b) => b,
-                None => {
-                    panic!("LBRM_SIM_QUEUE must be \"wheel\" or \"heap\" (or unset), got {v:?}")
-                }
-            },
-        }
-    }
-
-    /// Parses a backend name: `"wheel"`, `"heap"` (case-insensitive), or
-    /// the empty string (treated as unset → the default wheel).
-    pub fn parse(v: &str) -> Option<QueueBackend> {
-        if v.is_empty() || v.eq_ignore_ascii_case("wheel") {
-            Some(QueueBackend::Wheel)
-        } else if v.eq_ignore_ascii_case("heap") {
-            Some(QueueBackend::Heap)
-        } else {
-            None
-        }
-    }
-}
 
 /// One scheduled event: ordered by `(at, tiebreak)` only — the payload
 /// never participates in comparisons.
@@ -332,46 +283,36 @@ impl<T> Wheel<T> {
     }
 }
 
-enum Backend<T> {
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
-    Wheel(Wheel<T>),
-}
-
 /// Tiebreak bit marking auto-assigned (push-order) keys. Caller-provided
 /// keys from [`EventQueue::push_keyed`] must stay below this bit, so the
 /// two key spaces never collide even when mixed in one queue.
 const AUTO_KEY_BIT: u128 = 1 << 127;
 
 /// The simulator's future-event queue: events pop in strictly increasing
-/// `(deadline, tiebreak)` under either backend. [`EventQueue::push`]
-/// assigns tiebreaks in push order (FIFO within a deadline);
-/// [`EventQueue::push_keyed`] lets the caller supply the tiebreak, which
-/// is how the sharded [`crate::world::World`] imposes one global,
-/// placement-invariant event order across per-shard queues.
+/// `(deadline, tiebreak)`. [`EventQueue::push`] assigns tiebreaks in push
+/// order (FIFO within a deadline); [`EventQueue::push_keyed`] lets the
+/// caller supply the tiebreak, which is how the sharded
+/// [`crate::world::World`] imposes one global, placement-invariant event
+/// order across per-shard queues.
 pub struct EventQueue<T> {
     tiebreak: u64,
     len: usize,
-    backend: Backend<T>,
+    wheel: Wheel<T>,
+}
+
+impl<T> Default for EventQueue<T> {
+    fn default() -> Self {
+        EventQueue::new()
+    }
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue on the given backend.
-    pub fn new(backend: QueueBackend) -> EventQueue<T> {
+    /// An empty queue.
+    pub fn new() -> EventQueue<T> {
         EventQueue {
             tiebreak: 0,
             len: 0,
-            backend: match backend {
-                QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
-                QueueBackend::Wheel => Backend::Wheel(Wheel::new()),
-            },
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Heap(_) => QueueBackend::Heap,
-            Backend::Wheel(_) => QueueBackend::Wheel,
+            wheel: Wheel::new(),
         }
     }
 
@@ -396,12 +337,8 @@ impl<T> EventQueue<T> {
     }
 
     fn push_entry(&mut self, at: SimTime, tiebreak: u128, item: T) {
-        let e = Entry { at, tiebreak, item };
         self.len += 1;
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Reverse(e)),
-            Backend::Wheel(w) => w.push(e),
-        }
+        self.wheel.push(Entry { at, tiebreak, item });
     }
 
     /// Removes and returns the earliest event.
@@ -411,10 +348,7 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest event with its tiebreak key.
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u128, T)> {
-        let e = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|Reverse(e)| e),
-            Backend::Wheel(w) => w.pop(),
-        }?;
+        let e = self.wheel.pop()?;
         self.len -= 1;
         Some((e.at, e.tiebreak, e.item))
     }
@@ -423,10 +357,7 @@ impl<T> EventQueue<T> {
     /// because the wheel may advance its clock to locate the minimum —
     /// invisible to callers.)
     pub fn next_at(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.peek().map(|Reverse(e)| e.at),
-            Backend::Wheel(w) => w.next_at(),
-        }
+        self.wheel.next_at()
     }
 
     /// Number of scheduled events (bucket-resident ones included).
@@ -453,68 +384,106 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Pops from both backends after an identical push schedule must
-    /// agree exactly — including interleaved pushes at and around the
-    /// current time, which is how the simulator actually drives it.
+    /// The wheel in lockstep with the reference it must replay: a plain
+    /// binary heap on `(at, tiebreak)`, auto keys assigned the same way.
+    /// Every push goes to both; every pop must agree exactly.
+    struct Lockstep {
+        wheel: EventQueue<u64>,
+        oracle: BinaryHeap<Reverse<Entry<u64>>>,
+        auto: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Lockstep {
+            Lockstep {
+                wheel: EventQueue::new(),
+                oracle: BinaryHeap::new(),
+                auto: 0,
+            }
+        }
+
+        fn push(&mut self, at: SimTime, item: u64) {
+            self.wheel.push(at, item);
+            self.auto += 1;
+            let tiebreak = AUTO_KEY_BIT | u128::from(self.auto);
+            self.oracle.push(Reverse(Entry { at, tiebreak, item }));
+        }
+
+        fn push_keyed(&mut self, at: SimTime, key: u128, item: u64) {
+            self.wheel.push_keyed(at, key, item);
+            let tiebreak = key;
+            self.oracle.push(Reverse(Entry { at, tiebreak, item }));
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u128, u64)> {
+            let want = self
+                .oracle
+                .pop()
+                .map(|Reverse(e)| (e.at, e.tiebreak, e.item));
+            assert_eq!(self.wheel.next_at(), want.map(|(at, _, _)| at));
+            let got = self.wheel.pop_keyed();
+            assert_eq!(got, want, "wheel must replay the heap exactly");
+            assert_eq!(self.wheel.len(), self.oracle.len());
+            got
+        }
+
+        fn drain(&mut self) -> Vec<(SimTime, u128, u64)> {
+            std::iter::from_fn(|| self.pop()).collect()
+        }
+    }
+
+    /// Wheel and heap oracle must agree on every pop of an identical
+    /// schedule — including interleaved pushes at and around the current
+    /// time, which is how the simulator actually drives it.
     #[test]
     fn wheel_matches_heap_under_random_interleaved_churn() {
         for seed in [1u64, 7, 99, 4242] {
-            let mut heap = EventQueue::new(QueueBackend::Heap);
-            let mut wheel = EventQueue::new(QueueBackend::Wheel);
-            let mut s1 = seed;
-            let mut s2 = seed;
-            let drive = |q: &mut EventQueue<u64>, s: &mut u64| {
-                let mut now = SimTime::ZERO;
-                let mut popped = Vec::new();
-                let mut id = 0u64;
-                for _ in 0..64 {
-                    q.push(SimTime::from_nanos(splitmix(s) % 2_000_000), id);
+            let mut q = Lockstep::new();
+            let mut s = seed;
+            let mut now = SimTime::ZERO;
+            let mut id = 0u64;
+            for _ in 0..64 {
+                q.push(SimTime::from_nanos(splitmix(&mut s) % 2_000_000), id);
+                id += 1;
+            }
+            let mut popped = 0usize;
+            while let Some((at, _, _)) = q.pop() {
+                assert!(at >= now, "seed {seed}: pops must be time-monotonic");
+                now = at;
+                popped += 1;
+                if popped >= 4_000 {
+                    break;
+                }
+                // Re-arm with deltas spanning near (same tick), the
+                // tick size, link latencies, heartbeats, and far
+                // cascade-heavy backoffs.
+                let r = splitmix(&mut s);
+                let delta = match r % 7 {
+                    0 => 0,
+                    1 => r % 1_000,
+                    2 => 100_000 + r % 900_000,
+                    3 => 1_000_000 + r % 30_000_000,
+                    4 => 250_000_000,
+                    5 => 2_000_000_000 + r % 30_000_000_000,
+                    _ => 300_000_000_000 + r % 1_000_000_000_000,
+                };
+                if !r.is_multiple_of(3) {
+                    q.push(now + Duration::from_nanos(delta), id);
                     id += 1;
                 }
-                while let Some((at, item)) = q.pop() {
-                    assert!(at >= now, "pops must be time-monotonic");
-                    now = at;
-                    popped.push((at.nanos(), item));
-                    if popped.len() >= 4_000 {
-                        break;
-                    }
-                    // Re-arm with deltas spanning near (same tick), the
-                    // tick size, link latencies, heartbeats, and far
-                    // cascade-heavy backoffs.
-                    let r = splitmix(s);
-                    let delta = match r % 7 {
-                        0 => 0,
-                        1 => r % 1_000,
-                        2 => 100_000 + r % 900_000,
-                        3 => 1_000_000 + r % 30_000_000,
-                        4 => 250_000_000,
-                        5 => 2_000_000_000 + r % 30_000_000_000,
-                        _ => 300_000_000_000 + r % 1_000_000_000_000,
-                    };
-                    if !r.is_multiple_of(3) {
-                        q.push(now + Duration::from_nanos(delta), id);
-                        id += 1;
-                    }
-                }
-                popped
-            };
-            let h = drive(&mut heap, &mut s1);
-            let w = drive(&mut wheel, &mut s2);
-            assert_eq!(h, w, "seed {seed}: wheel must replay the heap exactly");
+            }
         }
     }
 
     #[test]
     fn fifo_within_identical_deadline() {
-        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-            let mut q = EventQueue::new(backend);
-            let t = SimTime::from_millis(5);
-            for i in 0..100u64 {
-                q.push(t, i);
-            }
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, i)| i)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{backend:?}");
+        let mut q = Lockstep::new();
+        let t = SimTime::from_millis(5);
+        for i in 0..100u64 {
+            q.push(t, i);
         }
+        let order: Vec<u64> = q.drain().into_iter().map(|(_, _, i)| i).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     /// Deltas of exactly one full rotation (256 ticks, 65536 ticks, …)
@@ -523,7 +492,7 @@ mod tests {
     #[test]
     fn full_rotation_aliases_fire_on_time() {
         let tick = 1u64 << GRANULARITY_SHIFT;
-        let mut q: EventQueue<u64> = EventQueue::new(QueueBackend::Wheel);
+        let mut q: EventQueue<u64> = EventQueue::new();
         q.push(SimTime::from_nanos(1), 0);
         assert_eq!(q.pop().unwrap().1, 0);
         for (i, rot) in [256u64, 65_536, 16_777_216].iter().enumerate() {
@@ -546,7 +515,7 @@ mod tests {
     #[test]
     fn tied_bucket_bases_merge_in_push_order() {
         let tick = 1u64 << GRANULARITY_SHIFT;
-        let mut q: EventQueue<u64> = EventQueue::new(QueueBackend::Wheel);
+        let mut q: EventQueue<u64> = EventQueue::new();
         // 512 ticks ahead: level 1, slot base 512. Same instant also
         // reachable later as a level-0 push once cur advances.
         let far = SimTime::from_nanos(512 * tick + 7);
@@ -561,7 +530,7 @@ mod tests {
 
     #[test]
     fn next_at_matches_pop_and_len_tracks() {
-        let mut q: EventQueue<u32> = EventQueue::new(QueueBackend::Wheel);
+        let mut q: EventQueue<u32> = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.next_at(), None);
         let mut s = 33u64;
@@ -582,7 +551,7 @@ mod tests {
 
     #[test]
     fn far_future_and_max_deadlines_survive() {
-        let mut q: EventQueue<&'static str> = EventQueue::new(QueueBackend::Wheel);
+        let mut q: EventQueue<&'static str> = EventQueue::new();
         q.push(SimTime::MAX, "max");
         q.push(SimTime::from_secs(86_400 * 365), "year");
         q.push(SimTime::from_nanos(1), "now");
@@ -592,85 +561,60 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
+    /// Keyed pushes impose `(at, key)` order regardless of push order;
+    /// auto-keyed pushes at the same instant sort after all keyed ones.
     #[test]
-    fn env_selects_backend() {
-        // Only asserts the parser, not the process env (tests share it).
-        assert_eq!(QueueBackend::default(), QueueBackend::Wheel);
-        assert_eq!(QueueBackend::parse("wheel"), Some(QueueBackend::Wheel));
-        assert_eq!(QueueBackend::parse("WHEEL"), Some(QueueBackend::Wheel));
-        assert_eq!(QueueBackend::parse("heap"), Some(QueueBackend::Heap));
-        assert_eq!(QueueBackend::parse("Heap"), Some(QueueBackend::Heap));
-        assert_eq!(QueueBackend::parse(""), Some(QueueBackend::Wheel));
+    fn keyed_pushes_pop_in_key_order() {
+        let mut q = Lockstep::new();
+        let t = SimTime::from_millis(3);
+        q.push_keyed(t, (7u128 << 64) | 1, 71);
+        q.push_keyed(t, (2u128 << 64) | 9, 29);
+        q.push(t, 999); // auto key: after every keyed event at `t`
+        q.push_keyed(t, (2u128 << 64) | 3, 23);
+        q.push_keyed(SimTime::from_millis(1), (9u128 << 64) | 9, 99);
+        let order: Vec<(u128, u64)> = q
+            .drain()
+            .into_iter()
+            .map(|(_, k, i)| (k & !AUTO_KEY_BIT, i))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                ((9u128 << 64) | 9, 99),
+                ((2u128 << 64) | 3, 23),
+                ((2u128 << 64) | 9, 29),
+                ((7u128 << 64) | 1, 71),
+                (1, 999),
+            ]
+        );
     }
 
-    /// A typo in the backend name (`"haep"`, `"wheell"`, …) must be a
-    /// hard error, not a silent fall-back to the wheel: the CI matrix
-    /// relies on `LBRM_SIM_QUEUE=heap` actually switching backends.
-    #[test]
-    fn unrecognized_backend_is_rejected() {
-        for typo in ["haep", "wheell", "binaryheap", "0", "default"] {
-            assert_eq!(QueueBackend::parse(typo), None, "{typo:?}");
-        }
-    }
-
-    /// Keyed pushes impose `(at, key)` order regardless of push order,
-    /// identically on both backends; auto-keyed pushes at the same
-    /// instant sort after all keyed ones.
-    #[test]
-    fn keyed_pushes_pop_in_key_order_on_both_backends() {
-        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-            let mut q: EventQueue<u32> = EventQueue::new(backend);
-            let t = SimTime::from_millis(3);
-            q.push_keyed(t, (7u128 << 64) | 1, 71);
-            q.push_keyed(t, (2u128 << 64) | 9, 29);
-            q.push(t, 999); // auto key: after every keyed event at `t`
-            q.push_keyed(t, (2u128 << 64) | 3, 23);
-            q.push_keyed(SimTime::from_millis(1), (9u128 << 64) | 9, 99);
-            let order: Vec<(u128, u32)> =
-                std::iter::from_fn(|| q.pop_keyed().map(|(_, k, i)| (k & !AUTO_KEY_BIT, i)))
-                    .collect();
-            assert_eq!(
-                order,
-                vec![
-                    ((9u128 << 64) | 9, 99),
-                    ((2u128 << 64) | 3, 23),
-                    ((2u128 << 64) | 9, 29),
-                    ((7u128 << 64) | 1, 71),
-                    (1, 999),
-                ],
-                "{backend:?}"
-            );
-        }
-    }
-
-    /// Same keyed schedule, different push interleavings, both backends:
-    /// the pop sequence (time, key, item) must be identical — this is
-    /// the property the sharded world's cross-shard merge rests on.
+    /// Same keyed schedule, different push interleavings: the pop
+    /// sequence (time, key, item) must be identical — this is the
+    /// property the sharded world's cross-shard merge rests on.
     #[test]
     fn keyed_pop_order_is_push_order_invariant() {
         let mut s = 0xD15_EA5E_u64;
-        let mut events: Vec<(SimTime, u128, u32)> = (0..500u32)
+        let mut events: Vec<(SimTime, u128, u64)> = (0..500u64)
             .map(|i| {
                 let at = SimTime::from_nanos(splitmix(&mut s) % 3_000_000_000);
                 let ent = u128::from(splitmix(&mut s) % 64);
                 ((at), (ent << 64) | u128::from(i), i)
             })
             .collect();
-        let mut reference: Option<Vec<(SimTime, u128, u32)>> = None;
-        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-            for pass in 0..2 {
-                let mut q = EventQueue::new(backend);
-                if pass == 1 {
-                    events.reverse();
-                }
-                for (at, key, item) in &events {
-                    q.push_keyed(*at, *key, *item);
-                }
-                let popped: Vec<_> = std::iter::from_fn(|| q.pop_keyed()).collect();
-                match &reference {
-                    None => reference = Some(popped),
-                    Some(r) => assert_eq!(r, &popped, "{backend:?} pass {pass}"),
-                }
+        let mut reference: Option<Vec<(SimTime, u128, u64)>> = None;
+        for pass in 0..2 {
+            let mut q = Lockstep::new();
+            if pass == 1 {
+                events.reverse();
+            }
+            for (at, key, item) in &events {
+                q.push_keyed(*at, *key, *item);
+            }
+            let popped = q.drain();
+            match &reference {
+                None => reference = Some(popped),
+                Some(r) => assert_eq!(r, &popped, "pass {pass}"),
             }
         }
     }

@@ -150,14 +150,13 @@ impl Shard {
     pub fn new(
         idx: usize,
         shard_of_site: Arc<Vec<usize>>,
-        backend: crate::queue::QueueBackend,
         host_count: usize,
         site_count: usize,
     ) -> Shard {
         Shard {
             idx,
             shard_of_site,
-            queue: EventQueue::new(backend),
+            queue: EventQueue::new(),
             actors: (0..host_count).map(|_| None).collect(),
             rngs: (0..host_count).map(|_| None).collect(),
             crashed: vec![false; host_count],

@@ -10,14 +10,14 @@
 //! [`BundleStats`] is the datagram-level companion: it models DIS-style
 //! PDU bundling (`lbrm_wire::bundle`) arithmetically, so experiments can
 //! report datagrams-saved deterministically without serializing a byte.
-//! Bundle accounting is deliberately separate from [`NetStats`]: the
-//! protocol-visible traffic model is identical across `LBRM_BUNDLE`
-//! legs (pinned by a differential test), and only this ledger differs.
+//! Bundle accounting is deliberately separate from [`NetStats`]: framing
+//! decides how packets share datagrams, never which packets are sent or
+//! when, so the protocol-visible traffic model does not depend on it.
 
 use std::collections::{BTreeMap, HashMap};
 
 use lbrm_wire::bundle::{
-    BundleMode, BUNDLE_HEADER_LEN, DEFAULT_BUNDLE_MTU, ENTRY_PREFIX_LEN, MAX_BUNDLE_PACKETS,
+    BUNDLE_HEADER_LEN, DEFAULT_BUNDLE_MTU, ENTRY_PREFIX_LEN, MAX_BUNDLE_PACKETS,
 };
 use lbrm_wire::SiteId;
 
@@ -159,26 +159,20 @@ pub struct KindBundle {
 
 /// Datagram-level accounting under the simulator's bundle-framing model.
 ///
-/// Both ledgers are always maintained — `packets`/`bytes_unbundled`
-/// count one datagram per packet, `frames`/`bytes_bundled` count
-/// MTU-bounded coalesced frames — and [`mode`](Self::mode) selects
-/// which one [`datagrams`](Self::datagrams) and
-/// [`wire_bytes`](Self::wire_bytes) report. One run therefore yields
-/// both legs' datagram counts, while differential tests can still pin
-/// that the mode changes *nothing else*.
+/// Two ledgers: `frames`/`bytes_bundled` are what is sent — MTU-bounded
+/// coalesced frames — and `packets`/`bytes_unbundled` are the
+/// one-datagram-per-packet counterfactual the bundling experiments
+/// compare against.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BundleStats {
-    /// The mode the reporting accessors answer for (the world's
-    /// `LBRM_BUNDLE` setting at collection time).
-    pub mode: BundleMode,
-    /// Protocol packets sent (= datagrams with bundling off).
+    /// Protocol packets sent (= datagrams had each gone out alone).
     pub packets: u64,
-    /// Datagrams with bundling on: consecutive same-instant sends to
-    /// one destination share MTU-bounded frames.
+    /// Datagrams sent: consecutive same-instant sends to one destination
+    /// share MTU-bounded frames.
     pub frames: u64,
-    /// Wire bytes with one datagram per packet.
+    /// Wire bytes had each packet gone out as its own datagram.
     pub bytes_unbundled: u64,
-    /// Wire bytes under bundle framing (single-packet frames carry no
+    /// Wire bytes sent under bundle framing (single-packet frames carry no
     /// framing overhead — they go out as bare packets).
     pub bytes_bundled: u64,
     /// Per-kind breakdown (deterministically ordered).
@@ -186,31 +180,12 @@ pub struct BundleStats {
 }
 
 impl BundleStats {
-    /// Datagrams sent under the recorded [`mode`](Self::mode).
-    pub fn datagrams(&self) -> u64 {
-        if self.mode.is_on() {
-            self.frames
-        } else {
-            self.packets
-        }
-    }
-
-    /// Wire bytes sent under the recorded [`mode`](Self::mode).
-    pub fn wire_bytes(&self) -> u64 {
-        if self.mode.is_on() {
-            self.bytes_bundled
-        } else {
-            self.bytes_unbundled
-        }
-    }
-
     /// Per-kind counters (zero for kinds never sent).
     pub fn kind(&self, kind: &str) -> KindBundle {
         self.per_kind.get(kind).copied().unwrap_or_default()
     }
 
-    /// Folds another accounting into this one (`mode` is left alone —
-    /// it is a reporting selector, not a counter). Commutative and
+    /// Folds another accounting into this one. Commutative and
     /// associative like [`NetStats::merge`].
     pub fn merge(&mut self, other: &BundleStats) {
         self.packets += other.packets;
@@ -288,8 +263,7 @@ impl BundleMeter {
         self.stats.per_kind.entry(kind).or_default().frames += 1;
     }
 
-    /// The accumulated accounting (`mode` is the default — the world
-    /// stamps its own mode when merging).
+    /// The accumulated accounting.
     pub fn stats(&self) -> &BundleStats {
         &self.stats
     }
@@ -405,29 +379,26 @@ mod tests {
     }
 
     #[test]
-    fn bundle_stats_mode_selects_ledger_and_merge_is_order_free() {
+    fn bundle_stats_keep_both_ledgers_and_merge_is_order_free() {
         let mut m = BundleMeter::default();
         let dest = (0u8, 2u64, 0u64);
         for _ in 0..10 {
             m.record(SimTime::ZERO, dest, "retrans", 50);
         }
-        let mut off = m.stats().clone();
-        off.mode = BundleMode::Off;
-        assert_eq!(off.datagrams(), 10);
-        assert_eq!(off.wire_bytes(), 500);
-        let mut on = off.clone();
-        on.mode = BundleMode::On;
-        assert_eq!(on.datagrams(), 1);
-        assert_eq!(on.wire_bytes(), 8 + 10 * 52);
+        let ten = m.stats().clone();
+        assert_eq!((ten.packets, ten.bytes_unbundled), (10, 500));
+        assert_eq!((ten.frames, ten.bytes_bundled), (1, 8 + 10 * 52));
+        m.record(SimTime::ZERO, (0, 3, 0), "nack", 40);
+        let eleven = m.stats().clone();
 
         let mut a = BundleStats::default();
-        a.merge(&off);
-        a.merge(&on);
+        a.merge(&ten);
+        a.merge(&eleven);
         let mut b = BundleStats::default();
-        b.merge(&on);
-        b.merge(&off);
+        b.merge(&eleven);
+        b.merge(&ten);
         assert_eq!(a, b, "merge must be commutative");
-        assert_eq!(a.packets, 20);
+        assert_eq!((a.packets, a.frames), (21, 3));
         assert_eq!(a.kind("retrans").packets, 20);
     }
 

@@ -15,7 +15,7 @@
 //! # Sharded execution
 //!
 //! The world partitions *sites* into shards (`LBRM_SIM_SHARDS`, or
-//! [`World::with_options`]); hosts follow their site. Each shard owns a
+//! [`World::with_shards`]); hosts follow their site. Each shard owns a
 //! private event queue plus all state its events can touch (see
 //! [`crate::shard`]). Shards advance independently inside a conservative
 //! synchronization window: with `L` = the topology
@@ -46,9 +46,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use lbrm_trace::{MetricsRegistry, ProtocolEvent, TraceSink, Tracer};
-use lbrm_wire::{BundleMode, GroupId, HostId, Packet, SiteId, TtlScope};
+use lbrm_wire::{GroupId, HostId, Packet, SiteId, TtlScope};
 
-use crate::queue::QueueBackend;
 use crate::shard::{capture_activate, capture_take, forward_merged, Ev, IngressKind, Shard};
 use crate::stats::{BundleStats, NetStats, SegmentClass};
 use crate::time::SimTime;
@@ -475,35 +474,22 @@ pub struct World {
     tracer: Tracer,
     gauge_registry: Option<Arc<MetricsRegistry>>,
     epoch_stall_ns: u64,
-    /// Which ledger [`World::bundle_stats`] reports `datagrams()` from.
-    /// Both ledgers are always metered, so the event stream, traces, and
-    /// `NetStats` are byte-identical across modes.
-    bundle: BundleMode,
 }
 
 impl World {
     /// Creates a world over `topo`, fully determined by `seed`, on the
-    /// default event-queue backend (see [`QueueBackend::from_env`]) and
-    /// the default shard count (`LBRM_SIM_SHARDS`, see
+    /// default shard count (`LBRM_SIM_SHARDS`, see
     /// [`World::parse_shards`]; 1 when unset).
     pub fn new(topo: Topology, seed: u64) -> World {
-        World::with_backend(topo, seed, QueueBackend::from_env())
+        World::with_shards(topo, seed, Self::shards_from_env())
     }
 
-    /// Creates a world on an explicit event-queue backend — the hook the
-    /// wheel-vs-heap differential tests use. Shard count still comes
-    /// from the environment.
-    pub fn with_backend(topo: Topology, seed: u64, backend: QueueBackend) -> World {
-        let shards = Self::shards_from_env();
-        World::with_options(topo, seed, backend, shards)
-    }
-
-    /// Creates a world with everything explicit: queue backend and
-    /// requested shard count. The effective count is clamped to the
-    /// number of sites, and falls back to 1 when the topology offers no
-    /// positive cross-shard lookahead (conservative synchronization
-    /// would deadlock on zero-latency links).
-    pub fn with_options(topo: Topology, seed: u64, backend: QueueBackend, shards: usize) -> World {
+    /// Creates a world with an explicit requested shard count. The
+    /// effective count is clamped to the number of sites, and falls back
+    /// to 1 when the topology offers no positive cross-shard lookahead
+    /// (conservative synchronization would deadlock on zero-latency
+    /// links).
+    pub fn with_shards(topo: Topology, seed: u64, shards: usize) -> World {
         let sites = topo.site_count();
         let hosts = topo.host_count();
         let mut n = shards.clamp(1, sites.max(1));
@@ -521,7 +507,7 @@ impl World {
         }
         let shard_of_site = Arc::new(map);
         let mut shard_vec: Vec<Shard> = (0..n)
-            .map(|i| Shard::new(i, shard_of_site.clone(), backend, hosts, sites))
+            .map(|i| Shard::new(i, shard_of_site.clone(), hosts, sites))
             .collect();
         for s in 0..sites {
             let sid = SiteId(s as u32);
@@ -548,7 +534,6 @@ impl World {
             tracer: Tracer::disabled(),
             gauge_registry: None,
             epoch_stall_ns: 0,
-            bundle: BundleMode::from_env(),
         }
     }
 
@@ -569,9 +554,8 @@ impl World {
     }
 
     /// Reads `LBRM_SIM_SHARDS`, panicking on anything
-    /// [`parse_shards`](World::parse_shards) rejects — mirroring the
-    /// strict [`QueueBackend::from_env`]: a typo must fail loudly, not
-    /// silently run unsharded.
+    /// [`parse_shards`](World::parse_shards) rejects: a typo must fail
+    /// loudly, not silently run unsharded.
     fn shards_from_env() -> usize {
         match std::env::var("LBRM_SIM_SHARDS") {
             Err(std::env::VarError::NotPresent) => 1,
@@ -582,11 +566,6 @@ impl World {
                 )
             }),
         }
-    }
-
-    /// The event-queue backend this world runs on.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.shards[0].queue.backend()
     }
 
     /// Number of shards actually in use (after clamping and the
@@ -771,28 +750,12 @@ impl World {
         out
     }
 
-    /// The bundle mode [`World::bundle_stats`] reports under (from
-    /// `LBRM_BUNDLE` by default).
-    pub fn bundle_mode(&self) -> BundleMode {
-        self.bundle
-    }
-
-    /// Overrides the reported bundle mode — the env-independent hook the
-    /// differential tests use. Only the reporting ledger changes; the
-    /// simulation itself is identical in both modes.
-    pub fn set_bundle_mode(&mut self, mode: BundleMode) {
-        self.bundle = mode;
-    }
-
     /// Bundle-framing statistics so far, merged across every host's
-    /// meter: what the wire's `BundleBuilder` would have put on the wire
-    /// for this run, in both the bundled and unbundled ledgers.
-    /// `datagrams()`/`wire_bytes()` report per [`World::bundle_mode`].
+    /// meter: what the wire's `BundleBuilder` puts on the wire for this
+    /// run (`frames`/`bytes_bundled`), beside the one-datagram-per-packet
+    /// counterfactual (`packets`/`bytes_unbundled`).
     pub fn bundle_stats(&self) -> BundleStats {
-        let mut out = BundleStats {
-            mode: self.bundle,
-            ..BundleStats::default()
-        };
+        let mut out = BundleStats::default();
         for sh in &self.shards {
             for m in &sh.meters {
                 out.merge(m.stats());
@@ -991,8 +954,7 @@ impl World {
             self.now = at.max(self.now);
             process(topo, shard, at, key, ev, false);
             // Sample again after the handler ran: a fan-out (multicast
-            // burst, retransmission storm) peaks *between* pops, and the
-            // two backends must report the same high-water mark.
+            // burst, retransmission storm) peaks *between* pops.
             shard.note_depth();
             return true;
         }
@@ -1335,11 +1297,11 @@ mod tests {
     }
 
     /// Partition decisions are placement-invariant: a mid-run cut and
-    /// heal replays identically for any shard count, on either backend.
+    /// heal replays identically for any shard count.
     #[test]
     fn partition_replays_identically_across_shards() {
         use crate::loss::LossModel;
-        let run = |backend: QueueBackend, shards: usize| {
+        let run = |shards: usize| {
             let mut b = TopologyBuilder::new();
             let s0 = b.site(SiteParams::default());
             let s1 = b.site(SiteParams {
@@ -1352,7 +1314,7 @@ mod tests {
             b.wan_loss(LossModel::rate(0.05));
             let tx = b.host(s0);
             let rxs: Vec<HostId> = [s0, s1, s2, s3].iter().map(|&s| b.host(s)).collect();
-            let mut w = World::with_options(b.build(), 777, backend, shards);
+            let mut w = World::with_shards(b.build(), 777, shards);
             w.add_actor(tx, Beacon { sent: 0 });
             for &rx in &rxs {
                 w.add_actor(rx, Sink::default());
@@ -1368,10 +1330,9 @@ mod tests {
                 .collect();
             (got, w.stats(), w.events_processed())
         };
-        let base = run(QueueBackend::Wheel, 1);
+        let base = run(1);
         for shards in [2usize, 4] {
-            assert_eq!(base, run(QueueBackend::Wheel, shards), "wheel x{shards}");
-            assert_eq!(base, run(QueueBackend::Heap, shards), "heap x{shards}");
+            assert_eq!(base, run(shards), "x{shards}");
         }
     }
 
@@ -1419,10 +1380,12 @@ mod tests {
         assert_ne!(a, w.derived_rng(9).random::<u64>());
     }
 
+    /// A seeded lossy run replays identically — depth high-water mark
+    /// included — and deliveries and stats hold for any shard count.
     #[test]
-    fn wheel_and_heap_backends_replay_identically() {
+    fn seeded_lossy_run_replays_identically() {
         use crate::loss::LossModel;
-        let run = |backend: QueueBackend| {
+        let run = |shards: usize| {
             let mut b = TopologyBuilder::new();
             let s0 = b.site(SiteParams::default());
             let s1 = b.site(SiteParams {
@@ -1431,8 +1394,7 @@ mod tests {
             });
             let tx = b.host(s0);
             let rx = b.host(s1);
-            let mut w = World::with_backend(b.build(), 1234, backend);
-            assert_eq!(w.queue_backend(), backend);
+            let mut w = World::with_shards(b.build(), 1234, shards);
             w.add_actor(tx, Beacon { sent: 0 });
             w.add_actor(rx, Sink::default());
             w.run_until(SimTime::from_secs(10));
@@ -1442,18 +1404,23 @@ mod tests {
                 w.queue_depth_max(),
             )
         };
-        assert_eq!(run(QueueBackend::Wheel), run(QueueBackend::Heap));
+        let base = run(1);
+        assert_eq!(base, run(1));
+        for shards in [2usize, 4] {
+            let (got, stats, _) = run(shards);
+            assert_eq!((&base.0, &base.1), (&got, &stats), "x{shards}");
+        }
     }
 
     /// The tentpole guarantee: a fixed seed produces identical
-    /// deliveries, stats, and event counts for *any* shard count, on
-    /// either queue backend — here on a lossy, jittery 4-site topology
+    /// deliveries, stats, and event counts for *any* shard count — here
+    /// on a lossy, jittery 4-site topology
     /// exercising cross-shard multicast, unicast-free fan-out, and
     /// membership churn through the Ingress path.
     #[test]
     fn shard_counts_replay_identically() {
         use crate::loss::LossModel;
-        let run = |backend: QueueBackend, shards: usize| {
+        let run = |shards: usize| {
             let mut b = TopologyBuilder::new();
             let s0 = b.site(SiteParams::default());
             let s1 = b.site(SiteParams {
@@ -1469,7 +1436,7 @@ mod tests {
             b.wan_loss(LossModel::rate(0.05));
             let tx = b.host(s0);
             let rxs: Vec<HostId> = [s0, s1, s1, s2, s3].iter().map(|&s| b.host(s)).collect();
-            let mut w = World::with_options(b.build(), 4242, backend, shards);
+            let mut w = World::with_shards(b.build(), 4242, shards);
             assert_eq!(w.shards(), shards.min(4));
             w.add_actor(tx, Beacon { sent: 0 });
             for &rx in &rxs {
@@ -1482,10 +1449,9 @@ mod tests {
                 .collect();
             (got, w.stats(), w.events_processed())
         };
-        let base = run(QueueBackend::Wheel, 1);
+        let base = run(1);
         for shards in [2usize, 4] {
-            assert_eq!(base, run(QueueBackend::Wheel, shards), "wheel x{shards}");
-            assert_eq!(base, run(QueueBackend::Heap, shards), "heap x{shards}");
+            assert_eq!(base, run(shards), "x{shards}");
         }
     }
 
@@ -1498,7 +1464,7 @@ mod tests {
         let sites: Vec<SiteId> = (0..4).map(|_| b.site(SiteParams::default())).collect();
         let tx = b.host(sites[0]);
         let rxs: Vec<HostId> = sites[1..].iter().map(|&s| b.host(s)).collect();
-        let mut w = World::with_options(b.build(), 7, QueueBackend::Wheel, 2);
+        let mut w = World::with_shards(b.build(), 7, 2);
         assert_eq!(w.shards(), 2);
         let reg = Arc::new(MetricsRegistry::default());
         w.set_gauges(reg.clone());
@@ -1550,7 +1516,7 @@ mod tests {
         let s0 = b.site(SiteParams::default());
         let s1 = b.site(SiteParams::default());
         let _ = (b.host(s0), b.host(s1));
-        let w = World::with_options(b.build(), 1, QueueBackend::Wheel, 64);
+        let w = World::with_shards(b.build(), 1, 64);
         assert_eq!(w.shards(), 2);
         assert!(w.lookahead() > Duration::ZERO);
 
@@ -1565,7 +1531,7 @@ mod tests {
         let s0 = b.site(z.clone());
         let s1 = b.site(z);
         let _ = (b.host(s0), b.host(s1));
-        let w = World::with_options(b.build(), 1, QueueBackend::Wheel, 2);
+        let w = World::with_shards(b.build(), 1, 2);
         assert_eq!(w.shards(), 1);
         assert_eq!(w.lookahead(), Duration::ZERO);
     }

@@ -57,54 +57,6 @@ pub fn bundled_entry_len(p: &Packet) -> usize {
     ENTRY_PREFIX_LEN + p.encoded_len()
 }
 
-/// Whether bundling is enabled, selected by `LBRM_BUNDLE`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BundleMode {
-    /// One packet per datagram (the pre-bundling wire behavior).
-    #[default]
-    Off,
-    /// Runs of same-destination sends coalesce into bundle frames.
-    On,
-}
-
-impl BundleMode {
-    /// Mode selected by the `LBRM_BUNDLE` environment variable. Strict,
-    /// mirroring `LBRM_SIM_QUEUE` / `LBRM_LOG_STORE`: only `"on"`,
-    /// `"off"`, the empty string, or unset are accepted — a typo in a CI
-    /// matrix must fail loudly, not silently run the default leg twice.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value.
-    pub fn from_env() -> BundleMode {
-        match std::env::var("LBRM_BUNDLE") {
-            Err(std::env::VarError::NotPresent) => BundleMode::Off,
-            Err(e) => panic!("LBRM_BUNDLE is not valid unicode: {e}"),
-            Ok(v) => match Self::parse(&v) {
-                Some(m) => m,
-                None => panic!("LBRM_BUNDLE must be \"on\" or \"off\" (or unset), got {v:?}"),
-            },
-        }
-    }
-
-    /// Parses a mode name: `"on"`, `"off"` (case-insensitive), or the
-    /// empty string (treated as unset → off).
-    pub fn parse(v: &str) -> Option<BundleMode> {
-        if v.is_empty() || v.eq_ignore_ascii_case("off") {
-            Some(BundleMode::Off)
-        } else if v.eq_ignore_ascii_case("on") {
-            Some(BundleMode::On)
-        } else {
-            None
-        }
-    }
-
-    /// True when bundling is enabled.
-    pub fn is_on(self) -> bool {
-        self == BundleMode::On
-    }
-}
-
 /// Incremental, MTU-bounded bundle assembly over two reusable scratch
 /// buffers — steady-state bundling never allocates.
 ///
@@ -201,6 +153,15 @@ impl BundleBuilder {
         }
         self.seal();
         Some(&self.sealed[..])
+    }
+
+    /// Discards the in-progress frame. A sender that abandons a run
+    /// half-way (its socket refused a sealed frame) calls this so the
+    /// packet that opened the next frame cannot leak into a later run to
+    /// another destination.
+    pub fn reset(&mut self) {
+        self.buf.clear();
+        self.count = 0;
     }
 
     /// Patches count, length and the single frame checksum in place,
@@ -409,6 +370,18 @@ mod tests {
     }
 
     #[test]
+    fn reset_discards_the_pending_frame() {
+        let mut b = BundleBuilder::with_default_mtu();
+        b.push(&data(1, b"stale")).unwrap();
+        b.reset();
+        assert!(b.is_empty());
+        assert!(b.flush().is_none());
+        b.push(&data(2, b"fresh")).unwrap();
+        let frame = Bytes::copy_from_slice(b.flush().unwrap());
+        assert_eq!(decode_bundle(&frame).unwrap(), vec![data(2, b"fresh")]);
+    }
+
+    #[test]
     fn oversized_bundle_frame_is_rejected_on_decode() {
         // Forge a frame whose length field admits more than
         // MAX_PACKET_SIZE bytes: the u16 length can describe up to
@@ -526,18 +499,5 @@ mod tests {
         assert_eq!(b.push(&bad), Err(WireError::FieldOverflow));
         assert!(b.is_empty());
         assert!(b.flush().is_none());
-    }
-
-    #[test]
-    fn mode_parses_strictly() {
-        // Only asserts the parser, not the process env (tests share it).
-        assert_eq!(BundleMode::parse("on"), Some(BundleMode::On));
-        assert_eq!(BundleMode::parse("ON"), Some(BundleMode::On));
-        assert_eq!(BundleMode::parse("off"), Some(BundleMode::Off));
-        assert_eq!(BundleMode::parse("Off"), Some(BundleMode::Off));
-        assert_eq!(BundleMode::parse(""), Some(BundleMode::Off));
-        for typo in ["true", "1", "yes", "bundle", " on"] {
-            assert_eq!(BundleMode::parse(typo), None, "{typo:?}");
-        }
     }
 }

@@ -36,8 +36,8 @@ pub mod seq;
 pub mod text;
 
 pub use bundle::{
-    bundled_entry_len, decode_bundle, encode_bundle, is_bundle, BundleBuilder, BundleMode,
-    BUNDLE_HEADER_LEN, DEFAULT_BUNDLE_MTU,
+    bundled_entry_len, decode_bundle, encode_bundle, is_bundle, BundleBuilder, BUNDLE_HEADER_LEN,
+    DEFAULT_BUNDLE_MTU,
 };
 pub use codec::{decode, decode_bytes, encode, encode_into, WireError, MAX_PACKET_SIZE};
 pub use ids::{EpochId, GroupId, HostId, SiteId, SourceId};

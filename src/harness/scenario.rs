@@ -21,14 +21,13 @@ use bytes::Bytes;
 use lbrm_core::baseline::srm::{SrmConfig, SrmMember};
 use lbrm_core::heartbeat::HeartbeatConfig;
 use lbrm_core::logger::{Logger, LoggerConfig};
-use lbrm_core::logstore::{Retention, StoreBackend};
+use lbrm_core::logstore::Retention;
 use lbrm_core::machine::Notice;
 use lbrm_core::receiver::{Receiver, ReceiverConfig, ReliabilityMode};
 use lbrm_core::sender::{HeartbeatScheme, Sender, SenderConfig};
 use lbrm_core::statack::StatAckConfig;
 use lbrm_core::trace::{FanoutSink, MetricsRegistry, TraceSink, Tracer};
 use lbrm_sim::loss::LossModel;
-use lbrm_sim::queue::QueueBackend;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::topology::{SiteParams, TopologyBuilder};
 use lbrm_sim::world::World;
@@ -77,18 +76,10 @@ pub struct DisScenarioConfig {
     pub retention: Retention,
     /// World seed.
     pub seed: u64,
-    /// Event-queue backend for the world: `None` picks the default
-    /// (timer wheel, overridable via `LBRM_SIM_QUEUE`); `Some` pins one
-    /// — the wheel-vs-heap differential tests use this.
-    pub queue_backend: Option<QueueBackend>,
     /// Simulator shard count: `None` picks the default (1, overridable
     /// via `LBRM_SIM_SHARDS`); `Some` pins one — results are
     /// byte-identical either way, only wall-clock changes.
     pub shards: Option<usize>,
-    /// Log-store backend for every logger: `None` picks the default
-    /// (segmented slab, overridable via `LBRM_LOG_STORE`); `Some` pins
-    /// one — the slab-vs-btree differential tests use this.
-    pub log_store: Option<StoreBackend>,
 }
 
 impl Default for DisScenarioConfig {
@@ -112,9 +103,7 @@ impl Default for DisScenarioConfig {
             wan_loss: LossModel::None,
             retention: Retention::All,
             seed: 1995,
-            queue_backend: None,
             shards: None,
-            log_store: None,
         }
     }
 }
@@ -215,10 +204,9 @@ impl DisScenario {
             site_hosts.push((sec, rxs));
         }
         b.wan_loss(config.wan_loss.clone());
-        let backend = config.queue_backend.unwrap_or_else(QueueBackend::from_env);
         let mut world = match config.shards {
-            Some(n) => World::with_options(b.build(), config.seed, backend, n),
-            None => World::with_backend(b.build(), config.seed, backend),
+            Some(n) => World::with_shards(b.build(), config.seed, n),
+            None => World::new(b.build(), config.seed),
         };
         // One metrics registry per protocol role, plus one for the
         // network itself.
@@ -243,7 +231,6 @@ impl DisScenario {
         let mut primary_cfg = LoggerConfig::primary(Self::GROUP, Self::SOURCE, primary, src_host);
         primary_cfg.retention = config.retention;
         primary_cfg.replicas = replicas.clone();
-        primary_cfg.store_backend = config.log_store;
         let mut primary_logger = Logger::new(primary_cfg);
         primary_logger.set_tracer(Tracer::to(primary_sink.clone()));
         world.add_actor(
@@ -254,7 +241,6 @@ impl DisScenario {
             let mut c = LoggerConfig::replica(Self::GROUP, Self::SOURCE, r, primary, src_host);
             c.retention = config.retention;
             c.replicas = replicas.iter().copied().filter(|&x| x != r).collect();
-            c.store_backend = config.log_store;
             let mut lg = Logger::new(c);
             lg.set_tracer(Tracer::to(primary_sink.clone()));
             world.add_actor(r, MachineActor::new(lg, vec![]));
@@ -268,7 +254,6 @@ impl DisScenario {
             c.retention = config.retention;
             c.level = 1;
             c.site_remulticast = false;
-            c.store_backend = config.log_store;
             let mut lg = Logger::new(c);
             lg.set_tracer(Tracer::to(secondary_sink.clone()));
             world.add_actor(reg, MachineActor::new(lg, vec![Self::GROUP]));
@@ -286,7 +271,6 @@ impl DisScenario {
                 let mut c =
                     LoggerConfig::secondary(Self::GROUP, Self::SOURCE, *sec, parent, src_host);
                 c.retention = config.retention;
-                c.store_backend = config.log_store;
                 c.level = if config.regional_fanout.is_some() {
                     2
                 } else {

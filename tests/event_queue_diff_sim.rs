@@ -1,21 +1,17 @@
-//! Backend × shard-count differential: the timer-wheel event queue must
-//! replay the binary-heap reference backend *byte for byte*, and the
-//! sharded parallel world must replay the serial one just as exactly.
-//! Seeded lossy scenarios are executed under every
-//! `{wheel, heap} × {1, 2, 8 shards}` leg; everything observable —
-//! wire-level `NetStats`, per-receiver delivery transcripts, the
-//! serialized JSONL trace stream, and metrics registries — must be
-//! identical across all legs. (The queue-depth high-water mark is only
-//! comparable between runs with equal shard counts: a split queue peaks
-//! lower than a global one.) This is what lets the wheel be the default
-//! backend and `LBRM_SIM_SHARDS` be a pure wall-clock knob: neither may
-//! change a single byte of any result.
+//! Shard-count differential: the sharded parallel world must replay the
+//! serial one *byte for byte*. Seeded lossy scenarios are executed under
+//! every `{1, 2, 8 shards}` leg; everything observable — wire-level
+//! `NetStats`, per-receiver delivery transcripts, the serialized JSONL
+//! trace stream, and metrics registries — must be identical across all
+//! legs. This is what lets `LBRM_SIM_SHARDS` be a pure wall-clock knob:
+//! it may not change a single byte of any result. (The event queue's own
+//! pop order is held to a binary-heap oracle in `lbrm_sim::queue`'s unit
+//! tests; the test names below predate that move.)
 
 use std::sync::Arc;
 
 use lbrm::harness::{DisScenario, DisScenarioConfig};
 use lbrm::sim::loss::LossModel;
-use lbrm::sim::queue::QueueBackend;
 use lbrm::sim::time::SimTime;
 use lbrm::sim::topology::SiteParams;
 use lbrm_core::trace::{CollectorSink, TraceSink};
@@ -29,13 +25,11 @@ struct RunFingerprint {
     stats: lbrm::sim::stats::NetStats,
     deliveries: Vec<(u64, Vec<u32>)>,
     completeness: f64,
-    queue_depth_max: usize,
     counters: Vec<std::collections::BTreeMap<&'static str, u64>>,
 }
 
 fn fingerprint(
     config: DisScenarioConfig,
-    backend: QueueBackend,
     shards: usize,
     horizon: SimTime,
     sends: u64,
@@ -43,13 +37,11 @@ fn fingerprint(
     let collector = Arc::new(CollectorSink::default());
     let mut sc = DisScenario::build_with_sink(
         DisScenarioConfig {
-            queue_backend: Some(backend),
             shards: Some(shards),
             ..config
         },
         Some(collector.clone() as Arc<dyn TraceSink>),
     );
-    assert_eq!(sc.world.queue_backend(), backend);
     for i in 0..sends {
         sc.send_at(SimTime::from_millis(1_000 + 400 * i), format!("update-{i}"));
     }
@@ -74,7 +66,6 @@ fn fingerprint(
         stats: sc.world.stats().clone(),
         deliveries,
         completeness: sc.completeness(&expect),
-        queue_depth_max: sc.world.queue_depth_max(),
         counters: vec![
             sc.sender_metrics.counters(),
             sc.primary_metrics.counters(),
@@ -85,7 +76,7 @@ fn fingerprint(
     }
 }
 
-fn assert_equal(a: &RunFingerprint, b: &RunFingerprint, label: &str, compare_depth: bool) {
+fn assert_equal(a: &RunFingerprint, b: &RunFingerprint, label: &str) {
     assert_eq!(
         a.trace_jsonl, b.trace_jsonl,
         "{label}: JSONL trace bytes must match"
@@ -96,53 +87,30 @@ fn assert_equal(a: &RunFingerprint, b: &RunFingerprint, label: &str, compare_dep
         "{label}: per-receiver deliveries must match"
     );
     assert_eq!(a.completeness, b.completeness, "{label}");
-    if compare_depth {
-        assert_eq!(
-            a.queue_depth_max, b.queue_depth_max,
-            "{label}: depth gauge must match"
-        );
-    }
     assert_eq!(
         a.counters, b.counters,
         "{label}: metrics registries must match"
     );
 }
 
-/// Runs `config` under the full `{wheel, heap} × {1, 2, 8}` matrix and
-/// asserts every leg is byte-identical to the serial wheel run.
-fn assert_matrix_invariant(config: DisScenarioConfig, label: &str) {
+/// Runs `config` under `{1, 2, 8}` shards and asserts every leg is
+/// byte-identical to the serial run.
+fn assert_shard_invariant(config: DisScenarioConfig, label: &str) {
     let horizon = SimTime::from_secs(60);
-    let base = fingerprint(config.clone(), QueueBackend::Wheel, 1, horizon, SENDS);
+    let base = fingerprint(config.clone(), 1, horizon, SENDS);
     assert!(
         !base.trace_jsonl.is_empty(),
         "{label}: differential must compare real traffic"
     );
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        for shards in [1usize, 2, 8] {
-            if (backend, shards) == (QueueBackend::Wheel, 1) {
-                continue;
-            }
-            let leg = fingerprint(config.clone(), backend, shards, horizon, SENDS);
-            assert_equal(
-                &base,
-                &leg,
-                &format!("{label} [{backend:?} x{shards}]"),
-                shards == 1,
-            );
-        }
+    for shards in [2usize, 8] {
+        let leg = fingerprint(config.clone(), shards, horizon, SENDS);
+        assert_equal(&base, &leg, &format!("{label} [x{shards}]"));
     }
-    // The depth gauge is still backend-invariant at equal shard counts.
-    let w2 = fingerprint(config.clone(), QueueBackend::Wheel, 2, horizon, SENDS);
-    let h2 = fingerprint(config, QueueBackend::Heap, 2, horizon, SENDS);
-    assert_eq!(
-        w2.queue_depth_max, h2.queue_depth_max,
-        "{label}: depth gauge must be backend-invariant at x2"
-    );
 }
 
 #[test]
 fn dis_scenario_is_backend_and_shard_invariant() {
-    assert_matrix_invariant(
+    assert_shard_invariant(
         DisScenarioConfig {
             sites: 6,
             receivers_per_site: 4,
@@ -163,7 +131,7 @@ fn lossy_wan_is_backend_and_shard_invariant() {
     // Backbone loss on top of tail loss: recovery traffic cascades
     // through secondaries and the primary, exercising timer re-arms,
     // retransmission fan-out, and deep queue churn.
-    assert_matrix_invariant(
+    assert_shard_invariant(
         DisScenarioConfig {
             sites: 8,
             receivers_per_site: 5,
@@ -197,10 +165,10 @@ fn dis_1000x30_short_horizon_is_shard_invariant() {
     };
     let horizon = SimTime::from_millis(1_600);
     let sends = 2;
-    let base = fingerprint(config.clone(), QueueBackend::Wheel, 1, horizon, sends);
+    let base = fingerprint(config.clone(), 1, horizon, sends);
     assert!(!base.trace_jsonl.is_empty());
     for shards in [2usize, 8] {
-        let leg = fingerprint(config.clone(), QueueBackend::Wheel, shards, horizon, sends);
-        assert_equal(&base, &leg, &format!("1000x30 [wheel x{shards}]"), false);
+        let leg = fingerprint(config.clone(), shards, horizon, sends);
+        assert_equal(&base, &leg, &format!("1000x30 [x{shards}]"));
     }
 }
