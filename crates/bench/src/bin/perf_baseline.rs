@@ -545,7 +545,7 @@ fn bench_election_storm() -> Workload {
 /// collected once, then pushed through a fresh [`OnlineAnalyzer`] per
 /// run — gap/NACK/repair correlation, histogram folding, reservoir
 /// maintenance and resident-byte metering included. This is the
-/// events/s a live `reproduce` self-audit or a `trace_doctor --stream`
+/// events/s a live `reproduce` self-audit or a `trace_doctor`
 /// replay sustains per core.
 ///
 /// [`OnlineAnalyzer`]: lbrm_core::trace::OnlineAnalyzer

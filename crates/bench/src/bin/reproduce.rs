@@ -19,13 +19,13 @@ type Experiment = fn() -> String;
 /// per-role [`lbrm_core::trace::MetricsRegistry`] aggregates, the sim's
 /// queue gauges, and the forensic analyzer's recovery report — produced
 /// by the streaming correlator riding the live run as a sink, the same
-/// bounded-memory path `trace_doctor --stream` uses.
+/// bounded-memory path `trace_doctor` uses.
 fn trace_summary() -> String {
     let path = "target/reproduce_trace.jsonl";
     let jsonl: Option<Arc<JsonLinesSink<BufWriter<std::fs::File>>>> = std::fs::File::create(path)
         .ok()
         .map(|f| Arc::new(JsonLinesSink::new(BufWriter::new(f))));
-    let (run, sc) = doctor::run_scenario_online(
+    let (run, sc) = doctor::run_scenario(
         doctor::demo_config(77),
         20,
         SimTime::from_secs(30),

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! trace_doctor [TRACE.jsonl] [--seed N] [--json] [--write-json PATH]
-//!              [--assert-clean] [--stream | --batch]
+//!              [--assert-clean] [--batch]
 //!              [--max-live-timelines N] [--horizon-ms N] [--reservoir N]
 //!              [--mem-budget BYTES[K|M|G]]
 //!              [--sites N] [--receivers N] [--packets N]
@@ -29,10 +29,16 @@
 //! `--follow` tails a *growing* capture through the same incremental
 //! path, stopping once the file has been quiet for `--quiet-ms`.
 //!
-//! The default engine is the streaming correlator (`--stream`): one
-//! record at a time in bounded memory, with `--max-live-timelines` /
-//! `--horizon-ms` / `--reservoir` controlling eviction and sampling.
-//! `--batch` selects the materializing reference analyzer instead.
+//! There is one correlator, the streaming `OnlineAnalyzer`: one record
+//! at a time in bounded memory, in arrival order, with
+//! `--max-live-timelines` / `--horizon-ms` / `--reservoir` controlling
+//! eviction and sampling. `--batch` does not select another engine: it
+//! materializes the capture named on the command line, sorts it by
+//! timestamp and folds it through the same correlator with nothing
+//! evicted or sampled (`analyze()`). That only changes the answer for a
+//! capture that is out of timestamp order — a multi-thread live capture
+//! or two files concatenated — so it needs a capture path and rejects
+//! the eviction/sampling flags, `--follow` and `--live`.
 //! `--mem-budget` exits nonzero when the analyzer's peak resident state
 //! exceeds the budget (the CI memory gate); `--assert-clean` exits
 //! nonzero on any anomaly. `--sites`/`--receivers`/`--packets` scale
@@ -45,11 +51,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lbrm_bench::doctor::{
-    analyze_jsonl_reader, analyze_jsonl_reader_online, demo_config, demo_run, follow_jsonl,
-    parse_bytes, run_scenario, run_scenario_online, DoctorRun,
+    demo_config, follow_jsonl, parse_bytes, replay_jsonl, run_scenario, DoctorRun,
 };
 use lbrm_bench::live::{run_live, LiveOptions};
-use lbrm_core::trace::analyze::AnalyzeConfig;
+use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig};
 use lbrm_core::trace::{JsonLinesSink, OnlineConfig, ReportBasis, TraceSink};
 use lbrm_sim::time::SimTime;
 
@@ -59,7 +64,7 @@ struct Args {
     json: bool,
     write_json: Option<String>,
     assert_clean: bool,
-    stream: bool,
+    batch: bool,
     max_live_timelines: Option<usize>,
     horizon_ms: Option<u64>,
     reservoir: Option<usize>,
@@ -87,7 +92,7 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         write_json: None,
         assert_clean: false,
-        stream: true,
+        batch: false,
         max_live_timelines: None,
         horizon_ms: None,
         reservoir: None,
@@ -123,8 +128,7 @@ fn parse_args() -> Result<Args, String> {
                 args.write_json = Some(next_val("--write-json", &mut it)?);
             }
             "--assert-clean" => args.assert_clean = true,
-            "--stream" => args.stream = true,
-            "--batch" => args.stream = false,
+            "--batch" => args.batch = true,
             "--max-live-timelines" => {
                 args.max_live_timelines = Some(
                     next_val("--max-live-timelines", &mut it)?
@@ -212,7 +216,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: trace_doctor [TRACE.jsonl] [--seed N] [--json] \
-                     [--write-json PATH] [--assert-clean] [--stream | --batch] \
+                     [--write-json PATH] [--assert-clean] [--batch] \
                      [--max-live-timelines N] [--horizon-ms N] [--reservoir N] \
                      [--mem-budget BYTES[K|M|G]] [--sites N] [--receivers N] \
                      [--packets N] [--write-trace PATH] \
@@ -236,6 +240,27 @@ fn parse_args() -> Result<Args, String> {
     if args.follow && args.file.is_none() {
         return Err("--follow needs a capture path to tail".into());
     }
+    if args.batch {
+        // --batch sorts a whole capture and folds it with nothing
+        // evicted or sampled; anything else it was combined with would
+        // be silently ignored.
+        if args.file.is_none() {
+            return Err("--batch needs a capture path to sort".into());
+        }
+        if args.follow || args.live {
+            return Err("--batch cannot be combined with --follow or --live".into());
+        }
+        if args.max_live_timelines.is_some()
+            || args.horizon_ms.is_some()
+            || args.reservoir.is_some()
+        {
+            return Err(
+                "--batch never evicts or samples: drop --max-live-timelines, \
+                 --horizon-ms and --reservoir, or drop --batch"
+                    .into(),
+            );
+        }
+    }
     Ok(args)
 }
 
@@ -255,18 +280,30 @@ fn online_config(args: &Args) -> OnlineConfig {
 
 fn run(args: &Args) -> Result<DoctorRun, String> {
     match &args.file {
+        Some(path) if args.batch => {
+            let (records, skipped) = parse_json_lines(
+                &std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
+            );
+            Ok(DoctorRun {
+                report: analyze(&records, &AnalyzeConfig::default()),
+                records: records.len(),
+                skipped,
+            })
+        }
         Some(path) => {
             // Stream the capture line-by-line: replaying a million-event
-            // JSONL file should cost the parsed records, not an extra
-            // whole-file string.
+            // JSONL file costs the open timelines, not the file.
             let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-            let reader = std::io::BufReader::new(file);
-            if args.stream {
-                analyze_jsonl_reader_online(reader, online_config(args))
-            } else {
-                analyze_jsonl_reader(reader, &AnalyzeConfig::default())
+            let run = replay_jsonl(std::io::BufReader::new(file), online_config(args))
+                .map_err(|e| format!("{path}: {e}"))?;
+            let late = run.report.stream.out_of_order;
+            if late > 0 {
+                eprintln!(
+                    "trace_doctor: {late} records in {path} are out of timestamp order and were \
+                     correlated as they arrived; rerun with --batch to sort the capture first"
+                );
             }
-            .map_err(|e| format!("{path}: {e}"))
+            Ok(run)
         }
         None => {
             let mut config = demo_config(args.seed);
@@ -288,20 +325,7 @@ fn run(args: &Args) -> Result<DoctorRun, String> {
                     None => None,
                 };
             let extra = capture.clone().map(|s| s as Arc<dyn TraceSink>);
-            let run = if args.stream {
-                run_scenario_online(config, args.packets, until, online_config(args), extra).0
-            } else if extra.is_none() && args.packets == 20 {
-                demo_run(args.seed)
-            } else {
-                run_scenario(
-                    config,
-                    args.packets,
-                    until,
-                    &AnalyzeConfig::default(),
-                    extra,
-                )
-                .0
-            };
+            let run = run_scenario(config, args.packets, until, online_config(args), extra).0;
             if let Some(sink) = capture {
                 sink.flush();
             }
@@ -439,7 +463,11 @@ fn main() -> ExitCode {
     if args.json {
         println!("{}", doc.to_json());
     } else {
-        let engine = if args.stream { "streaming" } else { "batch" };
+        let order = if args.batch {
+            "sorted"
+        } else {
+            "arrival order"
+        };
         if args.live {
             println!(
                 "trace_doctor: live endpoint scenario, seed {} ({} records, incremental)\n",
@@ -455,11 +483,11 @@ fn main() -> ExitCode {
         } else {
             match &args.file {
                 Some(path) => println!(
-                    "trace_doctor: {path} ({} records, {} malformed lines skipped, {engine})\n",
+                    "trace_doctor: {path} ({} records, {} malformed lines skipped, {order})\n",
                     doc.records, doc.skipped
                 ),
                 None => println!(
-                    "trace_doctor: built-in lossy DIS scenario, seed {} ({} records, {engine})\n",
+                    "trace_doctor: built-in lossy DIS scenario, seed {} ({} records, {order})\n",
                     args.seed, doc.records
                 ),
             }

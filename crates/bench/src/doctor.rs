@@ -1,22 +1,22 @@
 //! Recovery forensics: the shared driver behind the `trace_doctor`
 //! binary and the experiments' self-audit.
 //!
-//! Two engines produce the same [`RecoveryReport`]: the streaming
-//! [`OnlineAnalyzer`] (the default — one record at a time in bounded
-//! memory, whether replaying a `JsonLinesSink` capture or plugged
-//! straight into a live [`DisScenario`] as a sink) and the batch
-//! [`lbrm_core::trace::analyze::analyze`] reference it is
-//! differentially tested against.
+//! Every path here feeds the one correlator, the streaming
+//! [`OnlineAnalyzer`] — one record at a time in bounded memory, whether
+//! replaying a `JsonLinesSink` capture ([`replay_jsonl`]), tailing a
+//! growing one ([`follow_jsonl`]) or plugged straight into a live
+//! [`DisScenario`] as a sink ([`run_scenario`]). A capture that has to
+//! be sorted by timestamp first goes through
+//! [`lbrm_core::trace::analyze::analyze`], which materializes, sorts and
+//! then folds through the same correlator.
 
 use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
 use lbrm::harness::{DisScenario, DisScenarioConfig};
-use lbrm_core::trace::analyze::{analyze, AnalyzeConfig, RecoveryReport};
-use lbrm_core::trace::{
-    CollectorSink, FanoutSink, OnlineAnalyzer, OnlineAnalyzerSink, OnlineConfig, TraceSink,
-};
+use lbrm_core::trace::analyze::RecoveryReport;
+use lbrm_core::trace::{FanoutSink, OnlineAnalyzer, OnlineAnalyzerSink, OnlineConfig, TraceSink};
 use lbrm_sim::loss::LossModel;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::topology::SiteParams;
@@ -43,61 +43,18 @@ impl DoctorRun {
     }
 }
 
-/// Replays a `JsonLinesSink` capture held in memory.
-pub fn analyze_jsonl(text: &str, cfg: &AnalyzeConfig) -> DoctorRun {
-    let (records, skipped) = lbrm_core::trace::analyze::parse_json_lines(text);
-    DoctorRun {
-        report: analyze(&records, cfg),
-        records: records.len(),
-        skipped,
-    }
-}
-
-/// Replays a `JsonLinesSink` capture from a buffered reader, one line at
-/// a time through a reused buffer — `trace_doctor` uses this so a
-/// million-event capture costs the parsed records, never a second copy
-/// of the whole file as text. Line handling (blank lines ignored,
-/// malformed non-blank lines counted as skipped) matches
-/// [`analyze_jsonl`] exactly.
-pub fn analyze_jsonl_reader<R: BufRead>(
-    mut reader: R,
-    cfg: &AnalyzeConfig,
-) -> std::io::Result<DoctorRun> {
-    let mut records = Vec::new();
-    let mut skipped = 0usize;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let l = line.strip_suffix('\n').unwrap_or(&line);
-        let l = l.strip_suffix('\r').unwrap_or(l);
-        if l.trim().is_empty() {
-            continue;
-        }
-        match lbrm_core::trace::analyze::parse_json_line(l) {
-            Some(r) => records.push(r),
-            None => skipped += 1,
-        }
-    }
-    Ok(DoctorRun {
-        report: analyze(&records, cfg),
-        records: records.len(),
-        skipped,
-    })
-}
-
 /// Replays a `JsonLinesSink` capture from a buffered reader through the
-/// streaming [`OnlineAnalyzer`]: each parsed line is pushed and
-/// dropped, so the whole pass holds one line buffer, the open
-/// timelines, and the analyzer's bounded reservoirs — never the record
-/// vector the batch path materializes. This is `trace_doctor`'s default
-/// engine (`--stream`).
-pub fn analyze_jsonl_reader_online<R: BufRead>(
-    mut reader: R,
-    cfg: OnlineConfig,
-) -> std::io::Result<DoctorRun> {
+/// [`OnlineAnalyzer`]: each parsed line is pushed and dropped, so the
+/// whole pass holds one line buffer, the open timelines, and the
+/// analyzer's bounded reservoirs — never a record vector or the file as
+/// text. Blank lines are ignored; malformed non-blank lines (a
+/// truncated final line from an unflushed writer, say) are counted as
+/// skipped.
+///
+/// # Errors
+///
+/// Propagates reader I/O errors.
+pub fn replay_jsonl<R: BufRead>(mut reader: R, cfg: OnlineConfig) -> std::io::Result<DoctorRun> {
     let mut analyzer = OnlineAnalyzer::new(cfg);
     let mut skipped = 0usize;
     let mut line = String::new();
@@ -237,44 +194,13 @@ pub fn demo_config(seed: u64) -> DisScenarioConfig {
     }
 }
 
-/// Builds `config`, injects a collector (fanned out with `extra` when
-/// given, e.g. a `JsonLinesSink` capturing a replayable trace), sends
-/// `packets` updates at 250 ms spacing from t = 1 s, runs to `until`,
-/// and analyzes the collected stream.
-pub fn run_scenario(
-    config: DisScenarioConfig,
-    packets: u64,
-    until: SimTime,
-    cfg: &AnalyzeConfig,
-    extra: Option<Arc<dyn TraceSink>>,
-) -> (DoctorRun, DisScenario) {
-    let collector = Arc::new(CollectorSink::default());
-    let sink: Arc<dyn TraceSink> = match extra {
-        Some(e) => Arc::new(FanoutSink::new(vec![
-            collector.clone() as Arc<dyn TraceSink>,
-            e,
-        ])),
-        None => collector.clone(),
-    };
-    let mut sc = DisScenario::build_with_sink(config, Some(sink));
-    for i in 0..packets {
-        sc.send_at(SimTime::from_millis(1_000 + 250 * i), format!("update-{i}"));
-    }
-    sc.world.run_until(until);
-    let records = collector.take();
-    let run = DoctorRun {
-        report: analyze(&records, cfg),
-        records: records.len(),
-        skipped: 0,
-    };
-    (run, sc)
-}
-
-/// Like [`run_scenario`], but the scenario feeds an
-/// [`OnlineAnalyzerSink`] directly: the trace is correlated as it is
+/// Builds `config` with an [`OnlineAnalyzerSink`] injected (fanned out
+/// with `extra` when given, e.g. a `JsonLinesSink` capturing a
+/// replayable trace), sends `packets` updates at 250 ms spacing from
+/// t = 1 s and runs to `until`: the trace is correlated as it is
 /// emitted and no record vector ever exists. This is how `reproduce`
 /// self-audits.
-pub fn run_scenario_online(
+pub fn run_scenario(
     config: DisScenarioConfig,
     packets: u64,
     until: SimTime,
@@ -305,20 +231,8 @@ pub fn run_scenario_online(
 
 /// The built-in seeded lossy run (what `trace_doctor` executes when not
 /// given a replay file).
-pub fn demo_run(seed: u64) -> DoctorRun {
-    run_scenario(
-        demo_config(seed),
-        20,
-        SimTime::from_secs(30),
-        &AnalyzeConfig::default(),
-        None,
-    )
-    .0
-}
-
-/// The built-in seeded lossy run through the streaming engine.
-pub fn demo_run_online(seed: u64, cfg: OnlineConfig) -> DoctorRun {
-    run_scenario_online(demo_config(seed), 20, SimTime::from_secs(30), cfg, None).0
+pub fn demo_run(seed: u64, cfg: OnlineConfig) -> DoctorRun {
+    run_scenario(demo_config(seed), 20, SimTime::from_secs(30), cfg, None).0
 }
 
 /// Parses a byte size with an optional K/M/G (KiB/MiB/GiB) suffix, as
@@ -347,7 +261,8 @@ pub fn parse_bytes(s: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbrm_core::trace::JsonLinesSink;
+    use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig};
+    use lbrm_core::trace::{CollectorSink, JsonLinesSink};
 
     #[test]
     fn parse_bytes_accepts_every_suffix_form() {
@@ -379,48 +294,62 @@ mod tests {
         assert!(parse_bytes("12 M").is_err());
     }
 
-    #[test]
-    fn streaming_replay_matches_whole_string() {
+    /// Runs the demo scenario for `seed` and returns its JSONL capture.
+    fn captured(seed: u64) -> String {
         let sink = Arc::new(JsonLinesSink::buffered());
-        let cfg = AnalyzeConfig::default();
         let _ = run_scenario(
-            demo_config(77),
+            demo_config(seed),
             10,
             SimTime::from_secs(20),
-            &cfg,
+            OnlineConfig::default(),
             Some(sink.clone() as Arc<dyn TraceSink>),
         );
-        let mut text = sink.contents();
+        let text = sink.contents();
         assert!(!text.is_empty(), "capture should have events");
+        text
+    }
+
+    /// Materialize, sort, fold: what `trace_doctor --batch` does.
+    fn analyze_jsonl(text: &str) -> DoctorRun {
+        let (records, skipped) = parse_json_lines(text);
+        DoctorRun {
+            report: analyze(&records, &AnalyzeConfig::default()),
+            records: records.len(),
+            skipped,
+        }
+    }
+
+    #[test]
+    fn streaming_replay_matches_whole_string() {
+        let mut text = captured(77);
         // Exercise the skip path too: blank lines plus a truncated final
         // line from an "unflushed writer".
         text.push_str("\n\n{\"truncated\": ");
-        let whole = analyze_jsonl(&text, &cfg);
+        let whole = replay_jsonl(text.as_bytes(), OnlineConfig::default())
+            .expect("in-memory read cannot fail");
         // A tiny buffer forces many refills, proving the line reassembly.
-        let streamed =
-            analyze_jsonl_reader(std::io::BufReader::with_capacity(64, text.as_bytes()), &cfg)
-                .expect("in-memory read cannot fail");
+        let streamed = replay_jsonl(
+            std::io::BufReader::with_capacity(64, text.as_bytes()),
+            OnlineConfig::default(),
+        )
+        .expect("in-memory read cannot fail");
         assert_eq!(streamed.records, whole.records);
         assert_eq!(streamed.skipped, whole.skipped);
         assert_eq!(whole.skipped, 1, "exactly the truncated line");
         assert_eq!(streamed.to_json(), whole.to_json());
+        let parsed = analyze_jsonl(&text);
+        assert_eq!(
+            (whole.records, whole.skipped),
+            (parsed.records, parsed.skipped)
+        );
     }
 
     #[test]
     fn online_replay_matches_batch_replay() {
-        let sink = Arc::new(JsonLinesSink::buffered());
-        let cfg = AnalyzeConfig::default();
-        let _ = run_scenario(
-            demo_config(78),
-            10,
-            SimTime::from_secs(20),
-            &cfg,
-            Some(sink.clone() as Arc<dyn TraceSink>),
-        );
-        let mut text = sink.contents();
+        let mut text = captured(78);
         text.push_str("\n\n{\"truncated\": ");
-        let batch = analyze_jsonl(&text, &cfg);
-        let online = analyze_jsonl_reader_online(
+        let batch = analyze_jsonl(&text);
+        let online = replay_jsonl(
             std::io::BufReader::with_capacity(64, text.as_bytes()),
             OnlineConfig::default(),
         )
@@ -431,26 +360,28 @@ mod tests {
         assert_eq!(online.report.anomalies, batch.report.anomalies);
         assert_eq!(online.report.sources, batch.report.sources);
         assert!(online.report.stream.streamed);
+        assert!(!batch.report.stream.streamed);
         assert!(online.report.stream.peak_resident_bytes < batch.report.stream.peak_resident_bytes);
     }
 
     #[test]
     fn live_online_sink_matches_collected_batch() {
-        let cfg = AnalyzeConfig::default();
-        let (batch, _) = run_scenario(demo_config(79), 10, SimTime::from_secs(20), &cfg, None);
-        let (online, _) = run_scenario_online(
+        let collector = Arc::new(CollectorSink::default());
+        let (online, _) = run_scenario(
             demo_config(79),
             10,
             SimTime::from_secs(20),
             OnlineConfig::default(),
-            None,
+            Some(collector.clone() as Arc<dyn TraceSink>),
         );
-        assert_eq!(online.records, batch.records);
-        assert_eq!(online.report.recovered, batch.report.recovered);
-        assert_eq!(online.report.abandoned, batch.report.abandoned);
-        assert_eq!(online.report.anomalies, batch.report.anomalies);
-        assert_eq!(online.report.telescoping, batch.report.telescoping);
-        assert_eq!(online.report.total.samples(), batch.report.total.samples());
+        let records = collector.take();
+        let batch = analyze(&records, &AnalyzeConfig::default());
+        assert_eq!(online.records, records.len());
+        assert_eq!(online.report.recovered, batch.recovered);
+        assert_eq!(online.report.abandoned, batch.abandoned);
+        assert_eq!(online.report.anomalies, batch.anomalies);
+        assert_eq!(online.report.telescoping, batch.telescoping);
+        assert_eq!(online.report.total.samples(), batch.total.samples());
     }
 
     /// Satellite: `--follow` semantics. A writer thread appends the
@@ -463,16 +394,7 @@ mod tests {
     fn follow_tails_a_growing_capture_with_a_torn_final_line() {
         use std::io::Write as _;
 
-        let sink = Arc::new(JsonLinesSink::buffered());
-        let cfg = AnalyzeConfig::default();
-        let _ = run_scenario(
-            demo_config(80),
-            10,
-            SimTime::from_secs(20),
-            &cfg,
-            Some(sink.clone() as Arc<dyn TraceSink>),
-        );
-        let text = sink.contents();
+        let text = captured(80);
         let complete_lines = text.lines().count();
         assert!(complete_lines > 10, "capture should have events");
 
@@ -515,7 +437,7 @@ mod tests {
         writer.join().unwrap();
         let _ = std::fs::remove_file(&path);
 
-        let batch = analyze_jsonl(&text, &cfg);
+        let batch = analyze_jsonl(&text);
         assert_eq!(followed.records, batch.records);
         assert_eq!(followed.records, complete_lines);
         assert_eq!(followed.skipped, 1, "exactly the torn final line");
@@ -526,7 +448,7 @@ mod tests {
 
     #[test]
     fn demo_run_is_clean_and_attributed() {
-        let run = demo_run(77);
+        let run = demo_run(77, OnlineConfig::default());
         assert!(run.report.is_clean(), "{:?}", run.report.anomalies);
         assert!(run.report.recovered > 0);
         assert_eq!(run.report.unrecovered, 0);

@@ -51,7 +51,7 @@ fn capture(config: DisScenarioConfig, until: SimTime) -> Vec<TraceRecord> {
         config,
         15,
         until,
-        &AnalyzeConfig::default(),
+        OnlineConfig::default(),
         Some(collector.clone() as Arc<dyn TraceSink>),
     );
     collector.take()

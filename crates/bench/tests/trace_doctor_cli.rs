@@ -1,13 +1,14 @@
 //! CLI contract tests for the `trace_doctor` binary: `--mem-budget`
 //! size parsing must reject malformed values with a usage error (not
-//! silently misread a budget), and `--assert-clean` must turn protocol
-//! anomalies into a nonzero exit code for CI.
+//! silently misread a budget), `--assert-clean` must turn protocol
+//! anomalies into a nonzero exit code for CI, and `--batch` — "sort
+//! this capture first", not an engine — must refuse every combination
+//! it cannot honour.
 
 use std::io::Write as _;
 use std::process::{Command, Output};
 
-use lbrm_bench::doctor::analyze_jsonl;
-use lbrm_core::trace::analyze::AnalyzeConfig;
+use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig, RecoveryReport};
 use lbrm_core::trace::ProtocolEvent;
 use lbrm_wire::{EpochId, HostId, Seq};
 
@@ -20,6 +21,11 @@ fn doctor(args: &[&str]) -> Output {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// What `--batch` computes: parse, sort, fold.
+fn analyze_jsonl(text: &str) -> RecoveryReport {
+    analyze(&parse_json_lines(text).0, &AnalyzeConfig::default())
 }
 
 fn write_trace(name: &str, lines: &str) -> std::path::PathBuf {
@@ -92,7 +98,7 @@ fn well_formed_mem_budget_suffixes_are_accepted() {
     let path = write_trace("budget-ok", &clean_trace());
     // A generous budget in every suffix form: all must parse and pass.
     for budget in ["1073741824", "1048576K", "1024M", "1G"] {
-        let out = doctor(&[path.to_str().unwrap(), "--stream", "--mem-budget", budget]);
+        let out = doctor(&[path.to_str().unwrap(), "--mem-budget", budget]);
         assert!(
             out.status.success(),
             "--mem-budget {budget} should parse and pass: {}",
@@ -107,12 +113,8 @@ fn assert_clean_exit_codes_follow_the_report() {
     let clean = clean_trace();
     let unclean = unclean_trace();
     // Anchor the fixtures to the analyzer before trusting exit codes.
-    assert!(analyze_jsonl(&clean, &AnalyzeConfig::default())
-        .report
-        .is_clean());
-    assert!(!analyze_jsonl(&unclean, &AnalyzeConfig::default())
-        .report
-        .is_clean());
+    assert!(analyze_jsonl(&clean).is_clean());
+    assert!(!analyze_jsonl(&unclean).is_clean());
 
     let clean_path = write_trace("clean", &clean);
     let unclean_path = write_trace("unclean", &unclean);
@@ -139,4 +141,107 @@ fn assert_clean_exit_codes_follow_the_report() {
 
     let _ = std::fs::remove_file(clean_path);
     let _ = std::fs::remove_file(unclean_path);
+}
+
+/// `--batch` means "materialize this capture and sort it first" and
+/// nothing else, so every combination it used to ignore silently is a
+/// usage error: no capture to sort, a capture that is still growing or
+/// live, or the eviction/sampling flags a never-evicting fold has no
+/// use for.
+#[test]
+fn batch_rejects_everything_it_would_ignore() {
+    let path = write_trace("batch-usage", &clean_trace());
+    let file = path.to_str().unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (&["--batch"], "capture path"),
+        (
+            &[file, "--batch", "--max-live-timelines", "8"],
+            "--max-live-timelines",
+        ),
+        (&[file, "--batch", "--horizon-ms", "500"], "--horizon-ms"),
+        (&[file, "--batch", "--reservoir", "16"], "--reservoir"),
+        (&["--batch", "--follow", file], "--follow"),
+        (&[file, "--batch", "--live"], "--live"),
+    ];
+    for (args, names) in cases {
+        let out = doctor(args);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        let err = stderr(&out);
+        assert!(err.contains("--batch"), "{args:?}: {err}");
+        assert!(err.contains(names), "{args:?} must name {names}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: usage errors print no report"
+        );
+    }
+    // On its own, with a capture, it is accepted.
+    let out = doctor(&[file, "--batch", "--assert-clean"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let _ = std::fs::remove_file(path);
+}
+
+/// The engine selector is gone: there is one correlator.
+#[test]
+fn stream_flag_is_an_unknown_argument() {
+    let out = doctor(&["--stream"]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("unknown argument: --stream"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// A replay in arrival order of a capture that is out of timestamp
+/// order says so once on stderr and names the fix; `--batch` sorts it
+/// and reports what the in-order capture reports.
+#[test]
+fn out_of_order_replay_hints_at_batch() {
+    let rx = HostId(2);
+    let line = |at_ms: u64, event: ProtocolEvent| event.to_json(at_ms * 1_000_000, rx) + "\n";
+    let seq = Seq(2);
+    let detected = line(
+        4,
+        ProtocolEvent::GapDetected {
+            first: seq,
+            last: seq,
+        },
+    );
+    let recovered = line(
+        9,
+        ProtocolEvent::Recovered {
+            seq,
+            latency_nanos: 5_000_000,
+        },
+    );
+    // The recovery is written before the detection it closes, as when a
+    // second thread's file is appended after the first's.
+    let shuffled = write_trace("shuffled", &format!("{recovered}{detected}"));
+    let ordered = write_trace("ordered", &format!("{detected}{recovered}"));
+
+    let out = doctor(&[shuffled.to_str().unwrap(), "--json"]);
+    assert!(out.status.success(), "a hint is not a failure");
+    let err = stderr(&out);
+    assert_eq!(err.matches("--batch").count(), 1, "one hint: {err}");
+    assert!(err.contains("out of timestamp order"), "{err}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"unrecovered\":1"));
+
+    let out = doctor(&[
+        shuffled.to_str().unwrap(),
+        "--batch",
+        "--json",
+        "--assert-clean",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("--batch"), "no hint once sorted");
+    let sorted = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(sorted.contains("\"recovered\":1"), "{sorted}");
+    assert!(sorted.contains("\"out_of_order\":1"), "{sorted}");
+
+    let out = doctor(&[ordered.to_str().unwrap(), "--json"]);
+    assert!(stderr(&out).is_empty(), "in-order replay: no hint");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"recovered\":1"));
+
+    let _ = std::fs::remove_file(shuffled);
+    let _ = std::fs::remove_file(ordered);
 }

@@ -1,17 +1,22 @@
-//! Recovery forensics: causal per-packet timelines, per-stage latency
-//! histograms, repair-source attribution, and anomaly detection over a
-//! recorded [`ProtocolEvent`] stream.
+//! Recovery forensics: the record and report types, the JSONL replay
+//! parser and the collecting sinks — everything around the correlator
+//! except the correlator itself.
 //!
 //! The paper's evaluation is entirely about *recovery behaviour* — how
 //! fast a loss is detected (§2.1), who repairs it (§2.2), and how many
-//! redundant copies the repair costs (§2.3). This module answers the
-//! question the flat counters cannot: *why did this particular
+//! redundant copies the repair costs (§2.3). The forensics layer answers
+//! the question the flat counters cannot: *why did this particular
 //! sequence take that long to recover at that host?*
 //!
-//! The pipeline is: collect records (live via [`CollectorSink`], or
-//! replayed from a [`JsonLinesSink`](crate::JsonLinesSink) file via
-//! [`parse_json_lines`]), then [`analyze`] them into a
-//! [`RecoveryReport`]:
+//! There is one correlation loop, [`OnlineAnalyzer`]: it folds a
+//! [`ProtocolEvent`] stream one record at a time into a
+//! [`RecoveryReport`] and raises every [`Anomaly`]. [`analyze`] is the
+//! convenience for a capture already held in memory (collected live via
+//! [`CollectorSink`], or replayed from a
+//! [`JsonLinesSink`](crate::JsonLinesSink) file via
+//! [`parse_json_lines`]): it sorts the records by timestamp and folds
+//! them through an `OnlineAnalyzer` with no eviction and no sampling.
+//! The report holds:
 //!
 //! * one [`RecoveryTimeline`] per `(host, seq)` recovery — loss
 //!   detected → NACK sent → logger serve / re-multicast → repair
@@ -24,15 +29,16 @@
 //! * [`Anomaly`] detections: unrecovered gaps at end-of-run, NACK
 //!   fan-in above the paper's one-request-per-site bound, duplicate
 //!   repairs beyond the statistical-ACK expectation, heartbeat silence
-//!   longer than `h_max`, and stalled statistical-ACK settlements.
+//!   longer than `h_max`, stalled statistical-ACK settlements, and
+//!   split-brain authority (term conflicts, accepted stale serves).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use lbrm_wire::{HostId, Seq};
 
-use crate::{Histogram, HistogramSnapshot, ProtocolEvent, TraceSink};
+use crate::{HistogramSnapshot, OnlineAnalyzer, OnlineConfig, ProtocolEvent, TraceSink};
 
 /// One recorded event: timestamp, emitting host, event.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,21 +275,20 @@ pub fn parse_json_line(line: &str) -> Option<TraceRecord> {
     let at_nanos = f.get("at_ns")?.as_u64()?;
     let host = HostId(f.get("host")?.as_u64()?);
     let key = f.get("event")?.as_str()?;
-    let seq = |name: &str| {
-        f.get(name)
-            .and_then(FieldVal::as_u64)
-            .map(|n| Seq(n as u32))
-    };
     let num = |name: &str| f.get(name).and_then(FieldVal::as_u64);
+    // A value that does not fit its wire width makes the line malformed;
+    // `as u32` would correlate seq 2^32 + 1 as seq 1.
+    let num32 = |name: &str| num(name).and_then(|n| u32::try_from(n).ok());
+    let seq = |name: &str| num32(name).map(Seq);
     let host_of = |name: &str| f.get(name).and_then(FieldVal::as_u64).map(HostId);
     let event = match key {
         "data_sent" => ProtocolEvent::DataSent {
             seq: seq("seq")?,
-            epoch: lbrm_wire::EpochId(num("epoch")? as u32),
+            epoch: lbrm_wire::EpochId(num32("epoch")?),
         },
         "heartbeat_sent" => ProtocolEvent::HeartbeatSent {
             seq: seq("seq")?,
-            hb_index: num("hb_index")? as u32,
+            hb_index: num32("hb_index")?,
         },
         "gap_detected" => ProtocolEvent::GapDetected {
             first: seq("first")?,
@@ -291,13 +296,13 @@ pub fn parse_json_line(line: &str) -> Option<TraceRecord> {
         },
         "nack_sent" => ProtocolEvent::NackSent {
             target: host_of("target")?,
-            packets: num("packets")? as u32,
+            packets: num32("packets")?,
             first: seq("first")?,
             last: seq("last")?,
         },
         "nack_received" => ProtocolEvent::NackReceived {
             from: host_of("from")?,
-            packets: num("packets")? as u32,
+            packets: num32("packets")?,
         },
         "retrans_served_unicast" | "retrans_served_multicast" => ProtocolEvent::RetransServed {
             seq: seq("seq")?,
@@ -306,18 +311,18 @@ pub fn parse_json_line(line: &str) -> Option<TraceRecord> {
         },
         "remulticast" => ProtocolEvent::Remulticast {
             seq: seq("seq")?,
-            missing: num("missing")? as u32,
+            missing: num32("missing")?,
         },
         "acker_selected" => ProtocolEvent::AckerSelected {
-            epoch: lbrm_wire::EpochId(num("epoch")? as u32),
+            epoch: lbrm_wire::EpochId(num32("epoch")?),
             p_ack: f.get("p_ack")?.as_f64()?,
         },
         "acker_volunteered" => ProtocolEvent::AckerVolunteered {
-            epoch: lbrm_wire::EpochId(num("epoch")? as u32),
+            epoch: lbrm_wire::EpochId(num32("epoch")?),
         },
         "epoch_active" => ProtocolEvent::EpochActive {
-            epoch: lbrm_wire::EpochId(num("epoch")? as u32),
-            ackers: num("ackers")? as u32,
+            epoch: lbrm_wire::EpochId(num32("epoch")?),
+            ackers: num32("ackers")?,
         },
         "settled_complete" | "settled_incomplete" => ProtocolEvent::Settled {
             seq: seq("seq")?,
@@ -327,7 +332,7 @@ pub fn parse_json_line(line: &str) -> Option<TraceRecord> {
             t_wait_nanos: num("t_wait_ns")?,
         },
         "congestion_suspected" => ProtocolEvent::CongestionSuspected {
-            streak: num("streak")? as u32,
+            streak: num32("streak")?,
         },
         "recovered" => ProtocolEvent::Recovered {
             seq: seq("seq")?,
@@ -356,16 +361,16 @@ pub fn parse_json_line(line: &str) -> Option<TraceRecord> {
             new_primary: host_of("new_primary")?,
         },
         "term_elected" => ProtocolEvent::TermElected {
-            term: num("term")? as u32,
+            term: num32("term")?,
             leader: host_of("leader")?,
         },
         "stale_term_fenced" => ProtocolEvent::StaleTermFenced {
             from: host_of("from")?,
-            term: num("term")? as u32,
+            term: num32("term")?,
         },
         "authority_serve" => ProtocolEvent::AuthorityServe {
             seq: seq("seq")?,
-            term: num("term")? as u32,
+            term: num32("term")?,
         },
         "role_announced" => ProtocolEvent::RoleAnnounced {
             role: intern_role(f.get("role")?.as_str()?),
@@ -373,7 +378,7 @@ pub fn parse_json_line(line: &str) -> Option<TraceRecord> {
         "net_unicast" | "net_multicast" => ProtocolEvent::NetPacket {
             kind: intern_net_kind(f.get("kind")?.as_str()?),
             multicast: key == "net_multicast",
-            copies: num("copies")? as u32,
+            copies: num32("copies")?,
         },
         _ => return None,
     };
@@ -726,7 +731,8 @@ impl Anomaly {
 // Analysis
 // ---------------------------------------------------------------------
 
-/// Tunables for [`analyze`]. The defaults match the paper's parameters
+/// Correlation and anomaly tunables of the [`OnlineAnalyzer`] (and so
+/// of [`analyze`]). The defaults match the paper's parameters
 /// (`h_max` = 32 s) and a small-scenario statistical-ACK expectation.
 #[derive(Debug, Clone)]
 pub struct AnalyzeConfig {
@@ -762,52 +768,34 @@ impl Default for AnalyzeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct OpenRecovery {
-    pub(crate) detected_at: u64,
-    pub(crate) first_nack_at: Option<u64>,
-    pub(crate) nacks_sent: u32,
-    pub(crate) served_at: Option<u64>,
-    pub(crate) served_by: Option<HostId>,
-    pub(crate) repaired_at: Option<u64>,
-    pub(crate) source: RepairSource,
-}
-
-/// Approximate resident bytes of one open-recovery map entry (payload +
-/// key + node overhead) — the unit both analyzers meter live state in.
-pub(crate) fn open_entry_bytes() -> u64 {
-    (std::mem::size_of::<OpenRecovery>() + 12 + 32) as u64
-}
-
 /// Resident-state accounting for an analysis pass: how much live
-/// correlation state the analyzer held at its peak, and what (if
-/// anything) it had to shed to stay within budget. For the batch
-/// [`analyze`] this records what materializing the whole capture cost;
-/// for the streaming [`OnlineAnalyzer`](crate::OnlineAnalyzer) it is
-/// the first-class metric the `trace_doctor --mem-budget` CI gate
-/// asserts on.
+/// correlation state the [`OnlineAnalyzer`] held at its peak, and what
+/// (if anything) it had to shed to stay within budget — the first-class
+/// metric the `trace_doctor --mem-budget` CI gate asserts on. Through
+/// [`analyze`] it also counts what materializing the capture cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// `true` when produced by the streaming correlator.
+    /// `true` when the records were folded in arrival order; `false`
+    /// when [`analyze`] materialized and sorted them first.
     pub streamed: bool,
     /// Most `(host, seq)` timelines open at once.
     pub peak_live_timelines: u64,
-    /// Approximate peak resident bytes of the analyzer's state (for
-    /// batch, this includes the materialized record vector).
+    /// Approximate peak resident bytes of the analyzer's state (through
+    /// [`analyze`], plus the materialized record vector).
     pub peak_resident_bytes: u64,
-    /// Open timelines force-evicted by the live-timeline cap (streaming
-    /// only; fidelity was truncated, but no anomaly is implied).
+    /// Open timelines force-evicted by the live-timeline cap (fidelity
+    /// was truncated, but no anomaly is implied).
     pub force_evicted: u64,
-    /// Open timelines evicted by the age-out horizon (streaming only;
-    /// each also raises an unrecovered-gap anomaly).
+    /// Open timelines evicted by the age-out horizon (each also raises
+    /// an unrecovered-gap anomaly).
     pub aged_out: u64,
-    /// Records that arrived with a timestamp below their predecessor's
-    /// (the batch analyzer sorts; the streaming one correlates in
-    /// arrival order, so a nonzero count here flags caution).
+    /// Records that arrived with a timestamp below their predecessor's.
+    /// [`analyze`] sorted them before correlating; an arrival-order
+    /// fold did not, so a nonzero count there flags caution.
     pub out_of_order: u64,
 }
 
-/// The full forensic result of [`analyze`].
+/// The full forensic result of an [`OnlineAnalyzer`] fold.
 #[derive(Debug)]
 pub struct RecoveryReport {
     /// Every closed (and, at end-of-run, still-open) timeline, in
@@ -856,31 +844,6 @@ impl RecoveryReport {
     /// `true` when no anomaly was detected.
     pub fn is_clean(&self) -> bool {
         self.anomalies.is_empty()
-    }
-
-    pub(crate) fn close(
-        timelines: &mut Vec<RecoveryTimeline>,
-        host: HostId,
-        seq: Seq,
-        open: OpenRecovery,
-        sent_at: Option<u64>,
-        outcome: RecoveryOutcome,
-        latency: Option<u64>,
-    ) {
-        timelines.push(RecoveryTimeline {
-            host,
-            seq,
-            sent_at_nanos: sent_at,
-            detected_at_nanos: open.detected_at,
-            first_nack_at_nanos: open.first_nack_at,
-            nacks_sent: open.nacks_sent,
-            served_at_nanos: open.served_at,
-            served_by: open.served_by,
-            repaired_at_nanos: open.repaired_at,
-            source: open.source,
-            outcome,
-            recovery_latency_nanos: latency,
-        });
     }
 
     /// Renders the report as a human-readable summary (slowest
@@ -1076,10 +1039,12 @@ impl RecoveryReport {
     }
 }
 
-/// Correlates `records` into recovery timelines, computes per-stage
-/// histograms and the repair-source breakdown, and runs the anomaly
-/// detectors. Records are sorted by timestamp internally, so both live
-/// collections and concatenated replay files work.
+/// Correlates a capture held in memory: counts the out-of-order pairs,
+/// stable-sorts by timestamp (so multi-thread live collections and
+/// concatenated replay files work), and folds the records through an
+/// [`OnlineAnalyzer`] that never evicts and never samples — every
+/// timeline is retained and every percentile is exact, whatever the
+/// capture's size.
 pub fn analyze(records: &[TraceRecord], cfg: &AnalyzeConfig) -> RecoveryReport {
     let out_of_order = records
         .windows(2)
@@ -1087,400 +1052,24 @@ pub fn analyze(records: &[TraceRecord], cfg: &AnalyzeConfig) -> RecoveryReport {
         .count() as u64;
     let mut recs: Vec<&TraceRecord> = records.iter().collect();
     recs.sort_by_key(|r| r.at_nanos);
-    let end_ns = recs.last().map_or(0, |r| r.at_nanos);
-    let mut peak_live = 0u64;
-
-    let mut roles: BTreeMap<u64, &'static str> = BTreeMap::new();
-    let mut sent_at: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut sent_epoch: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut remulticast_at: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut settled: BTreeSet<u32> = BTreeSet::new();
-    let mut active_epochs: BTreeSet<u32> = BTreeSet::new();
-    let mut open: BTreeMap<(u64, u32), OpenRecovery> = BTreeMap::new();
-    let mut timelines: Vec<RecoveryTimeline> = Vec::new();
-    let mut requests_per_seq: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut dups_per_host_seq: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-    let mut last_tx: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut max_silence: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut truncated_gap_spans = 0u64;
-    let mut recovered = 0usize;
-    let mut abandoned = 0usize;
-    // Election forensics: leaders per term, the newest elected term, and
-    // (host, seq) serves made under a term older than the newest. A
-    // repair from such a serve that a receiver *accepts* is split-brain.
-    let mut term_leaders: BTreeMap<u32, HostId> = BTreeMap::new();
-    let mut max_term = 0u32;
-    let mut stale_serves: BTreeMap<(u64, u32), u32> = BTreeMap::new();
-    let mut split_brain: Vec<Anomaly> = Vec::new();
-    let mut fenced_rejects = 0u64;
-
-    for r in &recs {
-        let h = r.host.raw();
-        match &r.event {
-            ProtocolEvent::RoleAnnounced { role } => {
-                roles.insert(h, role);
-            }
-            ProtocolEvent::DataSent { seq, epoch } => {
-                sent_at.entry(seq.raw()).or_insert(r.at_nanos);
-                sent_epoch.entry(seq.raw()).or_insert(epoch.raw());
-                let gap = r.at_nanos - last_tx.get(&h).copied().unwrap_or(r.at_nanos);
-                let m = max_silence.entry(h).or_insert(0);
-                *m = (*m).max(gap);
-                last_tx.insert(h, r.at_nanos);
-            }
-            ProtocolEvent::HeartbeatSent { .. } => {
-                let gap = r.at_nanos - last_tx.get(&h).copied().unwrap_or(r.at_nanos);
-                let m = max_silence.entry(h).or_insert(0);
-                *m = (*m).max(gap);
-                last_tx.insert(h, r.at_nanos);
-            }
-            ProtocolEvent::GapDetected { first, last } => {
-                let span = u64::from(last.distance_from(*first)) + 1;
-                if span > cfg.max_gap_span {
-                    truncated_gap_spans += 1;
-                }
-                for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= cfg.max_gap_span {
-                        break;
-                    }
-                    open.entry((h, seq.raw())).or_insert(OpenRecovery {
-                        detected_at: r.at_nanos,
-                        first_nack_at: None,
-                        nacks_sent: 0,
-                        served_at: None,
-                        served_by: None,
-                        repaired_at: None,
-                        source: RepairSource::Unknown,
-                    });
-                }
-                peak_live = peak_live.max(open.len() as u64);
-            }
-            ProtocolEvent::NackSent {
-                target,
-                first,
-                last,
-                ..
-            } => {
-                let span = u64::from(last.distance_from(*first)) + 1;
-                // The paper's implosion bound (§2.2.1, Figure 7) is on
-                // requests reaching the *primary*: local NACKs absorbed
-                // by a site secondary are the mechanism working, not
-                // implosion, so only primary-bound requests count.
-                let upstream = roles.get(&target.raw()).copied() == Some("logger_primary");
-                for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= cfg.max_gap_span.min(span) {
-                        break;
-                    }
-                    if upstream {
-                        *requests_per_seq.entry(seq.raw()).or_insert(0) += 1;
-                    }
-                    if let Some(o) = open.get_mut(&(h, seq.raw())) {
-                        o.first_nack_at.get_or_insert(r.at_nanos);
-                        o.nacks_sent += 1;
-                    }
-                }
-            }
-            ProtocolEvent::RetransServed { seq, multicast, to } => {
-                if *multicast {
-                    for ((_, s), o) in open.iter_mut() {
-                        if *s == seq.raw() {
-                            o.served_at.get_or_insert(r.at_nanos);
-                            o.served_by.get_or_insert(r.host);
-                        }
-                    }
-                } else if let Some(o) = open.get_mut(&(to.raw(), seq.raw())) {
-                    o.served_at.get_or_insert(r.at_nanos);
-                    o.served_by.get_or_insert(r.host);
-                }
-            }
-            ProtocolEvent::Remulticast { seq, .. } => {
-                remulticast_at.entry(seq.raw()).or_insert(r.at_nanos);
-                for ((_, s), o) in open.iter_mut() {
-                    if *s == seq.raw() {
-                        o.served_at.get_or_insert(r.at_nanos);
-                        o.served_by.get_or_insert(r.host);
-                    }
-                }
-            }
-            ProtocolEvent::RepairReceived { seq, from, kind } => {
-                if *kind == "retrans" {
-                    if let Some(&stale) = stale_serves.get(&(from.raw(), seq.raw())) {
-                        split_brain.push(Anomaly::SplitBrainServe {
-                            seq: *seq,
-                            by: *from,
-                            term: stale,
-                            current: max_term,
-                        });
-                    }
-                }
-                if let Some(o) = open.get_mut(&(h, seq.raw())) {
-                    o.repaired_at = Some(r.at_nanos);
-                    o.source = match *kind {
-                        "heartbeat" => RepairSource::Heartbeat,
-                        "retrans" => match roles.get(&from.raw()).copied() {
-                            Some("logger_primary") => RepairSource::Primary,
-                            Some("logger_secondary") => RepairSource::Secondary,
-                            Some("logger_replica") => RepairSource::Replica,
-                            Some("sender") => RepairSource::Sender,
-                            _ => RepairSource::Unknown,
-                        },
-                        "data" => {
-                            if remulticast_at
-                                .get(&seq.raw())
-                                .is_some_and(|&t| t <= r.at_nanos)
-                            {
-                                RepairSource::Remulticast
-                            } else {
-                                RepairSource::LateOriginal
-                            }
-                        }
-                        _ => RepairSource::Unknown,
-                    };
-                }
-            }
-            ProtocolEvent::RepairDuplicate { seq, .. } => {
-                *dups_per_host_seq.entry((h, seq.raw())).or_insert(0) += 1;
-            }
-            ProtocolEvent::Recovered { seq, latency_nanos } => {
-                if let Some(o) = open.remove(&(h, seq.raw())) {
-                    recovered += 1;
-                    RecoveryReport::close(
-                        &mut timelines,
-                        r.host,
-                        *seq,
-                        o,
-                        sent_at.get(&seq.raw()).copied(),
-                        RecoveryOutcome::Recovered,
-                        Some(*latency_nanos),
-                    );
-                }
-            }
-            ProtocolEvent::RecoveryAbandoned { seq } => {
-                if let Some(o) = open.remove(&(h, seq.raw())) {
-                    abandoned += 1;
-                    RecoveryReport::close(
-                        &mut timelines,
-                        r.host,
-                        *seq,
-                        o,
-                        sent_at.get(&seq.raw()).copied(),
-                        RecoveryOutcome::Abandoned,
-                        None,
-                    );
-                }
-            }
-            ProtocolEvent::Settled { seq, .. } => {
-                settled.insert(seq.raw());
-            }
-            ProtocolEvent::EpochActive { epoch, .. } => {
-                active_epochs.insert(epoch.raw());
-            }
-            ProtocolEvent::TermElected { term, leader } => {
-                match term_leaders.get(term) {
-                    Some(&prev) if prev != *leader => {
-                        split_brain.push(Anomaly::TermConflict {
-                            term: *term,
-                            a: prev,
-                            b: *leader,
-                        });
-                    }
-                    Some(_) => {}
-                    None => {
-                        term_leaders.insert(*term, *leader);
-                    }
-                }
-                max_term = max_term.max(*term);
-            }
-            ProtocolEvent::AuthorityServe { seq, term } if *term < max_term => {
-                stale_serves.insert((h, seq.raw()), *term);
-            }
-            ProtocolEvent::StaleTermFenced { .. } => {
-                fenced_rejects += 1;
-            }
-            _ => {}
-        }
+    let mut analyzer = OnlineAnalyzer::new(OnlineConfig {
+        analyze: cfg.clone(),
+        max_live_timelines: None,
+        horizon_nanos: None,
+        stage_reservoir: usize::MAX,
+        timeline_reservoir: usize::MAX,
+    });
+    for r in recs {
+        analyzer.push_record(r);
     }
-
-    // Trailing silence: from the last transmission to end-of-run.
-    for (&h, &t) in &last_tx {
-        let m = max_silence.entry(h).or_insert(0);
-        *m = (*m).max(end_ns.saturating_sub(t));
-    }
-
-    let mut anomalies: Vec<Anomaly> = Vec::new();
-
-    // Unrecovered gaps: whatever is still open at end-of-run.
-    let mut unrecovered = 0usize;
-    let still_open: Vec<((u64, u32), OpenRecovery)> =
-        std::mem::take(&mut open).into_iter().collect();
-    for ((h, s), o) in still_open {
-        unrecovered += 1;
-        anomalies.push(Anomaly::UnrecoveredGap {
-            host: HostId(h),
-            seq: Seq(s),
-            detected_at_nanos: o.detected_at,
-        });
-        RecoveryReport::close(
-            &mut timelines,
-            HostId(h),
-            Seq(s),
-            o,
-            sent_at.get(&s).copied(),
-            RecoveryOutcome::Unrecovered,
-            None,
-        );
-    }
-
-    // NACK implosion (§2.2.1: distributed logging bounds requests at
-    // roughly one per site).
-    let secondaries = roles.values().filter(|r| **r == "logger_secondary").count() as u64;
-    let nack_bound = cfg
-        .nack_fan_in_bound
-        .or((secondaries > 0).then_some(secondaries + 2));
-    let max_nack_fan_in = requests_per_seq.values().copied().max().unwrap_or(0);
-    if let Some(bound) = nack_bound {
-        for (&s, &n) in &requests_per_seq {
-            if n > bound {
-                anomalies.push(Anomaly::NackImplosion {
-                    seq: Seq(s),
-                    requests: n,
-                    bound,
-                });
-            }
-        }
-    }
-
-    // Duplicate repairs beyond the statistical-ACK expectation. The
-    // bound is per receiver: one redundant copy each at many receivers
-    // is the expected cost of re-multicast, while one receiver served
-    // the same repair many times over means requests are not being
-    // suppressed.
-    let mut duplicate_repairs = 0u64;
-    for (&(host, s), &n) in &dups_per_host_seq {
-        duplicate_repairs += n;
-        if n > cfg.duplicate_bound {
-            anomalies.push(Anomaly::ExcessDuplicateRepairs {
-                host: HostId(host),
-                seq: Seq(s),
-                duplicates: n,
-                bound: cfg.duplicate_bound,
-            });
-        }
-    }
-
-    // Heartbeat silence beyond h_max (with 1.5x slack for the last
-    // in-flight interval).
-    if let Some(h_max) = cfg.h_max_nanos {
-        let bound = h_max + h_max / 2;
-        for (&h, &gap) in &max_silence {
-            if gap > bound {
-                anomalies.push(Anomaly::HeartbeatSilence {
-                    host: HostId(h),
-                    gap_nanos: gap,
-                    h_max_nanos: h_max,
-                });
-            }
-        }
-    }
-
-    // Stalled settlements: data in an active epoch that never settled
-    // (ignoring sends within the trailing grace window).
-    for (&s, &e) in &sent_epoch {
-        if !active_epochs.contains(&e) || settled.contains(&s) {
-            continue;
-        }
-        let at = sent_at.get(&s).copied().unwrap_or(0);
-        if at + cfg.settle_slack_nanos < end_ns {
-            anomalies.push(Anomaly::StalledSettlement {
-                seq: Seq(s),
-                sent_at_nanos: at,
-            });
-        }
-    }
-
-    // Split-brain detections (term conflicts and accepted stale serves),
-    // in stream order, after every other detector — the streaming
-    // analyzer appends them at the same position for parity.
-    anomalies.append(&mut split_brain);
-
-    // Stage histograms over recovered timelines.
-    let mut detection = Histogram::default();
-    let mut request = Histogram::default();
-    let mut serve = Histogram::default();
-    let mut return_leg = Histogram::default();
-    let mut total = Histogram::default();
-    let mut sources: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut telescoping = 0usize;
-    for t in &timelines {
-        if t.outcome != RecoveryOutcome::Recovered {
-            continue;
-        }
-        if let Some(n) = t.detection_nanos() {
-            detection.record(n);
-        }
-        if let Some(n) = t.request_nanos() {
-            request.record(n);
-        }
-        if let Some(n) = t.serve_nanos() {
-            serve.record(n);
-        }
-        if let Some(n) = t.return_nanos() {
-            return_leg.record(n);
-        }
-        if let Some(n) = t.recovery_latency_nanos {
-            total.record(n);
-        }
-        *sources.entry(t.source.label()).or_insert(0) += 1;
-        if t.stages_telescope() {
-            telescoping += 1;
-        }
-    }
-
-    let (detection, request, serve, return_leg, total) = (
-        detection.snapshot(),
-        request.snapshot(),
-        serve.snapshot(),
-        return_leg.snapshot(),
-        total.snapshot(),
-    );
-
-    // What materializing the whole capture cost: the record vector and
-    // sorted-ref index dominate, then timelines and exact histograms.
-    let hist_samples =
-        (detection.count() + request.count() + serve.count() + return_leg.count() + total.count())
-            as u64;
-    let peak_resident_bytes = records.len() as u64
-        * (std::mem::size_of::<TraceRecord>() as u64 + 8)
-        + peak_live * open_entry_bytes()
-        + timelines.len() as u64 * std::mem::size_of::<RecoveryTimeline>() as u64
-        + hist_samples * 8;
-
-    RecoveryReport {
-        timelines,
-        recovered,
-        abandoned,
-        unrecovered,
-        detection,
-        request,
-        serve,
-        return_leg,
-        total,
-        sources,
-        duplicate_repairs,
-        max_nack_fan_in,
-        telescoping,
-        truncated_gap_spans,
-        fenced_rejects,
-        anomalies,
-        stream: StreamStats {
-            streamed: false,
-            peak_live_timelines: peak_live,
-            peak_resident_bytes,
-            force_evicted: 0,
-            aged_out: 0,
-            out_of_order,
-        },
-    }
+    let mut report = analyzer.finish();
+    report.stream.streamed = false;
+    report.stream.out_of_order = out_of_order;
+    // The record vector and the sorted-ref index the caller and this
+    // function held on top of the analyzer's own state.
+    report.stream.peak_resident_bytes +=
+        records.len() as u64 * (std::mem::size_of::<TraceRecord>() as u64 + 8);
+    report
 }
 
 #[cfg(test)]
@@ -1973,6 +1562,44 @@ mod tests {
         let (records, skipped) = parse_json_lines("\n{\"bad\n\n");
         assert!(records.is_empty());
         assert_eq!(skipped, 1);
+    }
+
+    /// Outside input: a field wider than its wire type is a malformed
+    /// line, not a different sequence number.
+    #[test]
+    fn fields_that_overflow_u32_are_skipped_not_truncated() {
+        let good = ProtocolEvent::DataSent {
+            seq: Seq(1),
+            epoch: EpochId(0),
+        }
+        .to_json(5, SENDER);
+        assert!(parse_json_line(&good).is_some());
+        for (field, line) in [
+            ("seq", good.replace("\"seq\":1", "\"seq\":4294967297")),
+            ("epoch", good.replace("\"epoch\":0", "\"epoch\":4294967296")),
+            (
+                "term",
+                ProtocolEvent::TermElected {
+                    term: 2,
+                    leader: PRIMARY,
+                }
+                .to_json(5, SENDER)
+                .replace("\"term\":2", "\"term\":4294967298"),
+            ),
+        ] {
+            assert!(line.contains("42949672"), "{field}: fixture not patched");
+            assert_eq!(parse_json_line(&line), None, "{field}: {line}");
+        }
+        // The widest value that fits still parses, and a whole-capture
+        // parse counts the overflowing line as skipped.
+        let max = good.replace("\"seq\":1", "\"seq\":4294967295");
+        assert!(matches!(
+            parse_json_line(&max).expect("u32::MAX fits").event,
+            ProtocolEvent::DataSent { seq, .. } if seq.raw() == u32::MAX
+        ));
+        let wide = good.replace("\"seq\":1", "\"seq\":4294967297");
+        let (records, skipped) = parse_json_lines(&format!("{good}\n{wide}\n"));
+        assert_eq!((records.len(), skipped), (1, 1));
     }
 
     #[test]

@@ -136,7 +136,7 @@ pub const STREAM_HIST_BUCKETS: usize = 64;
 /// so runs are deterministic: identical inputs yield identical
 /// snapshots, and while the sample count is at or below the reservoir
 /// capacity the snapshot is byte-for-byte the exact distribution (which
-/// is what the batch-vs-streaming differential tests pin).
+/// is what the forensics differential tests pin).
 #[derive(Debug, Clone)]
 pub struct StreamingHistogram {
     buckets: [u64; STREAM_HIST_BUCKETS],

@@ -1,11 +1,14 @@
-//! Streaming recovery forensics: the [`OnlineAnalyzer`] correlates a
-//! [`ProtocolEvent`] stream *one record at a time* in bounded memory.
+//! The recovery-forensics correlator: the [`OnlineAnalyzer`] folds a
+//! [`ProtocolEvent`] stream *one record at a time* into a
+//! [`RecoveryReport`]. It is the only correlation loop and the only
+//! place an [`Anomaly`] is raised; live sinks, JSONL replay, the doctor
+//! sidecar and [`analyze`](crate::analyze::analyze) (sort, then fold
+//! with unbounded reservoirs) all go through it.
 //!
-//! The batch [`analyze`](crate::analyze::analyze) materializes every
-//! parsed record plus every per-`(host, seq)` timeline before it can
-//! say anything — for the million-event captures a thousands-of-sites
-//! DIS run produces, that blows up exactly where the forensics layer
-//! matters most. The streaming correlator instead:
+//! For the million-event captures a thousands-of-sites DIS run
+//! produces, materializing every record and every per-`(host, seq)`
+//! timeline blows up exactly where the forensics layer matters most.
+//! The correlator instead:
 //!
 //! * holds only the **open** timelines, evicting each one the moment it
 //!   closes (repair received and the `Recovered`/`RecoveryAbandoned`
@@ -20,16 +23,16 @@
 //!   [`RecoveryReport`], which is what the `trace_doctor --mem-budget`
 //!   CI gate asserts on.
 //!
-//! **Fidelity contract.** On a time-ordered stream, with no live-cap
-//! and no horizon, the streaming report is *identical* to the batch
-//! one — same anomaly set in the same order, same counts, same
-//! repair-source breakdown, same telescoping stage latencies — up to
-//! reservoir sampling: while the number of recoveries stays at or below
-//! the reservoir capacities, even the histograms and retained timelines
-//! match sample-for-sample (counts, means and maxima stay exact
-//! beyond that). The batch analyzer stays as the differential
-//! reference; `tests/forensics_stream_sim.rs` pins the equivalence on
-//! seeded DIS and lossy-WAN captures with randomized loss patterns.
+//! **Fidelity contract.** With no live-cap and no horizon the report is
+//! exact up to reservoir sampling: while the number of recoveries stays
+//! at or below the reservoir capacities the histograms and retained
+//! timelines hold every sample; beyond that, counts, means and maxima
+//! stay exact and percentiles answer from the reservoir. The reference
+//! the loop is checked against is the straight-line analyzer it
+//! replaced, kept as a private oracle in
+//! `crates/bench/tests/forensics_stream_sim.rs`, which pins field-for-
+//! field equality on seeded lossy-WAN captures with randomized loss
+//! patterns.
 //!
 //! Divergences are explicit, never silent:
 //!
@@ -40,9 +43,9 @@
 //! * a **live-timeline cap** force-evicts the oldest open timeline;
 //!   its fate is unknown, so it is only counted in
 //!   [`StreamStats::force_evicted`] (no anomaly, no timeline);
-//! * out-of-order records are correlated as they arrive (the batch
-//!   analyzer sorts first) and counted in
-//!   [`StreamStats::out_of_order`].
+//! * out-of-order records are correlated as they arrive and counted in
+//!   [`StreamStats::out_of_order`]; only
+//!   [`analyze`](crate::analyze::analyze) sorts first.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
@@ -50,8 +53,8 @@ use std::sync::Mutex;
 use lbrm_wire::{HostId, Seq};
 
 use crate::analyze::{
-    open_entry_bytes, AnalyzeConfig, Anomaly, OpenRecovery, RecoveryOutcome, RecoveryReport,
-    RecoveryTimeline, RepairSource, StreamStats, TraceRecord,
+    AnalyzeConfig, Anomaly, RecoveryOutcome, RecoveryReport, RecoveryTimeline, RepairSource,
+    StreamStats, TraceRecord,
 };
 use crate::{ProtocolEvent, StreamingHistogram, TraceSink};
 
@@ -63,12 +66,12 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Tunables for the [`OnlineAnalyzer`]. The defaults reproduce the
-/// batch analyzer exactly (no cap, no horizon) with reservoirs big
-/// enough that sim-scale runs are never sampled.
+/// Tunables for the [`OnlineAnalyzer`]. The defaults never evict (no
+/// cap, no horizon) and keep reservoirs big enough that sim-scale runs
+/// are never sampled.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
-    /// The correlation/anomaly tunables shared with the batch analyzer.
+    /// The correlation/anomaly tunables.
     pub analyze: AnalyzeConfig,
     /// Hard cap on concurrently open timelines; the oldest is
     /// force-evicted (counted, not flagged) when exceeded. `None` = no
@@ -96,10 +99,27 @@ impl Default for OnlineConfig {
     }
 }
 
+/// One still-open `(host, seq)` recovery.
+#[derive(Debug, Clone)]
+struct OpenRecovery {
+    detected_at: u64,
+    first_nack_at: Option<u64>,
+    nacks_sent: u32,
+    served_at: Option<u64>,
+    served_by: Option<HostId>,
+    repaired_at: Option<u64>,
+    source: RepairSource,
+}
+
+/// Approximate resident bytes of one open-recovery map entry (payload +
+/// key + node overhead) — the unit live state is metered in.
+fn open_entry_bytes() -> u64 {
+    (std::mem::size_of::<OpenRecovery>() + 12 + 32) as u64
+}
+
 /// Bounded reservoir of closed timelines. Under capacity it is exactly
-/// the close-order vector the batch analyzer builds; over capacity,
-/// Algorithm R keeps a uniform sample and close order is restored among
-/// the survivors at the end.
+/// the close-order vector; over capacity, Algorithm R keeps a uniform
+/// sample and close order is restored among the survivors at the end.
 #[derive(Debug, Clone)]
 struct TimelineReservoir {
     kept: Vec<(u64, RecoveryTimeline)>,
@@ -149,7 +169,7 @@ impl TimelineReservoir {
 #[derive(Debug, Clone)]
 pub struct OnlineAnalyzer {
     cfg: OnlineConfig,
-    // Correlation state (mirrors the batch analyzer's loop state).
+    // Correlation state.
     roles: BTreeMap<u64, &'static str>,
     sent_at: BTreeMap<u32, u64>,
     sent_epoch: BTreeMap<u32, u32>,
@@ -166,17 +186,19 @@ pub struct OnlineAnalyzer {
     last_tx: BTreeMap<u64, u64>,
     max_silence: BTreeMap<u64, u64>,
     truncated_gap_spans: u64,
-    // Split-brain detector state (mirrors the batch analyzer).
+    // Election forensics: leaders per term, the newest elected term, and
+    // (host, seq) serves made under a term older than the newest. A
+    // repair from such a serve that a receiver *accepts* is split-brain.
     term_leaders: BTreeMap<u32, HostId>,
     max_term: u32,
     stale_serves: BTreeMap<(u64, u32), u32>,
     /// Term conflicts and accepted stale serves, in stream order. Kept
     /// out of [`basis`](Self::basis) (like every end-of-stream
     /// detector) and appended after stalled settlements in
-    /// [`finish`](Self::finish), matching the batch anomaly order.
+    /// [`finish`](Self::finish).
     split_brain: Vec<Anomaly>,
     fenced_rejects: u64,
-    // Folded results (what the batch analyzer defers to the end).
+    // Folded results.
     recovered: usize,
     abandoned: usize,
     unrecovered: usize,
@@ -189,8 +211,7 @@ pub struct OnlineAnalyzer {
     telescoping: usize,
     timelines: TimelineReservoir,
     /// Unrecovered-gap anomalies raised by horizon evictions, in
-    /// eviction order (end-of-stream gaps follow in key order, matching
-    /// the batch analyzer's anomaly ordering when no horizon is set).
+    /// eviction order (end-of-stream gaps follow in key order).
     gap_anomalies: Vec<Anomaly>,
     // Stream bookkeeping.
     records: u64,
@@ -455,7 +476,7 @@ impl OnlineAnalyzer {
         }
         self.last_at = at_nanos;
         self.end_ns = self.end_ns.max(at_nanos);
-        let cfg = self.cfg.analyze.clone();
+        let max_gap_span = self.cfg.analyze.max_gap_span;
         let h = host.raw();
 
         // Horizon age-out: close everything that has been open longer
@@ -486,8 +507,8 @@ impl OnlineAnalyzer {
             ProtocolEvent::DataSent { seq, epoch } => {
                 self.sent_at.entry(seq.raw()).or_insert(at_nanos);
                 self.sent_epoch.entry(seq.raw()).or_insert(epoch.raw());
-                // saturating: unlike the batch analyzer we never sort,
-                // so an out-of-order record must not underflow.
+                // saturating: arrival order is not sorted, so an
+                // out-of-order record must not underflow.
                 let gap =
                     at_nanos.saturating_sub(self.last_tx.get(&h).copied().unwrap_or(at_nanos));
                 let m = self.max_silence.entry(h).or_insert(0);
@@ -503,11 +524,11 @@ impl OnlineAnalyzer {
             }
             ProtocolEvent::GapDetected { first, last } => {
                 let span = u64::from(last.distance_from(*first)) + 1;
-                if span > cfg.max_gap_span {
+                if span > max_gap_span {
                     self.truncated_gap_spans += 1;
                 }
                 for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= cfg.max_gap_span {
+                    if i as u64 >= max_gap_span {
                         break;
                     }
                     self.open_timeline(h, seq.raw(), at_nanos);
@@ -520,12 +541,13 @@ impl OnlineAnalyzer {
                 ..
             } => {
                 let span = u64::from(last.distance_from(*first)) + 1;
-                // Same primary-bound rule as the batch analyzer: NACKs
-                // absorbed by site secondaries are the mechanism
-                // working, not implosion.
+                // The paper's implosion bound (§2.2.1, Figure 7) is on
+                // requests reaching the *primary*: local NACKs absorbed
+                // by a site secondary are the mechanism working, not
+                // implosion, so only primary-bound requests count.
                 let upstream = self.roles.get(&target.raw()).copied() == Some("logger_primary");
                 for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= cfg.max_gap_span.min(span) {
+                    if i as u64 >= max_gap_span.min(span) {
                         break;
                     }
                     if upstream {
@@ -663,7 +685,6 @@ impl OnlineAnalyzer {
     /// maps, and the folded state becomes a [`RecoveryReport`].
     pub fn finish(mut self) -> RecoveryReport {
         let end_ns = self.end_ns;
-        let cfg = self.cfg.analyze.clone();
 
         // Trailing silence: from the last transmission to end-of-run.
         for (&h, &t) in &self.last_tx {
@@ -672,7 +693,7 @@ impl OnlineAnalyzer {
         }
 
         // Horizon evictions first (eviction order), then end-of-stream
-        // gaps in key order — exactly the batch order when no horizon.
+        // gaps in key order.
         let mut anomalies: Vec<Anomaly> = std::mem::take(&mut self.gap_anomalies);
         let still_open: Vec<((u64, u32), OpenRecovery)> =
             std::mem::take(&mut self.open).into_iter().collect();
@@ -692,7 +713,11 @@ impl OnlineAnalyzer {
             .values()
             .filter(|r| **r == "logger_secondary")
             .count() as u64;
-        let nack_bound = cfg
+        // NACK implosion (§2.2.1: distributed logging bounds requests at
+        // roughly one per site).
+        let nack_bound = self
+            .cfg
+            .analyze
             .nack_fan_in_bound
             .or((secondaries > 0).then_some(secondaries + 2));
         let max_nack_fan_in = self.requests_per_seq.values().copied().max().unwrap_or(0);
@@ -708,20 +733,28 @@ impl OnlineAnalyzer {
             }
         }
 
+        // Duplicate repairs beyond the statistical-ACK expectation. The
+        // bound is per receiver: one redundant copy each at many
+        // receivers is the expected cost of re-multicast, while one
+        // receiver served the same repair many times over means
+        // requests are not being suppressed.
+        let duplicate_bound = self.cfg.analyze.duplicate_bound;
         let mut duplicate_repairs = 0u64;
         for (&(host, s), &n) in &self.dups_per_host_seq {
             duplicate_repairs += n;
-            if n > cfg.duplicate_bound {
+            if n > duplicate_bound {
                 anomalies.push(Anomaly::ExcessDuplicateRepairs {
                     host: HostId(host),
                     seq: Seq(s),
                     duplicates: n,
-                    bound: cfg.duplicate_bound,
+                    bound: duplicate_bound,
                 });
             }
         }
 
-        if let Some(h_max) = cfg.h_max_nanos {
+        // Heartbeat silence beyond h_max (with 1.5x slack for the last
+        // in-flight interval).
+        if let Some(h_max) = self.cfg.analyze.h_max_nanos {
             let bound = h_max + h_max / 2;
             for (&h, &gap) in &self.max_silence {
                 if gap > bound {
@@ -734,12 +767,14 @@ impl OnlineAnalyzer {
             }
         }
 
+        // Stalled settlements: data in an active epoch that never settled
+        // (ignoring sends within the trailing grace window).
         for (&s, &e) in &self.sent_epoch {
             if !self.active_epochs.contains(&e) || self.settled.contains(&s) {
                 continue;
             }
             let at = self.sent_at.get(&s).copied().unwrap_or(0);
-            if at + cfg.settle_slack_nanos < end_ns {
+            if at.saturating_add(self.cfg.analyze.settle_slack_nanos) < end_ns {
                 anomalies.push(Anomaly::StalledSettlement {
                     seq: Seq(s),
                     sent_at_nanos: at,
@@ -747,8 +782,8 @@ impl OnlineAnalyzer {
             }
         }
 
-        // Split-brain detections after every other detector — same
-        // position as the batch analyzer, so the parity tests hold.
+        // Split-brain detections (term conflicts and accepted stale
+        // serves), in stream order, after every other detector.
         anomalies.append(&mut self.split_brain);
 
         let peak_bytes = self.peak_bytes.max(self.approx_resident_bytes());
@@ -848,7 +883,7 @@ impl TraceSink for OnlineAnalyzerSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::analyze;
+    use crate::analyze::{analyze, parse_json_line};
     use lbrm_wire::EpochId;
 
     const SENDER: HostId = HostId(1);
@@ -1155,6 +1190,32 @@ mod tests {
         // announce at t=1040).
         let n = kinds.len();
         assert_eq!(&kinds[n - 2..], ["split_brain_serve", "term_conflict"]);
+    }
+
+    /// Outside input: a capture whose timestamps sit near `u64::MAX`
+    /// must not overflow the settlement grace window (a debug panic, or
+    /// a wrapped sum that flags a packet sent at end-of-run as stalled).
+    #[test]
+    fn settle_slack_saturates_on_far_future_timestamps() {
+        let at = u64::MAX - 5;
+        let lines = [
+            ProtocolEvent::EpochActive {
+                epoch: EpochId(0),
+                ackers: 2,
+            }
+            .to_json(at, SENDER),
+            ProtocolEvent::DataSent {
+                seq: Seq(1),
+                epoch: EpochId(0),
+            }
+            .to_json(at, SENDER),
+        ];
+        let mut a = OnlineAnalyzer::new(OnlineConfig::default());
+        for line in &lines {
+            a.push_record(&parse_json_line(line).expect("well-formed line"));
+        }
+        let report = a.finish();
+        assert!(report.is_clean(), "{:?}", report.anomalies);
     }
 
     #[test]
