@@ -326,7 +326,7 @@ fn drive<S: Transport, L: Transport, R: Transport>(
         }));
     }
 
-    // Let reader threads and group joins settle before the first send.
+    // Let endpoint threads and group joins settle before the first send.
     std::thread::sleep(Duration::from_millis(100));
     for i in 0..opts.packets {
         let payload = Bytes::from(format!("live-{i}").into_bytes());

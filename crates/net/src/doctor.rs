@@ -73,9 +73,9 @@ pub fn send_gauge_probe(
 mod tests {
     use super::*;
     use crate::addr::host_of;
-    use crate::udp::recv_step;
+    use crate::udp::tests::{socket_pair, step};
+    use std::collections::VecDeque;
     use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
-    use std::time::Duration;
 
     /// An oversized datagram (relative to the receive buffer) must
     /// surface as a bump of the published truncation gauge. Real
@@ -83,17 +83,13 @@ mod tests {
     /// test shrinks the buffer instead of growing the send.
     #[test]
     fn oversized_datagram_bumps_the_truncation_gauge() {
-        let rx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-        rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let dst = rx.local_addr().unwrap();
-        let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-
+        let (rx, dst, tx, _) = socket_pair();
         let counters = RecvCounters::default();
         let mut buf = vec![0u8; 1024];
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         tx.send_to(&vec![0xAB; 2048], dst).unwrap();
-        let got = recv_step(&rx, &mut buf, &mut out, &counters).unwrap();
-        assert!(got.is_none(), "truncated datagram must not be delivered");
+        step(&rx, &mut buf, &mut out, &counters);
+        assert!(out.is_empty(), "truncated datagram must not be delivered");
 
         let SocketAddr::V4(rx_addr) = dst else {
             panic!("ipv4 bind");
@@ -114,17 +110,13 @@ mod tests {
     /// and lands in the other gauge.
     #[test]
     fn decode_garbage_bumps_the_decode_gauge() {
-        let rx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-        rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let dst = rx.local_addr().unwrap();
-        let tx = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
-
+        let (rx, dst, tx, _) = socket_pair();
         let counters = RecvCounters::default();
         let mut buf = vec![0u8; 1024];
-        let mut out = Vec::new();
+        let mut out = VecDeque::new();
         tx.send_to(&[0xFF; 16], dst).unwrap();
-        let got = recv_step(&rx, &mut buf, &mut out, &counters).unwrap();
-        assert!(got.is_none(), "garbage must not decode");
+        step(&rx, &mut buf, &mut out, &counters);
+        assert!(out.is_empty(), "garbage must not decode");
 
         let SocketAddr::V4(rx_addr) = dst else {
             panic!("ipv4 bind");

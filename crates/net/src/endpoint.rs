@@ -667,15 +667,13 @@ mod tests {
         );
     }
 
-    /// One held packet on an idle endpoint: the flush deadline, not a
-    /// tick, must end the wait.
-    #[test]
-    fn held_packet_flushes_on_an_idle_endpoint() {
+    /// One held packet on an idle endpoint over `transport`: the flush
+    /// deadline, not a tick, must end the wait. `peer` has joined
+    /// [`GROUP`].
+    fn assert_held_packet_flushes<T: Transport>(transport: T, mut peer: impl Transport) {
         const DELAY: Duration = Duration::from_millis(2);
-        let hub = Hub::new();
-        let mut peer = hub.attach(RX_HOST);
-        peer.join(GROUP).unwrap();
-        let (mut ep, handle) = Endpoint::new(Idle, hub.attach(SRC_HOST), vec![]);
+        let src = transport.local_host();
+        let (mut ep, handle) = Endpoint::new(Idle, transport, vec![]);
         ep.set_flush_delay(DELAY);
         ep.spawn();
 
@@ -691,7 +689,7 @@ mod tests {
                 })
                 .unwrap();
             let got = peer.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(got, Some((SRC_HOST, data(seq))));
+            assert_eq!(got, Some((src, data(seq))));
             delays.push(posted.elapsed());
         }
         delays.sort();
@@ -701,6 +699,33 @@ mod tests {
             median <= DELAY + Duration::from_millis(5),
             "flushed when the delay ran out: median {median:?}"
         );
+    }
+
+    #[test]
+    fn held_packet_flushes_on_an_idle_endpoint() {
+        let hub = Hub::new();
+        let mut peer = hub.attach(RX_HOST);
+        peer.join(GROUP).unwrap();
+        assert_held_packet_flushes(hub.attach(SRC_HOST), peer);
+    }
+
+    /// The same over UDP, where the 2 ms deadline is a `ppoll` timeout:
+    /// rounded to milliseconds or dropped, the median would show it.
+    #[test]
+    fn held_packet_flushes_on_an_idle_udp_endpoint() {
+        let bind = || UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(49_437));
+        let (Ok(mut src), Ok(mut peer)) = (bind(), bind()) else {
+            eprintln!("skipping: UDP bind failed");
+            return;
+        };
+        let reachable = peer.join(GROUP).is_ok()
+            && src.send_multicast(TtlScope::Site, &data(0)).is_ok()
+            && peer.recv_timeout(Duration::from_secs(1)).unwrap().is_some();
+        if !reachable {
+            eprintln!("skipping: loopback multicast unavailable");
+            return;
+        }
+        assert_held_packet_flushes(src, peer);
     }
 
     /// Events the application does not drain are shed, never block the

@@ -15,7 +15,15 @@ use std::time::Duration;
 
 use lbrm_wire::{GroupId, HostId, Packet, TtlScope};
 
-use crate::{recv_inbound, Inbound, Transport, Waker};
+use crate::{Transport, Waker};
+
+/// What the hub queues for an endpoint.
+enum Inbound {
+    /// A decoded packet and the host that sent it.
+    Packet(HostId, Packet),
+    /// A [`Waker::wake`]: ends the current wait with no packet.
+    Wake,
+}
 
 #[derive(Default)]
 struct HubState {
@@ -161,11 +169,25 @@ impl Transport for HubTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>> {
-        recv_inbound(&self.rx, timeout, "hub closed")
+        match self.rx.recv_timeout(timeout) {
+            Ok(Inbound::Packet(from, packet)) => Ok(Some((from, packet))),
+            Ok(Inbound::Wake) | Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "hub closed"))
+            }
+        }
     }
 
     fn waker(&self) -> Option<Waker> {
-        Some(Waker::for_channel(self.tx.clone()))
+        // A wake item on the channel the packets already arrive on, so
+        // a wake can neither be lost nor overtake a packet queued
+        // before it.
+        let tx = self.tx.clone();
+        Some(Waker::new(move || {
+            // A closed channel means the transport is gone: nothing
+            // left to wake.
+            let _ = tx.send(Inbound::Wake);
+        }))
     }
 
     fn join(&mut self, group: GroupId) -> io::Result<()> {

@@ -1,5 +1,5 @@
 //! Transports for LBRM: run the sans-IO protocol machines over real
-//! sockets, driven by plain threads (no async runtime required).
+//! sockets, one plain thread per endpoint (no async runtime required).
 //!
 //! * [`addr`] — the transport addressing scheme: IPv4 socket addresses
 //!   pack losslessly into [`lbrm_wire::HostId`]s, and multicast groups
@@ -8,14 +8,16 @@
 //!   process, zero configuration): ideal for tests, demos, and CI where
 //!   multicast routing is unavailable.
 //! * [`udp`] — the real thing: UDP multicast with TTL-scoped sends,
-//!   matching the paper's deployment model.
+//!   matching the paper's deployment model. The endpoint thread waits
+//!   on its own sockets; Linux-only.
 //! * [`endpoint`] — the driver that owns a machine and a transport,
 //!   translating packets, timers and application commands.
 //!
 //! The same [`lbrm_core::Machine`] values run unchanged under the
 //! deterministic simulator (`lbrm-sim`) and these transports.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`, so that `sys` — and nothing else — can opt out.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
@@ -23,7 +25,8 @@ pub mod doctor;
 pub mod endpoint;
 pub mod hub;
 pub mod lossy;
-pub mod pool;
+#[allow(unsafe_code)]
+mod sys;
 pub mod udp;
 
 pub use addr::{addr_of, host_of, GroupMap};
@@ -31,11 +34,10 @@ pub use doctor::{publish_recv_gauges, publish_send_gauges, recv_gauge_probe, sen
 pub use endpoint::{Endpoint, EndpointEvent, EndpointHandle};
 pub use hub::{Hub, HubTransport};
 pub use lossy::LossyTransport;
-pub use pool::{BufferPool, PooledBuf};
-pub use udp::{truncation_error, RecvCounters, SendCounters, UdpTransport};
+pub use udp::{RecvCounters, SendCounters, UdpTransport};
 
 use std::io;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 use lbrm_wire::{GroupId, HostId, Packet, TtlScope};
@@ -57,43 +59,6 @@ impl Waker {
     /// `recv_timeout` return `Ok(None)` without waiting out its timeout.
     pub fn wake(&self) {
         (self.0)()
-    }
-
-    /// The waker of a transport whose `recv_timeout` waits on the
-    /// receiving end of `tx`: a [`Inbound::Wake`] item on the channel
-    /// the packets already arrive on, so a wake can neither be lost nor
-    /// overtake a packet queued before it.
-    pub(crate) fn for_channel(tx: mpsc::Sender<Inbound>) -> Self {
-        Waker::new(move || {
-            // A closed channel means the transport is gone: nothing
-            // left to wake.
-            let _ = tx.send(Inbound::Wake);
-        })
-    }
-}
-
-/// What the channel-backed transports queue for their endpoint.
-pub(crate) enum Inbound {
-    /// A decoded packet and the host that sent it.
-    Packet(HostId, Packet),
-    /// A [`Waker::wake`]: ends the current wait with no packet.
-    Wake,
-}
-
-/// Waits on a channel-backed transport's queue: a packet, or `None` on
-/// timeout or wake; `closed` names the transport in the error raised
-/// once every sender is gone.
-pub(crate) fn recv_inbound(
-    rx: &mpsc::Receiver<Inbound>,
-    timeout: Duration,
-    closed: &'static str,
-) -> io::Result<Option<(HostId, Packet)>> {
-    match rx.recv_timeout(timeout) {
-        Ok(Inbound::Packet(from, packet)) => Ok(Some((from, packet))),
-        Ok(Inbound::Wake) | Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            Err(io::Error::new(io::ErrorKind::BrokenPipe, closed))
-        }
     }
 }
 

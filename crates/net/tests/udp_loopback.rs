@@ -13,10 +13,43 @@ use lbrm_core::logger::{Logger, LoggerConfig};
 use lbrm_core::receiver::{Receiver, ReceiverConfig};
 use lbrm_core::sender::{Sender, SenderConfig};
 use lbrm_net::{Endpoint, EndpointEvent, GroupMap, Transport, UdpTransport};
-use lbrm_wire::{GroupId, Seq, SourceId};
+use lbrm_wire::{EpochId, GroupId, Packet, Seq, SourceId, TtlScope};
 
 const GROUP: GroupId = GroupId(7);
 const SRC: SourceId = SourceId(1);
+
+fn heartbeat(group: GroupId, hb_index: u32) -> Packet {
+    Packet::Heartbeat {
+        group,
+        source: SRC,
+        seq: Seq(0),
+        epoch: EpochId(0),
+        hb_index,
+        payload: Bytes::new(),
+    }
+}
+
+/// How long a test waits for a datagram that must *not* arrive.
+const QUIET: Duration = Duration::from_millis(200);
+
+/// A sender and a listener that joined `groups`, all on `port`; `None`
+/// (after saying why) where loopback multicast does not work.
+fn multicast_pair(port: u16, groups: &[GroupId]) -> Option<(UdpTransport, UdpTransport)> {
+    let (mut tx, mut rx) = (try_bind(port)?, try_bind(port)?);
+    for g in groups {
+        if let Err(e) = rx.join(*g) {
+            eprintln!("skipping UDP loopback test: multicast join failed: {e}");
+            return None;
+        }
+    }
+    let probe = heartbeat(groups[0], 0);
+    tx.send_multicast(TtlScope::Site, &probe).ok()?;
+    if rx.recv_timeout(Duration::from_secs(1)).ok()? != Some((tx.local_host(), probe)) {
+        eprintln!("skipping UDP loopback test: multicast routing unavailable");
+        return None;
+    }
+    Some((tx, rx))
+}
 
 fn try_bind(port: u16) -> Option<UdpTransport> {
     let map = GroupMap::new(port);
@@ -81,7 +114,7 @@ fn udp_multicast_end_to_end() {
     );
     ep.spawn();
 
-    // Give the reader threads a moment, then publish.
+    // Give the endpoint threads a moment to start, then publish.
     std::thread::sleep(Duration::from_millis(100));
     sender
         .call(|s: &mut Sender, now, out| s.send(now, Bytes::from_static(b"over real udp"), out))
@@ -127,35 +160,20 @@ fn garbage_datagram_is_counted_not_delivered() {
     let dst = t.local_addr();
     raw.send_to(&[0xFF; 64], dst).unwrap();
 
-    // The reader thread drops the garbage without delivering anything.
+    // The receive drops the garbage, counts it, and keeps waiting.
     assert!(t
         .recv_timeout(Duration::from_millis(300))
         .unwrap()
         .is_none());
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while t.recv_counters().decode_errors() == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
     assert_eq!(t.recv_counters().decode_errors(), 1);
     assert_eq!(t.recv_counters().truncated(), 0);
 
-    // Valid traffic still flows through the same reader loop.
+    // Valid traffic still flows through the same socket.
     let Some(mut peer) = try_bind(49_433) else {
         return;
     };
     let me = t.local_host();
-    peer.send_unicast(
-        me,
-        &lbrm_wire::Packet::Heartbeat {
-            group: GROUP,
-            source: SRC,
-            seq: Seq(0),
-            epoch: lbrm_wire::EpochId(0),
-            hb_index: 1,
-            payload: Bytes::new(),
-        },
-    )
-    .unwrap();
+    peer.send_unicast(me, &heartbeat(GROUP, 1)).unwrap();
     let got = t.recv_timeout(Duration::from_secs(5)).unwrap();
     assert!(got.is_some(), "valid packet after garbage must deliver");
 }
@@ -166,7 +184,7 @@ fn garbage_datagram_is_counted_not_delivered() {
 #[test]
 fn logger_answers_a_span_nack_with_bundle_datagrams() {
     use lbrm_net::host_of;
-    use lbrm_wire::{decode_bundle, decode_bytes, encode, is_bundle, EpochId, Packet, SeqRange};
+    use lbrm_wire::{decode_bundle, decode_bytes, encode, is_bundle, SeqRange};
     use std::net::{SocketAddr, UdpSocket};
 
     let Some(log_t) = try_bind(49_435) else {
@@ -261,4 +279,157 @@ fn logger_answers_a_span_nack_with_bundle_datagrams() {
     );
     let want: Vec<(Seq, Bytes)> = (1..=16).map(|s| (Seq(s), payload(s))).collect();
     assert_eq!(repairs, want, "requested seqs, ascending, logged payloads");
+}
+
+/// Regression: an endpoint in two groups that share a port used to get
+/// every datagram on that port once per join. One socket per port means
+/// once; leaving one group keeps the other flowing and silences the one
+/// left.
+#[test]
+fn two_groups_on_one_port_deliver_once() {
+    const OTHER: GroupId = GroupId(8);
+    let Some((mut a, mut b)) = multicast_pair(49_439, &[GROUP, OTHER]) else {
+        return;
+    };
+    let from = a.local_host();
+    let wait = Duration::from_secs(5);
+
+    a.send_multicast(TtlScope::Site, &heartbeat(GROUP, 1))
+        .unwrap();
+    assert_eq!(
+        b.recv_timeout(wait).unwrap(),
+        Some((from, heartbeat(GROUP, 1)))
+    );
+    assert_eq!(b.recv_timeout(QUIET).unwrap(), None, "delivered twice");
+
+    b.leave(OTHER).unwrap();
+    a.send_multicast(TtlScope::Site, &heartbeat(OTHER, 2))
+        .unwrap();
+    a.send_multicast(TtlScope::Site, &heartbeat(GROUP, 3))
+        .unwrap();
+    assert_eq!(
+        b.recv_timeout(wait).unwrap(),
+        Some((from, heartbeat(GROUP, 3))),
+        "the group still joined flows, the group left does not"
+    );
+    assert_eq!(b.recv_timeout(QUIET).unwrap(), None);
+}
+
+/// Regression: every listener on a port used to decode every group's
+/// traffic on it, joined or not — first through the shared fanout, and
+/// Linux does the same for `INADDR_ANY` sockets until `IP_MULTICAST_ALL`
+/// is cleared. An endpoint hears only the groups it joined.
+#[test]
+fn a_group_is_not_heard_by_another_groups_listener() {
+    const ELSEWHERE: GroupId = GroupId(9);
+    let port = 49_441;
+    let Some((mut a, mut b)) = multicast_pair(port, &[GROUP]) else {
+        return;
+    };
+    let Some(mut c) = try_bind(port) else { return };
+    c.join(ELSEWHERE).unwrap();
+
+    a.send_multicast(TtlScope::Site, &heartbeat(GROUP, 1))
+        .unwrap();
+    assert_eq!(
+        b.recv_timeout(Duration::from_secs(5)).unwrap(),
+        Some((a.local_host(), heartbeat(GROUP, 1)))
+    );
+    assert_eq!(c.recv_timeout(QUIET).unwrap(), None);
+}
+
+/// A saturated unicast socket cannot starve a group socket: the sweep
+/// starts one past the socket that delivered last, so with a thousand
+/// unicast datagrams queued a multicast packet still comes out within
+/// two receives.
+#[test]
+fn a_busy_unicast_socket_does_not_starve_multicast() {
+    use std::net::UdpSocket;
+
+    let Some((mut a, mut b)) = multicast_pair(49_443, &[GROUP]) else {
+        return;
+    };
+    let raw = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let filler = lbrm_wire::encode(&heartbeat(GROUP, 1)).unwrap();
+    for _ in 0..1000 {
+        raw.send_to(&filler, b.local_addr()).unwrap();
+    }
+    let late = heartbeat(GROUP, 2);
+    a.send_multicast(TtlScope::Site, &late).unwrap();
+
+    let wait = Duration::from_secs(5);
+    let first_two = [b.recv_timeout(wait).unwrap(), b.recv_timeout(wait).unwrap()];
+    assert!(
+        first_two.contains(&Some((a.local_host(), late))),
+        "multicast stuck behind the unicast backlog: {first_two:?}"
+    );
+}
+
+/// Runs `f` on its own thread and fails instead of hanging if it has
+/// not returned within five seconds.
+fn within_5s<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(f()));
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("an unbounded receive must return once woken")
+}
+
+/// A wake ends an unbounded wait whether it was posted before the wait
+/// began or while it was under way, and a wake from a waker that
+/// outlived its transport does nothing.
+#[test]
+fn wake_ends_an_unbounded_wait() {
+    let Some(mut t) = try_bind(49_445) else {
+        return;
+    };
+    let waker = t.waker().expect("the UDP transport has a waker");
+
+    waker.wake();
+    let mut t = within_5s(move || {
+        assert_eq!(t.recv_timeout(Duration::MAX).unwrap(), None);
+        t
+    });
+
+    // Consumed by the wait it ended: the next wait is a wait again.
+    let started = std::time::Instant::now();
+    assert_eq!(t.recv_timeout(Duration::from_millis(30)).unwrap(), None);
+    assert!(started.elapsed() >= Duration::from_millis(30));
+
+    let during = waker.clone();
+    let poster = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        during.wake();
+    });
+    within_5s(move || assert_eq!(t.recv_timeout(Duration::MAX).unwrap(), None));
+    poster.join().unwrap();
+    waker.wake();
+}
+
+/// A wake never swallows a packet that was already queued: of the two
+/// waits that follow, one yields the packet and the other ends on the
+/// wake.
+#[test]
+fn wake_does_not_swallow_a_queued_packet() {
+    let Some(mut t) = try_bind(49_447) else {
+        return;
+    };
+    let Some(mut peer) = try_bind(49_447) else {
+        return;
+    };
+    let packet = heartbeat(GROUP, 1);
+    peer.send_unicast(t.local_host(), &packet).unwrap();
+    t.waker().unwrap().wake();
+
+    let from = peer.local_host();
+    let got = within_5s(move || {
+        [
+            t.recv_timeout(Duration::MAX).unwrap(),
+            t.recv_timeout(Duration::MAX).unwrap(),
+        ]
+    });
+    assert!(
+        got == [Some((from, packet.clone())), None] || got == [None, Some((from, packet))],
+        "one packet and one wake, got {got:?}"
+    );
 }
