@@ -2,10 +2,10 @@
 //! paper's evaluation.
 //!
 //! Each experiment lives in [`experiments`] as a `run()` function
-//! returning a formatted report; the binaries in `src/bin/` are thin
-//! wrappers, and `src/bin/reproduce.rs` runs everything.
-//! Microbenchmarks (Table 3's measurement analogues) live in `benches/`
-//! and run on the self-contained [`microbench`] harness.
+//! returning a formatted report, listed once in [`experiments::ALL`];
+//! `src/bin/reproduce.rs` runs them all, or one with `--only <key>`.
+//! Performance is measured elsewhere: `benchmark/` (with
+//! `BENCHMARK.json`) is the repository's only perf surface.
 
 #![forbid(unsafe_code)]
 
@@ -13,8 +13,5 @@ pub mod chaos;
 pub mod doctor;
 pub mod experiments;
 pub mod live;
-pub mod microbench;
 pub mod parallel;
 pub mod report;
-
-pub use report::{mean, percentile, Table};

@@ -16,6 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
+use crate::experiments::Experiment;
+
 /// Number of worker threads a sweep of `n` items would use.
 ///
 /// At most one thread per item, at most `available_parallelism`, and 1
@@ -86,21 +88,17 @@ where
         .collect()
 }
 
-/// One named report section: a title and the experiment that renders its
-/// body.
-pub type Section = (&'static str, fn() -> String);
-
-/// Runs named report sections concurrently, returning them in input
-/// order.
+/// Runs experiments concurrently, returning `(section title, body)` in
+/// input order.
 ///
 /// This is `reproduce`'s whole-experiment fan-out: each section is an
 /// independent experiment (its own worlds, own seeds), so they can run on
 /// all cores while the rendered report — printed only after every body is
 /// collected — stays byte-identical to a serial run.
-pub fn run_sections(sections: Vec<Section>) -> Vec<(&'static str, String)> {
-    let names: Vec<&'static str> = sections.iter().map(|&(name, _)| name).collect();
-    let bodies = par_map(sections.into_iter().map(|(_, f)| f).collect(), |f| f());
-    names.into_iter().zip(bodies).collect()
+pub fn run_sections(sections: &[Experiment]) -> Vec<(&'static str, String)> {
+    let bodies = par_map(sections.to_vec(), |(_, _, run)| run());
+    let titles = sections.iter().map(|&(_, title, _)| title);
+    titles.zip(bodies).collect()
 }
 
 #[cfg(test)]
@@ -118,7 +116,7 @@ mod tests {
         fn c() -> String {
             "gamma".into()
         }
-        let got = run_sections(vec![("A", a as fn() -> String), ("B", b), ("C", c)]);
+        let got = run_sections(&[("a", "A", a), ("b", "B", b), ("c", "C", c)]);
         assert_eq!(
             got,
             vec![

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use lbrm_wire::{HostId, Seq};
 
-use crate::{HistogramSnapshot, OnlineAnalyzer, OnlineConfig, ProtocolEvent, TraceSink};
+use crate::{lock, HistogramSnapshot, OnlineAnalyzer, OnlineConfig, ProtocolEvent, TraceSink};
 
 /// One recorded event: timestamp, emitting host, event.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,28 +61,28 @@ pub struct CollectorSink {
 impl CollectorSink {
     /// A copy of everything recorded so far, in emission order.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.records.lock().unwrap().clone()
+        lock(&self.records).clone()
     }
 
     /// Drains the collected records.
     pub fn take(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.records.lock().unwrap())
+        std::mem::take(&mut lock(&self.records))
     }
 
     /// Number of records collected.
     pub fn len(&self) -> usize {
-        self.records.lock().unwrap().len()
+        lock(&self.records).len()
     }
 
     /// `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().unwrap().is_empty()
+        lock(&self.records).is_empty()
     }
 }
 
 impl TraceSink for CollectorSink {
     fn record(&self, at_nanos: u64, host: HostId, event: &ProtocolEvent) {
-        self.records.lock().unwrap().push(TraceRecord {
+        lock(&self.records).push(TraceRecord {
             at_nanos,
             host,
             event: event.clone(),
@@ -154,7 +154,7 @@ impl std::fmt::Debug for SerialFanoutSink {
 
 impl TraceSink for SerialFanoutSink {
     fn record(&self, at_nanos: u64, host: HostId, event: &ProtocolEvent) {
-        let _gate = self.gate.lock().unwrap();
+        let _gate = lock(&self.gate);
         for s in &self.sinks {
             s.record(at_nanos, host, event);
         }

@@ -52,7 +52,7 @@ use lbrm_wire::HostId;
 
 use crate::analyze::{Anomaly, RecoveryReport};
 use crate::online::{LiveGap, OnlineAnalyzer, OnlineConfig};
-use crate::{MetricsRegistry, ProtocolEvent, TraceSink};
+use crate::{lock, MetricsRegistry, ProtocolEvent, TraceSink};
 
 /// Stage labels, in the order [`ReportBasis::stage_counts`] uses.
 pub const STAGE_LABELS: [&str; 5] = ["detection", "request", "serve", "return", "total"];
@@ -697,18 +697,14 @@ impl DoctorSidecar {
     /// Registers a [`MetricsRegistry`] under `name`; its counters and
     /// gauges appear in `/stats` under `"net"`.
     pub fn register_registry(&self, name: &str, registry: Arc<MetricsRegistry>) {
-        self.inner
-            .registries
-            .lock()
-            .unwrap()
-            .push((name.to_owned(), registry));
+        lock(&self.inner.registries).push((name.to_owned(), registry));
     }
 
     /// Registers a probe run at every tick *before* the delta is
     /// computed — e.g. copying a transport's `RecvCounters` into a
     /// registered registry's gauges.
     pub fn register_probe(&self, probe: impl Fn() + Send + 'static) {
-        self.inner.probes.lock().unwrap().push(Box::new(probe));
+        lock(&self.inner.probes).push(Box::new(probe));
     }
 
     /// Events dropped at the sink so far.
@@ -718,7 +714,7 @@ impl DoctorSidecar {
 
     /// Ticks emitted so far.
     pub fn ticks(&self) -> u64 {
-        self.inner.state.lock().unwrap().ticks
+        lock(&self.inner.state).ticks
     }
 
     /// Stops the doctor: closes the sink, drains the channel, emits the
@@ -726,7 +722,7 @@ impl DoctorSidecar {
     /// audit trail.
     pub fn finish(mut self) -> DoctorFinish {
         self.shutdown();
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = lock(&self.inner.state);
         DoctorFinish {
             report: st.final_report.take().expect("worker published the report"),
             deltas: std::mem::take(&mut st.deltas),
@@ -796,7 +792,7 @@ fn worker_loop(inner: Arc<Inner>, rx: Receiver<DoctorMsg>, stop: Arc<AtomicBool>
     let end_nanos = analyzer.end_nanos();
     let report = analyzer.finish();
     let delta = tracker.terminal(&report, records, end_nanos, inner.sink.dropped());
-    let mut st = inner.state.lock().unwrap();
+    let mut st = lock(&inner.state);
     let tick_idx = delta.tick;
     for a in &delta.new_anomalies {
         st.recent.push_back((tick_idx, a.clone()));
@@ -828,7 +824,7 @@ fn worker_loop(inner: Arc<Inner>, rx: Receiver<DoctorMsg>, stop: Arc<AtomicBool>
 }
 
 fn run_tick(inner: &Inner, analyzer: &mut OnlineAnalyzer, tracker: &mut DeltaTracker) {
-    for p in inner.probes.lock().unwrap().iter() {
+    for p in lock(&inner.probes).iter() {
         p();
     }
     let delta = tracker.delta_from(analyzer, inner.sink.dropped());
@@ -842,7 +838,7 @@ fn run_tick(inner: &Inner, analyzer: &mut OnlineAnalyzer, tracker: &mut DeltaTra
     let end_nanos = analyzer.end_nanos();
     let records = analyzer.records();
 
-    let mut st = inner.state.lock().unwrap();
+    let mut st = lock(&inner.state);
     let tick_idx = delta.tick;
     for a in &delta.new_anomalies {
         st.recent.push_back((tick_idx, a.clone()));
@@ -949,22 +945,22 @@ fn compute_health(
 impl DoctorHandle {
     /// Current `/healthz` verdict.
     pub fn health(&self) -> Health {
-        self.inner.state.lock().unwrap().health.clone()
+        lock(&self.inner.state).health.clone()
     }
 
     /// The most recent delta, if any tick has fired yet.
     pub fn last_delta(&self) -> Option<ReportDelta> {
-        self.inner.state.lock().unwrap().last_delta.clone()
+        lock(&self.inner.state).last_delta.clone()
     }
 
     /// The running fold of every delta emitted so far.
     pub fn fold(&self) -> DeltaFold {
-        self.inner.state.lock().unwrap().fold.clone()
+        lock(&self.inner.state).fold.clone()
     }
 
     /// Ticks emitted so far.
     pub fn ticks(&self) -> u64 {
-        self.inner.state.lock().unwrap().ticks
+        lock(&self.inner.state).ticks
     }
 
     /// Cumulative sink drop counter.
@@ -977,10 +973,10 @@ impl DoctorHandle {
     pub fn stats_json(&self) -> String {
         // Refresh probe-fed gauges so a scrape never reads stale
         // transport counters (ticks also run them).
-        for p in self.inner.probes.lock().unwrap().iter() {
+        for p in lock(&self.inner.probes).iter() {
             p();
         }
-        let st = self.inner.state.lock().unwrap();
+        let st = lock(&self.inner.state);
         let b = &st.fold.basis;
         let mut s = String::with_capacity(1024);
         s.push('{');
@@ -1008,7 +1004,7 @@ impl DoctorHandle {
         ));
         s.push_str(&format!(",\"healthy\":{}", st.health.healthy));
         s.push_str(",\"net\":{");
-        let regs = self.inner.registries.lock().unwrap();
+        let regs = lock(&self.inner.registries);
         for (i, (name, reg)) in regs.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -1035,7 +1031,7 @@ impl DoctorHandle {
 
     /// `GET /timelines/live`: count plus the oldest open recoveries.
     pub fn timelines_json(&self) -> String {
-        let st = self.inner.state.lock().unwrap();
+        let st = lock(&self.inner.state);
         let mut s = String::with_capacity(256);
         s.push_str(&format!(
             "{{\"count\":{},\"listed\":{},\"oldest\":[",
@@ -1064,7 +1060,7 @@ impl DoctorHandle {
     /// `GET /anomalies/tail?n=`: the last `n` anomalies of the current
     /// provisional snapshot, in batch-report order.
     pub fn anomalies_tail_json(&self, n: usize) -> String {
-        let st = self.inner.state.lock().unwrap();
+        let st = lock(&self.inner.state);
         let all = &st.snapshot_anomalies;
         let start = all.len().saturating_sub(n);
         let mut s = String::with_capacity(256);
@@ -1091,7 +1087,7 @@ impl DoctorHandle {
     /// `GET /mem`: resident-state gauges against the configured
     /// budgets.
     pub fn mem_json(&self) -> String {
-        let st = self.inner.state.lock().unwrap();
+        let st = lock(&self.inner.state);
         let online = &self.inner.cfg.online;
         let cap = match online.max_live_timelines {
             Some(c) => c.to_string(),

@@ -15,9 +15,8 @@
 //!   recovery-latency / `t_wait` histograms.
 //! * [`Tracer`] — the handle machines hold. A disabled tracer is a
 //!   single `Option` test on the hot path and never constructs the
-//!   event; the `protocol_micro` bench pins the claim down. Every
-//!   tracer carries the emitting [`HostId`] so downstream analysis can
-//!   correlate events causally across machines.
+//!   event. Every tracer carries the emitting [`HostId`] so downstream
+//!   analysis can correlate events causally across machines.
 //! * [`analyze`] — recovery forensics: correlates a recorded event
 //!   stream into per-`(host, seq)` recovery timelines, per-stage
 //!   latency histograms, a repair-source breakdown, and anomaly
@@ -49,7 +48,7 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lbrm_wire::{EpochId, HostId, Seq};
 
@@ -69,6 +68,14 @@ pub use metrics::{
 };
 pub use online::{LiveGap, OnlineAnalyzer, OnlineAnalyzerSink, OnlineConfig};
 pub use sink::{CountingSink, JsonLinesSink, NoopSink, RingSink};
+
+/// Locks `m`, shrugging off poisoning: every mutex in this crate guards
+/// telemetry (counters, histograms, a writer, the correlator's fold), so
+/// one tracer thread that panicked mid-update must not turn into a panic
+/// in every endpoint and the admin surface that share the sink.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One observable protocol action.
 ///

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::{ProtocolEvent, TraceSink};
+use crate::{lock, ProtocolEvent, TraceSink};
 
 /// A latency distribution that retains every sample, so experiments can
 /// compute exact percentiles (runs are sim-scale: thousands of samples,
@@ -251,39 +251,39 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Events counted under `key` so far.
     pub fn counter(&self, key: &str) -> u64 {
-        *self.counters.lock().unwrap().get(key).unwrap_or(&0)
+        *lock(&self.counters).get(key).unwrap_or(&0)
     }
 
     /// All nonzero counters, sorted by key.
     pub fn counters(&self) -> BTreeMap<&'static str, u64> {
-        self.counters.lock().unwrap().clone()
+        lock(&self.counters).clone()
     }
 
     /// Sets a point-in-time gauge (e.g. the sim's event-queue depth).
     /// Gauges are set by instruments directly, not via the event
     /// stream.
     pub fn set_gauge(&self, key: &str, value: u64) {
-        self.gauges.lock().unwrap().insert(key.to_owned(), value);
+        lock(&self.gauges).insert(key.to_owned(), value);
     }
 
     /// The gauge stored under `key`, or zero.
     pub fn gauge(&self, key: &str) -> u64 {
-        *self.gauges.lock().unwrap().get(key).unwrap_or(&0)
+        *lock(&self.gauges).get(key).unwrap_or(&0)
     }
 
     /// All gauges, sorted by key.
     pub fn gauges(&self) -> BTreeMap<String, u64> {
-        self.gauges.lock().unwrap().clone()
+        lock(&self.gauges).clone()
     }
 
     /// The recovery-latency distribution accumulated so far.
     pub fn recovery_latency(&self) -> HistogramSnapshot {
-        self.recovery_latency.lock().unwrap().snapshot()
+        lock(&self.recovery_latency).snapshot()
     }
 
     /// The `t_wait` sample distribution accumulated so far.
     pub fn t_wait(&self) -> HistogramSnapshot {
-        self.t_wait.lock().unwrap().snapshot()
+        lock(&self.t_wait).snapshot()
     }
 
     /// Renders counters and histogram summaries as an aligned text
@@ -317,18 +317,13 @@ impl MetricsRegistry {
 
 impl TraceSink for MetricsRegistry {
     fn record(&self, _at_nanos: u64, _host: lbrm_wire::HostId, event: &ProtocolEvent) {
-        *self
-            .counters
-            .lock()
-            .unwrap()
-            .entry(event.key())
-            .or_insert(0) += 1;
+        *lock(&self.counters).entry(event.key()).or_insert(0) += 1;
         match event {
             ProtocolEvent::Recovered { latency_nanos, .. } => {
-                self.recovery_latency.lock().unwrap().record(*latency_nanos);
+                lock(&self.recovery_latency).record(*latency_nanos);
             }
             ProtocolEvent::TWaitUpdated { t_wait_nanos } => {
-                self.t_wait.lock().unwrap().record(*t_wait_nanos);
+                lock(&self.t_wait).record(*t_wait_nanos);
             }
             _ => {}
         }

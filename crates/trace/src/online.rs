@@ -56,7 +56,7 @@ use crate::analyze::{
     AnalyzeConfig, Anomaly, RecoveryOutcome, RecoveryReport, RecoveryTimeline, RepairSource,
     StreamStats, TraceRecord,
 };
-use crate::{ProtocolEvent, StreamingHistogram, TraceSink};
+use crate::{lock, ProtocolEvent, StreamingHistogram, TraceSink};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -856,19 +856,19 @@ impl OnlineAnalyzerSink {
 
     /// Records consumed so far.
     pub fn records(&self) -> u64 {
-        self.inner.lock().unwrap().records()
+        lock(&self.inner).records()
     }
 
     /// Most timelines ever open at once.
     pub fn peak_live_timelines(&self) -> u64 {
-        self.inner.lock().unwrap().peak_live_timelines()
+        lock(&self.inner).peak_live_timelines()
     }
 
     /// Finalizes the analysis, leaving a fresh analyzer (with the same
     /// tunables) behind — the sink may still be shared with a world
     /// that outlives the report.
     pub fn finish(&self) -> RecoveryReport {
-        let mut guard = self.inner.lock().unwrap();
+        let mut guard = lock(&self.inner);
         let cfg = guard.cfg.clone();
         std::mem::replace(&mut *guard, OnlineAnalyzer::new(cfg)).finish()
     }
@@ -876,7 +876,7 @@ impl OnlineAnalyzerSink {
 
 impl TraceSink for OnlineAnalyzerSink {
     fn record(&self, at_nanos: u64, host: HostId, event: &ProtocolEvent) {
-        self.inner.lock().unwrap().push(at_nanos, host, event);
+        lock(&self.inner).push(at_nanos, host, event);
     }
 }
 

@@ -6,12 +6,11 @@ use std::sync::Mutex;
 
 use lbrm_wire::HostId;
 
-use crate::{ProtocolEvent, TraceSink};
+use crate::{lock, ProtocolEvent, TraceSink};
 
 /// Accepts every event and does nothing. Distinct from a *disabled*
 /// [`Tracer`](crate::Tracer): events are still constructed and
-/// dispatched, which is exactly what the `protocol_micro` overhead
-/// comparison measures.
+/// dispatched.
 #[derive(Debug, Default)]
 pub struct NoopSink;
 
@@ -28,23 +27,23 @@ pub struct CountingSink {
 impl CountingSink {
     /// Events recorded under `key` so far.
     pub fn count(&self, key: &str) -> u64 {
-        *self.counts.lock().unwrap().get(key).unwrap_or(&0)
+        *lock(&self.counts).get(key).unwrap_or(&0)
     }
 
     /// All nonzero counters, sorted by key.
     pub fn snapshot(&self) -> BTreeMap<&'static str, u64> {
-        self.counts.lock().unwrap().clone()
+        lock(&self.counts).clone()
     }
 
     /// Total events recorded.
     pub fn total(&self) -> u64 {
-        self.counts.lock().unwrap().values().sum()
+        lock(&self.counts).values().sum()
     }
 }
 
 impl TraceSink for CountingSink {
     fn record(&self, _at_nanos: u64, _host: HostId, event: &ProtocolEvent) {
-        *self.counts.lock().unwrap().entry(event.key()).or_insert(0) += 1;
+        *lock(&self.counts).entry(event.key()).or_insert(0) += 1;
     }
 }
 
@@ -67,23 +66,23 @@ impl RingSink {
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<(u64, ProtocolEvent)> {
-        self.buf.lock().unwrap().iter().cloned().collect()
+        lock(&self.buf).iter().cloned().collect()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.buf.lock().unwrap().len()
+        lock(&self.buf).len()
     }
 
     /// `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().unwrap().is_empty()
+        lock(&self.buf).is_empty()
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&self, at_nanos: u64, _host: HostId, event: &ProtocolEvent) {
-        let mut buf = self.buf.lock().unwrap();
+        let mut buf = lock(&self.buf);
         if buf.len() == self.capacity {
             buf.pop_front();
         }
@@ -140,9 +139,7 @@ impl<W: Write + Send> JsonLinesSink<W> {
     /// Consumes the sink, returning the writer (unflushed: the caller
     /// owns it and its own teardown).
     pub fn into_inner(self) -> W {
-        self.out
-            .lock()
-            .unwrap()
+        lock(&self.out)
             .0
             .take()
             .expect("writer present until into_inner")
@@ -153,7 +150,7 @@ impl<W: Write + Send> JsonLinesSink<W> {
     /// `flush_every` events and on drop; experiment teardown may still
     /// call it to put the tail on disk at a deterministic point.
     pub fn flush(&self) {
-        let mut out = self.out.lock().unwrap();
+        let mut out = lock(&self.out);
         out.1 = 0;
         if let Some(w) = out.0.as_mut() {
             self.flushes
@@ -176,7 +173,7 @@ impl JsonLinesSink<Vec<u8>> {
 
     /// The lines written so far.
     pub fn contents(&self) -> String {
-        match self.out.lock().unwrap().0.as_ref() {
+        match lock(&self.out).0.as_ref() {
             Some(buf) => String::from_utf8_lossy(buf).into_owned(),
             None => String::new(),
         }
@@ -185,7 +182,7 @@ impl JsonLinesSink<Vec<u8>> {
 
 impl<W: Write + Send> TraceSink for JsonLinesSink<W> {
     fn record(&self, at_nanos: u64, host: HostId, event: &ProtocolEvent) {
-        let mut guard = self.out.lock().unwrap();
+        let mut guard = lock(&self.out);
         let (writer, pending) = &mut *guard;
         let Some(w) = writer.as_mut() else { return };
         // A full pipe or closed file is not the protocol's problem.
@@ -207,10 +204,7 @@ impl<W: Write + Send> Drop for JsonLinesSink<W> {
         // parseable without cooperative teardown. A poisoned lock just
         // means the panicking thread held it mid-record; the writer is
         // still there.
-        let mut guard = match self.out.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock(&self.out);
         let (writer, pending) = &mut *guard;
         if let Some(w) = writer.as_mut() {
             if *pending > 0 {
