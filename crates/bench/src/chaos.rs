@@ -135,7 +135,7 @@ fn restart_replica(sc: &mut DisScenario, host: lbrm_wire::HostId, sink: Arc<dyn 
     let mut cfg = LoggerConfig::replica(sc.group, sc.source, host, current, sc.src_host);
     cfg.replicas = sc.replicas.iter().copied().filter(|&x| x != host).collect();
     let mut lg = Logger::new(cfg);
-    lg.set_tracer(Tracer::to(sc.world.wrap_sink(sink)));
+    lg.set_tracer(Tracer::to(sink));
     sc.world.restart(host, MachineActor::new(lg, vec![]));
 }
 

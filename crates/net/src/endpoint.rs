@@ -9,10 +9,10 @@
 //! [`EndpointEvent`]s. Dropping the handle shuts the endpoint down.
 //!
 //! The loop is event-driven: it sleeps in the transport's
-//! `recv_timeout` until the machine's next deadline (or a pending
-//! bundle flush), and a posted command or a dropped handle wakes it
-//! through the transport's [`Waker`]. Only a transport without a waker
-//! is polled on a bounded tick.
+//! `recv_timeout` until the machine's next deadline, and a posted
+//! command or a dropped handle wakes it through the transport's
+//! [`Waker`]. Only a transport without a waker is polled on a bounded
+//! tick.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,9 +21,7 @@ use std::time::{Duration, Instant};
 
 use lbrm_core::machine::{Action, Actions, Delivery, Machine, Notice};
 use lbrm_core::time::Time;
-use lbrm_wire::{
-    bundled_entry_len, GroupId, Packet, TtlScope, BUNDLE_HEADER_LEN, DEFAULT_BUNDLE_MTU,
-};
+use lbrm_wire::{GroupId, Packet};
 
 use crate::{Transport, Waker};
 
@@ -41,7 +39,7 @@ type Call<M> = Box<dyn FnOnce(&mut M, Time, &mut Actions) + Send>;
 enum Command<M> {
     /// Run a closure against the machine.
     Call(Call<M>),
-    /// The handle is gone: flush and exit.
+    /// The handle is gone: exit.
     Shutdown,
 }
 
@@ -138,13 +136,6 @@ pub struct Endpoint<M: Machine, T: Transport> {
     wake_pending: Arc<AtomicBool>,
     events_dropped: Arc<AtomicU64>,
     origin: Option<Instant>,
-    /// When set, multicast data packets are held up to this long so
-    /// high-rate ticks coalesce into bundled datagrams.
-    flush_delay: Option<Duration>,
-    /// Held multicast data (uniform scope) awaiting a bundle flush.
-    held: Vec<(TtlScope, Packet)>,
-    held_bytes: usize,
-    held_since: Option<Instant>,
     /// Reusable scratch for coalesced action runs.
     batch: Vec<Packet>,
 }
@@ -172,10 +163,6 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 wake_pending: Arc::clone(&wake_pending),
                 events_dropped: Arc::clone(&events_dropped),
                 origin: None,
-                flush_delay: None,
-                held: Vec::new(),
-                held_bytes: 0,
-                held_since: None,
                 batch: Vec::new(),
             },
             EndpointHandle {
@@ -202,16 +189,6 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
     /// when its thread happens to run.
     pub fn set_origin(&mut self, origin: Instant) {
         self.origin = Some(origin);
-    }
-
-    /// Enables send coalescing for high-rate tick streams: outgoing
-    /// multicast data packets are held up to `delay` (and at most one
-    /// MTU's worth) so consecutive ticks share bundled datagrams. Any
-    /// other outgoing traffic flushes the held run first, so the wire
-    /// order receivers observe is unchanged — the only cost is up to
-    /// `delay` of added latency on held data. Off by default.
-    pub fn set_flush_delay(&mut self, delay: Duration) {
-        self.flush_delay = Some(delay);
     }
 
     /// Runs the endpoint on a new thread; join the handle for the exit
@@ -253,8 +230,6 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                     }
                     Err(mpsc::TryRecvError::Empty) => break,
                     Ok(Command::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => {
-                        // Shutdown: held data must still reach the wire.
-                        self.flush_held()?;
                         return Ok(());
                     }
                 }
@@ -266,12 +241,6 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 Some(t) => Duration::from_nanos(t.nanos().saturating_sub(now_fn(origin).nanos())),
                 None => Duration::MAX,
             };
-            // A pending coalesced run bounds the wait too: held data
-            // must flush within its delay even on an idle endpoint.
-            let wait = match self.flush_deadline() {
-                Some(d) => wait.min(d.saturating_duration_since(Instant::now())),
-                None => wait,
-            };
             let wait = wait.min(self.max_wait);
             if wait > Duration::ZERO {
                 if let Some((from, packet)) = self.transport.recv_timeout(wait)? {
@@ -282,61 +251,7 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
             }
             self.machine.poll(now_fn(origin), &mut out);
             self.execute(&mut out)?;
-            if let Some(d) = self.flush_deadline() {
-                if Instant::now() >= d {
-                    self.flush_held()?;
-                }
-            }
         }
-    }
-
-    /// When the coalesced run must hit the wire at the latest.
-    fn flush_deadline(&self) -> Option<Instant> {
-        match (self.held_since, self.flush_delay) {
-            (Some(since), Some(delay)) => Some(since + delay),
-            _ => None,
-        }
-    }
-
-    /// Sends the held multicast data run (a single bundled send when
-    /// the transport supports it) and clears the hold state.
-    fn flush_held(&mut self) -> io::Result<()> {
-        self.held_since = None;
-        self.held_bytes = 0;
-        if self.held.is_empty() {
-            return Ok(());
-        }
-        // All held packets share one scope: a scope change flushes
-        // before holding the next packet.
-        let scope = self.held[0].0;
-        self.batch.clear();
-        self.batch.extend(self.held.drain(..).map(|(_, p)| p));
-        if self.batch.len() == 1 {
-            self.transport.send_multicast(scope, &self.batch[0])
-        } else {
-            self.transport.send_multicast_bundle(scope, &self.batch)
-        }
-    }
-
-    /// Holds one multicast data packet for delayed, coalesced sending;
-    /// flushes eagerly once the run fills a bundle MTU.
-    fn hold(&mut self, scope: TtlScope, packet: Packet) -> io::Result<()> {
-        if self
-            .held
-            .first()
-            .is_some_and(|(held_scope, _)| *held_scope != scope)
-        {
-            self.flush_held()?;
-        }
-        if self.held.is_empty() {
-            self.held_since = Some(Instant::now());
-        }
-        self.held_bytes += bundled_entry_len(&packet);
-        self.held.push((scope, packet));
-        if self.held_bytes + BUNDLE_HEADER_LEN >= DEFAULT_BUNDLE_MTU {
-            self.flush_held()?;
-        }
-        Ok(())
     }
 
     /// Hands one event to the application. A slow or absent consumer
@@ -351,14 +266,12 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
     /// Executes a machine's emitted actions, coalescing consecutive
     /// sends to one destination into bundle-capable runs. The machine's
     /// emission order is preserved exactly: a run only extends while
-    /// the next action targets the same destination, and held data is
-    /// flushed before any other send, join, or leave.
+    /// the next action targets the same destination.
     fn execute(&mut self, out: &mut Actions) -> io::Result<()> {
         let mut iter = out.drain(..).peekable();
         while let Some(action) = iter.next() {
             match action {
                 Action::Unicast { to, packet } => {
-                    self.flush_held()?;
                     self.batch.clear();
                     self.batch.push(packet);
                     while let Some(Action::Unicast { to: next, .. }) = iter.peek() {
@@ -377,11 +290,6 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                     }
                 }
                 Action::Multicast { scope, packet } => {
-                    if self.flush_delay.is_some() && matches!(packet, Packet::Data { .. }) {
-                        self.hold(scope, packet)?;
-                        continue;
-                    }
-                    self.flush_held()?;
                     self.batch.clear();
                     self.batch.push(packet);
                     while let Some(Action::Multicast { scope: next, .. }) = iter.peek() {
@@ -401,14 +309,8 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 }
                 Action::Deliver(d) => self.emit(EndpointEvent::Delivery(d)),
                 Action::Notice(n) => self.emit(EndpointEvent::Notice(n)),
-                Action::Join(g) => {
-                    self.flush_held()?;
-                    self.transport.join(g)?;
-                }
-                Action::Leave(g) => {
-                    self.flush_held()?;
-                    self.transport.leave(g)?;
-                }
+                Action::Join(g) => self.transport.join(g)?,
+                Action::Leave(g) => self.transport.leave(g)?,
             }
         }
         Ok(())
@@ -424,7 +326,7 @@ mod tests {
     use lbrm_core::logger::{Logger, LoggerConfig};
     use lbrm_core::receiver::{Receiver, ReceiverConfig};
     use lbrm_core::sender::{Sender, SenderConfig};
-    use lbrm_wire::{HostId, Seq, SourceId};
+    use lbrm_wire::{HostId, Seq, SourceId, TtlScope};
     use std::net::Ipv4Addr;
 
     const GROUP: GroupId = GroupId(1);
@@ -441,20 +343,13 @@ mod tests {
     }
 
     fn spawn_net() -> Net {
-        spawn_net_with(None)
-    }
-
-    fn spawn_net_with(flush_delay: Option<Duration>) -> Net {
         let hub = Hub::new();
 
-        let (mut ep, sender) = Endpoint::new(
+        let (ep, sender) = Endpoint::new(
             Sender::new(SenderConfig::new(GROUP, SRC, SRC_HOST, LOG_HOST)),
             hub.attach(SRC_HOST),
             vec![],
         );
-        if let Some(delay) = flush_delay {
-            ep.set_flush_delay(delay);
-        }
         ep.spawn();
 
         let (ep, logger) = Endpoint::new(
@@ -516,22 +411,6 @@ mod tests {
         assert_eq!(d.seq, Seq(1));
         assert_eq!(d.payload.as_ref(), b"hello multicast");
         assert!(!d.recovered);
-    }
-
-    /// With a flush delay, rapid sends are held and coalesced — but
-    /// every payload still arrives, in order, exactly once.
-    #[test]
-    fn flush_delay_coalesces_rapid_sends_losslessly() {
-        let mut net = spawn_net_with(Some(Duration::from_millis(2)));
-        let payloads = ["b1", "b2", "b3", "b4", "b5"];
-        for p in payloads {
-            publish(&net, p);
-        }
-        for (i, want) in payloads.iter().enumerate() {
-            let d = next_delivery(&mut net).expect("delivery");
-            assert_eq!(d.seq, Seq(i as u32 + 1));
-            assert_eq!(d.payload.as_ref(), want.as_bytes());
-        }
     }
 
     #[test]
@@ -597,16 +476,6 @@ mod tests {
         }
     }
 
-    fn data(seq: u32) -> Packet {
-        Packet::Data {
-            group: GROUP,
-            source: SRC,
-            seq: Seq(seq),
-            epoch: lbrm_wire::EpochId(0),
-            payload: Bytes::from_static(b"x"),
-        }
-    }
-
     /// Posts `calls` commands 2 ms apart to an otherwise idle endpoint
     /// over `transport`; returns the posted→run delays, sorted.
     fn pickup_delays<T: Transport>(transport: T, calls: usize) -> Vec<Duration> {
@@ -667,65 +536,55 @@ mod tests {
         );
     }
 
-    /// One held packet on an idle endpoint over `transport`: the flush
-    /// deadline, not a tick, must end the wait. `peer` has joined
-    /// [`GROUP`].
-    fn assert_held_packet_flushes<T: Transport>(transport: T, mut peer: impl Transport) {
-        const DELAY: Duration = Duration::from_millis(2);
-        let src = transport.local_host();
-        let (mut ep, handle) = Endpoint::new(Idle, transport, vec![]);
-        ep.set_flush_delay(DELAY);
-        ep.spawn();
+    /// A machine whose only deadline is armed by a posted call; when it
+    /// passes, `poll` raises one notice.
+    struct Alarm(Option<Time>);
 
+    impl Machine for Alarm {
+        fn on_packet(&mut self, _: Time, _: HostId, _: Packet, _: &mut Actions) {}
+        fn poll(&mut self, now: Time, out: &mut Actions) {
+            if self.0.is_some_and(|due| now >= due) {
+                self.0 = None;
+                out.push(Action::Notice(Notice::FreshnessLost));
+            }
+        }
+        fn next_deadline(&self) -> Option<Time> {
+            self.0
+        }
+    }
+
+    /// A 2 ms deadline on an otherwise idle endpoint: the deadline, not
+    /// a tick, must end the wait — and over UDP, where it is a `ppoll`
+    /// timeout, rounded to milliseconds or dropped, the median would
+    /// show it.
+    fn assert_deadline_ends_the_wait<T: Transport>(transport: T) {
+        const DELAY: Duration = Duration::from_millis(2);
+        let (ep, mut handle) = Endpoint::new(Alarm(None), transport, vec![]);
+        ep.spawn();
         let mut delays = Vec::new();
-        for seq in 1..=20 {
+        for _ in 0..20 {
             let posted = Instant::now();
             handle
-                .call(move |_: &mut Idle, _, out| {
-                    out.push(Action::Multicast {
-                        scope: TtlScope::Site,
-                        packet: data(seq),
-                    })
-                })
+                .call(|m: &mut Alarm, now, _| m.0 = Some(now + DELAY))
                 .unwrap();
-            let got = peer.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(got, Some((src, data(seq))));
+            let fired = handle.event_timeout(Duration::from_secs(5));
+            assert_eq!(fired, Some(EndpointEvent::Notice(Notice::FreshnessLost)));
             delays.push(posted.elapsed());
         }
         delays.sort();
         let median = delays[delays.len() / 2];
-        assert!(delays[0] >= DELAY, "held for the delay: {delays:?}");
+        assert!(delays[0] >= DELAY, "slept until the deadline: {delays:?}");
         assert!(
             median <= DELAY + Duration::from_millis(5),
-            "flushed when the delay ran out: median {median:?}"
+            "woke when the deadline passed: median {median:?}"
         );
     }
 
     #[test]
-    fn held_packet_flushes_on_an_idle_endpoint() {
-        let hub = Hub::new();
-        let mut peer = hub.attach(RX_HOST);
-        peer.join(GROUP).unwrap();
-        assert_held_packet_flushes(hub.attach(SRC_HOST), peer);
-    }
-
-    /// The same over UDP, where the 2 ms deadline is a `ppoll` timeout:
-    /// rounded to milliseconds or dropped, the median would show it.
-    #[test]
-    fn held_packet_flushes_on_an_idle_udp_endpoint() {
-        let bind = || UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(49_437));
-        let (Ok(mut src), Ok(mut peer)) = (bind(), bind()) else {
-            eprintln!("skipping: UDP bind failed");
-            return;
-        };
-        let reachable = peer.join(GROUP).is_ok()
-            && src.send_multicast(TtlScope::Site, &data(0)).is_ok()
-            && peer.recv_timeout(Duration::from_secs(1)).unwrap().is_some();
-        if !reachable {
-            eprintln!("skipping: loopback multicast unavailable");
-            return;
-        }
-        assert_held_packet_flushes(src, peer);
+    fn machine_deadline_ends_an_idle_wait() {
+        assert_deadline_ends_the_wait(Hub::new().attach(SRC_HOST));
+        let udp = UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
+        assert_deadline_ends_the_wait(udp);
     }
 
     /// Events the application does not drain are shed, never block the

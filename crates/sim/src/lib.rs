@@ -11,15 +11,12 @@
 //!   congestion model).
 //! * [`topology`] — sites (LAN + tail circuit + WAN distance) and hosts;
 //!   per-segment propagation delay, bandwidth and FIFO queueing.
-//! * [`world`] — the event loop: actors (protocol endpoints) exchange
+//! * [`world`] — the one serial event loop: actors (protocol endpoints) exchange
 //!   [`lbrm_wire::Packet`]s over unicast and TTL-scoped multicast, set
 //!   timers, and draw from per-host deterministic RNG streams.
 //! * [`queue`] — the future-event queue behind the loop: a hierarchical
 //!   timer wheel (amortized O(1) push/pop) that pops in exactly a binary
 //!   heap's order.
-//! * `shard` (internal) — site-sharded parallel execution with
-//!   conservative synchronization; `LBRM_SIM_SHARDS` selects the shard
-//!   count and results are byte-identical for any value.
 //! * [`stats`] — per-segment-class, per-packet-kind traffic accounting
 //!   (the quantities the paper's evaluation counts), plus the
 //!   [`stats::BundleStats`] ledger modeling PDU-bundling framing
@@ -33,7 +30,6 @@
 
 pub mod loss;
 pub mod queue;
-pub(crate) mod shard;
 pub mod stats;
 pub mod time;
 pub mod topology;

@@ -39,7 +39,7 @@
 //! without reordering them. This module's tests hold the wheel to that
 //! claim against a plain `BinaryHeap` oracle under random interleaved
 //! churn; `tests/event_queue_diff_sim.rs` pins whole seeded lossy runs
-//! byte-identical across shard counts on top of it.
+//! to recorded goldens on top of it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -73,8 +73,8 @@ impl<T> Ord for Entry<T> {
 
 /// log2 of the tick size in nanoseconds: `2^22` ns ≈ 4.2 ms per tick.
 ///
-/// Re-measured at the 1000-site × 30-receiver regime (per-shard queues,
-/// ~100k+ resident events): shifts 18/20 (finer) and 26 (coarser) all
+/// Re-measured at the 1000-site × 30-receiver regime (~100k+ resident
+/// events): shifts 18/20 (finer) and 26 (coarser) all
 /// lose 10–25% on the `dis_scenario_1000x30` workload, 24 is within
 /// noise of 22. The scenario's dominant deltas (5–80 ms links, 250 ms
 /// heartbeat) land in level 0 at 22 with small enough buckets that the
@@ -291,9 +291,8 @@ const AUTO_KEY_BIT: u128 = 1 << 127;
 /// The simulator's future-event queue: events pop in strictly increasing
 /// `(deadline, tiebreak)`. [`EventQueue::push`] assigns tiebreaks in push
 /// order (FIFO within a deadline); [`EventQueue::push_keyed`] lets the
-/// caller supply the tiebreak, which is how the sharded
-/// [`crate::world::World`] imposes one global, placement-invariant event
-/// order across per-shard queues.
+/// caller supply the tiebreak, which is how [`crate::world::World`]
+/// orders same-instant events by pushing entity rather than push order.
 pub struct EventQueue<T> {
     tiebreak: u64,
     len: usize,
@@ -590,8 +589,7 @@ mod tests {
     }
 
     /// Same keyed schedule, different push interleavings: the pop
-    /// sequence (time, key, item) must be identical — this is the
-    /// property the sharded world's cross-shard merge rests on.
+    /// sequence (time, key, item) must be identical.
     #[test]
     fn keyed_pop_order_is_push_order_invariant() {
         let mut s = 0xD15_EA5E_u64;

@@ -110,9 +110,9 @@ impl NetStats {
     }
 
     /// Folds another accounting into this one (counter-wise sums over
-    /// the key union). Merging is commutative and associative, so the
-    /// sharded world can accumulate per-shard `NetStats` independently
-    /// and merge them in any order with one deterministic result.
+    /// the key union). Merging is commutative and associative, so
+    /// independent worlds' accountings combine in any order with one
+    /// deterministic result.
     pub fn merge(&mut self, other: &NetStats) {
         for (k, v) in &other.by_class {
             let c = self.by_class.entry(*k).or_default();
@@ -210,9 +210,7 @@ pub(crate) type DestKey = (u8, u64, u64);
 /// Mirrors `lbrm_wire::BundleBuilder`'s flush rule arithmetically: a
 /// send joins the open frame iff it happens at the same virtual instant,
 /// to the same destination, the frame holds fewer than
-/// [`MAX_BUNDLE_PACKETS`], and the entry still fits the MTU. Because a
-/// host's sends are processed in a placement-invariant order, the fold —
-/// and thus every reported count — is identical for any shard count.
+/// [`MAX_BUNDLE_PACKETS`], and the entry still fits the MTU.
 #[derive(Debug, Default)]
 pub(crate) struct BundleMeter {
     stats: BundleStats,

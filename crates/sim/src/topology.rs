@@ -26,11 +26,10 @@
 //!   tail crossing ([`Topology::ingress_tail`]) and the per-member LAN
 //!   crossings ([`Topology::lan_delivery`]).
 //!
-//! The halves touch disjoint [`SiteNet`]s, which is what lets the
-//! sharded [`crate::world::World`] evaluate them on different shards —
-//! and because every draw charges the *site's own* RNG stream, the
-//! realized loss/jitter pattern is invariant to how sites are grouped
-//! into shards.
+//! The halves touch disjoint [`SiteNet`]s at different virtual times
+//! (send and arrival), and every draw charges the *site's own* RNG
+//! stream, so one site's realized loss/jitter pattern does not depend
+//! on what other sites' traffic drew in between.
 
 use std::time::Duration;
 
@@ -110,8 +109,7 @@ impl SiteParams {
 /// FIFO occupancy, backlog high-water marks, and the site's RNG stream.
 ///
 /// Every random draw a site's traffic makes — LAN/tail loss, WAN-branch
-/// loss for copies *originating* here, jitter — charges this struct, so
-/// a shard owning the site owns all of its randomness.
+/// loss for copies *originating* here, jitter — charges this struct.
 pub struct SiteNet {
     lan_loss: LossState,
     tail_in_loss: LossState,
@@ -127,7 +125,7 @@ pub struct SiteNet {
 
 impl SiteNet {
     /// Fresh state for one site. `rng` must be derived purely from the
-    /// world seed and the site id so the stream is placement-invariant.
+    /// world seed and the site id.
     pub fn new(params: &SiteParams, wan_loss: &LossModel, rng: SmallRng) -> SiteNet {
         SiteNet {
             lan_loss: LossState::new(params.lan_loss.clone()),
@@ -292,35 +290,6 @@ impl Topology {
         }
     }
 
-    /// The conservative-synchronization lookahead for a site→shard
-    /// assignment: the minimum latency any event can cross between two
-    /// *different* shards, i.e. `min over cross-shard ordered site pairs
-    /// (a, b)` of `lan_a + tail_a + wan_a + wan_b` (the floor of the
-    /// source LAN, source tail, and backbone legs — tail-circuit
-    /// serialization and the destination tail/LAN only add to it).
-    /// `None` when no pair crosses shards (≤ 1 shard in use).
-    ///
-    /// A zero lookahead (some site with zero LAN, tail, and WAN delay)
-    /// means shards cannot advance independently at all; callers must
-    /// fall back to a single shard.
-    pub fn lookahead(&self, shard_of_site: &[usize]) -> Option<Duration> {
-        let mut best: Option<Duration> = None;
-        for (a, pa) in self.sites.iter().enumerate() {
-            let src = pa.lan_delay + pa.tail_delay + pa.wan_delay;
-            for (b, pb) in self.sites.iter().enumerate() {
-                if shard_of_site[a] == shard_of_site[b] {
-                    continue;
-                }
-                let _ = b;
-                let l = src + pb.wan_delay;
-                if best.is_none_or(|cur| l < cur) {
-                    best = Some(l);
-                }
-            }
-        }
-        best
-    }
-
     /// Sum of the two sites' backbone legs.
     pub fn wan_latency(&self, from: SiteId, to: SiteId) -> Duration {
         self.sites[from.raw() as usize].wan_delay + self.sites[to.raw() as usize].wan_delay
@@ -376,9 +345,9 @@ impl Topology {
     /// delay, and a jitter draw if carried. This is both the same-site
     /// delivery leg and the final leg of a cross-site transmission.
     ///
-    /// The argument list mirrors the split shard state (`net`, `stats`
-    /// are per-shard slices the caller already borrowed apart); bundling
-    /// them into a struct would just move the borrow split around.
+    /// The argument list mirrors the world's split state (`net`, `stats`
+    /// are fields the caller already borrowed apart); bundling them into
+    /// a struct would just move the borrow split around.
     #[allow(clippy::too_many_arguments)]
     pub fn lan_delivery(
         &self,
@@ -721,33 +690,6 @@ mod tests {
         // ...and with 1 ms spacing vs 20 ms jitter, reordering occurs.
         let reordered = arrivals.windows(2).any(|w| w[1] < w[0]);
         assert!(reordered, "expected at least one inversion");
-    }
-
-    #[test]
-    fn lookahead_is_min_cross_shard_latency() {
-        let mut b = TopologyBuilder::new();
-        let s0 = b.site(SiteParams::default()); // 0.5 + 2 + 20 ms out
-        let s1 = b.site(SiteParams::nearby()); // wan 1 ms
-        let s2 = b.site(SiteParams::distant()); // wan 19 ms
-        let t = b.build();
-        let _ = (s0, s1, s2);
-
-        // All sites in one shard: nothing crosses.
-        assert_eq!(t.lookahead(&[0, 0, 0]), None);
-
-        // s1 alone in shard 1: the cheapest crossing is s1 → s1? No —
-        // crossings are between different shards, so the floor is the
-        // cheapest of s1→{s0,s2} and {s0,s2}→s1:
-        //   s1 out: 0.5 + 2 + 1 = 3.5 ms, plus min(wan of s0, s2) = 19 ms.
-        //   s0/s2 out: min(22.5, 21.5) = 21.5 ms, plus wan_1 = 1 ms.
-        let l = t.lookahead(&[0, 1, 0]).unwrap();
-        assert_eq!(
-            l,
-            Duration::from_micros(500) + Duration::from_millis(2 + 19 + 1)
-        );
-
-        // One shard per site: same floor (it already crossed shards).
-        assert_eq!(t.lookahead(&[0, 1, 2]), Some(l));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The simulation driver: actors, timers, multicast groups, and the
-//! deterministic — optionally sharded — event loop.
+//! deterministic, serial event loop.
 //!
 //! An [`Actor`] is a protocol endpoint (sender, receiver, logging server,
 //! application). Actors react to packets and timers through a [`Ctx`]
@@ -12,44 +12,39 @@
 //! host groups — used by the primary-logger failover tests and the
 //! chaos suite.
 //!
-//! # Sharded execution
+//! # Determinism
 //!
-//! The world partitions *sites* into shards (`LBRM_SIM_SHARDS`, or
-//! [`World::with_shards`]); hosts follow their site. Each shard owns a
-//! private event queue plus all state its events can touch (see
-//! [`crate::shard`]). Shards advance independently inside a conservative
-//! synchronization window: with `L` = the topology
-//! [`lookahead`](Topology::lookahead) (the minimum latency of any
-//! cross-shard transmission), every epoch processes events in
-//! `[t_min, t_min + L)` — no event generated inside the window can land
-//! in another shard before it closes, so shards only exchange events at
-//! the epoch barrier.
+//! One thread pops one queue in `(at, key)` order. A fixed seed replays
+//! byte-identical traces, `NetStats` and deliveries — and replays the
+//! recorded goldens in `tests/event_queue_diff_sim.rs` — because
 //!
-//! Determinism is preserved *exactly*: a fixed seed produces
-//! byte-identical traces, `NetStats`, and deliveries for any shard
-//! count, because
-//!
-//! 1. every scheduled event carries a placement-invariant total-order
-//!    key (see [`crate::shard`]),
+//! 1. every scheduled event carries the key `(entity << 64) | seq`:
+//!    `entity` is the *pushing* entity (the host whose handler pushed
+//!    it, or `host_count + site` for pushes made while evaluating a
+//!    site's ingress) and `seq` that entity's monotone push counter, so
+//!    same-instant events run in entity order, not push order,
 //! 2. every random draw charges either a per-host stream or the owning
 //!    site's stream — never a global one, and
 //! 3. cross-site transmissions are evaluated in two halves (source-site
-//!    egress, destination-site ingress) whose draws land on the
-//!    respective sites' own streams at the same virtual times
-//!    regardless of sharding.
+//!    egress now, destination-site `Ev::Ingress` on arrival), so the
+//!    destination's draws and membership lookup happen at arrival time.
+//!
+//! Changing any of the three reorders same-instant events or moves
+//! draws between streams, and every golden and published figure with it.
 
 use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use lbrm_trace::{MetricsRegistry, ProtocolEvent, TraceSink, Tracer};
+use lbrm_trace::{MetricsRegistry, ProtocolEvent, Tracer};
 use lbrm_wire::{GroupId, HostId, Packet, SiteId, TtlScope};
 
-use crate::shard::{capture_activate, capture_take, forward_merged, Ev, IngressKind, Shard};
-use crate::stats::{BundleStats, NetStats, SegmentClass};
+use crate::queue::EventQueue;
+use crate::stats::{BundleMeter, BundleStats, NetStats, SegmentClass};
 use crate::time::SimTime;
 use crate::topology::{Delivery, SiteNet, Topology};
 
@@ -57,7 +52,8 @@ use crate::topology::{Delivery, SiteNet, Topology};
 ///
 /// `Actor: Any` enables post-run inspection via
 /// [`World::actor`] / [`World::actor_mut`] downcasts; `Actor: Send`
-/// lets the sharded world process shards on worker threads.
+/// keeps a built [`World`] `Send`, so independent worlds can be handed
+/// to worker threads, and is the bound out-of-tree actors already meet.
 pub trait Actor: Any + Send {
     /// Called once when the simulation starts (in host-insertion order).
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -69,12 +65,91 @@ pub trait Actor: Any + Send {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
 }
 
+/// A scheduled simulator event.
+enum Ev {
+    /// Final delivery of a packet to a host.
+    Packet {
+        from: HostId,
+        to: HostId,
+        packet: Packet,
+    },
+    /// A timer armed by (or for) a host.
+    Timer { host: HostId, token: u64 },
+    /// A cross-site copy arriving at `site`'s inbound tail circuit: the
+    /// destination half of the split transmission evaluation.
+    Ingress {
+        from: HostId,
+        site: SiteId,
+        packet: Packet,
+        kind: IngressKind,
+    },
+}
+
+/// What an [`Ev::Ingress`] copy fans out to once it crosses the tail.
+enum IngressKind {
+    /// Deliver to the site's current local members of the packet's group.
+    Multicast,
+    /// Deliver to exactly one host.
+    Unicast { to: HostId },
+}
+
+/// Everything an event handler can touch: the queue, the per-host and
+/// per-site tables, and the accounting. Split from [`World`] so a
+/// handler can borrow it mutably beside the immutable topology.
+struct State {
+    queue: EventQueue<Ev>,
+    /// Actor slots, by host index.
+    actors: Vec<Option<Box<dyn Actor>>>,
+    /// Per-host RNG streams, by host index.
+    rngs: Vec<Option<SmallRng>>,
+    /// Crash flags, by host index.
+    crashed: Vec<bool>,
+    /// Partition ids, by host index. A packet delivery whose endpoints
+    /// hold different ids is dropped (link-level fault injection).
+    partition: Vec<u32>,
+    /// Per-site network state, by site index.
+    nets: Vec<SiteNet>,
+    /// Per-site group membership, by site index.
+    members: Vec<BTreeMap<GroupId, BTreeSet<HostId>>>,
+    /// Per-entity push counters: `[0, host_count)` are hosts,
+    /// `[host_count, host_count + site_count)` are site pseudo-entities.
+    seqs: Vec<u64>,
+    stats: NetStats,
+    /// Per-host bundle-framing meters, by host index.
+    meters: Vec<BundleMeter>,
+    /// World-level tracer (NetPacket records).
+    tracer: Tracer,
+    /// High-water mark of the queue depth.
+    depth_max: usize,
+    /// Events processed.
+    events: u64,
+}
+
+impl State {
+    /// Schedules `ev` at `at` on behalf of `entity`, under the key
+    /// `(entity << 64) | seq` (see the module docs).
+    fn push_from(&mut self, entity: u64, at: SimTime, ev: Ev) {
+        let seq = &mut self.seqs[entity as usize];
+        *seq += 1;
+        let key = (u128::from(entity) << 64) | u128::from(*seq);
+        self.queue.push_keyed(at, key, ev);
+    }
+
+    /// Records the current queue depth into the high-water mark.
+    #[inline]
+    fn note_depth(&mut self) {
+        if self.queue.len() > self.depth_max {
+            self.depth_max = self.queue.len();
+        }
+    }
+}
+
 /// The world an actor sees while handling an event.
 pub struct Ctx<'a> {
     host: HostId,
     now: SimTime,
     topo: &'a Topology,
-    shard: &'a mut Shard,
+    state: &'a mut State,
     rng: &'a mut SmallRng,
     tracer: &'a Tracer,
 }
@@ -101,8 +176,8 @@ impl Ctx<'_> {
         self.topo.base_latency(self.host, to)
     }
 
-    fn push(&mut self, at: SimTime, dst_site: SiteId, ev: Ev) {
-        self.shard.push_from(self.host.raw(), at, dst_site, ev);
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        self.state.push_from(self.host.raw(), at, ev);
     }
 
     /// Sends `packet` to a single host.
@@ -115,35 +190,35 @@ impl Ctx<'_> {
         let now = self.now;
         // Bundle accounting: model what the wire's `BundleBuilder` would
         // do with this host's outbound stream, without serializing.
-        self.shard.meters[from.raw() as usize].record(now, (0, to.raw(), 0), kind, bytes);
+        self.state.meters[from.raw() as usize].record(now, (0, to.raw(), 0), kind, bytes);
         let fs = self.topo.site_of(from);
         let mut copies = 0u32;
         if to == from {
             let d = Topology::self_delivery(now, to);
             copies = 1;
             self.emit_net(kind, false, copies);
-            self.push(d.at, fs, Ev::Packet { from, to, packet });
+            self.push(d.at, Ev::Packet { from, to, packet });
             return;
         }
         let ts = self.topo.site_of(to);
         if ts == fs {
             let delivery = {
-                let Shard { nets, stats, .. } = &mut *self.shard;
-                let net = nets[fs.raw() as usize].as_mut().expect("site net");
+                let State { nets, stats, .. } = &mut *self.state;
+                let net = &mut nets[fs.raw() as usize];
                 self.topo.lan_delivery(fs, net, now, to, kind, bytes, stats)
             };
             copies = u32::from(delivery.is_some());
             self.emit_net(kind, false, copies);
             if let Some(d) = delivery {
-                self.push(d.at, fs, Ev::Packet { from, to, packet });
+                self.push(d.at, Ev::Packet { from, to, packet });
             }
             return;
         }
         // Cross-site: source half here, destination half at ingress time
-        // on the destination site's shard.
+        // against the destination site's state.
         let ingress_at = {
-            let Shard { nets, stats, .. } = &mut *self.shard;
-            let net = nets[fs.raw() as usize].as_mut().expect("site net");
+            let State { nets, stats, .. } = &mut *self.state;
+            let net = &mut nets[fs.raw() as usize];
             match self.topo.egress(fs, net, now, kind, bytes, stats) {
                 Some(out) => {
                     let dropped = self.topo.wan_drop(net, now);
@@ -160,7 +235,6 @@ impl Ctx<'_> {
         if let Some(t_in) = ingress_at {
             self.push(
                 t_in,
-                ts,
                 Ev::Ingress {
                     from,
                     site: ts,
@@ -178,9 +252,9 @@ impl Ctx<'_> {
     /// sender site's membership. One copy crosses the sender's tail
     /// circuit and fans out into a WAN branch per in-scope remote
     /// *site*; each branch's membership is resolved when it arrives at
-    /// that site ([`Ev::Ingress`]), so group state never needs to be
-    /// replicated across shards. The traced `copies` counts surviving
-    /// local deliveries plus surviving WAN branches.
+    /// that site ([`Ev::Ingress`]), totally ordered against that site's
+    /// joins and leaves. The traced `copies` counts surviving local
+    /// deliveries plus surviving WAN branches.
     pub fn send_multicast(&mut self, scope: TtlScope, packet: Packet) {
         // One arithmetic length shared by every delivery of this packet;
         // members are iterated straight out of the group set without an
@@ -190,7 +264,7 @@ impl Ctx<'_> {
         let group = packet.group();
         let from = self.host;
         let now = self.now;
-        self.shard.meters[from.raw() as usize].record(
+        self.state.meters[from.raw() as usize].record(
             now,
             (1, u64::from(group.raw()), u64::from(scope.ttl())),
             kind,
@@ -203,13 +277,13 @@ impl Ctx<'_> {
         let mut deliveries: Vec<Delivery> = Vec::new();
         let mut branches: Vec<(SiteId, SimTime)> = Vec::new();
         {
-            let Shard {
+            let State {
                 nets,
                 stats,
                 members,
                 ..
-            } = &mut *self.shard;
-            let net = nets[fs_idx].as_mut().expect("site net");
+            } = &mut *self.state;
+            let net = &mut nets[fs_idx];
             // Same-site members: direct LAN fan-out (always in scope).
             if let Some(set) = members[fs_idx].get(&group) {
                 for &m in set {
@@ -249,7 +323,6 @@ impl Ctx<'_> {
         for d in deliveries {
             self.push(
                 d.at,
-                fs,
                 Ev::Packet {
                     from,
                     to: d.to,
@@ -260,12 +333,11 @@ impl Ctx<'_> {
         for (sid, t_in) in branches {
             self.push(
                 t_in,
-                sid,
                 Ev::Ingress {
                     from,
                     site: sid,
                     packet: packet.clone(),
-                    kind: IngressKind::Multicast { scope },
+                    kind: IngressKind::Multicast,
                 },
             );
         }
@@ -283,8 +355,7 @@ impl Ctx<'_> {
     /// Arms a timer to fire at `at` (clamped to now).
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         let host = self.host;
-        let site = self.topo.site_of(host);
-        self.push(at.max(self.now), site, Ev::Timer { host, token });
+        self.push(at.max(self.now), Ev::Timer { host, token });
     }
 
     /// Arms a timer to fire after `d`.
@@ -294,10 +365,10 @@ impl Ctx<'_> {
     }
 
     /// Joins the calling host to `group` (membership lives with the
-    /// host's site, on the host's own shard).
+    /// host's site).
     pub fn join(&mut self, group: GroupId) {
         let site = self.topo.site_of(self.host);
-        self.shard.members[site.raw() as usize]
+        self.state.members[site.raw() as usize]
             .entry(group)
             .or_default()
             .insert(self.host);
@@ -306,52 +377,52 @@ impl Ctx<'_> {
     /// Removes the calling host from `group`.
     pub fn leave(&mut self, group: GroupId) {
         let site = self.topo.site_of(self.host);
-        if let Some(m) = self.shard.members[site.raw() as usize].get_mut(&group) {
+        if let Some(m) = self.state.members[site.raw() as usize].get_mut(&group) {
             m.remove(&self.host);
         }
     }
 }
 
-/// Runs `host`'s actor with a [`Ctx`] over its shard.
+/// Runs `host`'s actor with a [`Ctx`] over the world state.
 fn dispatch(
     topo: &Topology,
-    shard: &mut Shard,
+    state: &mut State,
     at: SimTime,
     host: HostId,
     f: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>),
 ) {
     let idx = host.raw() as usize;
-    if shard.crashed[idx] {
+    if state.crashed[idx] {
         return;
     }
     // Take the actor out of its slot (a pointer move, not a hash
-    // re-insert) so it can borrow the rest of the shard mutably.
-    let Some(mut actor) = shard.actors[idx].take() else {
+    // re-insert) so it can borrow the rest of the state mutably.
+    let Some(mut actor) = state.actors[idx].take() else {
         return;
     };
-    let mut rng = shard.rngs[idx].take().expect("host rng");
-    let tracer = shard.tracer.clone();
+    let mut rng = state.rngs[idx].take().expect("host rng");
+    let tracer = state.tracer.clone();
     let mut ctx = Ctx {
         host,
         now: at,
         topo,
-        shard,
+        state,
         rng: &mut rng,
         tracer: &tracer,
     };
     f(actor.as_mut(), &mut ctx);
-    shard.actors[idx] = Some(actor);
-    shard.rngs[idx] = Some(rng);
+    state.actors[idx] = Some(actor);
+    state.rngs[idx] = Some(rng);
 }
 
 /// Destination half of a cross-site transmission: the copy crosses the
 /// site's inbound tail circuit, then fans out over the LAN to the
 /// unicast target or to the site's *current* members of the group —
-/// membership is evaluated here, on the owning shard, totally ordered
-/// against the site's joins and leaves.
+/// membership is evaluated here, totally ordered against the site's
+/// joins and leaves.
 fn ingress(
     topo: &Topology,
-    shard: &mut Shard,
+    state: &mut State,
     at: SimTime,
     from: HostId,
     site: SiteId,
@@ -363,19 +434,19 @@ fn ingress(
     let si = site.raw() as usize;
     let mut deliveries: Vec<Delivery> = Vec::new();
     {
-        let Shard {
+        let State {
             members,
             nets,
             stats,
             ..
-        } = shard;
-        let net = nets[si].as_mut().expect("site net on owning shard");
+        } = state;
+        let net = &mut nets[si];
         if let Some(t_lan) = topo.ingress_tail(site, net, at, pkind, bytes, stats) {
             match kind {
                 IngressKind::Unicast { to } => {
                     deliveries.extend(topo.lan_delivery(site, net, t_lan, to, pkind, bytes, stats));
                 }
-                IngressKind::Multicast { .. } => {
+                IngressKind::Multicast => {
                     if let Some(set) = members[si].get(&packet.group()) {
                         for &m in set {
                             if m == from {
@@ -391,13 +462,12 @@ fn ingress(
         }
     }
     // Pushes made while evaluating a site's ingress are keyed to the
-    // site's pseudo-entity: placement-invariant like everything else.
+    // site's pseudo-entity, not to whichever host sent the copy.
     let entity = (topo.host_count() + si) as u64;
     for d in deliveries {
-        shard.push_from(
+        state.push_from(
             entity,
             d.at,
-            site,
             Ev::Packet {
                 from,
                 to: d.to,
@@ -407,321 +477,188 @@ fn ingress(
     }
 }
 
-/// Processes one event on its shard. With `capture` set (worker
-/// threads), trace records emitted by the handler are collected into the
-/// shard's buffer for the coordinator's deterministic merge.
-fn process(topo: &Topology, shard: &mut Shard, at: SimTime, key: u128, ev: Ev, capture: bool) {
-    shard.events += 1;
-    shard.last_at = at;
+/// Processes one event.
+fn process(topo: &Topology, state: &mut State, at: SimTime, ev: Ev) {
+    state.events += 1;
     match ev {
         Ev::Packet { from, to, packet } => {
             // Link-level fault injection: a delivery whose endpoints sit
-            // in different partitions is dropped. The partition vector is
-            // replicated identically on every shard, so the decision is
-            // placement-invariant (see [`World::partition`]).
-            if shard.partition[from.raw() as usize] == shard.partition[to.raw() as usize] {
-                dispatch(topo, shard, at, to, |a, ctx| a.on_packet(ctx, from, packet));
+            // in different partitions is dropped (see
+            // [`World::partition`]).
+            if state.partition[from.raw() as usize] == state.partition[to.raw() as usize] {
+                dispatch(topo, state, at, to, |a, ctx| a.on_packet(ctx, from, packet));
             }
         }
         Ev::Timer { host, token } => {
-            dispatch(topo, shard, at, host, |a, ctx| a.on_timer(ctx, token));
+            dispatch(topo, state, at, host, |a, ctx| a.on_timer(ctx, token));
         }
         Ev::Ingress {
             from,
             site,
             packet,
             kind,
-        } => ingress(topo, shard, at, from, site, packet, kind),
-    }
-    if capture {
-        let recs = capture_take(at, key);
-        if !recs.is_empty() {
-            shard.trace_buf.extend(recs);
-        }
+        } => ingress(topo, state, at, from, site, packet, kind),
     }
 }
 
-/// Drains one shard's due events up to (exclusive) `end` — one epoch
-/// window. Runs on a worker thread; records its own wall-clock busy
-/// time for the stall gauge.
-fn run_window(topo: &Topology, shard: &mut Shard, end: SimTime) {
-    let t0 = std::time::Instant::now();
-    while shard.queue.next_at().is_some_and(|t| t < end) {
-        shard.note_depth();
-        let (at, key, ev) = shard.queue.pop_keyed().expect("next_at was Some");
-        process(topo, shard, at, key, ev, true);
-        shard.note_depth();
-    }
-    shard.busy_ns = t0.elapsed().as_nanos() as u64;
-}
-
-/// The simulation: topology + actors + sharded event queues.
+/// The simulation: topology + actors + one event queue.
 ///
 /// [`HostId`]s are dense indices (the topology builder hands them out
 /// sequentially), so the per-host tables — actors, RNG streams, crash
 /// flags — are plain vectors: the per-event dispatch does array indexing
-/// instead of hash lookups.
+/// instead of hash lookups. Every method that takes a host panics,
+/// naming it, if the host is not in the topology
+/// ([`is_crashed`](World::is_crashed) answers `false`).
 pub struct World {
     topo: Topology,
-    shards: Vec<Shard>,
-    shard_of_site: Arc<Vec<usize>>,
-    shard_of_host: Vec<usize>,
+    state: State,
     order: Vec<HostId>,
     now: SimTime,
     started: bool,
     seed: u64,
-    lookahead: Duration,
-    tracer: Tracer,
     gauge_registry: Option<Arc<MetricsRegistry>>,
-    epoch_stall_ns: u64,
 }
 
 impl World {
-    /// Creates a world over `topo`, fully determined by `seed`, on the
-    /// default shard count (`LBRM_SIM_SHARDS`, see
-    /// [`World::parse_shards`]; 1 when unset).
+    /// Creates a world over `topo`, fully determined by `seed`.
     pub fn new(topo: Topology, seed: u64) -> World {
-        World::with_shards(topo, seed, Self::shards_from_env())
-    }
-
-    /// Creates a world with an explicit requested shard count. The
-    /// effective count is clamped to the number of sites, and falls back
-    /// to 1 when the topology offers no positive cross-shard lookahead
-    /// (conservative synchronization would deadlock on zero-latency
-    /// links).
-    pub fn with_shards(topo: Topology, seed: u64, shards: usize) -> World {
         let sites = topo.site_count();
         let hosts = topo.host_count();
-        let mut n = shards.clamp(1, sites.max(1));
-        let assign = |n: usize| -> Vec<usize> { (0..sites).map(|s| s % n).collect() };
-        let mut map = assign(n);
-        let mut lookahead = Duration::ZERO;
-        if n > 1 {
-            match topo.lookahead(&map) {
-                Some(l) if l > Duration::ZERO => lookahead = l,
-                _ => {
-                    n = 1;
-                    map = assign(1);
-                }
-            }
-        }
-        let shard_of_site = Arc::new(map);
-        let mut shard_vec: Vec<Shard> = (0..n)
-            .map(|i| Shard::new(i, shard_of_site.clone(), hosts, sites))
+        let nets = (0..sites)
+            .map(|s| {
+                SiteNet::new(
+                    topo.site_params(SiteId(s as u32)),
+                    topo.wan_loss_model(),
+                    site_rng(seed, s as u64),
+                )
+            })
             .collect();
-        for s in 0..sites {
-            let sid = SiteId(s as u32);
-            let k = shard_of_site[s];
-            shard_vec[k].nets[s] = Some(SiteNet::new(
-                topo.site_params(sid),
-                topo.wan_loss_model(),
-                site_rng(seed, s as u64),
-            ));
-        }
-        let shard_of_host = (0..hosts)
-            .map(|h| shard_of_site[topo.site_of(HostId(h as u64)).raw() as usize])
-            .collect();
+        let state = State {
+            queue: EventQueue::new(),
+            actors: (0..hosts).map(|_| None).collect(),
+            rngs: (0..hosts).map(|_| None).collect(),
+            crashed: vec![false; hosts],
+            partition: vec![0; hosts],
+            nets,
+            members: vec![BTreeMap::new(); sites],
+            seqs: vec![0; hosts + sites],
+            stats: NetStats::default(),
+            meters: (0..hosts).map(|_| BundleMeter::default()).collect(),
+            tracer: Tracer::disabled(),
+            depth_max: 0,
+            events: 0,
+        };
         World {
             topo,
-            shards: shard_vec,
-            shard_of_site,
-            shard_of_host,
+            state,
             order: Vec::new(),
             now: SimTime::ZERO,
             started: false,
             seed,
-            lookahead,
-            tracer: Tracer::disabled(),
             gauge_registry: None,
-            epoch_stall_ns: 0,
         }
     }
 
-    /// Parses an `LBRM_SIM_SHARDS` value: a positive integer, `"sites"`
-    /// (one shard per site), or empty (= 1). `None` for anything else.
-    pub fn parse_shards(v: &str) -> Option<usize> {
-        let t = v.trim();
-        if t.is_empty() {
-            return Some(1);
-        }
-        if t.eq_ignore_ascii_case("sites") {
-            return Some(usize::MAX);
-        }
-        match t.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => None,
-        }
+    /// `host`'s index into the per-host tables; panics, naming the host,
+    /// if it is not in the topology.
+    fn slot(&self, host: HostId) -> usize {
+        let idx = host.raw() as usize;
+        assert!(
+            idx < self.topo.host_count(),
+            "host {host} is not in the topology"
+        );
+        idx
     }
 
-    /// Reads `LBRM_SIM_SHARDS`, panicking on anything
-    /// [`parse_shards`](World::parse_shards) rejects: a typo must fail
-    /// loudly, not silently run unsharded.
-    fn shards_from_env() -> usize {
-        match std::env::var("LBRM_SIM_SHARDS") {
-            Err(std::env::VarError::NotPresent) => 1,
-            Err(e) => panic!("LBRM_SIM_SHARDS is not valid unicode: {e}"),
-            Ok(v) => World::parse_shards(&v).unwrap_or_else(|| {
-                panic!(
-                    "LBRM_SIM_SHARDS must be a positive integer or \"sites\" (or unset), got {v:?}"
-                )
-            }),
-        }
-    }
-
-    /// Number of shards actually in use (after clamping and the
-    /// zero-lookahead fallback).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The conservative-synchronization window (zero when unsharded).
-    pub fn lookahead(&self) -> Duration {
-        self.lookahead
-    }
-
-    /// Total events processed so far, across all shards.
+    /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
-    }
-
-    /// Cumulative wall-clock time the epoch coordinator spent waiting on
-    /// the slowest worker (plus barrier overhead), in nanoseconds.
-    /// Always zero for unsharded runs.
-    pub fn epoch_stall_ns(&self) -> u64 {
-        self.epoch_stall_ns
+        self.state.events
     }
 
     /// Attaches a protocol-event tracer: every simulated transmission is
     /// reported as a [`ProtocolEvent::NetPacket`] (wire kind, multicast
     /// flag, copies that survived the loss model). Disabled by default.
-    /// The tracer's sink is re-wrapped via [`World::wrap_sink`] so
-    /// sharded runs keep the serial emission order.
     pub fn set_trace(&mut self, tracer: Tracer) {
-        let wrapped = match tracer.sink() {
-            Some(s) => Tracer::to(self.wrap_sink(s)),
-            None => Tracer::disabled(),
-        };
-        self.tracer = wrapped.clone();
-        for sh in &mut self.shards {
-            sh.tracer = wrapped.clone();
-        }
-    }
-
-    /// Wraps a trace sink for use by actors running inside this world.
-    ///
-    /// Sharded worlds process events on worker threads, so a sink fed
-    /// directly from actor code would observe records in worker order.
-    /// The wrapper buffers worker-side records and the epoch coordinator
-    /// forwards them in the deterministic serial order; outside worker
-    /// threads (and for single-shard worlds, where this returns the sink
-    /// unchanged) records pass straight through. Machines whose tracers
-    /// write to shared sinks must route them through here.
-    pub fn wrap_sink(&self, inner: Arc<dyn TraceSink>) -> Arc<dyn TraceSink> {
-        if self.shards.len() == 1 {
-            inner
-        } else {
-            crate::shard::MuxedSink::wrap(inner)
-        }
+        self.state.tracer = tracer;
     }
 
     /// Attaches a registry that receives simulator gauges — the
-    /// event-queue depth (current and high-water, aggregated across
-    /// shards), per-shard depths for sharded runs, epoch stall time, and
-    /// per-link tail queue backlogs — whenever a `run_*` call returns
-    /// (or [`flush_gauges`](World::flush_gauges) is called directly).
+    /// event-queue depth (current and high-water) and per-link tail
+    /// queue backlogs — whenever a `run_*` call returns (or
+    /// [`flush_gauges`](World::flush_gauges) is called directly).
     pub fn set_gauges(&mut self, registry: Arc<MetricsRegistry>) {
         self.gauge_registry = Some(registry);
     }
 
-    /// Highest event-queue depth seen on any single shard (cheap: one
-    /// compare per step keeps the hot loop registry-free). Only
-    /// comparable between runs with equal shard counts — a split queue
-    /// peaks lower than a global one.
+    /// Highest event-queue depth seen (cheap: one compare per step keeps
+    /// the hot loop registry-free).
     pub fn queue_depth_max(&self) -> usize {
-        self.shards.iter().map(|s| s.depth_max).max().unwrap_or(0)
+        self.state.depth_max
     }
 
-    /// Current event-queue depth, summed across shards.
+    /// Current event-queue depth.
     pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.state.queue.len()
     }
 
     /// Writes the simulator gauges into the attached registry (no-op
-    /// without one): `sim.queue_depth` (sum over shards),
-    /// `sim.queue_depth_max` (max over shards' high-water marks),
-    /// `sim.shard<K>.queue_depth{,_max}` and `sim.epoch_stall_ns` for
-    /// sharded runs, and `sim.link.s<N>.tail_{in,out}_backlog_max_ns`
-    /// for every site whose tail circuit ever queued.
+    /// without one): `sim.queue_depth`, `sim.queue_depth_max`, and
+    /// `sim.link.s<N>.tail_{in,out}_backlog_max_ns` for every site whose
+    /// tail circuit ever queued.
     pub fn flush_gauges(&mut self) {
         let Some(reg) = &self.gauge_registry else {
             return;
         };
         reg.set_gauge("sim.queue_depth", self.queue_depth() as u64);
         reg.set_gauge("sim.queue_depth_max", self.queue_depth_max() as u64);
-        if self.shards.len() > 1 {
-            for sh in &self.shards {
+        for (s, net) in self.state.nets.iter().enumerate() {
+            if net.tail_in_backlog_max > Duration::ZERO {
                 reg.set_gauge(
-                    &format!("sim.shard{}.queue_depth", sh.idx),
-                    sh.queue.len() as u64,
-                );
-                reg.set_gauge(
-                    &format!("sim.shard{}.queue_depth_max", sh.idx),
-                    sh.depth_max as u64,
+                    &format!("sim.link.s{s}.tail_in_backlog_max_ns"),
+                    net.tail_in_backlog_max.as_nanos() as u64,
                 );
             }
-            reg.set_gauge("sim.epoch_stall_ns", self.epoch_stall_ns);
-        }
-        for sh in &self.shards {
-            for (s, net) in sh.nets.iter().enumerate() {
-                let Some(net) = net else { continue };
-                if net.tail_in_backlog_max > Duration::ZERO {
-                    reg.set_gauge(
-                        &format!("sim.link.s{s}.tail_in_backlog_max_ns"),
-                        net.tail_in_backlog_max.as_nanos() as u64,
-                    );
-                }
-                if net.tail_out_backlog_max > Duration::ZERO {
-                    reg.set_gauge(
-                        &format!("sim.link.s{s}.tail_out_backlog_max_ns"),
-                        net.tail_out_backlog_max.as_nanos() as u64,
-                    );
-                }
+            if net.tail_out_backlog_max > Duration::ZERO {
+                reg.set_gauge(
+                    &format!("sim.link.s{s}.tail_out_backlog_max_ns"),
+                    net.tail_out_backlog_max.as_nanos() as u64,
+                );
             }
         }
+    }
+
+    /// Puts `actor` in `host`'s slot, giving the host its RNG stream the
+    /// first time it is occupied.
+    fn install(&mut self, host: HostId, actor: impl Actor) -> usize {
+        let idx = self.slot(host);
+        if self.state.actors[idx].replace(Box::new(actor)).is_none() {
+            self.order.push(host);
+        }
+        if self.state.rngs[idx].is_none() {
+            // Distinct, deterministic stream per host.
+            self.state.rngs[idx] = Some(SmallRng::seed_from_u64(
+                self.seed
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(host.raw()),
+            ));
+        }
+        idx
     }
 
     /// Installs an actor on `host`. Replaces any existing actor.
     ///
     /// # Panics
     ///
-    /// If `host` was not created by this world's topology builder (the
-    /// sharded world routes by site, so every host needs a site).
+    /// If `host` was not created by this world's topology builder.
     pub fn add_actor(&mut self, host: HostId, actor: impl Actor) {
-        let idx = host.raw() as usize;
-        assert!(
-            idx < self.topo.host_count(),
-            "host {host} is not in the topology"
-        );
-        let k = self.shard_of_host[idx];
-        let sh = &mut self.shards[k];
-        if sh.actors[idx].replace(Box::new(actor)).is_none() {
-            self.order.push(host);
-        }
-        if sh.rngs[idx].is_none() {
-            // Distinct, deterministic stream per host.
-            sh.rngs[idx] = Some(SmallRng::seed_from_u64(
-                self.seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(host.raw()),
-            ));
-        }
+        self.install(host, actor);
     }
 
     /// Joins `host` to `group` from outside the actor (setup convenience).
     pub fn join(&mut self, host: HostId, group: GroupId) {
+        self.slot(host);
         let site = self.topo.site_of(host);
-        let k = self.shard_of_site[site.raw() as usize];
-        self.shards[k].members[site.raw() as usize]
+        self.state.members[site.raw() as usize]
             .entry(group)
             .or_default()
             .insert(host);
@@ -730,10 +667,10 @@ impl World {
     /// Arms a timer for `host` from outside the actor — used by harness
     /// code that schedules application work after the world has started.
     pub fn schedule_timer(&mut self, host: HostId, at: SimTime, token: u64) {
-        let site = self.topo.site_of(host);
-        let k = self.shard_of_host[host.raw() as usize];
+        self.slot(host);
         let at = at.max(self.now);
-        self.shards[k].push_from(host.raw(), at, site, Ev::Timer { host, token });
+        self.state
+            .push_from(host.raw(), at, Ev::Timer { host, token });
     }
 
     /// Current virtual time.
@@ -741,13 +678,9 @@ impl World {
         self.now
     }
 
-    /// Network statistics so far, merged across shards.
+    /// Network statistics so far.
     pub fn stats(&self) -> NetStats {
-        let mut out = NetStats::default();
-        for sh in &self.shards {
-            out.merge(&sh.stats);
-        }
-        out
+        self.state.stats.clone()
     }
 
     /// Bundle-framing statistics so far, merged across every host's
@@ -756,10 +689,8 @@ impl World {
     /// counterfactual (`packets`/`bytes_unbundled`).
     pub fn bundle_stats(&self) -> BundleStats {
         let mut out = BundleStats::default();
-        for sh in &self.shards {
-            for m in &sh.meters {
-                out.merge(m.stats());
-            }
+        for m in &self.state.meters {
+            out.merge(m.stats());
         }
         out
     }
@@ -772,17 +703,15 @@ impl World {
     /// Marks a host as crashed: it receives no packets or timers and its
     /// pending timers are suppressed while down.
     pub fn crash(&mut self, host: HostId) {
-        let idx = host.raw() as usize;
-        let k = self.shard_of_host[idx];
-        self.shards[k].crashed[idx] = true;
+        let idx = self.slot(host);
+        self.state.crashed[idx] = true;
     }
 
     /// Revives a crashed host. Packets and timers scheduled while it was
     /// down are gone; new ones are delivered normally.
     pub fn revive(&mut self, host: HostId) {
-        let idx = host.raw() as usize;
-        let k = self.shard_of_host[idx];
-        self.shards[k].crashed[idx] = false;
+        let idx = self.slot(host);
+        self.state.crashed[idx] = false;
     }
 
     /// Splits the network: the listed hosts move into a fresh partition.
@@ -792,27 +721,14 @@ impl World {
     /// groups. Packets already in flight across the cut when the call is
     /// made are dropped on arrival.
     ///
-    /// Deterministic under sharding: the partition ids are replicated
-    /// identically on every shard and the drop test is a pure function
-    /// of them, so the verdict does not depend on which shard processes
-    /// the delivery. Call only between `run_*` calls (the sharded engine
-    /// mutates shard state on worker threads mid-run).
-    ///
     /// # Panics
     ///
     /// If any host is not in the topology.
     pub fn partition(&mut self, hosts: &[HostId]) {
+        let part = self.state.partition.iter().copied().max().unwrap_or(0) + 1;
         for &h in hosts {
-            assert!(
-                (h.raw() as usize) < self.topo.host_count(),
-                "host {h} is not in the topology"
-            );
-        }
-        let part = self.shards[0].partition.iter().copied().max().unwrap_or(0) + 1;
-        for sh in &mut self.shards {
-            for &h in hosts {
-                sh.partition[h.raw() as usize] = part;
-            }
+            let idx = self.slot(h);
+            self.state.partition[idx] = part;
         }
     }
 
@@ -820,9 +736,7 @@ impl World {
     /// Packets sent after the heal flow normally; packets dropped while
     /// the cut was up stay lost.
     pub fn heal(&mut self) {
-        for sh in &mut self.shards {
-            sh.partition.iter_mut().for_each(|p| *p = 0);
-        }
+        self.state.partition.iter_mut().for_each(|p| *p = 0);
     }
 
     /// Restarts `host` with a *fresh* actor (process restart semantics):
@@ -840,50 +754,30 @@ impl World {
     ///
     /// If `host` is not in the topology.
     pub fn restart(&mut self, host: HostId, actor: impl Actor) {
-        let idx = host.raw() as usize;
-        assert!(
-            idx < self.topo.host_count(),
-            "host {host} is not in the topology"
-        );
-        let k = self.shard_of_host[idx];
-        let sh = &mut self.shards[k];
-        sh.crashed[idx] = false;
-        if sh.actors[idx].replace(Box::new(actor)).is_none() {
-            self.order.push(host);
-        }
-        if sh.rngs[idx].is_none() {
-            sh.rngs[idx] = Some(SmallRng::seed_from_u64(
-                self.seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(host.raw()),
-            ));
-        }
+        let idx = self.install(host, actor);
+        self.state.crashed[idx] = false;
         if self.started {
-            let topo = &self.topo;
-            dispatch(topo, &mut self.shards[k], self.now, host, |a, ctx| {
+            dispatch(&self.topo, &mut self.state, self.now, host, |a, ctx| {
                 a.on_start(ctx)
             });
-            self.drain_outboxes();
         }
     }
 
     /// `true` if the host is currently crashed.
     pub fn is_crashed(&self, host: HostId) -> bool {
-        let idx = host.raw() as usize;
-        self.shard_of_host
-            .get(idx)
-            .is_some_and(|&k| self.shards[k].crashed[idx])
+        self.state
+            .crashed
+            .get(host.raw() as usize)
+            .is_some_and(|&c| c)
     }
 
     /// Downcasts the actor on `host`.
     ///
     /// # Panics
     ///
-    /// If the host has no actor of type `T`.
+    /// If the host is not in the topology or has no actor of type `T`.
     pub fn actor<T: Actor>(&self, host: HostId) -> &T {
-        let idx = host.raw() as usize;
-        let k = *self.shard_of_host.get(idx).expect("no actor on host");
-        let a: &dyn Any = self.shards[k].actors[idx]
+        let a: &dyn Any = self.state.actors[self.slot(host)]
             .as_ref()
             .expect("no actor on host")
             .as_ref();
@@ -894,11 +788,10 @@ impl World {
     ///
     /// # Panics
     ///
-    /// If the host has no actor of type `T`.
+    /// If the host is not in the topology or has no actor of type `T`.
     pub fn actor_mut<T: Actor>(&mut self, host: HostId) -> &mut T {
-        let idx = host.raw() as usize;
-        let k = *self.shard_of_host.get(idx).expect("no actor on host");
-        let a: &mut dyn Any = self.shards[k].actors[idx]
+        let idx = self.slot(host);
+        let a: &mut dyn Any = self.state.actors[idx]
             .as_mut()
             .expect("no actor on host")
             .as_mut();
@@ -910,171 +803,36 @@ impl World {
             return;
         }
         self.started = true;
-        let hosts = self.order.clone();
-        for host in hosts {
-            let k = self.shard_of_host[host.raw() as usize];
-            let topo = &self.topo;
-            dispatch(topo, &mut self.shards[k], self.now, host, |a, ctx| {
+        for i in 0..self.order.len() {
+            let host = self.order[i];
+            dispatch(&self.topo, &mut self.state, self.now, host, |a, ctx| {
                 a.on_start(ctx)
             });
-            self.drain_outboxes();
         }
     }
 
-    /// Routes every shard's pending cross-shard mail into the
-    /// destination queues. Cheap when nothing is pending.
-    fn drain_outboxes(&mut self) {
-        let mut mails = Vec::new();
-        for sh in &mut self.shards {
-            if !sh.outbox.is_empty() {
-                mails.append(&mut sh.outbox);
-            }
-        }
-        for m in mails {
-            self.shards[m.shard].queue.push_keyed(m.at, m.key, m.ev);
-        }
-    }
-
-    /// Runs one event; returns `false` when every queue is empty.
-    ///
-    /// Sharded worlds step serially here — the globally least `(at,
-    /// key)` event is popped wherever it lives — so step-driven loops
-    /// observe the exact single-shard order; `run_until` is where the
-    /// epoch parallelism happens.
+    /// Runs one event; returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        if self.shards.len() == 1 {
-            let topo = &self.topo;
-            let shard = &mut self.shards[0];
-            shard.note_depth();
-            let Some((at, key, ev)) = shard.queue.pop_keyed() else {
-                return false;
-            };
-            debug_assert!(at >= self.now, "time must be monotonic");
-            self.now = at.max(self.now);
-            process(topo, shard, at, key, ev, false);
-            // Sample again after the handler ran: a fan-out (multicast
-            // burst, retransmission storm) peaks *between* pops.
-            shard.note_depth();
-            return true;
-        }
-        // Global-min pop: take the tied-for-earliest head from each
-        // shard, keep the least key, put the rest back.
-        let min_at = self
-            .shards
-            .iter_mut()
-            .filter_map(|s| s.queue.next_at())
-            .min();
-        let Some(min_at) = min_at else {
+        let state = &mut self.state;
+        state.note_depth();
+        let Some((at, ev)) = state.queue.pop() else {
             return false;
         };
-        let mut popped = Vec::new();
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            if sh.queue.next_at() == Some(min_at) {
-                let (at, key, ev) = sh.queue.pop_keyed().expect("head was due");
-                popped.push((i, at, key, ev));
-            }
-        }
-        popped.sort_by_key(|p| p.2);
-        let mut it = popped.into_iter();
-        let (wi, at, key, ev) = it.next().expect("at least one shard was due");
-        for (i, at2, key2, ev2) in it {
-            self.shards[i].queue.push_keyed(at2, key2, ev2);
-        }
         debug_assert!(at >= self.now, "time must be monotonic");
         self.now = at.max(self.now);
-        let topo = &self.topo;
-        let shard = &mut self.shards[wi];
-        shard.note_depth();
-        process(topo, shard, at, key, ev, false);
-        shard.note_depth();
-        self.drain_outboxes();
+        process(&self.topo, state, at, ev);
+        // Sample again after the handler ran: a fan-out (multicast
+        // burst, retransmission storm) peaks *between* pops.
+        state.note_depth();
         true
     }
 
-    /// Conservative-window engine for sharded worlds: per epoch, find
-    /// the earliest pending event `t_min`, open the window
-    /// `[t_min, min(t_min + lookahead, until + 1ns))`, let every shard
-    /// drain its due events on worker threads, then exchange cross-shard
-    /// mail and forward buffered trace records in the deterministic
-    /// merge order.
-    fn run_epochs(&mut self, until: SimTime) {
-        let la_nanos = self.lookahead.as_nanos() as u64;
-        debug_assert!(la_nanos > 0, "sharded world requires positive lookahead");
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.shards.len());
-        let chunk = self.shards.len().div_ceil(workers);
-        loop {
-            let t_min = self
-                .shards
-                .iter_mut()
-                .filter_map(|s| s.queue.next_at())
-                .min();
-            let Some(t_min) = t_min else { break };
-            if t_min > until {
-                break;
-            }
-            let end = SimTime::from_nanos(
-                t_min
-                    .nanos()
-                    .saturating_add(la_nanos)
-                    .min(until.nanos().saturating_add(1)),
-            );
-            let wall = std::time::Instant::now();
-            let topo = &self.topo;
-            let shards = &mut self.shards;
-            std::thread::scope(|scope| {
-                for sh_chunk in shards.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        capture_activate();
-                        for sh in sh_chunk {
-                            run_window(topo, sh, end);
-                        }
-                    });
-                }
-            });
-            let busy_max = self
-                .shards
-                .chunks(chunk)
-                .map(|c| c.iter().map(|s| s.busy_ns).sum::<u64>())
-                .max()
-                .unwrap_or(0);
-            self.epoch_stall_ns += (wall.elapsed().as_nanos() as u64).saturating_sub(busy_max);
-            if let Some(last) = self.shards.iter().map(|s| s.last_at).max() {
-                self.now = self.now.max(last);
-            }
-            self.drain_outboxes();
-            if self.shards.iter().any(|sh| !sh.trace_buf.is_empty()) {
-                let streams = self
-                    .shards
-                    .iter_mut()
-                    .map(|sh| std::mem::take(&mut sh.trace_buf))
-                    .collect();
-                forward_merged(streams);
-            }
-        }
-    }
-
-    /// Runs until virtual time reaches `until` or the queues drain.
+    /// Runs until virtual time reaches `until` or the queue drains.
     /// Events at exactly `until` are processed.
     pub fn run_until(&mut self, until: SimTime) {
-        self.start_if_needed();
-        if self.shards.len() == 1 {
-            loop {
-                match self.shards[0].queue.next_at() {
-                    Some(at) if at <= until => {
-                        self.step();
-                    }
-                    _ => break,
-                }
-            }
-        } else {
-            self.run_epochs(until);
-        }
+        self.run_until_idle(until);
         self.now = self.now.max(until);
-        self.flush_gauges();
     }
 
     /// Runs for `d` of virtual time.
@@ -1083,20 +841,12 @@ impl World {
         self.run_until(until);
     }
 
-    /// Runs until the event queues are empty or `limit` is hit (the
-    /// clock is left at the last processed event, not advanced to
-    /// `limit`).
+    /// Runs until the event queue is empty or `limit` is hit (the clock
+    /// is left at the last processed event, not advanced to `limit`).
     pub fn run_until_idle(&mut self, limit: SimTime) {
         self.start_if_needed();
-        if self.shards.len() == 1 {
-            while let Some(at) = self.shards[0].queue.next_at() {
-                if at > limit {
-                    break;
-                }
-                self.step();
-            }
-        } else {
-            self.run_epochs(limit);
+        while self.state.queue.next_at().is_some_and(|at| at <= limit) {
+            self.step();
         }
         self.flush_gauges();
     }
@@ -1119,8 +869,7 @@ impl World {
 }
 
 /// Per-site RNG stream, a pure function of `(seed, site)` — the draws a
-/// site's traffic makes are independent of every other site's and of
-/// the site→shard assignment.
+/// site's traffic makes are independent of every other site's.
 fn site_rng(seed: u64, site: u64) -> SmallRng {
     let mut z =
         (seed ^ 0x7369_7465_6e65_7473).wrapping_add(site.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -1296,12 +1045,12 @@ mod tests {
         assert!(w.actor::<Sink>(far).got.is_empty());
     }
 
-    /// Partition decisions are placement-invariant: a mid-run cut and
-    /// heal replays identically for any shard count.
+    /// A mid-run cut and heal on a lossy, jittery 4-site topology
+    /// replays identically.
     #[test]
-    fn partition_replays_identically_across_shards() {
+    fn partition_replays_identically() {
         use crate::loss::LossModel;
-        let run = |shards: usize| {
+        let run = || {
             let mut b = TopologyBuilder::new();
             let s0 = b.site(SiteParams::default());
             let s1 = b.site(SiteParams {
@@ -1314,7 +1063,7 @@ mod tests {
             b.wan_loss(LossModel::rate(0.05));
             let tx = b.host(s0);
             let rxs: Vec<HostId> = [s0, s1, s2, s3].iter().map(|&s| b.host(s)).collect();
-            let mut w = World::with_shards(b.build(), 777, shards);
+            let mut w = World::new(b.build(), 777);
             w.add_actor(tx, Beacon { sent: 0 });
             for &rx in &rxs {
                 w.add_actor(rx, Sink::default());
@@ -1330,10 +1079,7 @@ mod tests {
                 .collect();
             (got, w.stats(), w.events_processed())
         };
-        let base = run(1);
-        for shards in [2usize, 4] {
-            assert_eq!(base, run(shards), "x{shards}");
-        }
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -1381,11 +1127,11 @@ mod tests {
     }
 
     /// A seeded lossy run replays identically — depth high-water mark
-    /// included — and deliveries and stats hold for any shard count.
+    /// included.
     #[test]
     fn seeded_lossy_run_replays_identically() {
         use crate::loss::LossModel;
-        let run = |shards: usize| {
+        let run = || {
             let mut b = TopologyBuilder::new();
             let s0 = b.site(SiteParams::default());
             let s1 = b.site(SiteParams {
@@ -1394,7 +1140,7 @@ mod tests {
             });
             let tx = b.host(s0);
             let rx = b.host(s1);
-            let mut w = World::with_shards(b.build(), 1234, shards);
+            let mut w = World::new(b.build(), 1234);
             w.add_actor(tx, Beacon { sent: 0 });
             w.add_actor(rx, Sink::default());
             w.run_until(SimTime::from_secs(10));
@@ -1404,23 +1150,16 @@ mod tests {
                 w.queue_depth_max(),
             )
         };
-        let base = run(1);
-        assert_eq!(base, run(1));
-        for shards in [2usize, 4] {
-            let (got, stats, _) = run(shards);
-            assert_eq!((&base.0, &base.1), (&got, &stats), "x{shards}");
-        }
+        assert_eq!(run(), run());
     }
 
-    /// The tentpole guarantee: a fixed seed produces identical
-    /// deliveries, stats, and event counts for *any* shard count — here
-    /// on a lossy, jittery 4-site topology
-    /// exercising cross-shard multicast, unicast-free fan-out, and
-    /// membership churn through the Ingress path.
+    /// A fixed seed replays identical deliveries, stats, and event
+    /// counts on a lossy, jittery 4-site topology exercising cross-site
+    /// multicast fan-out and membership lookup through the Ingress path.
     #[test]
-    fn shard_counts_replay_identically() {
+    fn four_site_lossy_run_replays_identically() {
         use crate::loss::LossModel;
-        let run = |shards: usize| {
+        let run = || {
             let mut b = TopologyBuilder::new();
             let s0 = b.site(SiteParams::default());
             let s1 = b.site(SiteParams {
@@ -1436,8 +1175,7 @@ mod tests {
             b.wan_loss(LossModel::rate(0.05));
             let tx = b.host(s0);
             let rxs: Vec<HostId> = [s0, s1, s1, s2, s3].iter().map(|&s| b.host(s)).collect();
-            let mut w = World::with_shards(b.build(), 4242, shards);
-            assert_eq!(w.shards(), shards.min(4));
+            let mut w = World::new(b.build(), 4242);
             w.add_actor(tx, Beacon { sent: 0 });
             for &rx in &rxs {
                 w.add_actor(rx, Sink::default());
@@ -1449,91 +1187,92 @@ mod tests {
                 .collect();
             (got, w.stats(), w.events_processed())
         };
-        let base = run(1);
-        for shards in [2usize, 4] {
-            assert_eq!(base, run(shards), "x{shards}");
-        }
+        assert_eq!(run(), run());
     }
 
-    /// Satellite: gauges must aggregate across shards — depth as the sum
-    /// of per-shard queue lengths, high-water as the max of per-shard
-    /// maxima — with per-shard gauges and the stall clock alongside.
+    /// The registry carries the queue depth (current and high-water) as
+    /// the world reports them, and a tail backlog gauge for exactly the
+    /// sites whose tail circuit queued.
     #[test]
-    fn gauges_aggregate_across_shards() {
+    fn gauges_report_queue_depth_and_backlog() {
         let mut b = TopologyBuilder::new();
-        let sites: Vec<SiteId> = (0..4).map(|_| b.site(SiteParams::default())).collect();
-        let tx = b.host(sites[0]);
-        let rxs: Vec<HostId> = sites[1..].iter().map(|&s| b.host(s)).collect();
-        let mut w = World::with_shards(b.build(), 7, 2);
-        assert_eq!(w.shards(), 2);
+        let slow = b.site(SiteParams {
+            tail_bandwidth_bps: Some(8_000),
+            ..SiteParams::default()
+        });
+        let sites: Vec<SiteId> = (0..3).map(|_| b.site(SiteParams::default())).collect();
+        let tx = b.host(slow);
+        let rxs: Vec<HostId> = sites.iter().map(|&s| b.host(s)).collect();
+        let mut w = World::new(b.build(), 7);
         let reg = Arc::new(MetricsRegistry::default());
         w.set_gauges(reg.clone());
         w.add_actor(tx, Beacon { sent: 0 });
         for &rx in &rxs {
             w.add_actor(rx, Sink::default());
         }
-        // Stop mid-run so queues still hold future events (the next
+        // Stop mid-run so the queue still holds future events (the next
         // beacon timer at least).
         w.run_until(SimTime::from_millis(1500));
         let depth = reg.gauge("sim.queue_depth");
         assert!(depth > 0, "pending events expected mid-run");
         assert_eq!(depth, w.queue_depth() as u64);
-        assert_eq!(
-            depth,
-            reg.gauge("sim.shard0.queue_depth") + reg.gauge("sim.shard1.queue_depth"),
-            "sum over shards"
-        );
         let max = reg.gauge("sim.queue_depth_max");
+        assert!(max >= depth);
         assert_eq!(max, w.queue_depth_max() as u64);
-        assert_eq!(
-            max,
-            reg.gauge("sim.shard0.queue_depth_max")
-                .max(reg.gauge("sim.shard1.queue_depth_max")),
-            "max of per-shard maxima"
-        );
+        let gauges = reg.gauges();
+        assert!(gauges["sim.link.s0.tail_out_backlog_max_ns"] > 0);
         assert!(
-            reg.gauges().contains_key("sim.epoch_stall_ns"),
-            "stall gauge published for sharded runs"
+            !gauges.contains_key("sim.link.s1.tail_out_backlog_max_ns")
+                && !gauges.contains_key("sim.link.s1.tail_in_backlog_max_ns"),
+            "unconstrained tails never queue"
         );
     }
 
-    #[test]
-    fn shards_env_forms_parse_strictly() {
-        assert_eq!(World::parse_shards(""), Some(1));
-        assert_eq!(World::parse_shards("1"), Some(1));
-        assert_eq!(World::parse_shards(" 8 "), Some(8));
-        assert_eq!(World::parse_shards("sites"), Some(usize::MAX));
-        assert_eq!(World::parse_shards("SITES"), Some(usize::MAX));
-        assert_eq!(World::parse_shards("0"), None);
-        assert_eq!(World::parse_shards("-2"), None);
-        assert_eq!(World::parse_shards("many"), None);
+    fn stray() -> (World, HostId) {
+        let (w, _, _) = build();
+        (w, HostId(99))
     }
 
     #[test]
-    fn shard_count_clamps_and_falls_back() {
-        // More shards than sites clamps to the site count.
-        let mut b = TopologyBuilder::new();
-        let s0 = b.site(SiteParams::default());
-        let s1 = b.site(SiteParams::default());
-        let _ = (b.host(s0), b.host(s1));
-        let w = World::with_shards(b.build(), 1, 64);
-        assert_eq!(w.shards(), 2);
-        assert!(w.lookahead() > Duration::ZERO);
+    #[should_panic(expected = "host h99 is not in the topology")]
+    fn crash_names_unknown_host() {
+        let (mut w, h) = stray();
+        w.crash(h);
+    }
 
-        // A zero-latency topology offers no lookahead: forced serial.
-        let mut b = TopologyBuilder::new();
-        let z = SiteParams {
-            lan_delay: Duration::ZERO,
-            tail_delay: Duration::ZERO,
-            wan_delay: Duration::ZERO,
-            ..SiteParams::default()
-        };
-        let s0 = b.site(z.clone());
-        let s1 = b.site(z);
-        let _ = (b.host(s0), b.host(s1));
-        let w = World::with_shards(b.build(), 1, 2);
-        assert_eq!(w.shards(), 1);
-        assert_eq!(w.lookahead(), Duration::ZERO);
+    #[test]
+    #[should_panic(expected = "host h99 is not in the topology")]
+    fn revive_names_unknown_host() {
+        let (mut w, h) = stray();
+        w.revive(h);
+    }
+
+    #[test]
+    #[should_panic(expected = "host h99 is not in the topology")]
+    fn join_names_unknown_host() {
+        let (mut w, h) = stray();
+        w.join(h, GROUP);
+    }
+
+    #[test]
+    #[should_panic(expected = "host h99 is not in the topology")]
+    fn schedule_timer_names_unknown_host() {
+        let (mut w, h) = stray();
+        w.schedule_timer(h, SimTime::from_secs(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "host h99 is not in the topology")]
+    fn actor_names_unknown_host() {
+        let (w, h) = stray();
+        w.actor::<Sink>(h);
+    }
+
+    #[test]
+    #[should_panic(expected = "host h99 is not in the topology")]
+    fn actor_mut_names_unknown_host() {
+        let (mut w, h) = stray();
+        w.actor_mut::<Sink>(h);
     }
 
     #[test]

@@ -240,12 +240,28 @@ impl StreamingHistogram {
 ///
 /// Share one registry across the machines whose events should aggregate
 /// together (e.g. all receivers of a scenario).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<&'static str, u64>>,
     gauges: Mutex<BTreeMap<String, u64>>,
-    recovery_latency: Mutex<Histogram>,
-    t_wait: Mutex<Histogram>,
+    recovery_latency: Mutex<StreamingHistogram>,
+    t_wait: Mutex<StreamingHistogram>,
+}
+
+/// Raw samples a registry histogram retains: sim runs record far fewer
+/// and stay exact; a live endpoint's registry must not grow with uptime.
+const REGISTRY_RESERVOIR: usize = 65_536;
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        let hist = || Mutex::new(StreamingHistogram::new(REGISTRY_RESERVOIR));
+        MetricsRegistry {
+            counters: Mutex::default(),
+            gauges: Mutex::default(),
+            recovery_latency: hist(),
+            t_wait: hist(),
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -363,6 +379,26 @@ mod tests {
         let table = reg.render();
         assert!(table.contains("recovered"));
         assert!(table.contains("recovery_latency"));
+    }
+
+    /// Exact below the reservoir; bounded, with exact count/max, above.
+    #[test]
+    fn registry_histograms_are_exact_then_bounded() {
+        let (reg, mut exact) = (MetricsRegistry::default(), Histogram::default());
+        let total = REGISTRY_RESERVOIR + 1_000;
+        for n in 0..total as u64 {
+            if n == 1_000 {
+                let below_cap = reg.recovery_latency();
+                assert_eq!(below_cap.samples(), exact.snapshot().samples());
+            }
+            let (seq, latency_nanos) = (Seq(0), n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40);
+            exact.record(latency_nanos);
+            let ev = ProtocolEvent::Recovered { seq, latency_nanos };
+            reg.record(n, lbrm_wire::HostId(1), &ev);
+        }
+        let h = reg.recovery_latency();
+        assert!(h.is_sampled() && h.max() == exact.snapshot().max());
+        assert_eq!((h.samples().len(), h.count()), (REGISTRY_RESERVOIR, total));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use lbrm_sim::world::{Actor, Ctx};
 use lbrm_wire::{GroupId, HostId, Packet};
 
 /// A scheduled application call against the wrapped machine. `Send`
-/// because the sharded simulator may run the actor on a worker thread.
+/// because [`Actor`] is: a built world stays movable to a worker thread.
 type AppCall<M> = Box<dyn FnMut(&mut M, Time, &mut Actions) + Send>;
 
 /// Converts simulator time to protocol time (both are nanoseconds from

@@ -76,10 +76,6 @@ pub struct DisScenarioConfig {
     pub retention: Retention,
     /// World seed.
     pub seed: u64,
-    /// Simulator shard count: `None` picks the default (1, overridable
-    /// via `LBRM_SIM_SHARDS`); `Some` pins one — results are
-    /// byte-identical either way, only wall-clock changes.
-    pub shards: Option<usize>,
 }
 
 impl Default for DisScenarioConfig {
@@ -103,7 +99,6 @@ impl Default for DisScenarioConfig {
             wan_loss: LossModel::None,
             retention: Retention::All,
             seed: 1995,
-            shards: None,
         }
     }
 }
@@ -204,10 +199,7 @@ impl DisScenario {
             site_hosts.push((sec, rxs));
         }
         b.wan_loss(config.wan_loss.clone());
-        let mut world = match config.shards {
-            Some(n) => World::with_shards(b.build(), config.seed, n),
-            None => World::new(b.build(), config.seed),
-        };
+        let mut world = World::new(b.build(), config.seed);
         // One metrics registry per protocol role, plus one for the
         // network itself.
         let sender_metrics = Arc::new(MetricsRegistry::default());
@@ -218,14 +210,10 @@ impl DisScenario {
         world.set_trace(Tracer::to(tap(net_metrics.clone())));
         world.set_gauges(net_metrics.clone());
 
-        // Machine tracers write to shared sinks from whichever worker
-        // thread runs their shard; route them through the world's trace
-        // multiplexer so the observed record order stays serial.
-        // (`set_trace` above wraps its own sink internally.)
-        let sender_sink = world.wrap_sink(tap(sender_metrics.clone()));
-        let primary_sink = world.wrap_sink(tap(primary_metrics.clone()));
-        let secondary_sink = world.wrap_sink(tap(secondary_metrics.clone()));
-        let receiver_sink = world.wrap_sink(tap(receiver_metrics.clone()));
+        let sender_sink = tap(sender_metrics.clone());
+        let primary_sink = tap(primary_metrics.clone());
+        let secondary_sink = tap(secondary_metrics.clone());
+        let receiver_sink = tap(receiver_metrics.clone());
 
         // Primary logger (+ replicas).
         let mut primary_cfg = LoggerConfig::primary(Self::GROUP, Self::SOURCE, primary, src_host);

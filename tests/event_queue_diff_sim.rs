@@ -1,12 +1,15 @@
-//! Shard-count differential: the sharded parallel world must replay the
-//! serial one *byte for byte*. Seeded lossy scenarios are executed under
-//! every `{1, 2, 8 shards}` leg; everything observable — wire-level
-//! `NetStats`, per-receiver delivery transcripts, the serialized JSONL
-//! trace stream, and metrics registries — must be identical across all
-//! legs. This is what lets `LBRM_SIM_SHARDS` be a pure wall-clock knob:
-//! it may not change a single byte of any result. (The event queue's own
-//! pop order is held to a binary-heap oracle in `lbrm_sim::queue`'s unit
-//! tests; the test names below predate that move.)
+//! Replay goldens: seeded lossy scenarios must replay themselves *byte
+//! for byte* — wire-level `NetStats`, per-receiver delivery transcripts,
+//! the serialized JSONL trace stream, and metrics registries — and must
+//! replay the bytes recorded before the simulator lost its sharded
+//! engine ([`Golden`]). The goldens are what hold the event order in
+//! place: the `(entity << 64) | seq` key, the per-site pseudo-entities,
+//! the `Ingress` split and the per-host / per-site RNG streams. Moving
+//! any of them moves these constants and every EXPERIMENTS.md figure.
+//! (The test names predate that change, when the same runs were compared
+//! across shard counts and, before that, queue backends; the event
+//! queue's own pop order is held to a binary-heap oracle in
+//! `lbrm_sim::queue`'s unit tests.)
 
 use std::sync::Arc;
 
@@ -26,22 +29,24 @@ struct RunFingerprint {
     deliveries: Vec<(u64, Vec<u32>)>,
     completeness: f64,
     counters: Vec<std::collections::BTreeMap<&'static str, u64>>,
+    events: u64,
 }
 
-fn fingerprint(
-    config: DisScenarioConfig,
-    shards: usize,
-    horizon: SimTime,
-    sends: u64,
-) -> RunFingerprint {
+/// `(trace_jsonl.len(), fnv1a64(trace_jsonl), events_processed,
+/// completeness)` of one run, recorded at the parent commit (`ba932da`,
+/// `shards: Some(1)`).
+type Golden = (usize, u64, u64, f64);
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn fingerprint(config: DisScenarioConfig, horizon: SimTime, sends: u64) -> RunFingerprint {
     let collector = Arc::new(CollectorSink::default());
-    let mut sc = DisScenario::build_with_sink(
-        DisScenarioConfig {
-            shards: Some(shards),
-            ..config
-        },
-        Some(collector.clone() as Arc<dyn TraceSink>),
-    );
+    let mut sc =
+        DisScenario::build_with_sink(config, Some(collector.clone() as Arc<dyn TraceSink>));
     for i in 0..sends {
         sc.send_at(SimTime::from_millis(1_000 + 400 * i), format!("update-{i}"));
     }
@@ -73,6 +78,7 @@ fn fingerprint(
             sc.receiver_metrics.counters(),
             sc.net_metrics.counters(),
         ],
+        events: sc.world.events_processed(),
     }
 }
 
@@ -91,26 +97,36 @@ fn assert_equal(a: &RunFingerprint, b: &RunFingerprint, label: &str) {
         a.counters, b.counters,
         "{label}: metrics registries must match"
     );
+    assert_eq!(a.events, b.events, "{label}: events processed");
 }
 
-/// Runs `config` under `{1, 2, 8}` shards and asserts every leg is
-/// byte-identical to the serial run.
-fn assert_shard_invariant(config: DisScenarioConfig, label: &str) {
-    let horizon = SimTime::from_secs(60);
-    let base = fingerprint(config.clone(), 1, horizon, SENDS);
-    assert!(
-        !base.trace_jsonl.is_empty(),
-        "{label}: differential must compare real traffic"
+/// Runs `config` twice: the runs must be byte-identical to each other
+/// and match `golden`.
+fn assert_replays(
+    config: DisScenarioConfig,
+    horizon: SimTime,
+    sends: u64,
+    golden: Golden,
+    label: &str,
+) {
+    let a = fingerprint(config.clone(), horizon, sends);
+    let b = fingerprint(config, horizon, sends);
+    assert_equal(&a, &b, label);
+    assert_eq!(
+        (
+            a.trace_jsonl.len(),
+            fnv1a64(a.trace_jsonl.as_bytes()),
+            a.events,
+            a.completeness
+        ),
+        golden,
+        "{label}: run no longer replays the recorded parent bytes"
     );
-    for shards in [2usize, 8] {
-        let leg = fingerprint(config.clone(), shards, horizon, SENDS);
-        assert_equal(&base, &leg, &format!("{label} [x{shards}]"));
-    }
 }
 
 #[test]
 fn dis_scenario_is_backend_and_shard_invariant() {
-    assert_shard_invariant(
+    assert_replays(
         DisScenarioConfig {
             sites: 6,
             receivers_per_site: 4,
@@ -122,6 +138,9 @@ fn dis_scenario_is_backend_and_shard_invariant() {
             seed: 4242,
             ..DisScenarioConfig::default()
         },
+        SimTime::from_secs(60),
+        SENDS,
+        (54_564, 2_471_499_048_209_479_326, 2_944, 1.0),
         "DIS",
     );
 }
@@ -131,7 +150,7 @@ fn lossy_wan_is_backend_and_shard_invariant() {
     // Backbone loss on top of tail loss: recovery traffic cascades
     // through secondaries and the primary, exercising timer re-arms,
     // retransmission fan-out, and deep queue churn.
-    assert_shard_invariant(
+    assert_replays(
         DisScenarioConfig {
             sites: 8,
             receivers_per_site: 5,
@@ -144,31 +163,31 @@ fn lossy_wan_is_backend_and_shard_invariant() {
             seed: 90210,
             ..DisScenarioConfig::default()
         },
+        SimTime::from_secs(60),
+        SENDS,
+        (123_209, 2_644_673_453_611_792_823, 4_730, 1.0),
         "lossy WAN",
     );
 }
 
-/// A short-horizon slice of the committed 1000-site × 30-receiver
-/// benchmark workload: the determinism guarantee must hold at the scale
-/// the bench actually runs, not just on toy topologies.
+/// A short-horizon slice of the 1000-site × 30-receiver scale point:
+/// replay must hold at scale, not just on toy topologies.
 #[test]
 fn dis_1000x30_short_horizon_is_shard_invariant() {
-    let config = DisScenarioConfig {
-        sites: 1_000,
-        receivers_per_site: 30,
-        site_params: SiteParams {
-            tail_in_loss: LossModel::rate(0.05),
-            ..SiteParams::distant()
+    assert_replays(
+        DisScenarioConfig {
+            sites: 1_000,
+            receivers_per_site: 30,
+            site_params: SiteParams {
+                tail_in_loss: LossModel::rate(0.05),
+                ..SiteParams::distant()
+            },
+            seed: 1995,
+            ..DisScenarioConfig::default()
         },
-        seed: 1995,
-        ..DisScenarioConfig::default()
-    };
-    let horizon = SimTime::from_millis(1_600);
-    let sends = 2;
-    let base = fingerprint(config.clone(), 1, horizon, sends);
-    assert!(!base.trace_jsonl.is_empty());
-    for shards in [2usize, 8] {
-        let leg = fingerprint(config.clone(), shards, horizon, sends);
-        assert_equal(&base, &leg, &format!("1000x30 [x{shards}]"));
-    }
+        SimTime::from_millis(1_600),
+        2,
+        (2_955_796, 513_199_853_524_048_367, 125_646, 0.952),
+        "1000x30",
+    );
 }
