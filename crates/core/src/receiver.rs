@@ -231,15 +231,6 @@ impl Receiver {
         self.pending.len()
     }
 
-    /// Replaces the recovery target list (e.g. after discovery found a
-    /// closer logger).
-    pub fn set_recovery_targets(&mut self, targets: Vec<HostId>) {
-        self.config.recovery_targets = targets;
-        for r in self.pending.values_mut() {
-            r.target_idx = 0;
-        }
-    }
-
     fn touch_source(&mut self, now: Time, out: &mut Actions) {
         if self.last_source_packet_at.is_some() && !self.fresh {
             out.push(Action::Notice(Notice::FreshnessRestored));

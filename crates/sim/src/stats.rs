@@ -108,34 +108,6 @@ impl NetStats {
             .map(|(_, v)| *v)
             .fold(Counter::default(), add)
     }
-
-    /// Folds another accounting into this one (counter-wise sums over
-    /// the key union). Merging is commutative and associative, so
-    /// independent worlds' accountings combine in any order with one
-    /// deterministic result.
-    pub fn merge(&mut self, other: &NetStats) {
-        for (k, v) in &other.by_class {
-            let c = self.by_class.entry(*k).or_default();
-            *c = add(*c, *v);
-        }
-        for (k, v) in &other.by_site_tail {
-            let c = self.by_site_tail.entry(*k).or_default();
-            *c = add(*c, *v);
-        }
-    }
-
-    /// All packet kinds seen on a class, with counters (sorted by kind for
-    /// deterministic reporting).
-    pub fn kinds_on(&self, class: SegmentClass) -> Vec<(&'static str, Counter)> {
-        let mut v: Vec<_> = self
-            .by_class
-            .iter()
-            .filter(|((c, _), _)| *c == class)
-            .map(|((_, k), ctr)| (*k, *ctr))
-            .collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
-    }
 }
 
 fn add(a: Counter, b: Counter) -> Counter {
@@ -185,9 +157,9 @@ impl BundleStats {
         self.per_kind.get(kind).copied().unwrap_or_default()
     }
 
-    /// Folds another accounting into this one. Commutative and
-    /// associative like [`NetStats::merge`].
-    pub fn merge(&mut self, other: &BundleStats) {
+    /// Folds another accounting into this one; `World::bundle_stats`
+    /// sums its per-host meters this way. Commutative and associative.
+    pub(crate) fn merge(&mut self, other: &BundleStats) {
         self.packets += other.packets;
         self.frames += other.frames;
         self.bytes_unbundled += other.bytes_unbundled;
@@ -299,31 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_is_order_free() {
-        let mut a = NetStats::default();
-        a.record(SegmentClass::Wan, None, "data", 100, false);
-        a.record(SegmentClass::TailIn, Some(SiteId(1)), "data", 100, true);
-        let mut b = NetStats::default();
-        b.record(SegmentClass::Wan, None, "data", 50, false);
-        b.record(SegmentClass::Wan, None, "nack", 40, true);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge must be commutative");
-
-        let w = ab.class_kind(SegmentClass::Wan, "data");
-        assert_eq!((w.carried, w.bytes), (2, 150));
-        assert_eq!(ab.class_kind(SegmentClass::Wan, "nack").dropped, 1);
-        assert_eq!(
-            ab.site_tail(SiteId(1), SegmentClass::TailIn, "data")
-                .dropped,
-            1
-        );
-    }
-
-    #[test]
     fn bundle_meter_coalesces_same_instant_same_dest() {
         let mut m = BundleMeter::default();
         let t0 = SimTime::ZERO;
@@ -398,17 +345,5 @@ mod tests {
         assert_eq!(a, b, "merge must be commutative");
         assert_eq!((a.packets, a.frames), (21, 3));
         assert_eq!(a.kind("retrans").packets, 20);
-    }
-
-    #[test]
-    fn kinds_listing_sorted() {
-        let mut s = NetStats::default();
-        s.record(SegmentClass::Lan, Some(SiteId(0)), "nack", 1, false);
-        s.record(SegmentClass::Lan, Some(SiteId(0)), "data", 1, false);
-        let kinds = s.kinds_on(SegmentClass::Lan);
-        assert_eq!(
-            kinds.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec!["data", "nack"]
-        );
     }
 }

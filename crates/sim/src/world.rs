@@ -835,12 +835,6 @@ impl World {
         self.now = self.now.max(until);
     }
 
-    /// Runs for `d` of virtual time.
-    pub fn run_for(&mut self, d: Duration) {
-        let until = self.now + d;
-        self.run_until(until);
-    }
-
     /// Runs until the event queue is empty or `limit` is hit (the clock
     /// is left at the last processed event, not advanced to `limit`).
     pub fn run_until_idle(&mut self, limit: SimTime) {

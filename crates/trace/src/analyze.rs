@@ -243,29 +243,11 @@ pub(crate) fn intern_role(s: &str) -> &'static str {
 
 /// Interns a wire packet-kind label (the sim's `NetPacket` labels).
 fn intern_net_kind(s: &str) -> &'static str {
-    const KINDS: &[&str] = &[
-        "data",
-        "heartbeat",
-        "nack",
-        "retrans",
-        "log-ack",
-        "acker-select",
-        "acker-volunteer",
-        "packet-ack",
-        "discovery-query",
-        "discovery-reply",
-        "locate-primary",
-        "primary-is",
-        "repl-update",
-        "repl-ack",
-        "srm-session",
-        "srm-nack",
-        "srm-repair",
-        "elect-prepare",
-        "elect-promise",
-        "term-announce",
-    ];
-    KINDS.iter().find(|k| **k == s).copied().unwrap_or("other")
+    lbrm_wire::codec::PACKET_KINDS
+        .iter()
+        .find(|k| **k == s)
+        .copied()
+        .unwrap_or("other")
 }
 
 /// Parses one [`ProtocolEvent::to_json`] line back into a
@@ -1605,13 +1587,13 @@ mod tests {
     #[test]
     fn collector_and_fanout_sinks_cooperate() {
         let collector = Arc::new(CollectorSink::default());
-        let counts = Arc::new(crate::CountingSink::default());
-        let fan = FanoutSink::new(vec![collector.clone(), counts.clone()]);
+        let metrics = Arc::new(crate::MetricsRegistry::default());
+        let fan = FanoutSink::new(vec![collector.clone(), metrics.clone()]);
         let t = Tracer::to(Arc::new(fan)).with_host(RX);
         t.emit(5, || ProtocolEvent::FreshnessLost);
         assert_eq!(collector.len(), 1);
         assert!(!collector.is_empty());
-        assert_eq!(counts.count("freshness_lost"), 1);
+        assert_eq!(metrics.counter("freshness_lost"), 1);
         let taken = collector.take();
         assert_eq!(taken[0].host, RX);
         assert!(collector.is_empty());

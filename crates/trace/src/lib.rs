@@ -9,10 +9,10 @@
 //!   protocol action (data/heartbeat transmission, gap detection, NACKs,
 //!   unicast/multicast repairs, statistical-ACK epochs and settlements,
 //!   failover, plus network-level copies from the simulator).
-//! * [`TraceSink`] — the pluggable consumer trait; [`NoopSink`],
-//!   [`RingSink`], [`CountingSink`] and [`JsonLinesSink`] ship here, and
-//!   [`MetricsRegistry`] is a sink that aggregates counters and
-//!   recovery-latency / `t_wait` histograms.
+//! * [`TraceSink`] — the pluggable consumer trait; [`JsonLinesSink`]
+//!   captures to any writer, and [`MetricsRegistry`] is a sink that
+//!   counts events per key and aggregates recovery-latency / `t_wait`
+//!   histograms.
 //! * [`Tracer`] — the handle machines hold. A disabled tracer is a
 //!   single `Option` test on the hot path and never constructs the
 //!   event. Every tracer carries the emitting [`HostId`] so downstream
@@ -35,13 +35,13 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use lbrm_trace::{CountingSink, ProtocolEvent, Tracer};
+//! use lbrm_trace::{MetricsRegistry, ProtocolEvent, Tracer};
 //! use lbrm_wire::Seq;
 //!
-//! let counts = Arc::new(CountingSink::default());
-//! let tracer = Tracer::to(counts.clone());
+//! let metrics = Arc::new(MetricsRegistry::default());
+//! let tracer = Tracer::to(metrics.clone());
 //! tracer.emit(0, || ProtocolEvent::GapDetected { first: Seq(3), last: Seq(5) });
-//! assert_eq!(counts.count("gap_detected"), 1);
+//! assert_eq!(metrics.counter("gap_detected"), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,7 +67,7 @@ pub use metrics::{
     Histogram, HistogramSnapshot, MetricsRegistry, StreamingHistogram, STREAM_HIST_BUCKETS,
 };
 pub use online::{LiveGap, OnlineAnalyzer, OnlineAnalyzerSink, OnlineConfig};
-pub use sink::{CountingSink, JsonLinesSink, NoopSink, RingSink};
+pub use sink::JsonLinesSink;
 
 /// Locks `m`, shrugging off poisoning: every mutex in this crate guards
 /// telemetry (counters, histograms, a writer, the correlator's fold), so

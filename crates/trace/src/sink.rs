@@ -1,94 +1,11 @@
-//! The stock [`TraceSink`] implementations.
+//! [`JsonLinesSink`], the stock capture [`TraceSink`].
 
-use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::sync::Mutex;
 
 use lbrm_wire::HostId;
 
 use crate::{lock, ProtocolEvent, TraceSink};
-
-/// Accepts every event and does nothing. Distinct from a *disabled*
-/// [`Tracer`](crate::Tracer): events are still constructed and
-/// dispatched.
-#[derive(Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&self, _at_nanos: u64, _host: HostId, _event: &ProtocolEvent) {}
-}
-
-/// Counts events per [`ProtocolEvent::key`].
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    counts: Mutex<BTreeMap<&'static str, u64>>,
-}
-
-impl CountingSink {
-    /// Events recorded under `key` so far.
-    pub fn count(&self, key: &str) -> u64 {
-        *lock(&self.counts).get(key).unwrap_or(&0)
-    }
-
-    /// All nonzero counters, sorted by key.
-    pub fn snapshot(&self) -> BTreeMap<&'static str, u64> {
-        lock(&self.counts).clone()
-    }
-
-    /// Total events recorded.
-    pub fn total(&self) -> u64 {
-        lock(&self.counts).values().sum()
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn record(&self, _at_nanos: u64, _host: HostId, event: &ProtocolEvent) {
-        *lock(&self.counts).entry(event.key()).or_insert(0) += 1;
-    }
-}
-
-/// Keeps the last `capacity` events with timestamps — a flight recorder
-/// for post-mortem debugging of a run.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<(u64, ProtocolEvent)>>,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity: capacity.max(1),
-            buf: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<(u64, ProtocolEvent)> {
-        lock(&self.buf).iter().cloned().collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        lock(&self.buf).len()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        lock(&self.buf).is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&self, at_nanos: u64, _host: HostId, event: &ProtocolEvent) {
-        let mut buf = lock(&self.buf);
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back((at_nanos, event.clone()));
-    }
-}
 
 /// Default event interval between automatic [`JsonLinesSink`] flushes.
 pub(crate) const DEFAULT_FLUSH_EVERY: u64 = 1024;
@@ -219,7 +136,6 @@ impl<W: Write + Send> Drop for JsonLinesSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tracer;
     use lbrm_wire::Seq;
     use std::sync::Arc;
 
@@ -228,34 +144,6 @@ mod tests {
             seq: Seq(seq),
             epoch: lbrm_wire::EpochId(0),
         }
-    }
-
-    #[test]
-    fn counting_sink_counts_by_key() {
-        let sink = Arc::new(CountingSink::default());
-        let t = Tracer::to(sink.clone());
-        for i in 0..3 {
-            t.emit(i, || ev(i as u32));
-        }
-        t.emit(9, || ProtocolEvent::FreshnessLost);
-        assert_eq!(sink.count("data_sent"), 3);
-        assert_eq!(sink.count("freshness_lost"), 1);
-        assert_eq!(sink.count("never_emitted"), 0);
-        assert_eq!(sink.total(), 4);
-        assert_eq!(sink.snapshot().len(), 2);
-    }
-
-    #[test]
-    fn ring_sink_keeps_only_newest() {
-        let sink = RingSink::new(2);
-        for i in 0..5u64 {
-            sink.record(i, HostId(1), &ev(i as u32));
-        }
-        let events = sink.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].0, 3);
-        assert_eq!(events[1].0, 4);
-        assert!(!sink.is_empty());
     }
 
     #[test]

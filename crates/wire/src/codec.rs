@@ -14,10 +14,16 @@
 //! * `checksum` is the 16-bit internet checksum (RFC 1071) over the whole
 //!   packet with the checksum field taken as zero.
 //!
-//! Variable-length fields (payloads, NACK range lists) are length-
-//! prefixed. Decoding is strict: trailing bytes, bad lengths, unknown
-//! types and checksum mismatches are all errors, so a corrupted packet is
-//! dropped at the wire layer rather than confusing a state machine.
+//! Each packet type is one row of the `layouts!` table at the bottom of
+//! this file: its type tag, its label and its fields in wire order. A
+//! field's width and encoding come from its type (the private `Field`
+//! trait), so [`Packet::encoded_len`], encoding, decoding,
+//! [`Packet::kind`] and [`PACKET_KINDS`] are all generated from that row.
+//! Variable-length fields are length-prefixed; a payload runs to the end
+//! of the packet and is always the last field. Decoding is strict:
+//! trailing bytes, bad lengths, unknown types and checksum mismatches are
+//! all errors, so a corrupted packet is dropped at the wire layer rather
+//! than confusing a state machine.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -85,29 +91,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-mod tag {
-    pub const DATA: u8 = 1;
-    pub const HEARTBEAT: u8 = 2;
-    pub const NACK: u8 = 3;
-    pub const RETRANS: u8 = 4;
-    pub const LOG_ACK: u8 = 5;
-    pub const ACKER_SELECT: u8 = 6;
-    pub const ACKER_VOLUNTEER: u8 = 7;
-    pub const PACKET_ACK: u8 = 8;
-    pub const DISCOVERY_QUERY: u8 = 9;
-    pub const DISCOVERY_REPLY: u8 = 10;
-    pub const LOCATE_PRIMARY: u8 = 11;
-    pub const PRIMARY_IS: u8 = 12;
-    pub const REPL_UPDATE: u8 = 13;
-    pub const REPL_ACK: u8 = 14;
-    pub const SRM_SESSION: u8 = 15;
-    pub const SRM_NACK: u8 = 16;
-    pub const SRM_REPAIR: u8 = 17;
-    pub const ELECT_PREPARE: u8 = 18;
-    pub const ELECT_PROMISE: u8 = 19;
-    pub const TERM_ANNOUNCE: u8 = 20;
-}
-
 /// Maximum number of ranges accepted in one NACK.
 pub const MAX_NACK_RANGES: usize = 1024;
 
@@ -163,86 +146,6 @@ fn checksum_fold(mut sum: u32) -> u16 {
 pub(crate) fn checksum_with_zeroed_field(data: &[u8]) -> u16 {
     debug_assert!(data.len() >= HEADER_LEN);
     checksum_fold(checksum_accumulate(&data[..6]) + checksum_accumulate(&data[8..]))
-}
-
-fn packet_tag(p: &Packet) -> u8 {
-    match p {
-        Packet::Data { .. } => tag::DATA,
-        Packet::Heartbeat { .. } => tag::HEARTBEAT,
-        Packet::Nack { .. } => tag::NACK,
-        Packet::Retrans { .. } => tag::RETRANS,
-        Packet::LogAck { .. } => tag::LOG_ACK,
-        Packet::AckerSelect { .. } => tag::ACKER_SELECT,
-        Packet::AckerVolunteer { .. } => tag::ACKER_VOLUNTEER,
-        Packet::PacketAck { .. } => tag::PACKET_ACK,
-        Packet::DiscoveryQuery { .. } => tag::DISCOVERY_QUERY,
-        Packet::DiscoveryReply { .. } => tag::DISCOVERY_REPLY,
-        Packet::LocatePrimary { .. } => tag::LOCATE_PRIMARY,
-        Packet::PrimaryIs { .. } => tag::PRIMARY_IS,
-        Packet::ReplUpdate { .. } => tag::REPL_UPDATE,
-        Packet::ReplAck { .. } => tag::REPL_ACK,
-        Packet::SrmSession { .. } => tag::SRM_SESSION,
-        Packet::SrmNack { .. } => tag::SRM_NACK,
-        Packet::SrmRepair { .. } => tag::SRM_REPAIR,
-        Packet::ElectPrepare { .. } => tag::ELECT_PREPARE,
-        Packet::ElectPromise { .. } => tag::ELECT_PROMISE,
-        Packet::TermAnnounce { .. } => tag::TERM_ANNOUNCE,
-    }
-}
-
-fn put_payload(buf: &mut BytesMut, payload: &Bytes) {
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
-}
-
-fn put_ranges(buf: &mut BytesMut, ranges: &[SeqRange]) {
-    buf.put_u16(ranges.len() as u16);
-    for r in ranges {
-        buf.put_u32(r.first.raw());
-        buf.put_u32(r.last.raw());
-    }
-}
-
-impl Packet {
-    /// Exact length in bytes that [`encode`] produces for this packet,
-    /// computed arithmetically over the wire layout — no buffer is
-    /// allocated and no checksum is run.
-    ///
-    /// This is the simulator's hot path: every simulated transmission
-    /// needs the on-wire size for bandwidth/queueing accounting but never
-    /// the bytes themselves. The invariant `p.encoded_len() ==
-    /// encode(&p)?.len()` holds for every packet [`encode`] accepts and is
-    /// pinned by a property test over all variants
-    /// (`crates/wire/tests/proptests.rs`); any change to the encoded
-    /// layout must update both sides or that test fails.
-    pub fn encoded_len(&self) -> usize {
-        // Per-field sizes mirror the `put_*` calls in `encode`:
-        // group u32, source/host u64, seq/epoch u32, payload 4+len,
-        // range list 2+8n.
-        let body = match self {
-            Packet::Data { payload, .. } => 4 + 8 + 4 + 4 + (4 + payload.len()),
-            Packet::Heartbeat { payload, .. } => 4 + 8 + 4 + 4 + 4 + (4 + payload.len()),
-            Packet::Nack { ranges, .. } => 4 + 8 + 8 + (2 + 8 * ranges.len()),
-            Packet::Retrans { payload, .. } => 4 + 8 + 4 + (4 + payload.len()),
-            Packet::LogAck { .. } => 4 + 8 + 4 + 4,
-            Packet::AckerSelect { .. } => 4 + 8 + 4 + 8,
-            Packet::AckerVolunteer { .. } => 4 + 8 + 4 + 8,
-            Packet::PacketAck { .. } => 4 + 8 + 4 + 4 + 8,
-            Packet::DiscoveryQuery { .. } => 4 + 8 + 8,
-            Packet::DiscoveryReply { .. } => 4 + 8 + 8 + 1,
-            Packet::LocatePrimary { .. } => 4 + 8 + 8,
-            Packet::PrimaryIs { .. } => 4 + 8 + 8,
-            Packet::ReplUpdate { payload, .. } => 4 + 8 + 4 + (4 + payload.len()),
-            Packet::ReplAck { .. } => 4 + 8 + 4,
-            Packet::SrmSession { .. } => 4 + 8 + 4,
-            Packet::SrmNack { ranges, .. } => 4 + 8 + 8 + (2 + 8 * ranges.len()),
-            Packet::SrmRepair { payload, .. } => 4 + 8 + 4 + 8 + (4 + payload.len()),
-            Packet::ElectPrepare { .. } => 4 + 8 + 4 + 8,
-            Packet::ElectPromise { .. } => 4 + 8 + 4 + 8 + 4,
-            Packet::TermAnnounce { .. } => 4 + 8 + 4 + 8,
-        };
-        HEADER_LEN + body
-    }
 }
 
 /// Encodes a packet into a fresh buffer.
@@ -308,18 +211,23 @@ pub(crate) fn validate(p: &Packet) -> Result<(), WireError> {
         {
             Err(WireError::FieldOverflow)
         }
-        Packet::AckerSelect { p_ack, .. } if !p_ack.is_finite() || !(0.0..=1.0).contains(p_ack) => {
+        Packet::AckerSelect { p_ack, .. } if !is_probability(*p_ack) => {
             Err(WireError::BadProbability)
         }
         _ => Ok(()),
     }
 }
 
-/// Appends the encoding of `p` with the length field patched and the
-/// checksum field left zero, returning the offset where the packet
-/// starts. Shared by [`encode_into`] (which then patches the checksum)
-/// and the bundle builder (whose single frame checksum covers every
-/// entry, so inner checksums stay zero).
+/// Finite and in `[0, 1]` (NaN and the infinities fall outside the range).
+fn is_probability(p: f64) -> bool {
+    (0.0..=1.0).contains(&p)
+}
+
+/// Appends the encoding of `p` with the checksum field left zero,
+/// returning the offset where the packet starts. Shared by
+/// [`encode_into`] (which then patches the checksum) and the bundle
+/// builder (whose single frame checksum covers every entry, so inner
+/// checksums stay zero).
 pub(crate) fn write_packet_zero_checksum(
     p: &Packet,
     buf: &mut BytesMut,
@@ -328,275 +236,31 @@ pub(crate) fn write_packet_zero_checksum(
     let len = p.encoded_len();
     let base = buf.len();
     buf.reserve(len);
-    // Header; length is patched afterwards, checksum stays zero.
     buf.put_u16(MAGIC);
     buf.put_u8(VERSION);
-    buf.put_u8(packet_tag(p));
-    buf.put_u16(0); // length placeholder
+    buf.put_u8(tag_of(p));
+    buf.put_u16(len as u16); // validated: len <= MAX_PACKET_SIZE
     buf.put_u16(0); // checksum (zero until the caller patches it)
-
-    match p {
-        Packet::Data {
-            group,
-            source,
-            seq,
-            epoch,
-            payload,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(seq.raw());
-            buf.put_u32(epoch.raw());
-            put_payload(buf, payload);
-        }
-        Packet::Heartbeat {
-            group,
-            source,
-            seq,
-            epoch,
-            hb_index,
-            payload,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(seq.raw());
-            buf.put_u32(epoch.raw());
-            buf.put_u32(*hb_index);
-            put_payload(buf, payload);
-        }
-        Packet::Nack {
-            group,
-            source,
-            requester,
-            ranges,
-        } => {
-            if ranges.len() > MAX_NACK_RANGES {
-                return Err(WireError::FieldOverflow);
-            }
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u64(requester.raw());
-            put_ranges(buf, ranges);
-        }
-        Packet::Retrans {
-            group,
-            source,
-            seq,
-            payload,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(seq.raw());
-            put_payload(buf, payload);
-        }
-        Packet::LogAck {
-            group,
-            source,
-            primary_seq,
-            replica_seq,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(primary_seq.raw());
-            buf.put_u32(replica_seq.raw());
-        }
-        Packet::AckerSelect {
-            group,
-            source,
-            epoch,
-            p_ack,
-        } => {
-            if !p_ack.is_finite() || !(0.0..=1.0).contains(p_ack) {
-                return Err(WireError::BadProbability);
-            }
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(epoch.raw());
-            buf.put_u64(p_ack.to_bits());
-        }
-        Packet::AckerVolunteer {
-            group,
-            source,
-            epoch,
-            logger,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(epoch.raw());
-            buf.put_u64(logger.raw());
-        }
-        Packet::PacketAck {
-            group,
-            source,
-            epoch,
-            seq,
-            logger,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(epoch.raw());
-            buf.put_u32(seq.raw());
-            buf.put_u64(logger.raw());
-        }
-        Packet::DiscoveryQuery {
-            group,
-            nonce,
-            requester,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(*nonce);
-            buf.put_u64(requester.raw());
-        }
-        Packet::DiscoveryReply {
-            group,
-            nonce,
-            logger,
-            level,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(*nonce);
-            buf.put_u64(logger.raw());
-            buf.put_u8(*level);
-        }
-        Packet::LocatePrimary {
-            group,
-            source,
-            requester,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u64(requester.raw());
-        }
-        Packet::PrimaryIs {
-            group,
-            source,
-            primary,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u64(primary.raw());
-        }
-        Packet::ReplUpdate {
-            group,
-            source,
-            seq,
-            payload,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(seq.raw());
-            put_payload(buf, payload);
-        }
-        Packet::ReplAck { group, source, seq } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(seq.raw());
-        }
-        Packet::SrmSession {
-            group,
-            member,
-            last_seq,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(member.raw());
-            buf.put_u32(last_seq.raw());
-        }
-        Packet::SrmNack {
-            group,
-            source,
-            requester,
-            ranges,
-        } => {
-            if ranges.len() > MAX_NACK_RANGES {
-                return Err(WireError::FieldOverflow);
-            }
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u64(requester.raw());
-            put_ranges(buf, ranges);
-        }
-        Packet::SrmRepair {
-            group,
-            source,
-            seq,
-            responder,
-            payload,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(seq.raw());
-            buf.put_u64(responder.raw());
-            put_payload(buf, payload);
-        }
-        Packet::ElectPrepare {
-            group,
-            source,
-            term,
-            candidate,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(*term);
-            buf.put_u64(candidate.raw());
-        }
-        Packet::ElectPromise {
-            group,
-            source,
-            term,
-            voter,
-            log_end,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(*term);
-            buf.put_u64(voter.raw());
-            buf.put_u32(log_end.raw());
-        }
-        Packet::TermAnnounce {
-            group,
-            source,
-            term,
-            leader,
-        } => {
-            buf.put_u32(group.raw());
-            buf.put_u64(source.raw());
-            buf.put_u32(*term);
-            buf.put_u64(leader.raw());
-        }
-    }
-
-    debug_assert_eq!(
-        buf.len() - base,
-        len,
-        "encoded_len must match the bytes written"
-    );
-    buf[base + 4..base + 6].copy_from_slice(&(len as u16).to_be_bytes());
+    put_body(p, buf);
     Ok(base)
 }
 
-/// A cursor over one encoded packet. Scalar fields read by value; a
-/// trailing payload is validated here ([`Reader::tail_payload_start`])
-/// and carved zero-copy out of the packet's own [`Bytes`] by the caller
-/// — the decoded packet shares the datagram's allocation instead of
-/// copying every payload.
-struct Reader<'a> {
-    buf: &'a [u8],
+/// A cursor over one encoded packet. It owns the datagram, so a trailing
+/// payload takes the buffer itself (see `Field for Bytes`): the decoded
+/// packet shares the datagram's allocation instead of copying it.
+struct Reader {
+    buf: Bytes,
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.buf.len() - self.pos < n {
-            Err(WireError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
+impl Reader {
     fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        self.need(N)?;
+        let src = self
+            .buf
+            .get(self.pos..self.pos + N)
+            .ok_or(WireError::Truncated)?;
         let mut out = [0u8; N];
-        out.copy_from_slice(&self.buf[self.pos..self.pos + N]);
+        out.copy_from_slice(src);
         self.pos += N;
         Ok(out)
     }
@@ -616,74 +280,13 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_be_bytes(self.take::<8>()?))
     }
-
-    /// Validates the length-prefixed payload that ends the packet and
-    /// returns its start offset. Every payload-bearing variant stores
-    /// the payload as its *last* field, so the caller can hand the
-    /// packet's own `Bytes` to the payload by advancing it in place —
-    /// no new reference count, no slice bookkeeping.
-    fn tail_payload_start(&mut self) -> Result<usize, WireError> {
-        let len = self.u32()? as usize;
-        if self.buf.len() - self.pos != len {
-            return Err(WireError::BadLength {
-                claimed: len,
-                actual: self.buf.len() - self.pos,
-            });
-        }
-        Ok(self.pos)
-    }
-
-    fn ranges(&mut self) -> Result<Vec<SeqRange>, WireError> {
-        let n = self.u16()? as usize;
-        if n > MAX_NACK_RANGES {
-            return Err(WireError::FieldOverflow);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let first = Seq(self.u32()?);
-            let last = Seq(self.u32()?);
-            out.push(SeqRange { first, last });
-        }
-        Ok(out)
-    }
-
-    fn group(&mut self) -> Result<GroupId, WireError> {
-        Ok(GroupId(self.u32()?))
-    }
-
-    fn source(&mut self) -> Result<SourceId, WireError> {
-        Ok(SourceId(self.u64()?))
-    }
-
-    fn host(&mut self) -> Result<HostId, WireError> {
-        Ok(HostId(self.u64()?))
-    }
-
-    fn seq(&mut self) -> Result<Seq, WireError> {
-        Ok(Seq(self.u32()?))
-    }
-
-    fn epoch(&mut self) -> Result<EpochId, WireError> {
-        Ok(EpochId(self.u32()?))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::BadLength {
-                claimed: 0,
-                actual: self.buf.len() - self.pos,
-            })
-        }
-    }
 }
 
 /// Decodes one packet from `data`, which must contain exactly one encoded
 /// packet.
 ///
 /// Compatibility wrapper over [`decode_bytes`]: the slice is copied into
-/// a fresh [`Bytes`] once, then decoded with payloads sliced out of that
+/// a fresh [`Bytes`] once, then decoded with payloads sharing that
 /// copy. Receive paths that already hold the datagram as [`Bytes`]
 /// should call [`decode_bytes`] directly and skip the copy; the two are
 /// equivalence-property-tested over every packet variant.
@@ -696,10 +299,10 @@ pub fn decode(data: &[u8]) -> Result<Packet, WireError> {
     decode_bytes(Bytes::copy_from_slice(data))
 }
 
-/// Decodes one packet from `data` zero-copy: payload fields are
-/// [`Bytes::slice`]s sharing `data`'s allocation, so decoding a data or
-/// repair packet never copies its payload. This is the receive hot
-/// path — one datagram buffer in, packets whose payloads alias it out.
+/// Decodes one packet from `data` zero-copy: a payload field shares
+/// `data`'s allocation, so decoding a data or repair packet never copies
+/// its payload. This is the receive hot path — one datagram buffer in,
+/// packets whose payloads alias it out.
 ///
 /// # Errors
 ///
@@ -743,186 +346,201 @@ pub(crate) fn decode_packet(data: Bytes, verify_checksum: bool) -> Result<Packet
     }
 
     let mut r = Reader {
-        buf: &data[..],
+        buf: data,
         pos: HEADER_LEN,
     };
-    // Takes ownership of the packet's buffer as the tail payload: after
-    // `tail_payload_start` has verified the payload runs exactly to the
-    // end, advancing the buffer in place yields the payload without a
-    // reference-count round trip.
-    let tail = |start: usize, mut data: Bytes| -> Bytes {
-        data.advance(start);
-        data
-    };
-    let pkt = match typ {
-        tag::DATA => {
-            let group = r.group()?;
-            let source = r.source()?;
-            let seq = r.seq()?;
-            let epoch = r.epoch()?;
-            let start = r.tail_payload_start()?;
-            return Ok(Packet::Data {
-                group,
-                source,
-                seq,
-                epoch,
-                payload: tail(start, data),
-            });
-        }
-        tag::HEARTBEAT => {
-            let group = r.group()?;
-            let source = r.source()?;
-            let seq = r.seq()?;
-            let epoch = r.epoch()?;
-            let hb_index = r.u32()?;
-            let start = r.tail_payload_start()?;
-            return Ok(Packet::Heartbeat {
-                group,
-                source,
-                seq,
-                epoch,
-                hb_index,
-                payload: tail(start, data),
-            });
-        }
-        tag::NACK => Packet::Nack {
-            group: r.group()?,
-            source: r.source()?,
-            requester: r.host()?,
-            ranges: r.ranges()?,
-        },
-        tag::RETRANS => {
-            let group = r.group()?;
-            let source = r.source()?;
-            let seq = r.seq()?;
-            let start = r.tail_payload_start()?;
-            return Ok(Packet::Retrans {
-                group,
-                source,
-                seq,
-                payload: tail(start, data),
-            });
-        }
-        tag::LOG_ACK => Packet::LogAck {
-            group: r.group()?,
-            source: r.source()?,
-            primary_seq: r.seq()?,
-            replica_seq: r.seq()?,
-        },
-        tag::ACKER_SELECT => {
-            let group = r.group()?;
-            let source = r.source()?;
-            let epoch = r.epoch()?;
-            let p_ack = f64::from_bits(r.u64()?);
-            if !p_ack.is_finite() || !(0.0..=1.0).contains(&p_ack) {
-                return Err(WireError::BadProbability);
-            }
-            Packet::AckerSelect {
-                group,
-                source,
-                epoch,
-                p_ack,
-            }
-        }
-        tag::ACKER_VOLUNTEER => Packet::AckerVolunteer {
-            group: r.group()?,
-            source: r.source()?,
-            epoch: r.epoch()?,
-            logger: r.host()?,
-        },
-        tag::PACKET_ACK => Packet::PacketAck {
-            group: r.group()?,
-            source: r.source()?,
-            epoch: r.epoch()?,
-            seq: r.seq()?,
-            logger: r.host()?,
-        },
-        tag::DISCOVERY_QUERY => Packet::DiscoveryQuery {
-            group: r.group()?,
-            nonce: r.u64()?,
-            requester: r.host()?,
-        },
-        tag::DISCOVERY_REPLY => Packet::DiscoveryReply {
-            group: r.group()?,
-            nonce: r.u64()?,
-            logger: r.host()?,
-            level: r.u8()?,
-        },
-        tag::LOCATE_PRIMARY => Packet::LocatePrimary {
-            group: r.group()?,
-            source: r.source()?,
-            requester: r.host()?,
-        },
-        tag::PRIMARY_IS => Packet::PrimaryIs {
-            group: r.group()?,
-            source: r.source()?,
-            primary: r.host()?,
-        },
-        tag::REPL_UPDATE => {
-            let group = r.group()?;
-            let source = r.source()?;
-            let seq = r.seq()?;
-            let start = r.tail_payload_start()?;
-            return Ok(Packet::ReplUpdate {
-                group,
-                source,
-                seq,
-                payload: tail(start, data),
-            });
-        }
-        tag::REPL_ACK => Packet::ReplAck {
-            group: r.group()?,
-            source: r.source()?,
-            seq: r.seq()?,
-        },
-        tag::SRM_SESSION => Packet::SrmSession {
-            group: r.group()?,
-            member: r.host()?,
-            last_seq: r.seq()?,
-        },
-        tag::SRM_NACK => Packet::SrmNack {
-            group: r.group()?,
-            source: r.source()?,
-            requester: r.host()?,
-            ranges: r.ranges()?,
-        },
-        tag::SRM_REPAIR => {
-            let group = r.group()?;
-            let source = r.source()?;
-            let seq = r.seq()?;
-            let responder = r.host()?;
-            let start = r.tail_payload_start()?;
-            return Ok(Packet::SrmRepair {
-                group,
-                source,
-                seq,
-                responder,
-                payload: tail(start, data),
-            });
-        }
-        tag::ELECT_PREPARE => Packet::ElectPrepare {
-            group: r.group()?,
-            source: r.source()?,
-            term: r.u32()?,
-            candidate: r.host()?,
-        },
-        tag::ELECT_PROMISE => Packet::ElectPromise {
-            group: r.group()?,
-            source: r.source()?,
-            term: r.u32()?,
-            voter: r.host()?,
-            log_end: r.seq()?,
-        },
-        tag::TERM_ANNOUNCE => Packet::TermAnnounce {
-            group: r.group()?,
-            source: r.source()?,
-            term: r.u32()?,
-            leader: r.host()?,
-        },
-        other => return Err(WireError::UnknownType(other)),
-    };
-    r.finish()?;
+    let pkt = get_body(typ, &mut r)?;
+    if r.pos != r.buf.len() {
+        return Err(WireError::BadLength {
+            claimed: 0,
+            actual: r.buf.len() - r.pos,
+        });
+    }
     Ok(pkt)
+}
+
+/// One wire field type: its encoded width, how it is written, and how it
+/// is read back. A packet's size and layout follow from its field types.
+trait Field: Sized {
+    fn wire_len(&self) -> usize;
+    fn put(&self, buf: &mut BytesMut);
+    fn get(r: &mut Reader) -> Result<Self, WireError>;
+}
+
+/// Fixed-width fields: a big-endian integer, or a newtype around one.
+/// Row: `Type: reader-method put-method |value| raw-integer`.
+macro_rules! fixed_fields {
+    ($($t:ty: $get:ident $put:ident |$v:ident| $raw:expr;)*) => {$(
+        impl Field for $t {
+            fn wire_len(&self) -> usize {
+                std::mem::size_of::<$t>()
+            }
+            fn put(&self, buf: &mut BytesMut) {
+                let $v = *self;
+                buf.$put($raw);
+            }
+            fn get(r: &mut Reader) -> Result<Self, WireError> {
+                r.$get().map(Self::from)
+            }
+        }
+    )*};
+}
+
+fixed_fields! {
+    u8: u8 put_u8 |v| v;
+    u32: u32 put_u32 |v| v;
+    u64: u64 put_u64 |v| v;
+    GroupId: u32 put_u32 |v| v.0;
+    EpochId: u32 put_u32 |v| v.0;
+    Seq: u32 put_u32 |v| v.0;
+    SourceId: u64 put_u64 |v| v.0;
+    HostId: u64 put_u64 |v| v.0;
+}
+
+/// The one `f64` on the wire is `AckerSelect::p_ack`, a probability.
+impl Field for f64 {
+    fn wire_len(&self) -> usize {
+        8
+    }
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u64(self.to_bits());
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        let p = f64::from_bits(r.u64()?);
+        if is_probability(p) {
+            Ok(p)
+        } else {
+            Err(WireError::BadProbability)
+        }
+    }
+}
+
+/// A NACK range list: a `u16` count, then `(first, last)` pairs.
+impl Field for Vec<SeqRange> {
+    fn wire_len(&self) -> usize {
+        2 + 8 * self.len()
+    }
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u16(self.len() as u16);
+        for range in self {
+            range.first.put(buf);
+            range.last.put(buf);
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        let n = usize::from(r.u16()?);
+        if n > MAX_NACK_RANGES {
+            return Err(WireError::FieldOverflow);
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(SeqRange {
+                first: Seq::get(r)?,
+                last: Seq::get(r)?,
+            });
+        }
+        Ok(out)
+    }
+}
+
+/// A payload: a `u32` length that must run exactly to the end of the
+/// packet, so a payload is always its variant's last field.
+impl Field for Bytes {
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32(self.len() as u32);
+        buf.put_slice(self);
+    }
+    fn get(r: &mut Reader) -> Result<Self, WireError> {
+        let claimed = r.u32()? as usize;
+        let actual = r.buf.len() - r.pos;
+        if claimed != actual {
+            return Err(WireError::BadLength { claimed, actual });
+        }
+        // Hand over the datagram itself, advanced past the fields before
+        // the payload: no slice of it, so no reference-count round trip
+        // on it. The reader is left empty (the shared static empty
+        // buffer), so the trailing-bytes check passes.
+        let mut payload = std::mem::take(&mut r.buf);
+        payload.advance(r.pos);
+        r.pos = 0;
+        Ok(payload)
+    }
+}
+
+/// Generates everything per-variant from one row per packet type:
+/// `tag "label" Variant { fields in wire order }`.
+macro_rules! layouts {
+    ($($tag:literal $label:literal $variant:ident { $($field:ident),* })*) => {
+        /// Every packet label, indexed by wire type tag − 1.
+        pub const PACKET_KINDS: &[&str] = &[$($label),*];
+
+        impl Packet {
+            /// Short name for tracing and statistics.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Packet::$variant { .. } => $label,)*
+                }
+            }
+
+            /// Exact length in bytes that [`encode`] produces for this
+            /// packet, computed from the field widths — no buffer is
+            /// allocated and no checksum is run. This is the simulator's
+            /// hot path: every simulated transmission needs the on-wire
+            /// size, never the bytes.
+            pub fn encoded_len(&self) -> usize {
+                match self {
+                    $(Packet::$variant { $($field),* } => HEADER_LEN $(+ $field.wire_len())*,)*
+                }
+            }
+        }
+
+        fn tag_of(p: &Packet) -> u8 {
+            match p {
+                $(Packet::$variant { .. } => $tag,)*
+            }
+        }
+
+        fn put_body(p: &Packet, buf: &mut BytesMut) {
+            match p {
+                $(Packet::$variant { $($field),* } => { $($field.put(buf);)* })*
+            }
+        }
+
+        // Struct-literal fields evaluate in the order written, so each
+        // variant's fields are read in table order.
+        fn get_body(tag: u8, r: &mut Reader) -> Result<Packet, WireError> {
+            Ok(match tag {
+                $($tag => Packet::$variant { $($field: Field::get(r)?),* },)*
+                other => return Err(WireError::UnknownType(other)),
+            })
+        }
+    };
+}
+
+layouts! {
+    1 "data" Data { group, source, seq, epoch, payload }
+    2 "heartbeat" Heartbeat { group, source, seq, epoch, hb_index, payload }
+    3 "nack" Nack { group, source, requester, ranges }
+    4 "retrans" Retrans { group, source, seq, payload }
+    5 "log-ack" LogAck { group, source, primary_seq, replica_seq }
+    6 "acker-select" AckerSelect { group, source, epoch, p_ack }
+    7 "acker-volunteer" AckerVolunteer { group, source, epoch, logger }
+    8 "packet-ack" PacketAck { group, source, epoch, seq, logger }
+    9 "discovery-query" DiscoveryQuery { group, nonce, requester }
+    10 "discovery-reply" DiscoveryReply { group, nonce, logger, level }
+    11 "locate-primary" LocatePrimary { group, source, requester }
+    12 "primary-is" PrimaryIs { group, source, primary }
+    13 "repl-update" ReplUpdate { group, source, seq, payload }
+    14 "repl-ack" ReplAck { group, source, seq }
+    15 "srm-session" SrmSession { group, member, last_seq }
+    16 "srm-nack" SrmNack { group, source, requester, ranges }
+    17 "srm-repair" SrmRepair { group, source, seq, responder, payload }
+    18 "elect-prepare" ElectPrepare { group, source, term, candidate }
+    19 "elect-promise" ElectPromise { group, source, term, voter, log_end }
+    20 "term-announce" TermAnnounce { group, source, term, leader }
 }
 
 #[cfg(test)]

@@ -400,38 +400,6 @@ impl Packet {
             | Packet::SrmRepair { group, .. } => *group,
         }
     }
-
-    /// Short name for tracing and statistics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Packet::Data { .. } => "data",
-            Packet::Heartbeat { .. } => "heartbeat",
-            Packet::Nack { .. } => "nack",
-            Packet::Retrans { .. } => "retrans",
-            Packet::LogAck { .. } => "log-ack",
-            Packet::AckerSelect { .. } => "acker-select",
-            Packet::AckerVolunteer { .. } => "acker-volunteer",
-            Packet::PacketAck { .. } => "packet-ack",
-            Packet::DiscoveryQuery { .. } => "discovery-query",
-            Packet::DiscoveryReply { .. } => "discovery-reply",
-            Packet::LocatePrimary { .. } => "locate-primary",
-            Packet::PrimaryIs { .. } => "primary-is",
-            Packet::ElectPrepare { .. } => "elect-prepare",
-            Packet::ElectPromise { .. } => "elect-promise",
-            Packet::TermAnnounce { .. } => "term-announce",
-            Packet::ReplUpdate { .. } => "repl-update",
-            Packet::ReplAck { .. } => "repl-ack",
-            Packet::SrmSession { .. } => "srm-session",
-            Packet::SrmNack { .. } => "srm-nack",
-            Packet::SrmRepair { .. } => "srm-repair",
-        }
-    }
-
-    /// `true` for packets that constitute protocol *overhead* rather than
-    /// application data — used by bandwidth-accounting experiments.
-    pub fn is_overhead(&self) -> bool {
-        !matches!(self, Packet::Data { .. })
-    }
 }
 
 #[cfg(test)]
@@ -482,7 +450,6 @@ mod tests {
             epoch: EpochId(0),
             payload: Bytes::new(),
         };
-        assert!(!data.is_overhead());
         assert_eq!(data.kind(), "data");
         let hb = Packet::Heartbeat {
             group: GroupId(1),
@@ -492,7 +459,6 @@ mod tests {
             hb_index: 1,
             payload: Bytes::new(),
         };
-        assert!(hb.is_overhead());
         assert_eq!(hb.group(), GroupId(1));
     }
 }

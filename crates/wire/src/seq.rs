@@ -68,12 +68,6 @@ impl Seq {
         other.before(self)
     }
 
-    /// `true` iff `self` is after or equal to `other`.
-    #[inline]
-    pub fn after_eq(self, other: Seq) -> bool {
-        self == other || self.after(other)
-    }
-
     /// Distance from `earlier` to `self` (wrapping). Meaningful when
     /// `earlier.before_eq(self)`.
     #[inline]

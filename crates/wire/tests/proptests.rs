@@ -477,6 +477,129 @@ fn decode_rejects_random_bytes_with_valid_header_shape() {
     }
 }
 
+/// FNV-1a-64 over every `encode()` byte of a fixed packet corpus. The
+/// round-trip and `encoded_len` tests pass on any self-consistent format
+/// change; this one pins the bytes themselves. Recorded at `705fe71`,
+/// before the codec became one layout table.
+#[test]
+fn golden_wire_bytes() {
+    let mut r = rng(0x601D);
+    let corpus = (0..4096)
+        .map(|_| arb_packet(&mut r))
+        .chain(extreme_packets());
+    let (mut total, mut hash) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+    for p in corpus {
+        let enc = encode(&p).expect("encode");
+        total += enc.len();
+        for &b in enc.iter() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    assert_eq!((total, hash), (475_512, 0xe977_0205_63f4_13ab));
+}
+
+/// RFC 1071 over `data` with its checksum field (bytes 6..8) taken as
+/// zero, written into that field: a mutant with a valid checksum gets
+/// past the frame checks and into the body decoder.
+fn fix_checksum(data: &mut [u8]) {
+    data[6] = 0;
+    data[7] = 0;
+    let mut sum: u32 = data
+        .chunks(2)
+        .map(|c| u32::from(u16::from_be_bytes([c[0], *c.get(1).unwrap_or(&0)])))
+        .sum();
+    while sum >> 16 != 0 {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    data[6..8].copy_from_slice(&(!(sum as u16)).to_be_bytes());
+}
+
+fn patch_len(data: &mut [u8]) {
+    let len = data.len() as u16;
+    data[4..6].copy_from_slice(&len.to_be_bytes());
+}
+
+/// One structure-aware mutation of a valid encoding: flip a body bit,
+/// truncate or insert a byte (length field patched), or rewrite the type.
+fn mutate(r: &mut SmallRng, enc: &[u8]) -> Vec<u8> {
+    let mut m = enc.to_vec();
+    let body = r.random_range(8..m.len());
+    match r.random_range(0u64..4) {
+        0 => m[body] ^= 1 << r.random_range(0u64..8),
+        1 => {
+            m.truncate(body);
+            patch_len(&mut m);
+        }
+        2 => {
+            m.insert(r.random_range(8..=m.len()), r.random::<u64>() as u8);
+            patch_len(&mut m);
+        }
+        _ => m[3] = r.random::<u64>() as u8,
+    }
+    fix_checksum(&mut m);
+    m
+}
+
+#[test]
+fn checksum_valid_mutants_never_panic_and_accepted_is_canonical() {
+    let mut r = rng(0x0405_711E);
+    let mut accepted = 0usize;
+    for i in 0..20_000 {
+        let p = arb_packet(&mut r);
+        let enc = encode(&p).expect("encode");
+        let m = mutate(&mut r, &enc);
+        if let Ok(q) = lbrm_wire::decode_bytes(Bytes::from(m.clone())) {
+            accepted += 1;
+            let re = encode(&q).expect("an accepted packet re-encodes");
+            assert_eq!(&re[..], &m[..], "case {i}: accepted but not canonical");
+        }
+    }
+    // Recorded at `705fe71`: a stricter or looser decoder moves it.
+    assert_eq!(accepted, 4_874, "mutants must reach the body decoder");
+}
+
+#[test]
+fn bundle_bit_flips_never_panic_and_accepted_is_canonical() {
+    use lbrm_wire::bundle::encode_bundle;
+    let mut r = rng(0xB1F11);
+    for case in 0..2_000 {
+        let n = r.random_range(1u64..8) as usize;
+        let packets: Vec<Packet> = (0..n).map(|_| arb_packet(&mut r)).collect();
+        let frames = encode_bundle(&packets, 1400).expect("bundle");
+        let frame = &frames[r.random_range(0..frames.len())];
+        let mut m = frame.to_vec();
+        let at = r.random_range(lbrm_wire::BUNDLE_HEADER_LEN..m.len());
+        m[at] ^= 1 << r.random_range(0u64..8);
+        fix_checksum(&mut m);
+        if let Ok(got) = lbrm_wire::decode_bundle(&Bytes::from(m.clone())) {
+            let re = encode_bundle(&got, 1400).expect("re-bundle");
+            assert_eq!(re, vec![Bytes::from(m)], "case {case}: not canonical");
+        }
+    }
+}
+
+#[test]
+fn tag_sweep_matches_packet_kinds() {
+    use lbrm_wire::codec::PACKET_KINDS;
+    use lbrm_wire::WireError;
+    let mut kinds = PACKET_KINDS.to_vec();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!((PACKET_KINDS.len(), kinds.len()), (20, 20));
+    for p in extreme_packets() {
+        let enc = encode(&p).expect("encode");
+        assert_eq!(p.kind(), PACKET_KINDS[usize::from(enc[3]) - 1]);
+    }
+    let enc = encode(&extreme_packets()[0]).expect("encode");
+    for t in 0..=255u8 {
+        let mut m = enc.to_vec();
+        m[3] = t;
+        fix_checksum(&mut m);
+        let unknown = lbrm_wire::decode(&m) == Err(WireError::UnknownType(t));
+        assert_eq!(unknown, t == 0 || t > 20, "type byte {t}");
+    }
+}
+
 #[test]
 fn seq_total_order_locally() {
     let mut r = rng(0x5E9);

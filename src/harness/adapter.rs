@@ -111,11 +111,6 @@ impl<M: Machine + 'static> MachineActor<M> {
         &self.machine
     }
 
-    /// Mutable access to the wrapped machine.
-    pub fn machine_mut(&mut self) -> &mut M {
-        &mut self.machine
-    }
-
     fn execute(&mut self, ctx: &mut Ctx<'_>, actions: Actions) {
         for action in actions {
             match action {
