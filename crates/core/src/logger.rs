@@ -1670,7 +1670,8 @@ mod tests {
     /// The log is zero-copy end to end: the `Bytes` buffer ingested from
     /// the wire is the same allocation handed back out in retransmission
     /// serves and in every `ReplUpdate` of the replication fan-out — no
-    /// payload is ever duplicated on the logger's hot path.
+    /// payload is duplicated on the logger's hot path. (The store's one
+    /// copy packs a block only it holds, two blocks behind the head.)
     #[test]
     fn payload_buffer_is_shared_across_store_serve_and_replication() {
         fn ptr(b: &Bytes) -> *const u8 {

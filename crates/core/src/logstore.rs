@@ -11,7 +11,10 @@
 //! this is the hot tier the repair path serves from. The randomized
 //! property tests in `crates/core/tests/logstore_diff.rs` drive the
 //! store against a plain `BTreeMap` model through the same operation
-//! streams and compare every observable.
+//! streams and compare every observable. Payloads only the log holds
+//! are packed a block at a time into one shared buffer
+//! ([`LogStore::pack`]): one decoded off the network otherwise keeps its
+//! whole datagram allocation alive.
 //!
 //! Contiguity claims ([`LogStore::contiguous_high`]) are deliberately
 //! *not* read from the slab's presence bitmaps: they come from an
@@ -42,6 +45,9 @@ pub enum Retention {
     /// Keep packets for their useful lifetime.
     Lifetime(Duration),
 }
+
+/// Indexes per packing block (see [`LogStore::pack`]).
+const PACK: u64 = 128;
 
 /// One logged packet. The sequence number is not stored: the unwrapped
 /// index key re-wraps to it exactly.
@@ -116,6 +122,8 @@ pub struct LogStore {
     /// contiguity claims are made from this, so pruning can never fake
     /// contiguity across a never-logged gap.
     logged: IntervalSet,
+    /// Packing block of the newest index logged so far.
+    head_block: Option<u64>,
 }
 
 impl LogStore {
@@ -126,6 +134,7 @@ impl LogStore {
             unwrapper: SeqUnwrapper::new(),
             entries: SeqSlab::new(),
             logged: IntervalSet::default(),
+            head_block: None,
         }
     }
 
@@ -151,8 +160,52 @@ impl LogStore {
             };
             self.entries.insert(idx, entry);
             self.prune(now);
+            // The stream head entering a new block packs the block two
+            // behind it: late, reordered arrivals have had a block's
+            // worth of time to land.
+            let block = idx / PACK;
+            if self.head_block.is_none_or(|head| block > head) {
+                self.head_block = Some(block);
+                if let Some(behind) = block.checked_sub(2) {
+                    self.pack(behind);
+                }
+            }
         }
         fresh
+    }
+
+    /// Copies the payloads of `block` that the log alone holds into one
+    /// shared buffer. A payload decoded off the network is a slice of
+    /// its datagram, so each would keep its own allocation and the
+    /// datagram's headers alive for as long as it is logged; packed, a
+    /// block of them costs one allocation and their bytes. A payload
+    /// held elsewhere too (the simulator hands every logger the same
+    /// buffer) is left as it is: copying it would cost memory, not save
+    /// it.
+    fn pack(&mut self, block: u64) {
+        let (lo, hi) = (block * PACK, block * PACK + (PACK - 1));
+        let mut bytes = Vec::new();
+        let mut packed = Vec::new();
+        self.entries.for_each_in(lo, hi, |idx, e| {
+            if e.payload.is_unique() {
+                if bytes.capacity() == 0 {
+                    // Payloads of one stream tend to share a size.
+                    bytes.reserve(PACK as usize * e.payload.len());
+                }
+                bytes.extend_from_slice(&e.payload);
+                packed.push((idx, e.payload.len()));
+            }
+        });
+        if packed.is_empty() {
+            return;
+        }
+        let chunk = Bytes::copy_from_slice(&bytes);
+        let mut at = 0;
+        for (idx, len) in packed {
+            let e = self.entries.get_mut(idx).expect("scanned above");
+            e.payload = chunk.slice(at..at + len);
+            at += len;
+        }
     }
 
     /// Fetches a packet's payload if present.
@@ -477,6 +530,34 @@ mod tests {
         log.prune(Time::from_secs(25));
         assert!(log.has(Seq(0)));
         assert!(log.has(Seq(3)), "shielded by the unexpired front entry");
+    }
+
+    /// Payloads only the log holds are packed into one buffer per block
+    /// once the head is two blocks on; one held elsewhere too keeps its
+    /// own buffer, and every payload reads back unchanged.
+    #[test]
+    fn packs_only_payloads_the_log_alone_holds() {
+        let mut log = LogStore::new(Retention::All);
+        let shared = b("held-by-the-caller");
+        let payload = |i: u32| Bytes::copy_from_slice(&i.to_be_bytes());
+        let n = 3 * PACK as u32;
+        for i in 0..n {
+            let p = if i == 5 { shared.clone() } else { payload(i) };
+            log.insert(Time::ZERO, Seq(i), p);
+        }
+        let at = |i: u32| log.get(Seq(i)).unwrap().as_ptr() as usize;
+        // Block 0 is packed: neighbours sit side by side in one buffer,
+        // skipping the shared payload, which is left where it was.
+        assert_eq!(at(1), at(0) + 4);
+        assert_eq!(at(6), at(4) + 4);
+        assert_eq!(at(5), shared.as_ptr() as usize);
+        // Block 1 is only one behind the head: not yet.
+        let block1 = PACK as u32;
+        assert_ne!(at(block1 + 1), at(block1) + 4);
+        for i in (0..n).filter(|&i| i != 5) {
+            assert_eq!(log.get(Seq(i)), Some(payload(i)));
+        }
+        assert_eq!(log.get(Seq(5)), Some(shared));
     }
 
     #[test]

@@ -172,6 +172,23 @@ impl<T> SeqSlab<T> {
             .get((idx & SEG_MASK) as usize)
     }
 
+    /// Mutable access to the value at `idx`, if present.
+    #[inline]
+    pub fn get_mut(&mut self, idx: u64) -> Option<&mut T> {
+        let seg_num = idx >> SEG_SHIFT;
+        if seg_num < self.base_seg {
+            return None;
+        }
+        let rel = (seg_num - self.base_seg) as usize;
+        let seg = self.segs.get_mut(rel)?.as_deref_mut()?;
+        let off = (idx & SEG_MASK) as usize;
+        if seg.contains(off) {
+            seg.slots[off].as_mut()
+        } else {
+            None
+        }
+    }
+
     /// `true` iff `idx` holds a value — answered from the bitmap, the
     /// value itself is never touched.
     #[inline]
@@ -513,9 +530,12 @@ mod tests {
         assert_eq!(s.insert(5, 55), Some(50));
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(5), Some(&55));
+        *s.get_mut(5).unwrap() += 1;
+        assert_eq!(s.get(5), Some(&56));
+        assert_eq!(s.get_mut(4), None);
         assert!(s.contains(5));
         assert!(!s.contains(4));
-        assert_eq!(s.remove(5), Some(55));
+        assert_eq!(s.remove(5), Some(56));
         assert_eq!(s.remove(5), None);
         assert!(s.is_empty());
     }

@@ -13,6 +13,12 @@
 //! command or a dropped handle wakes it through the transport's
 //! [`Waker`]. Only a transport without a waker is polled on a bounded
 //! tick.
+//!
+//! A wait that returns a packet starts a drain pass: the loop takes
+//! whatever else is already readable (a zero-timeout receive), up to a
+//! bounded number of packets, and only then executes the machine's
+//! actions. Replies to one host across the whole backlog — a logger
+//! answering a window of NACKs — thus leave as one bundled run.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,6 +52,11 @@ enum Command<M> {
 /// Upper bound on one receive wait over a transport that has no
 /// [`Waker`]: the only way such an endpoint notices a posted command.
 const FALLBACK_WAIT: Duration = Duration::from_millis(10);
+
+/// Most packets one loop turn takes off the transport before it sends,
+/// runs timers and picks up commands: a flood delays those by at most
+/// one pass.
+const DRAIN_MAX: usize = 64;
 
 /// Capacity of the event channel; events beyond it are shed and counted.
 const EVENT_QUEUE: usize = 1024;
@@ -243,11 +254,19 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
             };
             let wait = wait.min(self.max_wait);
             if wait > Duration::ZERO {
-                if let Some((from, packet)) = self.transport.recv_timeout(wait)? {
+                let mut next = self.transport.recv_timeout(wait)?;
+                // Take the rest of the backlog before sending anything:
+                // replies to one host then leave as one bundled run.
+                let mut taken = 0;
+                while let Some((from, packet)) = next.take() {
                     self.machine
                         .on_packet(now_fn(origin), from, packet, &mut out);
-                    self.execute(&mut out)?;
+                    taken += 1;
+                    if taken < DRAIN_MAX {
+                        next = self.transport.recv_timeout(Duration::ZERO)?;
+                    }
                 }
+                self.execute(&mut out)?;
             }
             self.machine.poll(now_fn(origin), &mut out);
             self.execute(&mut out)?;
@@ -585,6 +604,127 @@ mod tests {
         assert_deadline_ends_the_wait(Hub::new().attach(SRC_HOST));
         let udp = UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
         assert_deadline_ends_the_wait(udp);
+    }
+
+    /// [`Alarm`] that spends a fixed 10 µs on every packet it receives,
+    /// so a flooder easily keeps its backlog from running dry; `seen`
+    /// counts the packets.
+    struct Busy {
+        alarm: Alarm,
+        seen: Arc<AtomicU64>,
+    }
+
+    impl Machine for Busy {
+        fn on_packet(&mut self, _: Time, _: HostId, _: Packet, _: &mut Actions) {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_micros(10) {
+                std::hint::spin_loop();
+            }
+            self.seen.fetch_add(1, Ordering::Relaxed);
+        }
+        fn poll(&mut self, now: Time, out: &mut Actions) {
+            self.alarm.poll(now, out);
+        }
+        fn next_deadline(&self) -> Option<Time> {
+            self.alarm.next_deadline()
+        }
+    }
+
+    /// While a thread floods the endpoint over `transport` through
+    /// `flooder`, posted calls are still picked up and a 2 ms machine
+    /// deadline still fires on time: the drain pass is bounded by
+    /// [`DRAIN_MAX`]. The flooder sends 32-packet bundles and keeps 256
+    /// packets outstanding, so the backlog never runs dry (an unbounded
+    /// drain never ends) while the flooder itself stays nearly idle.
+    fn assert_flood_cannot_starve<T: Transport, F: Transport>(transport: T, mut flooder: F) {
+        const DELAY: Duration = Duration::from_millis(2);
+        const OUTSTANDING: u64 = 256;
+        let to = transport.local_host();
+        let seen = Arc::new(AtomicU64::new(0));
+        let busy = Busy {
+            alarm: Alarm(None),
+            seen: Arc::clone(&seen),
+        };
+        let (ep, mut handle) = Endpoint::new(busy, transport, vec![]);
+        let task = ep.spawn();
+        let stop = Arc::new(AtomicBool::new(false));
+        let flooder = {
+            let (stop, seen) = (Arc::clone(&stop), Arc::clone(&seen));
+            let run = vec![
+                Packet::Data {
+                    group: GROUP,
+                    source: SRC,
+                    seq: Seq(1),
+                    epoch: lbrm_wire::EpochId(0),
+                    payload: Bytes::from_static(b"flood"),
+                };
+                32
+            ];
+            std::thread::spawn(move || {
+                let mut sent = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    if sent - seen.load(Ordering::Relaxed) < OUTSTANDING {
+                        flooder.send_unicast_bundle(to, &run).unwrap();
+                        sent += run.len() as u64;
+                    } else {
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                }
+            })
+        };
+        let flood_reached = Instant::now() + Duration::from_secs(5);
+        while seen.load(Ordering::Relaxed) < OUTSTANDING {
+            assert!(Instant::now() < flood_reached, "the flood never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let before = seen.load(Ordering::Relaxed);
+        let (mut pickups, mut lateness) = (Vec::new(), Vec::new());
+        for _ in 0..20 {
+            let (ran_tx, ran_rx) = mpsc::channel();
+            let posted = Instant::now();
+            handle
+                .call(move |m: &mut Busy, now, _| {
+                    m.alarm.0 = Some(now + DELAY);
+                    let _ = ran_tx.send(Instant::now());
+                })
+                .unwrap();
+            let ran = ran_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a posted command must run under a flood");
+            let fired = handle.event_timeout(Duration::from_secs(5));
+            assert_eq!(fired, Some(EndpointEvent::Notice(Notice::FreshnessLost)));
+            pickups.push(ran.duration_since(posted));
+            lateness.push(ran.elapsed().saturating_sub(DELAY));
+        }
+        assert!(
+            seen.load(Ordering::Relaxed) > before + OUTSTANDING,
+            "the flood must last the whole measurement"
+        );
+        stop.store(true, Ordering::Relaxed);
+        flooder.join().unwrap();
+        drop(handle);
+        assert!(matches!(task.join(), Ok(Ok(()))));
+
+        pickups.sort();
+        lateness.sort();
+        let (pickup, late) = (pickups[pickups.len() / 2], lateness[lateness.len() / 2]);
+        assert!(
+            pickup < Duration::from_millis(5),
+            "median pickup {pickup:?}: {pickups:?}"
+        );
+        assert!(
+            late <= Duration::from_millis(5),
+            "median deadline overrun {late:?}: {lateness:?}"
+        );
+    }
+
+    #[test]
+    fn a_flood_cannot_starve_commands_or_deadlines() {
+        let hub = Hub::new();
+        assert_flood_cannot_starve(hub.attach(RX_HOST), hub.attach(SRC_HOST));
+        let bind = || UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
+        assert_flood_cannot_starve(bind(), bind());
     }
 
     /// Events the application does not drain are shed, never block the

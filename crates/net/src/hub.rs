@@ -169,6 +169,8 @@ impl Transport for HubTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>> {
+        // A zero timeout takes only what is queued. The `Wake` it may
+        // pop is harmless: the endpoint checks its commands every turn.
         match self.rx.recv_timeout(timeout) {
             Ok(Inbound::Packet(from, packet)) => Ok(Some((from, packet))),
             Ok(Inbound::Wake) | Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),

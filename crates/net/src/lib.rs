@@ -119,6 +119,13 @@ pub trait Transport: Send + 'static {
     /// has a waker passes timeouts up to [`Duration::MAX`] (nothing to
     /// wait for but packets and wakes), so implementations must not
     /// overflow on `Instant::now() + timeout`.
+    ///
+    /// [`Duration::ZERO`] means "what is already readable": the call
+    /// never sleeps and does not consume a pending wake, which the next
+    /// non-zero wait still sees (one taken anyway only costs the
+    /// endpoint a loop turn: it checks its commands every turn). The
+    /// endpoint drains its backlog this way after a wait returns a
+    /// packet.
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>>;
 
     /// A handle other threads use to end a blocked

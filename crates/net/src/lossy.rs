@@ -101,8 +101,12 @@ impl<T: Transport> Transport for LossyTransport<T> {
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>> {
         // Honor the caller's deadline across discarded packets: a
-        // dropped datagram must not silently extend the wait. A timeout
-        // too long to have a deadline (an endpoint with nothing
+        // dropped datagram must not silently extend the wait. A zero
+        // timeout ("what is already readable") instead reads past a
+        // drop while the inner transport has packets, so a drain is not
+        // cut short at the first one; under a flood such a call lasts
+        // as long as the drops run, which the drop rate bounds. A
+        // timeout too long to have a deadline (an endpoint with nothing
         // scheduled passes `Duration::MAX`) is an unbounded wait.
         let deadline = Instant::now().checked_add(timeout);
         loop {
@@ -110,13 +114,14 @@ impl<T: Transport> Transport for LossyTransport<T> {
                 Some(d) => d.saturating_duration_since(Instant::now()),
                 None => timeout,
             };
-            // `None` is a timeout or a wake: either ends this wait.
+            // `None` is a timeout, a wake or an empty backlog: each ends
+            // this call.
             let Some((from, packet)) = self.inner.recv_timeout(left)? else {
                 return Ok(None);
             };
             if matches!(packet, Packet::Data { .. }) && self.roll_drop() {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
-                if deadline.is_some_and(|d| Instant::now() >= d) {
+                if !timeout.is_zero() && deadline.is_some_and(|d| Instant::now() >= d) {
                     return Ok(None);
                 }
                 continue;
@@ -213,6 +218,71 @@ mod tests {
         let t = std::thread::spawn(move || rx.recv_timeout(Duration::MAX).unwrap());
         waker.wake();
         assert_eq!(t.join().unwrap(), None);
+    }
+
+    /// Regression: a zero-timeout call used to return `None` at the
+    /// first dropped packet, cutting the endpoint's drain short. It
+    /// reads on while the inner transport has packets, so a drain
+    /// returns exactly the ones not dropped.
+    #[test]
+    fn zero_timeout_reads_past_dropped_packets() {
+        let hub = Hub::new();
+        let mut tx = hub.attach(HostId(1));
+        let mut rx = LossyTransport::new(hub.attach(HostId(2)), 0.5, 7);
+        let mut oracle = LossyTransport::new(hub.attach(HostId(3)), 0.5, 7);
+        let kept: Vec<u32> = (1..=20).filter(|_| !oracle.roll_drop()).collect();
+        assert!(!kept.is_empty() && kept.len() < 20, "{kept:?}");
+
+        for seq in 1..=20 {
+            tx.send_unicast(HostId(2), &data(seq)).unwrap();
+        }
+        let mut got = Vec::new();
+        while let Some((_, packet)) = rx.recv_timeout(Duration::ZERO).unwrap() {
+            let Packet::Data { seq, .. } = packet else {
+                panic!("only data was sent: {packet:?}");
+            };
+            got.push(seq.raw());
+        }
+        assert_eq!(got, kept);
+        assert_eq!(rx.dropped(), 20 - kept.len() as u64);
+    }
+
+    /// An inner transport that always has a data packet readable, for
+    /// two seconds after it is made.
+    struct Flood(Instant);
+
+    impl Transport for Flood {
+        fn local_host(&self) -> HostId {
+            HostId(2)
+        }
+        fn send_unicast(&mut self, _: HostId, _: &Packet) -> io::Result<()> {
+            Ok(())
+        }
+        fn send_multicast(&mut self, _: TtlScope, _: &Packet) -> io::Result<()> {
+            Ok(())
+        }
+        fn recv_timeout(&mut self, _: Duration) -> io::Result<Option<(HostId, Packet)>> {
+            let flooding = self.0.elapsed() < Duration::from_secs(2);
+            Ok(flooding.then(|| (HostId(1), data(1))))
+        }
+        fn join(&mut self, _: GroupId) -> io::Result<()> {
+            Ok(())
+        }
+        fn leave(&mut self, _: GroupId) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A non-zero wait still ends at its deadline while dropped data
+    /// keeps arriving: only a zero timeout reads on past drops.
+    #[test]
+    fn a_wait_ends_at_its_deadline_under_a_flood_of_drops() {
+        let mut rx = LossyTransport::new(Flood(Instant::now()), 1.0, 7);
+        let start = Instant::now();
+        assert_eq!(rx.recv_timeout(Duration::from_millis(20)).unwrap(), None);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "the wait took {took:?}");
+        assert!(rx.dropped() > 0);
     }
 
     /// The same seed replays the same drop decisions.

@@ -16,7 +16,8 @@
 //! datagram a non-blocking sweep of the sockets finds (starting one
 //! past the socket that delivered last, so a saturated socket cannot
 //! starve the others), else it sleeps in `ppoll` on all descriptors and
-//! reads only the ones reported ready. Corrupt or truncated datagrams
+//! reads only the ones reported ready. A zero timeout stops after the
+//! sweep and leaves the `eventfd` unread. Corrupt or truncated datagrams
 //! are dropped and counted; self-echoed multicast (loopback is left
 //! enabled so several endpoints can share one machine) is filtered by
 //! source address before decoding; any other socket error is returned
@@ -230,6 +231,9 @@ pub struct UdpTransport {
     buf: Box<[u8]>,
     /// Packets of the last datagram not yet handed to the caller.
     pending: VecDeque<(HostId, Packet)>,
+    /// The last receive was a zero-timeout sweep that found nothing, so
+    /// the next wait goes straight to `ppoll`.
+    swept_empty: bool,
     host: HostId,
     groups: GroupMap,
     interface: Ipv4Addr,
@@ -273,6 +277,7 @@ impl UdpTransport {
             next_sock: 0,
             buf: vec![0u8; RECV_BUF_SIZE].into_boxed_slice(),
             pending: VecDeque::new(),
+            swept_empty: false,
             host: host_of(advertised),
             groups,
             interface,
@@ -467,14 +472,25 @@ impl Transport for UdpTransport {
         // it takes.
         let deadline = Instant::now().checked_add(timeout);
         // The first pass tries every socket without asking `ppoll`: a
-        // datagram already queued costs one system call, not two.
+        // datagram already queued costs one system call, not two. Right
+        // after a zero-timeout sweep found nothing that pass would only
+        // repeat it, so the wait starts at `ppoll`, which is
+        // level-triggered: whatever arrived since is reported ready.
+        let skip_sweep = std::mem::take(&mut self.swept_empty) && !timeout.is_zero();
         let mut polled = false;
         loop {
-            let first = self.next_sock;
-            for i in (first..socks).chain(0..first) {
-                if (!polled || self.poll.ready(1 + i)) && self.recv_on(i)? {
-                    return Ok(self.pending.pop_front());
+            if polled || !skip_sweep {
+                let first = self.next_sock;
+                for i in (first..socks).chain(0..first) {
+                    if (!polled || self.poll.ready(1 + i)) && self.recv_on(i)? {
+                        return Ok(self.pending.pop_front());
+                    }
                 }
+            }
+            if timeout.is_zero() {
+                // Nothing readable. A wake stays for the next wait.
+                self.swept_empty = true;
+                return Ok(None);
             }
             let left = match deadline {
                 Some(d) => d.saturating_duration_since(Instant::now()),

@@ -281,6 +281,151 @@ fn logger_answers_a_span_nack_with_bundle_datagrams() {
     assert_eq!(repairs, want, "requested seqs, ascending, logged payloads");
 }
 
+/// A backlog of NACKs is answered in one pass: with the endpoint loop
+/// stalled while 32 single-seq NACKs queue up, the logger takes them all
+/// before sending, so the 32 `Retrans` to the one requester share bundle
+/// frames instead of costing a datagram each.
+#[test]
+fn a_nack_backlog_is_answered_in_shared_bundles() {
+    use lbrm_net::host_of;
+    use lbrm_wire::{decode_bundle, decode_bytes, encode, is_bundle, SeqRange};
+    use std::net::{SocketAddr, UdpSocket};
+
+    const WINDOW: u32 = 32;
+    let Some(log_t) = try_bind(49_437) else {
+        return;
+    };
+    let logger_addr = log_t.local_addr();
+    let sent = log_t.shared_send_counters();
+    let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let SocketAddr::V4(client_addr) = client.local_addr().unwrap() else {
+        panic!("ipv4 bind");
+    };
+    let me = host_of(client_addr);
+    let (ep, logger) = Endpoint::new(
+        Logger::new(LoggerConfig::primary(GROUP, SRC, log_t.local_host(), me)),
+        log_t,
+        vec![],
+    );
+    ep.spawn();
+
+    let mut buf = vec![0u8; 65_536];
+    let mut recv = || -> Vec<Packet> {
+        let (n, _) = client.recv_from(&mut buf).expect("the logger must answer");
+        let datagram = Bytes::copy_from_slice(&buf[..n]);
+        if is_bundle(&datagram) {
+            decode_bundle(&datagram).expect("valid bundle")
+        } else {
+            vec![decode_bytes(datagram).expect("valid packet")]
+        }
+    };
+    for seq in 1..=WINDOW {
+        let data = Packet::Data {
+            group: GROUP,
+            source: SRC,
+            seq: Seq(seq),
+            epoch: EpochId(0),
+            payload: Bytes::from(vec![seq as u8; 100]),
+        };
+        client
+            .send_to(&encode(&data).unwrap(), logger_addr)
+            .unwrap();
+    }
+    // Wait until the log holds the window (cumulative LogAck).
+    let logged =
+        |p: &Packet| matches!(p, Packet::LogAck { primary_seq, .. } if *primary_seq == Seq(WINDOW));
+    while !recv().iter().any(logged) {}
+
+    // Stall the loop, and queue the NACKs while it is stalled.
+    let (stalled_tx, stalled_rx) = std::sync::mpsc::channel();
+    logger
+        .call(move |_: &mut Logger, _, _| {
+            let _ = stalled_tx.send(());
+            std::thread::sleep(Duration::from_millis(20));
+        })
+        .unwrap();
+    stalled_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the call must run");
+    let (datagrams_before, packets_before) = (sent.datagrams(), sent.packets());
+    for seq in 1..=WINDOW {
+        let nack = Packet::Nack {
+            group: GROUP,
+            source: SRC,
+            requester: me,
+            ranges: vec![SeqRange::single(Seq(seq))],
+        };
+        client
+            .send_to(&encode(&nack).unwrap(), logger_addr)
+            .unwrap();
+    }
+
+    let (mut datagrams, mut repairs) = (0, Vec::new());
+    while repairs.len() < WINDOW as usize {
+        let packets = recv();
+        let before = repairs.len();
+        repairs.extend(packets.into_iter().filter_map(|p| match p {
+            Packet::Retrans { seq, .. } => Some(seq),
+            _ => None,
+        }));
+        datagrams += usize::from(repairs.len() > before);
+    }
+    let want: Vec<Seq> = (1..=WINDOW).map(Seq).collect();
+    assert_eq!(repairs, want, "every requested seq, in request order");
+    assert!(datagrams <= 8, "{datagrams} datagrams for {WINDOW} repairs");
+    let (datagrams_sent, packets_sent) = (
+        sent.datagrams() - datagrams_before,
+        sent.packets() - packets_before,
+    );
+    assert!(
+        datagrams_sent < packets_sent,
+        "the serve sent {datagrams_sent} datagrams for {packets_sent} packets"
+    );
+}
+
+/// The zero-timeout contract: `recv_timeout(Duration::ZERO)` returns
+/// what is already readable without sleeping, and leaves a pending wake
+/// for the next wait.
+#[test]
+fn a_zero_timeout_takes_what_is_readable_and_keeps_the_wake() {
+    let Some(mut t) = try_bind(49_449) else {
+        return;
+    };
+    let Some(mut peer) = try_bind(49_449) else {
+        return;
+    };
+    let started = std::time::Instant::now();
+    assert_eq!(t.recv_timeout(Duration::ZERO).unwrap(), None);
+    assert!(started.elapsed() < Duration::from_millis(1), "never sleeps");
+
+    let packet = heartbeat(GROUP, 1);
+    peer.send_unicast(t.local_host(), &packet).unwrap();
+    let arrived = std::time::Instant::now() + Duration::from_secs(5);
+    let got = loop {
+        if let Some(got) = t.recv_timeout(Duration::ZERO).unwrap() {
+            break got;
+        }
+        assert!(std::time::Instant::now() < arrived, "never returned");
+    };
+    assert_eq!(got, (peer.local_host(), packet.clone()));
+
+    // An empty zero-timeout sweep does not hide a datagram that arrives
+    // before the next wait.
+    assert_eq!(t.recv_timeout(Duration::ZERO).unwrap(), None);
+    peer.send_unicast(t.local_host(), &packet).unwrap();
+    assert_eq!(
+        t.recv_timeout(Duration::from_secs(5)).unwrap(),
+        Some((peer.local_host(), packet))
+    );
+
+    t.waker().unwrap().wake();
+    assert_eq!(t.recv_timeout(Duration::ZERO).unwrap(), None);
+    within_5s(move || assert_eq!(t.recv_timeout(Duration::MAX).unwrap(), None));
+}
+
 /// Regression: an endpoint in two groups that share a port used to get
 /// every datagram on that port once per join. One socket per port means
 /// once; leaving one group keeps the other flowing and silences the one
