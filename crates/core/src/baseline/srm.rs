@@ -11,7 +11,7 @@
 //! repair — but every loss anywhere costs group-wide multicast traffic,
 //! and recovery takes on the order of 3×RTT to the source.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -50,7 +50,7 @@ pub struct SrmConfig {
     pub d2: f64,
     /// Estimated one-way delays to peers (filled by the embedding from
     /// topology knowledge or session-timestamp measurement).
-    pub delay_to: HashMap<HostId, Duration>,
+    pub delay_to: BTreeMap<HostId, Duration>,
     /// Fallback delay estimate.
     pub default_delay: Duration,
     /// Determinism seed for the randomized timers.
@@ -70,7 +70,7 @@ impl SrmConfig {
             c2: 2.0,
             d1: 1.0,
             d2: 1.0,
-            delay_to: HashMap::new(),
+            delay_to: BTreeMap::new(),
             default_delay: Duration::from_millis(30),
             seed: host.raw(),
         }

@@ -13,7 +13,7 @@
 //! This module is the bookkeeping core; [`crate::sender::Sender`] turns
 //! its outputs into packets.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use lbrm_wire::{EpochId, HostId, Seq};
@@ -156,8 +156,8 @@ pub struct StatAck {
     unwrapper: SeqUnwrapper,
     outstanding: BTreeMap<u64, Track>,
     /// Per-epoch acker sets still accepting late ACKs (current + previous).
-    epoch_ackers: HashMap<EpochId, BTreeSet<HostId>>,
-    bogus_acks: HashMap<HostId, u32>,
+    epoch_ackers: BTreeMap<EpochId, BTreeSet<HostId>>,
+    bogus_acks: BTreeMap<HostId, u32>,
     blacklist: BTreeSet<HostId>,
     /// Bolot probing phase; `None` once the estimate is confident.
     probe: Option<BolotProbe>,
@@ -180,8 +180,8 @@ impl StatAck {
             next_selection_at: start,
             unwrapper: SeqUnwrapper::new(),
             outstanding: BTreeMap::new(),
-            epoch_ackers: HashMap::new(),
-            bogus_acks: HashMap::new(),
+            epoch_ackers: BTreeMap::new(),
+            bogus_acks: BTreeMap::new(),
             blacklist: BTreeSet::new(),
             probe: config.initial_probe.map(BolotProbe::new),
             incomplete_streak: 0,

@@ -7,21 +7,34 @@
 //! `"heartbeat"`, `"nack"`, ...), plus per-site tail-circuit detail for
 //! the Figure-7 NACK-reduction experiment.
 //!
+//! Counters are dense arrays indexed by [`Packet::kind_index`] (the wire
+//! type tag − 1, the order of [`PACKET_KINDS`]), sized once for the
+//! topology's sites, so counting a simulated hop hashes nothing and
+//! allocates nothing. Queries still name kinds by label.
+//!
 //! [`BundleStats`] is the datagram-level companion: it models DIS-style
 //! PDU bundling (`lbrm_wire::bundle`) arithmetically, so experiments can
 //! report datagrams-saved deterministically without serializing a byte.
 //! Bundle accounting is deliberately separate from [`NetStats`]: framing
 //! decides how packets share datagrams, never which packets are sent or
 //! when, so the protocol-visible traffic model does not depend on it.
+//!
+//! [`Packet::kind_index`]: lbrm_wire::Packet::kind_index
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use lbrm_wire::bundle::{
     BUNDLE_HEADER_LEN, DEFAULT_BUNDLE_MTU, ENTRY_PREFIX_LEN, MAX_BUNDLE_PACKETS,
 };
+use lbrm_wire::codec::{kind_index_of, PACKET_KINDS};
 use lbrm_wire::SiteId;
 
 use crate::time::SimTime;
+
+/// Number of packet kinds: the width of every per-kind counter row.
+const KINDS: usize = PACKET_KINDS.len();
+/// Number of [`SegmentClass`]es.
+const CLASSES: usize = 4;
 
 /// The four classes of network segment in the Figure-1 topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,66 +60,83 @@ pub struct Counter {
     pub dropped: u64,
 }
 
+impl Counter {
+    fn count(&mut self, bytes: usize, dropped: bool) {
+        if dropped {
+            self.dropped += 1;
+        } else {
+            self.carried += 1;
+            self.bytes += bytes as u64;
+        }
+    }
+}
+
 /// Aggregated network statistics for a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetStats {
-    by_class: HashMap<(SegmentClass, &'static str), Counter>,
-    by_site_tail: HashMap<(SiteId, SegmentClass, &'static str), Counter>,
+    /// `[class][kind]`.
+    by_class: Vec<Counter>,
+    /// `[site][class][kind]`.
+    by_site: Vec<Counter>,
 }
 
 impl NetStats {
-    /// Records a traversal of `class` by a packet of `kind`.
+    /// Zeroed counters for a topology of `sites` sites.
+    pub fn new(sites: usize) -> NetStats {
+        NetStats {
+            by_class: vec![Counter::default(); CLASSES * KINDS],
+            by_site: vec![Counter::default(); sites * CLASSES * KINDS],
+        }
+    }
+
+    /// Records a traversal of `class` by a packet whose
+    /// [`kind_index`](lbrm_wire::Packet::kind_index) is `kind`.
+    ///
+    /// # Panics
+    ///
+    /// If `kind` is not a packet kind or `site` is past the topology
+    /// these counters were sized for.
     pub fn record(
         &mut self,
         class: SegmentClass,
         site: Option<SiteId>,
-        kind: &'static str,
+        kind: usize,
         bytes: usize,
         dropped: bool,
     ) {
-        let c = self.by_class.entry((class, kind)).or_default();
-        if dropped {
-            c.dropped += 1;
-        } else {
-            c.carried += 1;
-            c.bytes += bytes as u64;
-        }
+        assert!(kind < KINDS, "packet kind index {kind} out of range");
+        let at = class as usize * KINDS + kind;
+        self.by_class[at].count(bytes, dropped);
         if let Some(site) = site {
-            let c = self.by_site_tail.entry((site, class, kind)).or_default();
-            if dropped {
-                c.dropped += 1;
-            } else {
-                c.carried += 1;
-                c.bytes += bytes as u64;
-            }
+            self.by_site[site.raw() as usize * CLASSES * KINDS + at].count(bytes, dropped);
         }
     }
 
-    /// Counter for a segment class and packet kind.
+    /// Counter for a segment class and packet kind (zero for an unknown
+    /// kind).
     pub fn class_kind(&self, class: SegmentClass, kind: &str) -> Counter {
-        self.by_class
-            .iter()
-            .filter(|((c, k), _)| *c == class && *k == kind)
-            .map(|(_, v)| *v)
-            .fold(Counter::default(), add)
+        kind_index_of(kind)
+            .map(|k| self.by_class[class as usize * KINDS + k])
+            .unwrap_or_default()
     }
 
     /// Total counter for a segment class across all packet kinds.
     pub fn class_total(&self, class: SegmentClass) -> Counter {
-        self.by_class
+        let row = class as usize * KINDS;
+        self.by_class[row..row + KINDS]
             .iter()
-            .filter(|((c, _), _)| *c == class)
-            .map(|(_, v)| *v)
-            .fold(Counter::default(), add)
+            .fold(Counter::default(), |a, b| add(a, *b))
     }
 
-    /// Counter for one site's tail circuit in one direction and kind.
+    /// Counter for one site's tail circuit in one direction and kind
+    /// (zero for an unknown kind or a site outside the topology).
     pub fn site_tail(&self, site: SiteId, class: SegmentClass, kind: &str) -> Counter {
-        self.by_site_tail
-            .iter()
-            .filter(|((s, c, k), _)| *s == site && *c == class && *k == kind)
-            .map(|(_, v)| *v)
-            .fold(Counter::default(), add)
+        kind_index_of(kind)
+            .and_then(|k| {
+                let at = (site.raw() as usize * CLASSES + class as usize) * KINDS + k;
+                self.by_site.get(at).copied()
+            })
+            .unwrap_or_default()
     }
 }
 
@@ -156,20 +186,6 @@ impl BundleStats {
     pub fn kind(&self, kind: &str) -> KindBundle {
         self.per_kind.get(kind).copied().unwrap_or_default()
     }
-
-    /// Folds another accounting into this one; `World::bundle_stats`
-    /// sums its per-host meters this way. Commutative and associative.
-    pub(crate) fn merge(&mut self, other: &BundleStats) {
-        self.packets += other.packets;
-        self.frames += other.frames;
-        self.bytes_unbundled += other.bytes_unbundled;
-        self.bytes_bundled += other.bytes_bundled;
-        for (k, v) in &other.per_kind {
-            let c = self.per_kind.entry(k).or_default();
-            c.packets += v.packets;
-            c.frames += v.frames;
-        }
-    }
 }
 
 /// Where a metered send was headed. Unicast sends key on the target
@@ -177,16 +193,21 @@ impl BundleStats {
 /// regardless of receiver count.
 pub(crate) type DestKey = (u8, u64, u64);
 
-/// One host's deterministic bundle-framing fold.
+/// The world's deterministic bundle-framing fold: one open frame per
+/// host, one set of totals.
 ///
 /// Mirrors `lbrm_wire::BundleBuilder`'s flush rule arithmetically: a
-/// send joins the open frame iff it happens at the same virtual instant,
-/// to the same destination, the frame holds fewer than
+/// host's send joins its open frame iff it happens at the same virtual
+/// instant, to the same destination, the frame holds fewer than
 /// [`MAX_BUNDLE_PACKETS`], and the entry still fits the MTU.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct BundleMeter {
-    stats: BundleStats,
-    open: Option<OpenFrame>,
+    /// Totals only: the per-kind breakdown lives in `per_kind`.
+    totals: BundleStats,
+    /// By packet kind index.
+    per_kind: [KindBundle; KINDS],
+    /// Each host's open frame, by host index.
+    open: Vec<Option<OpenFrame>>,
 }
 
 #[derive(Debug)]
@@ -199,58 +220,90 @@ struct OpenFrame {
 }
 
 impl BundleMeter {
-    /// Accounts one packet send of `len` encoded bytes.
-    pub fn record(&mut self, at: SimTime, dest: DestKey, kind: &'static str, len: usize) {
-        self.stats.packets += 1;
-        self.stats.bytes_unbundled += len as u64;
-        self.stats.per_kind.entry(kind).or_default().packets += 1;
-        if let Some(open) = &mut self.open {
-            if open.at == at
-                && open.dest == dest
-                && open.count < MAX_BUNDLE_PACKETS
-                && open.frame_bytes + ENTRY_PREFIX_LEN + len <= DEFAULT_BUNDLE_MTU
+    /// A meter for `hosts` sending hosts.
+    pub fn new(hosts: usize) -> BundleMeter {
+        BundleMeter {
+            totals: BundleStats::default(),
+            per_kind: [KindBundle::default(); KINDS],
+            open: (0..hosts).map(|_| None).collect(),
+        }
+    }
+
+    /// Accounts one send of `len` encoded bytes by host index `host` of
+    /// a packet whose [`kind_index`](lbrm_wire::Packet::kind_index) is
+    /// `kind`.
+    pub fn record(&mut self, host: usize, at: SimTime, dest: DestKey, kind: usize, len: usize) {
+        let totals = &mut self.totals;
+        totals.packets += 1;
+        totals.bytes_unbundled += len as u64;
+        self.per_kind[kind].packets += 1;
+        let open = &mut self.open[host];
+        if let Some(frame) = open {
+            if frame.at == at
+                && frame.dest == dest
+                && frame.count < MAX_BUNDLE_PACKETS
+                && frame.frame_bytes + ENTRY_PREFIX_LEN + len <= DEFAULT_BUNDLE_MTU
             {
-                if open.count == 1 {
+                if frame.count == 1 {
                     // The frame just became a real bundle: charge the
                     // header and the first entry's prefix retroactively
                     // (a frame that stays single goes out bare).
-                    self.stats.bytes_bundled += (BUNDLE_HEADER_LEN + ENTRY_PREFIX_LEN) as u64;
+                    totals.bytes_bundled += (BUNDLE_HEADER_LEN + ENTRY_PREFIX_LEN) as u64;
                 }
-                self.stats.bytes_bundled += (ENTRY_PREFIX_LEN + len) as u64;
-                open.count += 1;
-                open.frame_bytes += ENTRY_PREFIX_LEN + len;
+                totals.bytes_bundled += (ENTRY_PREFIX_LEN + len) as u64;
+                frame.count += 1;
+                frame.frame_bytes += ENTRY_PREFIX_LEN + len;
                 return;
             }
         }
-        self.open = Some(OpenFrame {
+        *open = Some(OpenFrame {
             at,
             dest,
             count: 1,
             frame_bytes: BUNDLE_HEADER_LEN + ENTRY_PREFIX_LEN + len,
         });
-        self.stats.frames += 1;
-        self.stats.bytes_bundled += len as u64;
-        self.stats.per_kind.entry(kind).or_default().frames += 1;
+        totals.frames += 1;
+        totals.bytes_bundled += len as u64;
+        self.per_kind[kind].frames += 1;
     }
 
-    /// The accumulated accounting.
-    pub fn stats(&self) -> &BundleStats {
-        &self.stats
+    /// The accounting so far, with the kinds sent labelled.
+    pub fn stats(&self) -> BundleStats {
+        let mut out = self.totals.clone();
+        for (label, k) in PACKET_KINDS.iter().zip(&self.per_kind) {
+            if k.packets > 0 {
+                out.per_kind.insert(label, *k);
+            }
+        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    fn kind(label: &str) -> usize {
+        kind_index_of(label).expect("a packet label")
+    }
 
     #[test]
     fn record_and_query() {
-        let mut s = NetStats::default();
-        s.record(SegmentClass::Wan, None, "nack", 40, false);
-        s.record(SegmentClass::Wan, None, "nack", 40, false);
-        s.record(SegmentClass::Wan, None, "nack", 40, true);
-        s.record(SegmentClass::Wan, None, "data", 100, false);
-        s.record(SegmentClass::TailIn, Some(SiteId(3)), "data", 100, true);
+        let mut s = NetStats::new(4);
+        s.record(SegmentClass::Wan, None, kind("nack"), 40, false);
+        s.record(SegmentClass::Wan, None, kind("nack"), 40, false);
+        s.record(SegmentClass::Wan, None, kind("nack"), 40, true);
+        s.record(SegmentClass::Wan, None, kind("data"), 100, false);
+        s.record(
+            SegmentClass::TailIn,
+            Some(SiteId(3)),
+            kind("data"),
+            100,
+            true,
+        );
 
         let n = s.class_kind(SegmentClass::Wan, "nack");
         assert_eq!(n.carried, 2);
@@ -270,14 +323,119 @@ mod tests {
         );
     }
 
+    /// The hash-map accounting the arrays replaced, kept as the oracle.
+    #[derive(Default)]
+    struct MapStats {
+        by_class: HashMap<(SegmentClass, &'static str), Counter>,
+        by_site_tail: HashMap<(SiteId, SegmentClass, &'static str), Counter>,
+    }
+
+    impl MapStats {
+        fn record(
+            &mut self,
+            class: SegmentClass,
+            site: Option<SiteId>,
+            kind: &'static str,
+            bytes: usize,
+            dropped: bool,
+        ) {
+            self.by_class
+                .entry((class, kind))
+                .or_default()
+                .count(bytes, dropped);
+            if let Some(site) = site {
+                self.by_site_tail
+                    .entry((site, class, kind))
+                    .or_default()
+                    .count(bytes, dropped);
+            }
+        }
+
+        fn class_kind(&self, class: SegmentClass, kind: &str) -> Counter {
+            self.by_class
+                .iter()
+                .filter(|((c, k), _)| *c == class && *k == kind)
+                .fold(Counter::default(), |a, (_, v)| add(a, *v))
+        }
+
+        fn class_total(&self, class: SegmentClass) -> Counter {
+            self.by_class
+                .iter()
+                .filter(|((c, _), _)| *c == class)
+                .fold(Counter::default(), |a, (_, v)| add(a, *v))
+        }
+
+        fn site_tail(&self, site: SiteId, class: SegmentClass, kind: &str) -> Counter {
+            self.by_site_tail
+                .iter()
+                .filter(|((s, c, k), _)| *s == site && *c == class && *k == kind)
+                .fold(Counter::default(), |a, (_, v)| add(a, *v))
+        }
+    }
+
+    const ALL_CLASSES: [SegmentClass; CLASSES] = [
+        SegmentClass::Lan,
+        SegmentClass::TailOut,
+        SegmentClass::TailIn,
+        SegmentClass::Wan,
+    ];
+
+    #[test]
+    fn arrays_agree_with_the_map_oracle() {
+        const SITES: u32 = 7;
+        let mut rng = SmallRng::seed_from_u64(0x57A75);
+        let mut arrays = NetStats::new(SITES as usize);
+        let mut oracle = MapStats::default();
+        for _ in 0..10_000 {
+            let class = ALL_CLASSES[rng.random_range(0..CLASSES)];
+            let site = rng
+                .random_bool(0.7)
+                .then(|| SiteId(rng.random_range(0..SITES)));
+            let k = rng.random_range(0..KINDS);
+            let bytes = rng.random_range(0..1500usize);
+            let dropped = rng.random_bool(0.2);
+            arrays.record(class, site, k, bytes, dropped);
+            oracle.record(class, site, PACKET_KINDS[k], bytes, dropped);
+        }
+        for class in ALL_CLASSES {
+            assert_eq!(arrays.class_total(class), oracle.class_total(class));
+            for label in PACKET_KINDS {
+                assert_eq!(
+                    arrays.class_kind(class, label),
+                    oracle.class_kind(class, label)
+                );
+                for site in 0..SITES {
+                    assert_eq!(
+                        arrays.site_tail(SiteId(site), class, label),
+                        oracle.site_tail(SiteId(site), class, label),
+                        "site {site} {class:?} {label}"
+                    );
+                }
+            }
+            // Unknown labels and sites past the topology answer zero.
+            assert_eq!(arrays.class_kind(class, "no-such-kind"), Counter::default());
+            for site in [SITES, SITES + 1, u32::MAX] {
+                assert_eq!(
+                    arrays.site_tail(SiteId(site), class, "data"),
+                    Counter::default()
+                );
+            }
+            assert_eq!(
+                arrays.site_tail(SiteId(0), class, "no-such-kind"),
+                Counter::default()
+            );
+        }
+        assert!(arrays.class_total(SegmentClass::Lan).carried > 0);
+    }
+
     #[test]
     fn bundle_meter_coalesces_same_instant_same_dest() {
-        let mut m = BundleMeter::default();
+        let mut m = BundleMeter::new(1);
         let t0 = SimTime::ZERO;
         let dest = (0u8, 7u64, 0u64);
-        m.record(t0, dest, "retrans", 100);
-        m.record(t0, dest, "retrans", 100);
-        m.record(t0, dest, "retrans", 100);
+        m.record(0, t0, dest, kind("retrans"), 100);
+        m.record(0, t0, dest, kind("retrans"), 100);
+        m.record(0, t0, dest, kind("retrans"), 100);
         let s = m.stats();
         assert_eq!(s.packets, 3);
         assert_eq!(s.frames, 1, "same instant + dest must share a frame");
@@ -286,20 +444,21 @@ mod tests {
         assert_eq!(s.bytes_bundled, 8 + 3 * 102);
         assert_eq!(s.kind("retrans").frames, 1);
         assert_eq!(s.kind("retrans").packets, 3);
+        assert_eq!(s.per_kind.len(), 1, "only kinds sent are labelled");
 
         // A later instant opens a new frame even to the same dest.
         let t1 = t0 + std::time::Duration::from_millis(1);
-        m.record(t1, dest, "retrans", 100);
+        m.record(0, t1, dest, kind("retrans"), 100);
         assert_eq!(m.stats().frames, 2);
         // A different dest at that instant opens another.
-        m.record(t1, (0, 8, 0), "retrans", 100);
+        m.record(0, t1, (0, 8, 0), kind("retrans"), 100);
         assert_eq!(m.stats().frames, 3);
     }
 
     #[test]
     fn single_packet_frames_are_billed_bare() {
-        let mut m = BundleMeter::default();
-        m.record(SimTime::ZERO, (0, 1, 0), "data", 64);
+        let mut m = BundleMeter::new(1);
+        m.record(0, SimTime::ZERO, (0, 1, 0), kind("data"), 64);
         assert_eq!(m.stats().bytes_bundled, 64, "no framing for a lone packet");
         assert_eq!(m.stats().bytes_unbundled, 64);
     }
@@ -308,42 +467,48 @@ mod tests {
     fn bundle_meter_respects_mtu_and_count_cap() {
         // Two 700-byte packets: 8 + 702 + 702 > 1400, so the second
         // opens a new frame.
-        let mut m = BundleMeter::default();
+        let mut m = BundleMeter::new(1);
         let dest = (1u8, 1u64, 15u64);
-        m.record(SimTime::ZERO, dest, "data", 700);
-        m.record(SimTime::ZERO, dest, "data", 700);
+        m.record(0, SimTime::ZERO, dest, kind("data"), 700);
+        m.record(0, SimTime::ZERO, dest, kind("data"), 700);
         assert_eq!(m.stats().frames, 2);
 
         // 300 one-byte packets fit the MTU but overflow the u8 count.
-        let mut m = BundleMeter::default();
+        let mut m = BundleMeter::new(1);
         for _ in 0..300 {
-            m.record(SimTime::ZERO, dest, "nack", 1);
+            m.record(0, SimTime::ZERO, dest, kind("nack"), 1);
         }
         assert_eq!(m.stats().packets, 300);
         assert_eq!(m.stats().frames, 2, "count cap at 255 splits the frame");
     }
 
     #[test]
-    fn bundle_stats_keep_both_ledgers_and_merge_is_order_free() {
-        let mut m = BundleMeter::default();
+    fn hosts_keep_their_own_frames_and_share_the_totals() {
+        let mut m = BundleMeter::new(2);
         let dest = (0u8, 2u64, 0u64);
+        // Host 1's sends between host 0's do not close host 0's frame.
         for _ in 0..10 {
-            m.record(SimTime::ZERO, dest, "retrans", 50);
+            m.record(0, SimTime::ZERO, dest, kind("retrans"), 50);
+            m.record(1, SimTime::ZERO, dest, kind("retrans"), 50);
         }
-        let ten = m.stats().clone();
-        assert_eq!((ten.packets, ten.bytes_unbundled), (10, 500));
-        assert_eq!((ten.frames, ten.bytes_bundled), (1, 8 + 10 * 52));
-        m.record(SimTime::ZERO, (0, 3, 0), "nack", 40);
-        let eleven = m.stats().clone();
-
-        let mut a = BundleStats::default();
-        a.merge(&ten);
-        a.merge(&eleven);
-        let mut b = BundleStats::default();
-        b.merge(&eleven);
-        b.merge(&ten);
-        assert_eq!(a, b, "merge must be commutative");
-        assert_eq!((a.packets, a.frames), (21, 3));
-        assert_eq!(a.kind("retrans").packets, 20);
+        m.record(1, SimTime::ZERO, (0, 3, 0), kind("nack"), 40);
+        let s = m.stats();
+        assert_eq!((s.packets, s.bytes_unbundled), (21, 1040));
+        assert_eq!((s.frames, s.bytes_bundled), (3, 2 * (8 + 10 * 52) + 40));
+        assert_eq!(
+            s.kind("retrans"),
+            KindBundle {
+                packets: 20,
+                frames: 2
+            }
+        );
+        assert_eq!(
+            s.kind("nack"),
+            KindBundle {
+                packets: 1,
+                frames: 1
+            }
+        );
+        assert_eq!(s.per_kind.len(), 2, "only kinds sent are labelled");
     }
 }

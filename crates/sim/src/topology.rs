@@ -347,7 +347,9 @@ impl Topology {
     ///
     /// The argument list mirrors the world's split state (`net`, `stats`
     /// are fields the caller already borrowed apart); bundling them into
-    /// a struct would just move the borrow split around.
+    /// a struct would just move the borrow split around. Here and in the
+    /// other crossings, `kind` is the packet's
+    /// [`kind_index`](lbrm_wire::Packet::kind_index).
     #[allow(clippy::too_many_arguments)]
     pub fn lan_delivery(
         &self,
@@ -355,7 +357,7 @@ impl Topology {
         net: &mut SiteNet,
         now: SimTime,
         to: HostId,
-        kind: &'static str,
+        kind: usize,
         bytes: usize,
         stats: &mut NetStats,
     ) -> Option<Delivery> {
@@ -379,7 +381,7 @@ impl Topology {
         site: SiteId,
         net: &mut SiteNet,
         now: SimTime,
-        kind: &'static str,
+        kind: usize,
         bytes: usize,
         stats: &mut NetStats,
     ) -> Option<SimTime> {
@@ -418,7 +420,7 @@ impl Topology {
         site: SiteId,
         net: &mut SiteNet,
         now: SimTime,
-        kind: &'static str,
+        kind: usize,
         bytes: usize,
         stats: &mut NetStats,
     ) -> Option<SimTime> {
@@ -438,7 +440,12 @@ impl Topology {
 mod tests {
     use super::*;
     use crate::loss::LossModel;
+    use lbrm_wire::codec::kind_index_of;
     use rand::SeedableRng;
+
+    fn data_kind() -> usize {
+        kind_index_of("data").unwrap()
+    }
 
     fn net_for(t: &Topology, site: SiteId, seed: u64) -> SiteNet {
         SiteNet::new(
@@ -459,7 +466,7 @@ mod tests {
         now: SimTime,
         from: HostId,
         to: HostId,
-        kind: &'static str,
+        kind: usize,
         bytes: usize,
         stats: &mut NetStats,
     ) -> Option<Delivery> {
@@ -508,7 +515,7 @@ mod tests {
         let (t, a, _, c) = two_site_topo();
         let mut src = net_for(&t, t.site_of(a), 1);
         let mut dst = net_for(&t, t.site_of(c), 2);
-        let mut stats = NetStats::default();
+        let mut stats = NetStats::new(t.site_count());
         let d = unicast_split(
             &t,
             &mut src,
@@ -516,7 +523,7 @@ mod tests {
             SimTime::ZERO,
             a,
             c,
-            "data",
+            data_kind(),
             100,
             &mut stats,
         )
@@ -543,7 +550,7 @@ mod tests {
         let remote = b.hosts(s1, 5);
         let t = b.build();
         let mut dst = net_for(&t, s1, 3);
-        let mut stats = NetStats::default();
+        let mut stats = NetStats::new(t.site_count());
 
         // The copy reaches the tail during the outage: one drop, no LAN
         // deliveries possible.
@@ -551,7 +558,7 @@ mod tests {
             s1,
             &mut dst,
             SimTime::from_millis(40),
-            "data",
+            data_kind(),
             64,
             &mut stats,
         );
@@ -574,15 +581,15 @@ mod tests {
         let members = b.hosts(s0, 4);
         let t = b.build();
         let mut net = net_for(&t, s0, 4);
-        let mut stats = NetStats::default();
+        let mut stats = NetStats::new(t.site_count());
         let t_in = SimTime::from_millis(25);
         let t_lan = t
-            .ingress_tail(s0, &mut net, t_in, "data", 64, &mut stats)
+            .ingress_tail(s0, &mut net, t_in, data_kind(), 64, &mut stats)
             .unwrap();
         assert_eq!(t_lan, t_in + Duration::from_millis(2));
         let deliveries: Vec<Delivery> = members
             .iter()
-            .filter_map(|&m| t.lan_delivery(s0, &mut net, t_lan, m, "data", 64, &mut stats))
+            .filter_map(|&m| t.lan_delivery(s0, &mut net, t_lan, m, data_kind(), 64, &mut stats))
             .collect();
         assert_eq!(deliveries.len(), 4);
         for d in &deliveries {
@@ -631,12 +638,12 @@ mod tests {
         });
         let t = b.build();
         let mut net = net_for(&t, s0, 6);
-        let mut stats = NetStats::default();
+        let mut stats = NetStats::new(t.site_count());
         let o1 = t
-            .egress(s0, &mut net, SimTime::ZERO, "data", 1000, &mut stats)
+            .egress(s0, &mut net, SimTime::ZERO, data_kind(), 1000, &mut stats)
             .unwrap();
         let o2 = t
-            .egress(s0, &mut net, SimTime::ZERO, "data", 1000, &mut stats)
+            .egress(s0, &mut net, SimTime::ZERO, data_kind(), 1000, &mut stats)
             .unwrap();
         // 1000 bytes at 1 byte/ms = 1 s serialization each.
         assert_eq!(o2 - o1, Duration::from_secs(1));
@@ -669,12 +676,12 @@ mod tests {
         let c = b.host(s1);
         let t = b.build();
         let mut net = net_for(&t, s1, 9);
-        let mut stats = NetStats::default();
+        let mut stats = NetStats::new(t.site_count());
         let mut arrivals = Vec::new();
         for i in 0..50u64 {
             let now = SimTime::from_millis(i);
             let d = t
-                .lan_delivery(s1, &mut net, now, c, "data", 64, &mut stats)
+                .lan_delivery(s1, &mut net, now, c, data_kind(), 64, &mut stats)
                 .unwrap();
             let extra = d.at.since(now).saturating_sub(Duration::from_micros(500));
             assert!(

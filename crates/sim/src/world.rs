@@ -41,6 +41,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use lbrm_trace::{MetricsRegistry, ProtocolEvent, Tracer};
+use lbrm_wire::codec::PACKET_KINDS;
 use lbrm_wire::{GroupId, HostId, Packet, SiteId, TtlScope};
 
 use crate::queue::EventQueue;
@@ -115,8 +116,13 @@ struct State {
     /// `[host_count, host_count + site_count)` are site pseudo-entities.
     seqs: Vec<u64>,
     stats: NetStats,
-    /// Per-host bundle-framing meters, by host index.
-    meters: Vec<BundleMeter>,
+    /// Bundle-framing accounting, with one open frame per host.
+    bundles: BundleMeter,
+    /// Scratch fan-out lists, empty between handlers: a multicast or an
+    /// ingress collects its surviving deliveries (and WAN branches)
+    /// here before pushing them, so a hop allocates nothing.
+    deliveries: Vec<Delivery>,
+    branches: Vec<(SiteId, SimTime)>,
     /// World-level tracer (NetPacket records).
     tracer: Tracer,
     /// High-water mark of the queue depth.
@@ -185,12 +191,15 @@ impl Ctx<'_> {
         // The network model only needs the on-wire size; `encoded_len`
         // computes it arithmetically so no simulated send serializes.
         let bytes = packet.encoded_len();
-        let kind = packet.kind();
+        let kind = packet.kind_index();
         let from = self.host;
         let now = self.now;
         // Bundle accounting: model what the wire's `BundleBuilder` would
         // do with this host's outbound stream, without serializing.
-        self.state.meters[from.raw() as usize].record(now, (0, to.raw(), 0), kind, bytes);
+        let dest = (0, to.raw(), 0);
+        self.state
+            .bundles
+            .record(from.raw() as usize, now, dest, kind, bytes);
         let fs = self.topo.site_of(from);
         let mut copies = 0u32;
         if to == from {
@@ -260,11 +269,12 @@ impl Ctx<'_> {
         // members are iterated straight out of the group set without an
         // intermediate Vec.
         let bytes = packet.encoded_len();
-        let kind = packet.kind();
+        let kind = packet.kind_index();
         let group = packet.group();
         let from = self.host;
         let now = self.now;
-        self.state.meters[from.raw() as usize].record(
+        self.state.bundles.record(
+            from.raw() as usize,
             now,
             (1, u64::from(group.raw()), u64::from(scope.ttl())),
             kind,
@@ -274,8 +284,8 @@ impl Ctx<'_> {
         let fs_idx = fs.raw() as usize;
         let site_count = self.topo.site_count();
 
-        let mut deliveries: Vec<Delivery> = Vec::new();
-        let mut branches: Vec<(SiteId, SimTime)> = Vec::new();
+        let mut deliveries = std::mem::take(&mut self.state.deliveries);
+        let mut branches = std::mem::take(&mut self.state.branches);
         {
             let State {
                 nets,
@@ -320,7 +330,7 @@ impl Ctx<'_> {
 
         let copies = (deliveries.len() + branches.len()).min(u32::MAX as usize) as u32;
         self.emit_net(kind, true, copies);
-        for d in deliveries {
+        for d in deliveries.drain(..) {
             self.push(
                 d.at,
                 Ev::Packet {
@@ -330,7 +340,7 @@ impl Ctx<'_> {
                 },
             );
         }
-        for (sid, t_in) in branches {
+        for (sid, t_in) in branches.drain(..) {
             self.push(
                 t_in,
                 Ev::Ingress {
@@ -341,12 +351,14 @@ impl Ctx<'_> {
                 },
             );
         }
+        self.state.deliveries = deliveries;
+        self.state.branches = branches;
     }
 
-    fn emit_net(&self, kind: &'static str, multicast: bool, copies: u32) {
+    fn emit_net(&self, kind: usize, multicast: bool, copies: u32) {
         self.tracer
             .emit_from(self.now.nanos(), self.host, || ProtocolEvent::NetPacket {
-                kind,
+                kind: PACKET_KINDS[kind],
                 multicast,
                 copies,
             });
@@ -430,9 +442,9 @@ fn ingress(
     kind: IngressKind,
 ) {
     let bytes = packet.encoded_len();
-    let pkind = packet.kind();
+    let pkind = packet.kind_index();
     let si = site.raw() as usize;
-    let mut deliveries: Vec<Delivery> = Vec::new();
+    let mut deliveries = std::mem::take(&mut state.deliveries);
     {
         let State {
             members,
@@ -464,7 +476,7 @@ fn ingress(
     // Pushes made while evaluating a site's ingress are keyed to the
     // site's pseudo-entity, not to whichever host sent the copy.
     let entity = (topo.host_count() + si) as u64;
-    for d in deliveries {
+    for d in deliveries.drain(..) {
         state.push_from(
             entity,
             d.at,
@@ -475,6 +487,7 @@ fn ingress(
             },
         );
     }
+    state.deliveries = deliveries;
 }
 
 /// Processes one event.
@@ -542,8 +555,10 @@ impl World {
             nets,
             members: vec![BTreeMap::new(); sites],
             seqs: vec![0; hosts + sites],
-            stats: NetStats::default(),
-            meters: (0..hosts).map(|_| BundleMeter::default()).collect(),
+            stats: NetStats::new(sites),
+            bundles: BundleMeter::new(hosts),
+            deliveries: Vec::new(),
+            branches: Vec::new(),
             tracer: Tracer::disabled(),
             depth_max: 0,
             events: 0,
@@ -683,16 +698,12 @@ impl World {
         self.state.stats.clone()
     }
 
-    /// Bundle-framing statistics so far, merged across every host's
-    /// meter: what the wire's `BundleBuilder` puts on the wire for this
-    /// run (`frames`/`bytes_bundled`), beside the one-datagram-per-packet
+    /// Bundle-framing statistics so far, over every host's sends: what
+    /// the wire's `BundleBuilder` puts on the wire for this run
+    /// (`frames`/`bytes_bundled`), beside the one-datagram-per-packet
     /// counterfactual (`packets`/`bytes_unbundled`).
     pub fn bundle_stats(&self) -> BundleStats {
-        let mut out = BundleStats::default();
-        for m in &self.state.meters {
-            out.merge(m.stats());
-        }
-        out
+        self.state.bundles.stats()
     }
 
     /// Immutable access to the topology.

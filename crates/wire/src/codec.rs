@@ -18,7 +18,8 @@
 //! this file: its type tag, its label and its fields in wire order. A
 //! field's width and encoding come from its type (the private `Field`
 //! trait), so [`Packet::encoded_len`], encoding, decoding,
-//! [`Packet::kind`] and [`PACKET_KINDS`] are all generated from that row.
+//! [`Packet::kind`], [`Packet::kind_index`] and [`PACKET_KINDS`] are all
+//! generated from that row.
 //! Variable-length fields are length-prefixed; a payload runs to the end
 //! of the packet and is always the last field. Decoding is strict:
 //! trailing bytes, bad lengths, unknown types and checksum mismatches are
@@ -477,12 +478,28 @@ macro_rules! layouts {
         /// Every packet label, indexed by wire type tag − 1.
         pub const PACKET_KINDS: &[&str] = &[$($label),*];
 
+        /// The [`PACKET_KINDS`] index of a packet label (the query side
+        /// of [`Packet::kind_index`]); `None` for an unknown label.
+        pub fn kind_index_of(label: &str) -> Option<usize> {
+            match label {
+                $($label => Some($tag - 1),)*
+                _ => None,
+            }
+        }
+
         impl Packet {
             /// Short name for tracing and statistics.
             pub fn kind(&self) -> &'static str {
                 match self {
                     $(Packet::$variant { .. } => $label,)*
                 }
+            }
+
+            /// This packet's index into [`PACKET_KINDS`] (its wire type
+            /// tag − 1): a dense key for per-kind counters, so counting
+            /// a packet hashes no label.
+            pub fn kind_index(&self) -> usize {
+                usize::from(tag_of(self)) - 1
             }
 
             /// Exact length in bytes that [`encode`] produces for this
@@ -690,6 +707,22 @@ mod tests {
             let dec = decode(&enc).expect("decode");
             assert_eq!(p, dec, "roundtrip failed for {}", p.kind());
         }
+    }
+
+    #[test]
+    fn kind_index_agrees_with_the_label_and_the_table() {
+        let samples = sample_packets();
+        assert_eq!(samples.len(), PACKET_KINDS.len(), "one sample per variant");
+        for p in samples {
+            assert_eq!(
+                kind_index_of(p.kind()),
+                Some(p.kind_index()),
+                "{}",
+                p.kind()
+            );
+            assert_eq!(PACKET_KINDS[p.kind_index()], p.kind());
+        }
+        assert_eq!(kind_index_of("no-such-kind"), None);
     }
 
     #[test]

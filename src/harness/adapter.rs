@@ -13,11 +13,18 @@
 //! so experiments can mine them after the run. Application behaviour
 //! (e.g. "publish a terrain update at t = 10 s") is injected with
 //! [`MachineActor::schedule`].
+//!
+//! Each actor owns one [`Actions`] buffer and hands it to every machine
+//! call; `execute` drains it in order and keeps it, so the steady state
+//! allocates no action list, and a machine never sees actions left over
+//! from an earlier call. Sends are counted in a table indexed by
+//! [`Packet::kind_index`], allocated at the actor's first send.
 
 use lbrm_core::machine::{Action, Actions, Delivery, Machine, Notice};
 use lbrm_core::time::Time;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::world::{Actor, Ctx};
+use lbrm_wire::codec::{kind_index_of, PACKET_KINDS};
 use lbrm_wire::{GroupId, HostId, Packet};
 
 /// A scheduled application call against the wrapped machine. `Send`
@@ -50,6 +57,9 @@ pub fn call_at<M: Machine + Send + 'static>(
 
 const POLL_TOKEN: u64 = 0;
 
+/// Send counts by packet kind index.
+type SendCounts = [u64; PACKET_KINDS.len()];
+
 /// Wraps a protocol machine as a simulator actor.
 pub struct MachineActor<M: Machine> {
     machine: M,
@@ -63,11 +73,12 @@ pub struct MachineActor<M: Machine> {
     pub deliveries: Vec<(SimTime, Delivery)>,
     /// Notices observed, with emission time.
     pub notices: Vec<(SimTime, Notice)>,
-    /// Unicast transmissions by this machine, per packet kind.
-    pub sent_unicast: std::collections::HashMap<&'static str, u64>,
-    /// Multicast transmissions by this machine, per packet kind (one
-    /// count per send, regardless of fan-out).
-    pub sent_multicast: std::collections::HashMap<&'static str, u64>,
+    /// The action buffer every machine call fills; empty between calls.
+    out: Actions,
+    /// Transmissions by packet kind index, `[unicast, multicast]`;
+    /// allocated at the first send, so building a world of idle
+    /// actors stays small.
+    sent: Option<Box<[SendCounts; 2]>>,
 }
 
 impl<M: Machine + 'static> MachineActor<M> {
@@ -80,9 +91,33 @@ impl<M: Machine + 'static> MachineActor<M> {
             armed: None,
             deliveries: Vec::new(),
             notices: Vec::new(),
-            sent_unicast: std::collections::HashMap::new(),
-            sent_multicast: std::collections::HashMap::new(),
+            out: Actions::new(),
+            sent: None,
         }
+    }
+
+    /// Unicast transmissions by this machine of packets labelled `kind`
+    /// (zero for an unknown label).
+    pub fn sent_unicast(&self, kind: &str) -> u64 {
+        self.sent_count(0, kind)
+    }
+
+    /// Multicast transmissions by this machine of packets labelled
+    /// `kind`: one count per send, regardless of fan-out (zero for an
+    /// unknown label).
+    pub fn sent_multicast(&self, kind: &str) -> u64 {
+        self.sent_count(1, kind)
+    }
+
+    fn sent_count(&self, cast: usize, kind: &str) -> u64 {
+        match (&self.sent, kind_index_of(kind)) {
+            (Some(sent), Some(k)) => sent[cast][k],
+            _ => 0,
+        }
+    }
+
+    fn count_send(&mut self, cast: usize, packet: &Packet) {
+        self.sent.get_or_insert_with(Box::default)[cast][packet.kind_index()] += 1;
     }
 
     /// Schedules an application call at virtual time `at`; returns the
@@ -111,15 +146,17 @@ impl<M: Machine + 'static> MachineActor<M> {
         &self.machine
     }
 
-    fn execute(&mut self, ctx: &mut Ctx<'_>, actions: Actions) {
-        for action in actions {
+    /// Carries out `actions` in order, then keeps the emptied buffer for
+    /// the next machine call.
+    fn execute(&mut self, ctx: &mut Ctx<'_>, mut actions: Actions) {
+        for action in actions.drain(..) {
             match action {
                 Action::Unicast { to, packet } => {
-                    *self.sent_unicast.entry(packet.kind()).or_insert(0) += 1;
+                    self.count_send(0, &packet);
                     ctx.send_unicast(to, packet);
                 }
                 Action::Multicast { scope, packet } => {
-                    *self.sent_multicast.entry(packet.kind()).or_insert(0) += 1;
+                    self.count_send(1, &packet);
                     ctx.send_multicast(scope, packet);
                 }
                 Action::Deliver(d) => self.deliveries.push((ctx.now(), d)),
@@ -128,6 +165,7 @@ impl<M: Machine + 'static> MachineActor<M> {
                 Action::Leave(g) => ctx.leave(g),
             }
         }
+        self.out = actions;
         self.rearm(ctx);
     }
 
@@ -149,13 +187,13 @@ impl<M: Machine + Send + 'static> Actor for MachineActor<M> {
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer_at(*at, i as u64 + 1);
         }
-        let mut out = Actions::new();
+        let mut out = std::mem::take(&mut self.out);
         self.machine.on_start(to_core(ctx.now()), &mut out);
         self.execute(ctx, out);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: HostId, packet: Packet) {
-        let mut out = Actions::new();
+        let mut out = std::mem::take(&mut self.out);
         self.machine
             .on_packet(to_core(ctx.now()), from, packet, &mut out);
         self.execute(ctx, out);
@@ -163,7 +201,7 @@ impl<M: Machine + Send + 'static> Actor for MachineActor<M> {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let now = to_core(ctx.now());
-        let mut out = Actions::new();
+        let mut out = std::mem::take(&mut self.out);
         if token == POLL_TOKEN {
             if self.armed.is_some_and(|a| a <= now) {
                 self.armed = None;
@@ -261,6 +299,78 @@ mod tests {
 
         let log = world.actor::<MachineActor<Logger>>(log_host);
         assert_eq!(log.machine().log_len(), 3);
+    }
+
+    /// Answers its first packet with a delivery and a notice, and every
+    /// later one with nothing.
+    #[derive(Default)]
+    struct FirstOnly {
+        seen: u32,
+    }
+
+    impl Machine for FirstOnly {
+        fn on_packet(&mut self, _now: Time, _from: HostId, packet: Packet, out: &mut Actions) {
+            self.seen += 1;
+            if self.seen > 1 {
+                return;
+            }
+            if let Packet::Data { seq, payload, .. } = packet {
+                out.push(Action::Deliver(Delivery {
+                    seq,
+                    payload,
+                    recovered: false,
+                }));
+            }
+            out.push(Action::Notice(Notice::DiscoveryFailed));
+        }
+        fn poll(&mut self, _now: Time, _out: &mut Actions) {}
+        fn next_deadline(&self) -> Option<Time> {
+            None
+        }
+    }
+
+    /// The reused action buffer is drained by every call: a call that
+    /// emits nothing does not replay the previous call's actions.
+    #[test]
+    fn a_silent_call_replays_no_earlier_actions() {
+        let mut b = TopologyBuilder::new();
+        let s0 = b.site(SiteParams::default());
+        let tx_host = b.host(s0);
+        let rx_host = b.host(s0);
+        let mut world = World::new(b.build(), 3);
+        let mut tx = MachineActor::new(FirstOnly::default(), vec![]);
+        for seq in 1..=2u32 {
+            tx.schedule(SimTime::from_secs(seq.into()), move |_, _, out| {
+                out.push(Action::Unicast {
+                    to: rx_host,
+                    packet: Packet::Data {
+                        group: GROUP,
+                        source: SRC,
+                        seq: lbrm_wire::Seq(seq),
+                        epoch: lbrm_wire::EpochId(0),
+                        payload: Bytes::from_static(b"x"),
+                    },
+                });
+            });
+        }
+        world.add_actor(tx_host, tx);
+        world.add_actor(rx_host, MachineActor::new(FirstOnly::default(), vec![]));
+
+        world.run_until(SimTime::from_millis(1500));
+        let rx = world.actor::<MachineActor<FirstOnly>>(rx_host);
+        let (deliveries, notices) = (rx.deliveries.clone(), rx.notices.clone());
+        assert_eq!((deliveries.len(), notices.len()), (1, 1));
+
+        world.run_until(SimTime::from_secs(10));
+        let rx = world.actor::<MachineActor<FirstOnly>>(rx_host);
+        assert_eq!(rx.machine().seen, 2, "the second packet arrived");
+        assert_eq!(rx.deliveries, deliveries);
+        assert_eq!(rx.notices, notices);
+
+        let tx = world.actor::<MachineActor<FirstOnly>>(tx_host);
+        assert_eq!(tx.sent_unicast("data"), 2);
+        assert_eq!(tx.sent_multicast("data"), 0);
+        assert_eq!(tx.sent_unicast("no-such-kind"), 0);
     }
 
     /// A receiver that loses a packet (site outage) recovers it from the

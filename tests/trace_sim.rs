@@ -75,7 +75,7 @@ fn trace_counters_match_wire_stats_and_machine_bookkeeping() {
             .iter()
             .filter(|(_, n)| matches!(n, Notice::Recovered { .. }))
             .count() as u64;
-        nacks_sent += a.sent_unicast.get("nack").copied().unwrap_or(0);
+        nacks_sent += a.sent_unicast("nack");
     }
     assert!(losses > 0, "the lossy run should have exercised recovery");
     assert_eq!(sc.receiver_metrics.counter("gap_detected"), losses);
