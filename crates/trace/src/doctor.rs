@@ -50,36 +50,12 @@ use std::time::{Duration, Instant};
 
 use lbrm_wire::HostId;
 
-use crate::analyze::{Anomaly, RecoveryReport};
+use crate::analyze::{anomaly_json, json_escape, Anomaly, RecoveryReport};
 use crate::online::{LiveGap, OnlineAnalyzer, OnlineConfig};
 use crate::{lock, MetricsRegistry, ProtocolEvent, TraceSink};
 
 /// Stage labels, in the order [`ReportBasis::stage_counts`] uses.
 pub const STAGE_LABELS: [&str; 5] = ["detection", "request", "serve", "return", "total"];
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn anomaly_json(a: &Anomaly) -> String {
-    format!(
-        "{{\"kind\":\"{}\",\"detail\":\"{}\"}}",
-        a.kind(),
-        json_escape(&a.describe())
-    )
-}
 
 // ---------------------------------------------------------------------
 // Delta algebra

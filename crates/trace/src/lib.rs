@@ -8,7 +8,9 @@
 //! * [`ProtocolEvent`] — the event taxonomy, one variant per observable
 //!   protocol action (data/heartbeat transmission, gap detection, NACKs,
 //!   unicast/multicast repairs, statistical-ACK epochs and settlements,
-//!   failover, plus network-level copies from the simulator).
+//!   failover, plus network-level copies from the simulator). Each
+//!   variant is one row of a table that also generates its key
+//!   ([`EVENT_KEYS`]), its JSON line and the JSONL parser's arm for it.
 //! * [`TraceSink`] — the pluggable consumer trait; [`JsonLinesSink`]
 //!   captures to any writer, and [`MetricsRegistry`] is a sink that
 //!   counts events per key and aggregates recovery-latency / `t_wait`
@@ -47,10 +49,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use lbrm_wire::codec::PACKET_KINDS;
 use lbrm_wire::{EpochId, HostId, Seq};
+
+use analyze::FieldVal;
 
 pub mod analyze;
 pub mod doctor;
@@ -77,369 +83,393 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One observable protocol action.
-///
-/// Variants carry only small `Copy` data so events are cheap to build
-/// and compare; payload bytes never enter the trace stream.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ProtocolEvent {
-    /// The source multicast an original data packet.
-    DataSent {
-        /// Sequence number.
-        seq: Seq,
-        /// Statistical-ACK epoch stamped on the packet.
-        epoch: EpochId,
-    },
-    /// The source multicast a heartbeat (§2.1.2 variable scheme or the
-    /// fixed baseline).
-    HeartbeatSent {
-        /// Highest sequence the heartbeat advertises.
-        seq: Seq,
-        /// Position in the heartbeat run since the last data packet.
-        hb_index: u32,
-    },
-    /// A receiver or logger observed a sequence gap.
-    GapDetected {
-        /// First missing sequence.
-        first: Seq,
-        /// Last missing sequence.
-        last: Seq,
-    },
-    /// A NACK packet left for `target` requesting `packets` sequences.
-    NackSent {
-        /// Host the retransmission request goes to.
-        target: HostId,
-        /// Number of sequences requested in this packet.
-        packets: u32,
-        /// Lowest sequence requested (correlation anchor).
-        first: Seq,
-        /// Highest sequence requested.
-        last: Seq,
-    },
-    /// A NACK packet arrived at a host able to serve it.
-    NackReceived {
-        /// Requesting host.
-        from: HostId,
-        /// Number of sequences requested.
-        packets: u32,
-    },
-    /// A logged packet was retransmitted to a requester (§2.2.1: unicast
-    /// for isolated loss, site-scoped multicast for correlated loss).
-    RetransServed {
-        /// The retransmitted sequence.
-        seq: Seq,
-        /// `true` for a site-scoped multicast repair.
-        multicast: bool,
-        /// The requester being answered (for a multicast repair, the
-        /// requester whose NACK triggered it).
-        to: HostId,
-    },
-    /// The statistical-ACK engine re-multicast a packet after missing
-    /// ACK coverage at `t_wait` (§2.3.2).
-    Remulticast {
-        /// The re-sent sequence.
-        seq: Seq,
-        /// ACKs still missing at the deadline.
-        missing: u32,
-    },
-    /// The source multicast an Acker Selection Packet (§2.3.1).
-    AckerSelected {
-        /// Epoch being selected for.
-        epoch: EpochId,
-        /// Advertised volunteer probability.
-        p_ack: f64,
-    },
-    /// A logger volunteered as Designated Acker.
-    AckerVolunteered {
-        /// Epoch volunteered for.
-        epoch: EpochId,
-    },
-    /// A selection matured: newly sent data carries `epoch`.
-    EpochActive {
-        /// The activated epoch.
-        epoch: EpochId,
-        /// Number of Designated Ackers.
-        ackers: u32,
-    },
-    /// ACK bookkeeping for a packet closed.
-    Settled {
-        /// The settled sequence.
-        seq: Seq,
-        /// `true` if every expected ACK arrived.
-        complete: bool,
-    },
-    /// The `t_wait` EWMA absorbed a new sample (§2.3.2).
-    TWaitUpdated {
-        /// The new window, in nanoseconds.
-        t_wait_nanos: u64,
-    },
-    /// Consecutive incomplete settlements suggest congestion (§5).
-    CongestionSuspected {
-        /// Length of the incomplete streak.
-        streak: u32,
-    },
-    /// A receiver completed recovery of a lost packet.
-    Recovered {
-        /// The recovered sequence.
-        seq: Seq,
-        /// Loss-detection-to-recovery latency, in nanoseconds.
-        latency_nanos: u64,
-    },
-    /// A receiver gave up recovering a sequence.
-    RecoveryAbandoned {
-        /// The abandoned sequence.
-        seq: Seq,
-    },
-    /// The packet that actually filled a tracked gap arrived — the
-    /// terminal wire-level event of a recovery timeline. Emitted just
-    /// before [`ProtocolEvent::Recovered`] with the carrier identified.
-    RepairReceived {
-        /// The repaired sequence.
-        seq: Seq,
-        /// Host the repair arrived from.
-        from: HostId,
-        /// Carrier kind: `"retrans"`, `"data"` (late original or
-        /// statistical-ACK re-multicast), or `"heartbeat"` (§7
-        /// repeat-payload fill).
-        kind: &'static str,
-    },
-    /// A retransmission arrived for a sequence already held — a
-    /// redundant repair (duplicate-repair accounting, §2.3).
-    RepairDuplicate {
-        /// The already-held sequence.
-        seq: Seq,
-        /// Host the redundant copy arrived from.
-        from: HostId,
-    },
-    /// A receiver fell behind the freshness horizon.
-    FreshnessLost,
-    /// A receiver caught back up to the freshness horizon.
-    FreshnessRestored,
-    /// The sender released its transmit buffer through `up_to` after log
-    /// acknowledgement (§2.2.2).
-    BufferReleased {
-        /// Highest released sequence.
-        up_to: Seq,
-    },
-    /// A logging server added a packet to its log.
-    PacketLogged {
-        /// The logged sequence.
-        seq: Seq,
-    },
-    /// The primary logging server stopped answering (§2.2.3).
-    PrimaryUnresponsive {
-        /// The unresponsive primary.
-        primary: HostId,
-    },
-    /// A replica was promoted to primary (§2.2.3).
-    FailoverPromoted {
-        /// The new primary.
-        new_primary: HostId,
-    },
-    /// A quorum elected `leader` as primary for `term` (§2.2.3
-    /// hardening). Emitted by the election proposer when the decision is
-    /// announced.
-    TermElected {
-        /// The elected term.
-        term: u32,
-        /// Primary logger for the term.
-        leader: HostId,
-    },
-    /// A packet from a fenced (deposed) primary was rejected. `term` is
-    /// the rejecting machine's current term.
-    StaleTermFenced {
-        /// The deposed host whose packet was dropped.
-        from: HostId,
-        /// The rejecting machine's current term.
-        term: u32,
-    },
-    /// A logger served a repair while believing itself primary, tagged
-    /// with the term it believes current — the forensics layer
-    /// cross-checks these against [`ProtocolEvent::TermElected`] to
-    /// detect a stale primary whose repairs were *accepted* (split-brain
-    /// double-serve).
-    AuthorityServe {
-        /// The served sequence.
-        seq: Seq,
-        /// Term the serving logger believes current.
-        term: u32,
-    },
-    /// A machine announced its protocol role at startup, so a replayed
-    /// trace is self-contained for repair-source attribution.
-    RoleAnnounced {
-        /// `"sender"`, `"receiver"`, `"logger_primary"`,
-        /// `"logger_secondary"`, or `"logger_replica"`.
-        role: &'static str,
-    },
-    /// The simulated network carried one send call (world-level view).
-    NetPacket {
-        /// Packet kind label (same labels as the sim's `NetStats`).
-        kind: &'static str,
-        /// `true` for multicast sends.
-        multicast: bool,
-        /// Copies actually delivered (after loss and scoping).
-        copies: u32,
-    },
+/// One event field type: how it is written into a JSON line and read
+/// back from one. An event's JSON follows from its field types, as a
+/// packet's wire layout follows from the codec's `Field` types.
+trait JsonField: Sized {
+    /// Appends `,"name":value`.
+    fn write(&self, name: &str, out: &mut String);
+    /// Reads the field called `name` (a label interns into `vocab`);
+    /// `None` makes the line malformed.
+    fn read(line: &Line<'_>, name: &str, vocab: &[&'static str]) -> Option<Self>;
 }
 
-impl ProtocolEvent {
-    /// Stable counter key for this event; distinguishes the variants the
-    /// paper's evaluation counts separately (unicast vs multicast
-    /// repairs, complete vs incomplete settlements).
-    pub fn key(&self) -> &'static str {
-        match self {
-            ProtocolEvent::DataSent { .. } => "data_sent",
-            ProtocolEvent::HeartbeatSent { .. } => "heartbeat_sent",
-            ProtocolEvent::GapDetected { .. } => "gap_detected",
-            ProtocolEvent::NackSent { .. } => "nack_sent",
-            ProtocolEvent::NackReceived { .. } => "nack_received",
-            ProtocolEvent::RetransServed {
-                multicast: false, ..
-            } => "retrans_served_unicast",
-            ProtocolEvent::RetransServed {
-                multicast: true, ..
-            } => "retrans_served_multicast",
-            ProtocolEvent::Remulticast { .. } => "remulticast",
-            ProtocolEvent::AckerSelected { .. } => "acker_selected",
-            ProtocolEvent::AckerVolunteered { .. } => "acker_volunteered",
-            ProtocolEvent::EpochActive { .. } => "epoch_active",
-            ProtocolEvent::Settled { complete: true, .. } => "settled_complete",
-            ProtocolEvent::Settled {
-                complete: false, ..
-            } => "settled_incomplete",
-            ProtocolEvent::TWaitUpdated { .. } => "t_wait_updated",
-            ProtocolEvent::CongestionSuspected { .. } => "congestion_suspected",
-            ProtocolEvent::Recovered { .. } => "recovered",
-            ProtocolEvent::RecoveryAbandoned { .. } => "recovery_abandoned",
-            ProtocolEvent::RepairReceived { .. } => "repair_received",
-            ProtocolEvent::RepairDuplicate { .. } => "repair_duplicate",
-            ProtocolEvent::FreshnessLost => "freshness_lost",
-            ProtocolEvent::FreshnessRestored => "freshness_restored",
-            ProtocolEvent::BufferReleased { .. } => "buffer_released",
-            ProtocolEvent::PacketLogged { .. } => "packet_logged",
-            ProtocolEvent::PrimaryUnresponsive { .. } => "primary_unresponsive",
-            ProtocolEvent::FailoverPromoted { .. } => "failover_promoted",
-            ProtocolEvent::TermElected { .. } => "term_elected",
-            ProtocolEvent::StaleTermFenced { .. } => "stale_term_fenced",
-            ProtocolEvent::AuthorityServe { .. } => "authority_serve",
-            ProtocolEvent::RoleAnnounced { .. } => "role_announced",
-            ProtocolEvent::NetPacket {
-                multicast: false, ..
-            } => "net_unicast",
-            ProtocolEvent::NetPacket {
-                multicast: true, ..
-            } => "net_multicast",
-        }
-    }
+/// A parsed JSON line, as an event's fields read it.
+struct Line<'a> {
+    fields: &'a BTreeMap<String, FieldVal>,
+    /// The line's key is the `flag ?` branch of its row's key column.
+    flag: bool,
+}
 
-    /// Renders the event as one JSON object (used by [`JsonLinesSink`];
-    /// hand-rolled because the build environment has no serde). `host`
-    /// is the emitting host's tracer tag.
-    pub fn to_json(&self, at_nanos: u64, host: HostId) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"at_ns\":{at_nanos},\"host\":{},\"event\":\"{}\"",
-            host.raw(),
-            self.key()
-        );
-        match self {
-            ProtocolEvent::DataSent { seq, epoch } => {
-                let _ = write!(s, ",\"seq\":{},\"epoch\":{}", seq.raw(), epoch.raw());
+/// Integer fields, written as the raw integer. Read back, a value must
+/// fit the raw type: `seq` 2^32 + 1 is a malformed line, not seq 1.
+/// Row: `Type: raw-type |value| raw-integer`.
+macro_rules! int_fields {
+    ($($t:ty: $raw_ty:ty |$v:ident| $raw:expr;)*) => {$(
+        impl JsonField for $t {
+            fn write(&self, name: &str, out: &mut String) {
+                let $v = *self;
+                let _ = write!(out, ",\"{name}\":{}", $raw);
             }
-            ProtocolEvent::HeartbeatSent { seq, hb_index } => {
-                let _ = write!(s, ",\"seq\":{},\"hb_index\":{hb_index}", seq.raw());
-            }
-            ProtocolEvent::GapDetected { first, last } => {
-                let _ = write!(s, ",\"first\":{},\"last\":{}", first.raw(), last.raw());
-            }
-            ProtocolEvent::NackSent {
-                target,
-                packets,
-                first,
-                last,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"target\":{},\"packets\":{packets},\"first\":{},\"last\":{}",
-                    target.raw(),
-                    first.raw(),
-                    last.raw()
-                );
-            }
-            ProtocolEvent::NackReceived { from, packets } => {
-                let _ = write!(s, ",\"from\":{},\"packets\":{packets}", from.raw());
-            }
-            ProtocolEvent::RetransServed { seq, to, .. } => {
-                let _ = write!(s, ",\"seq\":{},\"to\":{}", seq.raw(), to.raw());
-            }
-            ProtocolEvent::RecoveryAbandoned { seq } | ProtocolEvent::PacketLogged { seq } => {
-                let _ = write!(s, ",\"seq\":{}", seq.raw());
-            }
-            ProtocolEvent::RepairReceived { seq, from, kind } => {
-                let _ = write!(
-                    s,
-                    ",\"seq\":{},\"from\":{},\"kind\":\"{kind}\"",
-                    seq.raw(),
-                    from.raw()
-                );
-            }
-            ProtocolEvent::RepairDuplicate { seq, from } => {
-                let _ = write!(s, ",\"seq\":{},\"from\":{}", seq.raw(), from.raw());
-            }
-            ProtocolEvent::RoleAnnounced { role } => {
-                let _ = write!(s, ",\"role\":\"{role}\"");
-            }
-            ProtocolEvent::Remulticast { seq, missing } => {
-                let _ = write!(s, ",\"seq\":{},\"missing\":{missing}", seq.raw());
-            }
-            ProtocolEvent::AckerSelected { epoch, p_ack } => {
-                let _ = write!(s, ",\"epoch\":{},\"p_ack\":{p_ack}", epoch.raw());
-            }
-            ProtocolEvent::AckerVolunteered { epoch } => {
-                let _ = write!(s, ",\"epoch\":{}", epoch.raw());
-            }
-            ProtocolEvent::EpochActive { epoch, ackers } => {
-                let _ = write!(s, ",\"epoch\":{},\"ackers\":{ackers}", epoch.raw());
-            }
-            ProtocolEvent::Settled { seq, .. } => {
-                let _ = write!(s, ",\"seq\":{}", seq.raw());
-            }
-            ProtocolEvent::TWaitUpdated { t_wait_nanos } => {
-                let _ = write!(s, ",\"t_wait_ns\":{t_wait_nanos}");
-            }
-            ProtocolEvent::CongestionSuspected { streak } => {
-                let _ = write!(s, ",\"streak\":{streak}");
-            }
-            ProtocolEvent::Recovered { seq, latency_nanos } => {
-                let _ = write!(s, ",\"seq\":{},\"latency_ns\":{latency_nanos}", seq.raw());
-            }
-            ProtocolEvent::FreshnessLost | ProtocolEvent::FreshnessRestored => {}
-            ProtocolEvent::BufferReleased { up_to } => {
-                let _ = write!(s, ",\"up_to\":{}", up_to.raw());
-            }
-            ProtocolEvent::PrimaryUnresponsive { primary } => {
-                let _ = write!(s, ",\"primary\":{}", primary.raw());
-            }
-            ProtocolEvent::FailoverPromoted { new_primary } => {
-                let _ = write!(s, ",\"new_primary\":{}", new_primary.raw());
-            }
-            ProtocolEvent::TermElected { term, leader } => {
-                let _ = write!(s, ",\"term\":{term},\"leader\":{}", leader.raw());
-            }
-            ProtocolEvent::StaleTermFenced { from, term } => {
-                let _ = write!(s, ",\"from\":{},\"term\":{term}", from.raw());
-            }
-            ProtocolEvent::AuthorityServe { seq, term } => {
-                let _ = write!(s, ",\"seq\":{},\"term\":{term}", seq.raw());
-            }
-            ProtocolEvent::NetPacket { kind, copies, .. } => {
-                let _ = write!(s, ",\"kind\":\"{kind}\",\"copies\":{copies}");
+            fn read(line: &Line<'_>, name: &str, _: &[&'static str]) -> Option<Self> {
+                let n = line.fields.get(name)?.as_u64()?;
+                <$raw_ty>::try_from(n).ok().map(Self::from)
             }
         }
-        s.push('}');
-        s
+    )*};
+}
+
+int_fields! {
+    u32: u32 |v| v;
+    u64: u64 |v| v;
+    Seq: u32 |v| v.0;
+    EpochId: u32 |v| v.0;
+    HostId: u64 |v| v.0;
+}
+
+/// The one `f64`, `AckerSelected::p_ack`, is a probability: like the
+/// wire decoder, the parser refuses NaN, the infinities and anything
+/// outside `[0, 1]`.
+impl JsonField for f64 {
+    fn write(&self, name: &str, out: &mut String) {
+        let _ = write!(out, ",\"{name}\":{self}");
+    }
+    fn read(line: &Line<'_>, name: &str, _: &[&'static str]) -> Option<Self> {
+        let p = line.fields.get(name)?.as_f64()?;
+        (0.0..=1.0).contains(&p).then_some(p)
+    }
+}
+
+/// A label, written quoted. Read back, it interns into the row's
+/// vocabulary (`= VOCAB`); a label outside it becomes `"other"`.
+impl JsonField for &'static str {
+    fn write(&self, name: &str, out: &mut String) {
+        let _ = write!(out, ",\"{name}\":\"{self}\"");
+    }
+    fn read(line: &Line<'_>, name: &str, vocab: &[&'static str]) -> Option<Self> {
+        let s = line.fields.get(name)?.as_str()?;
+        Some(vocab.iter().find(|v| **v == s).copied().unwrap_or("other"))
+    }
+}
+
+/// A `bool` is its row's key discriminant (`flag ? "key_if_true" :
+/// "key_if_false"`): the key carries it, so it is never written as a field.
+impl JsonField for bool {
+    fn write(&self, _: &str, _: &mut String) {}
+    fn read(line: &Line<'_>, _: &str, _: &[&'static str]) -> Option<Self> {
+        Some(line.flag)
+    }
+}
+
+/// The carriers a repair can arrive as.
+const REPAIR_CARRIERS: &[&str] = &["retrans", "data", "heartbeat"];
+
+/// The roles machines announce.
+const ROLES: &[&str] = &[
+    "sender",
+    "receiver",
+    "logger_primary",
+    "logger_secondary",
+    "logger_replica",
+];
+
+/// A row's optional column: the row's value when it has one, else the
+/// default.
+macro_rules! column {
+    ($default:expr, $given:expr) => {
+        $given
+    };
+    ($default:expr) => {
+        $default
+    };
+}
+
+/// Generates the event API from one row per variant,
+/// `Variant: "key" { field: Type, ... }`: the enum, [`EVENT_KEYS`],
+/// `key`, `to_json` and the JSONL parser's per-variant arms.
+///
+/// * The key column is one key, or `flag ? "key_if_true" :
+///   "key_if_false"` where `flag` is the variant's `bool` field.
+/// * `as "name"` renames a field in JSON.
+/// * `= VOCAB` names the labels a `&'static str` field interns into.
+///
+/// JSON writes a variant's fields in row order.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum ProtocolEvent {$(
+            $(#[$vmeta:meta])*
+            $variant:ident: $($flag:ident ? $key_true:literal :)? $key:literal $({$(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty $(as $json:literal)? $(= $vocab:ident)?
+            ),* $(,)?})?
+        ),* $(,)?}
+    ) => {
+        $(#[$meta])*
+        pub enum ProtocolEvent {$(
+            $(#[$vmeta])*
+            $variant $({$($(#[$fmeta])* $field: $ty),*})?,
+        )*}
+
+        /// Every [`ProtocolEvent::key`], once each, in table order.
+        pub const EVENT_KEYS: &[&str] = &[$($($key_true,)? $key,)*];
+
+        impl ProtocolEvent {
+            /// Stable counter key for this event; distinguishes the variants the
+            /// paper's evaluation counts separately (unicast vs multicast
+            /// repairs, complete vs incomplete settlements).
+            pub fn key(&self) -> &'static str {
+                match self {
+                    $(Self::$variant { $($flag,)? .. } => $(if *$flag { $key_true } else)? { $key })*
+                }
+            }
+
+            /// Renders the event as one JSON object (used by [`JsonLinesSink`];
+            /// hand-rolled because the build environment has no serde). `host`
+            /// is the emitting host's tracer tag.
+            pub fn to_json(&self, at_nanos: u64, host: HostId) -> String {
+                let mut s = String::with_capacity(96);
+                let _ = write!(
+                    s,
+                    "{{\"at_ns\":{at_nanos},\"host\":{},\"event\":\"{}\"",
+                    host.raw(),
+                    self.key()
+                );
+                match self {
+                    $(Self::$variant $({$($field),*})? => {$($(
+                        JsonField::write($field, column!(stringify!($field) $(, $json)?), &mut s);
+                    )*)?})*
+                }
+                s.push('}');
+                s
+            }
+
+            /// The event a parsed JSON line holds; `None` for an unknown
+            /// key or a missing or malformed field.
+            pub(crate) fn from_json_fields(fields: &BTreeMap<String, FieldVal>) -> Option<Self> {
+                let key = fields.get("event")?.as_str()?;
+                let line = Line {
+                    fields,
+                    flag: [$($($key_true,)?)*].contains(&key),
+                };
+                Some(match key {
+                    $($($key_true |)? $key => Self::$variant $({$($field: JsonField::read(
+                        &line,
+                        column!(stringify!($field) $(, $json)?),
+                        column!(&[] $(, $vocab)?),
+                    )?),*})?,)*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+events! {
+    /// One observable protocol action.
+    ///
+    /// Variants carry only small `Copy` data so events are cheap to build
+    /// and compare; payload bytes never enter the trace stream.
+    #[derive(Debug, Clone, PartialEq)]
+    #[non_exhaustive]
+    pub enum ProtocolEvent {
+        /// The source multicast an original data packet.
+        DataSent: "data_sent" {
+            /// Sequence number.
+            seq: Seq,
+            /// Statistical-ACK epoch stamped on the packet.
+            epoch: EpochId,
+        },
+        /// The source multicast a heartbeat (§2.1.2 variable scheme or the
+        /// fixed baseline).
+        HeartbeatSent: "heartbeat_sent" {
+            /// Highest sequence the heartbeat advertises.
+            seq: Seq,
+            /// Position in the heartbeat run since the last data packet.
+            hb_index: u32,
+        },
+        /// A receiver or logger observed a sequence gap.
+        GapDetected: "gap_detected" {
+            /// First missing sequence.
+            first: Seq,
+            /// Last missing sequence.
+            last: Seq,
+        },
+        /// A NACK packet left for `target` requesting `packets` sequences.
+        NackSent: "nack_sent" {
+            /// Host the retransmission request goes to.
+            target: HostId,
+            /// Number of sequences requested in this packet.
+            packets: u32,
+            /// Lowest sequence requested (correlation anchor).
+            first: Seq,
+            /// Highest sequence requested.
+            last: Seq,
+        },
+        /// A NACK packet arrived at a host able to serve it.
+        NackReceived: "nack_received" {
+            /// Requesting host.
+            from: HostId,
+            /// Number of sequences requested.
+            packets: u32,
+        },
+        /// A logged packet was retransmitted to a requester (§2.2.1: unicast
+        /// for isolated loss, site-scoped multicast for correlated loss).
+        RetransServed: multicast ? "retrans_served_multicast" : "retrans_served_unicast" {
+            /// The retransmitted sequence.
+            seq: Seq,
+            /// `true` for a site-scoped multicast repair.
+            multicast: bool,
+            /// The requester being answered (for a multicast repair, the
+            /// requester whose NACK triggered it).
+            to: HostId,
+        },
+        /// The statistical-ACK engine re-multicast a packet after missing
+        /// ACK coverage at `t_wait` (§2.3.2).
+        Remulticast: "remulticast" {
+            /// The re-sent sequence.
+            seq: Seq,
+            /// ACKs still missing at the deadline.
+            missing: u32,
+        },
+        /// The source multicast an Acker Selection Packet (§2.3.1).
+        AckerSelected: "acker_selected" {
+            /// Epoch being selected for.
+            epoch: EpochId,
+            /// Advertised volunteer probability.
+            p_ack: f64,
+        },
+        /// A logger volunteered as Designated Acker.
+        AckerVolunteered: "acker_volunteered" {
+            /// Epoch volunteered for.
+            epoch: EpochId,
+        },
+        /// A selection matured: newly sent data carries `epoch`.
+        EpochActive: "epoch_active" {
+            /// The activated epoch.
+            epoch: EpochId,
+            /// Number of Designated Ackers.
+            ackers: u32,
+        },
+        /// ACK bookkeeping for a packet closed.
+        Settled: complete ? "settled_complete" : "settled_incomplete" {
+            /// The settled sequence.
+            seq: Seq,
+            /// `true` if every expected ACK arrived.
+            complete: bool,
+        },
+        /// The `t_wait` EWMA absorbed a new sample (§2.3.2).
+        TWaitUpdated: "t_wait_updated" {
+            /// The new window, in nanoseconds.
+            t_wait_nanos: u64 as "t_wait_ns",
+        },
+        /// Consecutive incomplete settlements suggest congestion (§5).
+        CongestionSuspected: "congestion_suspected" {
+            /// Length of the incomplete streak.
+            streak: u32,
+        },
+        /// A receiver completed recovery of a lost packet.
+        Recovered: "recovered" {
+            /// The recovered sequence.
+            seq: Seq,
+            /// Loss-detection-to-recovery latency, in nanoseconds.
+            latency_nanos: u64 as "latency_ns",
+        },
+        /// A receiver gave up recovering a sequence.
+        RecoveryAbandoned: "recovery_abandoned" {
+            /// The abandoned sequence.
+            seq: Seq,
+        },
+        /// The packet that actually filled a tracked gap arrived — the
+        /// terminal wire-level event of a recovery timeline. Emitted just
+        /// before [`ProtocolEvent::Recovered`] with the carrier identified.
+        RepairReceived: "repair_received" {
+            /// The repaired sequence.
+            seq: Seq,
+            /// Host the repair arrived from.
+            from: HostId,
+            /// Carrier kind: `"retrans"`, `"data"` (late original or
+            /// statistical-ACK re-multicast), or `"heartbeat"` (§7
+            /// repeat-payload fill).
+            kind: &'static str = REPAIR_CARRIERS,
+        },
+        /// A retransmission arrived for a sequence already held — a
+        /// redundant repair (duplicate-repair accounting, §2.3).
+        RepairDuplicate: "repair_duplicate" {
+            /// The already-held sequence.
+            seq: Seq,
+            /// Host the redundant copy arrived from.
+            from: HostId,
+        },
+        /// A receiver fell behind the freshness horizon.
+        FreshnessLost: "freshness_lost",
+        /// A receiver caught back up to the freshness horizon.
+        FreshnessRestored: "freshness_restored",
+        /// The sender released its transmit buffer through `up_to` after log
+        /// acknowledgement (§2.2.2).
+        BufferReleased: "buffer_released" {
+            /// Highest released sequence.
+            up_to: Seq,
+        },
+        /// A logging server added a packet to its log.
+        PacketLogged: "packet_logged" {
+            /// The logged sequence.
+            seq: Seq,
+        },
+        /// The primary logging server stopped answering (§2.2.3).
+        PrimaryUnresponsive: "primary_unresponsive" {
+            /// The unresponsive primary.
+            primary: HostId,
+        },
+        /// A replica was promoted to primary (§2.2.3).
+        FailoverPromoted: "failover_promoted" {
+            /// The new primary.
+            new_primary: HostId,
+        },
+        /// A quorum elected `leader` as primary for `term` (§2.2.3
+        /// hardening). Emitted by the election proposer when the decision is
+        /// announced.
+        TermElected: "term_elected" {
+            /// The elected term.
+            term: u32,
+            /// Primary logger for the term.
+            leader: HostId,
+        },
+        /// A packet from a fenced (deposed) primary was rejected. `term` is
+        /// the rejecting machine's current term.
+        StaleTermFenced: "stale_term_fenced" {
+            /// The deposed host whose packet was dropped.
+            from: HostId,
+            /// The rejecting machine's current term.
+            term: u32,
+        },
+        /// A logger served a repair while believing itself primary, tagged
+        /// with the term it believes current — the forensics layer
+        /// cross-checks these against [`ProtocolEvent::TermElected`] to
+        /// detect a stale primary whose repairs were *accepted* (split-brain
+        /// double-serve).
+        AuthorityServe: "authority_serve" {
+            /// The served sequence.
+            seq: Seq,
+            /// Term the serving logger believes current.
+            term: u32,
+        },
+        /// A machine announced its protocol role at startup, so a replayed
+        /// trace is self-contained for repair-source attribution.
+        RoleAnnounced: "role_announced" {
+            /// `"sender"`, `"receiver"`, `"logger_primary"`,
+            /// `"logger_secondary"`, or `"logger_replica"`.
+            role: &'static str = ROLES,
+        },
+        /// The simulated network carried one send call (world-level view).
+        NetPacket: multicast ? "net_multicast" : "net_unicast" {
+            /// Packet kind label (same labels as the sim's `NetStats`).
+            kind: &'static str = PACKET_KINDS,
+            /// `true` for multicast sends.
+            multicast: bool,
+            /// Copies actually delivered (after loss and scoping).
+            copies: u32,
+        },
     }
 }
 
