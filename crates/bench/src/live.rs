@@ -86,7 +86,7 @@ pub struct LiveAir {
 
 /// The completed run.
 pub struct LiveOutcome {
-    /// Final report, delta fold, and drop accounting from the sidecar.
+    /// Final report, record count and drop accounting from the sidecar.
     pub finish: DoctorFinish,
     /// Packets the receivers' applications saw (recoveries included).
     pub delivered: u64,

@@ -1,9 +1,9 @@
 //! Live integration: real UDP endpoints with the doctor sidecar and
-//! admin surface attached (ISSUE acceptance): while the scenario is in
-//! flight every admin route answers with its documented status, and
-//! afterwards the folded incremental reports equal the batch analyze of
-//! the run's own capture field-for-field, with zero events dropped at
-//! the non-blocking sink.
+//! admin surface attached: while the scenario is in flight every admin
+//! route answers with its documented status, and afterwards the
+//! sidecar's final report equals the batch analyze of the run's own
+//! capture field-for-field, `/stats` serves that report's counters, and
+//! no event was dropped at the non-blocking sink.
 //!
 //! When the environment forbids UDP multicast the harness transparently
 //! falls back to the in-process hub — same assertions, so the test
@@ -14,9 +14,10 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+use lbrm_bench::doctor::replay_jsonl;
 use lbrm_bench::live::{run_live, LiveOptions};
-use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig};
-use lbrm_core::trace::{DoctorConfig, JsonLinesSink, ReportBasis, TraceSink};
+use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig, RecoveryReport};
+use lbrm_core::trace::{DoctorConfig, JsonLinesSink, OnlineConfig, TraceSink};
 
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect admin");
@@ -32,8 +33,64 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     (status, body)
 }
 
+/// The unsigned integer `/stats` serves under `key`.
+fn stats_field(body: &str, key: &str) -> u64 {
+    body.split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|s| s.split([',', '}']).next())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {body}"))
+}
+
+/// Field-for-field report equality over the field list of
+/// `forensics_stream_sim.rs`'s `assert_reports_identical`, less what
+/// depends on arrival order: timelines are matched by `(host, seq)`
+/// rather than in close order, and the peak of open timelines is left
+/// out.
+fn assert_reports_identical(got: &RecoveryReport, want: &RecoveryReport) {
+    assert_eq!(got.anomalies, want.anomalies, "anomalies, in order");
+    assert_eq!(got.recovered, want.recovered, "recovered");
+    assert_eq!(got.abandoned, want.abandoned, "abandoned");
+    assert_eq!(got.unrecovered, want.unrecovered, "unrecovered");
+    assert_eq!(got.sources, want.sources, "repair attribution");
+    assert_eq!(got.duplicate_repairs, want.duplicate_repairs, "dups");
+    assert_eq!(got.max_nack_fan_in, want.max_nack_fan_in, "fan-in");
+    assert_eq!(got.telescoping, want.telescoping, "telescoping");
+    assert_eq!(
+        got.truncated_gap_spans, want.truncated_gap_spans,
+        "truncated spans"
+    );
+    assert_eq!(got.fenced_rejects, want.fenced_rejects, "fenced");
+    for (name, g, w) in [
+        ("detection", &got.detection, &want.detection),
+        ("request", &got.request, &want.request),
+        ("serve", &got.serve, &want.serve),
+        ("return", &got.return_leg, &want.return_leg),
+        ("total", &got.total, &want.total),
+    ] {
+        assert!(!g.is_sampled(), "{name} stage was sampled");
+        assert_eq!(g.samples(), w.samples(), "{name} stage");
+        assert_eq!(g.percentile(0.95), w.percentile(0.95), "{name} p95");
+    }
+    let mut g: Vec<_> = got.timelines.iter().collect();
+    let mut w: Vec<_> = want.timelines.iter().collect();
+    for t in [&mut g, &mut w] {
+        t.sort_by_key(|t| (t.host.raw(), t.seq.raw()));
+    }
+    assert_eq!(g.len(), w.len(), "timelines");
+    for (g, w) in g.into_iter().zip(w) {
+        assert_eq!(g.render(), w.render(), "rendered timeline");
+        assert_eq!(format!("{g:?}"), format!("{w:?}"), "timeline");
+    }
+    assert_eq!(
+        (got.stream.force_evicted, got.stream.aged_out),
+        (0, 0),
+        "live-state counters"
+    );
+}
+
 #[test]
-fn live_admin_routes_answer_in_flight_and_fold_matches_batch() {
+fn live_admin_routes_answer_in_flight_and_match_batch() {
     let capture = Arc::new(JsonLinesSink::buffered());
     let opts = LiveOptions {
         receivers: 2,
@@ -54,7 +111,7 @@ fn live_admin_routes_answer_in_flight_and_fold_matches_batch() {
 
     let outcome = run_live(opts, |air| {
         let addr = air.admin_addr.expect("admin server bound");
-        // The six documented routes, mid-flight.
+        // The five documented routes, mid-flight.
         let (code, body) = http_get(addr, "/stats");
         assert_eq!(code, 200, "{body}");
         assert!(body.contains("\"records\":"), "{body}");
@@ -63,9 +120,6 @@ fn live_admin_routes_answer_in_flight_and_fold_matches_batch() {
             assert_eq!(code, 200, "{path}: {body}");
             assert!(body.starts_with('{'), "{path}: {body}");
         }
-        // /deltas/last is 200 whether or not a tick has fired yet.
-        let (code, _) = http_get(addr, "/deltas/last");
-        assert_eq!(code, 200);
         // /healthz is 200 or 503 depending on open gaps right now.
         let (code, body) = http_get(addr, "/healthz");
         assert!(code == 200 || code == 503, "healthz {code}: {body}");
@@ -86,27 +140,38 @@ fn live_admin_routes_answer_in_flight_and_fold_matches_batch() {
         "recv loops must never have blocked or overflowed the sink"
     );
 
-    // Fidelity: folded deltas == final report == batch analyze of the
-    // run's own capture, field for field.
-    let final_basis = ReportBasis::of_report(&outcome.finish.report);
-    assert_eq!(outcome.finish.fold.basis, final_basis, "fold diverged");
-    let (records, skipped) = parse_json_lines(&capture.contents());
+    // Fidelity. The sidecar folds records in arrival order, which the
+    // endpoint threads do not keep in timestamp order; `analyze` sorts
+    // first. So the arrival-order replay of the run's own capture
+    // matches the final report exactly, and batch `analyze` matches it
+    // field for field on everything the order cannot move.
+    let report = &outcome.finish.report;
+    let contents = capture.contents();
+    let replay = replay_jsonl(contents.as_bytes(), OnlineConfig::default()).expect("replay");
+    assert_eq!(format!("{report:?}"), format!("{:?}", replay.report));
+    let (records, skipped) = parse_json_lines(&contents);
     assert_eq!(skipped, 0, "capture must be parseable");
     assert_eq!(records.len() as u64, outcome.finish.records);
-    let batch = analyze(&records, &AnalyzeConfig::default());
-    assert_eq!(
-        final_basis,
-        ReportBasis::of_report(&batch),
-        "live incremental path diverged from batch analyze"
-    );
+    assert_reports_identical(report, &analyze(&records, &AnalyzeConfig::default()));
 
     // The registry heard the same stream (serial fanout).
     assert!(outcome.registry.counter("data_sent") > 0);
-    // Admin keeps serving the final snapshot after the run.
-    if let Some(admin) = &outcome.admin {
-        let (code, body) = http_get(admin.local_addr(), "/stats");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"finished\":true"), "{body}");
+    // Admin keeps serving the final snapshot after the run: its
+    // counters are the final report's.
+    let admin = outcome.admin.as_ref().expect("admin server kept");
+    let (code, body) = http_get(admin.local_addr(), "/stats");
+    assert_eq!(code, 200);
+    assert!(body.contains("\"finished\":true"), "{body}");
+    for (key, want) in [
+        ("records", outcome.finish.records),
+        ("recovered", report.recovered as u64),
+        ("abandoned", report.abandoned as u64),
+        ("unrecovered", report.unrecovered as u64),
+        ("duplicate_repairs", report.duplicate_repairs),
+        ("max_nack_fan_in", report.max_nack_fan_in),
+        ("anomalies", report.anomalies.len() as u64),
+    ] {
+        assert_eq!(stats_field(&body, key), want, "/stats {key}");
     }
 }
 

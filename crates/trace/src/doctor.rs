@@ -5,8 +5,7 @@
 //! run; a million-receiver deployment needs to know *while it is
 //! happening*. This module runs the streaming correlator
 //! ([`OnlineAnalyzer`]) as a long-lived sidecar next to live endpoint
-//! threads and turns its one-shot `finish()` into a stream of
-//! **incremental reports**:
+//! threads and publishes the analyzer's state at every tick:
 //!
 //! * [`DoctorSink`] is the non-blocking [`TraceSink`] the endpoints
 //!   write into: a bounded MPSC channel fed with `try_send`. When the
@@ -14,33 +13,29 @@
 //!   queued against the recv loop** — observability must not
 //!   back-pressure the protocol.
 //! * [`DoctorSidecar`] owns the analyzer on its own thread, drains the
-//!   channel, and every tick emits a [`ReportDelta`]: the diff of the
-//!   analyzer's *committed basis* ([`ReportBasis`]) since the previous
-//!   tick — new anomalies, stage-histogram count deltas, repair-source
-//!   deltas — plus point-in-time gauges (live timelines, resident
-//!   bytes, channel drops).
+//!   channel, and every tick publishes a snapshot read straight from
+//!   the analyzer: its committed counters, the anomalies committed
+//!   since the previous tick (the `/healthz` window), a provisional
+//!   report in which still-open timelines show as unrecovered gaps, and
+//!   point-in-time gauges (live timelines, resident bytes, channel
+//!   drops).
 //! * [`AdminServer`] exposes it over HTTP/1.0 on a plain
 //!   `TcpListener` (the build image cannot reach crates.io, so no
 //!   hyper/axum — one thread, request-line routing, JSON/text bodies):
-//!   `GET /stats`, `/timelines/live`, `/anomalies/tail?n=`,
-//!   `/deltas/last`, `/mem` and `/healthz` (non-200 while the rolling
-//!   anomaly window holds unrecovered gaps or stalled settlements).
+//!   `GET /stats`, `/timelines/live`, `/anomalies/tail?n=`, `/mem` and
+//!   `/healthz` (non-200 while the rolling anomaly window holds
+//!   unrecovered gaps or stalled settlements).
 //!
-//! **Delta algebra.** The committed basis is coordinate-wise monotone
-//! over the stream: `finish()` only ever *adds* the still-open
-//! timelines (as unrecovered gaps) and the end-of-stream detector
-//! anomalies on top of it — it never rewrites a stage histogram, a
-//! repair-source count, or an already-committed anomaly. Two pinned
-//! consequences, tested here and in the bench property suite:
-//!
-//! 1. committed anomalies are always a *prefix* of the final report's
-//!    anomaly vector, so "new since last tick" is a simple suffix;
-//! 2. the fold of all deltas (including the terminal one emitted at
-//!    [`DoctorSidecar::finish`]) equals the one-shot batch `analyze`
-//!    report field-for-field on a quiescent, time-ordered capture.
+//! **Committed vs provisional.** `finish()` only ever *adds* to what
+//! the analyzer has committed: it closes the still-open timelines as
+//! unrecovered gaps and appends the end-of-stream detector anomalies,
+//! but never rewrites a count or an already-committed anomaly. So
+//! [`OnlineAnalyzer::committed_anomalies`] is always a prefix of the
+//! final report's anomaly list, and "committed since the last tick" is
+//! the suffix past the length seen then.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -54,394 +49,11 @@ use crate::analyze::{anomaly_json, json_escape, Anomaly, RecoveryReport};
 use crate::online::{LiveGap, OnlineAnalyzer, OnlineConfig};
 use crate::{lock, MetricsRegistry, ProtocolEvent, TraceSink};
 
-/// Stage labels, in the order [`ReportBasis::stage_counts`] uses.
-pub const STAGE_LABELS: [&str; 5] = ["detection", "request", "serve", "return", "total"];
+/// Rolling anomaly window, in ticks, for `/healthz`.
+const WINDOW_TICKS: u64 = 25;
 
-// ---------------------------------------------------------------------
-// Delta algebra
-// ---------------------------------------------------------------------
-
-/// The committed, coordinate-wise monotone slice of an analysis — the
-/// coordinates a later record (or `finish()`) can only ever increase or
-/// append to. Point-in-time gauges (live timelines, resident bytes)
-/// and environment-dependent peaks are deliberately *not* part of the
-/// basis: they do not fold.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ReportBasis {
-    /// Timelines that closed in recovery.
-    pub recovered: u64,
-    /// Timelines the receiver abandoned.
-    pub abandoned: u64,
-    /// Timelines closed as unrecovered (horizon age-outs mid-stream;
-    /// plus everything still open once `finish()` runs).
-    pub unrecovered: u64,
-    /// Recovered timelines whose stages telescope exactly.
-    pub telescoping: u64,
-    /// Redundant repair copies observed.
-    pub duplicate_repairs: u64,
-    /// Highest per-sequence NACK fan-in at the primary so far.
-    pub max_nack_fan_in: u64,
-    /// `GapDetected` spans truncated by the span cap.
-    pub truncated_gap_spans: u64,
-    /// Per-stage histogram sample counts, [`STAGE_LABELS`] order.
-    pub stage_counts: [u64; 5],
-    /// Per-stage histogram maxima in nanoseconds, [`STAGE_LABELS`]
-    /// order.
-    pub stage_max_nanos: [u64; 5],
-    /// Recovered-timeline count per repair-source label.
-    pub sources: BTreeMap<&'static str, u64>,
-    /// Committed anomalies, in report order (always a prefix of the
-    /// final report's anomaly vector).
-    pub anomalies: Vec<Anomaly>,
-    /// Open timelines force-evicted by the live-timeline cap.
-    pub force_evicted: u64,
-    /// Open timelines closed by the age-out horizon.
-    pub aged_out: u64,
-    /// Records that arrived below their predecessor's timestamp.
-    pub out_of_order: u64,
-}
-
-impl ReportBasis {
-    /// The basis of a finished [`RecoveryReport`] — what the fold of
-    /// all deltas must equal once the terminal delta is included.
-    pub fn of_report(r: &RecoveryReport) -> Self {
-        ReportBasis {
-            recovered: r.recovered as u64,
-            abandoned: r.abandoned as u64,
-            unrecovered: r.unrecovered as u64,
-            telescoping: r.telescoping as u64,
-            duplicate_repairs: r.duplicate_repairs,
-            max_nack_fan_in: r.max_nack_fan_in,
-            truncated_gap_spans: r.truncated_gap_spans,
-            stage_counts: [
-                r.detection.count() as u64,
-                r.request.count() as u64,
-                r.serve.count() as u64,
-                r.return_leg.count() as u64,
-                r.total.count() as u64,
-            ],
-            stage_max_nanos: [
-                r.detection.max().as_nanos() as u64,
-                r.request.max().as_nanos() as u64,
-                r.serve.max().as_nanos() as u64,
-                r.return_leg.max().as_nanos() as u64,
-                r.total.max().as_nanos() as u64,
-            ],
-            sources: r.sources.clone(),
-            anomalies: r.anomalies.clone(),
-            force_evicted: r.stream.force_evicted,
-            aged_out: r.stream.aged_out,
-            out_of_order: r.stream.out_of_order,
-        }
-    }
-}
-
-/// One incremental report: the basis diff since the previous tick plus
-/// point-in-time gauges. Counter fields are **deltas** (fold by sum),
-/// `*_max*` fields are **running maxima** (fold by max), gauges fold by
-/// last-write-wins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportDelta {
-    /// Tick index, 0-based; each sidecar emits a strictly increasing
-    /// sequence ending with the terminal delta.
-    pub tick: u64,
-    /// `true` for the delta emitted by `finish()` — it carries the
-    /// still-open timelines and end-of-stream detector anomalies.
-    pub terminal: bool,
-    /// Records consumed since the previous tick.
-    pub records: u64,
-    /// Newest stream timestamp seen (gauge, nanoseconds).
-    pub stream_end_nanos: u64,
-    /// Newly recovered timelines.
-    pub recovered: u64,
-    /// Newly abandoned timelines.
-    pub abandoned: u64,
-    /// Newly unrecovered timelines.
-    pub unrecovered: u64,
-    /// Newly telescoping recoveries.
-    pub telescoping: u64,
-    /// New redundant repair copies.
-    pub duplicate_repairs: u64,
-    /// Newly truncated gap spans.
-    pub truncated_gap_spans: u64,
-    /// Newly force-evicted open timelines.
-    pub force_evicted: u64,
-    /// Newly aged-out open timelines.
-    pub aged_out: u64,
-    /// New out-of-order records.
-    pub out_of_order: u64,
-    /// Running maximum NACK fan-in (fold by max).
-    pub max_nack_fan_in: u64,
-    /// Per-stage new sample counts, [`STAGE_LABELS`] order.
-    pub stage_counts: [u64; 5],
-    /// Per-stage running maxima in nanoseconds (fold by max).
-    pub stage_max_nanos: [u64; 5],
-    /// Repair-source deltas — only labels that grew this tick.
-    pub sources: BTreeMap<&'static str, u64>,
-    /// Anomalies committed since the previous tick, in report order.
-    pub new_anomalies: Vec<Anomaly>,
-    /// Currently open timelines (gauge; 0 in the terminal delta).
-    pub live_timelines: u64,
-    /// Approximate resident analyzer bytes (gauge; 0 in the terminal
-    /// delta).
-    pub resident_bytes: u64,
-    /// Peak open timelines so far (fold by max).
-    pub peak_live_timelines: u64,
-    /// Peak resident bytes so far (fold by max).
-    pub peak_resident_bytes: u64,
-    /// Cumulative events dropped at the [`DoctorSink`] (gauge).
-    pub dropped_events: u64,
-}
-
-impl ReportDelta {
-    /// Flat JSON rendering (what `/deltas/last` serves).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        s.push_str(&format!(
-            "\"tick\":{},\"terminal\":{},\"records\":{},\"stream_end_ns\":{}",
-            self.tick, self.terminal, self.records, self.stream_end_nanos
-        ));
-        s.push_str(&format!(
-            ",\"recovered\":{},\"abandoned\":{},\"unrecovered\":{},\"telescoping\":{}",
-            self.recovered, self.abandoned, self.unrecovered, self.telescoping
-        ));
-        s.push_str(&format!(
-            ",\"duplicate_repairs\":{},\"truncated_gap_spans\":{},\"force_evicted\":{},\"aged_out\":{},\"out_of_order\":{}",
-            self.duplicate_repairs,
-            self.truncated_gap_spans,
-            self.force_evicted,
-            self.aged_out,
-            self.out_of_order
-        ));
-        s.push_str(&format!(",\"max_nack_fan_in\":{}", self.max_nack_fan_in));
-        s.push_str(",\"stages\":{");
-        for (i, label) in STAGE_LABELS.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\"{label}\":{{\"count\":{},\"max_ns\":{}}}",
-                self.stage_counts[i], self.stage_max_nanos[i]
-            ));
-        }
-        s.push_str("},\"sources\":{");
-        for (i, (k, v)) in self.sources.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{k}\":{v}"));
-        }
-        s.push_str("},\"new_anomalies\":[");
-        for (i, a) in self.new_anomalies.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&anomaly_json(a));
-        }
-        s.push(']');
-        s.push_str(&format!(
-            ",\"live_timelines\":{},\"resident_bytes\":{},\"peak_live_timelines\":{},\"peak_resident_bytes\":{},\"dropped_events\":{}",
-            self.live_timelines,
-            self.resident_bytes,
-            self.peak_live_timelines,
-            self.peak_resident_bytes,
-            self.dropped_events
-        ));
-        s.push('}');
-        s
-    }
-}
-
-/// Computes [`ReportDelta`]s between successive basis snapshots.
-#[derive(Debug, Default)]
-pub struct DeltaTracker {
-    prev: ReportBasis,
-    prev_records: u64,
-    ticks: u64,
-}
-
-struct TickGauges {
-    live: u64,
-    resident: u64,
-    peak_live: u64,
-    peak_bytes: u64,
-    end_nanos: u64,
-    dropped: u64,
-}
-
-impl DeltaTracker {
-    /// A tracker with an empty previous basis.
-    pub fn new() -> Self {
-        DeltaTracker::default()
-    }
-
-    /// Deltas emitted so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// The most recent basis snapshot (what the next delta diffs
-    /// against).
-    pub fn basis(&self) -> &ReportBasis {
-        &self.prev
-    }
-
-    /// Emits the delta between the previous tick and the analyzer's
-    /// current committed basis.
-    pub fn delta_from(&mut self, a: &OnlineAnalyzer, dropped: u64) -> ReportDelta {
-        let cur = a.basis();
-        let g = TickGauges {
-            live: a.live_timelines() as u64,
-            resident: a.approx_resident_bytes(),
-            peak_live: a.peak_live_timelines(),
-            peak_bytes: a.peak_resident_bytes(),
-            end_nanos: a.end_nanos(),
-            dropped,
-        };
-        self.advance(cur, a.records(), g, false)
-    }
-
-    /// Emits the terminal delta against a finished report: the
-    /// still-open timelines (now unrecovered) and the end-of-stream
-    /// detector anomalies.
-    pub fn terminal(
-        &mut self,
-        report: &RecoveryReport,
-        records: u64,
-        end_nanos: u64,
-        dropped: u64,
-    ) -> ReportDelta {
-        let cur = ReportBasis::of_report(report);
-        let g = TickGauges {
-            live: 0,
-            resident: 0,
-            peak_live: report.stream.peak_live_timelines,
-            peak_bytes: report.stream.peak_resident_bytes,
-            end_nanos,
-            dropped,
-        };
-        self.advance(cur, records, g, true)
-    }
-
-    fn advance(
-        &mut self,
-        cur: ReportBasis,
-        records: u64,
-        g: TickGauges,
-        terminal: bool,
-    ) -> ReportDelta {
-        let prev = &self.prev;
-        let mut stage_counts = [0u64; 5];
-        for (i, c) in stage_counts.iter_mut().enumerate() {
-            *c = cur.stage_counts[i].saturating_sub(prev.stage_counts[i]);
-        }
-        let mut sources = BTreeMap::new();
-        for (&k, &v) in &cur.sources {
-            let d = v.saturating_sub(prev.sources.get(k).copied().unwrap_or(0));
-            if d > 0 {
-                sources.insert(k, d);
-            }
-        }
-        // Committed anomalies are a prefix of the current vector; the
-        // suffix is what's new. `get` guards the (impossible by
-        // contract) shrink case rather than panicking in a monitor.
-        let new_anomalies = cur
-            .anomalies
-            .get(prev.anomalies.len()..)
-            .unwrap_or(&[])
-            .to_vec();
-        let delta = ReportDelta {
-            tick: self.ticks,
-            terminal,
-            records: records.saturating_sub(self.prev_records),
-            stream_end_nanos: g.end_nanos,
-            recovered: cur.recovered.saturating_sub(prev.recovered),
-            abandoned: cur.abandoned.saturating_sub(prev.abandoned),
-            unrecovered: cur.unrecovered.saturating_sub(prev.unrecovered),
-            telescoping: cur.telescoping.saturating_sub(prev.telescoping),
-            duplicate_repairs: cur.duplicate_repairs.saturating_sub(prev.duplicate_repairs),
-            truncated_gap_spans: cur
-                .truncated_gap_spans
-                .saturating_sub(prev.truncated_gap_spans),
-            force_evicted: cur.force_evicted.saturating_sub(prev.force_evicted),
-            aged_out: cur.aged_out.saturating_sub(prev.aged_out),
-            out_of_order: cur.out_of_order.saturating_sub(prev.out_of_order),
-            max_nack_fan_in: cur.max_nack_fan_in,
-            stage_counts,
-            stage_max_nanos: cur.stage_max_nanos,
-            sources,
-            new_anomalies,
-            live_timelines: g.live,
-            resident_bytes: g.resident,
-            peak_live_timelines: g.peak_live,
-            peak_resident_bytes: g.peak_bytes,
-            dropped_events: g.dropped,
-        };
-        self.prev = cur;
-        self.prev_records = records;
-        self.ticks += 1;
-        delta
-    }
-}
-
-/// The running fold of a delta sequence. After the terminal delta,
-/// [`DeltaFold::basis`] equals [`ReportBasis::of_report`] of the final
-/// report — the pinned delta-algebra contract.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeltaFold {
-    /// Folded basis (sums of deltas, maxes of running maxima).
-    pub basis: ReportBasis,
-    /// Total records across the folded deltas.
-    pub records: u64,
-    /// Deltas folded in.
-    pub deltas: u64,
-    /// Latest cumulative drop-counter gauge.
-    pub dropped_events: u64,
-    /// Peak open timelines across the folded deltas.
-    pub peak_live_timelines: u64,
-    /// Peak resident bytes across the folded deltas.
-    pub peak_resident_bytes: u64,
-}
-
-impl DeltaFold {
-    /// Folds one more delta in (deltas must be applied in tick order).
-    pub fn push(&mut self, d: &ReportDelta) {
-        let b = &mut self.basis;
-        b.recovered += d.recovered;
-        b.abandoned += d.abandoned;
-        b.unrecovered += d.unrecovered;
-        b.telescoping += d.telescoping;
-        b.duplicate_repairs += d.duplicate_repairs;
-        b.max_nack_fan_in = b.max_nack_fan_in.max(d.max_nack_fan_in);
-        b.truncated_gap_spans += d.truncated_gap_spans;
-        for i in 0..STAGE_LABELS.len() {
-            b.stage_counts[i] += d.stage_counts[i];
-            b.stage_max_nanos[i] = b.stage_max_nanos[i].max(d.stage_max_nanos[i]);
-        }
-        for (&k, &v) in &d.sources {
-            *b.sources.entry(k).or_insert(0) += v;
-        }
-        b.anomalies.extend(d.new_anomalies.iter().cloned());
-        b.force_evicted += d.force_evicted;
-        b.aged_out += d.aged_out;
-        b.out_of_order += d.out_of_order;
-        self.records += d.records;
-        self.deltas += 1;
-        self.dropped_events = d.dropped_events;
-        self.peak_live_timelines = self.peak_live_timelines.max(d.peak_live_timelines);
-        self.peak_resident_bytes = self.peak_resident_bytes.max(d.peak_resident_bytes);
-    }
-}
-
-/// Folds a delta sequence (in tick order) into a [`DeltaFold`].
-pub fn fold_deltas<'a>(deltas: impl IntoIterator<Item = &'a ReportDelta>) -> DeltaFold {
-    let mut fold = DeltaFold::default();
-    for d in deltas {
-        fold.push(d);
-    }
-    fold
-}
+/// Oldest live timelines listed by `/timelines/live`.
+const LIVE_SAMPLE: usize = 32;
 
 // ---------------------------------------------------------------------
 // The non-blocking sink
@@ -503,20 +115,13 @@ impl TraceSink for DoctorSink {
 pub struct DoctorConfig {
     /// Streaming-analyzer tunables (cap/horizon/reservoirs).
     pub online: OnlineConfig,
-    /// Delta cadence.
+    /// Publish cadence.
     pub tick: Duration,
     /// Bounded event-channel capacity; overflow drops (counted).
     pub channel_capacity: usize,
-    /// Rolling anomaly window, in ticks, for `/healthz`.
-    pub window_ticks: u64,
     /// Grace before a still-open gap in the provisional snapshot makes
     /// `/healthz` unhealthy (stream-time nanoseconds since detection).
     pub unrecovered_grace_nanos: u64,
-    /// Oldest live timelines listed by `/timelines/live`.
-    pub live_sample: usize,
-    /// Retain every emitted delta for [`DoctorSidecar::finish`] (tests
-    /// and audits; a long-lived monitor should leave this off).
-    pub keep_deltas: bool,
 }
 
 impl Default for DoctorConfig {
@@ -525,10 +130,7 @@ impl Default for DoctorConfig {
             online: OnlineConfig::default(),
             tick: Duration::from_millis(200),
             channel_capacity: 8192,
-            window_ticks: 25,
             unrecovered_grace_nanos: 2_000_000_000,
-            live_sample: 32,
-            keep_deltas: false,
         }
     }
 }
@@ -558,8 +160,16 @@ struct SharedState {
     finished: bool,
     records: u64,
     end_nanos: u64,
-    last_delta: Option<ReportDelta>,
-    fold: DeltaFold,
+    // The analyzer's committed counters as of the last tick (the final
+    // report's once finished).
+    recovered: u64,
+    abandoned: u64,
+    unrecovered: u64,
+    duplicate_repairs: u64,
+    max_nack_fan_in: u64,
+    /// Committed anomalies: the length of the prefix of
+    /// `snapshot_anomalies` that can no longer change.
+    committed: usize,
     live_count: u64,
     live_oldest: Vec<LiveGap>,
     resident_bytes: u64,
@@ -568,8 +178,45 @@ struct SharedState {
     snapshot_anomalies: Vec<Anomaly>,
     recent: VecDeque<(u64, Anomaly)>,
     health: Health,
-    deltas: Vec<ReportDelta>,
     final_report: Option<RecoveryReport>,
+}
+
+impl SharedState {
+    /// Publishes one tick, after its gauges are set: `snapshot` is the
+    /// provisional report (the final one at the end) and `committed`
+    /// the prefix of its anomalies that can no longer change.
+    fn publish(&mut self, cfg: &DoctorConfig, committed: &[Anomaly], snapshot: &RecoveryReport) {
+        let tick = self.ticks;
+        // What committed since the last tick is a suffix. `get` guards
+        // the (impossible by contract) shrink rather than panicking in a
+        // monitor.
+        for a in committed.get(self.committed..).unwrap_or(&[]) {
+            self.recent.push_back((tick, a.clone()));
+        }
+        while self
+            .recent
+            .front()
+            .is_some_and(|(t, _)| tick - t >= WINDOW_TICKS)
+        {
+            self.recent.pop_front();
+        }
+        self.ticks = tick + 1;
+        self.committed = committed.len();
+        self.recovered = snapshot.recovered as u64;
+        self.abandoned = snapshot.abandoned as u64;
+        // The snapshot closes every still-open timeline as unrecovered;
+        // only the ones the analyzer has closed itself are committed.
+        self.unrecovered = (snapshot.unrecovered as u64).saturating_sub(self.live_count);
+        self.duplicate_repairs = snapshot.duplicate_repairs;
+        self.max_nack_fan_in = snapshot.max_nack_fan_in;
+        self.snapshot_anomalies = snapshot.anomalies.clone();
+        self.health = compute_health(
+            cfg,
+            &self.recent,
+            self.snapshot_anomalies.get(self.committed..).unwrap_or(&[]),
+            self.end_nanos,
+        );
+    }
 }
 
 type Probe = Box<dyn Fn() + Send>;
@@ -597,8 +244,8 @@ impl std::fmt::Debug for DoctorHandle {
 }
 
 /// The live doctor: owns an [`OnlineAnalyzer`] on its own thread,
-/// drains the [`DoctorSink`] channel, ticks out [`ReportDelta`]s, and
-/// publishes rolling state for the admin surface.
+/// drains the [`DoctorSink`] channel, and publishes the analyzer's
+/// state every tick for the admin surface.
 #[derive(Debug)]
 pub struct DoctorSidecar {
     inner: Arc<Inner>,
@@ -618,11 +265,6 @@ pub struct DoctorFinish {
     /// The final one-shot report (identical to what a batch replay of
     /// the same stream would produce, per the fidelity contract).
     pub report: RecoveryReport,
-    /// Every emitted delta, terminal included (empty unless
-    /// [`DoctorConfig::keep_deltas`]).
-    pub deltas: Vec<ReportDelta>,
-    /// The running fold of all emitted deltas.
-    pub fold: DeltaFold,
     /// Records the analyzer consumed.
     pub records: u64,
     /// Events dropped at the sink.
@@ -676,8 +318,8 @@ impl DoctorSidecar {
         lock(&self.inner.registries).push((name.to_owned(), registry));
     }
 
-    /// Registers a probe run at every tick *before* the delta is
-    /// computed — e.g. copying a transport's `RecvCounters` into a
+    /// Registers a probe run at every tick *before* the snapshot is
+    /// taken — e.g. copying a transport's `RecvCounters` into a
     /// registered registry's gauges.
     pub fn register_probe(&self, probe: impl Fn() + Send + 'static) {
         lock(&self.inner.probes).push(Box::new(probe));
@@ -688,48 +330,43 @@ impl DoctorSidecar {
         self.inner.sink.dropped()
     }
 
-    /// Ticks emitted so far.
+    /// Ticks published so far.
     pub fn ticks(&self) -> u64 {
         lock(&self.inner.state).ticks
     }
 
-    /// Stops the doctor: closes the sink, drains the channel, emits the
-    /// terminal delta, and returns the final report plus the delta
-    /// audit trail.
+    /// Stops the doctor: closes the sink, drains the channel, publishes
+    /// the final report, and returns it.
     pub fn finish(mut self) -> DoctorFinish {
-        self.shutdown();
+        self.stop_and_join().expect("doctor thread panicked");
         let mut st = lock(&self.inner.state);
         DoctorFinish {
             report: st.final_report.take().expect("worker published the report"),
-            deltas: std::mem::take(&mut st.deltas),
-            fold: st.fold.clone(),
             records: st.records,
             dropped_events: self.inner.sink.dropped(),
         }
     }
 
-    fn shutdown(&mut self) {
-        if let Some(worker) = self.worker.take() {
-            self.inner.sink.close();
-            self.stop.store(true, Ordering::Relaxed);
-            worker.join().expect("doctor thread panicked");
+    fn stop_and_join(&mut self) -> std::thread::Result<()> {
+        match self.worker.take() {
+            Some(worker) => {
+                self.inner.sink.close();
+                self.stop.store(true, Ordering::Relaxed);
+                worker.join()
+            }
+            None => Ok(()),
         }
     }
 }
 
 impl Drop for DoctorSidecar {
     fn drop(&mut self) {
-        if let Some(worker) = self.worker.take() {
-            self.inner.sink.close();
-            self.stop.store(true, Ordering::Relaxed);
-            let _ = worker.join();
-        }
+        let _ = self.stop_and_join();
     }
 }
 
 fn worker_loop(inner: Arc<Inner>, rx: Receiver<DoctorMsg>, stop: Arc<AtomicBool>) {
     let mut analyzer = OnlineAnalyzer::new(inner.cfg.online.clone());
-    let mut tracker = DeltaTracker::new();
     let tick = inner.cfg.tick.max(Duration::from_millis(1));
     let mut next_tick = Instant::now() + tick;
     loop {
@@ -737,7 +374,7 @@ fn worker_loop(inner: Arc<Inner>, rx: Receiver<DoctorMsg>, stop: Arc<AtomicBool>
             break;
         }
         if Instant::now() >= next_tick {
-            run_tick(&inner, &mut analyzer, &mut tracker);
+            run_tick(&inner, &analyzer);
             next_tick = Instant::now() + tick;
         }
         // Cap the wait so a stop request is honored promptly even with
@@ -767,17 +404,7 @@ fn worker_loop(inner: Arc<Inner>, rx: Receiver<DoctorMsg>, stop: Arc<AtomicBool>
     let records = analyzer.records();
     let end_nanos = analyzer.end_nanos();
     let report = analyzer.finish();
-    let delta = tracker.terminal(&report, records, end_nanos, inner.sink.dropped());
     let mut st = lock(&inner.state);
-    let tick_idx = delta.tick;
-    for a in &delta.new_anomalies {
-        st.recent.push_back((tick_idx, a.clone()));
-    }
-    st.fold.push(&delta);
-    if inner.cfg.keep_deltas {
-        st.deltas.push(delta.clone());
-    }
-    st.ticks = tick_idx + 1;
     st.records = records;
     st.end_nanos = end_nanos;
     st.live_count = 0;
@@ -785,79 +412,41 @@ fn worker_loop(inner: Arc<Inner>, rx: Receiver<DoctorMsg>, stop: Arc<AtomicBool>
     st.resident_bytes = 0;
     st.peak_live = report.stream.peak_live_timelines;
     st.peak_bytes = report.stream.peak_resident_bytes;
-    st.snapshot_anomalies = report.anomalies.clone();
-    st.health = compute_health(
-        &inner.cfg,
-        &st.fold,
-        &st.recent,
-        &st.snapshot_anomalies,
-        end_nanos,
-        tick_idx,
-    );
-    st.last_delta = Some(delta);
+    st.publish(&inner.cfg, &report.anomalies, &report);
     st.final_report = Some(report);
     st.finished = true;
 }
 
-fn run_tick(inner: &Inner, analyzer: &mut OnlineAnalyzer, tracker: &mut DeltaTracker) {
+fn run_tick(inner: &Inner, analyzer: &OnlineAnalyzer) {
     for p in lock(&inner.probes).iter() {
         p();
     }
-    let delta = tracker.delta_from(analyzer, inner.sink.dropped());
     // Provisional snapshot: still-open timelines show up as unrecovered
-    // gaps here (display + health only — they never enter a delta until
-    // they actually commit).
+    // gaps here (display and health only — the counters and the health
+    // window take only what the analyzer has committed).
     let snapshot = analyzer.clone().finish();
-    let live_oldest = analyzer.live_oldest(inner.cfg.live_sample);
-    let live_count = analyzer.live_timelines() as u64;
-    let resident = analyzer.approx_resident_bytes();
-    let end_nanos = analyzer.end_nanos();
-    let records = analyzer.records();
+    let live_oldest = analyzer.live_oldest(LIVE_SAMPLE);
 
     let mut st = lock(&inner.state);
-    let tick_idx = delta.tick;
-    for a in &delta.new_anomalies {
-        st.recent.push_back((tick_idx, a.clone()));
-    }
-    let window = inner.cfg.window_ticks;
-    while st
-        .recent
-        .front()
-        .is_some_and(|(t, _)| tick_idx.saturating_sub(*t) >= window)
-    {
-        st.recent.pop_front();
-    }
-    st.fold.push(&delta);
-    if inner.cfg.keep_deltas {
-        st.deltas.push(delta.clone());
-    }
-    st.ticks = tick_idx + 1;
-    st.records = records;
-    st.end_nanos = end_nanos;
-    st.live_count = live_count;
+    st.records = analyzer.records();
+    st.end_nanos = analyzer.end_nanos();
+    st.live_count = analyzer.live_timelines() as u64;
     st.live_oldest = live_oldest;
-    st.resident_bytes = resident;
+    st.resident_bytes = analyzer.approx_resident_bytes();
     st.peak_live = analyzer.peak_live_timelines();
     st.peak_bytes = analyzer.peak_resident_bytes();
-    st.snapshot_anomalies = snapshot.anomalies;
-    st.health = compute_health(
-        &inner.cfg,
-        &st.fold,
-        &st.recent,
-        &st.snapshot_anomalies,
-        end_nanos,
-        tick_idx,
-    );
-    st.last_delta = Some(delta);
+    st.publish(&inner.cfg, analyzer.committed_anomalies(), &snapshot);
 }
 
+/// The `/healthz` verdict from the rolling window of committed
+/// anomalies and the provisional-only ones (`provisional`: from
+/// still-open timelines and the end-of-stream detectors run on the
+/// snapshot clone).
 fn compute_health(
     cfg: &DoctorConfig,
-    fold: &DeltaFold,
     recent: &VecDeque<(u64, Anomaly)>,
-    snapshot_anomalies: &[Anomaly],
+    provisional: &[Anomaly],
     end_nanos: u64,
-    _tick: u64,
 ) -> Health {
     let mut reasons = Vec::new();
     let recent_gaps = recent
@@ -866,8 +455,7 @@ fn compute_health(
         .count();
     if recent_gaps > 0 {
         reasons.push(format!(
-            "{recent_gaps} unrecovered gap(s) committed in the last {} tick(s)",
-            cfg.window_ticks
+            "{recent_gaps} unrecovered gap(s) committed in the last {WINDOW_TICKS} tick(s)"
         ));
     }
     let recent_stalls = recent
@@ -876,17 +464,12 @@ fn compute_health(
         .count();
     if recent_stalls > 0 {
         reasons.push(format!(
-            "{recent_stalls} stalled settlement(s) committed in the last {} tick(s)",
-            cfg.window_ticks
+            "{recent_stalls} stalled settlement(s) committed in the last {WINDOW_TICKS} tick(s)"
         ));
     }
-    // Provisional-only anomalies (the suffix past the committed prefix)
-    // come from still-open timelines and the end-of-stream detectors
-    // run on the snapshot clone.
-    let committed = fold.basis.anomalies.len();
     let mut overdue_gaps = 0usize;
     let mut provisional_stalls = 0usize;
-    for a in snapshot_anomalies.get(committed..).unwrap_or(&[]) {
+    for a in provisional {
         match a {
             Anomaly::UnrecoveredGap {
                 detected_at_nanos, ..
@@ -924,17 +507,7 @@ impl DoctorHandle {
         lock(&self.inner.state).health.clone()
     }
 
-    /// The most recent delta, if any tick has fired yet.
-    pub fn last_delta(&self) -> Option<ReportDelta> {
-        lock(&self.inner.state).last_delta.clone()
-    }
-
-    /// The running fold of every delta emitted so far.
-    pub fn fold(&self) -> DeltaFold {
-        lock(&self.inner.state).fold.clone()
-    }
-
-    /// Ticks emitted so far.
+    /// Ticks published so far.
     pub fn ticks(&self) -> u64 {
         lock(&self.inner.state).ticks
     }
@@ -944,8 +517,9 @@ impl DoctorHandle {
         self.inner.sink.dropped()
     }
 
-    /// `GET /stats`: committed fold counters, gauges, health, and every
-    /// registered [`MetricsRegistry`]'s counters and gauges.
+    /// `GET /stats`: the analyzer's committed counters as of the last
+    /// tick, gauges, health, and every registered [`MetricsRegistry`]'s
+    /// counters and gauges.
     pub fn stats_json(&self) -> String {
         // Refresh probe-fed gauges so a scrape never reads stale
         // transport counters (ticks also run them).
@@ -953,7 +527,6 @@ impl DoctorHandle {
             p();
         }
         let st = lock(&self.inner.state);
-        let b = &st.fold.basis;
         let mut s = String::with_capacity(1024);
         s.push('{');
         s.push_str(&format!(
@@ -970,12 +543,12 @@ impl DoctorHandle {
         ));
         s.push_str(&format!(
             ",\"recovered\":{},\"abandoned\":{},\"unrecovered\":{},\"duplicate_repairs\":{},\"max_nack_fan_in\":{},\"anomalies\":{},\"recent_anomalies\":{}",
-            b.recovered,
-            b.abandoned,
-            b.unrecovered,
-            b.duplicate_repairs,
-            b.max_nack_fan_in,
-            b.anomalies.len(),
+            st.recovered,
+            st.abandoned,
+            st.unrecovered,
+            st.duplicate_repairs,
+            st.max_nack_fan_in,
+            st.committed,
             st.recent.len()
         ));
         s.push_str(&format!(",\"healthy\":{}", st.health.healthy));
@@ -1049,15 +622,6 @@ impl DoctorHandle {
         }
         s.push_str("]}");
         s
-    }
-
-    /// `GET /deltas/last`: the most recent delta, or `null` before the
-    /// first tick.
-    pub fn deltas_last_json(&self) -> String {
-        match self.last_delta() {
-            Some(d) => d.to_json(),
-            None => "null".into(),
-        }
     }
 
     /// `GET /mem`: resident-state gauges against the configured
@@ -1147,7 +711,6 @@ fn route(handle: &DoctorHandle, method: &str, path: &str, query: &str) -> Respon
             }
             json_response(200, handle.anomalies_tail_json(n))
         }
-        "/deltas/last" => json_response(200, handle.deltas_last_json()),
         "/mem" => json_response(200, handle.mem_json()),
         "/healthz" => {
             let (status, body) = handle.healthz();
@@ -1176,24 +739,44 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
+/// Longest request or header line the admin server reads. The bytes
+/// come from outside the program, so a longer line is answered 400
+/// rather than buffered.
+const MAX_LINE: usize = 8 * 1024;
+
+/// Reads one line into `line` (cleared first), at most [`MAX_LINE`]
+/// bytes of it; `false` when the line runs past the cap.
+fn read_line_capped(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<bool> {
+    line.clear();
+    let n = reader.take(MAX_LINE as u64).read_line(line)?;
+    Ok(n < MAX_LINE || line.ends_with('\n'))
+}
+
 fn serve_connection(stream: &mut TcpStream, handle: &DoctorHandle) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut fits = read_line_capped(&mut reader, &mut request_line)?;
     // Drain headers (bounded) so well-behaved clients see the response.
     let mut header = String::new();
     for _ in 0..64 {
-        header.clear();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
+        if !fits {
+            break;
+        }
+        fits = read_line_capped(&mut reader, &mut header)?;
+        if matches!(header.as_str(), "" | "\n" | "\r\n") {
             break;
         }
     }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("/");
-    let (path, query) = target.split_once('?').unwrap_or((target, ""));
-    let resp = route(handle, method, path, query);
+    let resp = if fits {
+        let mut parts = request_line.split_whitespace();
+        let method = parts.next().unwrap_or("");
+        let target = parts.next().unwrap_or("/");
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        route(handle, method, path, query)
+    } else {
+        json_response(400, "{\"error\":\"line too long\"}".into())
+    };
     let head = format!(
         "HTTP/1.0 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
@@ -1279,9 +862,8 @@ impl Drop for AdminServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{analyze, AnalyzeConfig, TraceRecord};
+    use crate::analyze::{AnalyzeConfig, TraceRecord};
     use lbrm_wire::{EpochId, Seq};
-    use std::io::Read as _;
 
     const SENDER: HostId = HostId(1);
     const PRIMARY: HostId = HostId(2);
@@ -1374,46 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_of_deltas_plus_terminal_equals_batch() {
-        let records = stream(30, Some(7));
-        let cfg = AnalyzeConfig {
-            h_max_nanos: None,
-            ..AnalyzeConfig::default()
-        };
-        let batch = analyze(&records, &cfg);
-
-        let mut analyzer = OnlineAnalyzer::new(OnlineConfig {
-            analyze: cfg,
-            ..OnlineConfig::default()
-        });
-        let mut tracker = DeltaTracker::new();
-        let mut deltas = Vec::new();
-        for (i, r) in records.iter().enumerate() {
-            analyzer.push_record(r);
-            // Tick at awkward boundaries, including mid-recovery.
-            if i % 7 == 3 {
-                deltas.push(tracker.delta_from(&analyzer, 0));
-            }
-        }
-        let n = analyzer.records();
-        let end = analyzer.end_nanos();
-        let report = analyzer.finish();
-        deltas.push(tracker.terminal(&report, n, end, 0));
-
-        let fold = fold_deltas(&deltas);
-        assert_eq!(fold.basis, ReportBasis::of_report(&batch));
-        assert_eq!(fold.records, records.len() as u64);
-        // The per-tick deltas alone never contain provisional gaps:
-        // only the terminal delta commits the still-open timeline.
-        let pre_terminal_unrecovered: u64 = deltas
-            .iter()
-            .filter(|d| !d.terminal)
-            .map(|d| d.unrecovered)
-            .sum();
-        assert_eq!(pre_terminal_unrecovered, 0);
-    }
-
-    #[test]
     fn committed_anomalies_are_a_prefix_of_the_final_report() {
         let records = stream(24, Some(6));
         let cfg = OnlineConfig {
@@ -1429,10 +971,10 @@ mod tests {
         for (i, r) in records.iter().enumerate() {
             analyzer.push_record(r);
             if i == records.len() / 2 {
-                mid_committed = analyzer.basis().anomalies;
+                mid_committed = analyzer.committed_anomalies().to_vec();
             }
         }
-        let committed = analyzer.basis().anomalies;
+        let committed = analyzer.committed_anomalies().to_vec();
         let report = analyzer.finish();
         assert!(report.anomalies.len() >= committed.len());
         assert_eq!(&report.anomalies[..committed.len()], &committed[..]);
@@ -1484,7 +1026,6 @@ mod tests {
     fn admin_routes_answer_with_documented_statuses() {
         let sidecar = DoctorSidecar::spawn(DoctorConfig {
             tick: Duration::from_millis(5),
-            keep_deltas: true,
             online: OnlineConfig {
                 analyze: AnalyzeConfig {
                     h_max_nanos: None,
@@ -1522,10 +1063,6 @@ mod tests {
         let (status, _) = http_get(addr, "/anomalies/tail?n=bogus");
         assert_eq!(status, 400);
 
-        let (status, body) = http_get(addr, "/deltas/last");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"tick\":"), "{body}");
-
         let (status, body) = http_get(addr, "/mem");
         assert_eq!(status, 200);
         assert!(body.contains("\"resident_bytes\":"), "{body}");
@@ -1537,13 +1074,45 @@ mod tests {
         let (status, _) = http_get(addr, "/nope");
         assert_eq!(status, 404);
 
-        server.shutdown();
         let done = sidecar.finish();
         assert_eq!(done.records, stream(12, None).len() as u64);
         assert_eq!(done.dropped_events, 0);
-        assert_eq!(done.fold.basis, ReportBasis::of_report(&done.report));
-        assert!(!done.deltas.is_empty());
-        assert!(done.deltas.last().unwrap().terminal);
+        assert_eq!(done.report.recovered, 4);
+        // The admin surface outlives the sidecar and serves the final
+        // report's counters.
+        let (status, body) = http_get(addr, "/stats");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"finished\":true"), "{body}");
+        assert!(body.contains("\"recovered\":4,"), "{body}");
+        server.shutdown();
+    }
+
+    /// Outside input: a request line that never ends is cut off at the
+    /// line cap and answered (or dropped) at once, not buffered until
+    /// the read timeout; the server then goes on serving.
+    #[test]
+    fn an_endless_request_line_is_refused_and_the_server_keeps_serving() {
+        let sidecar = DoctorSidecar::spawn(DoctorConfig::default());
+        let server = AdminServer::bind("127.0.0.1:0", sidecar.handle()).expect("bind admin");
+        let addr = server.local_addr();
+
+        let started = Instant::now();
+        let mut conn = TcpStream::connect(addr).expect("connect admin");
+        // The server may answer and close before all of it is written.
+        let _ = conn.write_all(&vec![b'A'; 1 << 20]);
+        let mut raw = Vec::new();
+        let _ = conn.read_to_end(&mut raw);
+        assert!(
+            raw.is_empty() || raw.starts_with(b"HTTP/1.0 400 "),
+            "{}",
+            String::from_utf8_lossy(&raw)
+        );
+        // Well inside the 2 s read timeout: the cap ended the read.
+        assert!(started.elapsed() < Duration::from_millis(1500));
+
+        let (status, body) = http_get(addr, "/stats");
+        assert_eq!(status, 200, "{body}");
+        server.shutdown();
     }
 
     #[test]
@@ -1586,24 +1155,62 @@ mod tests {
         drop(sidecar);
     }
 
+    /// A gap the horizon ages out is a *committed* unrecovered gap: it
+    /// holds `/healthz` at 503 for the rolling window, then drops out.
     #[test]
-    fn delta_json_is_flat_and_labelled() {
-        let mut analyzer = OnlineAnalyzer::new(OnlineConfig::default());
-        let mut tracker = DeltaTracker::new();
-        for r in stream(6, None) {
-            analyzer.push_record(&r);
+    fn healthz_holds_a_committed_gap_for_the_window_then_clears() {
+        let sidecar = DoctorSidecar::spawn(DoctorConfig {
+            tick: Duration::from_millis(5),
+            online: OnlineConfig {
+                analyze: AnalyzeConfig {
+                    h_max_nanos: None,
+                    ..AnalyzeConfig::default()
+                },
+                horizon_nanos: Some(100 * 1_000_000),
+                ..OnlineConfig::default()
+            },
+            ..DoctorConfig::default()
+        });
+        let server = AdminServer::bind("127.0.0.1:0", sidecar.handle()).expect("bind admin");
+        let addr = server.local_addr();
+        let sink = sidecar.sink();
+        sink.record(0, RX, &ProtocolEvent::RoleAnnounced { role: "receiver" });
+        sink.record(
+            1_000_000,
+            RX,
+            &ProtocolEvent::GapDetected {
+                first: Seq(1),
+                last: Seq(1),
+            },
+        );
+        // Stream time moves a second on: the horizon closes the gap.
+        sink.record(1_000_000_000, RX, &ProtocolEvent::FreshnessLost);
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let (mut status, mut body) = http_get(addr, "/healthz");
+        while status == 200 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+            (status, body) = http_get(addr, "/healthz");
         }
-        let d = tracker.delta_from(&analyzer, 3);
-        let json = d.to_json();
-        for needle in [
-            "\"tick\":0",
-            "\"terminal\":false",
-            "\"stages\":{\"detection\":",
-            "\"sources\":{",
-            "\"new_anomalies\":[",
-            "\"dropped_events\":3",
-        ] {
-            assert!(json.contains(needle), "{needle} missing in {json}");
+        assert_eq!(status, 503, "{body}");
+        assert!(
+            body.contains("1 unrecovered gap(s) committed in the last 25 tick(s)"),
+            "{body}"
+        );
+        let seen_at = sidecar.ticks();
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while sidecar.ticks() < seen_at + 25 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
         }
+        assert!(sidecar.ticks() >= seen_at + 25, "doctor stopped ticking");
+        let (status, body) = http_get(addr, "/healthz");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, "ok\n");
+
+        server.shutdown();
+        let done = sidecar.finish();
+        assert_eq!(done.report.unrecovered, 1);
+        assert_eq!(done.report.stream.aged_out, 1);
     }
 }

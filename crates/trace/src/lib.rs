@@ -65,10 +65,7 @@ mod online;
 mod sink;
 
 pub use analyze::{CollectorSink, FanoutSink, SerialFanoutSink, TraceRecord};
-pub use doctor::{
-    fold_deltas, AdminServer, DeltaFold, DeltaTracker, DoctorConfig, DoctorSidecar, DoctorSink,
-    ReportBasis, ReportDelta,
-};
+pub use doctor::{AdminServer, DoctorConfig, DoctorSidecar, DoctorSink};
 pub use metrics::{
     Histogram, HistogramSnapshot, MetricsRegistry, StreamingHistogram, STREAM_HIST_BUCKETS,
 };

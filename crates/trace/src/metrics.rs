@@ -194,20 +194,10 @@ impl StreamingHistogram {
         self.count += 1;
     }
 
-    /// Samples recorded so far (exact).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// The power-of-two bucket counts (exact; bucket `i` holds samples
     /// with `ilog2(nanos) == i`).
     pub fn bucket_counts(&self) -> &[u64; STREAM_HIST_BUCKETS] {
         &self.buckets
-    }
-
-    /// Largest sample recorded so far in nanoseconds (exact).
-    pub fn max_nanos(&self) -> u64 {
-        self.max_nanos
     }
 
     /// Approximate resident bytes of this histogram (fixed buckets +
@@ -216,9 +206,10 @@ impl StreamingHistogram {
         (STREAM_HIST_BUCKETS * 8 + self.reservoir.len() * 8 + 64) as u64
     }
 
-    /// An immutable view. While `count() <= capacity` this is exactly
-    /// the full distribution; beyond that the raw samples are the
-    /// reservoir and the snapshot carries exact count/sum/max totals.
+    /// An immutable view. While the sample count is at most the
+    /// capacity this is exactly the full distribution; beyond that the
+    /// raw samples are the reservoir and the snapshot carries exact
+    /// count/sum/max totals.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut sorted = self.reservoir.clone();
         sorted.sort_unstable();

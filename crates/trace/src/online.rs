@@ -193,9 +193,9 @@ pub struct OnlineAnalyzer {
     max_term: u32,
     stale_serves: BTreeMap<(u64, u32), u32>,
     /// Term conflicts and accepted stale serves, in stream order. Kept
-    /// out of [`basis`](Self::basis) (like every end-of-stream
-    /// detector) and appended after stalled settlements in
-    /// [`finish`](Self::finish).
+    /// out of [`committed_anomalies`](Self::committed_anomalies) (like
+    /// every end-of-stream detector) and appended after stalled
+    /// settlements in [`finish`](Self::finish).
     split_brain: Vec<Anomaly>,
     fenced_rejects: u64,
     // Folded results.
@@ -327,41 +327,13 @@ impl OnlineAnalyzer {
         &self.cfg
     }
 
-    /// The *committed* monotone slice of the folded state — everything
-    /// [`finish`](Self::finish) can only ever add to, never rewrite.
-    /// This is what [`crate::doctor::ReportDelta`]s diff between ticks:
-    /// still-open timelines and end-of-stream detectors contribute
-    /// nothing here, so the sequence of basis values over a stream is
-    /// coordinate-wise monotone and delta folding telescopes exactly.
-    pub fn basis(&self) -> crate::doctor::ReportBasis {
-        crate::doctor::ReportBasis {
-            recovered: self.recovered as u64,
-            abandoned: self.abandoned as u64,
-            unrecovered: self.unrecovered as u64,
-            telescoping: self.telescoping as u64,
-            duplicate_repairs: self.dups_per_host_seq.values().sum(),
-            max_nack_fan_in: self.requests_per_seq.values().copied().max().unwrap_or(0),
-            truncated_gap_spans: self.truncated_gap_spans,
-            stage_counts: [
-                self.detection.count(),
-                self.request.count(),
-                self.serve.count(),
-                self.return_leg.count(),
-                self.total.count(),
-            ],
-            stage_max_nanos: [
-                self.detection.max_nanos(),
-                self.request.max_nanos(),
-                self.serve.max_nanos(),
-                self.return_leg.max_nanos(),
-                self.total.max_nanos(),
-            ],
-            sources: self.sources.clone(),
-            anomalies: self.gap_anomalies.clone(),
-            force_evicted: self.force_evicted,
-            aged_out: self.aged_out,
-            out_of_order: self.out_of_order,
-        }
+    /// The anomalies committed so far: the horizon's unrecovered gaps,
+    /// in eviction order. [`finish`](Self::finish) only appends to this
+    /// list (still-open timelines and the end-of-stream detectors
+    /// contribute nothing until then), so it is always a prefix of the
+    /// final report's anomalies.
+    pub fn committed_anomalies(&self) -> &[Anomaly] {
+        &self.gap_anomalies
     }
 
     /// The `limit` oldest still-open recoveries, oldest first — the

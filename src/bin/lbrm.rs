@@ -50,8 +50,8 @@ OPTIONS:
     --h-max-s <S>          heartbeat h_max (default 32)
     --admin-addr <IP:PORT> attach the live doctor sidecar and serve its
                            HTTP admin surface here (/stats, /healthz,
-                           /timelines/live, /anomalies/tail, /deltas/last,
-                           /mem); any role
+                           /timelines/live, /anomalies/tail, /mem); any
+                           role
 ";
 
 struct Opts {
