@@ -4,8 +4,8 @@
 //! payload codecs plus application state that consumes the receiver's
 //! [`Delivery`](lbrm_core::machine::Delivery) and
 //! [`Notice`](lbrm_core::machine::Notice) streams. They run unchanged
-//! over the simulator (`lbrm-sim` + the facade's harness) and the tokio
-//! transports (`lbrm-net`).
+//! over the simulator (`lbrm-sim` + the facade's harness) and the UDP
+//! endpoints (`lbrm-net`).
 //!
 //! * [`invalidation`] — WWW page invalidation (§4.3 and Appendix A): an
 //!   HTTP server multicasts `TRANS/RETRANS ... UPDATE` messages; browser

@@ -43,15 +43,30 @@ impl Default for HeartbeatConfig {
 }
 
 impl HeartbeatConfig {
+    /// Checks the parameters; the error names the first rule broken.
+    ///
+    /// # Errors
+    ///
+    /// If `h_min` is zero, `h_max < h_min`, or `backoff < 1`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.h_min == Duration::ZERO {
+            Err("h_min must be positive")
+        } else if self.h_max < self.h_min {
+            Err("h_max must be >= h_min")
+        } else if self.backoff >= 1.0 {
+            Ok(())
+        } else {
+            Err("backoff must be >= 1")
+        }
+    }
+
     /// Validates the parameters.
     ///
     /// # Panics
     ///
-    /// If `h_min` is zero, `h_max < h_min`, or `backoff < 1`.
+    /// If [`check`](Self::check) fails.
     pub fn validate(&self) {
-        assert!(self.h_min > Duration::ZERO, "h_min must be positive");
-        assert!(self.h_max >= self.h_min, "h_max must be >= h_min");
-        assert!(self.backoff >= 1.0, "backoff must be >= 1");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -374,6 +389,27 @@ mod tests {
             h_max: Duration::from_secs(1),
             backoff: 2.0,
         });
+    }
+
+    #[test]
+    fn check_names_the_first_broken_rule() {
+        let ok = HeartbeatConfig::default();
+        assert_eq!(ok.check(), Ok(()));
+        let with = |edit: fn(&mut HeartbeatConfig)| {
+            let mut c = ok;
+            edit(&mut c);
+            c.check()
+        };
+        assert_eq!(
+            with(|c| c.h_min = Duration::ZERO),
+            Err("h_min must be positive")
+        );
+        assert_eq!(
+            with(|c| c.h_max = Duration::ZERO),
+            Err("h_max must be >= h_min")
+        );
+        assert_eq!(with(|c| c.backoff = 0.5), Err("backoff must be >= 1"));
+        assert_eq!(with(|c| c.backoff = f64::NAN), Err("backoff must be >= 1"));
     }
 
     // ----- analysis (Figures 4/5, Table 1) -----

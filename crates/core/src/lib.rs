@@ -19,9 +19,10 @@
 //! * [`retrans_channel`] — the §7 "separate retransmission channel"
 //!   future-work extension.
 //!
-//! Machines implement [`machine::Machine`] and are driven identically by
-//! the deterministic simulator (`lbrm-sim`, for the paper's experiments)
-//! and the threaded UDP endpoints (`lbrm-net`, for deployment).
+//! Machines implement [`machine::Machine`] and are driven through one
+//! [`machine::Driver`] by the deterministic simulator (`lbrm-sim`, for
+//! the paper's experiments) and the threaded UDP endpoints (`lbrm-net`,
+//! for deployment), on one clock, [`time::Time`].
 //!
 //! Every machine can additionally report protocol events (heartbeats,
 //! NACKs, repairs, re-multicasts, settlements, failover) through the
@@ -48,6 +49,6 @@ pub mod time;
 
 pub use lbrm_trace as trace;
 
-pub use machine::{Action, Actions, Delivery, LossSignal, Machine, Notice};
+pub use machine::{Action, Actions, Delivery, Driver, Input, LossSignal, Machine, Notice};
 pub use time::Time;
 pub use trace::Tracer;

@@ -3,20 +3,22 @@
 //! Every LBRM protocol entity (sender, receiver, logging server,
 //! discovery client, SRM baseline member) implements [`Machine`]: a pure
 //! state machine that consumes packets and clock readings and emits
-//! [`Action`]s. Drivers are trivial:
+//! [`Action`]s.
 //!
-//! * feed arriving packets to [`Machine::on_packet`],
-//! * call [`Machine::poll`] whenever [`Machine::next_deadline`] passes,
-//! * execute the emitted actions (send, deliver, log).
+//! A [`Driver`] is the one place that calls a machine. A substrate
+//! translates what happens to it into [`Input`]s — start-up, an arriving
+//! packet, a passed deadline, an application [`Call`] — and executes
+//! the actions the driver drains (send, deliver, log). The simulator
+//! adapter (virtual time, experiments) and the `lbrm-net` endpoint (one
+//! thread + UDP, deployment) are two such substrates over the same
+//! driver, and unit tests drive machines directly with hand-crafted
+//! packet sequences.
 //!
-//! Machines never block, never sleep and never touch sockets, so the
-//! same code runs under `lbrm-sim` (virtual time, experiments) and
-//! `lbrm-net` (tokio + UDP, deployment), and unit tests drive them
-//! directly with hand-crafted packet sequences.
+//! Machines never block, never sleep and never touch sockets.
 
 use bytes::Bytes;
 
-use lbrm_wire::{EpochId, HostId, Packet, Seq, TtlScope};
+use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, TtlScope};
 
 use crate::time::Time;
 
@@ -163,9 +165,9 @@ pub enum Action {
     Notice(Notice),
     /// Subscribe this host to a multicast group (used by the §7
     /// retransmission-channel extension and by fast resubscription).
-    Join(lbrm_wire::GroupId),
+    Join(GroupId),
     /// Unsubscribe from a multicast group.
-    Leave(lbrm_wire::GroupId),
+    Leave(GroupId),
 }
 
 /// Accumulator for actions emitted during one machine call.
@@ -191,6 +193,86 @@ pub trait Machine {
 
     /// The next instant at which [`Machine::poll`] should run, if any.
     fn next_deadline(&self) -> Option<Time>;
+}
+
+/// An application call against a machine (e.g. `Sender::send`), run by
+/// the [`Driver`] with the current time and its action buffer. `Send`
+/// so a driver can move to the thread or world that runs it.
+pub type Call<M> = Box<dyn FnOnce(&mut M, Time, &mut Actions) + Send>;
+
+/// Everything that can make a machine act: the typed boundary between a
+/// substrate and a [`Driver`].
+pub enum Input<M> {
+    /// The substrate started: join the start-up groups, then
+    /// [`Machine::on_start`].
+    Start,
+    /// A packet from `from` arrived: [`Machine::on_packet`].
+    Packet {
+        /// The sending host.
+        from: HostId,
+        /// The packet.
+        packet: Packet,
+    },
+    /// A deadline may have passed: [`Machine::poll`].
+    Timer,
+    /// An application call, followed by [`Machine::poll`]: a call can
+    /// create work (e.g. schedule a heartbeat), and the machine may also
+    /// have due work of its own.
+    Call(Call<M>),
+}
+
+/// Owns a machine, its start-up groups and the one [`Actions`] buffer
+/// every machine call fills. [`drain`](Self::drain) empties it, so
+/// several inputs may share a drain, the steady state allocates no
+/// action list, and no drain replays an earlier one's actions.
+pub struct Driver<M> {
+    machine: M,
+    groups: Vec<GroupId>,
+    out: Actions,
+}
+
+impl<M: Machine> Driver<M> {
+    /// Drives `machine`, joining `groups` at [`Input::Start`].
+    pub fn new(machine: M, groups: Vec<GroupId>) -> Self {
+        Driver {
+            machine,
+            groups,
+            out: Actions::new(),
+        }
+    }
+
+    /// The driven machine.
+    pub fn machine(&self) -> &M {
+        &self.machine
+    }
+
+    /// The driven machine, e.g. to install a tracer before start-up.
+    pub fn machine_mut(&mut self) -> &mut M {
+        &mut self.machine
+    }
+
+    /// Feeds one input at `now`; its actions wait for [`drain`](Self::drain).
+    #[inline(always)]
+    pub fn input(&mut self, now: Time, input: Input<M>) {
+        let out = &mut self.out;
+        match input {
+            Input::Start => {
+                out.extend(self.groups.iter().map(|&g| Action::Join(g)));
+                self.machine.on_start(now, out);
+            }
+            Input::Packet { from, packet } => self.machine.on_packet(now, from, packet, out),
+            Input::Timer => self.machine.poll(now, out),
+            Input::Call(call) => {
+                call(&mut self.machine, now, out);
+                self.machine.poll(now, out);
+            }
+        }
+    }
+
+    /// The actions emitted since the last drain, in emission order.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Action> {
+        self.out.drain(..)
+    }
 }
 
 /// Test/driver helper: extracts all packets a machine tried to send,
@@ -225,4 +307,83 @@ pub fn notices(actions: &[Action]) -> Vec<&Notice> {
             _ => None,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const G1: GroupId = GroupId(1);
+    const G2: GroupId = GroupId(2);
+
+    /// Answers `on_start` with one notice, and `poll` with another when
+    /// a call raised `flag` since the last poll; packets emit nothing.
+    #[derive(Default)]
+    struct Flagged {
+        flag: bool,
+    }
+
+    impl Machine for Flagged {
+        fn on_start(&mut self, _now: Time, out: &mut Actions) {
+            out.push(Action::Notice(Notice::DiscoveryFailed));
+        }
+        fn on_packet(&mut self, _now: Time, _from: HostId, _packet: Packet, _out: &mut Actions) {}
+        fn poll(&mut self, _now: Time, out: &mut Actions) {
+            if std::mem::take(&mut self.flag) {
+                out.push(Action::Notice(Notice::FreshnessLost));
+            }
+        }
+        fn next_deadline(&self) -> Option<Time> {
+            None
+        }
+    }
+
+    fn drained(driver: &mut Driver<Flagged>) -> Vec<Action> {
+        driver.drain().collect()
+    }
+
+    #[test]
+    fn start_joins_the_groups_before_on_start() {
+        let mut driver = Driver::new(Flagged::default(), vec![G1, G2]);
+        driver.input(Time::ZERO, Input::Start);
+        assert_eq!(
+            drained(&mut driver),
+            [
+                Action::Join(G1),
+                Action::Join(G2),
+                Action::Notice(Notice::DiscoveryFailed),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_call_is_followed_by_poll() {
+        let mut driver = Driver::new(Flagged::default(), vec![]);
+        let call: Call<Flagged> = Box::new(|m, _, _| m.flag = true);
+        driver.input(Time::from_secs(1), Input::Call(call));
+        assert_eq!(
+            drained(&mut driver),
+            [Action::Notice(Notice::FreshnessLost)]
+        );
+        assert!(!driver.machine().flag, "the poll consumed the flag");
+    }
+
+    #[test]
+    fn an_input_that_emits_nothing_drains_nothing() {
+        let mut driver = Driver::new(Flagged::default(), vec![G1]);
+        driver.input(Time::ZERO, Input::Start);
+        assert_eq!(drained(&mut driver).len(), 2);
+        let packet = Packet::Data {
+            group: G1,
+            source: lbrm_wire::SourceId(1),
+            seq: Seq(1),
+            epoch: EpochId(0),
+            payload: Bytes::new(),
+        };
+        let from = HostId(7);
+        driver.input(Time::from_secs(1), Input::Packet { from, packet });
+        driver.input(Time::from_secs(2), Input::Timer);
+        driver.input(Time::from_secs(3), Input::Call(Box::new(|_, _, _| {})));
+        assert!(drained(&mut driver).is_empty());
+    }
 }

@@ -3,8 +3,10 @@
 //! LBRM state machines are *sans-IO*: they never read a wall clock.
 //! Every entry point takes the current [`Time`], and machines expose
 //! [`next_deadline`](crate::machine::Machine::next_deadline) so the
-//! driver (simulator or tokio endpoint) knows when to call back. `Time`
-//! is a nanosecond count from an arbitrary origin chosen by the driver.
+//! driver (simulator or UDP endpoint) knows when to call back. `Time`
+//! is a nanosecond count from an arbitrary origin chosen by the driver;
+//! the simulator's virtual time (`lbrm_sim::time::SimTime`) is this same
+//! type, counted from the start of the run.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -18,10 +20,19 @@ impl Time {
     /// The origin.
     pub const ZERO: Time = Time(0);
 
+    /// The far future: nothing is due later than this.
+    pub const MAX: Time = Time(u64::MAX);
+
     /// Builds an instant from nanoseconds.
     #[inline]
     pub const fn from_nanos(ns: u64) -> Time {
         Time(ns)
+    }
+
+    /// Builds an instant from microseconds.
+    #[inline]
+    pub const fn from_micros(us: u64) -> Time {
+        Time(us * 1_000)
     }
 
     /// Builds an instant from milliseconds.
@@ -34,6 +45,13 @@ impl Time {
     #[inline]
     pub const fn from_secs(s: u64) -> Time {
         Time(s * 1_000_000_000)
+    }
+
+    /// Builds an instant from fractional seconds.
+    #[inline]
+    pub fn from_secs_f64(s: f64) -> Time {
+        debug_assert!(s >= 0.0 && s.is_finite());
+        Time((s * 1e9).round() as u64)
     }
 
     /// Nanoseconds from the origin.
@@ -53,6 +71,15 @@ impl Time {
     pub fn since(self, earlier: Time) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
+
+    /// Adds `d`, stopping at [`Time::MAX`].
+    #[inline]
+    pub fn saturating_add(self, d: Duration) -> Time {
+        Time(
+            self.0
+                .saturating_add(d.as_nanos().min(u128::from(u64::MAX)) as u64),
+        )
+    }
 }
 
 impl Add<Duration> for Time {
@@ -60,10 +87,7 @@ impl Add<Duration> for Time {
 
     #[inline]
     fn add(self, d: Duration) -> Time {
-        Time(
-            self.0
-                .saturating_add(d.as_nanos().min(u128::from(u64::MAX)) as u64),
-        )
+        self.saturating_add(d)
     }
 }
 
@@ -103,11 +127,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn construction_and_conversion() {
+        assert_eq!(Time::from_secs(2).nanos(), 2_000_000_000);
+        assert_eq!(Time::from_millis(5).nanos(), 5_000_000);
+        assert_eq!(Time::from_micros(7).nanos(), 7_000);
+        assert_eq!(Time::from_secs_f64(0.25).nanos(), 250_000_000);
+        assert!((Time::from_secs(3).as_secs_f64() - 3.0).abs() < 1e-12);
+        assert_eq!(Time::ZERO, Time::default());
+        assert!(Time::from_millis(1) < Time::from_millis(2));
+    }
+
+    #[test]
     fn arithmetic() {
         let t = Time::from_secs(1) + Duration::from_millis(250);
         assert_eq!(t.nanos(), 1_250_000_000);
         assert_eq!(t - Time::from_secs(1), Duration::from_millis(250));
         assert_eq!(Time::ZERO - t, Duration::ZERO);
+        assert_eq!(Time::MAX + Duration::from_secs(1), Time::MAX);
+        assert_eq!(Time::ZERO.saturating_add(Duration::MAX), Time::MAX);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! The endpoint driver: one protocol machine + one transport + a thread.
+//! The endpoint: one protocol machine's [`Driver`] + one transport + a
+//! thread.
 //!
-//! The driver loop mirrors what the simulator does deterministically:
-//! feed arriving packets to the machine, call `poll` when its deadline
-//! passes, execute the emitted actions. Applications interact through an
+//! The loop translates what the simulator's adapter translates, on a
+//! real clock: arriving packets, passed deadlines and posted calls
+//! become driver [`Input`]s, and the drained actions are executed on the
+//! transport. Applications interact through an
 //! [`EndpointHandle`]: closures posted with
 //! [`call`](EndpointHandle::call) run against the machine inside the
 //! loop (e.g. `Sender::send`), and deliveries / notices stream back as
@@ -25,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use lbrm_core::machine::{Action, Actions, Delivery, Machine, Notice};
+use lbrm_core::machine::{Action, Actions, Call, Delivery, Driver, Input, Machine, Notice};
 use lbrm_core::time::Time;
 use lbrm_wire::{GroupId, Packet};
 
@@ -39,8 +41,6 @@ pub enum EndpointEvent {
     /// A protocol notice (loss detected, freshness lost, promotion, ...).
     Notice(Notice),
 }
-
-type Call<M> = Box<dyn FnOnce(&mut M, Time, &mut Actions) + Send>;
 
 enum Command<M> {
     /// Run a closure against the machine.
@@ -136,9 +136,8 @@ impl<M: Machine> EndpointHandle<M> {
 
 /// A protocol machine bound to a transport, ready to run.
 pub struct Endpoint<M: Machine, T: Transport> {
-    machine: M,
+    driver: Driver<M>,
     transport: T,
-    groups: Vec<GroupId>,
     cmd_rx: mpsc::Receiver<Command<M>>,
     event_tx: mpsc::SyncSender<EndpointEvent>,
     /// Longest single receive wait: unbounded when handles can wake
@@ -161,9 +160,8 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
         let events_dropped = Arc::new(AtomicU64::new(0));
         (
             Endpoint {
-                machine,
+                driver: Driver::new(machine, groups),
                 transport,
-                groups,
                 cmd_rx,
                 event_tx,
                 max_wait: if waker.is_some() {
@@ -190,7 +188,7 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
     /// `lbrm_core::trace`). Call before [`spawn`](Self::spawn) — e.g.
     /// with a live doctor sidecar's non-blocking sink.
     pub fn set_tracer(&mut self, tracer: lbrm_core::Tracer) {
-        self.machine.set_tracer(tracer);
+        self.driver.machine_mut().set_tracer(tracer);
     }
 
     /// Pins the endpoint's time origin. Endpoints of one process that
@@ -219,12 +217,8 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
         let now_fn = |origin: Instant| {
             Time::from_nanos(Instant::now().duration_since(origin).as_nanos() as u64)
         };
-        for g in &self.groups {
-            self.transport.join(*g)?;
-        }
-        let mut out = Actions::new();
-        self.machine.on_start(now_fn(origin), &mut out);
-        self.execute(&mut out)?;
+        self.driver.input(now_fn(origin), Input::Start);
+        self.execute()?;
 
         loop {
             // Clear the flag *before* draining: a command posted after
@@ -234,10 +228,8 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
             loop {
                 match self.cmd_rx.try_recv() {
                     Ok(Command::Call(f)) => {
-                        let now = now_fn(origin);
-                        f(&mut self.machine, now, &mut out);
-                        self.machine.poll(now, &mut out);
-                        self.execute(&mut out)?;
+                        self.driver.input(now_fn(origin), Input::Call(f));
+                        self.execute()?;
                     }
                     Err(mpsc::TryRecvError::Empty) => break,
                     Ok(Command::Shutdown) | Err(mpsc::TryRecvError::Disconnected) => {
@@ -248,7 +240,7 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
 
             // Sleep until the machine's next deadline; with nothing
             // scheduled, until a packet or a wake.
-            let wait = match self.machine.next_deadline() {
+            let wait = match self.driver.machine().next_deadline() {
                 Some(t) => Duration::from_nanos(t.nanos().saturating_sub(now_fn(origin).nanos())),
                 None => Duration::MAX,
             };
@@ -259,35 +251,33 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 // replies to one host then leave as one bundled run.
                 let mut taken = 0;
                 while let Some((from, packet)) = next.take() {
-                    self.machine
-                        .on_packet(now_fn(origin), from, packet, &mut out);
+                    self.driver
+                        .input(now_fn(origin), Input::Packet { from, packet });
                     taken += 1;
                     if taken < DRAIN_MAX {
                         next = self.transport.recv_timeout(Duration::ZERO)?;
                     }
                 }
-                self.execute(&mut out)?;
+                self.execute()?;
             }
-            self.machine.poll(now_fn(origin), &mut out);
-            self.execute(&mut out)?;
+            self.driver.input(now_fn(origin), Input::Timer);
+            self.execute()?;
         }
     }
 
-    /// Hands one event to the application. A slow or absent consumer
-    /// must not wedge the protocol: when the queue is full the event is
-    /// shed and counted.
-    fn emit(&self, event: EndpointEvent) {
-        if let Err(mpsc::TrySendError::Full(_)) = self.event_tx.try_send(event) {
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Executes a machine's emitted actions, coalescing consecutive
+    /// Executes the driver's drained actions, coalescing consecutive
     /// sends to one destination into bundle-capable runs. The machine's
     /// emission order is preserved exactly: a run only extends while
     /// the next action targets the same destination.
-    fn execute(&mut self, out: &mut Actions) -> io::Result<()> {
-        let mut iter = out.drain(..).peekable();
+    fn execute(&mut self) -> io::Result<()> {
+        // A slow or absent consumer must not wedge the protocol: when
+        // the event queue is full the event is shed and counted.
+        let emit = |event| {
+            if let Err(mpsc::TrySendError::Full(_)) = self.event_tx.try_send(event) {
+                self.events_dropped.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        let mut iter = self.driver.drain().peekable();
         while let Some(action) = iter.next() {
             match action {
                 Action::Unicast { to, packet } => {
@@ -326,8 +316,8 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                         self.transport.send_multicast_bundle(scope, &self.batch)?;
                     }
                 }
-                Action::Deliver(d) => self.emit(EndpointEvent::Delivery(d)),
-                Action::Notice(n) => self.emit(EndpointEvent::Notice(n)),
+                Action::Deliver(d) => emit(EndpointEvent::Delivery(d)),
+                Action::Notice(n) => emit(EndpointEvent::Notice(n)),
                 Action::Join(g) => self.transport.join(g)?,
                 Action::Leave(g) => self.transport.leave(g)?,
             }

@@ -5,7 +5,7 @@
 //! each site's LAN to the backbone (Figure 1). This crate reproduces that
 //! environment on a laptop:
 //!
-//! * [`time`] — nanosecond-resolution virtual time.
+//! * [`time`] — virtual time: the protocol's nanosecond clock.
 //! * [`loss`] — per-segment loss models: Bernoulli, Gilbert–Elliott
 //!   bursts, and deterministic outage windows (the paper's §2.1.1 "burst"
 //!   congestion model).

@@ -1,142 +1,8 @@
 //! Virtual time.
 //!
-//! [`SimTime`] is a nanosecond count since simulation start. Durations are
-//! ordinary [`std::time::Duration`]s, so protocol configuration written
-//! against real time works unchanged in the simulator.
+//! [`SimTime`] is the protocol clock, [`lbrm_core::time::Time`], counted
+//! in nanoseconds since simulation start: machines and the simulator
+//! share one clock, so nothing converts between them. Durations are
+//! ordinary [`std::time::Duration`]s.
 
-use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
-use std::time::Duration;
-
-/// An instant in virtual time (nanoseconds since simulation start).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(u64);
-
-impl SimTime {
-    /// Simulation start.
-    pub const ZERO: SimTime = SimTime(0);
-
-    /// The far future: no event is scheduled later than this.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
-    /// Builds an instant from nanoseconds since start.
-    #[inline]
-    pub const fn from_nanos(ns: u64) -> SimTime {
-        SimTime(ns)
-    }
-
-    /// Builds an instant from microseconds since start.
-    #[inline]
-    pub const fn from_micros(us: u64) -> SimTime {
-        SimTime(us * 1_000)
-    }
-
-    /// Builds an instant from milliseconds since start.
-    #[inline]
-    pub const fn from_millis(ms: u64) -> SimTime {
-        SimTime(ms * 1_000_000)
-    }
-
-    /// Builds an instant from whole seconds since start.
-    #[inline]
-    pub const fn from_secs(s: u64) -> SimTime {
-        SimTime(s * 1_000_000_000)
-    }
-
-    /// Builds an instant from fractional seconds since start.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> SimTime {
-        debug_assert!(s >= 0.0 && s.is_finite());
-        SimTime((s * 1e9).round() as u64)
-    }
-
-    /// Nanoseconds since simulation start.
-    #[inline]
-    pub const fn nanos(self) -> u64 {
-        self.0
-    }
-
-    /// Seconds since start as a float (for reporting).
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
-    /// Time elapsed since `earlier`; saturates to zero if `earlier` is
-    /// later.
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration.
-    #[inline]
-    pub fn saturating_add(self, d: Duration) -> SimTime {
-        SimTime(
-            self.0
-                .saturating_add(d.as_nanos().min(u128::from(u64::MAX)) as u64),
-        )
-    }
-}
-
-impl Add<Duration> for SimTime {
-    type Output = SimTime;
-
-    #[inline]
-    fn add(self, d: Duration) -> SimTime {
-        self.saturating_add(d)
-    }
-}
-
-impl AddAssign<Duration> for SimTime {
-    #[inline]
-    fn add_assign(&mut self, d: Duration) {
-        *self = *self + d;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = Duration;
-
-    #[inline]
-    fn sub(self, other: SimTime) -> Duration {
-        self.since(other)
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={:.6}s", self.as_secs_f64())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn construction_and_conversion() {
-        assert_eq!(SimTime::from_secs(2).nanos(), 2_000_000_000);
-        assert_eq!(SimTime::from_millis(5).nanos(), 5_000_000);
-        assert_eq!(SimTime::from_micros(7).nanos(), 7_000);
-        assert_eq!(SimTime::from_secs_f64(0.25).nanos(), 250_000_000);
-        assert!((SimTime::from_secs(3).as_secs_f64() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn arithmetic() {
-        let t = SimTime::from_secs(1) + Duration::from_millis(500);
-        assert_eq!(t.nanos(), 1_500_000_000);
-        assert_eq!(t - SimTime::from_secs(1), Duration::from_millis(500));
-        // Saturating difference.
-        assert_eq!(SimTime::ZERO - t, Duration::ZERO);
-        // Saturating addition.
-        assert_eq!(SimTime::MAX + Duration::from_secs(1), SimTime::MAX);
-    }
-
-    #[test]
-    fn ordering() {
-        assert!(SimTime::from_millis(1) < SimTime::from_millis(2));
-        assert_eq!(SimTime::ZERO, SimTime::default());
-    }
-}
+pub use lbrm_core::time::Time as SimTime;

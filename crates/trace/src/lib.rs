@@ -30,10 +30,7 @@
 //!   [`analyze::StreamStats`]. [`OnlineAnalyzerSink`] plugs it straight
 //!   into a live run.
 //!
-//! Timestamps cross the API as raw nanoseconds (`at_nanos`) so the same
-//! events work under both the protocol clock (`lbrm_core::time::Time`)
-//! and the simulator clock (`lbrm_sim::time::SimTime`), which are both
-//! nanosecond counters.
+//! Timestamps cross the API as raw nanoseconds (`at_nanos`).
 //!
 //! ```
 //! use std::sync::Arc;

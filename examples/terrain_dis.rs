@@ -17,7 +17,7 @@ use lbrm::apps::terrain::{EntityState, TerrainEntity, TerrainView};
 use lbrm::core::logger::{Logger, LoggerConfig};
 use lbrm::core::receiver::{Receiver, ReceiverConfig};
 use lbrm::core::sender::{Sender, SenderConfig};
-use lbrm::harness::{adapter::to_core, MachineActor};
+use lbrm::harness::MachineActor;
 use lbrm::sim::loss::LossModel;
 use lbrm::sim::time::SimTime;
 use lbrm::sim::topology::{SiteParams, TopologyBuilder};
@@ -151,10 +151,8 @@ fn tank_view(world: &World, tank: HostId) -> TerrainView {
         view.on_delivery(d);
     }
     // Replay freshness state up to now.
-    for (at, n) in &a.notices {
-        let _ = at;
+    for (_, n) in &a.notices {
         view.on_notice(n);
     }
-    let _ = to_core(world.now());
     view
 }

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use lbrm::core::heartbeat::HeartbeatConfig;
 use lbrm::core::logger::{Logger, LoggerConfig};
 use lbrm::core::receiver::{Receiver, ReceiverConfig};
 use lbrm::core::sender::{Sender, SenderConfig};
@@ -104,6 +105,12 @@ fn parse_opts() -> Result<Opts, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    HeartbeatConfig {
+        h_min: opts.h_min,
+        h_max: opts.h_max,
+        ..HeartbeatConfig::default()
+    }
+    .check()?;
     Ok(opts)
 }
 

@@ -1,10 +1,11 @@
 //! The [`MachineActor`] adapter: any [`lbrm_core::Machine`] becomes an
 //! [`lbrm_sim::Actor`].
 //!
-//! The adapter translates:
+//! The machine lives in a [`Driver`]; the adapter only translates:
 //!
-//! * simulator packets / timers → machine `on_packet` / `poll`,
-//! * machine [`Action`]s → simulator sends, joins, and local logs,
+//! * simulator start / packets / timers / scripted calls → driver
+//!   [`Input`]s,
+//! * drained [`Action`]s → simulator sends, joins, and local logs,
 //! * [`Machine::next_deadline`] → a single simulator timer (re-armed
 //!   after every event; spurious fires are harmless by the machine
 //!   contract).
@@ -12,35 +13,15 @@
 //! Deliveries and notices are accumulated with their virtual timestamps
 //! so experiments can mine them after the run. Application behaviour
 //! (e.g. "publish a terrain update at t = 10 s") is injected with
-//! [`MachineActor::schedule`].
-//!
-//! Each actor owns one [`Actions`] buffer and hands it to every machine
-//! call; `execute` drains it in order and keeps it, so the steady state
-//! allocates no action list, and a machine never sees actions left over
-//! from an earlier call. Sends are counted in a table indexed by
+//! [`MachineActor::schedule`]. Sends are counted in a table indexed by
 //! [`Packet::kind_index`], allocated at the actor's first send.
 
-use lbrm_core::machine::{Action, Actions, Delivery, Machine, Notice};
+use lbrm_core::machine::{Action, Actions, Call, Delivery, Driver, Input, Machine, Notice};
 use lbrm_core::time::Time;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::world::{Actor, Ctx};
 use lbrm_wire::codec::{kind_index_of, PACKET_KINDS};
 use lbrm_wire::{GroupId, HostId, Packet};
-
-/// A scheduled application call against the wrapped machine. `Send`
-/// because [`Actor`] is: a built world stays movable to a worker thread.
-type AppCall<M> = Box<dyn FnMut(&mut M, Time, &mut Actions) + Send>;
-
-/// Converts simulator time to protocol time (both are nanoseconds from
-/// the run origin).
-pub fn to_core(t: SimTime) -> Time {
-    Time::from_nanos(t.nanos())
-}
-
-/// Converts protocol time to simulator time.
-pub fn to_sim(t: Time) -> SimTime {
-    SimTime::from_nanos(t.nanos())
-}
 
 /// Schedules an application call against the machine on `host` at `at`,
 /// whether or not the world has started (double arming is harmless: the
@@ -49,7 +30,7 @@ pub fn call_at<M: Machine + Send + 'static>(
     world: &mut lbrm_sim::world::World,
     host: HostId,
     at: SimTime,
-    call: impl FnMut(&mut M, Time, &mut Actions) + Send + 'static,
+    call: impl FnOnce(&mut M, Time, &mut Actions) + Send + 'static,
 ) {
     let token = world.actor_mut::<MachineActor<M>>(host).schedule(at, call);
     world.schedule_timer(host, at, token);
@@ -62,19 +43,15 @@ type SendCounts = [u64; PACKET_KINDS.len()];
 
 /// Wraps a protocol machine as a simulator actor.
 pub struct MachineActor<M: Machine> {
-    machine: M,
-    /// Groups to join on start.
-    joins: Vec<GroupId>,
+    driver: Driver<M>,
     /// Scheduled application calls, by firing time. Token = index + 1.
-    script: Vec<(SimTime, Option<AppCall<M>>)>,
+    script: Vec<(SimTime, Option<Call<M>>)>,
     /// Earliest armed poll timer, to avoid flooding the queue.
     armed: Option<Time>,
     /// Deliveries observed, with arrival time.
     pub deliveries: Vec<(SimTime, Delivery)>,
     /// Notices observed, with emission time.
     pub notices: Vec<(SimTime, Notice)>,
-    /// The action buffer every machine call fills; empty between calls.
-    out: Actions,
     /// Transmissions by packet kind index, `[unicast, multicast]`;
     /// allocated at the first send, so building a world of idle
     /// actors stays small.
@@ -85,13 +62,11 @@ impl<M: Machine + 'static> MachineActor<M> {
     /// Wraps `machine`, joining `groups` when the simulation starts.
     pub fn new(machine: M, groups: Vec<GroupId>) -> Self {
         MachineActor {
-            machine,
-            joins: groups,
+            driver: Driver::new(machine, groups),
             script: Vec::new(),
             armed: None,
             deliveries: Vec::new(),
             notices: Vec::new(),
-            out: Actions::new(),
             sent: None,
         }
     }
@@ -116,10 +91,6 @@ impl<M: Machine + 'static> MachineActor<M> {
         }
     }
 
-    fn count_send(&mut self, cast: usize, packet: &Packet) {
-        self.sent.get_or_insert_with(Box::default)[cast][packet.kind_index()] += 1;
-    }
-
     /// Schedules an application call at virtual time `at`; returns the
     /// timer token backing it. Before the world starts this is all you
     /// need (the actor arms its script at `on_start`); once the world is
@@ -129,7 +100,7 @@ impl<M: Machine + 'static> MachineActor<M> {
     pub fn schedule(
         &mut self,
         at: SimTime,
-        call: impl FnMut(&mut M, Time, &mut Actions) + Send + 'static,
+        call: impl FnOnce(&mut M, Time, &mut Actions) + Send + 'static,
     ) -> u64 {
         self.script.push((at, Some(Box::new(call))));
         self.script.len() as u64
@@ -138,87 +109,75 @@ impl<M: Machine + 'static> MachineActor<M> {
     /// Installs a protocol-event tracer on the wrapped machine (a no-op
     /// for machines that don't emit [`lbrm_core::trace::ProtocolEvent`]s).
     pub fn set_tracer(&mut self, tracer: lbrm_core::trace::Tracer) {
-        self.machine.set_tracer(tracer);
+        self.driver.machine_mut().set_tracer(tracer);
     }
 
     /// The wrapped machine.
     pub fn machine(&self) -> &M {
-        &self.machine
+        self.driver.machine()
     }
 
-    /// Carries out `actions` in order, then keeps the emptied buffer for
-    /// the next machine call.
-    fn execute(&mut self, ctx: &mut Ctx<'_>, mut actions: Actions) {
-        for action in actions.drain(..) {
+    /// Feeds `input` to the driver, carries out what it drains in
+    /// order, and re-arms the poll timer.
+    #[inline(always)]
+    fn run(&mut self, ctx: &mut Ctx<'_>, input: Input<M>) {
+        let now = ctx.now();
+        self.driver.input(now, input);
+        for action in self.driver.drain() {
             match action {
                 Action::Unicast { to, packet } => {
-                    self.count_send(0, &packet);
+                    count_send(&mut self.sent, 0, &packet);
                     ctx.send_unicast(to, packet);
                 }
                 Action::Multicast { scope, packet } => {
-                    self.count_send(1, &packet);
+                    count_send(&mut self.sent, 1, &packet);
                     ctx.send_multicast(scope, packet);
                 }
-                Action::Deliver(d) => self.deliveries.push((ctx.now(), d)),
-                Action::Notice(n) => self.notices.push((ctx.now(), n)),
+                Action::Deliver(d) => self.deliveries.push((now, d)),
+                Action::Notice(n) => self.notices.push((now, n)),
                 Action::Join(g) => ctx.join(g),
                 Action::Leave(g) => ctx.leave(g),
             }
         }
-        self.out = actions;
-        self.rearm(ctx);
-    }
-
-    fn rearm(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(d) = self.machine.next_deadline() {
-            if self.armed.is_none_or(|a| d < a || to_sim(a) <= ctx.now()) {
+        if let Some(d) = self.driver.machine().next_deadline() {
+            if self.armed.is_none_or(|a| d < a || a <= now) {
                 self.armed = Some(d);
-                ctx.set_timer_at(to_sim(d), POLL_TOKEN);
+                ctx.set_timer_at(d, POLL_TOKEN);
             }
         }
     }
 }
 
+fn count_send(sent: &mut Option<Box<[SendCounts; 2]>>, cast: usize, packet: &Packet) {
+    sent.get_or_insert_with(Box::default)[cast][packet.kind_index()] += 1;
+}
+
 impl<M: Machine + Send + 'static> Actor for MachineActor<M> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for g in self.joins.clone() {
-            ctx.join(g);
-        }
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer_at(*at, i as u64 + 1);
         }
-        let mut out = std::mem::take(&mut self.out);
-        self.machine.on_start(to_core(ctx.now()), &mut out);
-        self.execute(ctx, out);
+        self.run(ctx, Input::Start);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: HostId, packet: Packet) {
-        let mut out = std::mem::take(&mut self.out);
-        self.machine
-            .on_packet(to_core(ctx.now()), from, packet, &mut out);
-        self.execute(ctx, out);
+        self.run(ctx, Input::Packet { from, packet });
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let now = to_core(ctx.now());
-        let mut out = std::mem::take(&mut self.out);
-        if token == POLL_TOKEN {
-            if self.armed.is_some_and(|a| a <= now) {
+        let input = if token == POLL_TOKEN {
+            if self.armed.is_some_and(|a| a <= ctx.now()) {
                 self.armed = None;
             }
-            self.machine.poll(now, &mut out);
+            Input::Timer
         } else {
-            let idx = (token - 1) as usize;
-            if let Some((_, slot)) = self.script.get_mut(idx) {
-                if let Some(mut call) = slot.take() {
-                    call(&mut self.machine, now, &mut out);
-                }
+            let slot = self.script.get_mut((token - 1) as usize);
+            match slot.and_then(|(_, call)| call.take()) {
+                Some(call) => Input::Call(call),
+                None => Input::Timer,
             }
-            // Application calls can create work (e.g. heartbeat
-            // scheduling), and the machine may also have due poll work.
-            self.machine.poll(now, &mut out);
-        }
-        self.execute(ctx, out);
+        };
+        self.run(ctx, input);
     }
 }
 

@@ -7,7 +7,7 @@
 //! * [`wire`] — packet formats and codecs ([`lbrm_wire`]).
 //! * [`core`] — the protocol state machines ([`lbrm_core`]).
 //! * [`sim`] — the deterministic network simulator ([`lbrm_sim`]).
-//! * [`net`] — tokio transports for real UDP multicast ([`lbrm_net`]).
+//! * [`net`] — threaded transports for real UDP multicast ([`lbrm_net`]).
 //! * [`apps`] — the paper's §4 applications ([`lbrm_apps`]).
 //! * [`harness`] — glue that runs the sans-IO machines inside the
 //!   simulator, plus ready-made experiment scenarios (the 50-site DIS
