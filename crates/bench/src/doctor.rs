@@ -9,6 +9,8 @@
 //! be sorted by timestamp first goes through
 //! [`lbrm_core::trace::analyze::analyze`], which materializes, sorts and
 //! then folds through the same correlator.
+//!
+//! [`OnlineAnalyzer`]: lbrm_core::trace::OnlineAnalyzer
 
 use std::io::BufRead;
 use std::sync::Arc;
@@ -16,7 +18,7 @@ use std::time::Duration;
 
 use lbrm::harness::{DisScenario, DisScenarioConfig};
 use lbrm_core::trace::analyze::RecoveryReport;
-use lbrm_core::trace::{FanoutSink, OnlineAnalyzer, OnlineAnalyzerSink, OnlineConfig, TraceSink};
+use lbrm_core::trace::{FanoutSink, OnlineAnalyzerSink, OnlineConfig, TraceSink};
 use lbrm_sim::loss::LossModel;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::topology::SiteParams;
@@ -44,41 +46,18 @@ impl DoctorRun {
 }
 
 /// Replays a `JsonLinesSink` capture from a buffered reader through the
-/// [`OnlineAnalyzer`]: each parsed line is pushed and dropped, so the
-/// whole pass holds one line buffer, the open timelines, and the
-/// analyzer's bounded reservoirs — never a record vector or the file as
-/// text. Blank lines are ignored; malformed non-blank lines (a
-/// truncated final line from an unflushed writer, say) are counted as
-/// skipped.
+/// streaming analyzer: [`follow_jsonl`] stopped at the first EOF. Each
+/// parsed line is pushed and dropped, so the whole pass holds one line
+/// buffer, the open timelines, and the analyzer's bounded reservoirs —
+/// never a record vector or the file as text. Blank lines are ignored;
+/// malformed non-blank lines (a truncated final line from an unflushed
+/// writer, say) are counted as skipped.
 ///
 /// # Errors
 ///
 /// Propagates reader I/O errors.
-pub fn replay_jsonl<R: BufRead>(mut reader: R, cfg: OnlineConfig) -> std::io::Result<DoctorRun> {
-    let mut analyzer = OnlineAnalyzer::new(cfg);
-    let mut skipped = 0usize;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        let l = line.strip_suffix('\n').unwrap_or(&line);
-        let l = l.strip_suffix('\r').unwrap_or(l);
-        if l.trim().is_empty() {
-            continue;
-        }
-        match lbrm_core::trace::analyze::parse_json_line(l) {
-            Some(r) => analyzer.push_record(&r),
-            None => skipped += 1,
-        }
-    }
-    let records = analyzer.records() as usize;
-    Ok(DoctorRun {
-        report: analyzer.finish(),
-        records,
-        skipped,
-    })
+pub fn replay_jsonl<R: BufRead>(reader: R, cfg: OnlineConfig) -> std::io::Result<DoctorRun> {
+    follow_jsonl(reader, cfg, Duration::ZERO, |_| true)
 }
 
 /// What [`follow_jsonl_into`] hands the stop predicate between polls.
@@ -155,7 +134,7 @@ pub fn follow_jsonl_into<R: BufRead>(
     Ok((progress.records, progress.skipped))
 }
 
-/// Tails a growing capture through the streaming [`OnlineAnalyzer`] —
+/// Tails a growing capture through the streaming analyzer —
 /// `trace_doctor --follow`. See [`follow_jsonl_into`] for line
 /// semantics.
 ///

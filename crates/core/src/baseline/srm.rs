@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use lbrm_wire::packet::SeqRange;
 use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId, TtlScope};
 
-use crate::gaps::{GapTracker, Observation, SeqUnwrapper};
+use crate::gaps::{span_start, GapTracker, Observation, SeqUnwrapper};
 use crate::machine::{Action, Actions, Delivery, LossSignal, Machine, Notice};
 use crate::time::{earliest, Time};
 
@@ -245,8 +245,7 @@ impl SrmMember {
                 self.store.insert(idx, payload.clone());
                 self.deliver(seq, payload, via_repair, out);
                 let last = seq.prev();
-                let first = SeqUnwrapper::rewrap(self.unwrapper.peek(last) - (gap - 1));
-                self.note_missing(now, first, last, LossSignal::SeqGap, out);
+                self.note_missing(now, span_start(last, gap), last, LossSignal::SeqGap, out);
             }
         }
     }
@@ -290,10 +289,9 @@ impl Machine for SrmMember {
                 if member == self.config.host {
                     return;
                 }
-                let before_high = self.gaps.highest();
                 let newly = self.gaps.observe_announced(last_seq);
                 if newly > 0 {
-                    let first = before_high.map_or(last_seq, |h| h.next());
+                    let first = span_start(last_seq, newly);
                     self.note_missing(now, first, last_seq, LossSignal::Heartbeat, out);
                 }
             }

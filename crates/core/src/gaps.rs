@@ -86,7 +86,8 @@ pub enum Observation {
     InOrder,
     /// Ahead of the head: created `gap` missing packets.
     Ahead {
-        /// Number of sequence numbers newly marked missing.
+        /// Number of sequence numbers newly marked missing: the newest
+        /// ones below the observed one, at most a bounded span.
         gap: u64,
     },
     /// Filled a previously missing slot.
@@ -128,10 +129,31 @@ pub struct GapTracker {
     /// the reordered-stream-head case).
     early: BTreeSet<u64>,
     started: bool,
+    /// Sequence numbers given up unrecorded because they lay beyond
+    /// [`MAX_GAP_SPAN`] of one observation.
+    given_up: u64,
 }
 
 /// Cap on remembered pre-start indexes.
 const MAX_EARLY: usize = 256;
+
+/// Most sequence numbers one observation may newly mark missing.
+///
+/// A single checksum-valid packet can claim any sequence up to 2^31
+/// ahead of the head; without a bound it would cost work (and missing
+/// entries, and recoveries) in proportion to the jump. Only the newest
+/// `MAX_GAP_SPAN` numbers below it are tracked; the older part is given
+/// up at once and only counted ([`GapTracker::given_up`]). The bound is
+/// far above any loss burst the paper's scenarios produce (the largest
+/// span in every `reproduce` experiment is 24) and keeps the work per
+/// hostile packet to milliseconds.
+pub(crate) const MAX_GAP_SPAN: u64 = 1 << 14;
+
+/// The first of the `len` sequence numbers ending at `last`: the start
+/// of a span an observation reported newly missing.
+pub(crate) fn span_start(last: Seq, len: u64) -> Seq {
+    Seq(last.raw().wrapping_sub(len.saturating_sub(1) as u32))
+}
 
 impl GapTracker {
     /// Creates an empty tracker; the first observed packet sets the floor.
@@ -169,10 +191,7 @@ impl GapTracker {
             }
             return Observation::Duplicate;
         }
-        let gap = idx - self.head;
-        for m in self.head..idx {
-            self.missing.insert(m);
-        }
+        let gap = self.mark_missing(idx);
         self.head = idx + 1;
         if gap == 0 {
             self.advance_floor();
@@ -200,18 +219,26 @@ impl GapTracker {
         if idx < self.head {
             return 0;
         }
-        let newly = idx + 1 - self.head;
-        for m in self.head..=idx {
-            self.missing.insert(m);
-        }
+        let newly = self.mark_missing(idx + 1);
         self.head = idx + 1;
         newly
     }
 
+    /// Marks the indexes from the head up to `end` (exclusive) missing,
+    /// at most the [`MAX_GAP_SPAN`] newest of them; returns how many.
+    fn mark_missing(&mut self, end: u64) -> u64 {
+        let span = end - self.head;
+        let kept = span.min(MAX_GAP_SPAN);
+        self.given_up += span - kept;
+        self.missing.extend(end - kept..end);
+        kept
+    }
+
     fn advance_floor(&mut self) {
-        while self.floor < self.head && !self.missing.contains(&self.floor) {
-            self.floor += 1;
-        }
+        // Up to the lowest missing index (none lies below the floor), or
+        // to the head when nothing is missing.
+        let next = self.missing.first().map_or(self.head, |&m| m);
+        self.floor = self.floor.max(next);
     }
 
     /// `true` once at least one packet (or announcement) was observed.
@@ -231,6 +258,12 @@ impl GapTracker {
     /// Number of currently missing packets.
     pub fn missing_count(&self) -> usize {
         self.missing.len()
+    }
+
+    /// Sequence numbers given up unrecorded because one observation
+    /// jumped more than [`MAX_GAP_SPAN`] past the head.
+    pub(crate) fn given_up(&self) -> u64 {
+        self.given_up
     }
 
     /// `true` if `seq` is currently marked missing.
@@ -472,6 +505,38 @@ mod tests {
         t.observe(Seq(0)); // late arrival from previous cycle region
         t.observe(Seq(1));
         assert_eq!(t.missing_count(), 0);
+    }
+
+    #[test]
+    fn one_jump_tracks_at_most_the_bounded_span() {
+        let mut t = GapTracker::new();
+        t.observe(Seq(1));
+        let far = Seq(1 + (1 << 20));
+        assert_eq!(t.observe(far), Observation::Ahead { gap: MAX_GAP_SPAN });
+        assert_eq!(t.missing_count() as u64, MAX_GAP_SPAN);
+        assert_eq!(t.given_up(), (1 << 20) - 1 - MAX_GAP_SPAN);
+        // The tracked numbers are the newest ones below the jump.
+        let first = span_start(far.prev(), MAX_GAP_SPAN);
+        assert_eq!(
+            ranges(&t),
+            vec![(first.raw(), far.prev().raw())],
+            "one contiguous span ending below the jump"
+        );
+        // A given-up number arriving late fills nothing.
+        assert_eq!(t.observe(Seq(2)), Observation::Duplicate);
+        // A heartbeat announcing a further jump is bounded the same way.
+        let farther = Seq(far.raw() + (1 << 20));
+        assert_eq!(t.observe_announced(farther), MAX_GAP_SPAN);
+        assert_eq!(t.missing_count() as u64, 2 * MAX_GAP_SPAN);
+        assert!(t.is_missing(farther));
+        // The largest forward jump the unwrapper accepts, 2^31 - 2.
+        let mut t = GapTracker::new();
+        t.observe(Seq(1));
+        assert_eq!(
+            t.observe(Seq(1 + (1 << 31) - 2)),
+            Observation::Ahead { gap: MAX_GAP_SPAN }
+        );
+        assert_eq!(t.given_up(), (1 << 31) - 3 - MAX_GAP_SPAN);
     }
 
     #[test]

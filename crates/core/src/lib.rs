@@ -41,6 +41,7 @@ pub mod logger;
 pub mod logstore;
 pub mod machine;
 pub mod receiver;
+mod recovery;
 pub mod retrans_channel;
 pub mod sender;
 pub mod slab;

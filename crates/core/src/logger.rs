@@ -27,11 +27,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use lbrm_wire::packet::SeqRange;
-use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId, TtlScope};
+use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId};
 
 use crate::gaps::{GapTracker, SeqUnwrapper};
 use crate::logstore::{LogStore, Retention};
 use crate::machine::{Action, Actions, Machine, Notice};
+use crate::recovery::{self, Authority, Origin};
 use crate::time::{earliest, Time};
 use crate::trace::{ProtocolEvent, Tracer};
 
@@ -208,13 +209,9 @@ pub struct Logger {
     /// Highest election term promised to a proposer (a voter never
     /// promises the same term twice).
     promised_term: u32,
-    /// The log-authority term this logger last observed.
-    term: u32,
-    /// Leader of [`term`](Self::term), as last announced.
-    known_leader: HostId,
-    /// Hosts deposed by a later term, mapped to the term under which
-    /// they last held authority; their log traffic is fenced.
-    deposed: BTreeMap<HostId, u32>,
+    /// The log-authority term this logger last observed and its leader,
+    /// as last announced; deposed leaders' log traffic is fenced.
+    authority: Authority,
     /// Periodic retention sweep.
     next_prune_at: Time,
     /// Reusable scratch for batched NACK serving (held payloads).
@@ -241,13 +238,11 @@ impl Logger {
             repl_next_at: None,
             last_logack: None,
             promised_term: 0,
-            term: 0,
-            known_leader: if config.role == LoggerRole::Primary {
+            authority: Authority::new(Some(if config.role == LoggerRole::Primary {
                 config.host
             } else {
                 config.parent
-            },
-            deposed: BTreeMap::new(),
+            })),
             next_prune_at: Time::ZERO + Duration::from_secs(1),
             serve_scratch: Vec::new(),
             missing_scratch: Vec::new(),
@@ -283,7 +278,7 @@ impl Logger {
 
     /// The log-authority term this logger last observed.
     pub fn term(&self) -> u32 {
-        self.term
+        self.authority.term()
     }
 
     /// Number of packets currently held in the log.
@@ -321,99 +316,46 @@ impl Logger {
         if self.role == LoggerRole::Primary {
             // Record which term this authoritative serve happened
             // under — the forensic split-brain detector keys off it.
-            let term = self.term;
+            let term = self.authority.term();
             self.tracer
                 .emit(now.nanos(), || ProtocolEvent::AuthorityServe { seq, term });
         }
+        let mut site = None;
         // Fast path: a logger that can never site-remulticast — primary,
         // replica, or the shortcut disabled — answers by unicast without
         // any repair-window bookkeeping. The window only exists to make
         // (and remember) the multicast decision.
-        if self.role != LoggerRole::Secondary
-            || !self.config.site_remulticast
-            || self.config.remulticast_threshold == usize::MAX
+        if self.role == LoggerRole::Secondary
+            && self.config.site_remulticast
+            && self.config.remulticast_threshold != usize::MAX
         {
-            self.tracer
-                .emit(now.nanos(), || ProtocolEvent::RetransServed {
-                    seq,
-                    multicast: false,
-                    to: requester,
-                });
-            out.push(Action::Unicast {
-                to: requester,
-                packet: Packet::Retrans {
-                    group: self.config.group,
-                    source: self.config.source,
-                    seq,
-                    payload,
-                },
+            let idx = self.unwrapper.peek(seq);
+            let window = self.repairs.entry(idx).or_insert(RepairWindow {
+                requesters: BTreeSet::new(),
+                opened: now,
+                multicast_at: None,
             });
-            return;
-        }
-        let idx = self.unwrapper.peek(seq);
-        let window = self.repairs.entry(idx).or_insert(RepairWindow {
-            requesters: BTreeSet::new(),
-            opened: now,
-            multicast_at: None,
-        });
-        if now.since(window.opened) > self.config.remulticast_window {
-            window.requesters.clear();
-            window.opened = now;
-            window.multicast_at = None;
-        }
-        window.requesters.insert(requester);
-        let packet = Packet::Retrans {
-            group: self.config.group,
-            source: self.config.source,
-            seq,
-            payload,
-        };
-        if let Some(at) = window.multicast_at {
-            if now > at {
+            if now.since(window.opened) > self.config.remulticast_window {
+                window.requesters.clear();
+                window.opened = now;
+                window.multicast_at = None;
+            }
+            window.requesters.insert(requester);
+            match window.multicast_at {
+                // Covered by the multicast sent at this very instant.
+                Some(at) if now <= at => return,
                 // This request postdates the multicast repair: the
                 // requester evidently did not get it.
-                self.tracer
-                    .emit(now.nanos(), || ProtocolEvent::RetransServed {
-                        seq,
-                        multicast: false,
-                        to: requester,
-                    });
-                out.push(Action::Unicast {
-                    to: requester,
-                    packet,
-                });
+                Some(_) => {}
+                None if window.requesters.len() >= self.config.remulticast_threshold => {
+                    window.multicast_at = Some(now);
+                    site = Some(window.requesters.len());
+                }
+                None => {}
             }
-            return;
         }
-        if window.requesters.len() >= self.config.remulticast_threshold
-            && self.role == LoggerRole::Secondary
-            && self.config.site_remulticast
-        {
-            window.multicast_at = Some(now);
-            let requesters = window.requesters.len();
-            self.tracer
-                .emit(now.nanos(), || ProtocolEvent::RetransServed {
-                    seq,
-                    multicast: true,
-                    to: requester,
-                });
-            out.push(Action::Multicast {
-                scope: TtlScope::Site,
-                packet,
-            });
-            out.push(Action::Notice(Notice::SiteRemulticast { seq, requesters }));
-        } else {
-            self.tracer
-                .emit(now.nanos(), || ProtocolEvent::RetransServed {
-                    seq,
-                    multicast: false,
-                    to: requester,
-                });
-            out.push(Action::Unicast {
-                to: requester,
-                packet,
-            });
-        }
+        self.origin()
+            .repair(now, seq, payload, requester, site, out);
     }
 
     /// Registers `seq` as missing; `requester` (if any) is served once it
@@ -447,6 +389,16 @@ impl Logger {
         }
     }
 
+    /// Notes newly visible gaps for self-recovery (a bounded batch: the
+    /// first 64 missing runs, 256 numbers of each).
+    fn want_missing(&mut self, now: Time) {
+        for range in self.gaps.missing_ranges(64) {
+            for missing in range.iter().take(256) {
+                self.want(now, missing, None);
+            }
+        }
+    }
+
     /// Ingests a packet payload into the log; serves pending requesters;
     /// returns `true` if it was new.
     fn ingest(&mut self, now: Time, seq: Seq, payload: Bytes, out: &mut Actions) -> bool {
@@ -468,12 +420,7 @@ impl Logger {
             }
         }
         if fresh {
-            // Note newly visible gaps for self-recovery.
-            for range in self.gaps.missing_ranges(64) {
-                for missing in range.iter().take(256) {
-                    self.want(now, missing, None);
-                }
-            }
+            self.want_missing(now);
             if self.role == LoggerRole::Primary {
                 self.replicate(now, out);
                 self.maybe_logack(out);
@@ -568,7 +515,7 @@ impl Logger {
         self.role = LoggerRole::Primary;
         self.level_is_primary();
         self.parent = self.config.source_host;
-        self.known_leader = self.config.host;
+        self.authority.claim(self.config.host);
         let host = self.config.host;
         self.tracer
             .emit(now.nanos(), || ProtocolEvent::FailoverPromoted {
@@ -585,6 +532,25 @@ impl Logger {
         self.replicate(now, out);
         self.last_logack = None;
         self.maybe_logack(out);
+    }
+
+    fn origin(&self) -> Origin<'_> {
+        Origin {
+            group: self.config.group,
+            source: self.config.source,
+            host: self.config.host,
+            tracer: &self.tracer,
+        }
+    }
+
+    /// Points recovery at `leader`, the parent from now on, and retries
+    /// pending fetches there at once.
+    fn retarget(&mut self, now: Time, leader: HostId) {
+        self.parent = leader;
+        for p in self.pending.values_mut() {
+            p.attempts = 0;
+            p.next_fetch_at = now;
+        }
     }
 
     fn level_is_primary(&mut self) {
@@ -611,18 +577,12 @@ impl Machine for Logger {
         let (group, source) = (self.config.group, self.config.source);
         // Fencing: a host deposed by a later term has no log authority;
         // its serves, replication pushes and primary claims are dropped.
-        if let Some(&stale) = self.deposed.get(&from) {
-            if matches!(
-                packet,
-                Packet::Retrans { .. } | Packet::ReplUpdate { .. } | Packet::PrimaryIs { .. }
-            ) {
-                self.tracer
-                    .emit(now.nanos(), || ProtocolEvent::StaleTermFenced {
-                        from,
-                        term: stale,
-                    });
-                return;
-            }
+        if matches!(
+            packet,
+            Packet::Retrans { .. } | Packet::ReplUpdate { .. } | Packet::PrimaryIs { .. }
+        ) && self.authority.fenced(now, from, &self.tracer)
+        {
+            return;
         }
         match packet {
             Packet::Data {
@@ -666,15 +626,8 @@ impl Machine for Logger {
                 if !payload.is_empty() {
                     // §7 extension: heartbeat repeats the last payload.
                     self.ingest(now, seq, payload, out);
-                } else {
-                    let newly = self.gaps.observe_announced(seq);
-                    if newly > 0 {
-                        for range in self.gaps.missing_ranges(64) {
-                            for missing in range.iter().take(256) {
-                                self.want(now, missing, None);
-                            }
-                        }
-                    }
+                } else if self.gaps.observe_announced(seq) > 0 {
+                    self.want_missing(now);
                 }
             }
             // Bundling contract: every repair this arm emits for one
@@ -695,10 +648,7 @@ impl Machine for Logger {
                 self.tracer
                     .emit(now.nanos(), || ProtocolEvent::NackReceived {
                         from: requester,
-                        packets: ranges
-                            .iter()
-                            .map(|r| r.len().min(u64::from(u32::MAX)) as u32)
-                            .sum(),
+                        packets: recovery::nack_packets(&ranges),
                     });
                 for range in ranges {
                     // Mirror `SeqRange::iter()` semantics: an inverted
@@ -829,13 +779,8 @@ impl Machine for Logger {
                 if primary == self.config.host {
                     self.promote(now, out);
                 } else if self.role != LoggerRole::Primary {
-                    // Refresh the cached primary pointer; retry pending
-                    // fetches there immediately.
-                    self.parent = primary;
-                    for p in self.pending.values_mut() {
-                        p.attempts = 0;
-                        p.next_fetch_at = now;
-                    }
+                    // Refresh the cached primary pointer.
+                    self.retarget(now, primary);
                 }
             }
             Packet::ElectPrepare {
@@ -867,15 +812,8 @@ impl Machine for Logger {
                 source: s,
                 term,
                 leader,
-            } if g == group && s == source && term > self.term => {
-                let old = self.known_leader;
-                if old != leader {
-                    self.deposed.insert(old, self.term);
-                }
-                self.deposed.remove(&leader);
-                self.term = term;
+            } if g == group && s == source && self.authority.adopt(term, leader) => {
                 self.promised_term = self.promised_term.max(term);
-                self.known_leader = leader;
                 if leader == self.config.host {
                     self.promote(now, out);
                 } else {
@@ -889,12 +827,7 @@ impl Machine for Logger {
                                 role: "logger_replica",
                             });
                     }
-                    // Retarget recovery at the new leader.
-                    self.parent = leader;
-                    for p in self.pending.values_mut() {
-                        p.attempts = 0;
-                        p.next_fetch_at = now;
-                    }
+                    self.retarget(now, leader);
                 }
             }
             _ => {}
@@ -913,7 +846,9 @@ impl Machine for Logger {
             let mut ranges: Vec<SeqRange> = Vec::new();
             let mut escalate = false;
             for idx in due {
-                let p = self.pending.get_mut(&idx).expect("due fetch");
+                let Some(p) = self.pending.get_mut(&idx) else {
+                    continue;
+                };
                 if p.total_attempts >= self.config.fetch_abandon_attempts {
                     // Unrecoverable (pre-origin, or aged out of every
                     // upstream log): stop asking.
@@ -928,51 +863,15 @@ impl Machine for Logger {
                     escalate = true;
                     p.attempts = 0;
                 }
-                match ranges.last_mut() {
-                    Some(last) if last.last.next() == p.seq => last.last = p.seq,
-                    _ => ranges.push(SeqRange::single(p.seq)),
-                }
+                recovery::coalesce(&mut ranges, p.seq);
             }
-            if !ranges.is_empty() {
-                let target = self.parent;
-                self.tracer.emit(now.nanos(), || ProtocolEvent::NackSent {
-                    target,
-                    packets: ranges
-                        .iter()
-                        .map(|r| r.len().min(u64::from(u32::MAX)) as u32)
-                        .sum(),
-                    first: ranges.first().expect("nonempty batch").first,
-                    last: ranges.last().expect("nonempty batch").last,
-                });
-                out.push(Action::Unicast {
-                    to: self.parent,
-                    packet: Packet::Nack {
-                        group: self.config.group,
-                        source: self.config.source,
-                        requester: self.config.host,
-                        ranges,
-                    },
-                });
-            }
+            let origin = self.origin();
+            origin.nack(now, self.parent, ranges, out);
             if escalate && self.role == LoggerRole::Secondary {
                 // The parent looks dead: ask the source who is primary
                 // now; a PrimaryIs answer redirects pending fetches.
-                let primary = self.parent;
-                self.tracer
-                    .emit(now.nanos(), || ProtocolEvent::PrimaryUnresponsive {
-                        primary,
-                    });
-                out.push(Action::Notice(Notice::PrimaryUnresponsive {
-                    primary: self.parent,
-                }));
-                out.push(Action::Unicast {
-                    to: self.config.source_host,
-                    packet: Packet::LocatePrimary {
-                        group: self.config.group,
-                        source: self.config.source,
-                        requester: self.config.host,
-                    },
-                });
+                origin.primary_unresponsive(now, self.parent, out);
+                origin.locate_primary(self.config.source_host, out);
             }
         }
         // Replication retries.
@@ -1021,6 +920,7 @@ impl Machine for Logger {
 mod tests {
     use super::*;
     use crate::machine::notices;
+    use lbrm_wire::TtlScope;
 
     const GROUP: GroupId = GroupId(1);
     const SRC: SourceId = SourceId(10);

@@ -15,9 +15,10 @@ use std::time::Duration;
 use lbrm_wire::packet::SeqRange;
 use lbrm_wire::{GroupId, HostId, Packet, Seq, SourceId};
 
-use crate::gaps::{GapTracker, Observation, SeqUnwrapper};
+use crate::gaps::{span_start, GapTracker, Observation, SeqUnwrapper};
 use crate::heartbeat::HeartbeatConfig;
 use crate::machine::{Action, Actions, Delivery, LossSignal, Machine, Notice};
+use crate::recovery::{self, Authority, Origin};
 use crate::time::{earliest, Time};
 use crate::trace::{ProtocolEvent, Tracer};
 
@@ -145,14 +146,10 @@ pub struct Receiver {
     /// from heartbeat indices.
     expected_interval: Duration,
     fresh: bool,
-    /// The log-authority term last announced to the group.
-    term: u32,
-    /// Leader of [`term`](Self::term); initially the presumed primary
-    /// (the last recovery target).
-    known_leader: Option<HostId>,
-    /// Hosts deposed by a later term, mapped to the term under which
-    /// they last held authority; their repairs are fenced.
-    deposed: BTreeMap<HostId, u32>,
+    /// The log-authority term last announced to the group and its
+    /// leader, initially the presumed primary (the last recovery
+    /// target); repairs from deposed leaders are fenced.
+    authority: Authority,
     stats: ReceiverStats,
     tracer: Tracer,
 }
@@ -160,7 +157,7 @@ pub struct Receiver {
 impl Receiver {
     /// Creates a receiver.
     pub fn new(config: ReceiverConfig) -> Self {
-        let known_leader = config.recovery_targets.last().copied();
+        let authority = Authority::new(config.recovery_targets.last().copied());
         Receiver {
             expected_interval: config.heartbeat.h_min,
             config,
@@ -169,9 +166,7 @@ impl Receiver {
             pending: BTreeMap::new(),
             last_source_packet_at: None,
             fresh: false,
-            term: 0,
-            known_leader,
-            deposed: BTreeMap::new(),
+            authority,
             stats: ReceiverStats::default(),
             tracer: Tracer::disabled(),
         }
@@ -179,7 +174,7 @@ impl Receiver {
 
     /// The log-authority term this receiver last observed.
     pub fn term(&self) -> u32 {
-        self.term
+        self.authority.term()
     }
 
     /// Attaches a protocol-event tracer (see [`crate::trace`]).
@@ -212,7 +207,12 @@ impl Receiver {
 
     /// Running statistics.
     pub fn stats(&self) -> ReceiverStats {
-        self.stats
+        ReceiverStats {
+            // Losses too far behind one sequence jump are given up
+            // wholesale by the gap tracker.
+            abandoned: self.stats.abandoned + self.gaps.given_up(),
+            ..self.stats
+        }
     }
 
     /// Time since the last source packet (data or heartbeat), if any —
@@ -304,31 +304,69 @@ impl Receiver {
 
     /// Closes the recovery for `seq` (if one is open), emitting the
     /// terminal `RepairReceived` + `Recovered` pair that anchors the
-    /// forensic timeline: `from` is the repair carrier's host and
-    /// `kind` the carrier packet kind.
+    /// forensic timeline (`from` is the repair carrier's host and `kind`
+    /// the carrier packet kind) and the `Recovered` notice.
     fn cancel_recovery(
         &mut self,
         now: Time,
         seq: Seq,
         from: HostId,
         kind: &'static str,
-    ) -> Option<Recovery> {
-        let idx = self.unwrapper.peek(seq);
-        let rec = self.pending.remove(&idx);
-        if let Some(rec) = &rec {
-            let latency = now.since(rec.detected_at);
-            self.tracer
-                .emit(now.nanos(), || ProtocolEvent::RepairReceived {
-                    seq,
-                    from,
-                    kind,
-                });
-            self.tracer.emit(now.nanos(), || ProtocolEvent::Recovered {
+        out: &mut Actions,
+    ) {
+        let Some(rec) = self.pending.remove(&self.unwrapper.peek(seq)) else {
+            return;
+        };
+        let after = now.since(rec.detected_at);
+        self.tracer
+            .emit(now.nanos(), || ProtocolEvent::RepairReceived {
                 seq,
-                latency_nanos: latency.as_nanos() as u64,
+                from,
+                kind,
             });
+        self.tracer.emit(now.nanos(), || ProtocolEvent::Recovered {
+            seq,
+            latency_nanos: after.as_nanos() as u64,
+        });
+        out.push(Action::Notice(Notice::Recovered { seq, after }));
+    }
+
+    /// Takes in an original (`recovered == false`) or a repair of `seq`
+    /// and delivers it unless it is a duplicate. A packet ahead of the
+    /// head is delivered at once (freshness beats ordering, §1) and the
+    /// gap behind it chased; a reordered packet from before the first
+    /// observation is valid data and delivered too.
+    fn absorb(
+        &mut self,
+        now: Time,
+        from: HostId,
+        seq: Seq,
+        payload: bytes::Bytes,
+        recovered: bool,
+        out: &mut Actions,
+    ) {
+        let kind = if recovered { "retrans" } else { "data" };
+        let gap = match self.gaps.observe(seq) {
+            Observation::Duplicate => {
+                self.stats.duplicates += 1;
+                if recovered {
+                    self.tracer
+                        .emit(now.nanos(), || ProtocolEvent::RepairDuplicate { seq, from });
+                }
+                return;
+            }
+            Observation::Filled => {
+                self.cancel_recovery(now, seq, from, kind, out);
+                0
+            }
+            Observation::Ahead { gap } => gap,
+            Observation::First | Observation::InOrder | Observation::BeforeStart => 0,
+        };
+        self.deliver(seq, payload, recovered, out);
+        if gap > 0 {
+            let last = seq.prev();
+            self.on_loss(now, span_start(last, gap), last, LossSignal::SeqGap, out);
         }
-        rec
     }
 
     /// On first contact with the stream, extend recovery below the join
@@ -339,6 +377,32 @@ impl Receiver {
         }
         if let Some((first, last)) = self.gaps.backfill(self.config.backfill) {
             self.on_loss(now, first, last, LossSignal::SeqGap, out);
+        }
+    }
+
+    fn origin(&self) -> Origin<'_> {
+        Origin {
+            group: self.config.group,
+            source: self.config.source,
+            host: self.config.host,
+            tracer: &self.tracer,
+        }
+    }
+
+    /// The primary's address is a cached value (§2.2.3): `leader`
+    /// replaces the last-resort target, and recoveries already there
+    /// retry at once.
+    fn retarget(&mut self, now: Time, leader: HostId) {
+        if let Some(last) = self.config.recovery_targets.last_mut() {
+            *last = leader;
+        } else {
+            self.config.recovery_targets.push(leader);
+        }
+        for r in self.pending.values_mut() {
+            if r.target_idx + 1 >= self.config.recovery_targets.len() {
+                r.attempts = 0;
+                r.next_nack_at = now;
+            }
         }
     }
 
@@ -373,15 +437,10 @@ impl Machine for Receiver {
         // Fencing: repairs and primary claims from a host deposed by a
         // later term carry no log authority and are dropped whole — no
         // delivery, no gap bookkeeping.
-        if let Some(&stale) = self.deposed.get(&from) {
-            if matches!(packet, Packet::Retrans { .. } | Packet::PrimaryIs { .. }) {
-                self.tracer
-                    .emit(now.nanos(), || ProtocolEvent::StaleTermFenced {
-                        from,
-                        term: stale,
-                    });
-                return;
-            }
+        if matches!(packet, Packet::Retrans { .. } | Packet::PrimaryIs { .. })
+            && self.authority.fenced(now, from, &self.tracer)
+        {
+            return;
         }
         match packet {
             Packet::Data {
@@ -394,37 +453,8 @@ impl Machine for Receiver {
                 self.touch_source(now, out);
                 self.learn_interval(None);
                 let first_contact = !self.gaps.started();
-                match self.gaps.observe(seq) {
-                    Observation::First | Observation::InOrder => {
-                        self.deliver(seq, payload, false, out);
-                    }
-                    Observation::Ahead { gap } => {
-                        // Deliver the new packet immediately (freshness
-                        // beats ordering, §1), then chase the gap.
-                        self.deliver(seq, payload, false, out);
-                        let last = seq.prev();
-                        let first = SeqUnwrapper::rewrap(self.unwrapper.peek(last) - (gap - 1));
-                        self.on_loss(now, first, last, LossSignal::SeqGap, out);
-                    }
-                    Observation::Filled => {
-                        // A late original filled the gap on its own.
-                        if let Some(rec) = self.cancel_recovery(now, seq, from, "data") {
-                            out.push(Action::Notice(Notice::Recovered {
-                                seq,
-                                after: now.since(rec.detected_at),
-                            }));
-                        }
-                        self.deliver(seq, payload, false, out);
-                    }
-                    Observation::BeforeStart => {
-                        // A reordered packet from before our first
-                        // observation: valid data, deliver it.
-                        self.deliver(seq, payload, false, out);
-                    }
-                    Observation::Duplicate => {
-                        self.stats.duplicates += 1;
-                    }
-                }
+                // A late original may fill a gap on its own.
+                self.absorb(now, from, seq, payload, false, out);
                 if first_contact {
                     self.maybe_backfill(now, out);
                 }
@@ -443,22 +473,13 @@ impl Machine for Receiver {
                 if !payload.is_empty() && self.gaps.is_missing(seq) {
                     // §7 extension: the heartbeat carries the payload.
                     self.gaps.observe(seq);
-                    if let Some(rec) = self.cancel_recovery(now, seq, from, "heartbeat") {
-                        out.push(Action::Notice(Notice::Recovered {
-                            seq,
-                            after: now.since(rec.detected_at),
-                        }));
-                    }
+                    self.cancel_recovery(now, seq, from, "heartbeat", out);
                     self.deliver(seq, payload, true, out);
                     return;
                 }
-                let before_high = self.gaps.highest();
                 let newly = self.gaps.observe_announced(seq);
                 if newly > 0 {
-                    let first = match before_high {
-                        Some(h) => h.next(),
-                        None => seq,
-                    };
+                    let first = span_start(seq, newly);
                     // §7 heartbeats may carry the newest payload; an empty
                     // one just announces it.
                     if !payload.is_empty() {
@@ -480,80 +501,19 @@ impl Machine for Receiver {
                 source: s,
                 seq,
                 payload,
-            } if g == group && s == source => match self.gaps.observe(seq) {
-                Observation::Filled => {
-                    if let Some(rec) = self.cancel_recovery(now, seq, from, "retrans") {
-                        out.push(Action::Notice(Notice::Recovered {
-                            seq,
-                            after: now.since(rec.detected_at),
-                        }));
-                    }
-                    self.deliver(seq, payload, true, out);
-                }
-                Observation::First | Observation::InOrder => {
-                    self.deliver(seq, payload, true, out);
-                }
-                Observation::Ahead { gap } => {
-                    self.deliver(seq, payload, true, out);
-                    let last = seq.prev();
-                    let first = SeqUnwrapper::rewrap(self.unwrapper.peek(last) - (gap - 1));
-                    self.on_loss(now, first, last, LossSignal::SeqGap, out);
-                }
-                Observation::BeforeStart => {
-                    self.deliver(seq, payload, true, out);
-                }
-                Observation::Duplicate => {
-                    self.stats.duplicates += 1;
-                    self.tracer
-                        .emit(now.nanos(), || ProtocolEvent::RepairDuplicate { seq, from });
-                }
-            },
+            } if g == group && s == source => self.absorb(now, from, seq, payload, true, out),
             Packet::PrimaryIs {
                 group: g,
                 source: s,
                 primary,
-            } if g == group && s == source => {
-                // The primary's address is a cached value (§2.2.3):
-                // replace the last-resort target.
-                if let Some(last) = self.config.recovery_targets.last_mut() {
-                    *last = primary;
-                } else {
-                    self.config.recovery_targets.push(primary);
-                }
-                for r in self.pending.values_mut() {
-                    if r.target_idx + 1 >= self.config.recovery_targets.len() {
-                        r.attempts = 0;
-                        r.next_nack_at = now;
-                    }
-                }
-            }
+            } if g == group && s == source => self.retarget(now, primary),
             Packet::TermAnnounce {
                 group: g,
                 source: s,
                 term,
                 leader,
-            } if g == group && s == source && term > self.term => {
-                if let Some(old) = self.known_leader {
-                    if old != leader {
-                        self.deposed.insert(old, self.term);
-                    }
-                }
-                self.deposed.remove(&leader);
-                self.term = term;
-                self.known_leader = Some(leader);
-                // The new leader replaces the last-resort recovery
-                // target (same cached-pointer rule as PrimaryIs).
-                if let Some(last) = self.config.recovery_targets.last_mut() {
-                    *last = leader;
-                } else {
-                    self.config.recovery_targets.push(leader);
-                }
-                for r in self.pending.values_mut() {
-                    if r.target_idx + 1 >= self.config.recovery_targets.len() {
-                        r.attempts = 0;
-                        r.next_nack_at = now;
-                    }
-                }
+            } if g == group && s == source && self.authority.adopt(term, leader) => {
+                self.retarget(now, leader);
             }
             _ => {}
         }
@@ -588,9 +548,11 @@ impl Machine for Receiver {
             .filter(|(_, r)| now >= r.next_nack_at)
             .map(|(&i, _)| i)
             .collect();
+        let targets = &self.config.recovery_targets;
         for idx in due {
-            let targets = self.config.recovery_targets.clone();
-            let r = self.pending.get_mut(&idx).expect("due recovery");
+            let Some(r) = self.pending.get_mut(&idx) else {
+                continue;
+            };
             if r.total_attempts >= self.config.max_recovery_attempts {
                 // Nobody can supply this packet (pre-origin backfill, or
                 // retention expired everywhere): stop asking.
@@ -617,51 +579,15 @@ impl Machine for Receiver {
             r.total_attempts += 1;
             r.next_nack_at = now + self.config.nack_retry;
             let target = targets[r.target_idx.min(targets.len() - 1)];
-            let ranges = per_target.entry(target).or_default();
-            match ranges.last_mut() {
-                Some(last) if last.last.next() == r.seq => last.last = r.seq,
-                _ => ranges.push(SeqRange::single(r.seq)),
-            }
+            recovery::coalesce(per_target.entry(target).or_default(), r.seq);
         }
+        let origin = self.origin();
         for (target, ranges) in per_target {
-            self.tracer.emit(now.nanos(), || ProtocolEvent::NackSent {
-                target,
-                packets: ranges
-                    .iter()
-                    .map(|r| r.len().min(u64::from(u32::MAX)) as u32)
-                    .sum(),
-                first: ranges.first().expect("nonempty batch").first,
-                last: ranges.last().expect("nonempty batch").last,
-            });
-            out.push(Action::Unicast {
-                to: target,
-                packet: Packet::Nack {
-                    group: self.config.group,
-                    source: self.config.source,
-                    requester: self.config.host,
-                    ranges,
-                },
-            });
+            origin.nack(now, target, ranges, out);
         }
-        if exhausted {
-            let primary = *self
-                .config
-                .recovery_targets
-                .last()
-                .expect("nonempty targets");
-            out.push(Action::Notice(Notice::PrimaryUnresponsive { primary }));
-            self.tracer
-                .emit(now.nanos(), || ProtocolEvent::PrimaryUnresponsive {
-                    primary,
-                });
-            out.push(Action::Unicast {
-                to: self.config.source_host,
-                packet: Packet::LocatePrimary {
-                    group: self.config.group,
-                    source: self.config.source,
-                    requester: self.config.host,
-                },
-            });
+        if let Some(&primary) = targets.last().filter(|_| exhausted) {
+            origin.primary_unresponsive(now, primary, out);
+            origin.locate_primary(self.config.source_host, out);
         }
     }
 
@@ -680,6 +606,7 @@ impl Machine for Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gaps::MAX_GAP_SPAN;
     use crate::machine::{deliveries, notices};
     use bytes::Bytes;
     use lbrm_wire::EpochId;
@@ -1131,6 +1058,79 @@ mod tests {
         let mut out2 = Actions::new();
         r.poll(Time::from_secs(100), &mut out2);
         assert!(!out2.iter().any(|a| matches!(a, Action::Unicast { .. })));
+    }
+
+    #[test]
+    fn gap_across_the_wrap_on_first_contact() {
+        // The gap's start is counted back from the new packet in
+        // sequence space, not from the receiver's own (still empty)
+        // unwrapping history.
+        let mut r = rx();
+        let mut out = Actions::new();
+        r.on_packet(Time::ZERO, SRC_HOST, data(u32::MAX - 1), &mut out);
+        r.on_packet(Time::from_millis(1), SRC_HOST, data(5), &mut out);
+        assert!(notices(&out).iter().any(|n| matches!(
+            n,
+            Notice::LossDetected { first, last, .. } if *first == Seq(u32::MAX) && *last == Seq(4)
+        )));
+        assert_eq!(r.outstanding_recoveries(), 6);
+    }
+
+    /// The newest `MAX_GAP_SPAN` numbers below `far`, and the ones
+    /// before them given up wholesale.
+    fn bounded_span(far: u32) -> SeqRange {
+        SeqRange {
+            first: Seq(far - MAX_GAP_SPAN as u32),
+            last: Seq(far - 1),
+        }
+    }
+
+    #[test]
+    fn a_data_jump_recovers_at_most_the_bounded_span() {
+        let mut r = rx();
+        let mut out = Actions::new();
+        r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
+        out.clear();
+        let far = 1 + (1u32 << 20);
+        r.on_packet(Time::from_millis(1), SRC_HOST, data(far), &mut out);
+        assert_eq!(deliveries(&out).len(), 1, "the new packet is delivered");
+        let span = bounded_span(far);
+        assert!(notices(&out).iter().any(|n| matches!(
+            n,
+            Notice::LossDetected { first, last, .. } if *first == span.first && *last == span.last
+        )));
+        assert_eq!(r.outstanding_recoveries() as u64, MAX_GAP_SPAN);
+        assert_eq!(r.stats().abandoned, (1 << 20) - 1 - MAX_GAP_SPAN);
+        // One NACK naming the one span.
+        let d = r.next_deadline().unwrap();
+        out.clear();
+        r.poll(d, &mut out);
+        match &out[..] {
+            [Action::Unicast {
+                packet: Packet::Nack { ranges, .. },
+                ..
+            }] => assert_eq!(ranges, &vec![span]),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_heartbeat_jump_recovers_at_most_the_bounded_span() {
+        let mut r = rx();
+        let mut out = Actions::new();
+        r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
+        out.clear();
+        let far = 1 + (1u32 << 20);
+        r.on_packet(Time::from_millis(1), SRC_HOST, heartbeat(far), &mut out);
+        // The announced packet itself is missing too.
+        let span = bounded_span(far + 1);
+        assert!(notices(&out).iter().any(|n| matches!(
+            n,
+            Notice::LossDetected { first, last, signal: LossSignal::Heartbeat }
+                if *first == span.first && *last == span.last
+        )));
+        assert_eq!(r.outstanding_recoveries() as u64, MAX_GAP_SPAN);
+        assert_eq!(r.stats().abandoned, (1 << 20) - MAX_GAP_SPAN);
     }
 
     #[test]

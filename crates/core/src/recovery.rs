@@ -1,0 +1,284 @@
+//! The recovery rules every role shares, written once.
+//!
+//! Under §2.2 a secondary logger asks its parent for lost packets the
+//! same way a receiver asks its logger, and §2.2.3's failover (hardened
+//! here with terms) must make every role refuse a deposed primary. The
+//! sender, receiver and logger therefore keep one [`Authority`] each and
+//! emit requests and repairs through the functions below. What differs
+//! per role — whom to ask, how often, which packet kinds to fence —
+//! stays in the machine.
+
+use std::collections::BTreeMap;
+
+use bytes::Bytes;
+
+use lbrm_wire::packet::SeqRange;
+use lbrm_wire::{GroupId, HostId, Packet, Seq, SourceId, TtlScope};
+
+use crate::machine::{Action, Actions, Notice};
+use crate::time::Time;
+use crate::trace::{ProtocolEvent, Tracer};
+
+/// Who holds log authority, as far as one host knows.
+///
+/// Term 0 is the configured primary; every quorum election increments
+/// it. A leader replaced by a later term is *deposed* at the term under
+/// which it last held authority, and what it still sends under that
+/// term is fenced.
+#[derive(Debug, Clone)]
+pub struct Authority {
+    term: u32,
+    leader: Option<HostId>,
+    deposed: BTreeMap<HostId, u32>,
+}
+
+impl Authority {
+    /// Term 0 under the presumed primary `leader`.
+    pub fn new(leader: Option<HostId>) -> Self {
+        Authority {
+            term: 0,
+            leader,
+            deposed: BTreeMap::new(),
+        }
+    }
+
+    /// The log-authority term last adopted.
+    pub fn term(&self) -> u32 {
+        self.term
+    }
+
+    /// The leader of [`term`](Self::term), if known.
+    pub fn leader(&self) -> Option<HostId> {
+        self.leader
+    }
+
+    /// Adopts `leader` for `term` if the term is newer than the current
+    /// one: the old leader is deposed at the old term, and `leader` is
+    /// un-deposed (a re-elected host regains authority). Returns whether
+    /// anything changed.
+    pub fn adopt(&mut self, term: u32, leader: HostId) -> bool {
+        if term <= self.term {
+            return false;
+        }
+        if let Some(old) = self.leader.filter(|&old| old != leader) {
+            self.deposed.insert(old, self.term);
+        }
+        self.deposed.remove(&leader);
+        self.term = term;
+        self.leader = Some(leader);
+        true
+    }
+
+    /// This host took authority under the current term (promotion by a
+    /// `PrimaryIs` naming it); the term does not change.
+    pub fn claim(&mut self, host: HostId) {
+        self.leader = Some(host);
+    }
+
+    /// `true` if `from` was deposed; traces `StaleTermFenced` with the
+    /// term it last held authority under.
+    pub fn fenced(&self, now: Time, from: HostId, tracer: &Tracer) -> bool {
+        let Some(&term) = self.deposed.get(&from) else {
+            return false;
+        };
+        tracer.emit(now.nanos(), || ProtocolEvent::StaleTermFenced {
+            from,
+            term,
+        });
+        true
+    }
+}
+
+/// The stream a machine speaks for, the host it speaks as and its trace
+/// handle: what every request and repair it emits is stamped with.
+#[derive(Debug, Clone, Copy)]
+pub struct Origin<'a> {
+    /// The multicast group.
+    pub group: GroupId,
+    /// The stream's source.
+    pub source: SourceId,
+    /// The emitting host (the requester of its NACKs and queries).
+    pub host: HostId,
+    /// Where the emitted traffic is traced.
+    pub tracer: &'a Tracer,
+}
+
+impl Origin<'_> {
+    /// Unicasts one coalesced NACK batch to `target` and traces it as
+    /// `NackSent`. An empty batch sends nothing.
+    pub fn nack(self, now: Time, target: HostId, ranges: Vec<SeqRange>, out: &mut Actions) {
+        let (Some(first), Some(last)) = (ranges.first(), ranges.last()) else {
+            return;
+        };
+        let (first, last) = (first.first, last.last);
+        self.tracer.emit(now.nanos(), || ProtocolEvent::NackSent {
+            target,
+            packets: nack_packets(&ranges),
+            first,
+            last,
+        });
+        out.push(Action::Unicast {
+            to: target,
+            packet: Packet::Nack {
+                group: self.group,
+                source: self.source,
+                requester: self.host,
+                ranges,
+            },
+        });
+    }
+
+    /// Surfaces and traces that `primary` stopped answering.
+    pub fn primary_unresponsive(self, now: Time, primary: HostId, out: &mut Actions) {
+        out.push(Action::Notice(Notice::PrimaryUnresponsive { primary }));
+        self.tracer
+            .emit(now.nanos(), || ProtocolEvent::PrimaryUnresponsive {
+                primary,
+            });
+    }
+
+    /// Asks the source's host `to` where the primary went (§2.2.3).
+    pub fn locate_primary(self, to: HostId, out: &mut Actions) {
+        out.push(Action::Unicast {
+            to,
+            packet: Packet::LocatePrimary {
+                group: self.group,
+                source: self.source,
+                requester: self.host,
+            },
+        });
+    }
+
+    /// Sends one repair of `seq` for `requester` and traces it as
+    /// `RetransServed`: a unicast, or with `site = Some(n)` the
+    /// site-scoped multicast (§2.2.1) that `n` distinct requesters
+    /// triggered, surfaced as a notice.
+    pub fn repair(
+        self,
+        now: Time,
+        seq: Seq,
+        payload: Bytes,
+        requester: HostId,
+        site: Option<usize>,
+        out: &mut Actions,
+    ) {
+        self.tracer
+            .emit(now.nanos(), || ProtocolEvent::RetransServed {
+                seq,
+                multicast: site.is_some(),
+                to: requester,
+            });
+        let packet = Packet::Retrans {
+            group: self.group,
+            source: self.source,
+            seq,
+            payload,
+        };
+        let Some(requesters) = site else {
+            out.push(Action::Unicast {
+                to: requester,
+                packet,
+            });
+            return;
+        };
+        out.push(Action::Multicast {
+            scope: TtlScope::Site,
+            packet,
+        });
+        out.push(Action::Notice(Notice::SiteRemulticast { seq, requesters }));
+    }
+}
+
+/// Sequence numbers a NACK names, saturating at `u32::MAX`.
+pub fn nack_packets(ranges: &[SeqRange]) -> u32 {
+    ranges.iter().fold(0u32, |n, r| {
+        n.saturating_add(r.len().min(u64::from(u32::MAX)) as u32)
+    })
+}
+
+/// Appends `seq` to an ascending NACK batch, extending the last range
+/// when `seq` follows it.
+pub fn coalesce(ranges: &mut Vec<SeqRange>, seq: Seq) {
+    match ranges.last_mut() {
+        Some(last) if last.last.next() == seq => last.last = seq,
+        _ => ranges.push(SeqRange::single(seq)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::analyze::CollectorSink;
+    use std::sync::Arc;
+
+    const OLD: HostId = HostId(200);
+    const NEW: HostId = HostId(300);
+
+    #[test]
+    fn older_or_equal_terms_are_ignored() {
+        let mut a = Authority::new(Some(OLD));
+        assert!(a.adopt(2, NEW));
+        assert!(!a.adopt(2, OLD), "equal term");
+        assert!(!a.adopt(1, OLD), "older term");
+        assert_eq!((a.term(), a.leader()), (2, Some(NEW)));
+        let sink = Arc::new(CollectorSink::default());
+        assert!(!a.fenced(Time::ZERO, NEW, &Tracer::to(sink)));
+    }
+
+    #[test]
+    fn old_leader_is_fenced_at_the_old_term() {
+        let mut a = Authority::new(Some(OLD));
+        assert!(a.adopt(1, NEW));
+        assert!(a.adopt(3, HostId(400)));
+        let sink = Arc::new(CollectorSink::default());
+        let tracer = Tracer::to(sink.clone()).with_host(HostId(9));
+        assert!(a.fenced(Time::ZERO, OLD, &tracer));
+        assert!(a.fenced(Time::ZERO, NEW, &tracer));
+        let terms: Vec<(HostId, u32)> = sink
+            .take()
+            .into_iter()
+            .map(|r| match r.event {
+                ProtocolEvent::StaleTermFenced { from, term } => (from, term),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(terms, vec![(OLD, 0), (NEW, 1)]);
+    }
+
+    #[test]
+    fn a_re_elected_host_is_unfenced() {
+        let mut a = Authority::new(Some(OLD));
+        a.adopt(1, NEW);
+        assert!(a.adopt(2, OLD));
+        let tracer = Tracer::disabled();
+        assert!(!a.fenced(Time::ZERO, OLD, &tracer));
+        assert!(a.fenced(Time::ZERO, NEW, &tracer));
+    }
+
+    #[test]
+    fn fenced_traces_exactly_one_event() {
+        let mut a = Authority::new(Some(OLD));
+        a.adopt(1, NEW);
+        let sink = Arc::new(CollectorSink::default());
+        let tracer = Tracer::to(sink.clone()).with_host(HostId(9));
+        assert!(a.fenced(Time::from_millis(7), OLD, &tracer));
+        let records = sink.take();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].at_nanos, 7_000_000);
+        assert_eq!(records[0].host, HostId(9));
+        assert!(matches!(
+            records[0].event,
+            ProtocolEvent::StaleTermFenced { from: OLD, term: 0 }
+        ));
+    }
+
+    #[test]
+    fn nack_packets_saturates() {
+        let all = SeqRange {
+            first: Seq(0),
+            last: Seq(u32::MAX - 1),
+        };
+        assert_eq!(nack_packets(&[SeqRange::single(Seq(5))]), 1);
+        assert_eq!(nack_packets(&[all, all]), u32::MAX);
+    }
+}

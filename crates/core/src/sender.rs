@@ -21,6 +21,7 @@ use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId, TtlScope};
 use crate::gaps::SeqUnwrapper;
 use crate::heartbeat::{FixedHeartbeat, HeartbeatConfig, VariableHeartbeat};
 use crate::machine::{Action, Actions, Machine, Notice};
+use crate::recovery::{self, Authority, Origin};
 use crate::slab::SeqSlab;
 use crate::statack::{StatAck, StatAckConfig, StatAckOutput};
 use crate::time::{earliest, Time};
@@ -166,17 +167,13 @@ pub struct Sender {
     released_below: u64,
     /// Indexes still awaiting a statistical-ack verdict.
     unsettled: std::collections::BTreeSet<u64>,
-    current_primary: HostId,
     health: PrimaryHealth,
-    /// The log-authority term the group currently operates under. Term 0
-    /// is the configured primary; every quorum election increments it.
-    term: u32,
+    /// The term the group operates under and its leader, the primary;
+    /// deposed primaries' `LogAck`s are fenced.
+    authority: Authority,
     /// Highest term this sender has ever proposed (proposals stay
     /// monotone across failed elections).
     last_proposed: u32,
-    /// Hosts deposed by a later election, mapped to the term under which
-    /// they last held authority. Their `LogAck`s are fenced.
-    deposed: BTreeMap<HostId, u32>,
     next_handoff_at: Option<Time>,
     handoff_attempts: u32,
     started: bool,
@@ -202,11 +199,9 @@ impl Sender {
             buffer: SeqSlab::new(),
             released_below: 0,
             unsettled: std::collections::BTreeSet::new(),
-            current_primary: config.primary,
             health: PrimaryHealth::Healthy,
-            term: 0,
+            authority: Authority::new(Some(config.primary)),
             last_proposed: 0,
-            deposed: BTreeMap::new(),
             next_handoff_at: None,
             handoff_attempts: 0,
             started: false,
@@ -232,12 +227,12 @@ impl Sender {
 
     /// The logging server currently believed primary.
     pub fn primary(&self) -> HostId {
-        self.current_primary
+        self.authority.leader().unwrap_or(self.config.primary)
     }
 
     /// The log-authority term the group currently operates under.
     pub fn term(&self) -> u32 {
-        self.term
+        self.authority.term()
     }
 
     /// Current epoch stamped on outgoing data.
@@ -277,7 +272,7 @@ impl Sender {
             sa.on_data_sent(now, seq);
             self.unsettled.insert(idx);
         }
-        if self.current_primary != self.config.host && self.next_handoff_at.is_none() {
+        if self.primary() != self.config.host && self.next_handoff_at.is_none() {
             self.next_handoff_at = Some(now + self.config.handoff_retry);
         }
         out.push(Action::Multicast {
@@ -301,6 +296,25 @@ impl Sender {
             seq: b.seq,
             epoch: b.epoch,
             payload: b.payload.clone(),
+        }
+    }
+
+    fn origin(&self) -> Origin<'_> {
+        Origin {
+            group: self.config.group,
+            source: self.config.source,
+            host: self.config.host,
+            tracer: &self.tracer,
+        }
+    }
+
+    /// The current term and its leader, as announced to the group.
+    fn term_announce(&self) -> Packet {
+        Packet::TermAnnounce {
+            group: self.config.group,
+            source: self.config.source,
+            term: self.term(),
+            leader: self.primary(),
         }
     }
 
@@ -415,14 +429,8 @@ impl Sender {
     }
 
     fn begin_failover(&mut self, now: Time, out: &mut Actions) {
-        out.push(Action::Notice(Notice::PrimaryUnresponsive {
-            primary: self.current_primary,
-        }));
-        let primary = self.current_primary;
-        self.tracer
-            .emit(now.nanos(), || ProtocolEvent::PrimaryUnresponsive {
-                primary,
-            });
+        let primary = self.primary();
+        self.origin().primary_unresponsive(now, primary, out);
         if self.config.replicas.is_empty() {
             // Nothing to fail over to; keep retrying the primary.
             self.handoff_attempts = 0;
@@ -430,7 +438,7 @@ impl Sender {
         }
         // Propose the next term (monotone across failed elections) and
         // solicit promises from every live replica.
-        let term = self.last_proposed.max(self.term) + 1;
+        let term = self.last_proposed.max(self.term()) + 1;
         self.last_proposed = term;
         self.health = PrimaryHealth::Probing {
             since: now,
@@ -438,7 +446,7 @@ impl Sender {
             promises: BTreeMap::new(),
         };
         for &r in &self.config.replicas {
-            if r != self.current_primary {
+            if r != primary {
                 out.push(Action::Unicast {
                     to: r,
                     packet: Packet::ElectPrepare {
@@ -480,48 +488,31 @@ impl Sender {
             self.next_handoff_at = Some(now + self.config.handoff_retry);
             return;
         };
-        let old = self.current_primary;
-        if old != best {
-            // The deposed primary's authority ends at the old term;
-            // anything it still sends under it is fenced.
-            self.deposed.insert(old, self.term);
-        }
-        self.deposed.remove(&best);
-        self.term = term;
-        self.current_primary = best;
+        // The deposed primary's authority ends at the old term; anything
+        // it still sends under it is fenced. (`term` is newer: it was
+        // proposed above every term this sender had adopted.)
+        self.authority.adopt(term, best);
         self.health = PrimaryHealth::Healthy;
         self.handoff_attempts = 0;
         // Announce the new term to the whole group (receivers fence the
-        // deposed primary off it) and tell the winner directly.
-        let announce = Packet::TermAnnounce {
-            group: self.config.group,
-            source: self.config.source,
-            term,
-            leader: best,
-        };
-        out.push(Action::Unicast {
-            to: best,
-            packet: announce.clone(),
-        });
-        out.push(Action::Multicast {
-            scope: TtlScope::Global,
-            packet: announce,
-        });
-        // Keep the legacy primary pointer current too (receivers treat
-        // the primary address as a cached value).
+        // deposed primary off it) and tell the winner directly. Keep the
+        // legacy primary pointer current too (receivers treat the
+        // primary address as a cached value).
         let promote = Packet::PrimaryIs {
             group: self.config.group,
             source: self.config.source,
             primary: best,
         };
-        out.push(Action::Unicast {
-            to: best,
-            packet: promote.clone(),
-        });
-        out.push(Action::Multicast {
-            scope: TtlScope::Global,
-            packet: promote,
-        });
+        for packet in [self.term_announce(), promote] {
+            out.push(Action::Unicast {
+                to: best,
+                packet: packet.clone(),
+            });
+            out.push(Action::Multicast {
+                scope: TtlScope::Global,
+                packet,
+            });
+        }
         // Bring it current from our buffer: everything beyond its log end.
         for (idx, b) in self.buffer.iter() {
             if idx > best_end || best_end == u64::MAX {
@@ -577,25 +568,15 @@ impl Machine for Sender {
                 primary_seq,
                 replica_seq,
             } if group == self.config.group && source == self.config.source => {
-                if let Some(&stale) = self.deposed.get(&from) {
+                if self.authority.fenced(now, from, &self.tracer) {
                     // A deposed primary still acking: fenced, never
                     // releases buffer. Tell it directly which term it
                     // missed so a healed partition converges fast.
-                    self.tracer
-                        .emit(now.nanos(), || ProtocolEvent::StaleTermFenced {
-                            from,
-                            term: stale,
-                        });
                     out.push(Action::Unicast {
                         to: from,
-                        packet: Packet::TermAnnounce {
-                            group: self.config.group,
-                            source: self.config.source,
-                            term: self.term,
-                            leader: self.current_primary,
-                        },
+                        packet: self.term_announce(),
                     });
-                } else if from == self.current_primary {
+                } else if from == self.primary() {
                     self.handoff_attempts = 0;
                     let release = if self.config.require_replica_ack {
                         replica_seq
@@ -640,15 +621,8 @@ impl Machine for Sender {
             } if group == self.config.group && source == self.config.source
                 // Normally our own echo; adopt only a genuinely newer
                 // term (e.g. announced by a recovering co-sender).
-                && term > self.term =>
+                && self.authority.adopt(term, leader) =>
             {
-                let old = self.current_primary;
-                if old != leader {
-                    self.deposed.insert(old, self.term);
-                }
-                self.deposed.remove(&leader);
-                self.term = term;
-                self.current_primary = leader;
                 self.health = PrimaryHealth::Healthy;
             }
             Packet::Nack {
@@ -660,34 +634,17 @@ impl Machine for Sender {
                 // Serve retransmissions from the retained buffer (the
                 // primary recovering packets it never saw, or receivers in
                 // a logger-less deployment).
-                let packets: u32 = ranges
-                    .iter()
-                    .map(|r| r.len().min(u64::from(u32::MAX)) as u32)
-                    .sum();
                 self.tracer
                     .emit(now.nanos(), || ProtocolEvent::NackReceived {
                         from: requester,
-                        packets,
+                        packets: recovery::nack_packets(&ranges),
                     });
+                let origin = self.origin();
                 for range in ranges {
                     for seq in range.iter().take(256) {
                         let idx = self.unwrapper.peek(seq);
                         if let Some(b) = self.buffer.get(idx) {
-                            out.push(Action::Unicast {
-                                to: requester,
-                                packet: Packet::Retrans {
-                                    group: self.config.group,
-                                    source: self.config.source,
-                                    seq: b.seq,
-                                    payload: b.payload.clone(),
-                                },
-                            });
-                            self.tracer
-                                .emit(now.nanos(), || ProtocolEvent::RetransServed {
-                                    seq: b.seq,
-                                    multicast: false,
-                                    to: requester,
-                                });
+                            origin.repair(now, b.seq, b.payload.clone(), requester, None, out);
                         }
                     }
                 }
@@ -725,7 +682,7 @@ impl Machine for Sender {
                     packet: Packet::PrimaryIs {
                         group: self.config.group,
                         source: self.config.source,
-                        primary: self.current_primary,
+                        primary: self.primary(),
                     },
                 });
             }
@@ -761,19 +718,14 @@ impl Machine for Sender {
                         seq,
                         hb_index,
                     });
-                if self.term > 0 {
+                if self.term() > 0 {
                     // Re-announce the current term at heartbeat cadence
                     // so hosts that missed the election (a healed
                     // partition, a restarted replica) fence the old
                     // primary and retarget without extra machinery.
                     out.push(Action::Multicast {
                         scope: TtlScope::Global,
-                        packet: Packet::TermAnnounce {
-                            group: self.config.group,
-                            source: self.config.source,
-                            term: self.term,
-                            leader: self.current_primary,
-                        },
+                        packet: self.term_announce(),
                     });
                 }
             } else {
@@ -807,7 +759,7 @@ impl Machine for Sender {
                             for idx in unlogged {
                                 let b = self.buffer.get(idx).expect("unlogged index is live");
                                 out.push(Action::Unicast {
-                                    to: self.current_primary,
+                                    to: self.primary(),
                                     packet: self.data_packet(b),
                                 });
                             }
