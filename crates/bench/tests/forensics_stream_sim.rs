@@ -32,7 +32,7 @@ mod oracle {
 
     use lbrm_core::trace::analyze::{
         AnalyzeConfig, Anomaly, RecoveryOutcome, RecoveryReport, RecoveryTimeline, RepairSource,
-        StreamStats, TraceRecord,
+        StreamStats, TraceRecord, DUPLICATE_BOUND, MAX_GAP_SPAN, SETTLE_SLACK_NANOS,
     };
     use lbrm_core::trace::{Histogram, ProtocolEvent};
     use lbrm_wire::{HostId, Seq};
@@ -128,11 +128,11 @@ mod oracle {
                 }
                 ProtocolEvent::GapDetected { first, last } => {
                     let span = u64::from(last.distance_from(*first)) + 1;
-                    if span > cfg.max_gap_span {
+                    if span > MAX_GAP_SPAN {
                         truncated_gap_spans += 1;
                     }
                     for (i, seq) in first.iter_to(*last).enumerate() {
-                        if i as u64 >= cfg.max_gap_span {
+                        if i as u64 >= MAX_GAP_SPAN {
                             break;
                         }
                         open.entry((h, seq.raw())).or_insert(OpenRecovery {
@@ -160,7 +160,7 @@ mod oracle {
                     // implosion, so only primary-bound requests count.
                     let upstream = roles.get(&target.raw()).copied() == Some("logger_primary");
                     for (i, seq) in first.iter_to(*last).enumerate() {
-                        if i as u64 >= cfg.max_gap_span.min(span) {
+                        if i as u64 >= MAX_GAP_SPAN.min(span) {
                             break;
                         }
                         if upstream {
@@ -350,12 +350,12 @@ mod oracle {
         let mut duplicate_repairs = 0u64;
         for (&(host, s), &n) in &dups_per_host_seq {
             duplicate_repairs += n;
-            if n > cfg.duplicate_bound {
+            if n > DUPLICATE_BOUND {
                 anomalies.push(Anomaly::ExcessDuplicateRepairs {
                     host: HostId(host),
                     seq: Seq(s),
                     duplicates: n,
-                    bound: cfg.duplicate_bound,
+                    bound: DUPLICATE_BOUND,
                 });
             }
         }
@@ -382,7 +382,7 @@ mod oracle {
                 continue;
             }
             let at = sent_at.get(&s).copied().unwrap_or(0);
-            if at.saturating_add(cfg.settle_slack_nanos) < end_ns {
+            if at.saturating_add(SETTLE_SLACK_NANOS) < end_ns {
                 anomalies.push(Anomaly::StalledSettlement {
                     seq: Seq(s),
                     sent_at_nanos: at,

@@ -23,7 +23,19 @@ use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId, TtlScope};
 
 use crate::gaps::{span_start, GapTracker, Observation, SeqUnwrapper};
 use crate::machine::{Action, Actions, Delivery, LossSignal, Machine, Notice};
+use crate::recovery;
 use crate::time::{earliest, Time};
+
+/// Request timer: uniform in `[C1·d, (C1+C2)·d]` where `d` is the
+/// one-way delay to the source. SRM's classic values are c1=c2=2.
+const C1: f64 = 2.0;
+/// See [`C1`].
+const C2: f64 = 2.0;
+/// Repair timer: uniform in `[D1·d, (D1+D2)·d]` where `d` is the
+/// one-way delay to the requester. SRM's classic values are d1=d2=1.
+const D1: f64 = 1.0;
+/// See [`D1`].
+const D2: f64 = 1.0;
 
 /// SRM member configuration.
 #[derive(Debug, Clone)]
@@ -38,16 +50,6 @@ pub struct SrmConfig {
     pub source_host: HostId,
     /// Fixed session-message interval (wb's loss-detection heartbeat).
     pub session_interval: Duration,
-    /// Request timer: uniform in `[c1·d, (c1+c2)·d]` where `d` is the
-    /// one-way delay to the source. SRM's classic values are c1=c2=2.
-    pub c1: f64,
-    /// See [`c1`](Self::c1).
-    pub c2: f64,
-    /// Repair timer: uniform in `[d1·d, (d1+d2)·d]` where `d` is the
-    /// one-way delay to the requester. SRM's classic values are d1=d2=1.
-    pub d1: f64,
-    /// See [`d1`](Self::d1).
-    pub d2: f64,
     /// Estimated one-way delays to peers (filled by the embedding from
     /// topology knowledge or session-timestamp measurement).
     pub delay_to: BTreeMap<HostId, Duration>,
@@ -66,10 +68,6 @@ impl SrmConfig {
             source,
             source_host,
             session_interval: Duration::from_millis(250),
-            c1: 2.0,
-            c2: 2.0,
-            d1: 1.0,
-            d2: 1.0,
             delay_to: BTreeMap::new(),
             default_delay: Duration::from_millis(30),
             seed: host.raw(),
@@ -191,7 +189,7 @@ impl SrmMember {
             return;
         }
         let d = self.config.delay_of(self.config.source_host);
-        let wait = self.jitter(self.config.c1, self.config.c2, d);
+        let wait = self.jitter(C1, C2, d);
         self.requests.insert(
             idx,
             RequestTimer {
@@ -301,32 +299,30 @@ impl Machine for SrmMember {
                 requester,
                 ranges,
             } if g == group && s == source => {
-                for range in ranges {
-                    for seq in range.iter().take(256) {
-                        let idx = self.unwrapper.unwrap(seq);
-                        // Request suppression: someone else asked first —
-                        // back our own request off exponentially.
-                        if let Some(req) = self.requests.get_mut(&idx) {
-                            req.interval *= 2;
-                            let interval = req.interval;
-                            let fire_at = now + interval;
-                            req.fire_at = fire_at;
-                        }
-                        // Repair duty: if we hold it, race to answer.
-                        if self.store.contains_key(&idx)
-                            && !self.repairs.contains_key(&idx)
-                            && requester != self.config.host
-                        {
-                            let d = self.config.delay_of(requester);
-                            let wait = self.jitter(self.config.d1, self.config.d2, d);
-                            self.repairs.insert(
-                                idx,
-                                RepairTimer {
-                                    seq,
-                                    fire_at: now + wait,
-                                },
-                            );
-                        }
+                for seq in recovery::honored(&ranges).flat_map(|r| r.iter()) {
+                    let idx = self.unwrapper.unwrap(seq);
+                    // Request suppression: someone else asked first —
+                    // back our own request off exponentially.
+                    if let Some(req) = self.requests.get_mut(&idx) {
+                        req.interval *= 2;
+                        let interval = req.interval;
+                        let fire_at = now + interval;
+                        req.fire_at = fire_at;
+                    }
+                    // Repair duty: if we hold it, race to answer.
+                    if self.store.contains_key(&idx)
+                        && !self.repairs.contains_key(&idx)
+                        && requester != self.config.host
+                    {
+                        let d = self.config.delay_of(requester);
+                        let wait = self.jitter(D1, D2, d);
+                        self.repairs.insert(
+                            idx,
+                            RepairTimer {
+                                seq,
+                                fire_at: now + wait,
+                            },
+                        );
                     }
                 }
             }
@@ -474,7 +470,7 @@ mod tests {
         assert!(notices(&out)
             .iter()
             .any(|n| matches!(n, Notice::LossDetected { first, .. } if *first == Seq(2))));
-        // The request fires within [c1·d, (c1+c2)·d] of detection.
+        // The request fires within [C1·d, (C1+C2)·d] of detection.
         let d = m.config.default_delay.as_secs_f64();
         let fire = m.requests.values().next().unwrap().fire_at;
         let wait = fire.since(Time::from_millis(10)).as_secs_f64();

@@ -19,6 +19,9 @@ use lbrm_wire::{GroupId, HostId, Packet, TtlScope};
 use crate::machine::{Action, Actions, Machine, Notice};
 use crate::time::Time;
 
+/// How long to collect replies at each scope.
+const SCOPE_WAIT: Duration = Duration::from_millis(200);
+
 /// Discovery client configuration.
 #[derive(Debug, Clone)]
 pub struct DiscoveryConfig {
@@ -26,8 +29,6 @@ pub struct DiscoveryConfig {
     pub group: GroupId,
     /// This host.
     pub host: HostId,
-    /// How long to collect replies at each scope.
-    pub scope_wait: Duration,
     /// Queries per scope before widening.
     pub attempts_per_scope: u32,
     /// Re-run the whole search after failure (`None` = give up).
@@ -42,7 +43,6 @@ impl DiscoveryConfig {
         DiscoveryConfig {
             group,
             host,
-            scope_wait: Duration::from_millis(200),
             attempts_per_scope: 2,
             retry_after: None,
             seed: host.raw(),
@@ -108,7 +108,7 @@ impl DiscoveryClient {
         self.phase = Phase::Searching {
             scope,
             attempt,
-            deadline: now + self.config.scope_wait,
+            deadline: now + SCOPE_WAIT,
         };
         out.push(Action::Multicast {
             scope,

@@ -47,6 +47,27 @@ pub enum LoggerRole {
     Secondary,
 }
 
+/// Replication retransmit interval (§2.2.3).
+const REPL_RETRY: Duration = Duration::from_millis(500);
+
+/// Retry interval for unanswered parent fetches.
+const FETCH_RETRY: Duration = Duration::from_millis(500);
+
+/// Fetch attempts before concluding the parent is gone and asking the
+/// source to locate the current primary (§2.2.3).
+const FETCH_ATTEMPTS_MAX: u32 = 5;
+
+/// Total fetch attempts for one packet before abandoning it as
+/// unrecoverable.
+const FETCH_ABANDON_ATTEMPTS: u32 = 24;
+
+/// Distinct requesters for one packet within [`REMULTICAST_WINDOW`] that
+/// trigger a site-scoped multicast repair instead of unicasts (§2.2.1).
+const REMULTICAST_THRESHOLD: usize = 3;
+
+/// Window for the re-multicast decision.
+const REMULTICAST_WINDOW: Duration = Duration::from_millis(500);
+
 /// Logger configuration.
 #[derive(Debug, Clone)]
 pub struct LoggerConfig {
@@ -69,37 +90,16 @@ pub struct LoggerConfig {
     pub retention: Retention,
     /// Replicas to mirror to (primary role only).
     pub replicas: Vec<HostId>,
-    /// Replication retransmit interval.
-    pub repl_retry: Duration,
     /// Delay between detecting a miss and NACKing the parent — gives the
     /// source's statistical-ack re-multicast a chance to repair first
     /// (§2.3.2 suggests `t_wait − h_min`).
     pub nack_delay: Duration,
-    /// Retry interval for unanswered parent fetches.
-    pub fetch_retry: Duration,
-    /// Fetch attempts before concluding the parent is gone and asking
-    /// the source to locate the current primary.
-    pub fetch_attempts_max: u32,
-    /// Total fetch attempts for one packet before abandoning it as
-    /// unrecoverable.
-    pub fetch_abandon_attempts: u32,
-    /// Distinct requesters for one packet within
-    /// [`remulticast_window`](Self::remulticast_window) that trigger a
-    /// site-scoped multicast repair instead of unicasts.
-    pub remulticast_threshold: usize,
-    /// Window for the re-multicast decision.
-    pub remulticast_window: Duration,
     /// Use the §2.2.1 site-scoped re-multicast repair shortcut. Enable
     /// only when this logger's clientele is site-local (a site
     /// secondary serving its LAN's receivers); mid-hierarchy loggers
     /// whose requesters are child loggers at *other* sites must serve by
     /// unicast.
     pub site_remulticast: bool,
-    /// Volunteer as Designated Acker when selection packets arrive
-    /// (secondaries).
-    pub volunteer: bool,
-    /// Answer discovery queries.
-    pub answer_discovery: bool,
     /// Determinism seed for the volunteer coin.
     pub seed: u64,
 }
@@ -118,16 +118,8 @@ impl LoggerConfig {
             source_host,
             retention: Retention::All,
             replicas: Vec::new(),
-            repl_retry: Duration::from_millis(500),
             nack_delay: Duration::from_millis(20),
-            fetch_retry: Duration::from_millis(500),
-            fetch_attempts_max: 5,
-            fetch_abandon_attempts: 24,
-            remulticast_threshold: 3,
-            remulticast_window: Duration::from_millis(500),
             site_remulticast: false,
-            volunteer: false,
-            answer_discovery: true,
             seed: host.raw(),
         }
     }
@@ -144,7 +136,6 @@ impl LoggerConfig {
             role: LoggerRole::Secondary,
             level: 1,
             parent: primary,
-            volunteer: true,
             site_remulticast: true,
             nack_delay: Duration::from_millis(100),
             ..LoggerConfig::primary(group, source, host, source_host)
@@ -325,17 +316,14 @@ impl Logger {
         // replica, or the shortcut disabled — answers by unicast without
         // any repair-window bookkeeping. The window only exists to make
         // (and remember) the multicast decision.
-        if self.role == LoggerRole::Secondary
-            && self.config.site_remulticast
-            && self.config.remulticast_threshold != usize::MAX
-        {
+        if self.role == LoggerRole::Secondary && self.config.site_remulticast {
             let idx = self.unwrapper.peek(seq);
             let window = self.repairs.entry(idx).or_insert(RepairWindow {
                 requesters: BTreeSet::new(),
                 opened: now,
                 multicast_at: None,
             });
-            if now.since(window.opened) > self.config.remulticast_window {
+            if now.since(window.opened) > REMULTICAST_WINDOW {
                 window.requesters.clear();
                 window.opened = now;
                 window.multicast_at = None;
@@ -347,7 +335,7 @@ impl Logger {
                 // This request postdates the multicast repair: the
                 // requester evidently did not get it.
                 Some(_) => {}
-                None if window.requesters.len() >= self.config.remulticast_threshold => {
+                None if window.requesters.len() >= REMULTICAST_THRESHOLD => {
                     window.multicast_at = Some(now);
                     site = Some(window.requesters.len());
                 }
@@ -463,7 +451,7 @@ impl Logger {
                 }
             }
         }
-        self.repl_next_at = Some(now + self.config.repl_retry);
+        self.repl_next_at = Some(now + REPL_RETRY);
     }
 
     /// Primary: highest contiguous index replicated anywhere.
@@ -650,20 +638,13 @@ impl Machine for Logger {
                         from: requester,
                         packets: recovery::nack_packets(&ranges),
                     });
-                for range in ranges {
-                    // Mirror `SeqRange::iter()` semantics: an inverted
-                    // range yields nothing, and at most 512 sequences of
-                    // one range are honored (implosion guard).
-                    if range.last.before(range.first) {
-                        continue;
-                    }
-                    let count = (u64::from(range.last.distance_from(range.first)) + 1).min(512);
+                for range in recovery::honored(&ranges) {
                     // One span scan partitions the range into held
                     // payloads and missing runs — no per-seq store calls.
                     let mut present = std::mem::take(&mut self.serve_scratch);
                     let mut missing = std::mem::take(&mut self.missing_scratch);
                     self.store
-                        .collect_span(range.first, count, &mut present, &mut missing);
+                        .collect_span(range.first, range.len(), &mut present, &mut missing);
                     for (seq, payload) in present.drain(..) {
                         self.serve(now, seq, payload, requester, out);
                     }
@@ -713,7 +694,6 @@ impl Machine for Logger {
                 p_ack,
             } if g == group
                 && s == source
-                && self.config.volunteer
                 && self.role == LoggerRole::Secondary
                 && p_ack > 0.0
                 && self.rng.random_bool(p_ack.min(1.0)) =>
@@ -738,7 +718,7 @@ impl Machine for Logger {
                 group: g,
                 nonce,
                 requester,
-            } if g == group && self.config.answer_discovery => {
+            } if g == group => {
                 out.push(Action::Unicast {
                     to: requester,
                     packet: Packet::DiscoveryReply {
@@ -849,7 +829,7 @@ impl Machine for Logger {
                 let Some(p) = self.pending.get_mut(&idx) else {
                     continue;
                 };
-                if p.total_attempts >= self.config.fetch_abandon_attempts {
+                if p.total_attempts >= FETCH_ABANDON_ATTEMPTS {
                     // Unrecoverable (pre-origin, or aged out of every
                     // upstream log): stop asking.
                     self.pending.remove(&idx);
@@ -857,8 +837,8 @@ impl Machine for Logger {
                 }
                 p.attempts += 1;
                 p.total_attempts += 1;
-                p.next_fetch_at = now + self.config.fetch_retry;
-                if p.attempts > self.config.fetch_attempts_max {
+                p.next_fetch_at = now + FETCH_RETRY;
+                if p.attempts > FETCH_ATTEMPTS_MAX {
                     // Periodically re-escalate while still retrying.
                     escalate = true;
                     p.attempts = 0;
@@ -901,8 +881,8 @@ impl Machine for Logger {
             self.store.prune(now);
             self.next_prune_at = now + Duration::from_secs(1);
             // Drop stale repair windows.
-            let window = self.config.remulticast_window;
-            self.repairs.retain(|_, w| now.since(w.opened) <= window);
+            self.repairs
+                .retain(|_, w| now.since(w.opened) <= REMULTICAST_WINDOW);
         }
     }
 
@@ -1626,5 +1606,114 @@ mod tests {
             })
             .collect();
         assert_eq!(served, vec![origin]);
+    }
+
+    #[test]
+    fn only_a_configured_secondary_volunteers_as_designated_acker() {
+        let select = |epoch| Packet::AckerSelect {
+            group: GROUP,
+            source: SRC,
+            epoch: EpochId(epoch),
+            p_ack: 1.0,
+        };
+        let volunteers = |l: &mut Logger, epoch| {
+            let mut out = Actions::new();
+            l.on_packet(Time::from_secs(2), SRC_HOST, select(epoch), &mut out);
+            out.iter().any(|a| {
+                matches!(
+                    a,
+                    Action::Unicast {
+                        packet: Packet::AckerVolunteer { .. },
+                        ..
+                    }
+                )
+            })
+        };
+        assert!(volunteers(&mut secondary(), 1));
+        assert!(!volunteers(&mut primary(), 1));
+        let replica = HostId(301);
+        let mut l = Logger::new(LoggerConfig::replica(
+            GROUP, SRC, replica, PRIMARY, SRC_HOST,
+        ));
+        assert!(!volunteers(&mut l, 1));
+        let mut out = Actions::new();
+        let promote = Packet::PrimaryIs {
+            group: GROUP,
+            source: SRC,
+            primary: replica,
+        };
+        l.on_packet(Time::from_secs(1), SRC_HOST, promote, &mut out);
+        assert_eq!(l.role(), LoggerRole::Primary);
+        assert!(!volunteers(&mut l, 2));
+    }
+
+    /// A NACK of `MAX_NACK_RANGES` copies of one wide range, as a
+    /// hostile host could send in one ~8 kB datagram.
+    fn flood_nack(ranges: Vec<SeqRange>) -> Packet {
+        assert_eq!(ranges.len(), lbrm_wire::codec::MAX_NACK_RANGES);
+        Packet::Nack {
+            group: GROUP,
+            source: SRC,
+            requester: RX,
+            ranges,
+        }
+    }
+
+    #[test]
+    fn one_nack_datagram_is_served_at_most_the_budget() {
+        let mut l = primary();
+        let mut out = Actions::new();
+        for seq in 1..=4096 {
+            l.on_packet(Time::ZERO, SRC_HOST, data(seq, "x"), &mut out);
+        }
+        out.clear();
+        let all = SeqRange {
+            first: Seq(1),
+            last: Seq(4096),
+        };
+        let nack = flood_nack(vec![all; lbrm_wire::codec::MAX_NACK_RANGES]);
+        l.on_packet(Time::from_millis(1), RX, nack, &mut out);
+        let served = out
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Unicast {
+                        packet: Packet::Retrans { .. },
+                        ..
+                    }
+                )
+            })
+            .count() as u64;
+        assert_eq!(served, recovery::MAX_NACK_SEQS);
+    }
+
+    #[test]
+    fn one_nack_datagram_opens_at_most_the_budget_of_fetches() {
+        let mut l = secondary();
+        let mut out = Actions::new();
+        let ranges = (0..lbrm_wire::codec::MAX_NACK_RANGES as u32)
+            .map(|i| SeqRange {
+                first: Seq(1 + i * 1024),
+                last: Seq(512 + i * 1024),
+            })
+            .collect();
+        l.on_packet(Time::ZERO, RX, flood_nack(ranges), &mut out);
+        assert!(l.pending.len() as u64 <= recovery::MAX_NACK_SEQS);
+        l.poll(Time::ZERO, &mut out);
+        let fetched: u64 = out
+            .iter()
+            .map(|a| match a {
+                Action::Unicast {
+                    to,
+                    packet: Packet::Nack { ranges, .. },
+                } if *to == PRIMARY => ranges.iter().map(SeqRange::len).sum(),
+                _ => 0,
+            })
+            .sum();
+        assert!(
+            fetched > 0 && fetched <= recovery::MAX_NACK_SEQS,
+            "{fetched}"
+        );
     }
 }

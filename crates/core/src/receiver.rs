@@ -34,6 +34,17 @@ pub enum ReliabilityMode {
     Window(u32),
 }
 
+/// Retry interval for unanswered NACKs.
+const NACK_RETRY: Duration = Duration::from_millis(400);
+
+/// NACK attempts per recovery target before moving to the next (§2.2.1's
+/// fallback to the next-higher level).
+const ATTEMPTS_PER_TARGET: u32 = 3;
+
+/// Multiplier on the expected inter-packet interval before the idle
+/// alarm fires (covers one lost heartbeat plus jitter).
+const IDLE_SLACK: f64 = 2.0;
+
 /// Receiver configuration.
 #[derive(Debug, Clone)]
 pub struct ReceiverConfig {
@@ -50,10 +61,6 @@ pub struct ReceiverConfig {
     /// Wait before the first NACK — lets reordered packets arrive and
     /// avoids NACK implosion at the logger (§2.3.2, Appendix A).
     pub nack_delay: Duration,
-    /// Retry interval for unanswered NACKs.
-    pub nack_retry: Duration,
-    /// NACK attempts per recovery target before moving to the next.
-    pub attempts_per_target: u32,
     /// Total NACK attempts for one packet before abandoning it as
     /// unrecoverable (e.g. backfill past the stream origin, or a packet
     /// older than every log's retention).
@@ -72,9 +79,6 @@ pub struct ReceiverConfig {
     /// heartbeat source idling toward `h_max` would false-alarm a
     /// `maxit`-based timer constantly.
     pub heartbeat: HeartbeatConfig,
-    /// Multiplier on the expected inter-packet interval before the idle
-    /// alarm fires (covers one lost heartbeat plus jitter).
-    pub idle_slack: f64,
     /// Late-joiner backfill: on the first packet observed, also recover
     /// up to this many immediately preceding sequence numbers from the
     /// log — the §4.4 mobile-reconnect / audit-history pattern. `0`
@@ -98,13 +102,10 @@ impl ReceiverConfig {
             maxit: Duration::from_millis(250),
             mode: ReliabilityMode::RecoverAll,
             nack_delay: Duration::from_millis(30),
-            nack_retry: Duration::from_millis(400),
-            attempts_per_target: 3,
             max_recovery_attempts: 12,
             recovery_targets: targets,
             source_host,
             heartbeat: HeartbeatConfig::default(),
-            idle_slack: 2.0,
             backfill: 0,
         }
     }
@@ -185,8 +186,7 @@ impl Receiver {
     /// The window of silence the receiver currently tolerates before
     /// declaring the channel idle-dead.
     fn idle_window(&self) -> Duration {
-        let expected =
-            Duration::from_secs_f64(self.expected_interval.as_secs_f64() * self.config.idle_slack);
+        let expected = Duration::from_secs_f64(self.expected_interval.as_secs_f64() * IDLE_SLACK);
         expected.max(self.config.maxit)
     }
 
@@ -564,7 +564,7 @@ impl Machine for Receiver {
                     .emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
                 continue;
             }
-            if r.attempts >= self.config.attempts_per_target {
+            if r.attempts >= ATTEMPTS_PER_TARGET {
                 if r.target_idx + 1 < targets.len() {
                     r.target_idx += 1;
                     r.attempts = 0;
@@ -577,7 +577,7 @@ impl Machine for Receiver {
             }
             r.attempts += 1;
             r.total_attempts += 1;
-            r.next_nack_at = now + self.config.nack_retry;
+            r.next_nack_at = now + NACK_RETRY;
             let target = targets[r.target_idx.min(targets.len() - 1)];
             recovery::coalesce(per_target.entry(target).or_default(), r.seq);
         }

@@ -189,6 +189,36 @@ impl Origin<'_> {
     }
 }
 
+/// Most sequence numbers one NACK datagram is honored for, across all
+/// its ranges. A NACK may carry
+/// [`MAX_NACK_RANGES`](lbrm_wire::codec::MAX_NACK_RANGES) ranges of up
+/// to 2^31 numbers each, so one ~8 kB datagram could otherwise make a
+/// logger emit hundreds of thousands of repairs: the injected-packet
+/// amplification multicast receivers must not allow. The protocol's own
+/// NACKs name far fewer (receivers and loggers batch what fell due in
+/// one poll); the rest of an oversized request is simply not answered,
+/// and an honest requester asks again.
+pub const MAX_NACK_SEQS: u64 = 512;
+
+/// The ranges of one NACK as they are acted on: in order, inverted ranges
+/// skipped, clipped so that together they name at most [`MAX_NACK_SEQS`]
+/// sequence numbers. Every role that serves or suppresses on a NACK
+/// walks it through here.
+pub fn honored(ranges: &[SeqRange]) -> impl Iterator<Item = SeqRange> + '_ {
+    let mut left = MAX_NACK_SEQS;
+    ranges
+        .iter()
+        .filter(|r| r.first.before_eq(r.last))
+        .map_while(move |r| {
+            let n = r.len().min(left);
+            left -= n;
+            (n > 0).then(|| SeqRange {
+                first: r.first,
+                last: r.first.add(n as u32 - 1),
+            })
+        })
+}
+
 /// Sequence numbers a NACK names, saturating at `u32::MAX`.
 pub fn nack_packets(ranges: &[SeqRange]) -> u32 {
     ranges.iter().fold(0u32, |n, r| {
@@ -270,6 +300,37 @@ mod tests {
             records[0].event,
             ProtocolEvent::StaleTermFenced { from: OLD, term: 0 }
         ));
+    }
+
+    #[test]
+    fn honored_ranges_stop_at_the_datagram_budget() {
+        let wide = SeqRange {
+            first: Seq(1),
+            last: Seq(4096),
+        };
+        let inverted = SeqRange {
+            first: Seq(9),
+            last: Seq(3),
+        };
+        let ranges = vec![inverted, SeqRange::single(Seq(7)), wide, wide];
+        let walked: Vec<SeqRange> = honored(&ranges).collect();
+        assert_eq!(
+            walked,
+            vec![
+                SeqRange::single(Seq(7)),
+                SeqRange {
+                    first: Seq(1),
+                    last: Seq(MAX_NACK_SEQS as u32 - 1),
+                },
+            ]
+        );
+        assert_eq!(walked.iter().map(SeqRange::len).sum::<u64>(), MAX_NACK_SEQS);
+        let across_wrap = [SeqRange {
+            first: Seq(u32::MAX),
+            last: Seq(1),
+        }];
+        let walked: Vec<SeqRange> = honored(&across_wrap).collect();
+        assert_eq!(walked, across_wrap);
     }
 
     #[test]

@@ -25,6 +25,9 @@ use lbrm_wire::{GroupId, HostId, Packet, Seq, SourceId, TtlScope};
 use crate::machine::{Action, Actions, Machine, Notice};
 use crate::time::Time;
 
+/// Gap before the first repeat.
+const INITIAL_GAP: Duration = Duration::from_millis(250);
+
 /// Sender-side configuration.
 #[derive(Debug, Clone)]
 pub struct RetransChannelConfig {
@@ -34,8 +37,6 @@ pub struct RetransChannelConfig {
     pub source: SourceId,
     /// How many times each packet is repeated on the channel.
     pub repeats: u32,
-    /// Gap before the first repeat.
-    pub initial_gap: Duration,
     /// Backoff multiplier between repeats.
     pub backoff: f64,
 }
@@ -47,7 +48,6 @@ impl RetransChannelConfig {
             channel,
             source,
             repeats: 4,
-            initial_gap: Duration::from_millis(250),
             backoff: 2.0,
         }
     }
@@ -93,8 +93,8 @@ impl RetransChannelSender {
                 seq,
                 payload,
                 remaining: self.config.repeats,
-                gap: self.config.initial_gap,
-                next_at: now + self.config.initial_gap,
+                gap: INITIAL_GAP,
+                next_at: now + INITIAL_GAP,
             },
         );
     }

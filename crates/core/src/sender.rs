@@ -37,6 +37,16 @@ pub enum HeartbeatScheme {
     Fixed,
 }
 
+/// Retransmit un-logged packets to the primary at this interval (§2.2).
+const HANDOFF_RETRY: Duration = Duration::from_millis(500);
+
+/// Handoff attempts without progress before the primary is declared
+/// unresponsive and failover starts (§2.2.3).
+const HANDOFF_ATTEMPTS_BEFORE_FAILOVER: u32 = 4;
+
+/// How long to wait for replica state reports during failover (§2.2.3).
+const FAILOVER_WAIT: Duration = Duration::from_millis(500);
+
 /// Sender configuration.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
@@ -58,15 +68,8 @@ pub struct SenderConfig {
     /// Release buffered data only when a *replica* has it (§2.2.3). When
     /// `false`, the primary's own ack suffices.
     pub require_replica_ack: bool,
-    /// Retransmit un-logged packets to the primary at this interval.
-    pub handoff_retry: Duration,
-    /// Handoff attempts without progress before the primary is declared
-    /// unresponsive and failover starts.
-    pub handoff_attempts_before_failover: u32,
     /// Known replicas of the primary log (failover candidates).
     pub replicas: Vec<HostId>,
-    /// How long to wait for replica state reports during failover.
-    pub failover_wait: Duration,
     /// Statistical acknowledgement; `None` disables (§3 notes the
     /// original implementation also ran without it).
     pub statack: Option<StatAckConfig>,
@@ -85,10 +88,7 @@ impl SenderConfig {
             repeat_payload_up_to: 0,
             primary,
             require_replica_ack: false,
-            handoff_retry: Duration::from_millis(500),
-            handoff_attempts_before_failover: 4,
             replicas: Vec::new(),
-            failover_wait: Duration::from_millis(500),
             statack: None,
         }
     }
@@ -273,7 +273,7 @@ impl Sender {
             self.unsettled.insert(idx);
         }
         if self.primary() != self.config.host && self.next_handoff_at.is_none() {
-            self.next_handoff_at = Some(now + self.config.handoff_retry);
+            self.next_handoff_at = Some(now + HANDOFF_RETRY);
         }
         out.push(Action::Multicast {
             scope: TtlScope::Global,
@@ -431,14 +431,16 @@ impl Sender {
     fn begin_failover(&mut self, now: Time, out: &mut Actions) {
         let primary = self.primary();
         self.origin().primary_unresponsive(now, primary, out);
-        if self.config.replicas.is_empty() {
-            // Nothing to fail over to; keep retrying the primary.
-            self.handoff_attempts = 0;
-            return;
-        }
         // Propose the next term (monotone across failed elections) and
         // solicit promises from every live replica.
-        let term = self.last_proposed.max(self.term()) + 1;
+        let next = self.last_proposed.max(self.term()).checked_add(1);
+        let Some(term) = next.filter(|_| !self.config.replicas.is_empty()) else {
+            // Nothing to fail over to — no replicas, or a term adopted
+            // off the wire left no higher one to propose: keep retrying
+            // the primary.
+            self.handoff_attempts = 0;
+            return;
+        };
         self.last_proposed = term;
         self.health = PrimaryHealth::Probing {
             since: now,
@@ -485,7 +487,7 @@ impl Sender {
             // No quorum; go back to retrying the old primary.
             self.health = PrimaryHealth::Healthy;
             self.handoff_attempts = 0;
-            self.next_handoff_at = Some(now + self.config.handoff_retry);
+            self.next_handoff_at = Some(now + HANDOFF_RETRY);
             return;
         };
         // The deposed primary's authority ends at the old term; anything
@@ -522,7 +524,7 @@ impl Sender {
                 });
             }
         }
-        self.next_handoff_at = Some(now + self.config.handoff_retry);
+        self.next_handoff_at = Some(now + HANDOFF_RETRY);
         out.push(Action::Notice(Notice::Promoted { new_primary: best }));
         out.push(Action::Notice(Notice::TermElected { term, leader: best }));
         self.tracer
@@ -585,7 +587,7 @@ impl Machine for Sender {
                     };
                     self.release_through(now, release, out);
                     if !self.buffer.is_empty() && self.next_handoff_at.is_none() {
-                        self.next_handoff_at = Some(now + self.config.handoff_retry);
+                        self.next_handoff_at = Some(now + HANDOFF_RETRY);
                     }
                 }
             }
@@ -640,12 +642,10 @@ impl Machine for Sender {
                         packets: recovery::nack_packets(&ranges),
                     });
                 let origin = self.origin();
-                for range in ranges {
-                    for seq in range.iter().take(256) {
-                        let idx = self.unwrapper.peek(seq);
-                        if let Some(b) = self.buffer.get(idx) {
-                            origin.repair(now, b.seq, b.payload.clone(), requester, None, out);
-                        }
+                for seq in recovery::honored(&ranges).flat_map(|r| r.iter()) {
+                    let idx = self.unwrapper.peek(seq);
+                    if let Some(b) = self.buffer.get(idx) {
+                        origin.repair(now, b.seq, b.payload.clone(), requester, None, out);
                     }
                 }
             }
@@ -752,8 +752,8 @@ impl Machine for Sender {
                         self.next_handoff_at = None;
                     } else {
                         self.handoff_attempts += 1;
-                        if self.handoff_attempts > self.config.handoff_attempts_before_failover {
-                            self.next_handoff_at = Some(now + self.config.failover_wait);
+                        if self.handoff_attempts > HANDOFF_ATTEMPTS_BEFORE_FAILOVER {
+                            self.next_handoff_at = Some(now + FAILOVER_WAIT);
                             self.begin_failover(now, out);
                         } else {
                             for idx in unlogged {
@@ -763,13 +763,13 @@ impl Machine for Sender {
                                     packet: self.data_packet(b),
                                 });
                             }
-                            self.next_handoff_at = Some(now + self.config.handoff_retry);
+                            self.next_handoff_at = Some(now + HANDOFF_RETRY);
                         }
                     }
                 }
             }
         } else if let PrimaryHealth::Probing { since, .. } = &self.health {
-            if now.since(*since) >= self.config.failover_wait {
+            if now.since(*since) >= FAILOVER_WAIT {
                 self.finish_failover(now, out);
             }
         }
@@ -782,7 +782,7 @@ impl Machine for Sender {
         }
         d = earliest(d, self.next_handoff_at);
         if let PrimaryHealth::Probing { since, .. } = &self.health {
-            d = earliest(d, Some(*since + self.config.failover_wait));
+            d = earliest(d, Some(*since + FAILOVER_WAIT));
         }
         d
     }
@@ -916,7 +916,7 @@ mod tests {
         s.on_start(Time::ZERO, &mut out);
         s.send(Time::ZERO, Bytes::from_static(b"x"), &mut out);
         out.clear();
-        let retry_at = Time::ZERO + s.config.handoff_retry;
+        let retry_at = Time::ZERO + HANDOFF_RETRY;
         s.poll(retry_at, &mut out);
         let unicast_data = out.iter().any(|a| {
             matches!(a, Action::Unicast { to, packet: Packet::Data { seq, .. } }
@@ -1167,5 +1167,67 @@ mod tests {
             .filter(|p| matches!(p, Packet::Heartbeat { .. }))
             .count();
         assert_eq!(hbs, 10);
+    }
+
+    #[test]
+    fn an_adopted_maximal_term_proposes_no_election() {
+        let mut cfg = SenderConfig::new(GROUP, SRC, HOST, PRIMARY);
+        cfg.replicas = vec![HostId(301), HostId(302)];
+        let mut s = Sender::new(cfg);
+        let mut out = Actions::new();
+        s.on_start(Time::ZERO, &mut out);
+        let announce = Packet::TermAnnounce {
+            group: GROUP,
+            source: SRC,
+            term: u32::MAX,
+            leader: PRIMARY,
+        };
+        s.on_packet(Time::ZERO, HostId(666), announce, &mut out);
+        assert_eq!(s.term(), u32::MAX);
+        s.send(Time::ZERO, Bytes::from_static(b"x"), &mut out);
+        out.clear();
+        // The primary never acks: handoffs run out and failover is due,
+        // but no term above u32::MAX exists to propose.
+        let mut unresponsive = 0;
+        for _ in 0..60 {
+            let now = s.next_deadline().unwrap();
+            s.poll(now, &mut out);
+            unresponsive += notices(&out)
+                .iter()
+                .filter(|n| matches!(n, Notice::PrimaryUnresponsive { .. }))
+                .count();
+            assert!(
+                !sent_packets(&out)
+                    .iter()
+                    .any(|p| matches!(p, Packet::ElectPrepare { .. })),
+                "proposed an election past u32::MAX: {out:?}"
+            );
+            out.clear();
+        }
+        assert!(unresponsive >= 2, "kept escalating: {unresponsive}");
+        assert_eq!((s.term(), s.primary()), (u32::MAX, PRIMARY));
+    }
+
+    #[test]
+    fn one_nack_datagram_is_served_at_most_the_budget() {
+        let mut s = sender();
+        let mut out = Actions::new();
+        s.on_start(Time::ZERO, &mut out);
+        for _ in 0..1024 {
+            s.send(Time::ZERO, Bytes::from_static(b"x"), &mut out);
+        }
+        out.clear();
+        let all = lbrm_wire::packet::SeqRange {
+            first: Seq(1),
+            last: Seq(1024),
+        };
+        let nack = Packet::Nack {
+            group: GROUP,
+            source: SRC,
+            requester: PRIMARY,
+            ranges: vec![all; lbrm_wire::codec::MAX_NACK_RANGES],
+        };
+        s.on_packet(Time::from_millis(5), PRIMARY, nack, &mut out);
+        assert_eq!(out.len() as u64, recovery::MAX_NACK_SEQS);
     }
 }

@@ -22,6 +22,29 @@ use crate::estimate::{BolotConfig, BolotProbe, NslEstimator, ProbeStatus};
 use crate::gaps::SeqUnwrapper;
 use crate::time::{earliest, Time};
 
+/// EWMA gain for the `N_sl` tracker (paper: 1/8).
+const NSL_ALPHA: f64 = 0.125;
+
+/// Initial `t_wait` (the ACK collection window).
+const T_WAIT_INIT: Duration = Duration::from_millis(200);
+
+/// Gain of the exponentially-converging `t_wait` estimator (§2.3.2).
+const T_WAIT_ALPHA: f64 = 0.25;
+
+/// How long to collect volunteers before activating a new epoch, as a
+/// multiple of `t_wait` ("long enough to include ACKs from all but the
+/// most highly delayed members").
+const SELECT_WAIT_FACTOR: f64 = 2.0;
+
+/// Cap on re-multicasts of one packet (missing ACKs can also mean a
+/// crashed acker; "such events are rare, and their effects are limited
+/// to the current epoch").
+const MAX_REMULTICASTS: u32 = 2;
+
+/// ACKs from hosts outside the Designated set before the host is
+/// black-listed as faulty (§2.3.3's "hotlist").
+const HOTLIST_THRESHOLD: u32 = 3;
+
 /// Configuration of the statistical-acknowledgement engine.
 #[derive(Debug, Clone)]
 pub struct StatAckConfig {
@@ -31,29 +54,12 @@ pub struct StatAckConfig {
     /// Initial secondary-logger count estimate (seeded by Bolot probing
     /// or prior knowledge).
     pub nsl_initial: f64,
-    /// EWMA gain for the `N_sl` tracker (paper: 1/8).
-    pub nsl_alpha: f64,
-    /// Initial `t_wait` (the ACK collection window).
-    pub t_wait_init: Duration,
-    /// Gain of the exponentially-converging `t_wait` estimator (§2.3.2).
-    pub t_wait_alpha: f64,
     /// How often to re-select Designated Ackers.
     pub epoch_interval: Duration,
-    /// How long to collect volunteers before activating a new epoch,
-    /// as a multiple of `t_wait` ("long enough to include ACKs from all
-    /// but the most highly delayed members").
-    pub select_wait_factor: f64,
     /// Re-multicast when the estimated number of sites represented by
     /// missing ACKs reaches this value (§2.3.2's "significant number of
     /// sites").
     pub remulticast_site_threshold: f64,
-    /// Cap on re-multicasts of one packet (missing ACKs can also mean a
-    /// crashed acker; "such events are rare, and their effects are
-    /// limited to the current epoch").
-    pub max_remulticasts: u32,
-    /// ACKs from hosts outside the Designated set before the host is
-    /// black-listed as faulty (§2.3.3's "hotlist").
-    pub hotlist_threshold: u32,
     /// Bolot-style initial group-size probing (§2.3.3): selection rounds
     /// double as probes with escalating probability until the `N_sl`
     /// estimate is confident, then normal epochs take over. `None`
@@ -70,14 +76,8 @@ impl Default for StatAckConfig {
         StatAckConfig {
             k: 10,
             nsl_initial: 50.0,
-            nsl_alpha: 0.125,
-            t_wait_init: Duration::from_millis(200),
-            t_wait_alpha: 0.25,
             epoch_interval: Duration::from_secs(60),
-            select_wait_factor: 2.0,
             remulticast_site_threshold: 2.0,
-            max_remulticasts: 2,
-            hotlist_threshold: 3,
             initial_probe: None,
             congestion_streak: 3,
         }
@@ -170,9 +170,9 @@ impl StatAck {
     /// first [`poll`](Self::poll) at or after `start`.
     pub fn new(config: StatAckConfig, start: Time) -> Self {
         assert!(config.k >= 1, "k must be at least 1");
-        let nsl = NslEstimator::new(config.nsl_initial.max(1.0), config.nsl_alpha);
+        let nsl = NslEstimator::new(config.nsl_initial.max(1.0), NSL_ALPHA);
         StatAck {
-            t_wait: config.t_wait_init,
+            t_wait: T_WAIT_INIT,
             nsl,
             epoch: EpochId::INITIAL,
             ackers: BTreeSet::new(),
@@ -275,7 +275,7 @@ impl StatAck {
         if !selected.contains(&host) {
             let n = self.bogus_acks.entry(host).or_insert(0);
             *n += 1;
-            if *n >= self.config.hotlist_threshold {
+            if *n >= HOTLIST_THRESHOLD {
                 self.blacklist.insert(host);
             }
             return;
@@ -296,9 +296,9 @@ impl StatAck {
             // packets contribute no sample.
             if track.remulticasts == 0 {
                 let rtt = now.since(track.sent_at);
-                let a = self.config.t_wait_alpha;
                 self.t_wait = Duration::from_secs_f64(
-                    a * rtt.as_secs_f64() + (1.0 - a) * self.t_wait.as_secs_f64(),
+                    T_WAIT_ALPHA * rtt.as_secs_f64()
+                        + (1.0 - T_WAIT_ALPHA) * self.t_wait.as_secs_f64(),
                 );
             }
             let seq = track.seq;
@@ -339,7 +339,7 @@ impl StatAck {
                     // count is a Bolot probe sample.
                     match probe.record_round(volunteers.len() as u64) {
                         ProbeStatus::Done(estimate) => {
-                            self.nsl = NslEstimator::new(estimate.max(1.0), self.config.nsl_alpha);
+                            self.nsl = NslEstimator::new(estimate.max(1.0), NSL_ALPHA);
                             self.probe = None;
                         }
                         ProbeStatus::Escalated | ProbeStatus::NeedMoreRounds => {
@@ -377,8 +377,7 @@ impl StatAck {
                 Some(probe) => probe.current_p(),
                 None => self.nsl.p_ack_for(self.config.k),
             };
-            let wait =
-                Duration::from_secs_f64(self.t_wait.as_secs_f64() * self.config.select_wait_factor);
+            let wait = Duration::from_secs_f64(self.t_wait.as_secs_f64() * SELECT_WAIT_FACTOR);
             self.pending = Some((epoch, p, BTreeSet::new(), now + wait));
             self.next_selection_at = now + self.config.epoch_interval;
             out.push(StatAckOutput::StartSelection { epoch, p_ack: p });
@@ -397,7 +396,7 @@ impl StatAck {
                         (self.nsl.estimate() / track.expected.max(1) as f64).max(1.0);
                     let missing_sites = missing as f64 * sites_per_acker;
                     if missing_sites >= self.config.remulticast_site_threshold
-                        && track.remulticasts < self.config.max_remulticasts
+                        && track.remulticasts < MAX_REMULTICASTS
                     {
                         track.remulticasts += 1;
                         track.decided = false;
@@ -646,10 +645,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(
-            remulticasts,
-            StatAckConfig::default().max_remulticasts as usize
-        );
+        assert_eq!(remulticasts, MAX_REMULTICASTS as usize);
     }
 
     #[test]
@@ -662,7 +658,7 @@ mod tests {
         e.on_data_sent(now, Seq(1));
         let rogue = HostId(66);
         let mut out = Vec::new();
-        for _ in 0..StatAckConfig::default().hotlist_threshold {
+        for _ in 0..HOTLIST_THRESHOLD {
             e.on_ack(now, rogue, epoch, Seq(1), &mut out);
         }
         assert!(e.blacklist().contains(&rogue));
@@ -854,7 +850,7 @@ mod tests {
         let (_, now) = advance_epoch(&mut e, &[HostId(4)], now + interval);
         // The slow acker's very late ACKs for the evicted epoch arrive.
         let mut out = Vec::new();
-        for i in 0..StatAckConfig::default().hotlist_threshold + 2 {
+        for i in 0..HOTLIST_THRESHOLD + 2 {
             e.on_ack(now, slow, old_epoch, Seq(i), &mut out);
         }
         assert!(

@@ -42,13 +42,15 @@ use crate::loss::{LossModel, LossState};
 use crate::stats::{NetStats, SegmentClass};
 use crate::time::SimTime;
 
+/// One-way delay across a site LAN.
+const LAN_DELAY: Duration = Duration::from_micros(500);
+
+/// One-way propagation delay of a tail circuit.
+const TAIL_DELAY: Duration = Duration::from_millis(2);
+
 /// Configuration for one site.
 #[derive(Debug, Clone)]
 pub struct SiteParams {
-    /// One-way delay across the site LAN.
-    pub lan_delay: Duration,
-    /// One-way propagation delay of the tail circuit.
-    pub tail_delay: Duration,
     /// One-way delay from this site's tail circuit to the backbone core;
     /// the WAN delay between two sites is the sum of their `wan_delay`s.
     pub wan_delay: Duration,
@@ -72,8 +74,6 @@ pub struct SiteParams {
 impl Default for SiteParams {
     fn default() -> Self {
         SiteParams {
-            lan_delay: Duration::from_micros(500),
-            tail_delay: Duration::from_millis(2),
             wan_delay: Duration::from_millis(20),
             region: 0,
             tail_bandwidth_bps: None,
@@ -261,12 +261,14 @@ impl Topology {
         if from == to {
             return Duration::from_micros(10);
         }
-        let f = &self.sites[fs.raw() as usize];
         if fs == ts {
-            return f.lan_delay;
+            return LAN_DELAY;
         }
-        let t = &self.sites[ts.raw() as usize];
-        f.lan_delay + f.tail_delay + f.wan_delay + t.wan_delay + t.tail_delay + t.lan_delay
+        let (f, t) = (
+            &self.sites[fs.raw() as usize],
+            &self.sites[ts.raw() as usize],
+        );
+        2 * (LAN_DELAY + TAIL_DELAY) + f.wan_delay + t.wan_delay
     }
 
     /// `true` iff `to` is within `scope` of `from`.
@@ -367,7 +369,7 @@ impl Topology {
         if dropped {
             return None;
         }
-        let at = now + params.lan_delay + Self::jitter_of(params, &mut net.rng);
+        let at = now + LAN_DELAY + Self::jitter_of(params, &mut net.rng);
         Some(Delivery { to, at })
     }
 
@@ -391,7 +393,7 @@ impl Topology {
         if lan_dropped {
             return None;
         }
-        let mut at = now + params.lan_delay + params.tail_delay;
+        let mut at = now + LAN_DELAY + TAIL_DELAY;
         at += Self::serialize_on_tail(params, net, true, now, bytes);
         let tail_dropped = net.tail_out_loss.drops(now, &mut net.rng);
         stats.record(SegmentClass::TailOut, Some(site), kind, bytes, tail_dropped);
@@ -425,7 +427,7 @@ impl Topology {
         stats: &mut NetStats,
     ) -> Option<SimTime> {
         let params = &self.sites[site.raw() as usize];
-        let mut at = now + params.tail_delay;
+        let mut at = now + TAIL_DELAY;
         at += Self::serialize_on_tail(params, net, false, now, bytes);
         let dropped = net.tail_in_loss.drops(now, &mut net.rng);
         stats.record(SegmentClass::TailIn, Some(site), kind, bytes, dropped);

@@ -571,9 +571,21 @@ impl Anomaly {
 // Analysis
 // ---------------------------------------------------------------------
 
+/// Redundant repair copies tolerated per `(receiver, sequence)` before
+/// the analyzer flags them.
+pub const DUPLICATE_BOUND: u64 = 3;
+
+/// Grace period before an unsettled statistical-ACK packet near
+/// end-of-run counts as stalled.
+pub const SETTLE_SLACK_NANOS: u64 = 10_000_000_000;
+
+/// Largest `GapDetected` span expanded into per-seq timelines; wider
+/// spans are truncated (and counted in the report).
+pub const MAX_GAP_SPAN: u64 = 4096;
+
 /// Correlation and anomaly tunables of the [`OnlineAnalyzer`] (and so
 /// of [`analyze`]). The defaults match the paper's parameters
-/// (`h_max` = 32 s) and a small-scenario statistical-ACK expectation.
+/// (`h_max` = 32 s).
 #[derive(Debug, Clone)]
 pub struct AnalyzeConfig {
     /// `h_max` for the heartbeat-silence detector; `None` disables it.
@@ -585,15 +597,6 @@ pub struct AnalyzeConfig {
     /// disables the detector when no secondaries exist — central
     /// logging *is* the implosion baseline being measured).
     pub nack_fan_in_bound: Option<u64>,
-    /// Redundant repair copies tolerated per `(receiver, sequence)`
-    /// before flagging.
-    pub duplicate_bound: u64,
-    /// Grace period before an unsettled statistical-ACK packet near
-    /// end-of-run counts as stalled.
-    pub settle_slack_nanos: u64,
-    /// Largest `GapDetected` span expanded into per-seq timelines;
-    /// wider spans are truncated (and counted in the report).
-    pub max_gap_span: u64,
 }
 
 impl Default for AnalyzeConfig {
@@ -601,9 +604,6 @@ impl Default for AnalyzeConfig {
         AnalyzeConfig {
             h_max_nanos: Some(32_000_000_000),
             nack_fan_in_bound: None,
-            duplicate_bound: 3,
-            settle_slack_nanos: 10_000_000_000,
-            max_gap_span: 4096,
         }
     }
 }

@@ -54,7 +54,7 @@ use lbrm_wire::{HostId, Seq};
 
 use crate::analyze::{
     AnalyzeConfig, Anomaly, RecoveryOutcome, RecoveryReport, RecoveryTimeline, RepairSource,
-    StreamStats, TraceRecord,
+    StreamStats, TraceRecord, DUPLICATE_BOUND, MAX_GAP_SPAN, SETTLE_SLACK_NANOS,
 };
 use crate::{lock, ProtocolEvent, StreamingHistogram, TraceSink};
 
@@ -448,7 +448,6 @@ impl OnlineAnalyzer {
         }
         self.last_at = at_nanos;
         self.end_ns = self.end_ns.max(at_nanos);
-        let max_gap_span = self.cfg.analyze.max_gap_span;
         let h = host.raw();
 
         // Horizon age-out: close everything that has been open longer
@@ -496,11 +495,11 @@ impl OnlineAnalyzer {
             }
             ProtocolEvent::GapDetected { first, last } => {
                 let span = u64::from(last.distance_from(*first)) + 1;
-                if span > max_gap_span {
+                if span > MAX_GAP_SPAN {
                     self.truncated_gap_spans += 1;
                 }
                 for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= max_gap_span {
+                    if i as u64 >= MAX_GAP_SPAN {
                         break;
                     }
                     self.open_timeline(h, seq.raw(), at_nanos);
@@ -519,7 +518,7 @@ impl OnlineAnalyzer {
                 // implosion, so only primary-bound requests count.
                 let upstream = self.roles.get(&target.raw()).copied() == Some("logger_primary");
                 for (i, seq) in first.iter_to(*last).enumerate() {
-                    if i as u64 >= max_gap_span.min(span) {
+                    if i as u64 >= MAX_GAP_SPAN.min(span) {
                         break;
                     }
                     if upstream {
@@ -710,16 +709,15 @@ impl OnlineAnalyzer {
         // receivers is the expected cost of re-multicast, while one
         // receiver served the same repair many times over means
         // requests are not being suppressed.
-        let duplicate_bound = self.cfg.analyze.duplicate_bound;
         let mut duplicate_repairs = 0u64;
         for (&(host, s), &n) in &self.dups_per_host_seq {
             duplicate_repairs += n;
-            if n > duplicate_bound {
+            if n > DUPLICATE_BOUND {
                 anomalies.push(Anomaly::ExcessDuplicateRepairs {
                     host: HostId(host),
                     seq: Seq(s),
                     duplicates: n,
-                    bound: duplicate_bound,
+                    bound: DUPLICATE_BOUND,
                 });
             }
         }
@@ -746,7 +744,7 @@ impl OnlineAnalyzer {
                 continue;
             }
             let at = self.sent_at.get(&s).copied().unwrap_or(0);
-            if at.saturating_add(self.cfg.analyze.settle_slack_nanos) < end_ns {
+            if at.saturating_add(SETTLE_SLACK_NANOS) < end_ns {
                 anomalies.push(Anomaly::StalledSettlement {
                     seq: Seq(s),
                     sent_at_nanos: at,
