@@ -5,7 +5,7 @@
 //! multicast on loopback when the environment allows it, the in-process
 //! [`Hub`] otherwise), with every receiver's transport wrapped in a
 //! seeded [`LossyTransport`] so NACK recovery actually happens. All
-//! machines trace into one [`SerialFanoutSink`] feeding the
+//! machines trace into one [`FanoutSink`] feeding the
 //! [`DoctorSidecar`]'s non-blocking sink, a [`MetricsRegistry`], and an
 //! optional capture — and an optional [`AdminServer`] answers HTTP on
 //! the side while the traffic flows.
@@ -16,16 +16,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use lbrm::net::{
-    recv_gauge_probe, send_gauge_probe, Endpoint, EndpointEvent, GroupMap, Hub, LossyTransport,
-    Transport, UdpTransport,
-};
+use lbrm::net::{Endpoint, EndpointEvent, GroupMap, Hub, LossyTransport, Transport, UdpTransport};
 use lbrm_core::logger::{Logger, LoggerConfig};
 use lbrm_core::receiver::{Receiver, ReceiverConfig};
 use lbrm_core::sender::{Sender, SenderConfig};
 use lbrm_core::trace::doctor::{DoctorFinish, DoctorHandle};
 use lbrm_core::trace::{
-    AdminServer, DoctorConfig, DoctorSidecar, MetricsRegistry, SerialFanoutSink, TraceSink, Tracer,
+    AdminServer, DoctorConfig, DoctorSidecar, FanoutSink, MetricsRegistry, TraceSink, Tracer,
 };
 use lbrm_wire::{GroupId, HostId, SourceId};
 
@@ -130,9 +127,9 @@ pub fn run_live(opts: LiveOptions, during: impl FnOnce(&LiveAir)) -> std::io::Re
     if let Some(c) = &opts.capture {
         sinks.push(Arc::clone(c));
     }
-    // Serial fanout: capture order and doctor arrival order stay
+    // One record at a time: capture order and doctor arrival order stay
     // identical even with endpoint threads tracing concurrently.
-    let tracer = Tracer::to(Arc::new(SerialFanoutSink::new(sinks)));
+    let tracer = Tracer::to(Arc::new(FanoutSink::new(sinks)));
 
     let admin = match &opts.admin_addr {
         Some(a) => Some(AdminServer::bind(a.as_str(), sidecar.handle())?),
@@ -149,7 +146,7 @@ pub fn run_live(opts: LiveOptions, during: impl FnOnce(&LiveAir)) -> std::io::Re
     let mut transport = "hub";
     let mut stats = None;
     if !opts.use_hub {
-        if let Some((s, l, rs)) = bind_udp(&opts, &sidecar, &registry, &mut induced) {
+        if let Some((s, l, rs)) = bind_udp(&opts, &registry, &mut induced) {
             transport = "udp";
             stats = Some(drive(s, l, rs, &tracer, origin, &opts, || {
                 if let Some(f) = during.take() {
@@ -205,14 +202,13 @@ fn rx_seed(seed: u64, i: usize) -> u64 {
 }
 
 /// Binds all UDP transports, probing that multicast join actually works
-/// here; registers each endpoint's receive *and* send counters as
-/// sidecar gauge probes, so `/stats` exposes the live
-/// datagrams-vs-packets ratio (the bundling savings) per endpoint.
-/// `None` means "this environment can't do it — use the hub".
+/// here; attaches each endpoint's receive *and* send rows to `registry`,
+/// so `/stats` exposes the live datagrams-vs-packets ratio (the bundling
+/// savings) per endpoint. `None` means "this environment can't do it —
+/// use the hub".
 fn bind_udp(
     opts: &LiveOptions,
-    sidecar: &DoctorSidecar,
-    registry: &Arc<MetricsRegistry>,
+    registry: &MetricsRegistry,
     induced: &mut Vec<Arc<AtomicU64>>,
 ) -> Option<(
     UdpTransport,
@@ -227,24 +223,12 @@ fn bind_udp(
     if !probe(&mut logger_t) {
         return None;
     }
-    let watch = |t: &UdpTransport| {
-        sidecar.register_probe(recv_gauge_probe(
-            t.local_host(),
-            t.shared_recv_counters(),
-            Arc::clone(registry),
-        ));
-        sidecar.register_probe(send_gauge_probe(
-            t.local_host(),
-            t.shared_send_counters(),
-            Arc::clone(registry),
-        ));
-    };
-    watch(&sender_t);
-    watch(&logger_t);
+    sender_t.attach_gauges(registry);
+    logger_t.attach_gauges(registry);
     let mut rxs = Vec::with_capacity(opts.receivers);
     for i in 0..opts.receivers {
         let t = bind()?;
-        watch(&t);
+        t.attach_gauges(registry);
         let lossy = LossyTransport::new(t, opts.loss, rx_seed(opts.seed, i));
         induced.push(lossy.shared_dropped());
         rxs.push(lossy);

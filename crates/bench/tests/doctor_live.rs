@@ -175,9 +175,9 @@ fn live_admin_routes_answer_in_flight_and_match_batch() {
     }
 }
 
-/// Lossy live run over the bundling transports: the send-side counters are
-/// published as gauges the sidecar polls every tick, `/stats` exposes
-/// them mid-flight, and the datagram/packet ledger is coherent
+/// Lossy live run over the bundling transports: the send-side rows are
+/// attached to the registry, `/stats` reads them in place mid-flight,
+/// and the datagram/packet ledger is coherent
 /// (bundling can only coalesce, never multiply datagrams). The gauge
 /// assertions need real `UdpTransport`s, so they are skipped — loudly —
 /// when the environment forces the in-process hub.

@@ -9,7 +9,8 @@
 //!   multicast routing is unavailable.
 //! * [`udp`] — the real thing: UDP multicast with TTL-scoped sends,
 //!   matching the paper's deployment model. The endpoint thread waits
-//!   on its own sockets; Linux-only.
+//!   on its own sockets and counts its drops and sends in rows a
+//!   metrics registry reads in place; Linux-only.
 //! * [`endpoint`] — the driver that owns a machine and a transport,
 //!   translating packets, timers and application commands.
 //!
@@ -21,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod doctor;
 pub mod endpoint;
 pub mod hub;
 pub mod lossy;
@@ -30,11 +30,10 @@ mod sys;
 pub mod udp;
 
 pub use addr::{addr_of, host_of, GroupMap};
-pub use doctor::{publish_recv_gauges, publish_send_gauges, recv_gauge_probe, send_gauge_probe};
 pub use endpoint::{Endpoint, EndpointEvent, EndpointHandle};
 pub use hub::{Hub, HubTransport};
 pub use lossy::LossyTransport;
-pub use udp::{RecvCounters, SendCounters, UdpTransport};
+pub use udp::UdpTransport;
 
 use std::io;
 use std::sync::Arc;

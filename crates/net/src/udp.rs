@@ -31,7 +31,6 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,6 +39,8 @@ use lbrm_wire::{
     decode_bundle, decode_bytes, encode_into, is_bundle, BundleBuilder, GroupId, HostId, Packet,
     TtlScope, MAX_PACKET_SIZE,
 };
+
+use lbrm_core::trace::{GaugeTable, Gauges, MetricsRegistry};
 
 use crate::addr::{addr_of, host_of, GroupMap};
 use crate::sys::{self, EventFd, PollSet};
@@ -62,91 +63,45 @@ enum DropReason {
     Undecodable,
 }
 
-/// Receive-path health counters for one endpoint. Datagrams its
-/// transport drops before they reach the machine are counted here, so an
-/// operator can tell "peer sends garbage" apart from "peer sends packets
-/// bigger than the receive buffer".
-#[derive(Debug, Default)]
-pub struct RecvCounters {
-    truncated: AtomicU64,
-    decode_errors: AtomicU64,
-}
+/// One endpoint's transport counters, one row each, attached to a
+/// registry under `net.<addr>` by [`UdpTransport::attach_gauges`].
+/// Receive drops are split so an operator can tell "peer sends garbage"
+/// apart from "peer sends packets bigger than the receive buffer";
+/// `send.datagrams` and `send.packets` diverge wherever runs were
+/// bundled — their ratio is the live measure of the framing bundling
+/// saves.
+static TRANSPORT_GAUGES: GaugeTable = GaugeTable {
+    root: "net",
+    rows: &[
+        "recv.truncated",
+        "recv.decode_errors",
+        "send.datagrams",
+        "send.packets",
+        "send.bytes",
+        "send.errors",
+    ],
+    hide_zero: false,
+};
 
-impl RecvCounters {
-    /// Datagrams dropped because they overflowed the receive buffer
-    /// (larger than [`MAX_PACKET_SIZE`], so never decodable).
-    pub fn truncated(&self) -> u64 {
-        self.truncated.load(Ordering::Relaxed)
-    }
-
-    /// Well-sized datagrams that failed wire decoding.
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
-    }
-
-    fn count_drop(&self, reason: DropReason) {
-        let counter = match reason {
-            DropReason::Truncated => &self.truncated,
-            DropReason::Undecodable => &self.decode_errors,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Send-path counters for one endpoint, the outbound mirror of
-/// [`RecvCounters`]. `datagrams` and `packets` diverge wherever runs
-/// were bundled — their ratio is the live measure of how much framing
-/// overhead bundling is saving.
-#[derive(Debug, Default)]
-pub struct SendCounters {
-    datagrams: AtomicU64,
-    packets: AtomicU64,
-    bytes: AtomicU64,
-    errors: AtomicU64,
-}
-
-impl SendCounters {
-    /// Datagrams handed to the socket.
-    pub fn datagrams(&self) -> u64 {
-        self.datagrams.load(Ordering::Relaxed)
-    }
-
-    /// Protocol packets sent (each bundle datagram carries several).
-    pub fn packets(&self) -> u64 {
-        self.packets.load(Ordering::Relaxed)
-    }
-
-    /// Wire bytes sent, including bundle framing.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Sends that failed — encoding errors (e.g. an oversized packet)
-    /// and socket errors.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    fn count_frame(&self, packets: u64, bytes: usize) {
-        self.datagrams.fetch_add(1, Ordering::Relaxed);
-        self.packets.fetch_add(packets, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    fn count_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-}
+/// Datagrams dropped because they overflowed the receive buffer (larger
+/// than [`MAX_PACKET_SIZE`], so never decodable).
+const RECV_TRUNCATED: usize = 0;
+/// Well-sized datagrams that failed wire decoding.
+const RECV_DECODE_ERRORS: usize = 1;
+/// Datagrams handed to the socket.
+const SEND_DATAGRAMS: usize = 2;
+/// Protocol packets sent (each bundle datagram carries several).
+const SEND_PACKETS: usize = 3;
+/// Wire bytes sent, including bundle framing.
+const SEND_BYTES: usize = 4;
+/// Sends that failed: encoding errors (e.g. an oversized packet) and
+/// socket errors.
+const SEND_ERRORS: usize = 5;
 
 /// Transmits one already-encoded frame (a single packet or a sealed
-/// bundle) and charges it to the send counters; the per-frame packet
+/// bundle) and charges it to the `send.*` rows; the per-frame packet
 /// count is read from the bundle header when present.
-fn send_frame(
-    sock: &UdpSocket,
-    counters: &SendCounters,
-    frame: &[u8],
-    dst: SocketAddr,
-) -> io::Result<()> {
+fn send_frame(sock: &UdpSocket, gauges: &Gauges, frame: &[u8], dst: SocketAddr) -> io::Result<()> {
     let packets = if is_bundle(frame) {
         u64::from(frame[3])
     } else {
@@ -154,11 +109,13 @@ fn send_frame(
     };
     match sock.send_to(frame, dst) {
         Ok(_) => {
-            counters.count_frame(packets, frame.len());
+            gauges.add(SEND_DATAGRAMS, 1);
+            gauges.add(SEND_PACKETS, packets);
+            gauges.add(SEND_BYTES, frame.len() as u64);
             Ok(())
         }
         Err(e) => {
-            counters.count_error();
+            gauges.add(SEND_ERRORS, 1);
             Err(e)
         }
     }
@@ -196,13 +153,13 @@ fn decode_datagram(
 /// `out`. `Ok(false)` means the socket had nothing queued; `Ok(true)`
 /// that a datagram was consumed — delivered, or dropped: an echo of
 /// `me`'s own multicast is discarded unread, a truncated or undecodable
-/// datagram is charged to `counters`. `Err` is a socket error.
+/// datagram is charged to `gauges`. `Err` is a socket error.
 pub(crate) fn recv_step(
     sock: &UdpSocket,
     buf: &mut [u8],
     me: HostId,
     out: &mut VecDeque<(HostId, Packet)>,
-    counters: &RecvCounters,
+    gauges: &Gauges,
 ) -> io::Result<bool> {
     let Some((n, from)) = sys::try_recv_from(sock, buf)? else {
         return Ok(false);
@@ -210,7 +167,11 @@ pub(crate) fn recv_step(
     let from = host_of(from);
     if from != me {
         if let Err(reason) = decode_datagram(buf, n, from, out) {
-            counters.count_drop(reason);
+            let row = match reason {
+                DropReason::Truncated => RECV_TRUNCATED,
+                DropReason::Undecodable => RECV_DECODE_ERRORS,
+            };
+            gauges.add(row, 1);
         }
     }
     Ok(true)
@@ -238,8 +199,7 @@ pub struct UdpTransport {
     groups: GroupMap,
     interface: Ipv4Addr,
     members: Vec<GroupId>,
-    counters: Arc<RecvCounters>,
-    send: Arc<SendCounters>,
+    gauges: Arc<Gauges>,
     /// Reusable encode scratch: steady-state sends reuse this buffer's
     /// capacity instead of allocating per packet.
     scratch: BytesMut,
@@ -282,8 +242,7 @@ impl UdpTransport {
             groups,
             interface,
             members: Vec::new(),
-            counters: Arc::new(RecvCounters::default()),
-            send: Arc::new(SendCounters::default()),
+            gauges: Arc::new(Gauges::new(&TRANSPORT_GAUGES)),
             scratch: BytesMut::with_capacity(2048),
             bundler: BundleBuilder::with_default_mtu(),
             multicast_ttl: None,
@@ -317,7 +276,7 @@ impl UdpTransport {
             &mut self.buf,
             self.host,
             &mut self.pending,
-            &self.counters,
+            &self.gauges,
         )? {
             self.next_sock = (i + 1) % (1 + self.ports.len());
         }
@@ -329,29 +288,11 @@ impl UdpTransport {
         addr_of(self.host)
     }
 
-    /// Receive-path health counters: truncated and undecodable datagrams
-    /// this endpoint's transport dropped on receive.
-    pub fn recv_counters(&self) -> &RecvCounters {
-        &self.counters
-    }
-
-    /// A shared handle to the same counters, for probes that outlive a
-    /// borrow of the transport (the doctor sidecar reads them from its
-    /// own thread each tick).
-    pub fn shared_recv_counters(&self) -> Arc<RecvCounters> {
-        Arc::clone(&self.counters)
-    }
-
-    /// Send-path counters: datagrams, packets, bytes and errors on this
-    /// endpoint's outbound sends.
-    pub fn send_counters(&self) -> &SendCounters {
-        &self.send
-    }
-
-    /// A shared handle to the send counters (see
-    /// [`shared_recv_counters`](Self::shared_recv_counters)).
-    pub fn shared_send_counters(&self) -> Arc<SendCounters> {
-        Arc::clone(&self.send)
+    /// Lists this transport's counter rows in `registry`
+    /// as `net.<addr>.<row>`, read in place from then on — also after
+    /// the transport moved to its endpoint thread.
+    pub fn attach_gauges(&self, registry: &MetricsRegistry) {
+        registry.attach(self.local_addr(), Arc::clone(&self.gauges));
     }
 
     /// Points the socket's multicast TTL at `scope`.
@@ -368,10 +309,10 @@ impl UdpTransport {
     fn send_bare(&mut self, dst: SocketAddr, packet: &Packet) -> io::Result<()> {
         self.scratch.clear();
         if let Err(e) = encode_into(packet, &mut self.scratch) {
-            self.send.count_error();
+            self.gauges.add(SEND_ERRORS, 1);
             return Err(io::Error::other(e));
         }
-        send_frame(&self.unicast, &self.send, &self.scratch, dst)
+        send_frame(&self.unicast, &self.gauges, &self.scratch, dst)
     }
 
     /// Sends a run of packets to one destination: a lone packet bare,
@@ -392,27 +333,27 @@ impl UdpTransport {
         let UdpTransport {
             bundler,
             unicast,
-            send,
+            gauges,
             ..
         } = self;
         for p in packets {
             match bundler.push(p) {
-                Ok(Some(frame)) => send_frame(unicast, send, frame, dst)?,
+                Ok(Some(frame)) => send_frame(unicast, gauges, frame, dst)?,
                 Ok(None) => {}
                 Err(e) => {
                     // The failing packet never entered the frame; flush
                     // the valid prefix so it still reaches `dst`, then
                     // surface the error.
-                    send.count_error();
+                    gauges.add(SEND_ERRORS, 1);
                     if let Some(frame) = bundler.flush() {
-                        send_frame(unicast, send, frame, dst)?;
+                        send_frame(unicast, gauges, frame, dst)?;
                     }
                     return Err(io::Error::other(e));
                 }
             }
         }
         if let Some(frame) = bundler.flush() {
-            send_frame(unicast, send, frame, dst)?;
+            send_frame(unicast, gauges, frame, dst)?;
         }
         Ok(())
     }
@@ -449,13 +390,13 @@ impl Transport for UdpTransport {
     fn send_unicast_fanout(&mut self, dests: &[HostId], packet: &Packet) -> io::Result<()> {
         self.scratch.clear();
         if let Err(e) = encode_into(packet, &mut self.scratch) {
-            self.send.count_error();
+            self.gauges.add(SEND_ERRORS, 1);
             return Err(io::Error::other(e));
         }
         for &to in dests {
             send_frame(
                 &self.unicast,
-                &self.send,
+                &self.gauges,
                 &self.scratch,
                 SocketAddr::V4(addr_of(to)),
             )?;
@@ -602,10 +543,10 @@ pub(crate) mod tests {
         sock: &UdpSocket,
         buf: &mut [u8],
         out: &mut VecDeque<(HostId, Packet)>,
-        counters: &RecvCounters,
+        gauges: &Gauges,
     ) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while !recv_step(sock, buf, ME, out, counters).unwrap() {
+        while !recv_step(sock, buf, ME, out, gauges).unwrap() {
             assert!(Instant::now() < deadline, "the datagram never arrived");
             std::thread::yield_now();
         }
@@ -629,23 +570,13 @@ pub(crate) mod tests {
         assert!(out.is_empty(), "errors must not deliver packets");
     }
 
-    #[test]
-    fn count_recv_error_splits_truncation_from_decode() {
-        let counters = RecvCounters::default();
-        counters.count_drop(DropReason::Truncated);
-        counters.count_drop(DropReason::Undecodable);
-        counters.count_drop(DropReason::Truncated);
-        assert_eq!(counters.truncated(), 2);
-        assert_eq!(counters.decode_errors(), 1);
-    }
-
     /// Regression: a datagram larger than the receive buffer used to be
     /// silently cut short and handed to the decoder; it must instead be
     /// counted as truncated and never surface as a packet.
     #[test]
     fn oversized_send_is_counted_as_truncated() {
         let (rx, dst, tx, tx_host) = socket_pair();
-        let counters = RecvCounters::default();
+        let gauges = Gauges::new(&TRANSPORT_GAUGES);
         let mut buf = vec![0u8; 1024];
         let mut out = VecDeque::new();
 
@@ -653,17 +584,17 @@ pub(crate) mod tests {
         // datagram, the receive reports a full buffer, and the drop
         // lands in the truncation counter.
         tx.send_to(&vec![0xAB; 2048], dst).unwrap();
-        step(&rx, &mut buf, &mut out, &counters);
+        step(&rx, &mut buf, &mut out, &gauges);
         assert!(out.is_empty(), "truncated datagram must not be delivered");
-        assert_eq!(counters.truncated(), 1);
-        assert_eq!(counters.decode_errors(), 0);
+        assert_eq!(gauges.get(RECV_TRUNCATED), 1);
+        assert_eq!(gauges.get(RECV_DECODE_ERRORS), 0);
 
         // The receive path keeps working: a valid packet after the
         // oversized one still decodes and carries the sender's address.
         tx.send_to(&encode(&data(7)).unwrap(), dst).unwrap();
-        step(&rx, &mut buf, &mut out, &counters);
+        step(&rx, &mut buf, &mut out, &gauges);
         assert_eq!(out, [(tx_host, data(7))]);
-        assert_eq!(counters.truncated(), 1);
+        assert_eq!(gauges.get(RECV_TRUNCATED), 1);
     }
 
     /// A datagram of exactly [`MAX_PACKET_SIZE`] bytes must *not* be
@@ -678,17 +609,17 @@ pub(crate) mod tests {
             eprintln!("skipping max-size datagram test: send failed: {e}");
             return;
         }
-        let counters = RecvCounters::default();
+        let gauges = Gauges::new(&TRANSPORT_GAUGES);
         let mut buf = vec![0u8; RECV_BUF_SIZE];
         let mut out = VecDeque::new();
-        step(&rx, &mut buf, &mut out, &counters);
+        step(&rx, &mut buf, &mut out, &gauges);
         assert!(out.is_empty(), "garbage payload must not decode");
         assert_eq!(
-            counters.truncated(),
+            gauges.get(RECV_TRUNCATED),
             0,
             "max-size datagram wrongly counted as truncated"
         );
-        assert_eq!(counters.decode_errors(), 1);
+        assert_eq!(gauges.get(RECV_DECODE_ERRORS), 1);
     }
 
     /// A bundle datagram unbundles into its packets in order, through
@@ -701,13 +632,13 @@ pub(crate) mod tests {
         assert_eq!(frames.len(), 1, "five tiny packets fit one frame");
         tx.send_to(&frames[0], dst).unwrap();
 
-        let counters = RecvCounters::default();
+        let gauges = Gauges::new(&TRANSPORT_GAUGES);
         let mut buf = vec![0u8; RECV_BUF_SIZE];
         let mut out = VecDeque::new();
-        step(&rx, &mut buf, &mut out, &counters);
+        step(&rx, &mut buf, &mut out, &gauges);
         let want: Vec<_> = packets.into_iter().map(|p| (tx_host, p)).collect();
         assert_eq!(out, want, "unbundling must preserve packet order");
-        assert_eq!(counters.decode_errors(), 0);
+        assert_eq!(gauges.get(RECV_DECODE_ERRORS), 0);
     }
 
     /// A datagram from the endpoint's own address is an echo of its own
@@ -717,19 +648,18 @@ pub(crate) mod tests {
         let (rx, dst, tx, tx_host) = socket_pair();
         tx.send_to(&[0xFF; 16], dst).unwrap();
         tx.send_to(&encode(&data(1)).unwrap(), dst).unwrap();
-        let counters = RecvCounters::default();
+        let gauges = Gauges::new(&TRANSPORT_GAUGES);
         let mut buf = vec![0u8; RECV_BUF_SIZE];
         let mut out = VecDeque::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut consumed = 0;
         while consumed < 2 {
             assert!(Instant::now() < deadline, "the datagrams never arrived");
-            consumed +=
-                usize::from(recv_step(&rx, &mut buf, tx_host, &mut out, &counters).unwrap());
+            consumed += usize::from(recv_step(&rx, &mut buf, tx_host, &mut out, &gauges).unwrap());
         }
         assert!(out.is_empty());
-        assert_eq!(counters.decode_errors(), 0);
-        assert!(!recv_step(&rx, &mut buf, tx_host, &mut out, &counters).unwrap());
+        assert_eq!(gauges.get(RECV_DECODE_ERRORS), 0);
+        assert!(!recv_step(&rx, &mut buf, tx_host, &mut out, &gauges).unwrap());
     }
 
     /// A corrupt bundle is one counted decode error and delivers no
@@ -763,22 +693,65 @@ pub(crate) mod tests {
 
         t.send_unicast(to, &data(1)).unwrap();
         t.send_unicast(to, &data(2)).unwrap();
-        assert_eq!(t.send_counters().datagrams(), 2);
-        assert_eq!(t.send_counters().packets(), 2);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 2);
+        assert_eq!(t.gauges.get(SEND_PACKETS), 2);
         let wire = encode(&data(1)).unwrap().len() + encode(&data(2)).unwrap().len();
-        assert_eq!(t.send_counters().bytes(), wire as u64);
-        assert_eq!(t.send_counters().errors(), 0);
+        assert_eq!(t.gauges.get(SEND_BYTES), wire as u64);
+        assert_eq!(t.gauges.get(SEND_ERRORS), 0);
 
         // Ten packets in one run become one datagram.
         let run: Vec<Packet> = (10..20).map(data).collect();
         t.send_unicast_bundle(to, &run).unwrap();
-        assert_eq!(t.send_counters().datagrams(), 3);
-        assert_eq!(t.send_counters().packets(), 12);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 3);
+        assert_eq!(t.gauges.get(SEND_PACKETS), 12);
 
         // Fanout: encode once, one datagram per destination.
         t.send_unicast_fanout(&[to, to, to], &data(30)).unwrap();
-        assert_eq!(t.send_counters().datagrams(), 6);
-        assert_eq!(t.send_counters().packets(), 15);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 6);
+        assert_eq!(t.gauges.get(SEND_PACKETS), 15);
+    }
+
+    /// Attached to a registry, the transport's rows are listed by its
+    /// address and read in place: a later send or drop shows without
+    /// any republishing.
+    #[test]
+    fn attached_rows_are_named_by_address_and_read_in_place() {
+        let mut t = UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::default()).unwrap();
+        let registry = MetricsRegistry::default();
+        t.attach_gauges(&registry);
+        let addr = t.local_addr().to_string();
+        let name = |row: &str| ["net", &addr, row].join(".");
+        let names: Vec<String> = registry.gauges().into_keys().collect();
+        let rows = [
+            "recv.decode_errors",
+            "recv.truncated",
+            "send.bytes",
+            "send.datagrams",
+            "send.errors",
+            "send.packets",
+        ];
+        assert_eq!(names, rows.map(name));
+
+        let (peer, _, _, _) = socket_pair();
+        let SocketAddr::V4(peer_addr) = peer.local_addr().unwrap() else {
+            panic!("ipv4 bind");
+        };
+        let run: Vec<Packet> = (1..=6).map(data).collect();
+        t.send_unicast_bundle(host_of(peer_addr), &run).unwrap();
+        let gauge = |row: &str| registry.gauge(&name(row));
+        assert_eq!((gauge("send.datagrams"), gauge("send.packets")), (1, 6));
+        assert!(gauge("send.bytes") > 0);
+        assert_eq!(gauge("send.errors"), 0);
+
+        // Garbage arriving at the transport is a decode error, not a
+        // truncation.
+        peer.send_to(&[0xFF; 16], t.local_addr()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gauge("recv.decode_errors") == 0 {
+            assert!(Instant::now() < deadline, "the datagram never arrived");
+            assert_eq!(t.recv_timeout(Duration::from_millis(50)).unwrap(), None);
+        }
+        assert_eq!(gauge("recv.truncated"), 0);
     }
 
     /// The socket's multicast TTL is set only when the scope changes,
@@ -804,7 +777,7 @@ pub(crate) mod tests {
         assert_eq!(ttl(&t), u32::from(TtlScope::Global.ttl()));
         t.send_multicast(TtlScope::Site, &data(4)).unwrap();
         assert_eq!(ttl(&t), u32::from(TtlScope::Site.ttl()));
-        assert_eq!(t.send_counters().datagrams(), 7);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 7);
     }
 
     /// A packet too large for any datagram is rejected at encode time
@@ -827,19 +800,19 @@ pub(crate) mod tests {
             payload: Bytes::from(vec![0u8; MAX_PACKET_SIZE]),
         };
         assert!(t.send_unicast(to, &oversized).is_err());
-        assert_eq!(t.send_counters().errors(), 1);
-        assert_eq!(t.send_counters().datagrams(), 0);
+        assert_eq!(t.gauges.get(SEND_ERRORS), 1);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 0);
 
         // Bundle path: the valid prefix is flushed, the oversized
         // packet is rejected, and later sends still work.
         let run = vec![data(1), data(2), oversized];
         assert!(t.send_unicast_bundle(to, &run).is_err());
-        assert_eq!(t.send_counters().errors(), 2);
-        assert_eq!(t.send_counters().datagrams(), 1, "valid prefix flushed");
-        assert_eq!(t.send_counters().packets(), 2);
+        assert_eq!(t.gauges.get(SEND_ERRORS), 2);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 1, "valid prefix flushed");
+        assert_eq!(t.gauges.get(SEND_PACKETS), 2);
         t.send_unicast_bundle(to, &[data(3), data(4)]).unwrap();
-        assert_eq!(t.send_counters().datagrams(), 2);
-        assert_eq!(t.send_counters().packets(), 4);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 2);
+        assert_eq!(t.gauges.get(SEND_PACKETS), 4);
     }
 
     /// Regression: a socket error on a sealed frame used to return with
@@ -858,7 +831,7 @@ pub(crate) mod tests {
         // second push seals the first frame — and port 0 is unsendable.
         let nowhere = host_of(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0));
         assert!(t.send_unicast_bundle(nowhere, &[big(1), big(2)]).is_err());
-        assert_eq!(t.send_counters().datagrams(), 0);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 0);
 
         let peer = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         let SocketAddr::V4(peer_addr) = peer.local_addr().unwrap() else {
@@ -866,13 +839,13 @@ pub(crate) mod tests {
         };
         t.send_unicast_bundle(host_of(peer_addr), &[data(3), data(4)])
             .unwrap();
-        assert_eq!(t.send_counters().datagrams(), 1);
-        assert_eq!(t.send_counters().packets(), 2);
+        assert_eq!(t.gauges.get(SEND_DATAGRAMS), 1);
+        assert_eq!(t.gauges.get(SEND_PACKETS), 2);
 
-        let counters = RecvCounters::default();
+        let gauges = Gauges::new(&TRANSPORT_GAUGES);
         let mut buf = vec![0u8; RECV_BUF_SIZE];
         let mut out = VecDeque::new();
-        step(&peer, &mut buf, &mut out, &counters);
+        step(&peer, &mut buf, &mut out, &gauges);
         let me = t.local_host();
         assert_eq!(
             out,

@@ -5,13 +5,14 @@
 //! multicast (some containers) make the setup fail; the test then skips
 //! rather than fails, printing why.
 
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Duration;
 
 use bytes::Bytes;
 use lbrm_core::logger::{Logger, LoggerConfig};
 use lbrm_core::receiver::{Receiver, ReceiverConfig};
 use lbrm_core::sender::{Sender, SenderConfig};
+use lbrm_core::trace::MetricsRegistry;
 use lbrm_net::{Endpoint, EndpointEvent, GroupMap, Transport, UdpTransport};
 use lbrm_wire::{EpochId, GroupId, Packet, Seq, SourceId, TtlScope};
 
@@ -146,8 +147,14 @@ fn udp_multicast_end_to_end() {
     assert_eq!(d.payload.as_ref(), b"over real udp");
 }
 
+/// `row` of the transport at `addr`, read through a registry its rows
+/// are attached to.
+fn transport_row(registry: &MetricsRegistry, addr: SocketAddrV4, row: &str) -> u64 {
+    registry.gauge(&["net", &addr.to_string(), row].join("."))
+}
+
 /// Undecodable datagrams hitting a live transport land in its receive
-/// counters instead of vanishing, and the endpoint keeps delivering
+/// rows instead of vanishing, and the endpoint keeps delivering
 /// valid traffic afterwards.
 #[test]
 fn garbage_datagram_is_counted_not_delivered() {
@@ -156,6 +163,8 @@ fn garbage_datagram_is_counted_not_delivered() {
     let Some(mut t) = try_bind(49_433) else {
         return;
     };
+    let registry = MetricsRegistry::default();
+    t.attach_gauges(&registry);
     let raw = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     let dst = t.local_addr();
     raw.send_to(&[0xFF; 64], dst).unwrap();
@@ -165,8 +174,8 @@ fn garbage_datagram_is_counted_not_delivered() {
         .recv_timeout(Duration::from_millis(300))
         .unwrap()
         .is_none());
-    assert_eq!(t.recv_counters().decode_errors(), 1);
-    assert_eq!(t.recv_counters().truncated(), 0);
+    assert_eq!(transport_row(&registry, dst, "recv.decode_errors"), 1);
+    assert_eq!(transport_row(&registry, dst, "recv.truncated"), 0);
 
     // Valid traffic still flows through the same socket.
     let Some(mut peer) = try_bind(49_433) else {
@@ -296,7 +305,9 @@ fn a_nack_backlog_is_answered_in_shared_bundles() {
         return;
     };
     let logger_addr = log_t.local_addr();
-    let sent = log_t.shared_send_counters();
+    let registry = MetricsRegistry::default();
+    log_t.attach_gauges(&registry);
+    let sent = |row| transport_row(&registry, logger_addr, row);
     let client = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(5)))
@@ -350,7 +361,7 @@ fn a_nack_backlog_is_answered_in_shared_bundles() {
     stalled_rx
         .recv_timeout(Duration::from_secs(5))
         .expect("the call must run");
-    let (datagrams_before, packets_before) = (sent.datagrams(), sent.packets());
+    let (datagrams_before, packets_before) = (sent("send.datagrams"), sent("send.packets"));
     for seq in 1..=WINDOW {
         let nack = Packet::Nack {
             group: GROUP,
@@ -377,8 +388,8 @@ fn a_nack_backlog_is_answered_in_shared_bundles() {
     assert_eq!(repairs, want, "every requested seq, in request order");
     assert!(datagrams <= 8, "{datagrams} datagrams for {WINDOW} repairs");
     let (datagrams_sent, packets_sent) = (
-        sent.datagrams() - datagrams_before,
-        sent.packets() - packets_before,
+        sent("send.datagrams") - datagrams_before,
+        sent("send.packets") - packets_before,
     );
     assert!(
         datagrams_sent < packets_sent,

@@ -40,7 +40,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use lbrm_trace::{MetricsRegistry, ProtocolEvent, Tracer};
+use lbrm_trace::{GaugeTable, Gauges, MetricsRegistry, ProtocolEvent, Tracer};
 use lbrm_wire::codec::PACKET_KINDS;
 use lbrm_wire::{GroupId, HostId, Packet, SiteId, TtlScope};
 
@@ -529,8 +529,30 @@ pub struct World {
     now: SimTime,
     started: bool,
     seed: u64,
-    gauge_registry: Option<Arc<MetricsRegistry>>,
+    /// The rows [`set_gauges`](World::set_gauges) attached: this
+    /// simulator's, and one per site's links.
+    gauges: Option<(Arc<Gauges>, Vec<Arc<Gauges>>)>,
 }
+
+/// The simulator's gauge rows: the event-queue depth, now and at its
+/// high-water mark.
+static SIM_GAUGES: GaugeTable = GaugeTable {
+    root: "sim",
+    rows: &["queue_depth", "queue_depth_max"],
+    hide_zero: false,
+};
+const QUEUE_DEPTH: usize = 0;
+const QUEUE_DEPTH_MAX: usize = 1;
+
+/// One site's gauge rows: its tail circuit's queue backlog high-water
+/// marks, inbound and outbound. A tail that never queued lists nothing.
+static LINK_GAUGES: GaugeTable = GaugeTable {
+    root: "sim.link",
+    rows: &["tail_in_backlog_max_ns", "tail_out_backlog_max_ns"],
+    hide_zero: true,
+};
+const TAIL_IN_BACKLOG: usize = 0;
+const TAIL_OUT_BACKLOG: usize = 1;
 
 impl World {
     /// Creates a world over `topo`, fully determined by `seed`.
@@ -570,7 +592,7 @@ impl World {
             now: SimTime::ZERO,
             started: false,
             seed,
-            gauge_registry: None,
+            gauges: None,
         }
     }
 
@@ -597,12 +619,22 @@ impl World {
         self.state.tracer = tracer;
     }
 
-    /// Attaches a registry that receives simulator gauges — the
-    /// event-queue depth (current and high-water) and per-link tail
-    /// queue backlogs — whenever a `run_*` call returns (or
+    /// Attaches the simulator's gauge rows to `registry`: the
+    /// event-queue depth (current and high-water) as `sim.*`, and each
+    /// site's tail-queue backlog high-water marks as `sim.link.s<N>.*`.
+    /// The rows are written whenever a `run_*` call returns (or
     /// [`flush_gauges`](World::flush_gauges) is called directly).
     pub fn set_gauges(&mut self, registry: Arc<MetricsRegistry>) {
-        self.gauge_registry = Some(registry);
+        let sim = Arc::new(Gauges::new(&SIM_GAUGES));
+        registry.attach("", sim.clone());
+        let links = (0..self.state.nets.len())
+            .map(|s| {
+                let link = Arc::new(Gauges::new(&LINK_GAUGES));
+                registry.attach(format_args!("s{s}"), link.clone());
+                link
+            })
+            .collect();
+        self.gauges = Some((sim, links));
     }
 
     /// Highest event-queue depth seen (cheap: one compare per step keeps
@@ -616,29 +648,18 @@ impl World {
         self.state.queue.len()
     }
 
-    /// Writes the simulator gauges into the attached registry (no-op
-    /// without one): `sim.queue_depth`, `sim.queue_depth_max`, and
-    /// `sim.link.s<N>.tail_{in,out}_backlog_max_ns` for every site whose
-    /// tail circuit ever queued.
+    /// Writes the simulator's gauge rows (no-op before
+    /// [`set_gauges`](World::set_gauges)); a link row is listed once its
+    /// tail circuit has queued.
     pub fn flush_gauges(&mut self) {
-        let Some(reg) = &self.gauge_registry else {
+        let Some((sim, links)) = &self.gauges else {
             return;
         };
-        reg.set_gauge("sim.queue_depth", self.queue_depth() as u64);
-        reg.set_gauge("sim.queue_depth_max", self.queue_depth_max() as u64);
-        for (s, net) in self.state.nets.iter().enumerate() {
-            if net.tail_in_backlog_max > Duration::ZERO {
-                reg.set_gauge(
-                    &format!("sim.link.s{s}.tail_in_backlog_max_ns"),
-                    net.tail_in_backlog_max.as_nanos() as u64,
-                );
-            }
-            if net.tail_out_backlog_max > Duration::ZERO {
-                reg.set_gauge(
-                    &format!("sim.link.s{s}.tail_out_backlog_max_ns"),
-                    net.tail_out_backlog_max.as_nanos() as u64,
-                );
-            }
+        sim.set(QUEUE_DEPTH, self.queue_depth() as u64);
+        sim.set(QUEUE_DEPTH_MAX, self.queue_depth_max() as u64);
+        for (link, net) in links.iter().zip(&self.state.nets) {
+            link.set(TAIL_IN_BACKLOG, net.tail_in_backlog_max.as_nanos() as u64);
+            link.set(TAIL_OUT_BACKLOG, net.tail_out_backlog_max.as_nanos() as u64);
         }
     }
 

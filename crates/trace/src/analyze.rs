@@ -90,17 +90,27 @@ impl TraceSink for CollectorSink {
     }
 }
 
-/// A [`TraceSink`] that forwards every record to several sinks — lets a
-/// scenario aggregate into its [`MetricsRegistry`](crate::MetricsRegistry)
-/// *and* collect raw records for forensics in the same run.
+/// A [`TraceSink`] that forwards every record to several sinks, one
+/// whole record at a time: a scenario can aggregate into its
+/// [`MetricsRegistry`](crate::MetricsRegistry) *and* collect raw records
+/// for forensics in the same run. Endpoint threads recording
+/// concurrently cannot interleave between the inner sinks, so every
+/// inner sink sees the identical record order — which is what makes a
+/// capture written next to a live
+/// [`DoctorSidecar`](crate::doctor::DoctorSidecar) replayable as the
+/// exact stream the sidecar analyzed.
 pub struct FanoutSink {
     sinks: Vec<Arc<dyn TraceSink>>,
+    gate: Mutex<()>,
 }
 
 impl FanoutSink {
     /// Fans records out to each of `sinks`, in order.
     pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        FanoutSink { sinks }
+        FanoutSink {
+            sinks,
+            gate: Mutex::new(()),
+        }
     }
 }
 
@@ -113,46 +123,6 @@ impl std::fmt::Debug for FanoutSink {
 }
 
 impl TraceSink for FanoutSink {
-    fn record(&self, at_nanos: u64, host: HostId, event: &ProtocolEvent) {
-        for s in &self.sinks {
-            s.record(at_nanos, host, event);
-        }
-    }
-}
-
-/// A [`FanoutSink`] variant that serializes each *whole-record* fanout
-/// under one lock. With plain [`FanoutSink`], two endpoint threads
-/// recording concurrently can interleave between the inner sinks, so a
-/// JSONL capture and a live doctor fed from the same fanout may observe
-/// *different* record orders. The serial variant guarantees every inner
-/// sink sees the identical interleaving — which is what makes a capture
-/// written next to a live [`DoctorSidecar`](crate::doctor::DoctorSidecar)
-/// replayable as the exact stream the sidecar analyzed.
-pub struct SerialFanoutSink {
-    sinks: Vec<Arc<dyn TraceSink>>,
-    gate: Mutex<()>,
-}
-
-impl SerialFanoutSink {
-    /// Fans records out to each of `sinks`, in order, one record at a
-    /// time across all calling threads.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        SerialFanoutSink {
-            sinks,
-            gate: Mutex::new(()),
-        }
-    }
-}
-
-impl std::fmt::Debug for SerialFanoutSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SerialFanoutSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl TraceSink for SerialFanoutSink {
     fn record(&self, at_nanos: u64, host: HostId, event: &ProtocolEvent) {
         let _gate = lock(&self.gate);
         for s in &self.sinks {
@@ -1414,6 +1384,7 @@ mod tests {
         sampled.sort_unstable();
         assert_eq!(sampled, keys, "the samples must hit every key exactly once");
         for ev in every_key() {
+            assert_eq!(EVENT_KEYS[ev.key_index()], ev.key(), "{ev:?}");
             let line = ev.to_json(u64::MAX, HostId(u64::MAX));
             let parsed =
                 parse_json_line(&line).unwrap_or_else(|| panic!("line failed to parse: {line}"));

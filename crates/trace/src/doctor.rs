@@ -219,15 +219,12 @@ impl SharedState {
     }
 }
 
-type Probe = Box<dyn Fn() + Send>;
-
 struct Inner {
     cfg: DoctorConfig,
     started: Instant,
     sink: Arc<DoctorSink>,
     state: Mutex<SharedState>,
     registries: Mutex<Vec<(String, Arc<MetricsRegistry>)>>,
-    probes: Mutex<Vec<Probe>>,
 }
 
 /// A cloneable read handle onto the sidecar's published state — what
@@ -282,7 +279,6 @@ impl DoctorSidecar {
             sink,
             state: Mutex::new(SharedState::default()),
             registries: Mutex::new(Vec::new()),
-            probes: Mutex::new(Vec::new()),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let worker = {
@@ -313,16 +309,10 @@ impl DoctorSidecar {
     }
 
     /// Registers a [`MetricsRegistry`] under `name`; its counters and
-    /// gauges appear in `/stats` under `"net"`.
+    /// gauges (read in place at each scrape) appear in `/stats` under
+    /// `"net"`.
     pub fn register_registry(&self, name: &str, registry: Arc<MetricsRegistry>) {
         lock(&self.inner.registries).push((name.to_owned(), registry));
-    }
-
-    /// Registers a probe run at every tick *before* the snapshot is
-    /// taken — e.g. copying a transport's `RecvCounters` into a
-    /// registered registry's gauges.
-    pub fn register_probe(&self, probe: impl Fn() + Send + 'static) {
-        lock(&self.inner.probes).push(Box::new(probe));
     }
 
     /// Events dropped at the sink so far.
@@ -418,9 +408,6 @@ fn worker_loop(inner: Arc<Inner>, rx: Receiver<DoctorMsg>, stop: Arc<AtomicBool>
 }
 
 fn run_tick(inner: &Inner, analyzer: &OnlineAnalyzer) {
-    for p in lock(&inner.probes).iter() {
-        p();
-    }
     // Provisional snapshot: still-open timelines show up as unrecovered
     // gaps here (display and health only — the counters and the health
     // window take only what the analyzer has committed).
@@ -521,11 +508,6 @@ impl DoctorHandle {
     /// tick, gauges, health, and every registered [`MetricsRegistry`]'s
     /// counters and gauges.
     pub fn stats_json(&self) -> String {
-        // Refresh probe-fed gauges so a scrape never reads stale
-        // transport counters (ticks also run them).
-        for p in lock(&self.inner.probes).iter() {
-            p();
-        }
         let st = lock(&self.inner.state);
         let mut s = String::with_capacity(1024);
         s.push('{');

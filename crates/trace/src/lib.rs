@@ -61,10 +61,11 @@ mod metrics;
 mod online;
 mod sink;
 
-pub use analyze::{CollectorSink, FanoutSink, SerialFanoutSink, TraceRecord};
+pub use analyze::{CollectorSink, FanoutSink, TraceRecord};
 pub use doctor::{AdminServer, DoctorConfig, DoctorSidecar, DoctorSink};
 pub use metrics::{
-    Histogram, HistogramSnapshot, MetricsRegistry, StreamingHistogram, STREAM_HIST_BUCKETS,
+    GaugeTable, Gauges, Histogram, HistogramSnapshot, MetricsRegistry, StreamingHistogram,
+    STREAM_HIST_BUCKETS,
 };
 pub use online::{LiveGap, OnlineAnalyzer, OnlineAnalyzerSink, OnlineConfig};
 pub use sink::JsonLinesSink;
@@ -178,9 +179,28 @@ macro_rules! column {
     };
 }
 
+/// The [`EVENT_KEYS`] slot of `key`, for `key_index` to fold at compile
+/// time: a key missing from the table fails the build.
+const fn key_slot(key: &str) -> usize {
+    let mut slot = 0;
+    while !same_bytes(EVENT_KEYS[slot].as_bytes(), key.as_bytes()) {
+        slot += 1;
+    }
+    slot
+}
+
+/// `a == b`, in a `const fn`.
+const fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    let mut i = 0;
+    while i < a.len() && i < b.len() && a[i] == b[i] {
+        i += 1;
+    }
+    i == a.len() && i == b.len()
+}
+
 /// Generates the event API from one row per variant,
 /// `Variant: "key" { field: Type, ... }`: the enum, [`EVENT_KEYS`],
-/// `key`, `to_json` and the JSONL parser's per-variant arms.
+/// `key`, `key_index`, `to_json` and the JSONL parser's per-variant arms.
 ///
 /// * The key column is one key, or `flag ? "key_if_true" :
 ///   "key_if_false"` where `flag` is the variant's `bool` field.
@@ -215,6 +235,17 @@ macro_rules! events {
             pub fn key(&self) -> &'static str {
                 match self {
                     $(Self::$variant { $($flag,)? .. } => $(if *$flag { $key_true } else)? { $key })*
+                }
+            }
+
+            /// This event's index into [`EVENT_KEYS`]: a dense key for
+            /// per-key counters, so counting an event compares no string.
+            pub fn key_index(&self) -> usize {
+                match self {
+                    $(Self::$variant { $($flag,)? .. } => {
+                        $(if *$flag { const { key_slot($key_true) } } else)?
+                        { const { key_slot($key) } }
+                    })*
                 }
             }
 

@@ -1,12 +1,13 @@
-//! The metrics registry: per-event counters plus the two latency
-//! distributions the paper's evaluation revolves around.
+//! The metrics registry: per-event counters, attached gauge tables, and
+//! the two latency distributions the paper's evaluation revolves around.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::{lock, ProtocolEvent, TraceSink};
+use crate::{lock, ProtocolEvent, TraceSink, EVENT_KEYS};
 
 /// A latency distribution that retains every sample, so experiments can
 /// compute exact percentiles (runs are sim-scale: thousands of samples,
@@ -224,17 +225,68 @@ impl StreamingHistogram {
     }
 }
 
+/// A table of gauge rows, declared once beside whoever counts them. An
+/// instance ([`Gauges`]) attached to a registry under `label` lists row
+/// `r` as `<root>.<label>.<r>` (`<root>.<r>` for an empty label).
+#[derive(Debug)]
+pub struct GaugeTable {
+    /// The first part of every row's name, e.g. `net` or `sim.link`.
+    pub root: &'static str,
+    /// Row names, in slot order.
+    pub rows: &'static [&'static str],
+    /// Rows still at zero are left out of listings: a reading that never
+    /// happened (a tail that never queued) is not shown as one.
+    pub hide_zero: bool,
+}
+
+/// One instance of a [`GaugeTable`]: a value per row, written where it
+/// is counted and read in place by every registry it is attached to.
+#[derive(Debug)]
+pub struct Gauges {
+    table: &'static GaugeTable,
+    values: Box<[AtomicU64]>,
+}
+
+impl Gauges {
+    /// A zeroed instance of `table`.
+    pub fn new(table: &'static GaugeTable) -> Self {
+        Gauges {
+            table,
+            values: table.rows.iter().map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Adds `n` to row `row`.
+    pub fn add(&self, row: usize, n: u64) {
+        self.values[row].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Sets row `row` to `value`.
+    pub fn set(&self, row: usize, value: u64) {
+        self.values[row].store(value, Ordering::Relaxed);
+    }
+
+    /// Row `row`'s value.
+    pub fn get(&self, row: usize) -> u64 {
+        self.values[row].load(Ordering::Relaxed)
+    }
+}
+
 /// A [`TraceSink`] that aggregates: a counter per
 /// [`ProtocolEvent::key`], a histogram of recovery latencies (from
 /// [`ProtocolEvent::Recovered`]) and a histogram of `t_wait` values
-/// (from [`ProtocolEvent::TWaitUpdated`]).
+/// (from [`ProtocolEvent::TWaitUpdated`]). Gauges are not events: their
+/// owners [`attach`](Self::attach) them, and the registry reads them in
+/// place.
 ///
 /// Share one registry across the machines whose events should aggregate
 /// together (e.g. all receivers of a scenario).
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-    gauges: Mutex<BTreeMap<String, u64>>,
+    /// Indexed by [`ProtocolEvent::key_index`].
+    counters: [AtomicU64; EVENT_KEYS.len()],
+    /// Attached gauge rows, with the prefix they are listed under.
+    gauges: Mutex<Vec<(String, Arc<Gauges>)>>,
     recovery_latency: Mutex<StreamingHistogram>,
     t_wait: Mutex<StreamingHistogram>,
 }
@@ -247,7 +299,7 @@ impl Default for MetricsRegistry {
     fn default() -> Self {
         let hist = || Mutex::new(StreamingHistogram::new(REGISTRY_RESERVOIR));
         MetricsRegistry {
-            counters: Mutex::default(),
+            counters: [const { AtomicU64::new(0) }; EVENT_KEYS.len()],
             gauges: Mutex::default(),
             recovery_latency: hist(),
             t_wait: hist(),
@@ -256,31 +308,52 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Events counted under `key` so far.
+    /// Events counted under `key` so far (zero for an unknown key).
     pub fn counter(&self, key: &str) -> u64 {
-        *lock(&self.counters).get(key).unwrap_or(&0)
+        EVENT_KEYS
+            .iter()
+            .position(|k| *k == key)
+            .map_or(0, |i| self.counters[i].load(Ordering::Relaxed))
     }
 
     /// All nonzero counters, sorted by key.
     pub fn counters(&self) -> BTreeMap<&'static str, u64> {
-        lock(&self.counters).clone()
+        EVENT_KEYS
+            .iter()
+            .zip(&self.counters)
+            .map(|(k, n)| (*k, n.load(Ordering::Relaxed)))
+            .filter(|(_, n)| *n > 0)
+            .collect()
     }
 
-    /// Sets a point-in-time gauge (e.g. the sim's event-queue depth).
-    /// Gauges are set by instruments directly, not via the event
-    /// stream.
-    pub fn set_gauge(&self, key: &str, value: u64) {
-        lock(&self.gauges).insert(key.to_owned(), value);
+    /// Lists `gauges` from now on, under `<root>.<label>` (`<root>` for
+    /// an empty label; see [`GaugeTable`]).
+    pub fn attach(&self, label: impl std::fmt::Display, gauges: Arc<Gauges>) {
+        let root = gauges.table.root;
+        let prefix = match label.to_string() {
+            l if l.is_empty() => root.to_owned(),
+            l => format!("{root}.{l}"),
+        };
+        lock(&self.gauges).push((prefix, gauges));
     }
 
-    /// The gauge stored under `key`, or zero.
+    /// The gauge named `key`, or zero.
     pub fn gauge(&self, key: &str) -> u64 {
-        *lock(&self.gauges).get(key).unwrap_or(&0)
+        self.gauges().get(key).copied().unwrap_or(0)
     }
 
-    /// All gauges, sorted by key.
+    /// All listed gauges, sorted by name, read from the attached rows.
     pub fn gauges(&self) -> BTreeMap<String, u64> {
-        lock(&self.gauges).clone()
+        let mut all = BTreeMap::new();
+        for (prefix, g) in lock(&self.gauges).iter() {
+            for (row, v) in g.table.rows.iter().zip(&*g.values) {
+                let v = v.load(Ordering::Relaxed);
+                if v > 0 || !g.table.hide_zero {
+                    all.insert(format!("{prefix}.{row}"), v);
+                }
+            }
+        }
+        all
     }
 
     /// The recovery-latency distribution accumulated so far.
@@ -324,16 +397,21 @@ impl MetricsRegistry {
 
 impl TraceSink for MetricsRegistry {
     fn record(&self, _at_nanos: u64, _host: lbrm_wire::HostId, event: &ProtocolEvent) {
-        *lock(&self.counters).entry(event.key()).or_insert(0) += 1;
-        match event {
+        self.counters[event.key_index()].fetch_add(1, Ordering::Relaxed);
+        let (hist, nanos) = match event {
             ProtocolEvent::Recovered { latency_nanos, .. } => {
-                lock(&self.recovery_latency).record(*latency_nanos);
+                (&self.recovery_latency, *latency_nanos)
             }
-            ProtocolEvent::TWaitUpdated { t_wait_nanos } => {
-                lock(&self.t_wait).record(*t_wait_nanos);
-            }
-            _ => {}
+            ProtocolEvent::TWaitUpdated { t_wait_nanos } => (&self.t_wait, *t_wait_nanos),
+            _ => return,
+        };
+        let mut h = lock(hist);
+        // The first sample reserves the whole reservoir: later ones
+        // never allocate.
+        if h.reservoir.capacity() == 0 {
+            h.reservoir.reserve_exact(REGISTRY_RESERVOIR);
         }
+        h.record(nanos);
     }
 }
 
@@ -392,16 +470,79 @@ mod tests {
         assert_eq!((h.samples().len(), h.count()), (REGISTRY_RESERVOIR, total));
     }
 
+    static DEPTH: GaugeTable = GaugeTable {
+        root: "sim",
+        rows: &["queue_depth", "queue_depth_max"],
+        hide_zero: false,
+    };
+    static BACKLOG: GaugeTable = GaugeTable {
+        root: "sim.link",
+        rows: &["tail_in_backlog_max_ns", "tail_out_backlog_max_ns"],
+        hide_zero: true,
+    };
+
+    /// Attached rows are read in place, under `<root>[.<label>].<row>`,
+    /// and a `hide_zero` table lists only the rows that moved.
     #[test]
-    fn gauges_store_point_in_time_values() {
+    fn attached_gauges_are_read_in_place() {
         let reg = MetricsRegistry::default();
         assert_eq!(reg.gauge("sim.queue_depth_max"), 0);
-        reg.set_gauge("sim.queue_depth_max", 17);
-        reg.set_gauge("sim.queue_depth_max", 23);
+        let (depth, link) = (
+            Arc::new(Gauges::new(&DEPTH)),
+            Arc::new(Gauges::new(&BACKLOG)),
+        );
+        reg.attach("", depth.clone());
+        reg.attach("s1", link.clone());
+        depth.set(1, 17);
+        depth.set(1, 23);
+        link.add(1, 5);
+        link.add(1, 2);
         assert_eq!(reg.gauge("sim.queue_depth_max"), 23);
-        assert_eq!(reg.gauges().len(), 1);
-        assert!(reg.render().contains("sim.queue_depth_max"));
-        assert!(reg.render().contains("(gauge)"));
+        assert_eq!(reg.gauge("sim.link.s1.tail_out_backlog_max_ns"), 7);
+        assert_eq!(reg.gauge("sim.link.s10.tail_out_backlog_max_ns"), 0);
+        let listed: Vec<_> = reg.gauges().into_iter().collect();
+        assert_eq!(
+            listed,
+            [
+                ("sim.link.s1.tail_out_backlog_max_ns".to_owned(), 7),
+                ("sim.queue_depth".to_owned(), 0),
+                ("sim.queue_depth_max".to_owned(), 23),
+            ]
+        );
+        assert!(reg
+            .render()
+            .contains("  sim.queue_depth_max                  23 (gauge)\n"));
+    }
+
+    /// Counting is one atomic add per record: threads sharing a registry
+    /// lose nothing.
+    #[test]
+    fn concurrent_records_give_exact_totals() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 100_000;
+        let reg = Arc::new(MetricsRegistry::default());
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let reg = reg.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..PER_THREAD {
+                        reg.record(t, lbrm_wire::HostId(t), &ProtocolEvent::FreshnessLost);
+                    }
+                    let ev = ProtocolEvent::GapDetected {
+                        first: Seq(1),
+                        last: Seq(1),
+                    };
+                    reg.record(t, lbrm_wire::HostId(t), &ev);
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(reg.counter("freshness_lost"), THREADS * PER_THREAD);
+        assert_eq!(reg.counter("gap_detected"), THREADS);
+        assert_eq!(reg.counter("no_such_key"), 0);
+        assert_eq!(reg.counters().len(), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lbrm_trace::{JsonLinesSink, MetricsRegistry, ProtocolEvent, SerialFanoutSink, TraceSink};
+use lbrm_trace::{FanoutSink, JsonLinesSink, MetricsRegistry, ProtocolEvent, TraceSink};
 use lbrm_wire::HostId;
 
 /// Panics on its first `write`, then counts the bytes it is handed.
@@ -41,7 +41,7 @@ fn a_panicking_tracer_thread_does_not_poison_everyone_elses_telemetry() {
     // The live doctor's arrangement: one gate serialising a registry and
     // a capture. The panic below happens with the gate *and* the
     // writer's mutex held.
-    let fan = Arc::new(SerialFanoutSink::new(vec![
+    let fan = Arc::new(FanoutSink::new(vec![
         registry.clone() as Arc<dyn TraceSink>,
         jsonl.clone(),
     ]));

@@ -22,11 +22,9 @@ use lbrm::core::logger::{Logger, LoggerConfig};
 use lbrm::core::receiver::{Receiver, ReceiverConfig};
 use lbrm::core::sender::{Sender, SenderConfig};
 use lbrm::core::trace::{
-    AdminServer, DoctorConfig, DoctorSidecar, MetricsRegistry, SerialFanoutSink, TraceSink, Tracer,
+    AdminServer, DoctorConfig, DoctorSidecar, FanoutSink, MetricsRegistry, TraceSink, Tracer,
 };
-use lbrm::net::{
-    addr_of, host_of, recv_gauge_probe, Endpoint, EndpointEvent, GroupMap, Transport, UdpTransport,
-};
+use lbrm::net::{addr_of, host_of, Endpoint, EndpointEvent, GroupMap, Transport, UdpTransport};
 use lbrm::wire::{GroupId, SourceId};
 
 const USAGE: &str = "\
@@ -148,12 +146,8 @@ fn attach_doctor(addr: &str, transport: &UdpTransport) -> std::io::Result<Doctor
     let sidecar = DoctorSidecar::spawn(DoctorConfig::default());
     let registry = Arc::new(MetricsRegistry::default());
     sidecar.register_registry("udp", Arc::clone(&registry));
-    sidecar.register_probe(recv_gauge_probe(
-        transport.local_host(),
-        transport.shared_recv_counters(),
-        Arc::clone(&registry),
-    ));
-    let tracer = Tracer::to(Arc::new(SerialFanoutSink::new(vec![
+    transport.attach_gauges(&registry);
+    let tracer = Tracer::to(Arc::new(FanoutSink::new(vec![
         sidecar.sink() as Arc<dyn TraceSink>,
         registry as Arc<dyn TraceSink>,
     ])));

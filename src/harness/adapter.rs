@@ -13,14 +13,13 @@
 //! Deliveries and notices are accumulated with their virtual timestamps
 //! so experiments can mine them after the run. Application behaviour
 //! (e.g. "publish a terrain update at t = 10 s") is injected with
-//! [`MachineActor::schedule`]. Sends are counted in a table indexed by
-//! [`Packet::kind_index`], allocated at the actor's first send.
+//! [`MachineActor::schedule`]. What the machines send is counted once,
+//! by the simulator's wire statistics.
 
 use lbrm_core::machine::{Action, Actions, Call, Delivery, Driver, Input, Machine, Notice};
 use lbrm_core::time::Time;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::world::{Actor, Ctx};
-use lbrm_wire::codec::{kind_index_of, PACKET_KINDS};
 use lbrm_wire::{GroupId, HostId, Packet};
 
 /// Schedules an application call against the machine on `host` at `at`,
@@ -38,9 +37,6 @@ pub fn call_at<M: Machine + Send + 'static>(
 
 const POLL_TOKEN: u64 = 0;
 
-/// Send counts by packet kind index.
-type SendCounts = [u64; PACKET_KINDS.len()];
-
 /// Wraps a protocol machine as a simulator actor.
 pub struct MachineActor<M: Machine> {
     driver: Driver<M>,
@@ -52,10 +48,6 @@ pub struct MachineActor<M: Machine> {
     pub deliveries: Vec<(SimTime, Delivery)>,
     /// Notices observed, with emission time.
     pub notices: Vec<(SimTime, Notice)>,
-    /// Transmissions by packet kind index, `[unicast, multicast]`;
-    /// allocated at the first send, so building a world of idle
-    /// actors stays small.
-    sent: Option<Box<[SendCounts; 2]>>,
 }
 
 impl<M: Machine + 'static> MachineActor<M> {
@@ -67,27 +59,6 @@ impl<M: Machine + 'static> MachineActor<M> {
             armed: None,
             deliveries: Vec::new(),
             notices: Vec::new(),
-            sent: None,
-        }
-    }
-
-    /// Unicast transmissions by this machine of packets labelled `kind`
-    /// (zero for an unknown label).
-    pub fn sent_unicast(&self, kind: &str) -> u64 {
-        self.sent_count(0, kind)
-    }
-
-    /// Multicast transmissions by this machine of packets labelled
-    /// `kind`: one count per send, regardless of fan-out (zero for an
-    /// unknown label).
-    pub fn sent_multicast(&self, kind: &str) -> u64 {
-        self.sent_count(1, kind)
-    }
-
-    fn sent_count(&self, cast: usize, kind: &str) -> u64 {
-        match (&self.sent, kind_index_of(kind)) {
-            (Some(sent), Some(k)) => sent[cast][k],
-            _ => 0,
         }
     }
 
@@ -125,14 +96,8 @@ impl<M: Machine + 'static> MachineActor<M> {
         self.driver.input(now, input);
         for action in self.driver.drain() {
             match action {
-                Action::Unicast { to, packet } => {
-                    count_send(&mut self.sent, 0, &packet);
-                    ctx.send_unicast(to, packet);
-                }
-                Action::Multicast { scope, packet } => {
-                    count_send(&mut self.sent, 1, &packet);
-                    ctx.send_multicast(scope, packet);
-                }
+                Action::Unicast { to, packet } => ctx.send_unicast(to, packet),
+                Action::Multicast { scope, packet } => ctx.send_multicast(scope, packet),
                 Action::Deliver(d) => self.deliveries.push((now, d)),
                 Action::Notice(n) => self.notices.push((now, n)),
                 Action::Join(g) => ctx.join(g),
@@ -146,10 +111,6 @@ impl<M: Machine + 'static> MachineActor<M> {
             }
         }
     }
-}
-
-fn count_send(sent: &mut Option<Box<[SendCounts; 2]>>, cast: usize, packet: &Packet) {
-    sent.get_or_insert_with(Box::default)[cast][packet.kind_index()] += 1;
 }
 
 impl<M: Machine + Send + 'static> Actor for MachineActor<M> {
@@ -188,6 +149,7 @@ mod tests {
     use lbrm_core::logger::{Logger, LoggerConfig};
     use lbrm_core::receiver::{Receiver, ReceiverConfig};
     use lbrm_core::sender::{Sender, SenderConfig};
+    use lbrm_sim::stats::SegmentClass;
     use lbrm_sim::topology::{SiteParams, TopologyBuilder};
     use lbrm_sim::world::World;
     use lbrm_wire::{GroupId, SourceId};
@@ -326,10 +288,11 @@ mod tests {
         assert_eq!(rx.deliveries, deliveries);
         assert_eq!(rx.notices, notices);
 
-        let tx = world.actor::<MachineActor<FirstOnly>>(tx_host);
-        assert_eq!(tx.sent_unicast("data"), 2);
-        assert_eq!(tx.sent_multicast("data"), 0);
-        assert_eq!(tx.sent_unicast("no-such-kind"), 0);
+        // Both data sends crossed the shared LAN once, and nothing left
+        // the site.
+        let stats = world.stats();
+        assert_eq!(stats.class_kind(SegmentClass::Lan, "data").carried, 2);
+        assert_eq!(stats.class_total(SegmentClass::TailOut).carried, 0);
     }
 
     /// A receiver that loses a packet (site outage) recovers it from the

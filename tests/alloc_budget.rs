@@ -1,8 +1,10 @@
-//! Heap-allocation budget of the simulator's steady state.
+//! Heap-allocation budgets: the simulator's steady state, and recording
+//! into a metrics registry.
 //!
 //! A counting `#[global_allocator]` over [`System`] wraps the whole test
-//! binary, so this file is its own test target: nothing else may
-//! allocate while the budget is measured. The scenario is the ledger's
+//! binary, so this file is its own test target. It counts per thread: a
+//! measurement sees only what its own test thread allocates, not the
+//! test harness or the other case running beside it. The scenario is the
 //! `sim_dis` shape — 50 sites × 20 receivers, 5 % loss on every inbound
 //! tail circuit, 200 publishes — and only `run_until` is counted, so
 //! building the world and scheduling the publishes are free.
@@ -15,39 +17,53 @@
 //! tightened as that shrinks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use lbrm::core::trace::{CollectorSink, MetricsRegistry, TraceSink};
 use lbrm::harness::{DisScenario, DisScenarioConfig};
 use lbrm::sim::loss::LossModel;
 use lbrm::sim::time::SimTime;
 use lbrm::sim::topology::SiteParams;
 
 /// Counts every `alloc` and `realloc` (including zeroed allocations)
-/// and forwards to the system allocator.
+/// on the calling thread and forwards to the system allocator.
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees carry over; the counter has no
 // effect on the memory handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged (see the impl).
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged (see the impl).
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged (see the impl).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -86,9 +102,9 @@ fn dis_scenario_stays_within_its_allocation_budget() {
     }
     let horizon = SimTime::from_secs(1) + gap * PUBLISHES as u32 + Duration::from_secs(5);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     sc.world.run_until(horizon);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
 
     let events = sc.world.events_processed();
     assert!(events > 100_000, "the scenario ran: {events} events");
@@ -98,4 +114,55 @@ fn dis_scenario_stays_within_its_allocation_budget() {
         per_event <= BUDGET_PER_EVENT,
         "{per_event:.3} allocations per simulator event exceeds the budget of {BUDGET_PER_EVENT}"
     );
+}
+
+/// Counting an event is an atomic add in a slot the event table names,
+/// and a histogram reserves its whole reservoir at its first sample:
+/// once each key has been recorded, recording a lossy run's whole trace
+/// again into the same registry allocates nothing.
+#[test]
+fn recording_into_a_registry_allocates_nothing() {
+    let trace = Arc::new(CollectorSink::default());
+    let mut sc = DisScenario::build_with_sink(
+        DisScenarioConfig {
+            sites: 6,
+            receivers_per_site: 4,
+            site_params: SiteParams {
+                tail_in_loss: LossModel::rate(0.08),
+                ..SiteParams::distant()
+            },
+            seed: 4242,
+            ..DisScenarioConfig::default()
+        },
+        Some(trace.clone()),
+    );
+    for i in 0..20 {
+        sc.send_at(SimTime::from_millis(1_000 + 400 * i), format!("update-{i}"));
+    }
+    sc.world.run_until(SimTime::from_secs(60));
+    let records = trace.take();
+
+    let registry = MetricsRegistry::default();
+    let mut keys = BTreeSet::new();
+    for r in &records {
+        if keys.insert(r.event.key()) {
+            registry.record(r.at_nanos, r.host, &r.event);
+        }
+    }
+    assert!(
+        keys.contains("recovered"),
+        "the run fed a histogram: {keys:?}"
+    );
+
+    let before = allocs();
+    for r in &records {
+        registry.record(r.at_nanos, r.host, &r.event);
+    }
+    let allocs = allocs() - before;
+    println!(
+        "alloc_budget: {allocs} allocations over {} records of {} keys",
+        records.len(),
+        keys.len()
+    );
+    assert_eq!(allocs, 0, "recording into a registry allocated");
 }
