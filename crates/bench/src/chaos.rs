@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lbrm::harness::{DisScenario, DisScenarioConfig, MachineActor};
-use lbrm_core::logger::{Logger, LoggerConfig};
+use lbrm_core::logger::Logger;
 use lbrm_core::machine::Notice;
 use lbrm_core::sender::Sender;
 use lbrm_core::trace::analyze::{analyze, AnalyzeConfig, CollectorSink, RecoveryReport};
@@ -129,12 +129,10 @@ impl ChaosOutcome {
 fn restart_replica(sc: &mut DisScenario, host: lbrm_wire::HostId, sink: Arc<dyn TraceSink>) {
     let current = sc
         .world
-        .actor::<MachineActor<Sender>>(sc.src_host)
+        .actor::<MachineActor<Sender>>(sc.plan.src_host)
         .machine()
         .primary();
-    let mut cfg = LoggerConfig::replica(sc.group, sc.source, host, current, sc.src_host);
-    cfg.replicas = sc.replicas.iter().copied().filter(|&x| x != host).collect();
-    let mut lg = Logger::new(cfg);
+    let mut lg = Logger::new(sc.plan.replica(host, current));
     lg.set_tracer(Tracer::to(sink));
     sc.world.restart(host, MachineActor::new(lg, vec![]));
 }
@@ -158,7 +156,7 @@ pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
         // must elect a replica and receivers must finish recovery there.
         "primary-crash" => {
             sc.world.run_until(SimTime::from_millis(2_100));
-            sc.world.crash(sc.primary);
+            sc.world.crash(sc.plan.primary);
         }
         // Only the old primary is cut off — sender, replicas, and every
         // receiver stay on the majority side, elect a new term, and
@@ -166,7 +164,7 @@ pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
         // must converge (step down), not double-serve.
         "partition-stale-primary" => {
             sc.world.run_until(SimTime::from_millis(2_100));
-            sc.world.partition(&[sc.primary]);
+            sc.world.partition(&[sc.plan.primary]);
             sc.world.run_until(SimTime::from_secs(8));
             sc.world.heal();
         }
@@ -174,8 +172,8 @@ pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
         // still form a quorum (2 of 3) at the election timeout.
         "primary-replica-crash" => {
             sc.world.run_until(SimTime::from_millis(2_100));
-            sc.world.crash(sc.primary);
-            sc.world.crash(sc.replicas[0]);
+            sc.world.crash(sc.plan.primary);
+            sc.world.crash(sc.plan.replicas[0]);
         }
         // A replica dies, the primary dies, a new term is elected among
         // the survivors — then the lost replica comes back as a fresh
@@ -183,11 +181,11 @@ pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
         // leadership.
         "replica-rejoin" => {
             sc.world.run_until(SimTime::from_millis(1_500));
-            sc.world.crash(sc.replicas[0]);
+            sc.world.crash(sc.plan.replicas[0]);
             sc.world.run_until(SimTime::from_millis(2_100));
-            sc.world.crash(sc.primary);
+            sc.world.crash(sc.plan.primary);
             sc.world.run_until(SimTime::from_secs(10));
-            let rejoined = sc.replicas[0];
+            let rejoined = sc.plan.replicas[0];
             restart_replica(&mut sc, rejoined, collector.clone());
         }
         // Repeated crash/re-elect churn: the first elected leader dies
@@ -195,7 +193,7 @@ pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
         // buffer re-triggers detection — forcing a second, higher term.
         "crash-churn" => {
             sc.world.run_until(SimTime::from_millis(2_100));
-            sc.world.crash(sc.primary);
+            sc.world.crash(sc.plan.primary);
             // Advance in fixed steps (identical event processing to one
             // big run) until the first election commits, then kill the
             // new leader mid-stream.
@@ -204,15 +202,15 @@ pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
                 sc.world.run_until(SimTime::from_millis(t));
                 let p = sc
                     .world
-                    .actor::<MachineActor<Sender>>(sc.src_host)
+                    .actor::<MachineActor<Sender>>(sc.plan.src_host)
                     .machine()
                     .primary();
-                if p != sc.primary || t >= 8_000 {
+                if p != sc.plan.primary || t >= 8_000 {
                     break p;
                 }
                 t += 250;
             };
-            if first != sc.primary {
+            if first != sc.plan.primary {
                 sc.world.crash(first);
             }
         }
@@ -223,7 +221,7 @@ pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
     let records = collector.take();
     let report = analyze(&records, &AnalyzeConfig::default());
     let expect: Vec<u32> = (1..=PACKETS as u32).collect();
-    let sender = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
     let elections = sender
         .notices
         .iter()

@@ -45,13 +45,13 @@ pub fn detection_delay(t_burst: Duration, seed: u64) -> (Duration, Duration) {
     sc.world
         .run_until(SimTime::from_secs(10) + t_burst * 4 + Duration::from_secs(40));
 
-    let rx_host = sc.receivers[0][0];
+    let rx_host = sc.plan.receivers[0][0];
     let rx = sc.world.actor::<MachineActor<Receiver>>(rx_host);
     let would_arrive = SimTime::from_nanos(
         send_at.nanos()
             + sc.world
                 .topology()
-                .base_latency(sc.src_host, rx_host)
+                .base_latency(sc.plan.src_host, rx_host)
                 .as_nanos() as u64,
     );
     let detected_at = rx

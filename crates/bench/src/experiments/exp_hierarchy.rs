@@ -43,7 +43,7 @@ pub fn run_level(
     sc.send_at(SimTime::from_secs(5), "two");
     sc.send_at(SimTime::from_secs(9), "three");
     sc.world.run_until(SimTime::from_secs(40));
-    let source_site = sc.world.topology().site_of(sc.primary);
+    let source_site = sc.world.topology().site_of(sc.plan.primary);
     let nacks = sc
         .world
         .stats()

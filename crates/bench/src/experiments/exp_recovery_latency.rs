@@ -49,7 +49,7 @@ pub fn run_variant(distributed: bool, seed: u64) -> Vec<Duration> {
     // Five receivers at site 0 are deaf exactly while #2 is delivered —
     // receiver-local loss: everyone else (including the site's secondary
     // logger) has the packet.
-    let victims: Vec<_> = sc.receivers[0].iter().copied().take(5).collect();
+    let victims: Vec<_> = sc.plan.receivers[0].iter().copied().take(5).collect();
     sc.world.run_until(SimTime::from_millis(4_900));
     for &v in &victims {
         sc.world.crash(v);

@@ -34,7 +34,7 @@ pub fn run_once(victims: usize, seed: u64) -> (u64, u64) {
     sc.send_at(SimTime::from_secs(5), "two");
     sc.send_at(SimTime::from_secs(9), "three");
 
-    let targets: Vec<_> = sc.receivers[0].iter().copied().take(victims).collect();
+    let targets: Vec<_> = sc.plan.receivers[0].iter().copied().take(victims).collect();
     sc.world.run_until(SimTime::from_millis(4_900));
     for &v in &targets {
         sc.world.crash(v);

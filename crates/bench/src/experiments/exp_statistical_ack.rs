@@ -62,7 +62,7 @@ pub fn run_variant(sites: usize, statack: bool, seed: u64) -> StatAckOutcome {
     sc.send_at(SimTime::from_secs(9), "three");
     sc.world.run_until(SimTime::from_secs(30));
 
-    let sender = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
     let remulticasts = sender
         .notices
         .iter()

@@ -94,7 +94,7 @@ pub fn run_lbrm(sites: usize, receivers: usize, seed: u64) -> BabyOutcome {
     for i in 0..SENDS {
         sc.send_at(SimTime::from_secs(2 + i), format!("update-{i}"));
     }
-    let baby = sc.receivers[0][0];
+    let baby = sc.plan.receivers[0][0];
     run_with_crashes(&mut sc, baby, |w, h, down| {
         if down {
             w.world.crash(h)
@@ -123,7 +123,6 @@ pub fn run_srm(sites: usize, receivers: usize, seed: u64) -> BabyOutcome {
         receivers_per_site: receivers,
         site_params: SiteParams::distant(),
         seed,
-        ..SrmScenarioConfig::default()
     });
     for i in 0..SENDS {
         sc.send_at(SimTime::from_secs(2 + i), format!("update-{i}"));

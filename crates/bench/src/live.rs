@@ -1,7 +1,8 @@
 //! Live doctor scenario: real UDP endpoints with a sidecar attached.
 //!
 //! This is the workload behind `trace_doctor --live`: a sender, a
-//! primary logger, and N receivers run as real endpoint threads (UDP
+//! primary logger, and N receivers, placed by one centralized
+//! [`GroupPlan`], run as real endpoint threads (UDP
 //! multicast on loopback when the environment allows it, the in-process
 //! [`Hub`] otherwise), with every receiver's transport wrapped in a
 //! seeded [`LossyTransport`] so NACK recovery actually happens. All
@@ -10,24 +11,21 @@
 //! optional capture — and an optional [`AdminServer`] answers HTTP on
 //! the side while the traffic flows.
 
+use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use lbrm::net::{Endpoint, EndpointEvent, GroupMap, Hub, LossyTransport, Transport, UdpTransport};
-use lbrm_core::logger::{Logger, LoggerConfig};
-use lbrm_core::receiver::{Receiver, ReceiverConfig};
-use lbrm_core::sender::{Sender, SenderConfig};
+use lbrm::harness::{DisScenario, DisScenarioConfig, GroupPlan, Role};
+use lbrm::net::{EndpointEvent, GroupMap, Hub, LossyTransport, Transport, UdpTransport};
+use lbrm_core::sender::Sender;
 use lbrm_core::trace::doctor::{DoctorFinish, DoctorHandle};
 use lbrm_core::trace::{
     AdminServer, DoctorConfig, DoctorSidecar, FanoutSink, MetricsRegistry, TraceSink, Tracer,
 };
-use lbrm_wire::{GroupId, HostId, SourceId};
-
-const GROUP: GroupId = GroupId(9);
-const SRC: SourceId = SourceId(1);
+use lbrm_wire::HostId;
 
 /// Tunables for one live run.
 pub struct LiveOptions {
@@ -103,6 +101,7 @@ pub struct LiveOutcome {
 struct DriveStats {
     delivered: u64,
     recovered: u64,
+    induced_drops: u64,
 }
 
 /// Runs the scenario, invoking `during` once while traffic is in
@@ -139,47 +138,44 @@ pub fn run_live(opts: LiveOptions, during: impl FnOnce(&LiveAir)) -> std::io::Re
         doctor: sidecar.handle(),
         admin_addr: admin.as_ref().map(AdminServer::local_addr),
     };
-    let origin = Instant::now();
-    let mut during = Some(during);
-    let mut induced: Vec<Arc<AtomicU64>> = Vec::new();
+    let during = || during(&air);
 
-    let mut transport = "hub";
-    let mut stats = None;
-    if !opts.use_hub {
-        if let Some((s, l, rs)) = bind_udp(&opts, &registry, &mut induced) {
-            transport = "udp";
-            stats = Some(drive(s, l, rs, &tracer, origin, &opts, || {
-                if let Some(f) = during.take() {
-                    f(&air);
-                }
-            }));
-        } else {
+    // The group: one sender, one primary logger, `receivers` receivers.
+    let config = DisScenarioConfig {
+        sites: 1,
+        receivers_per_site: opts.receivers,
+        secondary_loggers: false,
+        ..DisScenarioConfig::default()
+    };
+    // Placed once on hub ids 1, 2, ... to count its hosts; the hub run
+    // keeps those ids, a UDP run re-places it on the bound sockets.
+    let mut hosts = 0;
+    GroupPlan::place(&config, |_| {
+        hosts += 1;
+        HostId(hosts)
+    });
+    let udp = if opts.use_hub {
+        None
+    } else {
+        let bound = bind_udp(&opts, hosts);
+        if bound.is_none() {
             eprintln!("live doctor: UDP multicast unavailable, using in-process hub");
         }
-    }
-    let stats = match stats {
-        Some(s) => s,
+        bound
+    };
+    let (transport, stats) = match udp {
+        Some(transports) => {
+            // Every transport is bound before any row is attached, so a
+            // failed bind leaves no rows behind for the hub run.
+            for t in &transports {
+                t.attach_gauges(&registry);
+            }
+            ("udp", drive(&config, transports, &tracer, &opts, during))
+        }
         None => {
-            induced.clear();
             let hub = Hub::new();
-            let sender_t = hub.attach(HostId(1));
-            let logger_t = hub.attach(HostId(2));
-            let rxs: Vec<_> = (0..opts.receivers)
-                .map(|i| {
-                    let lossy = LossyTransport::new(
-                        hub.attach(HostId(3 + i as u64)),
-                        opts.loss,
-                        rx_seed(opts.seed, i),
-                    );
-                    induced.push(lossy.shared_dropped());
-                    lossy
-                })
-                .collect();
-            drive(sender_t, logger_t, rxs, &tracer, origin, &opts, || {
-                if let Some(f) = during.take() {
-                    f(&air);
-                }
-            })
+            let transports = (1..=hosts).map(|h| hub.attach(HostId(h))).collect();
+            ("hub", drive(&config, transports, &tracer, &opts, during))
         }
     };
 
@@ -188,7 +184,7 @@ pub fn run_live(opts: LiveOptions, during: impl FnOnce(&LiveAir)) -> std::io::Re
         finish,
         delivered: stats.delivered,
         recovered: stats.recovered,
-        induced_drops: induced.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
+        induced_drops: stats.induced_drops,
         transport,
         registry,
         admin,
@@ -201,94 +197,61 @@ fn rx_seed(seed: u64, i: usize) -> u64 {
     seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Binds all UDP transports, probing that multicast join actually works
-/// here; attaches each endpoint's receive *and* send rows to `registry`,
-/// so `/stats` exposes the live datagrams-vs-packets ratio (the bundling
-/// savings) per endpoint. `None` means "this environment can't do it —
-/// use the hub".
-fn bind_udp(
-    opts: &LiveOptions,
-    registry: &MetricsRegistry,
-    induced: &mut Vec<Arc<AtomicU64>>,
-) -> Option<(
-    UdpTransport,
-    UdpTransport,
-    Vec<LossyTransport<UdpTransport>>,
-)> {
-    let bind = || UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(opts.port)).ok();
-    let probe = |t: &mut UdpTransport| t.join(GROUP).is_ok();
-
-    let sender_t = bind()?;
-    let mut logger_t = bind()?;
-    if !probe(&mut logger_t) {
-        return None;
-    }
-    sender_t.attach_gauges(registry);
-    logger_t.attach_gauges(registry);
-    let mut rxs = Vec::with_capacity(opts.receivers);
-    for i in 0..opts.receivers {
-        let t = bind()?;
-        t.attach_gauges(registry);
-        let lossy = LossyTransport::new(t, opts.loss, rx_seed(opts.seed, i));
-        induced.push(lossy.shared_dropped());
-        rxs.push(lossy);
-    }
-    Some((sender_t, logger_t, rxs))
+/// Binds `count` UDP transports, probing that multicast join actually
+/// works here. `None` means "this environment can't do it — use the
+/// hub".
+fn bind_udp(opts: &LiveOptions, count: u64) -> Option<Vec<UdpTransport>> {
+    let mut transports = (0..count)
+        .map(|_| UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(opts.port)).ok())
+        .collect::<Option<Vec<_>>>()?;
+    let probe = transports.first_mut()?;
+    probe.join(DisScenario::GROUP).ok()?;
+    probe.leave(DisScenario::GROUP).ok()?;
+    Some(transports)
 }
 
-/// Spawns the endpoints, publishes the traffic, and shuts everything
-/// down cleanly; transport-agnostic.
-fn drive<S: Transport, L: Transport, R: Transport>(
-    sender_t: S,
-    logger_t: L,
-    rx_ts: Vec<R>,
+/// Places `config`'s group on the hosts of `transports`, spawns its
+/// endpoints (each receiver's transport behind its own seeded lossy
+/// wrapper), publishes the traffic, and shuts everything down cleanly;
+/// transport-agnostic.
+fn drive<T: Transport>(
+    config: &DisScenarioConfig,
+    transports: Vec<T>,
     tracer: &Tracer,
-    origin: Instant,
     opts: &LiveOptions,
     during: impl FnOnce(),
 ) -> DriveStats {
-    let src_host = sender_t.local_host();
-    let log_host = logger_t.local_host();
-    let mut endpoints = Vec::new();
-
-    let (mut ep, sender) = Endpoint::new(
-        Sender::new(SenderConfig::new(GROUP, SRC, src_host, log_host)),
-        sender_t,
-        vec![],
+    let mut hosts = transports.iter().map(Transport::local_host);
+    let plan = GroupPlan::place(config, |_| {
+        hosts.next().expect("one transport per planned host")
+    });
+    let mut transports: BTreeMap<HostId, T> = transports
+        .into_iter()
+        .map(|t| (t.local_host(), t))
+        .collect();
+    let mut induced = Vec::new();
+    let group = plan.spawn(
+        |role| {
+            let t = transports
+                .remove(&role.host())
+                .expect("one transport per planned host");
+            // Only receivers lose data; the others' wrappers drop nothing.
+            if !matches!(role, Role::Receiver(_)) {
+                return LossyTransport::new(t, 0.0, 0);
+            }
+            let lossy = LossyTransport::new(t, opts.loss, rx_seed(opts.seed, induced.len()));
+            induced.push(lossy.shared_dropped());
+            lossy
+        },
+        |_| tracer.clone(),
+        Instant::now(),
     );
-    ep.set_tracer(tracer.clone());
-    ep.set_origin(origin);
-    endpoints.push(ep.spawn());
-
-    let (mut ep, logger) = Endpoint::new(
-        Logger::new(LoggerConfig::primary(GROUP, SRC, log_host, src_host)),
-        logger_t,
-        vec![GROUP],
-    );
-    ep.set_tracer(tracer.clone());
-    ep.set_origin(origin);
-    endpoints.push(ep.spawn());
 
     let delivered = Arc::new(AtomicU64::new(0));
     let recovered = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let mut collectors = Vec::new();
-    for rx_t in rx_ts {
-        let rx_host = rx_t.local_host();
-        let (mut ep, mut handle) = Endpoint::new(
-            Receiver::new(ReceiverConfig::new(
-                GROUP,
-                SRC,
-                rx_host,
-                src_host,
-                vec![log_host],
-            )),
-            rx_t,
-            vec![GROUP],
-        );
-        ep.set_tracer(tracer.clone());
-        ep.set_origin(origin);
-        endpoints.push(ep.spawn());
+    for (_, mut handle) in group.receivers {
         let (d, r, s) = (
             Arc::clone(&delivered),
             Arc::clone(&recovered),
@@ -314,7 +277,9 @@ fn drive<S: Transport, L: Transport, R: Transport>(
     std::thread::sleep(Duration::from_millis(100));
     for i in 0..opts.packets {
         let payload = Bytes::from(format!("live-{i}").into_bytes());
-        let _ = sender.call(move |s: &mut Sender, now, out| s.send(now, payload, out));
+        let _ = group
+            .sender
+            .call(move |s: &mut Sender, now, out| s.send(now, payload, out));
         std::thread::sleep(opts.spacing);
     }
 
@@ -333,13 +298,14 @@ fn drive<S: Transport, L: Transport, R: Transport>(
     for c in collectors {
         let _ = c.join();
     }
-    drop(sender);
-    drop(logger);
-    for ep in endpoints {
-        let _ = ep.join();
+    drop(group.sender);
+    drop(group.loggers);
+    for t in group.threads {
+        let _ = t.join();
     }
     DriveStats {
         delivered: delivered.load(Ordering::Relaxed),
         recovered: recovered.load(Ordering::Relaxed),
+        induced_drops: induced.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
     }
 }

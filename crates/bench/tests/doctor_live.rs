@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lbrm_bench::doctor::replay_jsonl;
-use lbrm_bench::live::{run_live, LiveOptions};
+use lbrm_bench::live::{run_live, LiveOptions, LiveOutcome};
 use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig, RecoveryReport};
 use lbrm_core::trace::{DoctorConfig, JsonLinesSink, OnlineConfig, TraceSink};
 
@@ -89,6 +89,21 @@ fn assert_reports_identical(got: &RecoveryReport, want: &RecoveryReport) {
     );
 }
 
+/// Every receiver got every packet, and exactly the induced losses
+/// arrived by recovery.
+fn assert_delivered_everything(outcome: &LiveOutcome, packets_times_receivers: u64) {
+    assert_eq!(
+        outcome.delivered, packets_times_receivers,
+        "deliveries over {}",
+        outcome.transport
+    );
+    assert_eq!(
+        outcome.recovered, outcome.induced_drops,
+        "recoveries over {}",
+        outcome.transport
+    );
+}
+
 #[test]
 fn live_admin_routes_answer_in_flight_and_match_batch() {
     let capture = Arc::new(JsonLinesSink::buffered());
@@ -130,11 +145,7 @@ fn live_admin_routes_answer_in_flight_and_match_batch() {
     })
     .expect("live run");
 
-    assert!(
-        outcome.delivered > 0,
-        "no deliveries over {}",
-        outcome.transport
-    );
+    assert_delivered_everything(&outcome, 12 * 2);
     assert_eq!(
         outcome.finish.dropped_events, 0,
         "recv loops must never have blocked or overflowed the sink"
@@ -213,11 +224,7 @@ fn live_bundled_run_publishes_send_gauges() {
     })
     .expect("live run");
 
-    assert!(
-        outcome.delivered > 0,
-        "no deliveries over {}",
-        outcome.transport
-    );
+    assert_delivered_everything(&outcome, 15 * 2);
     if outcome.transport != "udp" {
         eprintln!("live bundled run: hub fallback, send gauges not exercised");
         return;

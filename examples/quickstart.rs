@@ -11,107 +11,54 @@
 //! cargo run --example quickstart
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
-use lbrm::core::logger::{Logger, LoggerConfig};
 use lbrm::core::machine::Notice;
-use lbrm::core::receiver::{Receiver, ReceiverConfig};
-use lbrm::core::sender::{Sender, SenderConfig};
-use lbrm::harness::MachineActor;
+use lbrm::core::receiver::Receiver;
+use lbrm::harness::{DisScenario, DisScenarioConfig, MachineActor};
 use lbrm::sim::loss::LossModel;
 use lbrm::sim::time::SimTime;
-use lbrm::sim::topology::{SiteParams, TopologyBuilder};
-use lbrm::sim::world::World;
-use lbrm::wire::{GroupId, SourceId};
+use lbrm::sim::topology::SiteParams;
 
 fn main() {
-    let group = GroupId(1);
-    let source = SourceId(1);
-
-    // ---- topology: source site + two receiver sites --------------------
-    let mut b = TopologyBuilder::new();
-    let source_site = b.site(SiteParams::distant());
-    let src_host = b.host(source_site);
-    let primary = b.host(source_site);
-
-    let site_a = b.site(SiteParams::distant());
-    let sec_a = b.host(site_a);
-    let rx_a = b.hosts(site_a, 3);
-
-    // Site B's inbound tail circuit is down 4.95 s – 5.25 s: it will
-    // lose the second update (sent at t = 5 s).
-    let site_b = b.site(SiteParams {
-        tail_in_loss: LossModel::outage(SimTime::from_millis(4_950), Duration::from_millis(300)),
-        ..SiteParams::distant()
-    });
-    let sec_b = b.host(site_b);
-    let rx_b = b.hosts(site_b, 3);
-
-    let mut world = World::new(b.build(), 2026);
-
-    // ---- logging hierarchy ---------------------------------------------
-    world.add_actor(
-        primary,
-        MachineActor::new(
-            Logger::new(LoggerConfig::primary(group, source, primary, src_host)),
-            vec![group],
-        ),
-    );
-    for sec in [sec_a, sec_b] {
-        world.add_actor(
-            sec,
-            MachineActor::new(
-                Logger::new(LoggerConfig::secondary(
-                    group, source, sec, primary, src_host,
-                )),
-                vec![group],
-            ),
-        );
-    }
-
-    // ---- receivers: recover from the site secondary, then the primary --
-    let mut receivers = Vec::new();
-    for (sec, rxs) in [(sec_a, &rx_a), (sec_b, &rx_b)] {
-        for &rx in rxs {
-            world.add_actor(
-                rx,
-                MachineActor::new(
-                    Receiver::new(ReceiverConfig::new(
-                        group,
-                        source,
-                        rx,
-                        src_host,
-                        vec![sec, primary],
-                    )),
-                    vec![group],
+    // ---- the group: source site + two receiver sites --------------------
+    // The harness places the sender and primary at the source site and a
+    // secondary logger plus three receivers at each receiver site;
+    // receivers recover from their site's secondary, then the primary.
+    let mut sc = DisScenario::build(DisScenarioConfig {
+        sites: 2,
+        receivers_per_site: 3,
+        // Site B's inbound tail circuit is down 4.95 s – 5.25 s: it will
+        // lose the second update (sent at t = 5 s).
+        site_params_for: Some(Arc::new(|site| match site {
+            1 => SiteParams {
+                tail_in_loss: LossModel::outage(
+                    SimTime::from_millis(4_950),
+                    Duration::from_millis(300),
                 ),
-            );
-            receivers.push(rx);
-        }
-    }
+                ..SiteParams::distant()
+            },
+            _ => SiteParams::distant(),
+        })),
+        seed: 2026,
+        ..DisScenarioConfig::default()
+    });
 
     // ---- the source: three updates, seconds apart -----------------------
-    let mut sender = MachineActor::new(
-        Sender::new(SenderConfig::new(group, source, src_host, primary)),
-        vec![],
-    );
     for (i, at) in [1u64, 5, 9].iter().enumerate() {
-        let payload = Bytes::from(format!("terrain-update-{}", i + 1));
-        sender.schedule(SimTime::from_secs(*at), move |s: &mut Sender, now, out| {
-            s.send(now, payload.clone(), out);
-        });
+        sc.send_at(SimTime::from_secs(*at), format!("terrain-update-{}", i + 1));
     }
-    world.add_actor(src_host, sender);
 
     // ---- run -------------------------------------------------------------
-    world.run_until(SimTime::from_secs(20));
+    sc.world.run_until(SimTime::from_secs(20));
+    let world = &sc.world;
 
     // ---- report ----------------------------------------------------------
     println!(
         "LBRM quickstart — 1 source, 1 primary logger, 2 sites x (1 secondary + 3 receivers)\n"
     );
-    for &rx in &receivers {
+    for rx in sc.all_receivers() {
         let a = world.actor::<MachineActor<Receiver>>(rx);
         let site = world.topology().site_of(rx);
         print!("receiver {rx} ({site}): delivered [");

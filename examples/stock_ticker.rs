@@ -11,49 +11,42 @@
 //! cargo run --example stock_ticker
 //! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lbrm::apps::quotes::{QuoteBoard, QuoteFeed};
-use lbrm::core::logger::{Logger, LoggerConfig};
-use lbrm::core::receiver::{Receiver, ReceiverConfig};
-use lbrm::core::sender::{Sender, SenderConfig};
-use lbrm::net::{Endpoint, EndpointEvent, Hub};
-use lbrm::wire::{GroupId, HostId, SourceId};
-
-const GROUP: GroupId = GroupId(3);
-const SRC: SourceId = SourceId(1);
-const FEED: HostId = HostId(1);
-const LOGGER: HostId = HostId(2);
-const DESK_A: HostId = HostId(10);
-const DESK_B: HostId = HostId(11);
+use lbrm::core::sender::Sender;
+use lbrm::core::trace::Tracer;
+use lbrm::harness::{DisScenarioConfig, GroupPlan};
+use lbrm::net::{EndpointEvent, Hub};
+use lbrm::wire::HostId;
 
 fn main() {
+    // The feed, one logging server and two broker desks, on hub hosts
+    // h1, h2, ...
+    let config = DisScenarioConfig {
+        sites: 1,
+        receivers_per_site: 2,
+        secondary_loggers: false,
+        ..DisScenarioConfig::default()
+    };
+    let mut hosts = 0;
+    let plan = GroupPlan::place(&config, |_| {
+        hosts += 1;
+        HostId(hosts)
+    });
     let hub = Hub::new();
-
-    let (ep, feed_handle) = Endpoint::new(
-        Sender::new(SenderConfig::new(GROUP, SRC, FEED, LOGGER)),
-        hub.attach(FEED),
-        vec![],
+    let group = plan.spawn(
+        |role| hub.attach(role.host()),
+        |_| Tracer::disabled(),
+        Instant::now(),
     );
-    ep.spawn();
-
-    let (ep, _logger) = Endpoint::new(
-        Logger::new(LoggerConfig::primary(GROUP, SRC, LOGGER, FEED)),
-        hub.attach(LOGGER),
-        vec![GROUP],
-    );
-    ep.spawn();
-
-    let mut desks = Vec::new();
-    for host in [DESK_A, DESK_B] {
-        let (ep, handle) = Endpoint::new(
-            Receiver::new(ReceiverConfig::new(GROUP, SRC, host, FEED, vec![LOGGER])),
-            hub.attach(host),
-            vec![GROUP],
-        );
-        ep.spawn();
-        desks.push((host, handle, QuoteBoard::new()));
-    }
+    let feed_handle = &group.sender;
+    let desk_b = plan.receivers[0][1];
+    let mut desks: Vec<_> = group
+        .receivers
+        .into_iter()
+        .map(|(host, handle)| (host, handle, QuoteBoard::new()))
+        .collect();
     // Let everyone join before the first quote.
     std::thread::sleep(Duration::from_millis(20));
 
@@ -70,16 +63,16 @@ fn main() {
     for (i, quotes) in rounds.iter().enumerate() {
         if i == 1 {
             println!("-- desk B loses connectivity --");
-            hub.set_partitioned(DESK_B, true);
+            hub.set_partitioned(desk_b, true);
         }
         for &(symbol, cents) in *quotes {
             let sym = symbol.to_owned();
-            feed_send(&feed_handle, &mut feed, sym, cents);
+            feed_send(feed_handle, &mut feed, sym, cents);
         }
         std::thread::sleep(Duration::from_millis(60));
         if i == 1 {
             println!("-- desk B reconnects --");
-            hub.set_partitioned(DESK_B, false);
+            hub.set_partitioned(desk_b, false);
         }
     }
 

@@ -11,106 +11,62 @@
 //! cargo run --example terrain_dis
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use lbrm::apps::terrain::{EntityState, TerrainEntity, TerrainView};
-use lbrm::core::logger::{Logger, LoggerConfig};
-use lbrm::core::receiver::{Receiver, ReceiverConfig};
-use lbrm::core::sender::{Sender, SenderConfig};
-use lbrm::harness::MachineActor;
+use lbrm::core::receiver::Receiver;
+use lbrm::core::sender::Sender;
+use lbrm::harness::{call_at, DisScenario, DisScenarioConfig, MachineActor};
 use lbrm::sim::loss::LossModel;
 use lbrm::sim::time::SimTime;
-use lbrm::sim::topology::{SiteParams, TopologyBuilder};
+use lbrm::sim::topology::SiteParams;
 use lbrm::sim::world::World;
-use lbrm::wire::{GroupId, HostId, SourceId};
+use lbrm::wire::HostId;
 
 const BRIDGE: u64 = 4242;
 
 fn main() {
-    let group = GroupId(7);
-    let source = SourceId(BRIDGE);
-
-    let mut b = TopologyBuilder::new();
-    let hq = b.site(SiteParams::distant());
-    let src_host = b.host(hq);
-    let primary = b.host(hq);
-
-    let mut sites = Vec::new();
-    for i in 0..3 {
-        let params = if i == 1 {
-            // Site 1 is congested exactly when the bridge blows up.
-            SiteParams {
+    // Three sites, each with a secondary logger and one tank.
+    let mut sc = DisScenario::build(DisScenarioConfig {
+        sites: 3,
+        receivers_per_site: 1,
+        // Site 1 is congested exactly when the bridge blows up.
+        site_params_for: Some(Arc::new(|site| match site {
+            1 => SiteParams {
                 tail_in_loss: LossModel::outage(
                     SimTime::from_millis(59_900),
                     Duration::from_millis(400),
                 ),
                 ..SiteParams::distant()
-            }
-        } else {
-            SiteParams::distant()
-        };
-        let site = b.site(params);
-        let sec = b.host(site);
-        let tank = b.host(site);
-        sites.push((site, sec, tank));
-    }
-    let mut world = World::new(b.build(), 1995);
-
-    world.add_actor(
-        primary,
-        MachineActor::new(
-            Logger::new(LoggerConfig::primary(group, source, primary, src_host)),
-            vec![group],
-        ),
-    );
-    for &(_, sec, tank) in &sites {
-        world.add_actor(
-            sec,
-            MachineActor::new(
-                Logger::new(LoggerConfig::secondary(
-                    group, source, sec, primary, src_host,
-                )),
-                vec![group],
-            ),
-        );
-        world.add_actor(
-            tank,
-            MachineActor::new(
-                Receiver::new(ReceiverConfig::new(
-                    group,
-                    source,
-                    tank,
-                    src_host,
-                    vec![sec, primary],
-                )),
-                vec![group],
-            ),
-        );
-    }
+            },
+            _ => SiteParams::distant(),
+        })),
+        ..DisScenarioConfig::default()
+    });
+    let tanks = sc.all_receivers();
 
     // The bridge: intact at t = 10 s (initial announcement), destroyed
     // at t = 60 s.
-    let mut sender = MachineActor::new(
-        Sender::new(SenderConfig::new(group, source, src_host, primary)),
-        vec![],
-    );
-    sender.schedule(SimTime::from_secs(10), |s: &mut Sender, now, out| {
-        let mut bridge = TerrainEntity::new(BRIDGE);
-        bridge.transition(s, now, EntityState::Intact, out);
-    });
-    sender.schedule(SimTime::from_secs(60), |s: &mut Sender, now, out| {
-        let mut bridge = TerrainEntity::new(BRIDGE);
-        bridge.transition(s, now, EntityState::Destroyed, out);
-    });
-    world.add_actor(src_host, sender);
+    for (at, state) in [(10, EntityState::Intact), (60, EntityState::Destroyed)] {
+        call_at(
+            &mut sc.world,
+            sc.plan.src_host,
+            SimTime::from_secs(at),
+            move |s: &mut Sender, now, out| {
+                TerrainEntity::new(BRIDGE).transition(s, now, state, out);
+            },
+        );
+    }
+    let world = &mut sc.world;
 
     // Probe each tank's view as the exercise unfolds.
     let mut report = Vec::new();
     for probe_at in [30u64, 61, 62, 75] {
         world.run_until(SimTime::from_secs(probe_at));
         let mut row = format!("t = {probe_at:>3} s:");
-        for (i, &(_, _, tank)) in sites.iter().enumerate() {
-            let view = tank_view(&world, tank);
+        for (i, &tank) in tanks.iter().enumerate() {
+            let view = tank_view(world, tank);
             let passable = view.passable(BRIDGE);
             row.push_str(&format!(
                 "  site{} tank: {:<9} cross? {}",
@@ -129,8 +85,7 @@ fn main() {
     }
 
     // How did site1's tank learn the truth?
-    let (_, _, tank1) = sites[1];
-    let a = world.actor::<MachineActor<Receiver>>(tank1);
+    let a = world.actor::<MachineActor<Receiver>>(tanks[1]);
     println!("\nsite1 tank event log:");
     for (at, n) in &a.notices {
         println!("  {at}  {n:?}");

@@ -10,66 +10,59 @@
 //! ```
 
 use std::net::Ipv4Addr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use lbrm::core::logger::{Logger, LoggerConfig};
-use lbrm::core::receiver::{Receiver, ReceiverConfig};
-use lbrm::core::sender::{Sender, SenderConfig};
-use lbrm::net::{Endpoint, EndpointEvent, GroupMap, Transport, UdpTransport};
-use lbrm::wire::{GroupId, SourceId};
-
-const GROUP: GroupId = GroupId(1);
-const SRC: SourceId = SourceId(1);
+use lbrm::core::sender::Sender;
+use lbrm::core::trace::Tracer;
+use lbrm::harness::{DisScenario, DisScenarioConfig, GroupPlan};
+use lbrm::net::{addr_of, EndpointEvent, GroupMap, Transport, UdpTransport};
 
 fn main() {
     let port = 49_195;
-    let bind = |_: &str| UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(port));
-
-    let tx_t = match bind("sender") {
-        Ok(t) => t,
-        Err(e) => {
-            return println!("UDP unavailable here ({e}); try `cargo run --example quickstart`")
+    let mut transports = Vec::new();
+    for _ in 0..3 {
+        match UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(port)) {
+            Ok(t) => transports.push(t),
+            Err(e) => {
+                return println!("UDP unavailable here ({e}); try `cargo run --example quickstart`")
+            }
         }
-    };
-    let mut log_t = bind("logger").expect("bind logger");
-    let mut rx_t = bind("receiver").expect("bind receiver");
-    if let Err(e) = log_t.join(GROUP).and_then(|()| rx_t.join(GROUP)) {
+    }
+    let group = DisScenario::GROUP;
+    if let Err(e) = transports[0]
+        .join(group)
+        .and_then(|()| transports[0].leave(group))
+    {
         return println!("multicast join failed ({e}); try `cargo run --example quickstart`");
     }
 
-    let src_host = tx_t.local_host();
-    let log_host = log_t.local_host();
-    println!("sender   at {}", tx_t.local_addr());
-    println!("logger   at {}", log_t.local_addr());
-    println!("receiver at {}", rx_t.local_addr());
+    // One sender, one primary logger and one receiver, placed on the
+    // sockets' addresses.
+    let config = DisScenarioConfig {
+        sites: 1,
+        receivers_per_site: 1,
+        secondary_loggers: false,
+        ..DisScenarioConfig::default()
+    };
+    let mut hosts = transports.iter().map(Transport::local_host);
+    let plan = GroupPlan::place(&config, |_| hosts.next().expect("three sockets"));
+    println!("sender   at {}", addr_of(plan.src_host));
+    println!("logger   at {}", addr_of(plan.primary));
+    println!("receiver at {}", addr_of(plan.receivers[0][0]));
     println!("group    at 239.195.0.1:{port}\n");
 
-    let (ep, sender) = Endpoint::new(
-        Sender::new(SenderConfig::new(GROUP, SRC, src_host, log_host)),
-        tx_t,
-        vec![],
+    let mut endpoints = plan.spawn(
+        |role| {
+            let at = transports
+                .iter()
+                .position(|t| t.local_host() == role.host());
+            transports.swap_remove(at.expect("a socket per host"))
+        },
+        |_| Tracer::disabled(),
+        Instant::now(),
     );
-    ep.spawn();
-    let (ep, _logger) = Endpoint::new(
-        Logger::new(LoggerConfig::primary(GROUP, SRC, log_host, src_host)),
-        log_t,
-        vec![],
-    );
-    ep.spawn();
-    let rx_host = rx_t.local_host();
-    let (ep, mut receiver) = Endpoint::new(
-        Receiver::new(ReceiverConfig::new(
-            GROUP,
-            SRC,
-            rx_host,
-            src_host,
-            vec![log_host],
-        )),
-        rx_t,
-        vec![],
-    );
-    ep.spawn();
+    let (sender, receiver) = (&endpoints.sender, &mut endpoints.receivers[0].1);
 
     std::thread::sleep(Duration::from_millis(100));
     for (i, text) in [

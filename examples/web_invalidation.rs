@@ -14,26 +14,21 @@
 //! ```
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 use lbrm::apps::invalidation::{update_payload, BrowserCache, DocServer};
-use lbrm::core::logger::{Logger, LoggerConfig};
-use lbrm::core::receiver::{Receiver, ReceiverConfig};
-use lbrm::core::sender::{Sender, SenderConfig};
-use lbrm::harness::MachineActor;
+use lbrm::core::receiver::Receiver;
+use lbrm::core::sender::Sender;
+use lbrm::harness::{call_at, DisScenario, DisScenarioConfig, MachineActor};
 use lbrm::sim::loss::LossModel;
 use lbrm::sim::time::SimTime;
-use lbrm::sim::topology::{SiteParams, TopologyBuilder};
-use lbrm::sim::world::World;
+use lbrm::sim::topology::SiteParams;
 use lbrm::wire::text::multicast_tag;
-use lbrm::wire::{GroupId, SourceId};
 
 const URL: &str = "http://www-DSG.Stanford.EDU/groupMembers.html";
 
 fn main() {
-    let group = GroupId(1);
-    let source = SourceId(1);
-
     println!("HTML document invalidation (Appendix A)\n");
     println!(
         "document head: {}",
@@ -41,66 +36,52 @@ fn main() {
     );
     println!("document url:  {URL}\n");
 
-    let mut b = TopologyBuilder::new();
-    let server_site = b.site(SiteParams::distant());
-    let server_host = b.host(server_site);
-    let log_host = b.host(server_site);
-    let site = b.site(SiteParams::distant());
-    let browser1 = b.host(site);
-    // Browser 2 sits behind a flaky link that eats the first update.
-    let flaky = b.site(SiteParams {
-        tail_in_loss: LossModel::outage(SimTime::from_millis(9_900), Duration::from_millis(300)),
-        ..SiteParams::distant()
+    // The server and its logging process share a site; each browser
+    // sits at a site of its own and recovers from the logging process.
+    let mut sc = DisScenario::build(DisScenarioConfig {
+        sites: 2,
+        receivers_per_site: 1,
+        secondary_loggers: false,
+        // Browser 2 sits behind a flaky link that eats the first update.
+        site_params_for: Some(Arc::new(|site| match site {
+            1 => SiteParams {
+                tail_in_loss: LossModel::outage(
+                    SimTime::from_millis(9_900),
+                    Duration::from_millis(300),
+                ),
+                ..SiteParams::distant()
+            },
+            _ => SiteParams::distant(),
+        })),
+        seed: 72,
+        ..DisScenarioConfig::default()
     });
-    let browser2 = b.host(flaky);
-    let mut world = World::new(b.build(), 72);
-
-    world.add_actor(
-        log_host,
-        MachineActor::new(
-            Logger::new(LoggerConfig::primary(group, source, log_host, server_host)),
-            vec![group],
-        ),
-    );
-    for browser in [browser1, browser2] {
-        world.add_actor(
-            browser,
-            MachineActor::new(
-                Receiver::new(ReceiverConfig::new(
-                    group,
-                    source,
-                    browser,
-                    server_host,
-                    vec![log_host],
-                )),
-                vec![group],
-            ),
-        );
-    }
+    let (server, browsers) = (sc.plan.src_host, sc.all_receivers());
 
     // The HTTP server: two edits to the same document.
-    let mut sender = MachineActor::new(
-        Sender::new(SenderConfig::new(group, source, server_host, log_host)),
-        vec![],
+    call_at(
+        &mut sc.world,
+        server,
+        SimTime::from_secs(10),
+        |s: &mut Sender, now, out| {
+            DocServer::new().publish_update(s, now, URL, None, out);
+        },
     );
-    sender.schedule(SimTime::from_secs(10), |s: &mut Sender, now, out| {
-        let mut server = DocServer::new();
-        server.publish_update(s, now, URL, None, out);
-    });
-    sender.schedule(SimTime::from_secs(20), |s: &mut Sender, now, out| {
-        s.send(
-            now,
-            update_payload(s.next_seq(), URL, Some("<h1>members: 42</h1>")),
-            out,
-        );
-    });
-    world.add_actor(server_host, sender);
-
+    call_at(
+        &mut sc.world,
+        server,
+        SimTime::from_secs(20),
+        |s: &mut Sender, now, out| {
+            let body = Some("<h1>members: 42</h1>");
+            s.send(now, update_payload(s.next_seq(), URL, body), out);
+        },
+    );
+    let world = &mut sc.world;
     world.run_until(SimTime::from_secs(40));
 
     for (name, browser) in [
-        ("browser-1", browser1),
-        ("browser-2 (flaky link)", browser2),
+        ("browser-1", browsers[0]),
+        ("browser-2 (flaky link)", browsers[1]),
     ] {
         let a = world.actor::<MachineActor<Receiver>>(browser);
         let mut cache = BrowserCache::new();

@@ -1,5 +1,15 @@
 //! Ready-made experiment scenarios.
 //!
+//! [`GroupPlan`] is one LBRM group, written once for both substrates:
+//! which host runs the sender, the primary logger and its replicas, the
+//! regional and site secondary loggers and the receivers; each role's
+//! configuration, parent, recovery targets and joined groups; and the
+//! start order (sender last). It is computed from a
+//! [`DisScenarioConfig`] and the host ids a substrate assigns.
+//! [`DisScenario`] installs it as [`MachineActor`]s in a simulated
+//! [`World`]; [`GroupPlan::spawn`] starts it as [`Endpoint`]s over any
+//! [`Transport`].
+//!
 //! [`DisScenario`] builds the paper's §2.2.2 evaluation world: a source
 //! site hosting the sender, primary logger and its replicas, plus N
 //! receiver sites behind tail circuits, each with a secondary logging
@@ -13,20 +23,21 @@
 //! experiments read protocol counters and latency histograms straight
 //! from the trace layer instead of mining notices by hand.
 
+use std::io;
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
 use lbrm_core::baseline::srm::{SrmConfig, SrmMember};
-use lbrm_core::heartbeat::HeartbeatConfig;
-use lbrm_core::logger::{Logger, LoggerConfig};
-use lbrm_core::logstore::Retention;
-use lbrm_core::machine::Notice;
+use lbrm_core::logger::{Logger, LoggerConfig, LoggerRole};
+use lbrm_core::machine::{Machine, Notice};
 use lbrm_core::receiver::{Receiver, ReceiverConfig, ReliabilityMode};
-use lbrm_core::sender::{HeartbeatScheme, Sender, SenderConfig};
+use lbrm_core::sender::{Sender, SenderConfig};
 use lbrm_core::statack::StatAckConfig;
 use lbrm_core::trace::{FanoutSink, MetricsRegistry, TraceSink, Tracer};
+use lbrm_net::{Endpoint, EndpointHandle, Transport};
 use lbrm_sim::loss::LossModel;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::topology::{SiteParams, TopologyBuilder};
@@ -35,7 +46,7 @@ use lbrm_wire::{GroupId, HostId, SiteId, SourceId};
 
 use super::adapter::MachineActor;
 
-/// Configuration for [`DisScenario`].
+/// Configuration for [`DisScenario`] and [`GroupPlan`].
 #[derive(Clone)]
 pub struct DisScenarioConfig {
     /// Number of receiver sites (the paper's evaluation uses 50).
@@ -55,10 +66,6 @@ pub struct DisScenarioConfig {
     pub replicas: usize,
     /// Statistical acknowledgement for the sender.
     pub statack: Option<StatAckConfig>,
-    /// Heartbeat parameters.
-    pub heartbeat: HeartbeatConfig,
-    /// Variable (LBRM) or fixed (baseline) heartbeats.
-    pub scheme: HeartbeatScheme,
     /// Receiver recovery policy.
     pub mode: ReliabilityMode,
     /// Receivers' reorder-tolerance delay before the first NACK.
@@ -72,8 +79,6 @@ pub struct DisScenarioConfig {
     pub source_site_params: SiteParams,
     /// Backbone loss.
     pub wan_loss: LossModel,
-    /// Log retention at all loggers.
-    pub retention: Retention,
     /// World seed.
     pub seed: u64,
 }
@@ -87,8 +92,6 @@ impl Default for DisScenarioConfig {
             regional_fanout: None,
             replicas: 0,
             statack: None,
-            heartbeat: HeartbeatConfig::default(),
-            scheme: HeartbeatScheme::Variable,
             mode: ReliabilityMode::RecoverAll,
             receiver_nack_delay: Duration::from_millis(30),
             // Paper's RTT picture: local logger a few ms away, primary
@@ -97,10 +100,248 @@ impl Default for DisScenarioConfig {
             site_params_for: None,
             source_site_params: SiteParams::distant(),
             wan_loss: LossModel::None,
-            retention: Retention::All,
             seed: 1995,
         }
     }
+}
+
+/// Where a substrate is asked to put a host: at the source site, or at
+/// receiver site `i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Place {
+    /// The source site (sender, primary, replicas).
+    Source,
+    /// Receiver site `i` (its regional logger, secondary, receivers).
+    Site(usize),
+}
+
+/// One role of a [`GroupPlan`]: its machine's configuration, which
+/// names the host it runs on.
+pub enum Role {
+    /// The primary logger, a replica, a regional or a site secondary.
+    Logger(LoggerConfig),
+    /// A receiver.
+    Receiver(ReceiverConfig),
+    /// The data source.
+    Sender(SenderConfig),
+}
+
+impl Role {
+    /// The host the role runs on.
+    pub fn host(&self) -> HostId {
+        match self {
+            Role::Logger(c) => c.host,
+            Role::Receiver(c) => c.host,
+            Role::Sender(c) => c.host,
+        }
+    }
+
+    /// The groups the role joins at start: a replica hears its primary
+    /// only, and the sender sends without listening.
+    pub fn groups(&self) -> Vec<GroupId> {
+        match self {
+            Role::Logger(c) if c.role == LoggerRole::Replica => vec![],
+            Role::Sender(_) => vec![],
+            _ => vec![DisScenario::GROUP],
+        }
+    }
+}
+
+/// One LBRM group placed on a substrate's hosts.
+#[derive(Clone)]
+pub struct GroupPlan {
+    /// The sender's host.
+    pub src_host: HostId,
+    /// The primary logging server's host.
+    pub primary: HostId,
+    /// Replica hosts.
+    pub replicas: Vec<HostId>,
+    /// Regional loggers (empty for the two-level hierarchy).
+    pub regionals: Vec<HostId>,
+    /// Per-site secondary logger (empty when centralized).
+    pub secondaries: Vec<HostId>,
+    /// Per-site receivers.
+    pub receivers: Vec<Vec<HostId>>,
+    config: DisScenarioConfig,
+}
+
+impl GroupPlan {
+    /// Places `config`'s group, asking `host` for each host in turn: the
+    /// source site's sender, primary and replicas, then each receiver
+    /// site's regional logger (at a region's first site), secondary and
+    /// receivers.
+    pub fn place(config: &DisScenarioConfig, mut host: impl FnMut(Place) -> HostId) -> Self {
+        let src_host = host(Place::Source);
+        let primary = host(Place::Source);
+        let replicas = (0..config.replicas).map(|_| host(Place::Source)).collect();
+        let (mut regionals, mut secondaries) = (Vec::new(), Vec::new());
+        let mut receivers = Vec::with_capacity(config.sites);
+        for i in 0..config.sites {
+            let site = Place::Site(i);
+            if config.secondary_loggers {
+                if config.regional_fanout.is_some_and(|f| i % f.max(1) == 0) {
+                    regionals.push(host(site));
+                }
+                secondaries.push(host(site));
+            }
+            receivers.push((0..config.receivers_per_site).map(|_| host(site)).collect());
+        }
+        GroupPlan {
+            src_host,
+            primary,
+            replicas,
+            regionals,
+            secondaries,
+            receivers,
+            config: config.clone(),
+        }
+    }
+
+    /// Every role, configured, in start order: the primary, its
+    /// replicas, the regional loggers, each site's secondary and
+    /// receivers, and the sender last, so its start-up Acker Selection
+    /// reaches secondaries that have already joined the group.
+    pub fn roles(&self) -> impl Iterator<Item = Role> + '_ {
+        let (group, source) = (DisScenario::GROUP, DisScenario::SOURCE);
+        let (primary, src_host) = (self.primary, self.src_host);
+        let mut primary_cfg = LoggerConfig::primary(group, source, primary, src_host);
+        primary_cfg.replicas = self.replicas.clone();
+        // Regional loggers (three-level hierarchy, §7): parent = primary.
+        // Their requesters are child loggers at other sites, so the
+        // site-scoped re-multicast shortcut must stay off.
+        let regionals = self.regionals.iter().map(move |&reg| {
+            let mut c = LoggerConfig::secondary(group, source, reg, primary, src_host);
+            c.level = 1;
+            c.site_remulticast = false;
+            Role::Logger(c)
+        });
+        let sites = self.receivers.iter().enumerate().flat_map(move |(i, rxs)| {
+            let sec = self.secondaries.get(i).copied();
+            let secondary = sec.map(|sec| {
+                // Site secondaries fetch from their regional logger when
+                // one exists, else straight from the primary.
+                let (parent, level) = match self.config.regional_fanout {
+                    Some(fanout) => (self.regionals[i / fanout.max(1)], 2),
+                    None => (primary, 1),
+                };
+                let mut c = LoggerConfig::secondary(group, source, sec, parent, src_host);
+                c.level = level;
+                Role::Logger(c)
+            });
+            let receivers = rxs.iter().map(move |&rx| {
+                let targets = sec.into_iter().chain([primary]).collect();
+                let mut c = ReceiverConfig::new(group, source, rx, src_host, targets);
+                c.mode = self.config.mode;
+                c.nack_delay = self.config.receiver_nack_delay;
+                Role::Receiver(c)
+            });
+            secondary.into_iter().chain(receivers)
+        });
+        let sender = std::iter::once_with(move || {
+            let mut c = SenderConfig::new(group, source, src_host, primary);
+            c.statack = self.config.statack.clone();
+            c.replicas = self.replicas.clone();
+            c.require_replica_ack = !self.replicas.is_empty();
+            Role::Sender(c)
+        });
+        std::iter::once(Role::Logger(primary_cfg))
+            .chain(
+                self.replicas
+                    .iter()
+                    .map(move |&r| Role::Logger(self.replica(r, primary))),
+            )
+            .chain(regionals)
+            .chain(sites)
+            .chain(sender)
+    }
+
+    /// The configuration of replica `host`, parented at `parent` (the
+    /// primary at start; whoever leads when a replica restarts).
+    pub fn replica(&self, host: HostId, parent: HostId) -> LoggerConfig {
+        let mut c = LoggerConfig::replica(
+            DisScenario::GROUP,
+            DisScenario::SOURCE,
+            host,
+            parent,
+            self.src_host,
+        );
+        c.replicas = self
+            .replicas
+            .iter()
+            .copied()
+            .filter(|&x| x != host)
+            .collect();
+        c
+    }
+
+    /// Starts every role as an [`Endpoint`] thread, in start order:
+    /// `transport` gives each role its transport (bound to the role's
+    /// host) and `tracer` its protocol-event tracer. Endpoints sharing
+    /// `origin` stamp their traces on one clock.
+    ///
+    /// # Panics
+    ///
+    /// Never for a placed plan: its roles end with the sender.
+    pub fn spawn<T: Transport>(
+        &self,
+        mut transport: impl FnMut(&Role) -> T,
+        mut tracer: impl FnMut(&Role) -> Tracer,
+        origin: Instant,
+    ) -> GroupEndpoints {
+        let mut threads = Vec::new();
+        let (mut loggers, mut receivers, mut sender) = (Vec::new(), Vec::new(), None);
+        for role in self.roles() {
+            let (host, groups) = (role.host(), role.groups());
+            let (t, tr) = (transport(&role), tracer(&role));
+            match role {
+                Role::Logger(c) => {
+                    loggers.push(start(Logger::new(c), t, tr, groups, origin, &mut threads))
+                }
+                Role::Receiver(c) => {
+                    let handle = start(Receiver::new(c), t, tr, groups, origin, &mut threads);
+                    receivers.push((host, handle));
+                }
+                Role::Sender(c) => {
+                    sender = Some(start(Sender::new(c), t, tr, groups, origin, &mut threads))
+                }
+            }
+        }
+        GroupEndpoints {
+            sender: sender.expect("a plan's roles end with its sender"),
+            loggers,
+            receivers,
+            threads,
+        }
+    }
+}
+
+/// Spawns `machine`'s endpoint thread onto `threads`; returns its handle.
+fn start<M: Machine + Send + 'static>(
+    machine: M,
+    transport: impl Transport,
+    tracer: Tracer,
+    groups: Vec<GroupId>,
+    origin: Instant,
+    threads: &mut Vec<JoinHandle<io::Result<()>>>,
+) -> EndpointHandle<M> {
+    let (mut ep, handle) = Endpoint::new(machine, transport, groups);
+    ep.set_tracer(tracer);
+    ep.set_origin(origin);
+    threads.push(ep.spawn());
+    handle
+}
+
+/// A [`GroupPlan`] running as endpoints. Dropping a handle shuts its
+/// endpoint down; join the threads after.
+pub struct GroupEndpoints {
+    /// The sender's handle: publish through it.
+    pub sender: EndpointHandle<Sender>,
+    /// Each logger's handle, in start order.
+    pub loggers: Vec<EndpointHandle<Logger>>,
+    /// Each receiver's host and handle, in start order.
+    pub receivers: Vec<(HostId, EndpointHandle<Receiver>)>,
+    /// The endpoint threads, in start order.
+    pub threads: Vec<JoinHandle<io::Result<()>>>,
 }
 
 /// A built DIS evaluation world.
@@ -111,20 +352,10 @@ pub struct DisScenario {
     pub group: GroupId,
     /// The data source id.
     pub source: SourceId,
-    /// The sender's host.
-    pub src_host: HostId,
-    /// The primary logging server's host.
-    pub primary: HostId,
-    /// Replica hosts.
-    pub replicas: Vec<HostId>,
+    /// The group's roles and hosts.
+    pub plan: GroupPlan,
     /// Receiver sites.
     pub sites: Vec<SiteId>,
-    /// Per-site secondary logger (empty when centralized).
-    pub secondaries: Vec<HostId>,
-    /// Regional loggers (empty for the two-level hierarchy).
-    pub regionals: Vec<HostId>,
-    /// Per-site receivers.
-    pub receivers: Vec<Vec<HostId>>,
     /// Trace metrics from the sender machine.
     pub sender_metrics: Arc<MetricsRegistry>,
     /// Trace metrics from the primary logger and its replicas.
@@ -135,6 +366,17 @@ pub struct DisScenario {
     pub receiver_metrics: Arc<MetricsRegistry>,
     /// Trace metrics from the simulated network (`net_*` counters).
     pub net_metrics: Arc<MetricsRegistry>,
+}
+
+/// `machine` as a simulator actor tracing into `sink`.
+fn traced<M: Machine + 'static>(
+    machine: M,
+    sink: &Arc<dyn TraceSink>,
+    groups: Vec<GroupId>,
+) -> MachineActor<M> {
+    let mut actor = MachineActor::new(machine, groups);
+    actor.set_tracer(Tracer::to(sink.clone()));
+    actor
 }
 
 impl DisScenario {
@@ -165,39 +407,22 @@ impl DisScenario {
         };
         let mut b = TopologyBuilder::new();
         let source_site = b.site(config.source_site_params.clone());
-        let src_host = b.host(source_site);
-        let primary = b.host(source_site);
-        let replicas: Vec<HostId> = (0..config.replicas).map(|_| b.host(source_site)).collect();
-
-        let mut sites = Vec::new();
-        let mut secondaries = Vec::new();
-        let mut receivers = Vec::new();
-        let mut site_hosts = Vec::new();
-        let mut regional_hosts: Vec<HostId> = Vec::new();
-        for i in 0..config.sites {
-            let mut params = match &config.site_params_for {
-                Some(f) => f(i),
-                None => config.site_params.clone(),
-            };
-            if let Some(fanout) = config.regional_fanout {
-                params.region = (i / fanout.max(1)) as u32 + 1;
-            }
-            let site = b.site(params);
-            sites.push(site);
-            // A regional logger lives at the first site of each region.
-            if let Some(fanout) = config.regional_fanout {
-                if i % fanout.max(1) == 0 && config.secondary_loggers {
-                    regional_hosts.push(b.host(site));
+        let sites: Vec<SiteId> = (0..config.sites)
+            .map(|i| {
+                let mut params = match &config.site_params_for {
+                    Some(f) => f(i),
+                    None => config.site_params.clone(),
+                };
+                if let Some(fanout) = config.regional_fanout {
+                    params.region = (i / fanout.max(1)) as u32 + 1;
                 }
-            }
-            let sec = if config.secondary_loggers {
-                Some(b.host(site))
-            } else {
-                None
-            };
-            let rxs = b.hosts(site, config.receivers_per_site);
-            site_hosts.push((sec, rxs));
-        }
+                b.site(params)
+            })
+            .collect();
+        let plan = GroupPlan::place(&config, |place| match place {
+            Place::Source => b.host(source_site),
+            Place::Site(i) => b.host(sites[i]),
+        });
         b.wan_loss(config.wan_loss.clone());
         let mut world = World::new(b.build(), config.seed);
         // One metrics registry per protocol role, plus one for the
@@ -214,101 +439,31 @@ impl DisScenario {
         let primary_sink = tap(primary_metrics.clone());
         let secondary_sink = tap(secondary_metrics.clone());
         let receiver_sink = tap(receiver_metrics.clone());
-
-        // Primary logger (+ replicas).
-        let mut primary_cfg = LoggerConfig::primary(Self::GROUP, Self::SOURCE, primary, src_host);
-        primary_cfg.retention = config.retention;
-        primary_cfg.replicas = replicas.clone();
-        let mut primary_logger = Logger::new(primary_cfg);
-        primary_logger.set_tracer(Tracer::to(primary_sink.clone()));
-        world.add_actor(
-            primary,
-            MachineActor::new(primary_logger, vec![Self::GROUP]),
-        );
-        for &r in &replicas {
-            let mut c = LoggerConfig::replica(Self::GROUP, Self::SOURCE, r, primary, src_host);
-            c.retention = config.retention;
-            c.replicas = replicas.iter().copied().filter(|&x| x != r).collect();
-            let mut lg = Logger::new(c);
-            lg.set_tracer(Tracer::to(primary_sink.clone()));
-            world.add_actor(r, MachineActor::new(lg, vec![]));
-        }
-
-        // Regional loggers (three-level hierarchy, §7): parent = primary.
-        // Their requesters are child loggers at other sites, so the
-        // site-scoped re-multicast shortcut must stay off.
-        for &reg in &regional_hosts {
-            let mut c = LoggerConfig::secondary(Self::GROUP, Self::SOURCE, reg, primary, src_host);
-            c.retention = config.retention;
-            c.level = 1;
-            c.site_remulticast = false;
-            let mut lg = Logger::new(c);
-            lg.set_tracer(Tracer::to(secondary_sink.clone()));
-            world.add_actor(reg, MachineActor::new(lg, vec![Self::GROUP]));
-        }
-
-        // Sites.
-        for (site_idx, (sec, rxs)) in site_hosts.iter().enumerate() {
-            if let Some(sec) = sec {
-                // Site secondaries fetch from their regional logger when
-                // one exists, else straight from the primary.
-                let parent = match config.regional_fanout {
-                    Some(fanout) => regional_hosts[site_idx / fanout.max(1)],
-                    None => primary,
-                };
-                let mut c =
-                    LoggerConfig::secondary(Self::GROUP, Self::SOURCE, *sec, parent, src_host);
-                c.retention = config.retention;
-                c.level = if config.regional_fanout.is_some() {
-                    2
-                } else {
-                    1
-                };
-                let mut lg = Logger::new(c);
-                lg.set_tracer(Tracer::to(secondary_sink.clone()));
-                world.add_actor(*sec, MachineActor::new(lg, vec![Self::GROUP]));
-                secondaries.push(*sec);
+        for role in plan.roles() {
+            let (host, groups) = (role.host(), role.groups());
+            match role {
+                Role::Logger(c) => {
+                    let sink = match c.role {
+                        LoggerRole::Secondary => &secondary_sink,
+                        _ => &primary_sink,
+                    };
+                    world.add_actor(host, traced(Logger::new(c), sink, groups));
+                }
+                Role::Receiver(c) => {
+                    world.add_actor(host, traced(Receiver::new(c), &receiver_sink, groups));
+                }
+                Role::Sender(c) => {
+                    world.add_actor(host, traced(Sender::new(c), &sender_sink, groups));
+                }
             }
-            let mut site_rxs = Vec::new();
-            for &rx in rxs {
-                let targets = match sec {
-                    Some(s) => vec![*s, primary],
-                    None => vec![primary],
-                };
-                let mut c = ReceiverConfig::new(Self::GROUP, Self::SOURCE, rx, src_host, targets);
-                c.mode = config.mode;
-                c.nack_delay = config.receiver_nack_delay;
-                let mut machine = Receiver::new(c);
-                machine.set_tracer(Tracer::to(receiver_sink.clone()));
-                world.add_actor(rx, MachineActor::new(machine, vec![Self::GROUP]));
-                site_rxs.push(rx);
-            }
-            receivers.push(site_rxs);
         }
-
-        // Sender last, so its startup Acker Selection reaches secondaries
-        // that have already joined the group.
-        let mut sender_cfg = SenderConfig::new(Self::GROUP, Self::SOURCE, src_host, primary);
-        sender_cfg.heartbeat = config.heartbeat;
-        sender_cfg.scheme = config.scheme;
-        sender_cfg.statack = config.statack.clone();
-        sender_cfg.replicas = replicas.clone();
-        sender_cfg.require_replica_ack = !replicas.is_empty();
-        let mut sender = Sender::new(sender_cfg);
-        sender.set_tracer(Tracer::to(sender_sink.clone()));
-        world.add_actor(src_host, MachineActor::new(sender, vec![]));
 
         DisScenario {
             world,
             group: Self::GROUP,
             source: Self::SOURCE,
-            src_host,
-            primary,
-            replicas,
+            plan,
             sites,
-            secondaries,
-            regionals: regional_hosts,
-            receivers,
             sender_metrics,
             primary_metrics,
             secondary_metrics,
@@ -323,7 +478,7 @@ impl DisScenario {
         let payload = payload.into();
         super::adapter::call_at(
             &mut self.world,
-            self.src_host,
+            self.plan.src_host,
             at,
             move |s: &mut Sender, now, out| {
                 s.send(now, payload.clone(), out);
@@ -333,7 +488,7 @@ impl DisScenario {
 
     /// Every receiver host, flattened.
     pub fn all_receivers(&self) -> Vec<HostId> {
-        self.receivers.iter().flatten().copied().collect()
+        self.plan.receivers.iter().flatten().copied().collect()
     }
 
     /// Delivered data sequence numbers at `rx` (in arrival order).
@@ -389,14 +544,9 @@ pub struct SrmScenarioConfig {
     pub sites: usize,
     /// Members per site.
     pub receivers_per_site: usize,
-    /// Session message interval.
-    pub session_interval: Duration,
-    /// Receiver-site parameters.
+    /// Receiver-site parameters (the source site is
+    /// [`SiteParams::distant`], the backbone lossless).
     pub site_params: SiteParams,
-    /// Source-site parameters.
-    pub source_site_params: SiteParams,
-    /// Backbone loss.
-    pub wan_loss: LossModel,
     /// World seed.
     pub seed: u64,
 }
@@ -406,10 +556,7 @@ impl Default for SrmScenarioConfig {
         SrmScenarioConfig {
             sites: 50,
             receivers_per_site: 20,
-            session_interval: Duration::from_millis(250),
             site_params: SiteParams::distant(),
-            source_site_params: SiteParams::distant(),
-            wan_loss: LossModel::None,
             seed: 1995,
         }
     }
@@ -437,7 +584,7 @@ impl SrmScenario {
         let group = DisScenario::GROUP;
         let source = DisScenario::SOURCE;
         let mut b = TopologyBuilder::new();
-        let source_site = b.site(config.source_site_params.clone());
+        let source_site = b.site(SiteParams::distant());
         let src_host = b.host(source_site);
         let mut sites = Vec::new();
         let mut member_hosts = Vec::new();
@@ -446,14 +593,12 @@ impl SrmScenario {
             sites.push(site);
             member_hosts.push(b.hosts(site, config.receivers_per_site));
         }
-        b.wan_loss(config.wan_loss.clone());
         let mut world = World::new(b.build(), config.seed);
         let net_metrics = Arc::new(MetricsRegistry::default());
         world.set_trace(Tracer::to(net_metrics.clone()));
 
         // Source member.
-        let mut src_cfg = SrmConfig::new(group, src_host, source, src_host);
-        src_cfg.session_interval = config.session_interval;
+        let src_cfg = SrmConfig::new(group, src_host, source, src_host);
         world.add_actor(
             src_host,
             MachineActor::new(SrmMember::new(src_cfg), vec![group]),
@@ -465,7 +610,6 @@ impl SrmScenario {
             let mut site_members = Vec::new();
             for &h in hosts {
                 let mut c = SrmConfig::new(group, h, source, src_host);
-                c.session_interval = config.session_interval;
                 let d = world.topology().base_latency(h, src_host);
                 c.delay_to.insert(src_host, d);
                 c.default_delay = d;
@@ -541,9 +685,9 @@ mod tests {
         }
         assert_eq!(sc.completeness(&[1]), 1.0);
         // Primary logged it and the source buffer drained.
-        let p = sc.world.actor::<MachineActor<Logger>>(sc.primary);
+        let p = sc.world.actor::<MachineActor<Logger>>(sc.plan.primary);
         assert!(p.machine().has(lbrm_wire::Seq(1)));
-        let s = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+        let s = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
         assert_eq!(s.machine().buffered(), 0);
     }
 
@@ -570,6 +714,6 @@ mod tests {
             secondary_loggers: false,
             ..DisScenarioConfig::default()
         });
-        assert!(sc.secondaries.is_empty());
+        assert!(sc.plan.secondaries.is_empty());
     }
 }

@@ -10,8 +10,10 @@
 //! * [`net`] — threaded transports for real UDP multicast ([`lbrm_net`]).
 //! * [`apps`] — the paper's §4 applications ([`lbrm_apps`]).
 //! * [`harness`] — glue that runs the sans-IO machines inside the
-//!   simulator, plus ready-made experiment scenarios (the 50-site DIS
-//!   topology, SRM comparison sessions, failure injection).
+//!   simulator, one group plan that places an LBRM group on simulated
+//!   hosts or on endpoints over any transport, plus ready-made
+//!   experiment scenarios (the 50-site DIS topology, SRM comparison
+//!   sessions, failure injection).
 //!
 //! # Quickstart
 //!

@@ -1,4 +1,6 @@
-//! One machine, two substrates. The same recording machine runs as
+//! Two substrates, one protocol.
+//!
+//! First, one machine: the same recording machine runs as
 //! `MachineActor`s in a two-host `World` and as `Endpoint`s on a `Hub`;
 //! both hold a core `Driver`, so each host must see the same inputs and
 //! emit the same actions on either substrate.
@@ -10,19 +12,32 @@
 //! emitted nothing: the endpoint polls on every loop turn, the simulator
 //! only when a deadline or a call asks. What is left, each host's
 //! ordered `(input, actions)` record, must be equal on both substrates.
+//!
+//! Then, one group: a `GroupPlan` runs as `DisScenario` in a `World` and
+//! as endpoints on a `Hub`, with the same scripted receive losses (which
+//! receiver loses which data packet) applied on each substrate by a
+//! wrapper local to this file. Each receiver's `(seq, recovered)`
+//! deliveries, the recovery counters of every role and the forensic
+//! verdict must be equal on both.
 
+use std::io;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use lbrm::core::logger::LoggerRole;
 use lbrm::core::machine::{Action, Actions, Delivery, Machine, Notice};
+use lbrm::core::receiver::Receiver;
+use lbrm::core::sender::Sender;
 use lbrm::core::time::Time;
-use lbrm::harness::MachineActor;
-use lbrm::net::{Endpoint, EndpointEvent, Hub};
+use lbrm::core::trace::analyze::{analyze, AnalyzeConfig, CollectorSink, RecoveryReport};
+use lbrm::core::trace::{FanoutSink, MetricsRegistry, TraceSink, Tracer};
+use lbrm::harness::{DisScenario, DisScenarioConfig, GroupPlan, MachineActor, Role};
+use lbrm::net::{Endpoint, EndpointEvent, Hub, Transport, Waker};
 use lbrm::sim::time::SimTime;
 use lbrm::sim::topology::{SiteParams, TopologyBuilder};
-use lbrm::sim::world::World;
-use lbrm::wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId};
+use lbrm::sim::world::{Actor, Ctx, World};
+use lbrm::wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId, TtlScope};
 
 const GROUP: GroupId = GroupId(1);
 const CALLS: u32 = 3;
@@ -196,4 +211,299 @@ fn one_machine_records_the_same_inputs_and_actions_on_both_substrates() {
     for (host, (sim, hub)) in hosts.iter().zip(sim.iter().zip(&hub)) {
         assert_eq!(sim, hub, "host {host}");
     }
+}
+
+/// Data packets the conformance group publishes.
+const PACKETS: u32 = 8;
+/// Gap between publishes in the simulator: longer than a recovery,
+/// shorter than the sender's first heartbeat interval (250 ms), so a
+/// lost packet is detected by the next one and repaired before the one
+/// after.
+const SPACING_MS: u64 = 150;
+/// Which receiver (in plan order) loses which data packets on receive.
+/// None loses the first packet (a receiver's first packet is its join
+/// point) or the last, and no loss is still undetected while another
+/// receiver's is being repaired: a hub publish that waited that long
+/// could let a heartbeat reveal the loss before the next packet does.
+const LOSSES: [&[u32]; 3] = [&[2], &[4, 5], &[7]];
+/// Counters each role's registry must agree on across substrates.
+const RECOVERY_KEYS: [&str; 8] = [
+    "gap_detected",
+    "nack_sent",
+    "nack_received",
+    "retrans_served_unicast",
+    "retrans_served_multicast",
+    "recovered",
+    "repair_received",
+    "repair_duplicate",
+];
+
+fn group_config(secondary_loggers: bool) -> DisScenarioConfig {
+    DisScenarioConfig {
+        sites: 1,
+        receivers_per_site: LOSSES.len(),
+        secondary_loggers,
+        seed: 40,
+        ..DisScenarioConfig::default()
+    }
+}
+
+/// The data packets `host` loses on receive.
+fn lost_at(plan: &GroupPlan, host: HostId) -> &'static [u32] {
+    let receivers = plan.receivers.iter().flatten();
+    receivers
+        .zip(LOSSES)
+        .find(|(&rx, _)| rx == host)
+        .map_or(&[], |(_, lost)| lost)
+}
+
+fn loses(lost: &[u32], packet: &Packet) -> bool {
+    matches!(packet, Packet::Data { seq, .. } if lost.contains(&seq.raw()))
+}
+
+/// The simulator's wrapper: a receiver actor that never sees the data
+/// packets it loses.
+struct DeafActor {
+    inner: MachineActor<Receiver>,
+    lost: &'static [u32],
+}
+
+impl Actor for DeafActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, from: HostId, packet: Packet) {
+        if !loses(self.lost, &packet) {
+            self.inner.on_packet(ctx, from, packet);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.inner.on_timer(ctx, token);
+    }
+}
+
+/// The endpoints' wrapper: a transport that never hands over the data
+/// packets its host loses. A swallowed packet ends the wait early, which
+/// the endpoint treats like any other empty wait.
+struct DeafTransport<T> {
+    inner: T,
+    lost: &'static [u32],
+}
+
+impl<T: Transport> Transport for DeafTransport<T> {
+    fn local_host(&self) -> HostId {
+        self.inner.local_host()
+    }
+
+    fn send_unicast(&mut self, to: HostId, packet: &Packet) -> io::Result<()> {
+        self.inner.send_unicast(to, packet)
+    }
+
+    fn send_multicast(&mut self, scope: TtlScope, packet: &Packet) -> io::Result<()> {
+        self.inner.send_multicast(scope, packet)
+    }
+
+    fn send_unicast_bundle(&mut self, to: HostId, packets: &[Packet]) -> io::Result<()> {
+        self.inner.send_unicast_bundle(to, packets)
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(HostId, Packet)>> {
+        Ok(self
+            .inner
+            .recv_timeout(timeout)?
+            .filter(|(_, packet)| !loses(self.lost, packet)))
+    }
+
+    fn waker(&self) -> Option<Waker> {
+        self.inner.waker()
+    }
+
+    fn join(&mut self, group: GroupId) -> io::Result<()> {
+        self.inner.join(group)
+    }
+
+    fn leave(&mut self, group: GroupId) -> io::Result<()> {
+        self.inner.leave(group)
+    }
+}
+
+/// What one substrate's run of the group observed.
+#[derive(Debug)]
+struct Observed {
+    /// Each receiver's `(seq, recovered)` deliveries, in plan order.
+    deliveries: Vec<Vec<(u32, bool)>>,
+    /// `RECOVERY_KEYS` per role registry: sender, primary and replicas,
+    /// secondaries, receivers.
+    counters: Vec<Vec<u64>>,
+    report: RecoveryReport,
+}
+
+fn counters(registries: &[Arc<MetricsRegistry>; 4]) -> Vec<Vec<u64>> {
+    registries
+        .iter()
+        .map(|r| RECOVERY_KEYS.iter().map(|k| r.counter(k)).collect())
+        .collect()
+}
+
+/// The role registry `role` traces into, as `DisScenario` assigns them.
+fn registry_of(role: &Role) -> usize {
+    match role {
+        Role::Sender(_) => 0,
+        Role::Logger(c) if c.role == LoggerRole::Secondary => 2,
+        Role::Logger(_) => 1,
+        Role::Receiver(_) => 3,
+    }
+}
+
+/// Runs the group in the simulator; returns its plan and observations.
+fn group_in_the_simulator(config: DisScenarioConfig) -> (GroupPlan, Observed) {
+    let collector = Arc::new(CollectorSink::default());
+    let mut sc =
+        DisScenario::build_with_sink(config, Some(collector.clone() as Arc<dyn TraceSink>));
+    let receiver_sink: Arc<dyn TraceSink> = Arc::new(FanoutSink::new(vec![
+        sc.receiver_metrics.clone() as Arc<dyn TraceSink>,
+        collector.clone(),
+    ]));
+    for role in sc.plan.roles() {
+        if let Role::Receiver(c) = role {
+            let (host, lost) = (c.host, lost_at(&sc.plan, c.host));
+            let mut inner = MachineActor::new(Receiver::new(c), vec![sc.group]);
+            inner.set_tracer(Tracer::to(receiver_sink.clone()));
+            sc.world.add_actor(host, DeafActor { inner, lost });
+        }
+    }
+    for seq in 1..=PACKETS {
+        let at = SimTime::from_millis(1_000 + SPACING_MS * u64::from(seq - 1));
+        sc.send_at(at, format!("update-{seq}"));
+    }
+    sc.world.run_until(SimTime::from_secs(10));
+    let deliveries = sc
+        .all_receivers()
+        .iter()
+        .map(|&rx| {
+            let actor = sc.world.actor::<DeafActor>(rx);
+            let got = actor.inner.deliveries.iter();
+            got.map(|(_, d)| (d.seq.raw(), d.recovered)).collect()
+        })
+        .collect();
+    let registries = [
+        sc.sender_metrics.clone(),
+        sc.primary_metrics.clone(),
+        sc.secondary_metrics.clone(),
+        sc.receiver_metrics.clone(),
+    ];
+    let observed = Observed {
+        deliveries,
+        counters: counters(&registries),
+        report: analyze(&collector.take(), &AnalyzeConfig::default()),
+    };
+    (sc.plan, observed)
+}
+
+/// Runs the same plan as endpoints on a hub.
+fn group_on_the_hub(plan: &GroupPlan) -> Observed {
+    let hub = Hub::new();
+    let collector = Arc::new(CollectorSink::default());
+    let registries: [Arc<MetricsRegistry>; 4] = Default::default();
+    let mut group = plan.spawn(
+        |role| DeafTransport {
+            inner: hub.attach(role.host()),
+            lost: lost_at(plan, role.host()),
+        },
+        |role| {
+            Tracer::to(Arc::new(FanoutSink::new(vec![
+                registries[registry_of(role)].clone() as Arc<dyn TraceSink>,
+                collector.clone(),
+            ])))
+        },
+        Instant::now(),
+    );
+    // Publish once every member has joined, as the simulator's members
+    // all join at time zero.
+    let members = plan.roles().filter(|r| !r.groups().is_empty()).count();
+    while hub.group_size(DisScenario::GROUP) < members {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Lockstep, so wall-clock jitter cannot reorder what the simulator
+    // orders by its spacing: each publish waits until every receiver
+    // delivered all it can so far (its trailing lost packets stay
+    // undetected until the next one arrives).
+    let mut deliveries = vec![Vec::new(); group.receivers.len()];
+    for seq in 1..=PACKETS {
+        let payload = Bytes::from(format!("update-{seq}"));
+        group
+            .sender
+            .call(move |s: &mut Sender, now, out| s.send(now, payload, out))
+            .unwrap();
+        for ((host, handle), got) in group.receivers.iter_mut().zip(&mut deliveries) {
+            let lost = lost_at(plan, *host);
+            let due = (1..=seq).rev().find(|s| !lost.contains(s)).unwrap_or(0);
+            while got.len() < due as usize {
+                match handle.event_timeout(Duration::from_secs(5)) {
+                    Some(EndpointEvent::Delivery(d)) => got.push((d.seq.raw(), d.recovered)),
+                    Some(EndpointEvent::Notice(_)) => {}
+                    None => panic!("receiver {host} stalled after {got:?}"),
+                }
+            }
+        }
+    }
+    // Let trailing settlement traces land, as the simulator runs on
+    // past the last recovery.
+    std::thread::sleep(Duration::from_millis(500));
+    drop((group.sender, group.loggers, group.receivers));
+    for thread in group.threads {
+        thread.join().unwrap().unwrap();
+    }
+    Observed {
+        deliveries,
+        counters: counters(&registries),
+        report: analyze(&collector.take(), &AnalyzeConfig::default()),
+    }
+}
+
+fn assert_same_protocol(config: DisScenarioConfig) {
+    let (plan, sim) = group_in_the_simulator(config);
+    let hub = group_on_the_hub(&plan);
+    for (i, lost) in LOSSES.iter().enumerate() {
+        let recovered: Vec<u32> = sim.deliveries[i]
+            .iter()
+            .filter(|(_, r)| *r)
+            .map(|(seq, _)| *seq)
+            .collect();
+        assert_eq!(recovered, *lost, "receiver {i} recovers what it lost");
+    }
+    assert_eq!(
+        sim.deliveries, hub.deliveries,
+        "(seq, recovered) per receiver"
+    );
+    assert_eq!(sim.counters, hub.counters, "{RECOVERY_KEYS:?} per role");
+    for report in [&sim.report, &hub.report] {
+        assert!(report.is_clean(), "{:?}", report.anomalies);
+    }
+    let verdict = |r: &RecoveryReport| {
+        (
+            r.recovered,
+            r.abandoned,
+            r.unrecovered,
+            r.sources.clone(),
+            r.duplicate_repairs,
+        )
+    };
+    assert_eq!(
+        verdict(&sim.report),
+        verdict(&hub.report),
+        "forensic verdict"
+    );
+}
+
+#[test]
+fn one_centralized_group_runs_the_same_protocol_on_both_substrates() {
+    assert_same_protocol(group_config(false));
+}
+
+#[test]
+fn one_site_with_a_secondary_logger_runs_the_same_protocol_on_both_substrates() {
+    assert_same_protocol(group_config(true));
 }

@@ -58,7 +58,7 @@ fn lossy_world_reaches_full_completeness() {
     // The sender's buffer drained: the primary logged everything.
     let sender = sc
         .world
-        .actor::<MachineActor<lbrm_core::sender::Sender>>(sc.src_host);
+        .actor::<MachineActor<lbrm_core::sender::Sender>>(sc.plan.src_host);
     assert_eq!(sender.machine().buffered(), 0);
 }
 

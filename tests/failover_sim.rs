@@ -44,24 +44,24 @@ fn replica_promotion_and_recovery_through_new_primary() {
 
     // Let the first two packets replicate, then kill the primary.
     sc.world.run_until(SimTime::from_secs(6));
-    for &r in &sc.replicas {
+    for &r in &sc.plan.replicas {
         let log = sc.world.actor::<MachineActor<Logger>>(r);
         assert!(
             log.machine().has(Seq(1)) && log.machine().has(Seq(2)),
             "replication lagging"
         );
     }
-    sc.world.crash(sc.primary);
+    sc.world.crash(sc.plan.primary);
     sc.world.run_until(SimTime::from_secs(60));
 
     // The source promoted a replica.
-    let sender = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
     let promoted = sender.notices.iter().find_map(|(_, n)| match n {
         Notice::Promoted { new_primary } => Some(*new_primary),
         _ => None,
     });
     let new_primary = promoted.expect("a replica must be promoted");
-    assert!(sc.replicas.contains(&new_primary));
+    assert!(sc.plan.replicas.contains(&new_primary));
     assert_eq!(sender.machine().primary(), new_primary);
     assert_eq!(
         sender.machine().buffered(),
@@ -96,7 +96,7 @@ fn replica_promotion_and_recovery_through_new_primary() {
     );
 
     // Secondaries re-homed their parent pointer.
-    for &sec in &sc.secondaries {
+    for &sec in &sc.plan.secondaries {
         let l = sc.world.actor::<MachineActor<Logger>>(sec);
         assert_eq!(
             l.machine().parent(),
@@ -120,10 +120,10 @@ fn primary_loss_without_replicas_degrades_gracefully() {
     sc.send_at(SimTime::from_secs(2), "one");
     sc.send_at(SimTime::from_secs(8), "two");
     sc.world.run_until(SimTime::from_secs(4));
-    sc.world.crash(sc.primary);
+    sc.world.crash(sc.plan.primary);
     sc.world.run_until(SimTime::from_secs(40));
 
-    let sender = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
     assert!(sender
         .notices
         .iter()

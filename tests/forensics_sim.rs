@@ -98,7 +98,7 @@ fn forensic_timelines_match_wire_ground_truth() {
 
     // The fan-in at the primary stayed within the paper's one-request-
     // per-site bound (secondaries absorb receiver NACKs).
-    assert!(report.max_nack_fan_in <= sc.secondaries.len() as u64 + 2);
+    assert!(report.max_nack_fan_in <= sc.plan.secondaries.len() as u64 + 2);
 }
 
 #[test]

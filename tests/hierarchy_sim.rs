@@ -32,7 +32,7 @@ fn nacks_at_primary(levels: u8, seed: u64) -> (u64, f64) {
     sc.send_at(SimTime::from_secs(9), "three");
     sc.world.run_until(SimTime::from_secs(40));
 
-    let source_site = sc.world.topology().site_of(sc.primary);
+    let source_site = sc.world.topology().site_of(sc.plan.primary);
     let nacks = sc
         .world
         .stats()

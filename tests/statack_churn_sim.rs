@@ -32,12 +32,12 @@ fn nsl_estimate_follows_logger_departures() {
     // First half of the run: all 24 secondaries alive.
     sc.world.run_until(SimTime::from_secs(30));
     // Two thirds of the loggers die.
-    for &sec in sc.secondaries.iter().skip(8) {
+    for &sec in sc.plan.secondaries.iter().skip(8) {
         sc.world.crash(sec);
     }
     sc.world.run_until(SimTime::from_secs(90));
 
-    let sender = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
     let epochs: Vec<(SimTime, f64, usize)> = sender
         .notices
         .iter()
@@ -106,7 +106,7 @@ fn bolot_probing_bootstraps_unknown_group_size() {
     }
     sc.world.run_until(SimTime::from_secs(60));
 
-    let sender = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
     let last_estimate = sender
         .notices
         .iter()
@@ -145,12 +145,12 @@ fn congestion_notice_fires_when_group_goes_dark() {
     }
     // Let the epoch form, then kill every secondary before the sends.
     sc.world.run_until(SimTime::from_millis(1_500));
-    for &sec in &sc.secondaries.clone() {
+    for &sec in &sc.plan.secondaries.clone() {
         sc.world.crash(sec);
     }
     sc.world.run_until(SimTime::from_secs(30));
 
-    let sender = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
     let congestion = sender.notices.iter().find_map(|(_, n)| match n {
         Notice::CongestionSuspected { streak } => Some(*streak),
         _ => None,
@@ -181,11 +181,11 @@ fn acker_epochs_survive_total_acker_loss() {
         sc.send_at(SimTime::from_secs(1 + 2 * i), format!("u{i}"));
     }
     sc.world.run_until(SimTime::from_secs(3));
-    for &sec in &sc.secondaries.clone() {
+    for &sec in &sc.plan.secondaries.clone() {
         sc.world.crash(sec);
     }
     sc.world.run_until(SimTime::from_secs(12));
-    for &sec in &sc.secondaries.clone() {
+    for &sec in &sc.plan.secondaries.clone() {
         sc.world.revive(sec);
     }
     sc.world.run_until(SimTime::from_secs(60));
@@ -195,7 +195,7 @@ fn acker_epochs_survive_total_acker_loss() {
     assert_eq!(sc.completeness(&expect), 1.0);
 
     // And epochs resumed with live ackers after the revival.
-    let sender = sc.world.actor::<MachineActor<Sender>>(sc.src_host);
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
     let revived_epoch = sender.notices.iter().any(|(at, n)| {
         *at > SimTime::from_secs(13)
             && matches!(n, Notice::EpochStarted { ackers, .. } if *ackers > 0)
