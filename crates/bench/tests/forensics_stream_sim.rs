@@ -208,7 +208,6 @@ mod oracle {
                     if let Some(o) = open.get_mut(&(h, seq.raw())) {
                         o.repaired_at = Some(r.at_nanos);
                         o.source = match *kind {
-                            "heartbeat" => RepairSource::Heartbeat,
                             "retrans" => match roles.get(&from.raw()).copied() {
                                 Some("logger_primary") => RepairSource::Primary,
                                 Some("logger_secondary") => RepairSource::Secondary,

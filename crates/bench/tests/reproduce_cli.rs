@@ -2,7 +2,8 @@
 //! exactly that section of the full report, and anything it does not
 //! understand — an unknown key, `--only` without a value, an unknown
 //! flag — is a usage error (exit 2, key list on stderr) rather than a
-//! silent full run.
+//! silent full run; and the full report and its trace capture are pinned
+//! byte for byte.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -46,22 +47,48 @@ fn bad_arguments_are_usage_errors_naming_the_keys() {
     }
 }
 
-/// The capture goes to the workspace's `target/`, not to wherever the
-/// process happened to start: from an unrelated directory the "saved to"
-/// line still names a file that exists.
+/// FNV-1a-64, as `golden_wire_bytes` hashes the wire corpus.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The full report is byte-identical to the one recorded at `483ccf9`
+/// (stdout sha256 `a75c0bc7…`, capture sha256 `864b5b12…`), and its
+/// capture goes to the workspace's `target/`, not to wherever the process
+/// happened to start: from an unrelated directory the "saved to" line
+/// still names a file that exists. That line's absolute path differs per
+/// checkout, so it is left out of the stdout hash. A change that moves
+/// either hash moved a figure or the event order; re-record both on
+/// purpose.
 #[test]
-fn trace_capture_is_saved_from_any_working_directory() {
+fn full_report_is_pinned_and_saved_from_any_working_directory() {
     let cwd = std::env::temp_dir().join(format!("lbrm_reproduce_cli_{}", std::process::id()));
     std::fs::create_dir_all(&cwd).unwrap();
-    let out = reproduce(&["--only", "trace_summary"], &cwd);
+    let out = reproduce(&[], &cwd);
     std::fs::remove_dir_all(&cwd).unwrap();
     assert!(out.status.success(), "{:?}", out.status);
     let stdout = String::from_utf8_lossy(&out.stdout);
+    const SAVED: &str = "Full event stream saved to ";
     let saved = stdout
         .lines()
-        .find_map(|l| l.strip_prefix("Full event stream saved to "))
+        .find_map(|l| l.strip_prefix(SAVED))
         .unwrap_or_else(|| panic!("no capture line: {stdout}"));
     assert!(Path::new(saved).is_absolute(), "{saved}");
-    let len = std::fs::metadata(saved).expect("capture exists").len();
-    assert!(len > 0, "{saved} is empty");
+    let capture = std::fs::read(saved).expect("capture exists");
+    let report: String = stdout
+        .split_inclusive('\n')
+        .filter(|l| !l.starts_with(SAVED))
+        .collect();
+    assert_eq!(
+        (report.len(), fnv1a(report.as_bytes())),
+        (15_511, 0xadf2_d9d9_4f3a_69c0),
+        "reproduce stdout moved"
+    );
+    assert_eq!(
+        (capture.len(), fnv1a(&capture)),
+        (44_206, 0x77d4_bb9e_7bb6_44c8),
+        "target/reproduce_trace.jsonl moved"
+    );
 }

@@ -16,8 +16,6 @@
 //!   search for a nearby logging service (§2.2.1).
 //! * [`baseline`] — comparison protocols: the *wb*/SRM-style unorganized
 //!   recovery of §6 and the fixed-heartbeat scheme of §2.1.2.
-//! * [`retrans_channel`] — the §7 "separate retransmission channel"
-//!   future-work extension.
 //!
 //! Machines implement [`machine::Machine`] and are driven through one
 //! [`machine::Driver`] by the deterministic simulator (`lbrm-sim`, for
@@ -42,7 +40,6 @@ pub mod logstore;
 pub mod machine;
 pub mod receiver;
 mod recovery;
-pub mod retrans_channel;
 pub mod sender;
 pub mod slab;
 pub mod statack;

@@ -133,13 +133,6 @@ pub enum Notice {
         /// Number of distinct requesters that triggered the decision.
         requesters: usize,
     },
-    /// Statistical-ack coverage has been incomplete for several
-    /// consecutive packets: the sender-side §5 congestion signal. The
-    /// application should consider reducing its send rate.
-    CongestionSuspected {
-        /// Consecutive incompletely-acked packets.
-        streak: u32,
-    },
 }
 
 /// An effect requested by a machine.
@@ -163,11 +156,9 @@ pub enum Action {
     Deliver(Delivery),
     /// Surface a protocol notice.
     Notice(Notice),
-    /// Subscribe this host to a multicast group (used by the §7
-    /// retransmission-channel extension and by fast resubscription).
+    /// Subscribe this host to a multicast group. The [`Driver`] emits one
+    /// per start-up group at [`Input::Start`], before [`Machine::on_start`].
     Join(GroupId),
-    /// Unsubscribe from a multicast group.
-    Leave(GroupId),
 }
 
 /// Accumulator for actions emitted during one machine call.

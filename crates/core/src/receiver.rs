@@ -463,34 +463,15 @@ impl Machine for Receiver {
                 group: g,
                 source: s,
                 seq,
-                payload,
                 hb_index,
                 ..
             } if g == group && s == source => {
                 let first_contact = !self.gaps.started();
                 self.touch_source(now, out);
                 self.learn_interval(Some(hb_index));
-                if !payload.is_empty() && self.gaps.is_missing(seq) {
-                    // §7 extension: the heartbeat carries the payload.
-                    self.gaps.observe(seq);
-                    self.cancel_recovery(now, seq, from, "heartbeat", out);
-                    self.deliver(seq, payload, true, out);
-                    return;
-                }
                 let newly = self.gaps.observe_announced(seq);
                 if newly > 0 {
-                    let first = span_start(seq, newly);
-                    // §7 heartbeats may carry the newest payload; an empty
-                    // one just announces it.
-                    if !payload.is_empty() {
-                        self.gaps.observe(seq);
-                        self.deliver(seq, payload, true, out);
-                        if seq != first {
-                            self.on_loss(now, first, seq.prev(), LossSignal::Heartbeat, out);
-                        }
-                    } else {
-                        self.on_loss(now, first, seq, LossSignal::Heartbeat, out);
-                    }
+                    self.on_loss(now, span_start(seq, newly), seq, LossSignal::Heartbeat, out);
                 }
                 if first_contact {
                     self.maybe_backfill(now, out);
@@ -917,12 +898,12 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_with_payload_recovers_directly() {
+    fn heartbeat_payload_is_ignored_and_the_loss_opens_a_recovery() {
         let mut r = rx();
         let mut out = Actions::new();
         r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
         out.clear();
-        // Heartbeat carrying the payload of lost #2 (§7 extension).
+        // Bytes in a heartbeat carry no log authority: #2 is only announced.
         let hb = Packet::Heartbeat {
             group: GROUP,
             source: SRC,
@@ -932,11 +913,9 @@ mod tests {
             payload: Bytes::from_static(b"repeat"),
         };
         r.on_packet(Time::from_millis(250), SRC_HOST, hb, &mut out);
-        let ds = deliveries(&out);
-        assert_eq!(ds.len(), 1);
-        assert!(ds[0].recovered);
-        assert_eq!(ds[0].payload.as_ref(), b"repeat");
-        assert_eq!(r.outstanding_recoveries(), 0);
+        assert!(deliveries(&out).is_empty());
+        assert_eq!(r.stats().recovered, 0);
+        assert_eq!(r.outstanding_recoveries(), 1);
     }
 
     #[test]

@@ -60,9 +60,6 @@ pub struct SenderConfig {
     pub heartbeat: HeartbeatConfig,
     /// Variable (LBRM) or fixed (baseline) heartbeat.
     pub scheme: HeartbeatScheme,
-    /// §7 extension: repeat the previous data payload inside heartbeats
-    /// when it is at most this many bytes (`0` disables).
-    pub repeat_payload_up_to: usize,
     /// The primary logging server.
     pub primary: HostId,
     /// Release buffered data only when a *replica* has it (§2.2.3). When
@@ -85,7 +82,6 @@ impl SenderConfig {
             host,
             heartbeat: HeartbeatConfig::default(),
             scheme: HeartbeatScheme::Variable,
-            repeat_payload_up_to: 0,
             primary,
             require_replica_ack: false,
             replicas: Vec::new(),
@@ -157,7 +153,6 @@ pub struct Sender {
     unwrapper: SeqUnwrapper,
     next_seq: Seq,
     last_seq: Option<Seq>,
-    last_payload: Bytes,
     /// Retained packets, keyed by unwrapped index. An entry is dropped
     /// only once the log acknowledgement covers it *and* statistical-ack
     /// bookkeeping has settled (a re-multicast decision may need the
@@ -195,7 +190,6 @@ impl Sender {
             unwrapper: SeqUnwrapper::new(),
             next_seq: Seq::FIRST,
             last_seq: None,
-            last_payload: Bytes::new(),
             buffer: SeqSlab::new(),
             released_below: 0,
             unsettled: std::collections::BTreeSet::new(),
@@ -252,7 +246,6 @@ impl Sender {
         let seq = self.next_seq;
         self.next_seq = seq.next();
         self.last_seq = Some(seq);
-        self.last_payload = payload.clone();
         let epoch = self.current_epoch();
         let idx = self.unwrapper.unwrap(seq);
         if self.buffer.is_empty() {
@@ -416,13 +409,6 @@ impl Sender {
                                 });
                         }
                     }
-                }
-                StatAckOutput::CongestionSuspected { streak } => {
-                    out.push(Action::Notice(Notice::CongestionSuspected { streak }));
-                    self.tracer
-                        .emit(now.nanos(), || ProtocolEvent::CongestionSuspected {
-                            streak,
-                        });
                 }
             }
         }
@@ -695,13 +681,6 @@ impl Machine for Sender {
         while self.schedule.due(now) {
             if let Some(seq) = self.last_seq {
                 let hb_index = self.schedule.on_heartbeat_sent(now);
-                let payload = if self.config.repeat_payload_up_to > 0
-                    && self.last_payload.len() <= self.config.repeat_payload_up_to
-                {
-                    self.last_payload.clone()
-                } else {
-                    Bytes::new()
-                };
                 out.push(Action::Multicast {
                     scope: TtlScope::Global,
                     packet: Packet::Heartbeat {
@@ -710,7 +689,7 @@ impl Machine for Sender {
                         seq,
                         epoch: self.current_epoch(),
                         hb_index,
-                        payload,
+                        payload: Bytes::new(),
                     },
                 });
                 self.tracer
@@ -1120,33 +1099,6 @@ mod tests {
         assert!(notices(&out).iter().any(
             |n| matches!(n, Notice::StatAckRemulticast { seq, missing_acks: 3 } if *seq == Seq(1))
         ));
-    }
-
-    #[test]
-    fn repeat_payload_in_heartbeat_when_small() {
-        let mut cfg = SenderConfig::new(GROUP, SRC, HOST, PRIMARY);
-        cfg.repeat_payload_up_to = 16;
-        let mut s = Sender::new(cfg);
-        let mut out = Actions::new();
-        s.on_start(Time::ZERO, &mut out);
-        s.send(Time::ZERO, Bytes::from_static(b"tiny"), &mut out);
-        out.clear();
-        s.poll(Time::from_millis(250), &mut out);
-        let hb_payload = |out: &Actions| {
-            sent_packets(out)
-                .iter()
-                .find_map(|p| match p {
-                    Packet::Heartbeat { payload, .. } => Some(payload.clone()),
-                    _ => None,
-                })
-                .expect("heartbeat sent")
-        };
-        assert_eq!(hb_payload(&out).as_ref(), b"tiny");
-        // A large payload is not repeated.
-        s.send(Time::from_secs(1), Bytes::from(vec![0u8; 64]), &mut out);
-        out.clear();
-        s.poll(Time::from_millis(1250), &mut out);
-        assert!(hb_payload(&out).is_empty());
     }
 
     #[test]

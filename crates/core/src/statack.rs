@@ -45,6 +45,11 @@ const MAX_REMULTICASTS: u32 = 2;
 /// black-listed as faulty (§2.3.3's "hotlist").
 const HOTLIST_THRESHOLD: u32 = 3;
 
+/// Re-multicast when the estimated number of sites represented by
+/// missing ACKs reaches this value (§2.3.2's "significant number of
+/// sites").
+const REMULTICAST_SITE_THRESHOLD: f64 = 2.0;
+
 /// Configuration of the statistical-acknowledgement engine.
 #[derive(Debug, Clone)]
 pub struct StatAckConfig {
@@ -56,19 +61,11 @@ pub struct StatAckConfig {
     pub nsl_initial: f64,
     /// How often to re-select Designated Ackers.
     pub epoch_interval: Duration,
-    /// Re-multicast when the estimated number of sites represented by
-    /// missing ACKs reaches this value (§2.3.2's "significant number of
-    /// sites").
-    pub remulticast_site_threshold: f64,
     /// Bolot-style initial group-size probing (§2.3.3): selection rounds
     /// double as probes with escalating probability until the `N_sl`
     /// estimate is confident, then normal epochs take over. `None`
     /// trusts [`nsl_initial`](Self::nsl_initial).
     pub initial_probe: Option<BolotConfig>,
-    /// Consecutive incompletely-acked packets before the engine reports
-    /// suspected congestion (the §5 future-work hook for slowing the
-    /// sender during high loss). `0` disables.
-    pub congestion_streak: u32,
 }
 
 impl Default for StatAckConfig {
@@ -77,9 +74,7 @@ impl Default for StatAckConfig {
             k: 10,
             nsl_initial: 50.0,
             epoch_interval: Duration::from_secs(60),
-            remulticast_site_threshold: 2.0,
             initial_probe: None,
-            congestion_streak: 3,
         }
     }
 }
@@ -119,13 +114,6 @@ pub enum StatAckOutput {
         /// `true` if every expected ACK arrived.
         complete: bool,
     },
-    /// Several consecutive packets settled with missing ACKs even after
-    /// re-multicasts: the path to a meaningful share of the group looks
-    /// congested, and the application should consider slowing down (§5).
-    CongestionSuspected {
-        /// Length of the incomplete streak.
-        streak: u32,
-    },
 }
 
 #[derive(Debug, Clone)]
@@ -161,8 +149,6 @@ pub struct StatAck {
     blacklist: BTreeSet<HostId>,
     /// Bolot probing phase; `None` once the estimate is confident.
     probe: Option<BolotProbe>,
-    /// Consecutive incomplete settlements (congestion signal).
-    incomplete_streak: u32,
 }
 
 impl StatAck {
@@ -184,7 +170,6 @@ impl StatAck {
             bogus_acks: BTreeMap::new(),
             blacklist: BTreeSet::new(),
             probe: config.initial_probe.map(BolotProbe::new),
-            incomplete_streak: 0,
             config,
         }
     }
@@ -303,7 +288,6 @@ impl StatAck {
             }
             let seq = track.seq;
             self.outstanding.remove(&idx);
-            self.incomplete_streak = 0;
             out.push(StatAckOutput::Settled {
                 seq,
                 complete: true,
@@ -395,7 +379,7 @@ impl StatAck {
                     let sites_per_acker =
                         (self.nsl.estimate() / track.expected.max(1) as f64).max(1.0);
                     let missing_sites = missing as f64 * sites_per_acker;
-                    if missing_sites >= self.config.remulticast_site_threshold
+                    if missing_sites >= REMULTICAST_SITE_THRESHOLD
                         && track.remulticasts < MAX_REMULTICASTS
                     {
                         track.remulticasts += 1;
@@ -415,24 +399,8 @@ impl StatAck {
             if now >= track.closes_at {
                 let complete = track.acked_by.len() >= track.expected;
                 let seq = track.seq;
-                let expected = track.expected;
                 self.outstanding.remove(&idx);
                 out.push(StatAckOutput::Settled { seq, complete });
-                // §5 congestion feedback: streaks of incomplete coverage.
-                if expected > 0 {
-                    if complete {
-                        self.incomplete_streak = 0;
-                    } else {
-                        self.incomplete_streak += 1;
-                        if self.config.congestion_streak > 0
-                            && self.incomplete_streak >= self.config.congestion_streak
-                        {
-                            out.push(StatAckOutput::CongestionSuspected {
-                                streak: self.incomplete_streak,
-                            });
-                        }
-                    }
-                }
             }
         }
     }
@@ -574,7 +542,6 @@ mod tests {
         let cfg = StatAckConfig {
             k: 20,
             nsl_initial: 3.0,
-            remulticast_site_threshold: 2.0,
             ..StatAckConfig::default()
         };
         let mut e = StatAck::new(cfg, T0);
@@ -758,51 +725,6 @@ mod tests {
         let est = e.nsl_estimate();
         let rel = (est - truth as f64).abs() / truth as f64;
         assert!(rel < 0.4, "estimate {est} vs true {truth}");
-    }
-
-    #[test]
-    fn congestion_suspected_after_incomplete_streak() {
-        let mut e = engine(2, 100.0);
-        let ackers = [HostId(1), HostId(2)];
-        let (_, mut now) = activate_epoch(&mut e, &ackers, T0);
-        // No ACKs ever arrive: each packet settles incomplete; after the
-        // configured streak the congestion signal fires.
-        let mut congestion = None;
-        for i in 1..=4u32 {
-            e.on_data_sent(now, Seq(i));
-            let mut out = Vec::new();
-            for _ in 0..10 {
-                let Some(d) = e.next_deadline() else { break };
-                e.poll(d, &mut out);
-                now = d;
-                if out
-                    .iter()
-                    .any(|o| matches!(o, StatAckOutput::Settled { .. }))
-                {
-                    break;
-                }
-            }
-            if let Some(s) = out.iter().find_map(|o| match o {
-                StatAckOutput::CongestionSuspected { streak } => Some(*streak),
-                _ => None,
-            }) {
-                congestion = Some((i, s));
-                break;
-            }
-        }
-        let (at_packet, streak) = congestion.expect("congestion signal expected");
-        assert_eq!(streak, StatAckConfig::default().congestion_streak);
-        assert_eq!(at_packet, StatAckConfig::default().congestion_streak);
-        // A complete packet clears the streak.
-        let epoch = e.current_epoch();
-        e.on_data_sent(now, Seq(99));
-        let mut out = Vec::new();
-        e.on_ack(now, HostId(1), epoch, Seq(99), &mut out);
-        e.on_ack(now, HostId(2), epoch, Seq(99), &mut out);
-        assert!(out
-            .iter()
-            .any(|o| matches!(o, StatAckOutput::Settled { complete: true, .. })));
-        assert_eq!(e.incomplete_streak, 0);
     }
 
     /// Drives the engine from `now` through one full selection cycle

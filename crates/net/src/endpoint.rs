@@ -319,7 +319,6 @@ impl<M: Machine + Send + 'static, T: Transport> Endpoint<M, T> {
                 Action::Deliver(d) => emit(EndpointEvent::Delivery(d)),
                 Action::Notice(n) => emit(EndpointEvent::Notice(n)),
                 Action::Join(g) => self.transport.join(g)?,
-                Action::Leave(g) => self.transport.leave(g)?,
             }
         }
         Ok(())

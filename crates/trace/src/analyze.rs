@@ -234,8 +234,6 @@ pub enum RepairSource {
     Sender,
     /// Statistical-ACK re-multicast of the original data (§2.3.2).
     Remulticast,
-    /// Heartbeat repeat-payload fill (§7).
-    Heartbeat,
     /// The late original finally arrived on its own.
     LateOriginal,
     /// The repair carrier could not be attributed.
@@ -251,7 +249,6 @@ impl RepairSource {
             RepairSource::Replica => "replica",
             RepairSource::Sender => "sender",
             RepairSource::Remulticast => "remulticast",
-            RepairSource::Heartbeat => "heartbeat",
             RepairSource::LateOriginal => "late_original",
             RepairSource::Unknown => "unknown",
         }
@@ -1210,7 +1207,7 @@ mod tests {
     }
 
     #[test]
-    fn remulticast_and_heartbeat_repairs_attributed() {
+    fn remulticast_repairs_attributed() {
         let records = vec![
             rec(0, SENDER, ProtocolEvent::RoleAnnounced { role: "sender" }),
             rec(
@@ -1226,7 +1223,7 @@ mod tests {
                 RX,
                 ProtocolEvent::GapDetected {
                     first: Seq(1),
-                    last: Seq(2),
+                    last: Seq(1),
                 },
             ),
             rec(
@@ -1254,23 +1251,6 @@ mod tests {
                     latency_nanos: 20_000_000,
                 },
             ),
-            rec(
-                50,
-                RX,
-                ProtocolEvent::RepairReceived {
-                    seq: Seq(2),
-                    from: SENDER,
-                    kind: "heartbeat",
-                },
-            ),
-            rec(
-                50,
-                RX,
-                ProtocolEvent::Recovered {
-                    seq: Seq(2),
-                    latency_nanos: 25_000_000,
-                },
-            ),
         ];
         let cfg = AnalyzeConfig {
             h_max_nanos: None,
@@ -1278,7 +1258,6 @@ mod tests {
         };
         let report = analyze(&records, &cfg);
         assert_eq!(report.sources.get("remulticast"), Some(&1));
-        assert_eq!(report.sources.get("heartbeat"), Some(&1));
         assert!(report.is_clean(), "{:?}", report.anomalies);
     }
 
@@ -1337,7 +1316,6 @@ mod tests {
             ProtocolEvent::TWaitUpdated {
                 t_wait_nanos: u64::MAX,
             },
-            ProtocolEvent::CongestionSuspected { streak: N },
             ProtocolEvent::Recovered {
                 seq: S,
                 latency_nanos: u64::MAX,
@@ -1423,7 +1401,7 @@ mod tests {
                 patched += 1;
             }
         }
-        assert_eq!(patched, 33, "one patch per u32-wide field of every key");
+        assert_eq!(patched, 32, "one patch per u32-wide field of every key");
         for p_ack in ["NaN", "inf", "-1.5"] {
             let line = format!(
                 "{{\"at_ns\":1,\"host\":1,\"event\":\"acker_selected\",\"epoch\":1,\"p_ack\":{p_ack}}}"

@@ -157,7 +157,7 @@ impl JsonField for bool {
 }
 
 /// The carriers a repair can arrive as.
-const REPAIR_CARRIERS: &[&str] = &["retrans", "data", "heartbeat"];
+const REPAIR_CARRIERS: &[&str] = &["retrans", "data"];
 
 /// The roles machines announce.
 const ROLES: &[&str] = &[
@@ -388,11 +388,6 @@ events! {
             /// The new window, in nanoseconds.
             t_wait_nanos: u64 as "t_wait_ns",
         },
-        /// Consecutive incomplete settlements suggest congestion (§5).
-        CongestionSuspected: "congestion_suspected" {
-            /// Length of the incomplete streak.
-            streak: u32,
-        },
         /// A receiver completed recovery of a lost packet.
         Recovered: "recovered" {
             /// The recovered sequence.
@@ -413,9 +408,8 @@ events! {
             seq: Seq,
             /// Host the repair arrived from.
             from: HostId,
-            /// Carrier kind: `"retrans"`, `"data"` (late original or
-            /// statistical-ACK re-multicast), or `"heartbeat"` (§7
-            /// repeat-payload fill).
+            /// Carrier kind: `"retrans"`, or `"data"` (late original or
+            /// statistical-ACK re-multicast).
             kind: &'static str = REPAIR_CARRIERS,
         },
         /// A retransmission arrived for a sequence already held — a

@@ -564,7 +564,6 @@ impl OnlineAnalyzer {
                     }
                 }
                 let source = match *kind {
-                    "heartbeat" => RepairSource::Heartbeat,
                     "retrans" => match self.roles.get(&from.raw()).copied() {
                         Some("logger_primary") => RepairSource::Primary,
                         Some("logger_secondary") => RepairSource::Secondary,

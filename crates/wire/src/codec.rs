@@ -866,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_with_repeated_payload() {
+    fn heartbeat_with_payload_round_trips() {
         let p = Packet::Heartbeat {
             group: GroupId(9),
             source: SourceId(9),

@@ -130,9 +130,8 @@ pub enum Packet {
         /// Index of this heartbeat since the last data packet (1-based);
         /// lets receivers and tests observe the backoff schedule.
         hb_index: u32,
-        /// Optional repeat of the previous (small) data payload — the §7
-        /// "retransmit the original packet instead of an empty heartbeat"
-        /// extension. Empty when disabled.
+        /// Carried for wire compatibility only: senders always send it
+        /// empty and receivers ignore it on receipt.
         payload: Bytes,
     },
 

@@ -101,7 +101,6 @@ impl<M: Machine + 'static> MachineActor<M> {
                 Action::Deliver(d) => self.deliveries.push((now, d)),
                 Action::Notice(n) => self.notices.push((now, n)),
                 Action::Join(g) => ctx.join(g),
-                Action::Leave(g) => ctx.leave(g),
             }
         }
         if let Some(d) = self.driver.machine().next_deadline() {
