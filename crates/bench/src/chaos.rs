@@ -137,6 +137,16 @@ fn restart_replica(sc: &mut DisScenario, host: lbrm_wire::HostId, sink: Arc<dyn 
     sc.world.restart(host, MachineActor::new(lg, vec![]));
 }
 
+/// The chaos world for `seed`, tracing into `sink`, with its data
+/// schedule queued.
+fn scenario(seed: u64, sink: Arc<dyn TraceSink>) -> DisScenario {
+    let mut sc = DisScenario::build_with_sink(chaos_config(seed), Some(sink));
+    for i in 0..PACKETS {
+        sc.send_at(SimTime::from_millis(1_000 + 250 * i), format!("update-{i}"));
+    }
+    sc
+}
+
 /// Runs one cell of the matrix.
 ///
 /// # Panics
@@ -144,13 +154,7 @@ fn restart_replica(sc: &mut DisScenario, host: lbrm_wire::HostId, sink: Arc<dyn 
 /// On an unknown shape name.
 pub fn run_shape(shape: &'static str, seed: u64) -> ChaosOutcome {
     let collector = Arc::new(CollectorSink::default());
-    let mut sc = DisScenario::build_with_sink(
-        chaos_config(seed),
-        Some(collector.clone() as Arc<dyn TraceSink>),
-    );
-    for i in 0..PACKETS {
-        sc.send_at(SimTime::from_millis(1_000 + 250 * i), format!("update-{i}"));
-    }
+    let mut sc = scenario(seed, collector.clone());
     match shape {
         // The primary dies while NACKs are in flight to it; the sender
         // must elect a replica and receivers must finish recovery there.
@@ -276,6 +280,27 @@ mod tests {
             o.report.anomalies
         );
         assert!(o.elections >= 1, "an election must have committed");
+    }
+
+    /// With no fault injected, every receiver gets the whole stream. At
+    /// these seeds a whole site loses the stream's first packets on its
+    /// tail circuit, and recovers them back to the origin.
+    #[test]
+    fn the_fault_free_world_recovers_the_streams_first_packets() {
+        use lbrm_core::receiver::Receiver;
+        let expect: Vec<u32> = (1..=PACKETS as u32).collect();
+        for seed in [4, 6, 9, 23, 32, 33, 40] {
+            let mut sc = scenario(seed, Arc::new(CollectorSink::default()));
+            sc.world.run_until(UNTIL);
+            assert_eq!(sc.completeness(&expect), 1.0, "seed {seed}");
+            let recovered_first = sc.all_receivers().into_iter().any(|rx| {
+                let rx = sc.world.actor::<MachineActor<Receiver>>(rx);
+                rx.deliveries
+                    .iter()
+                    .any(|(_, d)| d.seq.raw() == 1 && d.recovered)
+            });
+            assert!(recovered_first, "seed {seed}: no receiver lost seq 1");
+        }
     }
 
     #[test]

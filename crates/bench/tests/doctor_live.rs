@@ -253,3 +253,23 @@ fn live_bundled_run_publishes_send_gauges() {
     }
     assert!(total_packets > 0, "no endpoint sent anything: {gauges:?}");
 }
+
+/// The CI live-doctor job's run (seed 77, three receivers, 15 % loss):
+/// one receiver loses the stream's first packets. A plan's receivers
+/// listen before the sender starts, so it recovers them like any other
+/// loss and all 90 deliveries arrive.
+#[test]
+fn live_receivers_recover_the_streams_first_packets() {
+    let opts = LiveOptions {
+        packets: 30,
+        seed: 77,
+        spacing: Duration::from_millis(40),
+        settle: Duration::from_secs(6),
+        port: 49_615,
+        ..LiveOptions::default()
+    };
+    let outcome = run_live(opts, |_| {}).expect("live run");
+    assert_delivered_everything(&outcome, 30 * 3);
+    let report = &outcome.finish.report;
+    assert!(report.is_clean(), "{:?}", report.anomalies);
+}

@@ -55,12 +55,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The full report is byte-identical to the one recorded at `483ccf9`
-/// (stdout sha256 `a75c0bc7…`, capture sha256 `864b5b12…`), and its
-/// capture goes to the workspace's `target/`, not to wherever the process
+/// (stdout sha256 `a75c0bc7…`), its capture to the one recorded when
+/// same-instant events became FIFO (sha256 `1d9313f4…`), and the capture
+/// goes to the workspace's `target/`, not to wherever the process
 /// happened to start: from an unrelated directory the "saved to" line
 /// still names a file that exists. That line's absolute path differs per
 /// checkout, so it is left out of the stdout hash. A change that moves
-/// either hash moved a figure or the event order; re-record both on
+/// either hash moved a figure or the event order; re-record it on
 /// purpose.
 #[test]
 fn full_report_is_pinned_and_saved_from_any_working_directory() {
@@ -88,7 +89,7 @@ fn full_report_is_pinned_and_saved_from_any_working_directory() {
     );
     assert_eq!(
         (capture.len(), fnv1a(&capture)),
-        (44_206, 0x77d4_bb9e_7bb6_44c8),
+        (44_206, 0xbcac_f7a7_f625_5810),
         "target/reproduce_trace.jsonl moved"
     );
 }

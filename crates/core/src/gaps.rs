@@ -241,6 +241,12 @@ impl GapTracker {
         self.floor = self.floor.max(next);
     }
 
+    /// `seq`'s position on the tracker's index line, without recording
+    /// it: a key that stays ordered across the 32-bit wrap.
+    pub(crate) fn index(&self, seq: Seq) -> u64 {
+        self.unwrapper.peek(seq)
+    }
+
     /// `true` once at least one packet (or announcement) was observed.
     pub fn started(&self) -> bool {
         self.started
@@ -268,7 +274,7 @@ impl GapTracker {
 
     /// `true` if `seq` is currently marked missing.
     pub fn is_missing(&self, seq: Seq) -> bool {
-        let idx = self.unwrapper.peek(seq);
+        let idx = self.index(seq);
         self.missing.contains(&idx)
     }
 
@@ -277,7 +283,7 @@ impl GapTracker {
     /// not beyond the head. Parties that must distinguish *received* from
     /// *abandoned* (the log store) keep the payloads and consult those.
     pub fn has(&self, seq: Seq) -> bool {
-        let idx = self.unwrapper.peek(seq);
+        let idx = self.index(seq);
         if !self.started {
             return false;
         }
@@ -319,17 +325,23 @@ impl GapTracker {
         out
     }
 
-    /// Extends tracking `count` sequence numbers *below* the first
+    /// Extends tracking up to `count` sequence numbers *below* the first
     /// observation, marking them missing — a late joiner deciding to
-    /// backfill recent history from the log. Only meaningful right after
-    /// the first observation; returns the newly missing range, if any.
+    /// backfill recent history from the log, or a receiver that was
+    /// listening before the stream began reaching back to its origin.
+    /// The extension stops at [`Seq::FIRST`] (nothing is sent before it)
+    /// and, like a forward jump, marks at most [`MAX_GAP_SPAN`] numbers.
+    /// Only meaningful right after the first observation; returns the
+    /// newly missing range, if any.
     pub fn backfill(&mut self, count: u32) -> Option<(Seq, Seq)> {
-        if !self.started || count == 0 {
+        if !self.started {
             return None;
         }
         let old_start = self.start_floor;
-        let lo = old_start.saturating_sub(u64::from(count));
-        if lo == old_start {
+        let lo = old_start
+            .saturating_sub(u64::from(count).min(MAX_GAP_SPAN))
+            .max(u64::from(Seq::FIRST.raw()));
+        if lo >= old_start {
             return None;
         }
         for idx in lo..old_start {
@@ -350,7 +362,7 @@ impl GapTracker {
     /// Abandons one missing sequence (recovery gave up on it). Returns
     /// `true` if it was indeed missing.
     pub fn abandon(&mut self, seq: Seq) -> bool {
-        let idx = self.unwrapper.peek(seq);
+        let idx = self.index(seq);
         let removed = self.missing.remove(&idx);
         if removed {
             self.advance_floor();
@@ -361,7 +373,7 @@ impl GapTracker {
     /// Abandons recovery of everything before `seq` (exclusive): used by
     /// latest-only / windowed reliability modes.
     pub fn give_up_before(&mut self, seq: Seq) {
-        let idx = self.unwrapper.peek(seq);
+        let idx = self.index(seq);
         self.missing.retain(|&m| m >= idx);
         if idx > self.floor {
             self.floor = idx.min(self.head);
@@ -537,6 +549,34 @@ mod tests {
             Observation::Ahead { gap: MAX_GAP_SPAN }
         );
         assert_eq!(t.given_up(), (1 << 31) - 3 - MAX_GAP_SPAN);
+    }
+
+    #[test]
+    fn backfill_stops_at_the_stream_origin() {
+        let mut t = GapTracker::new();
+        t.observe(Seq(3));
+        assert_eq!(t.backfill(10), Some((Seq(1), Seq(2))));
+        assert_eq!(ranges(&t), vec![(1, 2)], "no phantom #0");
+        assert!(!t.is_missing(Seq(0)));
+        // Nothing precedes the origin: a first observation there has
+        // nothing to backfill.
+        let mut t = GapTracker::new();
+        t.observe(Seq::FIRST);
+        assert_eq!(t.backfill(u32::MAX), None);
+        assert_eq!(t.missing_count(), 0);
+    }
+
+    #[test]
+    fn backfill_marks_at_most_the_bounded_span() {
+        let mut t = GapTracker::new();
+        let first = Seq(1 << 31);
+        t.observe(first);
+        let (lo, hi) = t.backfill(u32::MAX).expect("history below the join");
+        assert_eq!(
+            (lo, hi),
+            (span_start(first.prev(), MAX_GAP_SPAN), first.prev())
+        );
+        assert_eq!(t.missing_count() as u64, MAX_GAP_SPAN);
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub struct ReceiverConfig {
     /// avoids NACK implosion at the logger (§2.3.2, Appendix A).
     pub nack_delay: Duration,
     /// Total NACK attempts for one packet before abandoning it as
-    /// unrecoverable (e.g. backfill past the stream origin, or a packet
-    /// older than every log's retention).
+    /// unrecoverable (e.g. a packet older than every log's retention).
+    /// A newly adopted log-authority term restarts the count.
     pub max_recovery_attempts: u32,
     /// Recovery targets in preference order (site secondary first, then
     /// the primary). Updated in place when a `PrimaryIs` announces a
@@ -82,7 +82,9 @@ pub struct ReceiverConfig {
     /// Late-joiner backfill: on the first packet observed, also recover
     /// up to this many immediately preceding sequence numbers from the
     /// log — the §4.4 mobile-reconnect / audit-history pattern. `0`
-    /// starts from the join point (the default).
+    /// starts from the join point (the default); `u32::MAX` reaches back
+    /// to the stream's origin, for a receiver that was listening before
+    /// it began. The window never reaches before `Seq::FIRST`.
     pub backfill: u32,
 }
 
@@ -140,7 +142,7 @@ pub struct ReceiverStats {
 pub struct Receiver {
     config: ReceiverConfig,
     gaps: GapTracker,
-    unwrapper: SeqUnwrapper,
+    /// Open recoveries, keyed by the gap tracker's index of their seq.
     pending: BTreeMap<u64, Recovery>,
     last_source_packet_at: Option<Time>,
     /// Expected interval until the sender's next transmission, learned
@@ -163,7 +165,6 @@ impl Receiver {
             expected_interval: config.heartbeat.h_min,
             config,
             gaps: GapTracker::new(),
-            unwrapper: SeqUnwrapper::new(),
             pending: BTreeMap::new(),
             last_source_packet_at: None,
             fresh: false,
@@ -269,7 +270,7 @@ impl Receiver {
             }
             ReliabilityMode::Window(n) => {
                 if let Some(high) = self.gaps.highest() {
-                    let floor_idx = self.unwrapper.peek(high).saturating_sub(u64::from(n) - 1);
+                    let floor_idx = self.gaps.index(high).saturating_sub(u64::from(n) - 1);
                     let floor = SeqUnwrapper::rewrap(floor_idx);
                     let before = self.gaps.missing_count();
                     self.gaps.give_up_before(floor);
@@ -290,7 +291,7 @@ impl Receiver {
             if !self.gaps.is_missing(seq) {
                 continue;
             }
-            let idx = self.unwrapper.unwrap(seq);
+            let idx = self.gaps.index(seq);
             self.pending.entry(idx).or_insert(Recovery {
                 seq,
                 detected_at: now,
@@ -314,7 +315,7 @@ impl Receiver {
         kind: &'static str,
         out: &mut Actions,
     ) {
-        let Some(rec) = self.pending.remove(&self.unwrapper.peek(seq)) else {
+        let Some(rec) = self.pending.remove(&self.gaps.index(seq)) else {
             return;
         };
         let after = now.since(rec.detected_at);
@@ -369,8 +370,9 @@ impl Receiver {
         }
     }
 
-    /// On first contact with the stream, extend recovery below the join
-    /// point by the configured backfill window (§4 late-join history).
+    /// On first contact with the stream (data, heartbeat or repair),
+    /// extend recovery below the join point by the configured backfill
+    /// window (§4 late-join history).
     fn maybe_backfill(&mut self, now: Time, out: &mut Actions) {
         if self.config.backfill == 0 {
             return;
@@ -442,6 +444,7 @@ impl Machine for Receiver {
         {
             return;
         }
+        let first_contact = !self.gaps.started();
         match packet {
             Packet::Data {
                 group: g,
@@ -452,12 +455,8 @@ impl Machine for Receiver {
             } if g == group && s == source => {
                 self.touch_source(now, out);
                 self.learn_interval(None);
-                let first_contact = !self.gaps.started();
                 // A late original may fill a gap on its own.
                 self.absorb(now, from, seq, payload, false, out);
-                if first_contact {
-                    self.maybe_backfill(now, out);
-                }
             }
             Packet::Heartbeat {
                 group: g,
@@ -466,15 +465,11 @@ impl Machine for Receiver {
                 hb_index,
                 ..
             } if g == group && s == source => {
-                let first_contact = !self.gaps.started();
                 self.touch_source(now, out);
                 self.learn_interval(Some(hb_index));
                 let newly = self.gaps.observe_announced(seq);
                 if newly > 0 {
                     self.on_loss(now, span_start(seq, newly), seq, LossSignal::Heartbeat, out);
-                }
-                if first_contact {
-                    self.maybe_backfill(now, out);
                 }
             }
             Packet::Retrans {
@@ -494,9 +489,17 @@ impl Machine for Receiver {
                 term,
                 leader,
             } if g == group && s == source && self.authority.adopt(term, leader) => {
+                // The attempt budget says nobody can supply a packet; a
+                // newly elected leader is a supplier nobody has asked.
+                for r in self.pending.values_mut() {
+                    r.total_attempts = 0;
+                }
                 self.retarget(now, leader);
             }
             _ => {}
+        }
+        if first_contact && self.gaps.started() {
+            self.maybe_backfill(now, out);
         }
     }
 
@@ -535,8 +538,8 @@ impl Machine for Receiver {
                 continue;
             };
             if r.total_attempts >= self.config.max_recovery_attempts {
-                // Nobody can supply this packet (pre-origin backfill, or
-                // retention expired everywhere): stop asking.
+                // Nobody can supply this packet (retention expired
+                // everywhere, or no leader answers): stop asking.
                 let seq = r.seq;
                 self.pending.remove(&idx);
                 self.gaps.abandon(seq);
@@ -957,6 +960,18 @@ mod tests {
     }
 
     #[test]
+    fn a_repair_making_first_contact_backfills_too() {
+        // A site re-multicast can reach a receiver before any original.
+        let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
+        cfg.backfill = u32::MAX;
+        let mut r = Receiver::new(cfg);
+        let mut out = Actions::new();
+        r.on_packet(Time::ZERO, SECONDARY, retrans(3), &mut out);
+        assert_eq!(deliveries(&out).len(), 1);
+        assert_eq!(r.outstanding_recoveries(), 2, "#1 and #2, not #0");
+    }
+
+    #[test]
     fn backfill_recovers_history_on_join() {
         // A late joiner whose first packet is #20 pulls the previous 5
         // from the log.
@@ -1037,6 +1052,59 @@ mod tests {
         let mut out2 = Actions::new();
         r.poll(Time::from_secs(100), &mut out2);
         assert!(!out2.iter().any(|a| matches!(a, Action::Unicast { .. })));
+    }
+
+    /// Polls at each deadline until `r` sends `n` NACKs or has nothing
+    /// left to recover; returns the NACKs' targets.
+    fn nack_targets(r: &mut Receiver, n: usize) -> Vec<HostId> {
+        let mut to = Vec::new();
+        while to.len() < n && r.outstanding_recoveries() > 0 {
+            let d = r.next_deadline().expect("an open recovery has a deadline");
+            let mut out = Actions::new();
+            r.poll(d, &mut out);
+            to.extend(out.iter().filter_map(|a| match a {
+                Action::Unicast {
+                    to,
+                    packet: Packet::Nack { .. },
+                } => Some(*to),
+                _ => None,
+            }));
+        }
+        to
+    }
+
+    fn term_announce(term: u32, leader: HostId) -> Packet {
+        Packet::TermAnnounce {
+            group: GROUP,
+            source: SRC,
+            term,
+            leader,
+        }
+    }
+
+    #[test]
+    fn a_new_term_restarts_the_attempt_budget() {
+        let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![PRIMARY]);
+        cfg.max_recovery_attempts = 4;
+        let mut r = Receiver::new(cfg);
+        let mut out = Actions::new();
+        r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
+        r.on_packet(Time::from_millis(1), SRC_HOST, data(3), &mut out);
+        // One NACK short of the budget.
+        assert_eq!(nack_targets(&mut r, 3), vec![PRIMARY; 3]);
+        // A newly elected leader is a new supplier: the recovery
+        // survives and asks it, with a whole budget.
+        let (leader, other) = (HostId(500), HostId(600));
+        let now = r.next_deadline().unwrap();
+        r.on_packet(now, SRC_HOST, term_announce(2, leader), &mut out);
+        assert_eq!(nack_targets(&mut r, 2), vec![leader; 2]);
+        // An equal or lower term is no news: the budget runs on.
+        let now = r.next_deadline().unwrap();
+        r.on_packet(now, SRC_HOST, term_announce(2, other), &mut out);
+        r.on_packet(now, SRC_HOST, term_announce(1, other), &mut out);
+        assert_eq!(nack_targets(&mut r, usize::MAX), vec![leader; 2]);
+        assert_eq!(r.outstanding_recoveries(), 0);
+        assert_eq!(r.stats().abandoned, 1);
     }
 
     #[test]

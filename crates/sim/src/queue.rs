@@ -50,7 +50,7 @@ use crate::time::SimTime;
 /// never participates in comparisons.
 struct Entry<T> {
     at: SimTime,
-    tiebreak: u128,
+    tiebreak: u64,
     item: T,
 }
 
@@ -283,16 +283,9 @@ impl<T> Wheel<T> {
     }
 }
 
-/// Tiebreak bit marking auto-assigned (push-order) keys. Caller-provided
-/// keys from [`EventQueue::push_keyed`] must stay below this bit, so the
-/// two key spaces never collide even when mixed in one queue.
-const AUTO_KEY_BIT: u128 = 1 << 127;
-
 /// The simulator's future-event queue: events pop in strictly increasing
-/// `(deadline, tiebreak)`. [`EventQueue::push`] assigns tiebreaks in push
-/// order (FIFO within a deadline); [`EventQueue::push_keyed`] lets the
-/// caller supply the tiebreak, which is how [`crate::world::World`]
-/// orders same-instant events by pushing entity rather than push order.
+/// `(deadline, tiebreak)`, the tiebreak being the push count, so events
+/// at the same instant pop in push order (FIFO).
 pub struct EventQueue<T> {
     tiebreak: u64,
     len: usize,
@@ -316,40 +309,22 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedules `item` at `at`, after everything already scheduled at
-    /// the same instant (and after any [`EventQueue::push_keyed`] event
-    /// at that instant — auto keys sort above all caller keys).
+    /// the same instant.
     pub fn push(&mut self, at: SimTime, item: T) {
         self.tiebreak += 1;
-        self.push_entry(at, AUTO_KEY_BIT | u128::from(self.tiebreak), item);
-    }
-
-    /// Schedules `item` at `at` with a caller-supplied tiebreak key.
-    /// Keys must be unique per `(at, key)` pair and below the auto-key
-    /// bit (`1 << 127`); events at the same instant pop in key order
-    /// regardless of push order.
-    pub fn push_keyed(&mut self, at: SimTime, key: u128, item: T) {
-        debug_assert!(
-            key & AUTO_KEY_BIT == 0,
-            "keyed pushes must stay below bit 127"
-        );
-        self.push_entry(at, key, item);
-    }
-
-    fn push_entry(&mut self, at: SimTime, tiebreak: u128, item: T) {
         self.len += 1;
-        self.wheel.push(Entry { at, tiebreak, item });
+        self.wheel.push(Entry {
+            at,
+            tiebreak: self.tiebreak,
+            item,
+        });
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.pop_keyed().map(|(at, _, item)| (at, item))
-    }
-
-    /// Removes and returns the earliest event with its tiebreak key.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u128, T)> {
         let e = self.wheel.pop()?;
         self.len -= 1;
-        Some((e.at, e.tiebreak, e.item))
+        Some((e.at, e.item))
     }
 
     /// Deadline of the earliest event without removing it. (`&mut`
@@ -384,12 +359,13 @@ mod tests {
     }
 
     /// The wheel in lockstep with the reference it must replay: a plain
-    /// binary heap on `(at, tiebreak)`, auto keys assigned the same way.
-    /// Every push goes to both; every pop must agree exactly.
+    /// binary heap on `(at, push count)`. Every push goes to both; every
+    /// pop must agree exactly (the tests' items are unique, so equal
+    /// `(at, item)` pairs are the same event).
     struct Lockstep {
         wheel: EventQueue<u64>,
         oracle: BinaryHeap<Reverse<Entry<u64>>>,
-        auto: u64,
+        pushes: u64,
     }
 
     impl Lockstep {
@@ -397,36 +373,27 @@ mod tests {
             Lockstep {
                 wheel: EventQueue::new(),
                 oracle: BinaryHeap::new(),
-                auto: 0,
+                pushes: 0,
             }
         }
 
         fn push(&mut self, at: SimTime, item: u64) {
             self.wheel.push(at, item);
-            self.auto += 1;
-            let tiebreak = AUTO_KEY_BIT | u128::from(self.auto);
+            self.pushes += 1;
+            let tiebreak = self.pushes;
             self.oracle.push(Reverse(Entry { at, tiebreak, item }));
         }
 
-        fn push_keyed(&mut self, at: SimTime, key: u128, item: u64) {
-            self.wheel.push_keyed(at, key, item);
-            let tiebreak = key;
-            self.oracle.push(Reverse(Entry { at, tiebreak, item }));
-        }
-
-        fn pop(&mut self) -> Option<(SimTime, u128, u64)> {
-            let want = self
-                .oracle
-                .pop()
-                .map(|Reverse(e)| (e.at, e.tiebreak, e.item));
-            assert_eq!(self.wheel.next_at(), want.map(|(at, _, _)| at));
-            let got = self.wheel.pop_keyed();
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let want = self.oracle.pop().map(|Reverse(e)| (e.at, e.item));
+            assert_eq!(self.wheel.next_at(), want.map(|(at, _)| at));
+            let got = self.wheel.pop();
             assert_eq!(got, want, "wheel must replay the heap exactly");
             assert_eq!(self.wheel.len(), self.oracle.len());
             got
         }
 
-        fn drain(&mut self) -> Vec<(SimTime, u128, u64)> {
+        fn drain(&mut self) -> Vec<(SimTime, u64)> {
             std::iter::from_fn(|| self.pop()).collect()
         }
     }
@@ -446,7 +413,7 @@ mod tests {
                 id += 1;
             }
             let mut popped = 0usize;
-            while let Some((at, _, _)) = q.pop() {
+            while let Some((at, _)) = q.pop() {
                 assert!(at >= now, "seed {seed}: pops must be time-monotonic");
                 now = at;
                 popped += 1;
@@ -481,7 +448,7 @@ mod tests {
         for i in 0..100u64 {
             q.push(t, i);
         }
-        let order: Vec<u64> = q.drain().into_iter().map(|(_, _, i)| i).collect();
+        let order: Vec<u64> = q.drain().into_iter().map(|(_, i)| i).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
@@ -558,63 +525,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "year");
         assert_eq!(q.pop().unwrap().1, "max");
         assert!(q.pop().is_none());
-    }
-
-    /// Keyed pushes impose `(at, key)` order regardless of push order;
-    /// auto-keyed pushes at the same instant sort after all keyed ones.
-    #[test]
-    fn keyed_pushes_pop_in_key_order() {
-        let mut q = Lockstep::new();
-        let t = SimTime::from_millis(3);
-        q.push_keyed(t, (7u128 << 64) | 1, 71);
-        q.push_keyed(t, (2u128 << 64) | 9, 29);
-        q.push(t, 999); // auto key: after every keyed event at `t`
-        q.push_keyed(t, (2u128 << 64) | 3, 23);
-        q.push_keyed(SimTime::from_millis(1), (9u128 << 64) | 9, 99);
-        let order: Vec<(u128, u64)> = q
-            .drain()
-            .into_iter()
-            .map(|(_, k, i)| (k & !AUTO_KEY_BIT, i))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                ((9u128 << 64) | 9, 99),
-                ((2u128 << 64) | 3, 23),
-                ((2u128 << 64) | 9, 29),
-                ((7u128 << 64) | 1, 71),
-                (1, 999),
-            ]
-        );
-    }
-
-    /// Same keyed schedule, different push interleavings: the pop
-    /// sequence (time, key, item) must be identical.
-    #[test]
-    fn keyed_pop_order_is_push_order_invariant() {
-        let mut s = 0xD15_EA5E_u64;
-        let mut events: Vec<(SimTime, u128, u64)> = (0..500u64)
-            .map(|i| {
-                let at = SimTime::from_nanos(splitmix(&mut s) % 3_000_000_000);
-                let ent = u128::from(splitmix(&mut s) % 64);
-                ((at), (ent << 64) | u128::from(i), i)
-            })
-            .collect();
-        let mut reference: Option<Vec<(SimTime, u128, u64)>> = None;
-        for pass in 0..2 {
-            let mut q = Lockstep::new();
-            if pass == 1 {
-                events.reverse();
-            }
-            for (at, key, item) in &events {
-                q.push_keyed(*at, *key, *item);
-            }
-            let popped = q.drain();
-            match &reference {
-                None => reference = Some(popped),
-                Some(r) => assert_eq!(r, &popped, "pass {pass}"),
-            }
-        }
     }
 
     #[test]

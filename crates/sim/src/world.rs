@@ -14,23 +14,25 @@
 //!
 //! # Determinism
 //!
-//! One thread pops one queue in `(at, key)` order. A fixed seed replays
-//! byte-identical traces, `NetStats` and deliveries — and replays the
-//! recorded goldens in `tests/event_queue_diff_sim.rs` — because
+//! One thread pops one queue in `(at, push count)` order. A fixed seed
+//! replays byte-identical traces, `NetStats` and deliveries — and
+//! replays the recorded goldens in `tests/event_queue_diff_sim.rs` —
+//! because
 //!
-//! 1. every scheduled event carries the key `(entity << 64) | seq`:
-//!    `entity` is the *pushing* entity (the host whose handler pushed
-//!    it, or `host_count + site` for pushes made while evaluating a
-//!    site's ingress) and `seq` that entity's monotone push counter, so
-//!    same-instant events run in entity order, not push order,
+//! 1. same-instant events run in the order they were pushed (FIFO), and
 //! 2. every random draw charges either a per-host stream or the owning
-//!    site's stream — never a global one, and
-//! 3. cross-site transmissions are evaluated in two halves (source-site
-//!    egress now, destination-site `Ev::Ingress` on arrival), so the
-//!    destination's draws and membership lookup happen at arrival time.
+//!    site's stream — never a global one.
 //!
-//! Changing any of the three reorders same-instant events or moves
-//! draws between streams, and every golden and published figure with it.
+//! Changing either reorders same-instant events or moves draws between
+//! streams, and every golden and published figure with it.
+//!
+//! A cross-site copy is evaluated in two halves (source-site egress at
+//! send time, destination-site `Ev::Ingress` on arrival). That split
+//! is the network model, not an ordering device: a site's inbound tail
+//! circuit queues copies FIFO by arrival time (`tail_in_busy_until`), its
+//! Gilbert loss chain steps once per traversal, and a multicast branch
+//! fans out to the site's members *at arrival*. All three are only right
+//! when a site's arrivals are evaluated in arrival order.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -112,9 +114,6 @@ struct State {
     nets: Vec<SiteNet>,
     /// Per-site group membership, by site index.
     members: Vec<BTreeMap<GroupId, BTreeSet<HostId>>>,
-    /// Per-entity push counters: `[0, host_count)` are hosts,
-    /// `[host_count, host_count + site_count)` are site pseudo-entities.
-    seqs: Vec<u64>,
     stats: NetStats,
     /// Bundle-framing accounting, with one open frame per host.
     bundles: BundleMeter,
@@ -132,15 +131,6 @@ struct State {
 }
 
 impl State {
-    /// Schedules `ev` at `at` on behalf of `entity`, under the key
-    /// `(entity << 64) | seq` (see the module docs).
-    fn push_from(&mut self, entity: u64, at: SimTime, ev: Ev) {
-        let seq = &mut self.seqs[entity as usize];
-        *seq += 1;
-        let key = (u128::from(entity) << 64) | u128::from(*seq);
-        self.queue.push_keyed(at, key, ev);
-    }
-
     /// Records the current queue depth into the high-water mark.
     #[inline]
     fn note_depth(&mut self) {
@@ -183,7 +173,7 @@ impl Ctx<'_> {
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
-        self.state.push_from(self.host.raw(), at, ev);
+        self.state.queue.push(at, ev);
     }
 
     /// Sends `packet` to a single host.
@@ -473,12 +463,8 @@ fn ingress(
             }
         }
     }
-    // Pushes made while evaluating a site's ingress are keyed to the
-    // site's pseudo-entity, not to whichever host sent the copy.
-    let entity = (topo.host_count() + si) as u64;
     for d in deliveries.drain(..) {
-        state.push_from(
-            entity,
+        state.queue.push(
             d.at,
             Ev::Packet {
                 from,
@@ -576,7 +562,6 @@ impl World {
             partition: vec![0; hosts],
             nets,
             members: vec![BTreeMap::new(); sites],
-            seqs: vec![0; hosts + sites],
             stats: NetStats::new(sites),
             bundles: BundleMeter::new(hosts),
             deliveries: Vec::new(),
@@ -705,8 +690,7 @@ impl World {
     pub fn schedule_timer(&mut self, host: HostId, at: SimTime, token: u64) {
         self.slot(host);
         let at = at.max(self.now);
-        self.state
-            .push_from(host.raw(), at, Ev::Timer { host, token });
+        self.state.queue.push(at, Ev::Timer { host, token });
     }
 
     /// Current virtual time.

@@ -233,6 +233,10 @@ impl GroupPlan {
                 let mut c = ReceiverConfig::new(group, source, rx, src_host, targets);
                 c.mode = self.config.mode;
                 c.nack_delay = self.config.receiver_nack_delay;
+                // The sender starts last, so every receiver was listening
+                // for `Seq::FIRST`: whatever precedes its first packet was
+                // lost, and is recovered back to the stream's origin.
+                c.backfill = u32::MAX;
                 Role::Receiver(c)
             });
             secondary.into_iter().chain(receivers)

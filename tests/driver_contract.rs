@@ -221,11 +221,12 @@ const PACKETS: u32 = 8;
 /// after.
 const SPACING_MS: u64 = 150;
 /// Which receiver (in plan order) loses which data packets on receive.
-/// None loses the first packet (a receiver's first packet is its join
-/// point) or the last, and no loss is still undetected while another
-/// receiver's is being repaired: a hub publish that waited that long
-/// could let a heartbeat reveal the loss before the next packet does.
-const LOSSES: [&[u32]; 3] = [&[2], &[4, 5], &[7]];
+/// Two lose the stream's first packets, which a plan's receivers recover
+/// back to its origin. None loses the last packet, and no loss is still
+/// undetected while another receiver's is being repaired, except behind
+/// a shared loss of seq 1: a hub publish that waited that long could let
+/// a heartbeat reveal the loss before the next packet does.
+const LOSSES: [&[u32]; 3] = [&[1], &[1, 2], &[4, 5, 7]];
 /// Counters each role's registry must agree on across substrates.
 const RECOVERY_KEYS: [&str; 8] = [
     "gap_detected",

@@ -1,15 +1,14 @@
 //! Replay goldens: seeded lossy scenarios must replay themselves *byte
 //! for byte* — wire-level `NetStats`, per-receiver delivery transcripts,
 //! the serialized JSONL trace stream, and metrics registries — and must
-//! replay the bytes recorded before the simulator lost its sharded
-//! engine ([`Golden`]). The goldens are what hold the event order in
-//! place: the `(entity << 64) | seq` key, the per-site pseudo-entities,
-//! the `Ingress` split and the per-host / per-site RNG streams. Moving
-//! any of them moves these constants and every EXPERIMENTS.md figure.
-//! (The test names predate that change, when the same runs were compared
-//! across shard counts and, before that, queue backends; the event
-//! queue's own pop order is held to a binary-heap oracle in
-//! `lbrm_sim::queue`'s unit tests.)
+//! replay the recorded bytes ([`Golden`]). The goldens are what hold the
+//! event order in place: FIFO order among same-instant events, the
+//! per-host / per-site RNG streams, and the network model's two-half
+//! cross-site evaluation. Moving any of them moves these constants and
+//! every EXPERIMENTS.md figure. (The test names predate the serial
+//! simulator, when the same runs were compared across shard counts and,
+//! before that, queue backends; the event queue's own pop order is held
+//! to a binary-heap oracle in `lbrm_sim::queue`'s unit tests.)
 
 use std::sync::Arc;
 
@@ -33,8 +32,9 @@ struct RunFingerprint {
 }
 
 /// `(trace_jsonl.len(), fnv1a64(trace_jsonl), events_processed,
-/// completeness)` of one run, recorded at the parent commit (`ba932da`,
-/// `shards: Some(1)`).
+/// completeness)` of one run, recorded when same-instant events became
+/// FIFO and a plan's receivers began recovering back to the stream's
+/// origin.
 type Golden = (usize, u64, u64, f64);
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -140,7 +140,7 @@ fn dis_scenario_is_backend_and_shard_invariant() {
         },
         SimTime::from_secs(60),
         SENDS,
-        (54_564, 2_471_499_048_209_479_326, 2_944, 1.0),
+        (54_564, 4_913_338_563_917_364_792, 2_971, 1.0),
         "DIS",
     );
 }
@@ -165,7 +165,7 @@ fn lossy_wan_is_backend_and_shard_invariant() {
         },
         SimTime::from_secs(60),
         SENDS,
-        (123_209, 2_644_673_453_611_792_823, 4_730, 1.0),
+        (123_209, 12_843_769_973_094_524_841, 4_823, 1.0),
         "lossy WAN",
     );
 }
@@ -187,7 +187,7 @@ fn dis_1000x30_short_horizon_is_shard_invariant() {
         },
         SimTime::from_millis(1_600),
         2,
-        (2_955_796, 513_199_853_524_048_367, 125_646, 0.952),
+        (2_983_413, 17_635_558_834_158_559_070, 127_141, 0.953),
         "1000x30",
     );
 }

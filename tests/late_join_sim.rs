@@ -1,6 +1,8 @@
 //! Late joiners: a receiver that subscribes mid-stream backfills recent
 //! history from the logging hierarchy (the §4 cache / audit pattern),
-//! and abandons gracefully what predates the stream.
+//! and asks for nothing that predates the stream.
+
+use std::sync::Arc;
 
 use lbrm::harness::MachineActor;
 use lbrm::sim::time::SimTime;
@@ -9,6 +11,7 @@ use lbrm::sim::world::World;
 use lbrm_core::logger::{Logger, LoggerConfig};
 use lbrm_core::receiver::{Receiver, ReceiverConfig};
 use lbrm_core::sender::{Sender, SenderConfig};
+use lbrm_core::trace::{CollectorSink, ProtocolEvent, Tracer};
 use lbrm_wire::{GroupId, SourceId};
 
 const GROUP: GroupId = GroupId(1);
@@ -87,8 +90,8 @@ fn late_joiner_backfills_recent_history() {
 #[test]
 fn backfill_past_stream_origin_gives_up_cleanly() {
     // Joiner wants 10 packets of history but the stream only ever had 2:
-    // the pre-origin sequences are abandoned after bounded attempts, and
-    // nothing loops forever.
+    // the window stops at the stream's origin, so the joiner never asks
+    // for a sequence that was not sent, and nothing loops forever.
     let mut b = TopologyBuilder::new();
     let hq = b.site(SiteParams::distant());
     let src_host = b.host(hq);
@@ -107,7 +110,10 @@ fn backfill_past_stream_origin_gives_up_cleanly() {
     let mut cfg = ReceiverConfig::new(GROUP, SRC, joiner, src_host, vec![log_host]);
     cfg.backfill = 10;
     cfg.max_recovery_attempts = 3;
-    world.add_actor(joiner, MachineActor::new(Receiver::new(cfg), vec![GROUP]));
+    let collector = Arc::new(CollectorSink::default());
+    let mut rx = MachineActor::new(Receiver::new(cfg), vec![GROUP]);
+    rx.set_tracer(Tracer::to(collector.clone()));
+    world.add_actor(joiner, rx);
 
     let mut sender = MachineActor::new(
         Sender::new(SenderConfig::new(GROUP, SRC, src_host, log_host)),
@@ -144,10 +150,18 @@ fn backfill_past_stream_origin_gives_up_cleanly() {
         0,
         "no immortal recoveries"
     );
-    // The backfill window clamps at sequence 0; the one phantom sequence
-    // (#0, never sent) is abandoned after bounded attempts.
+    let nacked: Vec<(u32, u32)> = collector
+        .take()
+        .iter()
+        .filter_map(|r| match r.event {
+            ProtocolEvent::NackSent { first, last, .. } => Some((first.raw(), last.raw())),
+            _ => None,
+        })
+        .collect();
+    assert!(!nacked.is_empty(), "#1 was recovered by NACK");
     assert!(
-        a.machine().stats().abandoned >= 1,
-        "pre-origin sequence abandoned"
+        nacked.iter().all(|&(first, _)| first >= 1),
+        "no NACK names a pre-origin sequence: {nacked:?}"
     );
+    assert_eq!(a.machine().stats().abandoned, 0, "nothing to abandon");
 }
