@@ -23,6 +23,13 @@
 //!   [`RecoveryReport`], which is what the `trace_doctor --mem-budget`
 //!   CI gate asserts on.
 //!
+//! A record costs hash probes, not tree updates: the lookup-only state
+//! lives in `FixedMap`s (a fixed multiply-rotate hasher, so even
+//! iteration order is a pure function of the input), and the age index
+//! is a sorted queue that closing a timeline never touches. The maps
+//! [`finish`](OnlineAnalyzer::finish) walks in key order stay B-trees,
+//! and the still-open timelines are sorted once, there.
+//!
 //! **Fidelity contract.** With no live-cap and no horizon the report is
 //! exact up to reservoir sampling: while the number of recoveries stays
 //! at or below the reservoir capacities the histograms and retained
@@ -47,7 +54,9 @@
 //!   [`StreamStats::out_of_order`]; only
 //!   [`analyze`](crate::analyze::analyze) sorts first.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
 
 use lbrm_wire::{HostId, Seq};
@@ -65,6 +74,35 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// rustc's FxHasher scheme: one rotate, xor and multiply per word. It
+/// has no per-process seed, so a [`FixedMap`] hashes, probes and
+/// iterates identically on every run.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The crate's one hashed container: a `HashMap` keyed through
+/// [`FxHasher`], for state that is only ever looked up by key.
+type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Tunables for the [`OnlineAnalyzer`]. The defaults never evict (no
 /// cap, no horizon) and keep reservoirs big enough that sim-scale runs
@@ -115,6 +153,13 @@ struct OpenRecovery {
 /// key + node overhead) — the unit live state is metered in.
 fn open_entry_bytes() -> u64 {
     (std::mem::size_of::<OpenRecovery>() + 12 + 32) as u64
+}
+
+/// Whether an age-queue entry `(detected_at, host, seq)` still names an
+/// open timeline (and not a closed one, or a later one for the same
+/// `(host, seq)`).
+fn names_open(open: &FixedMap<(u64, u32), OpenRecovery>, &(at, h, s): &(u64, u64, u32)) -> bool {
+    open.get(&(h, s)).is_some_and(|o| o.detected_at == at)
 }
 
 /// Bounded reservoir of closed timelines. Under capacity it is exactly
@@ -169,18 +214,22 @@ impl TimelineReservoir {
 #[derive(Debug, Clone)]
 pub struct OnlineAnalyzer {
     cfg: OnlineConfig,
-    // Correlation state.
-    roles: BTreeMap<u64, &'static str>,
-    sent_at: BTreeMap<u32, u64>,
+    // Correlation state. Hashed maps are only probed by key; the
+    // ordered ones are walked in key order by `finish`.
+    roles: FixedMap<u64, &'static str>,
+    sent_at: FixedMap<u32, u64>,
     sent_epoch: BTreeMap<u32, u32>,
-    remulticast_at: BTreeMap<u32, u64>,
+    remulticast_at: FixedMap<u32, u64>,
     settled: BTreeSet<u32>,
     active_epochs: BTreeSet<u32>,
-    open: BTreeMap<(u64, u32), OpenRecovery>,
-    /// Age index over `open`: `(detected_at, host, seq)` — the oldest
-    /// open timeline is `first()`, so cap and horizon evictions are
-    /// O(log live), never a scan.
-    by_age: BTreeSet<(u64, u64, u32)>,
+    open: FixedMap<(u64, u32), OpenRecovery>,
+    /// Age index over `open`: `(detected_at, host, seq)`, strictly
+    /// ascending, so the oldest open timeline is at the front. An
+    /// in-order detection is a `push_back`. Closing a timeline leaves
+    /// its entry behind; readers skip an entry whose `open` slot is gone
+    /// or holds another `detected_at`, and the queue is compacted to the
+    /// live entries once it holds more than `2 * live + 64`.
+    by_age: VecDeque<(u64, u64, u32)>,
     requests_per_seq: BTreeMap<u32, u64>,
     dups_per_host_seq: BTreeMap<(u64, u32), u64>,
     last_tx: BTreeMap<u64, u64>,
@@ -191,7 +240,7 @@ pub struct OnlineAnalyzer {
     // repair from such a serve that a receiver *accepts* is split-brain.
     term_leaders: BTreeMap<u32, HostId>,
     max_term: u32,
-    stale_serves: BTreeMap<(u64, u32), u32>,
+    stale_serves: FixedMap<(u64, u32), u32>,
     /// Term conflicts and accepted stale serves, in stream order. Kept
     /// out of [`committed_anomalies`](Self::committed_anomalies) (like
     /// every end-of-stream detector) and appended after stalled
@@ -231,14 +280,14 @@ impl OnlineAnalyzer {
         let tl = cfg.timeline_reservoir;
         OnlineAnalyzer {
             cfg,
-            roles: BTreeMap::new(),
-            sent_at: BTreeMap::new(),
+            roles: FixedMap::default(),
+            sent_at: FixedMap::default(),
             sent_epoch: BTreeMap::new(),
-            remulticast_at: BTreeMap::new(),
+            remulticast_at: FixedMap::default(),
             settled: BTreeSet::new(),
             active_epochs: BTreeSet::new(),
-            open: BTreeMap::new(),
-            by_age: BTreeSet::new(),
+            open: FixedMap::default(),
+            by_age: VecDeque::new(),
             requests_per_seq: BTreeMap::new(),
             dups_per_host_seq: BTreeMap::new(),
             last_tx: BTreeMap::new(),
@@ -246,7 +295,7 @@ impl OnlineAnalyzer {
             truncated_gap_spans: 0,
             term_leaders: BTreeMap::new(),
             max_term: 0,
-            stale_serves: BTreeMap::new(),
+            stale_serves: FixedMap::default(),
             split_brain: Vec::new(),
             fenced_rejects: 0,
             recovered: 0,
@@ -288,12 +337,13 @@ impl OnlineAnalyzer {
     }
 
     /// Approximate bytes of resident correlation state right now: live
-    /// timelines + their age index, the per-seq/per-host aggregate
-    /// maps, the stage histograms and the retained-timeline reservoir.
+    /// timelines + one age-index entry each, the per-seq/per-host
+    /// aggregate maps, the stage histograms and the retained-timeline
+    /// reservoir. Closed entries the age queue still holds are not
+    /// counted; compaction keeps them to at most `live + 64`.
     pub fn approx_resident_bytes(&self) -> u64 {
-        const NODE: u64 = 32; // BTree node overhead per entry, roughly.
-        self.open.len() as u64 * open_entry_bytes()
-            + self.by_age.len() as u64 * (24 + NODE)
+        const NODE: u64 = 32; // Map node or bucket overhead per entry, roughly.
+        self.open.len() as u64 * (open_entry_bytes() + 24 + NODE)
             + (self.roles.len() + self.last_tx.len() + self.max_silence.len()) as u64 * (16 + NODE)
             + (self.sent_at.len()
                 + self.sent_epoch.len()
@@ -341,7 +391,7 @@ impl OnlineAnalyzer {
     pub fn live_oldest(&self, limit: usize) -> Vec<LiveGap> {
         self.by_age
             .iter()
-            .take(limit)
+            .filter(|entry| names_open(&self.open, entry))
             .map(|&(at, h, s)| {
                 let o = &self.open[&(h, s)];
                 LiveGap {
@@ -353,6 +403,7 @@ impl OnlineAnalyzer {
                     repaired: o.repaired_at.is_some(),
                 }
             })
+            .take(limit)
             .collect()
     }
 
@@ -402,19 +453,28 @@ impl OnlineAnalyzer {
         self.timelines.offer(t);
     }
 
+    /// Detection time of the oldest open timeline, dropping the closed
+    /// entries in front of it.
+    fn oldest_detected(&mut self) -> Option<u64> {
+        while let Some(&front) = self.by_age.front() {
+            if names_open(&self.open, &front) {
+                return Some(front.0);
+            }
+            self.by_age.pop_front();
+        }
+        None
+    }
+
     /// Removes the oldest open timeline and returns it, if any.
     fn evict_oldest(&mut self) -> Option<(HostId, Seq, OpenRecovery)> {
-        let &(at, h, s) = self.by_age.first()?;
-        self.by_age.remove(&(at, h, s));
-        let o = self
-            .open
-            .remove(&(h, s))
-            .expect("age index entry must have an open timeline");
+        self.oldest_detected()?;
+        let (_, h, s) = self.by_age.pop_front()?;
+        let o = self.open.remove(&(h, s))?;
         Some((HostId(h), Seq(s), o))
     }
 
     fn open_timeline(&mut self, h: u64, seq: u32, at: u64) {
-        if let std::collections::btree_map::Entry::Vacant(e) = self.open.entry((h, seq)) {
+        if let Entry::Vacant(e) = self.open.entry((h, seq)) {
             e.insert(OpenRecovery {
                 detected_at: at,
                 first_nack_at: None,
@@ -424,7 +484,17 @@ impl OnlineAnalyzer {
                 repaired_at: None,
                 source: RepairSource::Unknown,
             });
-            self.by_age.insert((at, h, seq));
+            // An equal entry left behind by a closed timeline already
+            // sits in the right place and now names this one.
+            let key = (at, h, seq);
+            match self.by_age.back() {
+                Some(&last) if last >= key => {
+                    if let Err(i) = self.by_age.binary_search(&key) {
+                        self.by_age.insert(i, key);
+                    }
+                }
+                _ => self.by_age.push_back(key),
+            }
             // Enforce the live-timeline cap immediately, so the peak
             // the budget gate asserts on truly never exceeds it.
             if let Some(cap) = self.cfg.max_live_timelines {
@@ -454,11 +524,7 @@ impl OnlineAnalyzer {
         // than the horizon before correlating the new record.
         if let Some(horizon) = self.cfg.horizon_nanos {
             let cutoff = at_nanos.saturating_sub(horizon);
-            while self
-                .by_age
-                .first()
-                .is_some_and(|&(detected, _, _)| detected < cutoff)
-            {
+            while self.oldest_detected().is_some_and(|d| d < cutoff) {
                 let (eh, es, o) = self.evict_oldest().expect("checked non-empty");
                 self.aged_out += 1;
                 self.unrecovered += 1;
@@ -594,7 +660,6 @@ impl OnlineAnalyzer {
             }
             ProtocolEvent::Recovered { seq, latency_nanos } => {
                 if let Some(o) = self.open.remove(&(h, seq.raw())) {
-                    self.by_age.remove(&(o.detected_at, h, seq.raw()));
                     self.recovered += 1;
                     self.close_timeline(
                         host,
@@ -607,7 +672,6 @@ impl OnlineAnalyzer {
             }
             ProtocolEvent::RecoveryAbandoned { seq } => {
                 if let Some(o) = self.open.remove(&(h, seq.raw())) {
-                    self.by_age.remove(&(o.detected_at, h, seq.raw()));
                     self.abandoned += 1;
                     self.close_timeline(host, *seq, o, RecoveryOutcome::Abandoned, None);
                 }
@@ -642,6 +706,10 @@ impl OnlineAnalyzer {
             }
             _ => {}
         }
+        if self.by_age.len() > 2 * self.open.len() + 64 {
+            let open = &self.open;
+            self.by_age.retain(|entry| names_open(open, entry));
+        }
         self.peak_bytes = self.peak_bytes.max(self.approx_resident_bytes());
     }
 
@@ -665,9 +733,9 @@ impl OnlineAnalyzer {
         // Horizon evictions first (eviction order), then end-of-stream
         // gaps in key order.
         let mut anomalies: Vec<Anomaly> = std::mem::take(&mut self.gap_anomalies);
-        let still_open: Vec<((u64, u32), OpenRecovery)> =
+        let mut still_open: Vec<((u64, u32), OpenRecovery)> =
             std::mem::take(&mut self.open).into_iter().collect();
-        self.by_age.clear();
+        still_open.sort_unstable_by_key(|&(key, _)| key);
         for ((h, s), o) in still_open {
             self.unrecovered += 1;
             anomalies.push(Anomaly::UnrecoveredGap {
@@ -1185,6 +1253,195 @@ mod tests {
         }
         let report = a.finish();
         assert!(report.is_clean(), "{:?}", report.anomalies);
+    }
+
+    /// A seeded churn of gap openings and closings over four receivers
+    /// and 24 seqs: ties, reopened `(host, seq)` pairs, and timestamps
+    /// jittered back so some records arrive out of order. It starts by
+    /// closing and reopening one gap within the same instant.
+    fn churn_stream(seed: u64, len: usize) -> Vec<TraceRecord> {
+        let gap = ProtocolEvent::GapDetected {
+            first: Seq(1),
+            last: Seq(1),
+        };
+        let mut v = vec![
+            rec(0, RX, gap.clone()),
+            rec(0, RX, ProtocolEvent::RecoveryAbandoned { seq: Seq(1) }),
+            rec(0, RX, gap),
+        ];
+        let mut rng = seed;
+        let mut t = 0;
+        v.extend((0..len).map(|_| {
+            t += splitmix64(&mut rng) % 3;
+            let at = t.saturating_sub(splitmix64(&mut rng) % 8 / 5 * 4);
+            let host = HostId(40 + splitmix64(&mut rng) % 4);
+            let seq = Seq(1 + (splitmix64(&mut rng) % 24) as u32);
+            let event = match splitmix64(&mut rng) % 8 {
+                0..=2 => ProtocolEvent::GapDetected {
+                    first: seq,
+                    last: Seq(seq.raw() + (splitmix64(&mut rng) % 3) as u32),
+                },
+                3..=5 => ProtocolEvent::Recovered {
+                    seq,
+                    latency_nanos: 1,
+                },
+                6 => ProtocolEvent::RecoveryAbandoned { seq },
+                _ => ProtocolEvent::FreshnessLost,
+            };
+            rec(at, host, event)
+        }));
+        v
+    }
+
+    /// The age index's old contract, by brute force: the open set as a
+    /// plain list, its oldest found by a scan.
+    #[derive(Default)]
+    struct AgeReference {
+        open: Vec<(u64, u64, u32)>,
+        aged_out: Vec<Anomaly>,
+        force_evicted: u64,
+    }
+
+    impl AgeReference {
+        fn pop_oldest(&mut self) -> (u64, u64, u32) {
+            let (i, _) = self
+                .open
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| **e)
+                .unwrap();
+            self.open.swap_remove(i)
+        }
+
+        fn push(&mut self, cfg: &OnlineConfig, r: &TraceRecord) {
+            let h = r.host.raw();
+            if let Some(horizon) = cfg.horizon_nanos {
+                let cutoff = r.at_nanos.saturating_sub(horizon);
+                while self.open.iter().any(|e| e.0 < cutoff) {
+                    let (at, h, s) = self.pop_oldest();
+                    self.aged_out.push(Anomaly::UnrecoveredGap {
+                        host: HostId(h),
+                        seq: Seq(s),
+                        detected_at_nanos: at,
+                    });
+                }
+            }
+            match r.event {
+                ProtocolEvent::GapDetected { first, last } => {
+                    for seq in first.iter_to(last) {
+                        if self.open.iter().any(|e| (e.1, e.2) == (h, seq.raw())) {
+                            continue;
+                        }
+                        self.open.push((r.at_nanos, h, seq.raw()));
+                        while self.open.len() > cfg.max_live_timelines.unwrap_or(usize::MAX) {
+                            self.pop_oldest();
+                            self.force_evicted += 1;
+                        }
+                    }
+                }
+                ProtocolEvent::Recovered { seq, .. } | ProtocolEvent::RecoveryAbandoned { seq } => {
+                    self.open.retain(|e| (e.1, e.2) != (h, seq.raw()));
+                }
+                _ => {}
+            }
+        }
+
+        fn oldest(&self, k: usize) -> Vec<(u64, u64, u32)> {
+            let mut v = self.open.clone();
+            v.sort_unstable();
+            v.truncate(k);
+            v
+        }
+    }
+
+    #[test]
+    fn age_queue_evicts_in_age_order_on_shuffled_streams() {
+        let horizon = Some(20 * 1_000_000);
+        for seed in 0..12 {
+            let records = churn_stream(seed, 2_000);
+            for (cap, horizon) in [(Some(16), horizon), (Some(16), None), (None, horizon)] {
+                let cfg = OnlineConfig {
+                    max_live_timelines: cap,
+                    horizon_nanos: horizon,
+                    ..OnlineConfig::default()
+                };
+                let mut a = OnlineAnalyzer::new(cfg.clone());
+                let mut reference = AgeReference::default();
+                for r in &records {
+                    a.push_record(r);
+                    reference.push(&cfg, r);
+                    for k in [3, usize::MAX] {
+                        let live: Vec<_> = a
+                            .live_oldest(k)
+                            .iter()
+                            .map(|g| (g.detected_at_nanos, g.host.raw(), g.seq.raw()))
+                            .collect();
+                        assert_eq!(live, reference.oldest(k), "seed {seed}");
+                    }
+                    assert_eq!(a.committed_anomalies(), reference.aged_out);
+                    assert!(a.by_age.len() <= 2 * a.open.len() + 64);
+                }
+                let report = a.finish();
+                assert!(report.stream.out_of_order > 0);
+                assert_eq!(report.stream.force_evicted, reference.force_evicted);
+                assert_eq!(report.stream.aged_out, reference.aged_out.len() as u64);
+                assert_eq!(cap.is_some(), reference.force_evicted > 0);
+                assert_eq!(horizon.is_some(), !reference.aged_out.is_empty());
+            }
+        }
+    }
+
+    /// `approx_resident_bytes` as metered when the age index held exactly
+    /// one entry per open timeline.
+    fn metered_with_one_age_entry_per_live(a: &OnlineAnalyzer) -> u64 {
+        const NODE: u64 = 32;
+        a.open.len() as u64 * open_entry_bytes()
+            + a.open.len() as u64 * (24 + NODE)
+            + (a.roles.len() + a.last_tx.len() + a.max_silence.len()) as u64 * (16 + NODE)
+            + (a.sent_at.len()
+                + a.sent_epoch.len()
+                + a.remulticast_at.len()
+                + a.requests_per_seq.len()) as u64
+                * (12 + NODE)
+            + (a.settled.len() + a.active_epochs.len()) as u64 * (4 + NODE)
+            + a.dups_per_host_seq.len() as u64 * (20 + NODE)
+            + [&a.detection, &a.request, &a.serve, &a.return_leg, &a.total]
+                .iter()
+                .map(|h| h.approx_bytes())
+                .sum::<u64>()
+            + a.timelines.kept.len() as u64 * (std::mem::size_of::<RecoveryTimeline>() as u64 + 8)
+            + a.gap_anomalies.len() as u64 * std::mem::size_of::<Anomaly>() as u64
+    }
+
+    #[test]
+    fn age_queue_stays_bounded_behind_a_stuck_gap() {
+        let mut a = OnlineAnalyzer::new(OnlineConfig::default());
+        let gap = |seq| ProtocolEvent::GapDetected {
+            first: Seq(seq),
+            last: Seq(seq),
+        };
+        a.push(0, RX, &gap(1)); // never recovers
+        for i in 0..100_000u32 {
+            a.push(u64::from(i) + 1, RX, &gap(i + 2));
+            if i >= 4 {
+                let seq = Seq(i - 2);
+                a.push(
+                    u64::from(i) + 1,
+                    RX,
+                    &ProtocolEvent::Recovered {
+                        seq,
+                        latency_nanos: 1,
+                    },
+                );
+            }
+            assert!(a.by_age.len() <= 2 * a.open.len() + 64);
+            assert_eq!(
+                a.approx_resident_bytes(),
+                metered_with_one_age_entry_per_live(&a)
+            );
+        }
+        assert_eq!(a.live_timelines(), 5);
+        assert_eq!(a.live_oldest(1)[0].seq, Seq(1));
     }
 
     #[test]

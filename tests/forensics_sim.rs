@@ -4,6 +4,7 @@
 //! to the server that actually sent it, and the per-stage latencies
 //! telescope exactly to the recovery histogram the receivers reported.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,8 +13,11 @@ use lbrm::sim::loss::LossModel;
 use lbrm::sim::time::SimTime;
 use lbrm::sim::topology::SiteParams;
 use lbrm_core::receiver::Receiver;
-use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig, RecoveryOutcome};
-use lbrm_core::trace::{CollectorSink, TraceSink};
+use lbrm_core::trace::analyze::{
+    analyze, parse_json_lines, AnalyzeConfig, RecoveryOutcome, TraceRecord,
+};
+use lbrm_core::trace::{CollectorSink, ProtocolEvent, TraceSink};
+use lbrm_wire::HostId;
 
 const SENDS: u64 = 20;
 
@@ -187,4 +191,95 @@ fn final_packet_loss_is_detected_by_heartbeat_and_attributed() {
             t.render()
         );
     }
+}
+
+/// Sorts every `RepairDuplicate` (ROADMAP item 1(c)) into double serves
+/// — a site secondary unicast the repair to that receiver, then
+/// site-multicast the same seq — and the rest, e.g. a re-multicast
+/// reaching a receiver that had already recovered the seq elsewhere.
+/// Returns `(double_serves, others)`.
+fn classify_duplicates(records: &[TraceRecord]) -> (u64, u64) {
+    let mut secondaries = BTreeSet::new();
+    // (server, seq, receiver) -> first unicast; (server, seq) -> last multicast.
+    let mut unicast: BTreeMap<(HostId, u32, HostId), u64> = BTreeMap::new();
+    let mut multicast: BTreeMap<(HostId, u32), u64> = BTreeMap::new();
+    let (mut double_serves, mut others) = (0, 0);
+    for r in records {
+        match &r.event {
+            ProtocolEvent::RoleAnnounced {
+                role: "logger_secondary",
+            } => {
+                secondaries.insert(r.host);
+            }
+            ProtocolEvent::RetransServed {
+                seq,
+                multicast: false,
+                to,
+            } => {
+                unicast
+                    .entry((r.host, seq.raw(), *to))
+                    .or_insert(r.at_nanos);
+            }
+            ProtocolEvent::RetransServed {
+                seq,
+                multicast: true,
+                ..
+            } => {
+                multicast.insert((r.host, seq.raw()), r.at_nanos);
+            }
+            ProtocolEvent::RepairDuplicate { seq, from } => {
+                let served = unicast.get(&(*from, seq.raw(), r.host));
+                let remulticast = multicast.get(&(*from, seq.raw()));
+                if secondaries.contains(from)
+                    && matches!((served, remulticast), (Some(u), Some(m)) if u <= m)
+                {
+                    double_serves += 1;
+                } else {
+                    others += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    (double_serves, others)
+}
+
+/// Every duplicate repair in a reduced `sim_dis` world (5 % tail loss,
+/// site secondaries on) is a double serve: a secondary that fetched a
+/// missing packet serves its pending requesters one `Logger::serve`
+/// each, which unicasts to the first `REMULTICAST_THRESHOLD - 1` and
+/// site-multicasts on the next, so those first requesters get the seq
+/// twice. None is a re-multicast reaching a receiver that had already
+/// recovered it some other way.
+#[test]
+fn duplicate_repairs_are_secondary_double_serves() {
+    let collector = Arc::new(CollectorSink::default());
+    let mut sc = DisScenario::build_with_sink(
+        DisScenarioConfig {
+            sites: 10,
+            receivers_per_site: 20,
+            site_params: SiteParams {
+                tail_in_loss: LossModel::rate(0.05),
+                ..SiteParams::distant()
+            },
+            seed: 1995,
+            ..DisScenarioConfig::default()
+        },
+        Some(collector.clone() as Arc<dyn TraceSink>),
+    );
+    for i in 0..40 {
+        sc.send_at(SimTime::from_millis(1_000 + 300 * i), format!("update-{i}"));
+    }
+    sc.world.run_until(SimTime::from_secs(30));
+
+    let records = collector.take();
+    let (double_serves, others) = classify_duplicates(&records);
+    let report = analyze(&records, &AnalyzeConfig::default());
+    assert_eq!(double_serves + others, report.duplicate_repairs);
+    assert!(double_serves > 0, "the run must produce duplicate repairs");
+    assert_eq!(
+        others, 0,
+        "{others} of {} duplicates are not double serves",
+        report.duplicate_repairs
+    );
 }
