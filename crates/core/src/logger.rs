@@ -454,9 +454,34 @@ impl Logger {
         self.repl_next_at = Some(now + REPL_RETRY);
     }
 
-    /// Primary: highest contiguous index replicated anywhere.
-    fn best_replica_end(&self) -> u64 {
-        self.repl_acked.values().copied().max().unwrap_or(0)
+    /// Primary: the highest contiguous end that a quorum of the
+    /// election's replica set holds — the quorum-th highest end, a
+    /// replica that never acked counting as 0. `own_end` is this
+    /// logger's contiguous end: a promoted replica is a member of that
+    /// set (its `replicas` lists only the others), the original primary
+    /// is not.
+    ///
+    /// The source releases its buffer through this end, so a released
+    /// packet must outlive any failover. An election commits on a
+    /// majority of the same set (`Sender::quorum`), and two majorities
+    /// of one set share a replica; the winner has the longest log among
+    /// its promisers, so it holds everything that shared replica held.
+    /// The *best* replica's end would not do: the promisers need not
+    /// include it.
+    fn quorum_replica_end(&self, own_end: u64) -> u64 {
+        let host = self.config.host;
+        let mut ends: Vec<u64> = self
+            .config
+            .replicas
+            .iter()
+            .filter(|&&r| r != host)
+            .map(|r| self.repl_acked.get(r).copied().unwrap_or(0))
+            .collect();
+        if self.config.role == LoggerRole::Replica {
+            ends.push(own_end);
+        }
+        ends.sort_unstable_by(|a, b| b.cmp(a));
+        ends.get(ends.len() / 2).copied().unwrap_or(own_end)
     }
 
     /// Primary: sends `LogAck` to the source when state advanced.
@@ -473,7 +498,7 @@ impl Logger {
             // strongest guarantee available.
             high_idx + 1
         } else {
-            self.best_replica_end()
+            self.quorum_replica_end(high_idx + 1)
         };
         let state = (high_idx, replica_end);
         if self.last_logack == Some(state) {
@@ -1270,6 +1295,86 @@ mod tests {
             _ => None,
         });
         assert_eq!(logack, Some((Seq(1), Seq(1))));
+    }
+
+    /// The `(primary_seq, replica_seq)` of every LogAck in `out`.
+    fn logacks(out: &Actions) -> Vec<(Seq, Seq)> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Unicast {
+                    packet:
+                        Packet::LogAck {
+                            primary_seq,
+                            replica_seq,
+                            ..
+                        },
+                    ..
+                } => Some((*primary_seq, *replica_seq)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn repl_ack(seq: u32) -> Packet {
+        Packet::ReplAck {
+            group: GROUP,
+            source: SRC,
+            seq: Seq(seq),
+        }
+    }
+
+    #[test]
+    fn primary_reports_what_a_replica_quorum_holds() {
+        let replicas = [HostId(301), HostId(302), HostId(303)];
+        let mut cfg = LoggerConfig::primary(GROUP, SRC, PRIMARY, SRC_HOST);
+        cfg.replicas = replicas.to_vec();
+        let mut l = Logger::new(cfg);
+        let mut out = Actions::new();
+        for seq in 1..=10 {
+            l.on_packet(Time::ZERO, SRC_HOST, data(seq, "a"), &mut out);
+        }
+        let mut acks = Vec::new();
+        for (r, seq) in replicas.into_iter().zip([10, 5, 5]) {
+            out.clear();
+            l.on_packet(Time::from_millis(5), r, repl_ack(seq), &mut out);
+            acks.extend(logacks(&out));
+        }
+        // One replica holding 10 is not a quorum of three, so its ack
+        // changes nothing; the source may release what two replicas hold.
+        assert_eq!(acks, vec![(Seq(10), Seq(5))]);
+    }
+
+    #[test]
+    fn promoted_replica_counts_its_own_log_in_the_quorum() {
+        // Replica 301 of the set {301, 302, 303}; its `replicas` name
+        // the other two.
+        let mut cfg = LoggerConfig::replica(GROUP, SRC, HostId(301), PRIMARY, SRC_HOST);
+        cfg.replicas = vec![HostId(302), HostId(303)];
+        let mut l = Logger::new(cfg);
+        let mut out = Actions::new();
+        for seq in 1..=10 {
+            let upd = Packet::ReplUpdate {
+                group: GROUP,
+                source: SRC,
+                seq: Seq(seq),
+                payload: Bytes::from_static(b"a"),
+            };
+            l.on_packet(Time::ZERO, PRIMARY, upd, &mut out);
+        }
+        let promote = Packet::PrimaryIs {
+            group: GROUP,
+            source: SRC,
+            primary: HostId(301),
+        };
+        out.clear();
+        l.on_packet(Time::from_secs(1), SRC_HOST, promote, &mut out);
+        assert_eq!(l.role(), LoggerRole::Primary);
+        // Its own 10 and two replicas that hold nothing yet: one of three.
+        assert_eq!(logacks(&out), vec![(Seq(10), Seq(0))]);
+        out.clear();
+        l.on_packet(Time::from_secs(1), HostId(303), repl_ack(10), &mut out);
+        // Its own log and 303's make two of three: a quorum holds 10.
+        assert_eq!(logacks(&out), vec![(Seq(10), Seq(10))]);
     }
 
     #[test]

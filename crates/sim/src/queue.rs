@@ -21,13 +21,13 @@
 //! only the idle `h_max` backoff tail (seconds) sits higher.
 //!
 //! Events whose deadline falls inside the currently *open* tick live in
-//! `near`, a ready list kept sorted *descending* by
-//! `(deadline, tiebreak)`: the earliest event sits at the back, a pop is
-//! `Vec::pop`, and draining a bucket is one batch sort (of a few events)
-//! rather than per-event heap sifts. Advancing the clock drains the next
-//! occupied slot into `near` (level 0) or cascades it one level down
-//! (levels ≥ 1); per-level occupancy bitmaps make "find the next occupied
-//! slot" a handful of word scans instead of a walk over empty buckets.
+//! `near`, a [`BinaryHeap`] min-ordered on `(deadline, tiebreak)`: a
+//! drained bucket becomes the heap in one O(n) heapify, and a push into
+//! the open tick (a same-tick fan-out or re-arm) is an O(log n) sift.
+//! Advancing the clock drains the next occupied slot into `near`
+//! (level 0) or cascades it one level down (levels ≥ 1); per-level
+//! occupancy bitmaps make "find the next occupied slot" a handful of
+//! word scans instead of a walk over empty buckets.
 //!
 //! # Determinism
 //!

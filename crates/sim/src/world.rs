@@ -26,6 +26,14 @@
 //! Changing either reorders same-instant events or moves draws between
 //! streams, and every golden and published figure with it.
 //!
+//! A run of a fan-out's deliveries that land at one instant is one
+//! queue entry (`Ev::Fanout`), its recipients dispatched in list order
+//! when it pops. That keeps order 1: one entry per delivery would take
+//! consecutive push counts at one instant, so nothing could pop between
+//! them, and whatever their handlers push gets a later count either
+//! way. Each recipient still counts as one event and one unit of
+//! [`World::queue_depth`].
+//!
 //! A cross-site copy is evaluated in two halves (source-site egress at
 //! send time, destination-site `Ev::Ingress` on arrival). That split
 //! is the network model, not an ordering device: a site's inbound tail
@@ -76,6 +84,15 @@ enum Ev {
         to: HostId,
         packet: Packet,
     },
+    /// Final delivery of a packet to two or more hosts at one instant:
+    /// a run of a fan-out's deliveries that share their arrival time.
+    /// `list` indexes [`State::lists`], which holds the recipients in
+    /// delivery order.
+    Fanout {
+        from: HostId,
+        packet: Packet,
+        list: u32,
+    },
     /// A timer armed by (or for) a host.
     Timer { host: HostId, token: u64 },
     /// A cross-site copy arriving at `site`'s inbound tail circuit: the
@@ -122,9 +139,18 @@ struct State {
     /// here before pushing them, so a hop allocates nothing.
     deliveries: Vec<Delivery>,
     branches: Vec<(SiteId, SimTime)>,
+    /// Recipient lists of queued [`Ev::Fanout`]s, by list index; a list
+    /// is emptied and its index returned to `free_lists` once its
+    /// entry has been delivered, so the pool grows only to the most
+    /// fan-outs ever queued at once.
+    lists: Vec<Vec<HostId>>,
+    free_lists: Vec<u32>,
+    /// Deliveries, timers and ingresses queued: a fan-out entry counts
+    /// once per recipient not yet delivered.
+    pending: usize,
     /// World-level tracer (NetPacket records).
     tracer: Tracer,
-    /// High-water mark of the queue depth.
+    /// High-water mark of `pending`.
     depth_max: usize,
     /// Events processed.
     events: u64,
@@ -134,9 +160,59 @@ impl State {
     /// Records the current queue depth into the high-water mark.
     #[inline]
     fn note_depth(&mut self) {
-        if self.queue.len() > self.depth_max {
-            self.depth_max = self.queue.len();
+        if self.pending > self.depth_max {
+            self.depth_max = self.pending;
         }
+    }
+
+    /// Queues one event.
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        self.pending += 1;
+        self.queue.push(at, ev);
+    }
+
+    /// Queues `from`'s `packet` for each of `deliveries` (drained), in
+    /// order. A run of consecutive deliveries with one arrival time
+    /// becomes one [`Ev::Fanout`]; a run of one stays an [`Ev::Packet`].
+    ///
+    /// Pop order is unchanged by the grouping: one entry per delivery
+    /// would take consecutive push counts at one instant, so nothing
+    /// could pop between them, and whatever their handlers push gets a
+    /// later count either way.
+    fn push_deliveries(&mut self, from: HostId, packet: &Packet, deliveries: &mut Vec<Delivery>) {
+        let mut rest = &deliveries[..];
+        while let Some(first) = rest.first() {
+            let run = rest.iter().take_while(|d| d.at == first.at).count();
+            let ev = if run == 1 {
+                Ev::Packet {
+                    from,
+                    to: first.to,
+                    packet: packet.clone(),
+                }
+            } else {
+                let list = self.free_lists.pop().unwrap_or_else(|| {
+                    self.lists.push(Vec::new());
+                    u32::try_from(self.lists.len() - 1).expect("fewer than 2^32 fan-outs queued")
+                });
+                self.lists[list as usize].extend(rest[..run].iter().map(|d| d.to));
+                Ev::Fanout {
+                    from,
+                    packet: packet.clone(),
+                    list,
+                }
+            };
+            self.pending += run;
+            self.queue.push(first.at, ev);
+            rest = &rest[run..];
+        }
+        deliveries.clear();
+    }
+
+    /// Counts one processed event, taken off the depth.
+    #[inline]
+    fn count_event(&mut self) {
+        self.pending -= 1;
+        self.events += 1;
     }
 }
 
@@ -173,7 +249,7 @@ impl Ctx<'_> {
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
-        self.state.queue.push(at, ev);
+        self.state.push(at, ev);
     }
 
     /// Sends `packet` to a single host.
@@ -320,16 +396,7 @@ impl Ctx<'_> {
 
         let copies = (deliveries.len() + branches.len()).min(u32::MAX as usize) as u32;
         self.emit_net(kind, true, copies);
-        for d in deliveries.drain(..) {
-            self.push(
-                d.at,
-                Ev::Packet {
-                    from,
-                    to: d.to,
-                    packet: packet.clone(),
-                },
-            );
-        }
+        self.state.push_deliveries(from, &packet, &mut deliveries);
         for (sid, t_in) in branches.drain(..) {
             self.push(
                 t_in,
@@ -463,32 +530,49 @@ fn ingress(
             }
         }
     }
-    for d in deliveries.drain(..) {
-        state.queue.push(
-            d.at,
-            Ev::Packet {
-                from,
-                to: d.to,
-                packet: packet.clone(),
-            },
-        );
-    }
+    state.push_deliveries(from, &packet, &mut deliveries);
     state.deliveries = deliveries;
 }
 
-/// Processes one event.
+/// Delivers `packet` to `to`: one event.
+fn deliver(
+    topo: &Topology,
+    state: &mut State,
+    at: SimTime,
+    from: HostId,
+    to: HostId,
+    packet: Packet,
+) {
+    state.count_event();
+    // Link-level fault injection: a delivery whose endpoints sit in
+    // different partitions is dropped (see [`World::partition`]).
+    if state.partition[from.raw() as usize] == state.partition[to.raw() as usize] {
+        dispatch(topo, state, at, to, |a, ctx| a.on_packet(ctx, from, packet));
+    }
+}
+
+/// Processes one queue entry: one event, or one per recipient of a
+/// fan-out.
 fn process(topo: &Topology, state: &mut State, at: SimTime, ev: Ev) {
-    state.events += 1;
     match ev {
-        Ev::Packet { from, to, packet } => {
-            // Link-level fault injection: a delivery whose endpoints sit
-            // in different partitions is dropped (see
-            // [`World::partition`]).
-            if state.partition[from.raw() as usize] == state.partition[to.raw() as usize] {
-                dispatch(topo, state, at, to, |a, ctx| a.on_packet(ctx, from, packet));
+        Ev::Packet { from, to, packet } => deliver(topo, state, at, from, to, packet),
+        Ev::Fanout { from, packet, list } => {
+            // Each recipient is its own event, exactly as if it had its
+            // own entry: the depth is sampled after every delivery (the
+            // last one's sample is `step`'s).
+            let mut members = std::mem::take(&mut state.lists[list as usize]);
+            let (&last, rest) = members.split_last().expect("a fan-out has recipients");
+            for &to in rest {
+                deliver(topo, state, at, from, to, packet.clone());
+                state.note_depth();
             }
+            deliver(topo, state, at, from, last, packet);
+            members.clear();
+            state.lists[list as usize] = members;
+            state.free_lists.push(list);
         }
         Ev::Timer { host, token } => {
+            state.count_event();
             dispatch(topo, state, at, host, |a, ctx| a.on_timer(ctx, token));
         }
         Ev::Ingress {
@@ -496,7 +580,10 @@ fn process(topo: &Topology, state: &mut State, at: SimTime, ev: Ev) {
             site,
             packet,
             kind,
-        } => ingress(topo, state, at, from, site, packet, kind),
+        } => {
+            state.count_event();
+            ingress(topo, state, at, from, site, packet, kind);
+        }
     }
 }
 
@@ -566,6 +653,9 @@ impl World {
             bundles: BundleMeter::new(hosts),
             deliveries: Vec::new(),
             branches: Vec::new(),
+            lists: Vec::new(),
+            free_lists: Vec::new(),
+            pending: 0,
             tracer: Tracer::disabled(),
             depth_max: 0,
             events: 0,
@@ -628,9 +718,10 @@ impl World {
         self.state.depth_max
     }
 
-    /// Current event-queue depth.
+    /// Current event-queue depth: events pending, counting each
+    /// recipient of a queued fan-out as one.
     pub fn queue_depth(&self) -> usize {
-        self.state.queue.len()
+        self.state.pending
     }
 
     /// Writes the simulator's gauge rows (no-op before
@@ -690,7 +781,7 @@ impl World {
     pub fn schedule_timer(&mut self, host: HostId, at: SimTime, token: u64) {
         self.slot(host);
         let at = at.max(self.now);
-        self.state.queue.push(at, Ev::Timer { host, token });
+        self.state.push(at, Ev::Timer { host, token });
     }
 
     /// Current virtual time.
@@ -827,7 +918,9 @@ impl World {
         }
     }
 
-    /// Runs one event; returns `false` when the queue is empty.
+    /// Runs one queue entry — a timer, an ingress, or one packet's
+    /// deliveries to one or more hosts at one instant; returns `false`
+    /// when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
         let state = &mut self.state;
@@ -858,6 +951,12 @@ impl World {
         while self.state.queue.next_at().is_some_and(|at| at <= limit) {
             self.step();
         }
+        debug_assert_eq!(
+            self.state.pending,
+            self.state.queue.len() - (self.state.lists.len() - self.state.free_lists.len())
+                + self.state.lists.iter().map(Vec::len).sum::<usize>(),
+            "the depth counts every queued entry, and a fan-out once per undelivered recipient"
+        );
         self.flush_gauges();
     }
 
@@ -1053,6 +1152,47 @@ mod tests {
         w.run_until(SimTime::from_secs(10));
         assert_eq!(w.actor::<Sink>(near).got.len(), 3);
         assert!(w.actor::<Sink>(far).got.is_empty());
+    }
+
+    /// A same-site multicast reaches its members as one fan-out entry,
+    /// yet each member is its own event: a partitioned member is skipped
+    /// alone, its delivery still counts as processed, and the depth
+    /// counts every undelivered member until it drains to zero.
+    #[test]
+    fn partitioned_member_of_a_fan_out_is_skipped_alone() {
+        let run = |cut: bool| {
+            let mut b = TopologyBuilder::new();
+            let s0 = b.site(SiteParams::default());
+            let tx = b.host(s0);
+            let rxs: Vec<HostId> = (0..3).map(|_| b.host(s0)).collect();
+            let mut w = World::new(b.build(), 3);
+            w.add_actor(tx, Beacon { sent: 0 });
+            for &rx in &rxs {
+                w.add_actor(rx, Sink::default());
+            }
+            if cut {
+                w.partition(&[rxs[1]]);
+            }
+            // The first beacon has been sent: its three deliveries and
+            // the next timer wait, in two queue entries.
+            w.run_until(SimTime::from_secs(1));
+            let first = (w.state.queue.len(), w.queue_depth());
+            w.run_until(SimTime::from_secs(10));
+            let got: Vec<usize> = rxs
+                .iter()
+                .map(|&rx| w.actor::<Sink>(rx).got.len())
+                .collect();
+            (
+                first,
+                got,
+                w.events_processed(),
+                w.queue_depth(),
+                w.queue_depth_max(),
+            )
+        };
+        // Three beacon timers and three packets to three members each.
+        assert_eq!(run(false), ((2, 4), vec![3, 3, 3], 12, 0, 4));
+        assert_eq!(run(true), ((2, 4), vec![3, 0, 3], 12, 0, 4));
     }
 
     /// A mid-run cut and heal on a lossy, jittery 4-site topology

@@ -77,8 +77,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Most heap allocations allowed per processed simulator event.
-const BUDGET_PER_EVENT: f64 = 0.2;
+/// Most heap allocations allowed per processed simulator event: 0.097
+/// are measured, and a fan-out that allocated its recipient list per
+/// queue entry instead of recycling it would read 0.126.
+const BUDGET_PER_EVENT: f64 = 0.12;
 
 #[test]
 fn dis_scenario_stays_within_its_allocation_budget() {

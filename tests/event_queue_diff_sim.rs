@@ -12,7 +12,8 @@
 
 use std::sync::Arc;
 
-use lbrm::harness::{DisScenario, DisScenarioConfig};
+use lbrm::core::receiver::Receiver;
+use lbrm::harness::{DisScenario, DisScenarioConfig, MachineActor};
 use lbrm::sim::loss::LossModel;
 use lbrm::sim::time::SimTime;
 use lbrm::sim::topology::SiteParams;
@@ -29,6 +30,10 @@ struct RunFingerprint {
     completeness: f64,
     counters: Vec<std::collections::BTreeMap<&'static str, u64>>,
     events: u64,
+    depth_max: usize,
+    /// FNV-1a-64 over every receiver's `(host, arrival nanos, seq)`
+    /// deliveries, in receiver order and arrival order.
+    transcript_fnv: u64,
 }
 
 /// `(trace_jsonl.len(), fnv1a64(trace_jsonl), events_processed,
@@ -37,10 +42,20 @@ struct RunFingerprint {
 /// origin.
 type Golden = (usize, u64, u64, f64);
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+/// A [`Golden`] plus `(queue_depth_max, transcript_fnv)`: what a run
+/// whose fan-outs land at different instants pins besides the trace.
+type TimedGolden = (usize, u64, u64, f64, usize, u64);
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a64_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_from(FNV_OFFSET, bytes)
 }
 
 fn fingerprint(config: DisScenarioConfig, horizon: SimTime, sends: u64) -> RunFingerprint {
@@ -65,6 +80,14 @@ fn fingerprint(config: DisScenarioConfig, horizon: SimTime, sends: u64) -> RunFi
         .into_iter()
         .map(|rx| (rx.raw(), sc.delivered(rx)))
         .collect();
+    let transcript_fnv = sc.all_receivers().into_iter().fold(FNV_OFFSET, |h, rx| {
+        let actor = sc.world.actor::<MachineActor<Receiver>>(rx);
+        actor.deliveries.iter().fold(h, |h, (at, d)| {
+            let h = fnv1a64_from(h, &rx.raw().to_le_bytes());
+            let h = fnv1a64_from(h, &at.nanos().to_le_bytes());
+            fnv1a64_from(h, &d.seq.raw().to_le_bytes())
+        })
+    });
     let expect: Vec<u32> = (1..=sends as u32).collect();
     RunFingerprint {
         trace_jsonl,
@@ -79,6 +102,8 @@ fn fingerprint(config: DisScenarioConfig, horizon: SimTime, sends: u64) -> RunFi
             sc.net_metrics.counters(),
         ],
         events: sc.world.events_processed(),
+        depth_max: sc.world.queue_depth_max(),
+        transcript_fnv,
     }
 }
 
@@ -98,6 +123,11 @@ fn assert_equal(a: &RunFingerprint, b: &RunFingerprint, label: &str) {
         "{label}: metrics registries must match"
     );
     assert_eq!(a.events, b.events, "{label}: events processed");
+    assert_eq!(a.depth_max, b.depth_max, "{label}: queue depth high-water");
+    assert_eq!(
+        a.transcript_fnv, b.transcript_fnv,
+        "{label}: delivery transcripts"
+    );
 }
 
 /// Runs `config` twice: the runs must be byte-identical to each other
@@ -189,5 +219,85 @@ fn dis_1000x30_short_horizon_is_shard_invariant() {
         2,
         (2_983_413, 17_635_558_834_158_559_070, 127_141, 0.953),
         "1000x30",
+    );
+}
+
+/// Runs a 6-site × 5-receiver world with secondaries and a 10 % lossy
+/// inbound tail under `site_params`' LAN, twice, and pins its trace,
+/// events, completeness, queue depth high-water mark and each
+/// receiver's timed delivery transcript.
+fn assert_lan_golden(lan: SiteParams, golden: TimedGolden, label: &str) {
+    let config = DisScenarioConfig {
+        sites: 6,
+        receivers_per_site: 5,
+        secondary_loggers: true,
+        site_params: SiteParams {
+            tail_in_loss: LossModel::rate(0.1),
+            ..lan
+        },
+        seed: 4747,
+        ..DisScenarioConfig::default()
+    };
+    let horizon = SimTime::from_secs(60);
+    let a = fingerprint(config.clone(), horizon, SENDS);
+    let b = fingerprint(config, horizon, SENDS);
+    assert_equal(&a, &b, label);
+    assert_eq!(
+        (
+            a.trace_jsonl.len(),
+            fnv1a64(a.trace_jsonl.as_bytes()),
+            a.events,
+            a.completeness,
+            a.depth_max,
+            a.transcript_fnv
+        ),
+        golden,
+        "{label}: run no longer replays the recorded bytes"
+    );
+}
+
+/// Jittered, lossy LANs with secondaries re-multicasting repairs: the
+/// LAN deliveries of one multicast land at different instants, and
+/// some never land. In the goldens above every site fans a copy out to
+/// all its members at one instant.
+#[test]
+fn jittered_lossy_lan_fan_out_replays() {
+    assert_lan_golden(
+        SiteParams {
+            lan_loss: LossModel::rate(0.05),
+            jitter: std::time::Duration::from_millis(3),
+            ..SiteParams::distant()
+        },
+        (
+            100_048,
+            16_189_794_214_173_998_102,
+            3_514,
+            1.0,
+            116,
+            10_259_245_888_106_434_656,
+        ),
+        "jittered LAN",
+    );
+}
+
+/// Lossy LANs without jitter: a site's surviving members still share
+/// one arrival instant, so a fan-out reaches them with gaps where the
+/// LAN dropped a copy.
+#[test]
+fn lossy_lan_fan_out_replays() {
+    assert_lan_golden(
+        SiteParams {
+            lan_loss: LossModel::rate(0.1),
+            ..SiteParams::distant()
+        },
+        (
+            105_715,
+            15_434_723_397_581_865_203,
+            3_404,
+            1.0,
+            114,
+            14_447_328_004_772_100_262,
+        ),
+        "lossy LAN",
     );
 }

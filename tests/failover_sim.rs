@@ -18,7 +18,7 @@ use lbrm_core::logger::{Logger, LoggerRole};
 use lbrm_core::machine::Notice;
 use lbrm_core::receiver::Receiver;
 use lbrm_core::sender::Sender;
-use lbrm_wire::Seq;
+use lbrm_wire::{HostId, Seq};
 
 #[test]
 fn replica_promotion_and_recovery_through_new_primary() {
@@ -132,4 +132,63 @@ fn primary_loss_without_replicas_degrades_gracefully() {
     assert_eq!(sender.machine().buffered(), 1);
     // But dissemination is unaffected.
     assert_eq!(sc.completeness(&[1, 2]), 1.0);
+}
+
+/// A packet the source has released is held by every election quorum.
+/// Replicas 1 and 2 are cut off while replica 0 alone keeps acking; then
+/// the primary and replica 0 crash together and the cut heals, so the
+/// election can only be won by replica 1 or 2. A receiver that was down
+/// meanwhile recovers the stream through the winner — which it can only
+/// do if the source released nothing that the winner's quorum lacked.
+#[test]
+fn released_packets_survive_an_election_without_the_acking_replica() {
+    let mut sc = DisScenario::build(DisScenarioConfig {
+        sites: 2,
+        receivers_per_site: 2,
+        secondary_loggers: false,
+        replicas: 3,
+        seed: 1,
+        ..DisScenarioConfig::default()
+    });
+    let sends: u32 = 20;
+    for i in 0..sends {
+        sc.send_at(
+            SimTime::from_millis(1_000 + 250 * u64::from(i)),
+            format!("update-{i}"),
+        );
+    }
+    let replicas = sc.plan.replicas.clone();
+    let deaf = sc.plan.receivers[0][0];
+
+    sc.world.run_until(SimTime::from_millis(1_400));
+    sc.world.partition(&replicas[1..]);
+    sc.world.crash(deaf);
+    sc.world.run_until(SimTime::from_millis(3_100));
+    sc.world.revive(deaf);
+    sc.world.crash(sc.plan.primary);
+    sc.world.crash(replicas[0]);
+    sc.world.heal();
+    sc.world.run_until(SimTime::from_secs(60));
+
+    let sender = sc.world.actor::<MachineActor<Sender>>(sc.plan.src_host);
+    let promoted: Vec<HostId> = sender
+        .notices
+        .iter()
+        .filter_map(|(_, n)| match n {
+            Notice::Promoted { new_primary } => Some(*new_primary),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        matches!(promoted[..], [p] if replicas[1..].contains(&p)),
+        "one election, won by a replica that was cut off: {promoted:?}"
+    );
+    // The winner counts its own log among the three replicas, so the
+    // surviving pair is a quorum and the source releases every packet.
+    assert_eq!(sender.machine().buffered(), 0, "the source's buffer drains");
+    let expect: Vec<u32> = (1..=sends).collect();
+    let mut got = sc.delivered(deaf);
+    got.sort_unstable();
+    assert_eq!(got, expect, "the revived receiver recovers every seq");
+    assert_eq!(sc.completeness(&expect), 1.0);
 }
