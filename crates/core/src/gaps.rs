@@ -325,21 +325,20 @@ impl GapTracker {
         out
     }
 
-    /// Extends tracking up to `count` sequence numbers *below* the first
-    /// observation, marking them missing — a late joiner deciding to
-    /// backfill recent history from the log, or a receiver that was
-    /// listening before the stream began reaching back to its origin.
-    /// The extension stops at [`Seq::FIRST`] (nothing is sent before it)
-    /// and, like a forward jump, marks at most [`MAX_GAP_SPAN`] numbers.
-    /// Only meaningful right after the first observation; returns the
-    /// newly missing range, if any.
-    pub fn backfill(&mut self, count: u32) -> Option<(Seq, Seq)> {
+    /// Extends tracking *below* the first observation back to the
+    /// stream's origin, [`Seq::FIRST`] (nothing is sent before it),
+    /// marking those numbers missing: whoever observes a stream first
+    /// at seq n may have missed everything before it. Like a forward
+    /// jump, it marks at most [`MAX_GAP_SPAN`] numbers. Only meaningful
+    /// right after the first observation; returns the newly missing
+    /// range, if any.
+    pub fn reach_back_to_origin(&mut self) -> Option<(Seq, Seq)> {
         if !self.started {
             return None;
         }
         let old_start = self.start_floor;
         let lo = old_start
-            .saturating_sub(u64::from(count).min(MAX_GAP_SPAN))
+            .saturating_sub(MAX_GAP_SPAN)
             .max(u64::from(Seq::FIRST.raw()));
         if lo >= old_start {
             return None;
@@ -552,26 +551,26 @@ mod tests {
     }
 
     #[test]
-    fn backfill_stops_at_the_stream_origin() {
+    fn reach_back_stops_at_the_stream_origin() {
         let mut t = GapTracker::new();
         t.observe(Seq(3));
-        assert_eq!(t.backfill(10), Some((Seq(1), Seq(2))));
+        assert_eq!(t.reach_back_to_origin(), Some((Seq(1), Seq(2))));
         assert_eq!(ranges(&t), vec![(1, 2)], "no phantom #0");
         assert!(!t.is_missing(Seq(0)));
         // Nothing precedes the origin: a first observation there has
-        // nothing to backfill.
+        // nothing to reach back to.
         let mut t = GapTracker::new();
         t.observe(Seq::FIRST);
-        assert_eq!(t.backfill(u32::MAX), None);
+        assert_eq!(t.reach_back_to_origin(), None);
         assert_eq!(t.missing_count(), 0);
     }
 
     #[test]
-    fn backfill_marks_at_most_the_bounded_span() {
+    fn reach_back_marks_at_most_the_bounded_span() {
         let mut t = GapTracker::new();
         let first = Seq(1 << 31);
         t.observe(first);
-        let (lo, hi) = t.backfill(u32::MAX).expect("history below the join");
+        let (lo, hi) = t.reach_back_to_origin().expect("history below the join");
         assert_eq!(
             (lo, hi),
             (span_start(first.prev(), MAX_GAP_SPAN), first.prev())

@@ -629,19 +629,15 @@ impl Machine for Logger {
             } if g == group && s == source => {
                 self.ingest(now, seq, payload, out);
             }
+            // A heartbeat only announces the newest seq: any bytes it
+            // carries have no log authority, as for receivers.
             Packet::Heartbeat {
                 group: g,
                 source: s,
                 seq,
-                payload,
                 ..
-            } if g == group && s == source => {
-                if !payload.is_empty() {
-                    // §7 extension: heartbeat repeats the last payload.
-                    self.ingest(now, seq, payload, out);
-                } else if self.gaps.observe_announced(seq) > 0 {
-                    self.want_missing(now);
-                }
+            } if g == group && s == source && self.gaps.observe_announced(seq) > 0 => {
+                self.want_missing(now);
             }
             // Bundling contract: every repair this arm emits for one
             // NACK goes to one `requester`, and `collect_span` hands
@@ -1137,6 +1133,39 @@ mod tests {
             .flatten()
             .collect();
         assert_eq!(nacked, vec![2, 3]);
+    }
+
+    #[test]
+    fn a_heartbeat_payload_never_enters_the_log() {
+        let mut l = primary();
+        let mut out = Actions::new();
+        let forged = Packet::Heartbeat {
+            group: GROUP,
+            source: SRC,
+            seq: Seq(1),
+            epoch: EpochId(0),
+            hb_index: 1,
+            payload: Bytes::from_static(b"forged"),
+        };
+        l.on_packet(Time::ZERO, SRC_HOST, forged, &mut out);
+        // Announced, not logged: the source must keep its copy.
+        assert!(!l.has(Seq(1)));
+        assert!(logacks(&out).is_empty());
+        out.clear();
+        l.on_packet(Time::from_millis(1), SRC_HOST, data(1, "real"), &mut out);
+        assert_eq!(logacks(&out), vec![(Seq(1), Seq(1))]);
+        out.clear();
+        l.on_packet(Time::from_millis(2), RX, nack(RX, 1), &mut out);
+        match &out[..] {
+            [Action::Unicast {
+                to,
+                packet: Packet::Retrans { seq, payload, .. },
+            }] => {
+                assert_eq!((*to, *seq), (RX, Seq(1)));
+                assert_eq!(payload.as_ref(), b"real");
+            }
+            other => panic!("expected one repair, got {other:?}"),
+        }
     }
 
     #[test]

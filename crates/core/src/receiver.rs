@@ -23,19 +23,35 @@ use crate::time::{earliest, Time};
 use crate::trace::{ProtocolEvent, Tracer};
 
 /// What a receiver recovers (receiver-reliability, §2).
+///
+/// On first contact with the stream (data, heartbeat or repair), every
+/// sequence number from [`Seq::FIRST`] to the one before the first heard
+/// counts as lost, as one gap: a receiver cannot tell a packet it missed
+/// while listening from one sent before it joined. Like any gap it marks
+/// at most the newest `MAX_GAP_SPAN` numbers, and the mode alone decides
+/// how much of it is owed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReliabilityMode {
-    /// Recover every lost packet.
+    /// Recover every lost packet: on first contact, the whole stream
+    /// back to its origin.
     RecoverAll,
-    /// Never recover; only the newest data matters (pure freshness).
+    /// Never recover; only the newest data matters (pure freshness). On
+    /// first contact, everything before the first packet heard is given
+    /// up.
     LatestOnly,
     /// Recover only the newest `n` sequence numbers; older losses are
-    /// abandoned.
+    /// abandoned. On first contact, the `n` numbers ending at the first
+    /// one heard.
     Window(u32),
 }
 
 /// Retry interval for unanswered NACKs.
 const NACK_RETRY: Duration = Duration::from_millis(400);
+
+/// Total NACK attempts for one packet before abandoning it as
+/// unrecoverable (e.g. a packet older than every log's retention). A
+/// newly adopted log-authority term restarts the count.
+const MAX_RECOVERY_ATTEMPTS: u32 = 12;
 
 /// NACK attempts per recovery target before moving to the next (§2.2.1's
 /// fallback to the next-higher level).
@@ -61,10 +77,6 @@ pub struct ReceiverConfig {
     /// Wait before the first NACK — lets reordered packets arrive and
     /// avoids NACK implosion at the logger (§2.3.2, Appendix A).
     pub nack_delay: Duration,
-    /// Total NACK attempts for one packet before abandoning it as
-    /// unrecoverable (e.g. a packet older than every log's retention).
-    /// A newly adopted log-authority term restarts the count.
-    pub max_recovery_attempts: u32,
     /// Recovery targets in preference order (site secondary first, then
     /// the primary). Updated in place when a `PrimaryIs` announces a
     /// promotion.
@@ -79,13 +91,6 @@ pub struct ReceiverConfig {
     /// heartbeat source idling toward `h_max` would false-alarm a
     /// `maxit`-based timer constantly.
     pub heartbeat: HeartbeatConfig,
-    /// Late-joiner backfill: on the first packet observed, also recover
-    /// up to this many immediately preceding sequence numbers from the
-    /// log — the §4.4 mobile-reconnect / audit-history pattern. `0`
-    /// starts from the join point (the default); `u32::MAX` reaches back
-    /// to the stream's origin, for a receiver that was listening before
-    /// it began. The window never reaches before `Seq::FIRST`.
-    pub backfill: u32,
 }
 
 impl ReceiverConfig {
@@ -104,11 +109,9 @@ impl ReceiverConfig {
             maxit: Duration::from_millis(250),
             mode: ReliabilityMode::RecoverAll,
             nack_delay: Duration::from_millis(30),
-            max_recovery_attempts: 12,
             recovery_targets: targets,
             source_host,
             heartbeat: HeartbeatConfig::default(),
-            backfill: 0,
         }
     }
 }
@@ -270,7 +273,7 @@ impl Receiver {
             }
             ReliabilityMode::Window(n) => {
                 if let Some(high) = self.gaps.highest() {
-                    let floor_idx = self.gaps.index(high).saturating_sub(u64::from(n) - 1);
+                    let floor_idx = (self.gaps.index(high) + 1).saturating_sub(u64::from(n));
                     let floor = SeqUnwrapper::rewrap(floor_idx);
                     let before = self.gaps.missing_count();
                     self.gaps.give_up_before(floor);
@@ -367,18 +370,6 @@ impl Receiver {
         if gap > 0 {
             let last = seq.prev();
             self.on_loss(now, span_start(last, gap), last, LossSignal::SeqGap, out);
-        }
-    }
-
-    /// On first contact with the stream (data, heartbeat or repair),
-    /// extend recovery below the join point by the configured backfill
-    /// window (§4 late-join history).
-    fn maybe_backfill(&mut self, now: Time, out: &mut Actions) {
-        if self.config.backfill == 0 {
-            return;
-        }
-        if let Some((first, last)) = self.gaps.backfill(self.config.backfill) {
-            self.on_loss(now, first, last, LossSignal::SeqGap, out);
         }
     }
 
@@ -498,8 +489,13 @@ impl Machine for Receiver {
             }
             _ => {}
         }
-        if first_contact && self.gaps.started() {
-            self.maybe_backfill(now, out);
+        // On first contact with the stream (data, heartbeat or repair),
+        // everything before it is a loss like any other: the mode decides
+        // what of it is recovered.
+        if first_contact {
+            if let Some((first, last)) = self.gaps.reach_back_to_origin() {
+                self.on_loss(now, first, last, LossSignal::SeqGap, out);
+            }
         }
     }
 
@@ -537,7 +533,7 @@ impl Machine for Receiver {
             let Some(r) = self.pending.get_mut(&idx) else {
                 continue;
             };
-            if r.total_attempts >= self.config.max_recovery_attempts {
+            if r.total_attempts >= MAX_RECOVERY_ATTEMPTS {
                 // Nobody can supply this packet (retention expired
                 // everywhere, or no leader answers): stop asking.
                 let seq = r.seq;
@@ -901,6 +897,20 @@ mod tests {
     }
 
     #[test]
+    fn a_window_of_zero_recovers_nothing() {
+        let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
+        cfg.mode = ReliabilityMode::Window(0);
+        let mut r = Receiver::new(cfg);
+        let mut out = Actions::new();
+        r.on_packet(Time::ZERO, SRC_HOST, data(3), &mut out);
+        r.on_packet(Time::from_millis(1), SRC_HOST, data(5), &mut out);
+        r.on_packet(Time::from_millis(2), SRC_HOST, heartbeat(6), &mut out);
+        assert_eq!(deliveries(&out).len(), 2);
+        assert_eq!(r.outstanding_recoveries(), 0);
+        assert_eq!(r.stats().abandoned, 4, "#1, #2, #4 and the announced #6");
+    }
+
+    #[test]
     fn heartbeat_payload_is_ignored_and_the_loss_opens_a_recovery() {
         let mut r = rx();
         let mut out = Actions::new();
@@ -960,11 +970,9 @@ mod tests {
     }
 
     #[test]
-    fn a_repair_making_first_contact_backfills_too() {
+    fn a_repair_making_first_contact_reaches_back_too() {
         // A site re-multicast can reach a receiver before any original.
-        let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
-        cfg.backfill = u32::MAX;
-        let mut r = Receiver::new(cfg);
+        let mut r = rx();
         let mut out = Actions::new();
         r.on_packet(Time::ZERO, SECONDARY, retrans(3), &mut out);
         assert_eq!(deliveries(&out).len(), 1);
@@ -972,20 +980,21 @@ mod tests {
     }
 
     #[test]
-    fn backfill_recovers_history_on_join() {
-        // A late joiner whose first packet is #20 pulls the previous 5
-        // from the log.
+    fn a_window_bounds_the_history_recovered_on_join() {
+        // A joiner whose first packet is #20 lost everything before it;
+        // a window of 6 owes only the previous 5.
         let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
-        cfg.backfill = 5;
+        cfg.mode = ReliabilityMode::Window(6);
         let mut r = Receiver::new(cfg);
         let mut out = Actions::new();
         r.on_packet(Time::ZERO, SRC_HOST, data(20), &mut out);
         assert_eq!(deliveries(&out).len(), 1);
         assert!(notices(&out).iter().any(|n| matches!(
             n,
-            Notice::LossDetected { first, last, .. } if *first == Seq(15) && *last == Seq(19)
+            Notice::LossDetected { first, last, .. } if *first == Seq(1) && *last == Seq(19)
         )));
         assert_eq!(r.outstanding_recoveries(), 5);
+        assert_eq!(r.stats().abandoned, 14, "#1..=#14 lie outside the window");
         // The NACK asks for exactly 15..=19.
         let d = r.next_deadline().unwrap();
         out.clear();
@@ -1015,10 +1024,9 @@ mod tests {
 
     #[test]
     fn unrecoverable_packets_are_abandoned_after_max_attempts() {
-        // Nobody ever answers: after max_recovery_attempts total NACKs
+        // Nobody ever answers: after MAX_RECOVERY_ATTEMPTS total NACKs
         // the receiver writes the packet off instead of asking forever.
-        let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
-        cfg.max_recovery_attempts = 4;
+        let cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
         let mut r = Receiver::new(cfg);
         let mut out = Actions::new();
         r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
@@ -1045,7 +1053,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(nacks, 4, "exactly max_recovery_attempts NACKs");
+        assert_eq!(nacks, MAX_RECOVERY_ATTEMPTS as usize);
         assert_eq!(r.outstanding_recoveries(), 0);
         assert_eq!(r.stats().abandoned, 1);
         // The abandoned packet no longer counts as missing.
@@ -1084,14 +1092,14 @@ mod tests {
 
     #[test]
     fn a_new_term_restarts_the_attempt_budget() {
-        let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![PRIMARY]);
-        cfg.max_recovery_attempts = 4;
+        let budget = MAX_RECOVERY_ATTEMPTS as usize;
+        let cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![PRIMARY]);
         let mut r = Receiver::new(cfg);
         let mut out = Actions::new();
         r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
         r.on_packet(Time::from_millis(1), SRC_HOST, data(3), &mut out);
         // One NACK short of the budget.
-        assert_eq!(nack_targets(&mut r, 3), vec![PRIMARY; 3]);
+        assert_eq!(nack_targets(&mut r, budget - 1), vec![PRIMARY; budget - 1]);
         // A newly elected leader is a new supplier: the recovery
         // survives and asks it, with a whole budget.
         let (leader, other) = (HostId(500), HostId(600));
@@ -1102,7 +1110,7 @@ mod tests {
         let now = r.next_deadline().unwrap();
         r.on_packet(now, SRC_HOST, term_announce(2, other), &mut out);
         r.on_packet(now, SRC_HOST, term_announce(1, other), &mut out);
-        assert_eq!(nack_targets(&mut r, usize::MAX), vec![leader; 2]);
+        assert_eq!(nack_targets(&mut r, usize::MAX), vec![leader; budget - 2]);
         assert_eq!(r.outstanding_recoveries(), 0);
         assert_eq!(r.stats().abandoned, 1);
     }
@@ -1111,10 +1119,14 @@ mod tests {
     fn gap_across_the_wrap_on_first_contact() {
         // The gap's start is counted back from the new packet in
         // sequence space, not from the receiver's own (still empty)
-        // unwrapping history.
-        let mut r = rx();
+        // unwrapping history. A window of 8 keeps the history below the
+        // first contact out of the count once the jump passes it.
+        let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
+        cfg.mode = ReliabilityMode::Window(8);
+        let mut r = Receiver::new(cfg);
         let mut out = Actions::new();
         r.on_packet(Time::ZERO, SRC_HOST, data(u32::MAX - 1), &mut out);
+        assert_eq!(r.outstanding_recoveries(), 7, "the window below the join");
         r.on_packet(Time::from_millis(1), SRC_HOST, data(5), &mut out);
         assert!(notices(&out).iter().any(|n| matches!(
             n,

@@ -62,9 +62,6 @@ pub struct SenderConfig {
     pub scheme: HeartbeatScheme,
     /// The primary logging server.
     pub primary: HostId,
-    /// Release buffered data only when a *replica* has it (§2.2.3). When
-    /// `false`, the primary's own ack suffices.
-    pub require_replica_ack: bool,
     /// Known replicas of the primary log (failover candidates).
     pub replicas: Vec<HostId>,
     /// Statistical acknowledgement; `None` disables (§3 notes the
@@ -83,7 +80,6 @@ impl SenderConfig {
             heartbeat: HeartbeatConfig::default(),
             scheme: HeartbeatScheme::Variable,
             primary,
-            require_replica_ack: false,
             replicas: Vec::new(),
             statack: None,
         }
@@ -553,8 +549,8 @@ impl Machine for Sender {
             Packet::LogAck {
                 group,
                 source,
-                primary_seq,
                 replica_seq,
+                ..
             } if group == self.config.group && source == self.config.source => {
                 if self.authority.fenced(now, from, &self.tracer) {
                     // A deposed primary still acking: fenced, never
@@ -566,12 +562,9 @@ impl Machine for Sender {
                     });
                 } else if from == self.primary() {
                     self.handoff_attempts = 0;
-                    let release = if self.config.require_replica_ack {
-                        replica_seq
-                    } else {
-                        primary_seq
-                    };
-                    self.release_through(now, release, out);
+                    // Release only what a replica quorum holds (§2.2.3);
+                    // a primary without replicas reports its own log.
+                    self.release_through(now, replica_seq, out);
                     if !self.buffer.is_empty() && self.next_handoff_at.is_none() {
                         self.next_handoff_at = Some(now + HANDOFF_RETRY);
                     }
@@ -868,9 +861,7 @@ mod tests {
 
     #[test]
     fn replica_ack_requirement_holds_buffer() {
-        let mut cfg = SenderConfig::new(GROUP, SRC, HOST, PRIMARY);
-        cfg.require_replica_ack = true;
-        let mut s = Sender::new(cfg);
+        let mut s = sender();
         let mut out = Actions::new();
         s.on_start(Time::ZERO, &mut out);
         s.send(Time::ZERO, Bytes::from_static(b"x"), &mut out);

@@ -233,10 +233,6 @@ impl GroupPlan {
                 let mut c = ReceiverConfig::new(group, source, rx, src_host, targets);
                 c.mode = self.config.mode;
                 c.nack_delay = self.config.receiver_nack_delay;
-                // The sender starts last, so every receiver was listening
-                // for `Seq::FIRST`: whatever precedes its first packet was
-                // lost, and is recovered back to the stream's origin.
-                c.backfill = u32::MAX;
                 Role::Receiver(c)
             });
             secondary.into_iter().chain(receivers)
@@ -245,7 +241,6 @@ impl GroupPlan {
             let mut c = SenderConfig::new(group, source, src_host, primary);
             c.statack = self.config.statack.clone();
             c.replicas = self.replicas.clone();
-            c.require_replica_ack = !self.replicas.is_empty();
             Role::Sender(c)
         });
         std::iter::once(Role::Logger(primary_cfg))

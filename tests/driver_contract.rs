@@ -19,16 +19,20 @@
 //! wrapper local to this file. Each receiver's `(seq, recovered)`
 //! deliveries, the recovery counters of every role and the forensic
 //! verdict must be equal on both.
+//!
+//! Last, one hand-built group on the hub: a receiver configured as
+//! `lbrm recv` configures one, listening before the sender starts, must
+//! recover the stream's first packet when it loses it.
 
 use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use lbrm::core::logger::LoggerRole;
+use lbrm::core::logger::{Logger, LoggerConfig, LoggerRole};
 use lbrm::core::machine::{Action, Actions, Delivery, Machine, Notice};
-use lbrm::core::receiver::Receiver;
-use lbrm::core::sender::Sender;
+use lbrm::core::receiver::{Receiver, ReceiverConfig};
+use lbrm::core::sender::{Sender, SenderConfig};
 use lbrm::core::time::Time;
 use lbrm::core::trace::analyze::{analyze, AnalyzeConfig, CollectorSink, RecoveryReport};
 use lbrm::core::trace::{FanoutSink, MetricsRegistry, TraceSink, Tracer};
@@ -507,4 +511,46 @@ fn one_centralized_group_runs_the_same_protocol_on_both_substrates() {
 #[test]
 fn one_site_with_a_secondary_logger_runs_the_same_protocol_on_both_substrates() {
     assert_same_protocol(group_config(true));
+}
+
+#[test]
+fn a_receiver_started_before_the_sender_recovers_the_first_packet() {
+    let (source, src_host, primary, listener) = (SourceId(3), HostId(1), HostId(2), HostId(3));
+    let hub = Hub::new();
+    let logger = Logger::new(LoggerConfig::primary(GROUP, source, primary, src_host));
+    let (ep, logger_handle) = Endpoint::new(logger, hub.attach(primary), vec![GROUP]);
+    let logger_task = ep.spawn();
+    // Configured as `lbrm recv` configures one.
+    let cfg = ReceiverConfig::new(GROUP, source, listener, primary, vec![primary]);
+    let deaf = DeafTransport {
+        inner: hub.attach(listener),
+        lost: &[1],
+    };
+    let (ep, mut rx_handle) = Endpoint::new(Receiver::new(cfg), deaf, vec![GROUP]);
+    let rx_task = ep.spawn();
+    while hub.group_size(GROUP) < 2 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let sender = Sender::new(SenderConfig::new(GROUP, source, src_host, primary));
+    let (ep, sender_handle) = Endpoint::new(sender, hub.attach(src_host), vec![]);
+    let sender_task = ep.spawn();
+    for n in 1..=2 {
+        let payload = Bytes::from(format!("update-{n}"));
+        sender_handle
+            .call(move |s: &mut Sender, now, out| s.send(now, payload, out))
+            .unwrap();
+    }
+    let mut got = Vec::new();
+    while got.len() < 2 {
+        match rx_handle.event_timeout(Duration::from_secs(2)) {
+            Some(EndpointEvent::Delivery(d)) => got.push((d.seq.raw(), d.recovered)),
+            Some(EndpointEvent::Notice(_)) => {}
+            None => break,
+        }
+    }
+    drop((sender_handle, logger_handle, rx_handle));
+    for task in [sender_task, logger_task, rx_task] {
+        task.join().unwrap().unwrap();
+    }
+    assert_eq!(got, vec![(2, false), (1, true)]);
 }

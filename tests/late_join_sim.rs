@@ -1,6 +1,7 @@
-//! Late joiners: a receiver that subscribes mid-stream backfills recent
-//! history from the logging hierarchy (the §4 cache / audit pattern),
-//! and asks for nothing that predates the stream.
+//! Late joiners: a receiver whose first contact comes mid-stream owes
+//! itself everything before it, as far as its reliability mode says,
+//! pulls that history from the logging hierarchy (the §4 cache / audit
+//! pattern), and asks for nothing that predates the stream.
 
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use lbrm::sim::time::SimTime;
 use lbrm::sim::topology::{SiteParams, TopologyBuilder};
 use lbrm::sim::world::World;
 use lbrm_core::logger::{Logger, LoggerConfig};
-use lbrm_core::receiver::{Receiver, ReceiverConfig};
+use lbrm_core::receiver::{Receiver, ReceiverConfig, ReliabilityMode};
 use lbrm_core::sender::{Sender, SenderConfig};
 use lbrm_core::trace::{CollectorSink, ProtocolEvent, Tracer};
 use lbrm_wire::{GroupId, SourceId};
@@ -35,7 +36,7 @@ fn late_joiner_backfills_recent_history() {
         ),
     );
     let mut cfg = ReceiverConfig::new(GROUP, SRC, joiner, src_host, vec![log_host]);
-    cfg.backfill = 4;
+    cfg.mode = ReliabilityMode::Window(5);
     world.add_actor(joiner, MachineActor::new(Receiver::new(cfg), vec![GROUP]));
 
     let mut sender = MachineActor::new(
@@ -70,8 +71,8 @@ fn late_joiner_backfills_recent_history() {
         .collect();
     seqs.sort();
     // First contact is the heartbeat announcing #6 (at t ≈ 6.75 s): the
-    // joiner recovers #6 plus a backfill window of 4 predecessors, then
-    // hears #7 and #8 live.
+    // joiner recovers the window of 5 ending there, #2..#6, gives up #1,
+    // then hears #7 and #8 live.
     assert_eq!(
         seqs,
         vec![
@@ -89,9 +90,10 @@ fn late_joiner_backfills_recent_history() {
 
 #[test]
 fn backfill_past_stream_origin_gives_up_cleanly() {
-    // Joiner wants 10 packets of history but the stream only ever had 2:
-    // the window stops at the stream's origin, so the joiner never asks
-    // for a sequence that was not sent, and nothing loops forever.
+    // The joiner owes itself all history, but the stream only ever had
+    // 2 packets: reaching back stops at the stream's origin, so the
+    // joiner never asks for a sequence that was not sent, and nothing
+    // loops forever.
     let mut b = TopologyBuilder::new();
     let hq = b.site(SiteParams::distant());
     let src_host = b.host(hq);
@@ -107,9 +109,7 @@ fn backfill_past_stream_origin_gives_up_cleanly() {
             vec![GROUP],
         ),
     );
-    let mut cfg = ReceiverConfig::new(GROUP, SRC, joiner, src_host, vec![log_host]);
-    cfg.backfill = 10;
-    cfg.max_recovery_attempts = 3;
+    let cfg = ReceiverConfig::new(GROUP, SRC, joiner, src_host, vec![log_host]);
     let collector = Arc::new(CollectorSink::default());
     let mut rx = MachineActor::new(Receiver::new(cfg), vec![GROUP]);
     rx.set_tracer(Tracer::to(collector.clone()));
@@ -130,7 +130,7 @@ fn backfill_past_stream_origin_gives_up_cleanly() {
     }
     world.add_actor(src_host, sender);
 
-    // Joiner misses #1, hears #2 (its first), wants 10 predecessors.
+    // Joiner misses #1, hears #2 (its first), reaches back to #1.
     world.join(joiner, GROUP);
     world.crash(joiner);
     world.run_until(SimTime::from_millis(1_500));
@@ -164,4 +164,63 @@ fn backfill_past_stream_origin_gives_up_cleanly() {
         "no NACK names a pre-origin sequence: {nacked:?}"
     );
     assert_eq!(a.machine().stats().abandoned, 0, "nothing to abandon");
+}
+
+#[test]
+fn a_receiver_listening_before_the_stream_recovers_its_first_packet() {
+    // Configured as `lbrm recv` configures one: the primary is its only
+    // recovery target and where it asks for the primary.
+    let mut b = TopologyBuilder::new();
+    let hq = b.site(SiteParams::distant());
+    let src_host = b.host(hq);
+    let log_host = b.host(hq);
+    let site = b.site(SiteParams::distant());
+    let listener = b.host(site);
+    let mut world = World::new(b.build(), 79);
+
+    world.add_actor(
+        log_host,
+        MachineActor::new(
+            Logger::new(LoggerConfig::primary(GROUP, SRC, log_host, src_host)),
+            vec![GROUP],
+        ),
+    );
+    let cfg = ReceiverConfig::new(GROUP, SRC, listener, log_host, vec![log_host]);
+    world.add_actor(listener, MachineActor::new(Receiver::new(cfg), vec![GROUP]));
+
+    let mut sender = MachineActor::new(
+        Sender::new(SenderConfig::new(GROUP, SRC, src_host, log_host)),
+        vec![],
+    );
+    for i in 0..5u64 {
+        let payload = bytes::Bytes::from(format!("u{i}"));
+        sender.schedule(
+            SimTime::from_millis(1_000 + 50 * i),
+            move |s: &mut Sender, now, out| {
+                s.send(now, payload.clone(), out);
+            },
+        );
+    }
+    world.add_actor(src_host, sender);
+
+    // Joined from the start, but down while #1 goes by: its first
+    // contact is #2.
+    world.run_until(SimTime::from_millis(900));
+    world.crash(listener);
+    world.run_until(SimTime::from_millis(1_060));
+    world.revive(listener);
+    world.run_until(SimTime::from_secs(10));
+
+    let a = world.actor::<MachineActor<Receiver>>(listener);
+    let mut seqs: Vec<(u32, bool)> = a
+        .deliveries
+        .iter()
+        .map(|(_, d)| (d.seq.raw(), d.recovered))
+        .collect();
+    seqs.sort();
+    assert_eq!(
+        seqs,
+        vec![(1, true), (2, false), (3, false), (4, false), (5, false)],
+        "{seqs:?}"
+    );
 }
