@@ -177,6 +177,7 @@ struct RepairWindow {
 }
 
 /// The logging-server state machine.
+#[derive(Clone)]
 pub struct Logger {
     config: LoggerConfig,
     role: LoggerRole,
@@ -245,6 +246,30 @@ impl Logger {
     /// Attaches a protocol-event tracer (see [`crate::trace`]).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.with_host(self.config.host);
+    }
+
+    /// A digest of the protocol state (not the serving scratch buffers
+    /// or the tracer): two loggers with equal digests act alike on the
+    /// same inputs.
+    pub fn state_digest(&self) -> u64 {
+        crate::machine::state_digest(&[
+            &self.config,
+            &self.role,
+            &self.parent,
+            &self.store,
+            &self.gaps,
+            &self.unwrapper,
+            &self.rng,
+            &self.pending,
+            &self.repairs,
+            &self.volunteered,
+            &self.repl_acked,
+            &self.repl_next_at,
+            &self.last_logack,
+            &self.promised_term,
+            &self.authority,
+            &self.next_prune_at,
+        ])
     }
 
     /// The role label announced in the trace stream (forensic

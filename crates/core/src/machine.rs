@@ -266,6 +266,29 @@ impl<M: Machine> Driver<M> {
     }
 }
 
+/// FNV-1a over the `Debug` rendering of `fields`, one role's protocol
+/// state: what its `state_digest` hashes. Equal digests mean equal
+/// state; the value is stable across runs of one build, not a format to
+/// persist.
+pub(crate) fn state_digest(fields: &[&dyn std::fmt::Debug]) -> u64 {
+    use std::fmt::Write;
+    struct Fnv(u64);
+    impl Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &b in s.as_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for field in fields {
+        // `Fnv` never fails, and derived `Debug` only forwards its errors.
+        let _ = write!(h, "{field:?};");
+    }
+    h.0
+}
+
 /// Test/driver helper: extracts all packets a machine tried to send,
 /// with their addressing.
 pub fn sent_packets(actions: &[Action]) -> Vec<&Packet> {

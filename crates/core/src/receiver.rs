@@ -142,6 +142,7 @@ pub struct ReceiverStats {
 }
 
 /// The receiver state machine.
+#[derive(Clone)]
 pub struct Receiver {
     config: ReceiverConfig,
     gaps: GapTracker,
@@ -185,6 +186,21 @@ impl Receiver {
     /// Attaches a protocol-event tracer (see [`crate::trace`]).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.with_host(self.config.host);
+    }
+
+    /// A digest of the protocol state (not the statistics or the
+    /// tracer): two receivers with equal digests act alike on the same
+    /// inputs.
+    pub fn state_digest(&self) -> u64 {
+        crate::machine::state_digest(&[
+            &self.config,
+            &self.gaps,
+            &self.pending,
+            &self.last_source_packet_at,
+            &self.expected_interval,
+            &self.fresh,
+            &self.authority,
+        ])
     }
 
     /// The window of silence the receiver currently tolerates before

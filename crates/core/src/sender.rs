@@ -86,6 +86,7 @@ impl SenderConfig {
     }
 }
 
+#[derive(Debug, Clone)]
 enum Schedule {
     Variable(VariableHeartbeat),
     Fixed(FixedHeartbeat),
@@ -128,6 +129,7 @@ struct Buffered {
     payload: Bytes,
 }
 
+#[derive(Debug, Clone)]
 enum PrimaryHealth {
     Healthy,
     /// Running a prepare/promise election for `term` since `since`,
@@ -142,6 +144,7 @@ enum PrimaryHealth {
 /// The sender state machine. Applications publish via
 /// [`send`](Sender::send); everything else runs through the [`Machine`]
 /// interface.
+#[derive(Clone)]
 pub struct Sender {
     config: SenderConfig,
     schedule: Schedule,
@@ -235,6 +238,28 @@ impl Sender {
     /// Attaches a protocol-event tracer (see [`crate::trace`]).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer.with_host(self.config.host);
+    }
+
+    /// A digest of the protocol state (not the tracer): two senders with
+    /// equal digests act alike on the same inputs.
+    pub fn state_digest(&self) -> u64 {
+        crate::machine::state_digest(&[
+            &self.config,
+            &self.schedule,
+            &self.statack,
+            &self.unwrapper,
+            &self.next_seq,
+            &self.last_seq,
+            &self.buffer,
+            &self.released_below,
+            &self.unsettled,
+            &self.health,
+            &self.authority,
+            &self.last_proposed,
+            &self.next_handoff_at,
+            &self.handoff_attempts,
+            &self.started,
+        ])
     }
 
     /// Publishes one application payload at `now`.

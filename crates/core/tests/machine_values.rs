@@ -1,0 +1,440 @@
+//! Machines as values: every LBRM role is `Clone`, and its
+//! `state_digest` names its protocol state.
+//!
+//! For each role a seeded run is cloned mid-way: the clone, fed the same
+//! inputs, must act byte for byte like the original and keep an equal
+//! digest, and a different packet fed to one copy must move its digest.
+//! Equal digests must also mean equal behaviour: wherever an input
+//! leaves the digest as it was, the machines from before and after it
+//! must act alike on what follows, so a state field the digest leaves
+//! out shows up as a failure.
+
+use bytes::Bytes;
+use lbrm_core::logger::{Logger, LoggerConfig};
+use lbrm_core::receiver::{Receiver, ReceiverConfig};
+use lbrm_core::sender::{Sender, SenderConfig};
+use lbrm_core::statack::StatAckConfig;
+use lbrm_core::{Actions, Machine, Time};
+use lbrm_wire::packet::SeqRange;
+use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+const GROUP: GroupId = GroupId(1);
+const SRC: SourceId = SourceId(10);
+const SRC_HOST: HostId = HostId(100);
+const PRIMARY: HostId = HostId(200);
+const REPLICA: HostId = HostId(201);
+const SECONDARY: HostId = HostId(300);
+const RX: HostId = HostId(400);
+
+/// A role under test: a cloneable machine with a digest and, for the
+/// sender, an application publish.
+trait Role: Machine + Clone {
+    fn digest(&self) -> u64;
+    fn publish(&mut self, _now: Time, _payload: Bytes, _out: &mut Actions) {}
+}
+
+impl Role for Sender {
+    fn digest(&self) -> u64 {
+        self.state_digest()
+    }
+    fn publish(&mut self, now: Time, payload: Bytes, out: &mut Actions) {
+        self.send(now, payload, out);
+    }
+}
+
+impl Role for Receiver {
+    fn digest(&self) -> u64 {
+        self.state_digest()
+    }
+}
+
+impl Role for Logger {
+    fn digest(&self) -> u64 {
+        self.state_digest()
+    }
+}
+
+/// One scripted input.
+#[derive(Clone, Debug)]
+enum Step {
+    Packet(HostId, Packet),
+    Timer,
+    Publish(Bytes),
+}
+
+type Script = Vec<(Time, Step)>;
+
+/// Feeds one step and renders what the machine did: its actions and its
+/// next deadline.
+fn feed<M: Role>(m: &mut M, now: Time, step: &Step) -> String {
+    let mut out = Actions::new();
+    match step.clone() {
+        Step::Packet(from, packet) => m.on_packet(now, from, packet, &mut out),
+        Step::Timer => m.poll(now, &mut out),
+        Step::Publish(payload) => {
+            m.publish(now, payload, &mut out);
+            m.poll(now, &mut out);
+        }
+    }
+    format!("{out:?} next={:?}", m.next_deadline())
+}
+
+fn run<M: Role>(m: &mut M, script: &[(Time, Step)]) -> Vec<String> {
+    script.iter().map(|(t, s)| feed(m, *t, s)).collect()
+}
+
+fn started<M: Role>(fresh: &impl Fn() -> M) -> M {
+    let mut m = fresh();
+    m.on_start(Time::ZERO, &mut Actions::new());
+    m
+}
+
+/// The value contract for the machine `fresh` builds:
+/// - two machines fed `warmup` have equal digests;
+/// - a clone taken after `warmup` replays `future` byte for byte, with
+///   equal digests after every step;
+/// - the first of `divergent`, fed at the last warmup instant to one
+///   copy only, moves the digest;
+/// - whenever one step of the run, or one of `divergent`, leaves the
+///   digest as it was, the copies from before and after it act alike on
+///   the rest of the run: a state field the digest left out would show
+///   here.
+fn assert_machine_is_a_value<M: Role>(
+    fresh: impl Fn() -> M,
+    warmup: &[(Time, Step)],
+    future: &[(Time, Step)],
+    divergent: &[Step],
+) {
+    let mut m = started(&fresh);
+    let mut other = started(&fresh);
+    assert_eq!(run(&mut m, warmup), run(&mut other, warmup));
+    assert_eq!(m.digest(), other.digest());
+
+    let mut original = m.clone();
+    let mut twin = m.clone();
+    for (at, step) in future {
+        let want = feed(&mut original, *at, step);
+        assert_eq!(feed(&mut twin, *at, step), want, "{step:?} at {at:?}");
+        assert_eq!(twin.digest(), original.digest(), "{step:?} at {at:?}");
+    }
+
+    let t0 = warmup.last().expect("a warmup").0;
+    for (i, step) in divergent.iter().enumerate() {
+        let mut changed = m.clone();
+        feed(&mut changed, t0, step);
+        if changed.digest() == m.digest() {
+            assert_ne!(i, 0, "{step:?} must move the digest");
+            assert_eq!(
+                run(&mut changed, future),
+                run(&mut m.clone(), future),
+                "equal digests after {step:?}, yet the copies act differently"
+            );
+        }
+    }
+
+    let script: Script = warmup.iter().chain(future).cloned().collect();
+    let mut m = started(&fresh);
+    for (k, (at, step)) in script.iter().enumerate() {
+        let mut before = m.clone();
+        feed(&mut m, *at, step);
+        if m.digest() == before.digest() {
+            let rest = &script[k + 1..];
+            assert_eq!(
+                run(&mut before, rest),
+                run(&mut m.clone(), rest),
+                "{step:?} at {at:?} left the digest as it was, yet changed what follows"
+            );
+        }
+    }
+}
+
+fn data(seq: u32, payload: &'static str) -> Packet {
+    Packet::Data {
+        group: GROUP,
+        source: SRC,
+        seq: Seq(seq),
+        epoch: EpochId(0),
+        payload: Bytes::from_static(payload.as_bytes()),
+    }
+}
+
+fn heartbeat(seq: u32, hb_index: u32) -> Packet {
+    Packet::Heartbeat {
+        group: GROUP,
+        source: SRC,
+        seq: Seq(seq),
+        epoch: EpochId(0),
+        hb_index,
+        payload: Bytes::new(),
+    }
+}
+
+fn retrans(seq: u32) -> Packet {
+    Packet::Retrans {
+        group: GROUP,
+        source: SRC,
+        seq: Seq(seq),
+        payload: Bytes::from_static(b"repair"),
+    }
+}
+
+fn nack(requester: HostId, first: u32, last: u32) -> Packet {
+    Packet::Nack {
+        group: GROUP,
+        source: SRC,
+        requester,
+        ranges: vec![SeqRange {
+            first: Seq(first),
+            last: Seq(last),
+        }],
+    }
+}
+
+fn log_ack(primary_seq: u32, replica_seq: u32) -> Packet {
+    Packet::LogAck {
+        group: GROUP,
+        source: SRC,
+        primary_seq: Seq(primary_seq),
+        replica_seq: Seq(replica_seq),
+    }
+}
+
+fn term_announce(term: u32, leader: HostId) -> Packet {
+    Packet::TermAnnounce {
+        group: GROUP,
+        source: SRC,
+        term,
+        leader,
+    }
+}
+
+/// Timer polls every `step` ms over `[from, to)` ms, interleaved with
+/// `extra` at their own millisecond instants.
+fn with_polls(from: u64, to: u64, step: u64, extra: Vec<(u64, Step)>) -> Script {
+    let mut script: Script = (from..to)
+        .step_by(step as usize)
+        .map(|t| (t, Step::Timer))
+        .chain(extra)
+        .map(|(t, step)| (Time::from_millis(t), step))
+        .collect();
+    script.sort_by_key(|(t, _)| *t);
+    script
+}
+
+#[test]
+fn a_sender_is_a_value() {
+    let fresh = || {
+        let mut config = SenderConfig::new(GROUP, SRC, SRC_HOST, PRIMARY);
+        config.replicas = vec![REPLICA];
+        config.statack = Some(StatAckConfig::default());
+        Sender::new(config)
+    };
+    let mut rng = SmallRng::seed_from_u64(0x5e4d);
+    let mut warmup = Script::new();
+    let mut sent = 0u32;
+    for t in (0..600).step_by(10) {
+        let at = Time::from_millis(t);
+        match rng.random_range(0u32..4) {
+            0 | 1 => {
+                warmup.push((at, Step::Publish(Bytes::from(vec![t as u8; 4]))));
+                sent += 1;
+            }
+            2 if sent > 2 => {
+                let acked = sent - rng.random_range(0u32..3);
+                let packet = log_ack(acked, acked - rng.random_range(0u32..2));
+                warmup.push((at, Step::Packet(PRIMARY, packet)));
+            }
+            _ => warmup.push((at, Step::Timer)),
+        }
+    }
+    let future = with_polls(
+        600,
+        4_000,
+        50,
+        vec![
+            (1_010, Step::Publish(Bytes::from_static(b"late"))),
+            (1_020, Step::Packet(PRIMARY, log_ack(sent + 1, sent))),
+        ],
+    );
+    let divergent = [
+        Step::Packet(PRIMARY, log_ack(sent, sent)),
+        Step::Publish(Bytes::from_static(b"extra")),
+        Step::Packet(SECONDARY, term_announce(1, REPLICA)),
+        Step::Packet(
+            SECONDARY,
+            Packet::AckerVolunteer {
+                group: GROUP,
+                source: SRC,
+                epoch: EpochId(1),
+                logger: SECONDARY,
+            },
+        ),
+        Step::Packet(
+            SECONDARY,
+            Packet::PacketAck {
+                group: GROUP,
+                source: SRC,
+                epoch: EpochId(0),
+                seq: Seq(sent),
+                logger: SECONDARY,
+            },
+        ),
+        Step::Timer,
+    ];
+    assert_machine_is_a_value(fresh, &warmup, &future, &divergent);
+}
+
+#[test]
+fn a_receiver_is_a_value() {
+    let fresh = || {
+        Receiver::new(ReceiverConfig::new(
+            GROUP,
+            SRC,
+            RX,
+            SRC_HOST,
+            vec![SECONDARY, PRIMARY],
+        ))
+    };
+    let mut rng = SmallRng::seed_from_u64(0x4ec5);
+    let mut warmup = Script::new();
+    let mut head = 0u32;
+    for t in (0..600).step_by(10) {
+        let at = Time::from_millis(t);
+        match rng.random_range(0u32..6) {
+            0..=2 => {
+                head += 1;
+                // One in four data packets is lost.
+                if rng.random_range(0u32..4) != 0 {
+                    warmup.push((at, Step::Packet(SRC_HOST, data(head, "payload"))));
+                }
+            }
+            3 if head > 0 => {
+                let hb = heartbeat(head, rng.random_range(0u32..3));
+                warmup.push((at, Step::Packet(SRC_HOST, hb)));
+            }
+            4 if head > 1 => {
+                let seq = rng.random_range(1..head);
+                warmup.push((at, Step::Packet(SECONDARY, retrans(seq))));
+            }
+            _ => warmup.push((at, Step::Timer)),
+        }
+    }
+    let last = warmup.last().unwrap().0;
+    warmup.push((last, Step::Packet(SRC_HOST, data(head + 1, "payload"))));
+    let future = with_polls(
+        600,
+        3_000,
+        20,
+        vec![
+            (1_500, Step::Packet(SRC_HOST, heartbeat(head + 1, 2))),
+            (2_500, Step::Packet(SRC_HOST, data(head + 3, "payload"))),
+        ],
+    );
+    let divergent = [
+        Step::Packet(SRC_HOST, data(head + 2, "payload")),
+        Step::Packet(SRC_HOST, heartbeat(head + 1, 3)),
+        Step::Packet(SECONDARY, retrans(head)),
+        Step::Packet(SRC_HOST, data(head + 1, "payload")),
+        Step::Packet(SECONDARY, term_announce(1, SECONDARY)),
+        Step::Packet(
+            SRC_HOST,
+            Packet::PrimaryIs {
+                group: GROUP,
+                source: SRC,
+                primary: REPLICA,
+            },
+        ),
+        Step::Timer,
+    ];
+    assert_machine_is_a_value(fresh, &warmup, &future, &divergent);
+}
+
+/// A primary with a replica, then a site secondary: one replicates, the
+/// other fetches from its parent and re-multicasts repairs.
+#[test]
+fn a_logger_is_a_value() {
+    let mut primary = LoggerConfig::primary(GROUP, SRC, PRIMARY, SRC_HOST);
+    primary.replicas = vec![REPLICA];
+    let secondary = LoggerConfig::secondary(GROUP, SRC, SECONDARY, PRIMARY, SRC_HOST);
+    for (config, seed) in [(primary, 0x1066), (secondary, 0x1067)] {
+        let fresh = || Logger::new(config.clone());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut warmup = Script::new();
+        let mut head = 0u32;
+        for t in (0..600).step_by(10) {
+            let at = Time::from_millis(t);
+            match rng.random_range(0u32..7) {
+                0..=2 => {
+                    head += 1;
+                    if rng.random_range(0u32..4) != 0 {
+                        warmup.push((at, Step::Packet(SRC_HOST, data(head, "logged"))));
+                    }
+                }
+                3 if head > 1 => {
+                    let first = rng.random_range(1..head);
+                    let requester = HostId(RX.raw() + rng.random_range(0u64..3));
+                    let packet = nack(requester, first, first + 1);
+                    warmup.push((at, Step::Packet(requester, packet)));
+                }
+                4 if head > 0 => {
+                    let seq = rng.random_range(0..head + 1);
+                    let ack = Packet::ReplAck {
+                        group: GROUP,
+                        source: SRC,
+                        seq: Seq(seq),
+                    };
+                    warmup.push((at, Step::Packet(REPLICA, ack)));
+                }
+                5 if head > 1 => {
+                    let seq = rng.random_range(1..head);
+                    warmup.push((at, Step::Packet(PRIMARY, retrans(seq))));
+                }
+                _ => warmup.push((at, Step::Timer)),
+            }
+        }
+        let future = with_polls(
+            600,
+            3_000,
+            20,
+            vec![
+                (650, Step::Packet(RX, nack(RX, 1, head))),
+                (800, Step::Packet(SRC_HOST, data(head + 2, "logged"))),
+            ],
+        );
+        let divergent = [
+            Step::Packet(SRC_HOST, data(head + 1, "logged")),
+            Step::Packet(RX, nack(RX, 1, 2)),
+            Step::Packet(
+                REPLICA,
+                Packet::ReplAck {
+                    group: GROUP,
+                    source: SRC,
+                    seq: Seq(head),
+                },
+            ),
+            Step::Packet(
+                SRC_HOST,
+                Packet::AckerSelect {
+                    group: GROUP,
+                    source: SRC,
+                    epoch: EpochId(1),
+                    p_ack: 0.5,
+                },
+            ),
+            Step::Packet(SRC_HOST, term_announce(1, REPLICA)),
+            Step::Packet(
+                SRC_HOST,
+                Packet::ElectPrepare {
+                    group: GROUP,
+                    source: SRC,
+                    term: 2,
+                    candidate: SRC_HOST,
+                },
+            ),
+            Step::Timer,
+        ];
+        assert_machine_is_a_value(fresh, &warmup, &future, &divergent);
+    }
+}

@@ -14,9 +14,8 @@
 //! * [`world`] — the one serial event loop: actors (protocol endpoints) exchange
 //!   [`lbrm_wire::Packet`]s over unicast and TTL-scoped multicast, set
 //!   timers, and draw from per-host deterministic RNG streams.
-//! * [`queue`] — the future-event queue behind the loop: a hierarchical
-//!   timer wheel (amortized O(1) push/pop) that pops in exactly a binary
-//!   heap's order.
+//! * [`queue`] — the future-event queue behind the loop: a binary heap
+//!   on `(deadline, push count)`, FIFO among same-instant events.
 //! * [`stats`] — per-segment-class, per-packet-kind traffic accounting
 //!   (the quantities the paper's evaluation counts), plus the
 //!   [`stats::BundleStats`] ledger modeling PDU-bundling framing

@@ -656,3 +656,53 @@ fn text_roundtrip_heartbeats() {
         assert_eq!(parse_message(&m.to_string()).unwrap(), m);
     }
 }
+
+/// Seeded mutants of valid text-protocol lines and multicast tags: the
+/// parsers never panic, and whatever they accept re-renders to a line
+/// that parses back to the same value.
+#[test]
+fn text_mutants_never_panic_and_accepted_round_trips() {
+    use lbrm_wire::text::{multicast_tag, parse_message, parse_multicast_tag, TextMessage};
+    // `mutate` edits the body from byte 8 on, plus header fields below
+    // it: an 8-byte pad in front keeps those off the text.
+    const PAD: usize = 8;
+    let mut r = rng(0x7E87_F422);
+    let mut accepted = [0usize; 2];
+    for _ in 0..20_000 {
+        let message = if r.random::<bool>() {
+            TextMessage::Update {
+                seq: Seq(r.random::<u32>()),
+                url: format!("http://example.org/{}.html", r.random::<u32>()),
+                retrans: r.random::<bool>(),
+            }
+        } else {
+            TextMessage::Heartbeat {
+                seq: Seq(r.random::<u32>()),
+                hb_index: r.random_range(1u64..=u64::from(u32::MAX)) as u32,
+            }
+        };
+        let group = std::net::Ipv4Addr::from(0xE000_0000 | (r.random::<u32>() >> 4));
+        let tag = format!("{}\n<html>", multicast_tag(group));
+        for (kind, text) in [message.to_string(), tag].into_iter().enumerate() {
+            let mut padded = vec![0u8; PAD];
+            padded.extend_from_slice(text.as_bytes());
+            let mutant = mutate(&mut r, &padded);
+            let input = String::from_utf8_lossy(&mutant[PAD..]);
+            if kind == 0 {
+                if let Ok(m) = parse_message(&input) {
+                    accepted[0] += 1;
+                    assert_eq!(parse_message(&m.to_string()), Ok(m), "{input:?}");
+                }
+            } else if let Ok(addr) = parse_multicast_tag(&input) {
+                accepted[1] += 1;
+                assert_eq!(
+                    parse_multicast_tag(&multicast_tag(addr)),
+                    Ok(addr),
+                    "{input:?}"
+                );
+            }
+        }
+    }
+    // A stricter or looser parser moves these counts.
+    assert_eq!(accepted, [9_919, 8_648], "mutants must reach acceptance");
+}

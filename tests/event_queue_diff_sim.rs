@@ -7,8 +7,8 @@
 //! cross-site evaluation. Moving any of them moves these constants and
 //! every EXPERIMENTS.md figure. (The test names predate the serial
 //! simulator, when the same runs were compared across shard counts and,
-//! before that, queue backends; the event queue's own pop order is held
-//! to a binary-heap oracle in `lbrm_sim::queue`'s unit tests.)
+//! before that, queue backends; the event queue's own FIFO and
+//! monotonic pop order is unit-tested in `lbrm_sim::queue`.)
 
 use std::sync::Arc;
 
