@@ -112,6 +112,7 @@ pub struct SrmStats {
 /// One SRM session member. The source member publishes via
 /// [`send`](SrmMember::send); every member caches data and participates
 /// in recovery.
+#[derive(Clone)]
 pub struct SrmMember {
     config: SrmConfig,
     rng: SmallRng,

@@ -64,6 +64,7 @@ enum Phase {
 }
 
 /// The discovery client state machine.
+#[derive(Clone)]
 pub struct DiscoveryClient {
     config: DiscoveryConfig,
     rng: SmallRng,

@@ -861,6 +861,14 @@ impl Machine for Logger {
     }
 
     fn poll(&mut self, now: Time, out: &mut Actions) {
+        // The retention sweep below rides on any due poll, even one with
+        // an empty store, but `next_deadline` asks for a poll of its own
+        // only while the store holds entries. A poll with nothing due
+        // must still do nothing (the `Machine::poll` contract), or a
+        // stale timer would move the sweep's schedule.
+        if self.next_deadline().is_none_or(|d| d > now) {
+            return;
+        }
         // Parent fetches.
         let due: Vec<u64> = self
             .pending

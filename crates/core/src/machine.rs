@@ -178,8 +178,13 @@ pub trait Machine {
     /// A packet addressed to this machine arrived (unicast or multicast).
     fn on_packet(&mut self, now: Time, from: HostId, packet: Packet, out: &mut Actions);
 
-    /// Clock callback: run any work due at or before `now`. Spurious
-    /// calls (before any deadline) must be harmless.
+    /// Clock callback: run any work due at or before `now`.
+    ///
+    /// Contract: before [`next_deadline`](Machine::next_deadline) (or
+    /// when it is `None`), `poll` emits nothing, traces nothing and
+    /// changes no state. The [`Driver`] relies on it to skip an
+    /// [`Input::Timer`] with nothing due; `crates/core/tests/machine_values.rs`
+    /// checks it for every role.
     fn poll(&mut self, now: Time, out: &mut Actions);
 
     /// The next instant at which [`Machine::poll`] should run, if any.
@@ -204,7 +209,11 @@ pub enum Input<M> {
         /// The packet.
         packet: Packet,
     },
-    /// A deadline may have passed: [`Machine::poll`].
+    /// A deadline may have passed: [`Machine::poll`], if
+    /// [`Machine::next_deadline`] is at or before now. A timer with
+    /// nothing due (a substrate never cancels one whose deadline moved
+    /// later) skips the machine, which by `poll`'s contract would do
+    /// nothing.
     Timer,
     /// An application call, followed by [`Machine::poll`]: a call can
     /// create work (e.g. schedule a heartbeat), and the machine may also
@@ -252,7 +261,11 @@ impl<M: Machine> Driver<M> {
                 self.machine.on_start(now, out);
             }
             Input::Packet { from, packet } => self.machine.on_packet(now, from, packet, out),
-            Input::Timer => self.machine.poll(now, out),
+            Input::Timer => {
+                if self.machine.next_deadline().is_some_and(|d| d <= now) {
+                    self.machine.poll(now, out);
+                }
+            }
             Input::Call(call) => {
                 call(&mut self.machine, now, out);
                 self.machine.poll(now, out);
@@ -380,6 +393,37 @@ mod tests {
             [Action::Notice(Notice::FreshnessLost)]
         );
         assert!(!driver.machine().flag, "the poll consumed the flag");
+    }
+
+    /// Counts its polls; its one deadline is at 5 s.
+    #[derive(Default)]
+    struct Due {
+        polls: u32,
+    }
+
+    impl Machine for Due {
+        fn on_packet(&mut self, _now: Time, _from: HostId, _packet: Packet, _out: &mut Actions) {}
+        fn poll(&mut self, _now: Time, _out: &mut Actions) {
+            self.polls += 1;
+        }
+        fn next_deadline(&self) -> Option<Time> {
+            Some(Time::from_secs(5))
+        }
+    }
+
+    #[test]
+    fn a_timer_polls_only_once_the_deadline_is_due() {
+        let mut driver = Driver::new(Due::default(), vec![]);
+        driver.input(Time::from_secs(4), Input::Timer);
+        assert_eq!(
+            driver.machine().polls,
+            0,
+            "nothing due: the machine is skipped"
+        );
+        driver.input(Time::from_secs(4), Input::Call(Box::new(|_, _, _| {})));
+        assert_eq!(driver.machine().polls, 1, "a call still polls");
+        driver.input(Time::from_secs(5), Input::Timer);
+        assert_eq!(driver.machine().polls, 2);
     }
 
     #[test]

@@ -141,6 +141,13 @@ pub struct ReceiverStats {
     pub duplicates: u64,
 }
 
+/// The window of silence a receiver tolerates before declaring the
+/// channel idle-dead, when it expects the sender's next transmission
+/// within `expected`.
+fn idle_window(expected: Duration, maxit: Duration) -> Duration {
+    Duration::from_secs_f64(expected.as_secs_f64() * IDLE_SLACK).max(maxit)
+}
+
 /// The receiver state machine.
 #[derive(Clone)]
 pub struct Receiver {
@@ -152,6 +159,11 @@ pub struct Receiver {
     /// Expected interval until the sender's next transmission, learned
     /// from heartbeat indices.
     expected_interval: Duration,
+    /// The window of silence tolerated before declaring the channel
+    /// idle-dead, a function of `expected_interval` kept beside it (by
+    /// [`learn_interval`](Self::learn_interval)) so the per-event
+    /// `next_deadline` does no float arithmetic.
+    idle_window: Duration,
     fresh: bool,
     /// The log-authority term last announced to the group and its
     /// leader, initially the presumed primary (the last recovery
@@ -167,6 +179,7 @@ impl Receiver {
         let authority = Authority::new(config.recovery_targets.last().copied());
         Receiver {
             expected_interval: config.heartbeat.h_min,
+            idle_window: idle_window(config.heartbeat.h_min, config.maxit),
             config,
             gaps: GapTracker::new(),
             pending: BTreeMap::new(),
@@ -203,13 +216,6 @@ impl Receiver {
         ])
     }
 
-    /// The window of silence the receiver currently tolerates before
-    /// declaring the channel idle-dead.
-    fn idle_window(&self) -> Duration {
-        let expected = Duration::from_secs_f64(self.expected_interval.as_secs_f64() * IDLE_SLACK);
-        expected.max(self.config.maxit)
-    }
-
     /// Updates the expected next-packet interval from a heartbeat index
     /// (`None` = a data packet, which resets the sender's schedule to
     /// `h_min`).
@@ -223,6 +229,7 @@ impl Receiver {
             }
         };
         self.expected_interval = interval;
+        self.idle_window = idle_window(interval, self.config.maxit);
     }
 
     /// Running statistics.
@@ -519,7 +526,7 @@ impl Machine for Receiver {
         // Idle expiry: expected traffic stopped arriving.
         if self.fresh {
             if let Some(last) = self.last_source_packet_at {
-                if now.since(last) > self.idle_window() {
+                if now.since(last) > self.idle_window {
                     self.fresh = false;
                     out.push(Action::Notice(Notice::FreshnessLost));
                     self.tracer
@@ -591,7 +598,7 @@ impl Machine for Receiver {
         let mut d = self
             .last_source_packet_at
             .filter(|_| self.fresh)
-            .map(|t| t + self.idle_window() + Duration::from_nanos(1));
+            .map(|t| t + self.idle_window + Duration::from_nanos(1));
         for r in self.pending.values() {
             d = earliest(d, Some(r.next_nack_at));
         }

@@ -313,46 +313,46 @@ impl StatAck {
     /// Runs due work: epoch management and per-packet ACK deadlines.
     pub fn poll(&mut self, now: Time, out: &mut Vec<StatAckOutput>) {
         // Activate a matured selection.
-        if let Some((epoch, p, volunteers, switch_at)) = self.pending.clone() {
-            if now >= switch_at {
-                let quick_retry = (4 * self.t_wait)
-                    .max(Duration::from_millis(500))
-                    .min(self.config.epoch_interval);
-                if let Some(probe) = &mut self.probe {
-                    // Probing phase (§2.3.3): this selection's response
-                    // count is a Bolot probe sample.
-                    match probe.record_round(volunteers.len() as u64) {
-                        ProbeStatus::Done(estimate) => {
-                            self.nsl = NslEstimator::new(estimate.max(1.0), NSL_ALPHA);
-                            self.probe = None;
-                        }
-                        ProbeStatus::Escalated | ProbeStatus::NeedMoreRounds => {
-                            self.next_selection_at = self.next_selection_at.min(now + quick_retry);
-                        }
+        let matured = self
+            .pending
+            .take_if(|&mut (.., switch_at)| now >= switch_at);
+        if let Some((epoch, p, volunteers, _)) = matured {
+            let quick_retry = (4 * self.t_wait)
+                .max(Duration::from_millis(500))
+                .min(self.config.epoch_interval);
+            if let Some(probe) = &mut self.probe {
+                // Probing phase (§2.3.3): this selection's response
+                // count is a Bolot probe sample.
+                match probe.record_round(volunteers.len() as u64) {
+                    ProbeStatus::Done(estimate) => {
+                        self.nsl = NslEstimator::new(estimate.max(1.0), NSL_ALPHA);
+                        self.probe = None;
                     }
-                } else if volunteers.is_empty() {
-                    // Nobody volunteered (e.g. the group is still
-                    // forming): an ackerless epoch detects nothing, so
-                    // retry selection soon rather than idling a full
-                    // epoch interval.
-                    self.next_selection_at = self.next_selection_at.min(now + quick_retry);
-                } else {
-                    self.nsl.update(volunteers.len(), p);
+                    ProbeStatus::Escalated | ProbeStatus::NeedMoreRounds => {
+                        self.next_selection_at = self.next_selection_at.min(now + quick_retry);
+                    }
                 }
-                self.ackers = volunteers.clone();
-                self.epoch = epoch;
-                self.epoch_ackers.insert(epoch, volunteers.clone());
-                // Keep only the two most recent epochs' acker sets.
-                let keep_prev = EpochId(epoch.raw().wrapping_sub(1));
-                self.epoch_ackers
-                    .retain(|e, _| *e == epoch || *e == keep_prev);
-                self.pending = None;
-                out.push(StatAckOutput::EpochActive {
-                    epoch,
-                    ackers: self.ackers.len(),
-                    nsl: self.nsl.estimate(),
-                });
+            } else if volunteers.is_empty() {
+                // Nobody volunteered (e.g. the group is still
+                // forming): an ackerless epoch detects nothing, so
+                // retry selection soon rather than idling a full
+                // epoch interval.
+                self.next_selection_at = self.next_selection_at.min(now + quick_retry);
+            } else {
+                self.nsl.update(volunteers.len(), p);
             }
+            self.ackers = volunteers.clone();
+            self.epoch = epoch;
+            self.epoch_ackers.insert(epoch, volunteers);
+            // Keep only the two most recent epochs' acker sets.
+            let keep_prev = EpochId(epoch.raw().wrapping_sub(1));
+            self.epoch_ackers
+                .retain(|e, _| *e == epoch || *e == keep_prev);
+            out.push(StatAckOutput::EpochActive {
+                epoch,
+                ackers: self.ackers.len(),
+                nsl: self.nsl.estimate(),
+            });
         }
         // Start a new selection.
         if self.pending.is_none() && now >= self.next_selection_at {

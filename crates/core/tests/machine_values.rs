@@ -8,13 +8,26 @@
 //! leaves the digest as it was, the machines from before and after it
 //! must act alike on what follows, so a state field the digest leaves
 //! out shows up as a failure.
+//!
+//! The same seeded runs check `Machine::poll`'s contract, which lets the
+//! `Driver` skip a timer with nothing due: before `next_deadline()` (or
+//! when it is `None`), a poll emits nothing, traces nothing and changes
+//! no state.
+
+use std::fmt::Debug;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
+use lbrm_core::baseline::srm::{SrmConfig, SrmMember};
+use lbrm_core::discovery::{DiscoveryClient, DiscoveryConfig};
 use lbrm_core::logger::{Logger, LoggerConfig};
 use lbrm_core::receiver::{Receiver, ReceiverConfig};
 use lbrm_core::sender::{Sender, SenderConfig};
 use lbrm_core::statack::StatAckConfig;
-use lbrm_core::{Actions, Machine, Time};
+use lbrm_core::trace::{ProtocolEvent, TraceSink};
+use lbrm_core::{Actions, Machine, Time, Tracer};
 use lbrm_wire::packet::SeqRange;
 use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId};
 use rand::rngs::SmallRng;
@@ -223,14 +236,29 @@ fn with_polls(from: u64, to: u64, step: u64, extra: Vec<(u64, Step)>) -> Script 
     script
 }
 
-#[test]
-fn a_sender_is_a_value() {
-    let fresh = || {
-        let mut config = SenderConfig::new(GROUP, SRC, SRC_HOST, PRIMARY);
-        config.replicas = vec![REPLICA];
-        config.statack = Some(StatAckConfig::default());
-        Sender::new(config)
-    };
+/// One role's seeded run: a warmup, the future a clone replays, and the
+/// divergent steps the value contract feeds one copy.
+struct Case {
+    warmup: Script,
+    future: Script,
+    divergent: Vec<Step>,
+}
+
+impl Case {
+    /// Warmup and future in order: the whole run.
+    fn script(&self) -> Script {
+        self.warmup.iter().chain(&self.future).cloned().collect()
+    }
+}
+
+fn sender() -> Sender {
+    let mut config = SenderConfig::new(GROUP, SRC, SRC_HOST, PRIMARY);
+    config.replicas = vec![REPLICA];
+    config.statack = Some(StatAckConfig::default());
+    Sender::new(config)
+}
+
+fn sender_case() -> Case {
     let mut rng = SmallRng::seed_from_u64(0x5e4d);
     let mut warmup = Script::new();
     let mut sent = 0u32;
@@ -258,7 +286,7 @@ fn a_sender_is_a_value() {
             (1_020, Step::Packet(PRIMARY, log_ack(sent + 1, sent))),
         ],
     );
-    let divergent = [
+    let divergent = vec![
         Step::Packet(PRIMARY, log_ack(sent, sent)),
         Step::Publish(Bytes::from_static(b"extra")),
         Step::Packet(SECONDARY, term_announce(1, REPLICA)),
@@ -283,20 +311,24 @@ fn a_sender_is_a_value() {
         ),
         Step::Timer,
     ];
-    assert_machine_is_a_value(fresh, &warmup, &future, &divergent);
+    Case {
+        warmup,
+        future,
+        divergent,
+    }
 }
 
-#[test]
-fn a_receiver_is_a_value() {
-    let fresh = || {
-        Receiver::new(ReceiverConfig::new(
-            GROUP,
-            SRC,
-            RX,
-            SRC_HOST,
-            vec![SECONDARY, PRIMARY],
-        ))
-    };
+fn receiver() -> Receiver {
+    Receiver::new(ReceiverConfig::new(
+        GROUP,
+        SRC,
+        RX,
+        SRC_HOST,
+        vec![SECONDARY, PRIMARY],
+    ))
+}
+
+fn receiver_case() -> Case {
     let mut rng = SmallRng::seed_from_u64(0x4ec5);
     let mut warmup = Script::new();
     let mut head = 0u32;
@@ -332,7 +364,7 @@ fn a_receiver_is_a_value() {
             (2_500, Step::Packet(SRC_HOST, data(head + 3, "payload"))),
         ],
     );
-    let divergent = [
+    let divergent = vec![
         Step::Packet(SRC_HOST, data(head + 2, "payload")),
         Step::Packet(SRC_HOST, heartbeat(head + 1, 3)),
         Step::Packet(SECONDARY, retrans(head)),
@@ -348,93 +380,301 @@ fn a_receiver_is_a_value() {
         ),
         Step::Timer,
     ];
-    assert_machine_is_a_value(fresh, &warmup, &future, &divergent);
+    Case {
+        warmup,
+        future,
+        divergent,
+    }
+}
+
+/// The three logger roles: a primary with a replica, that replica, and
+/// a site secondary. One replicates, one is replicated to, and the last
+/// fetches from its parent and re-multicasts repairs.
+fn logger_configs() -> [(LoggerConfig, u64); 3] {
+    let mut primary = LoggerConfig::primary(GROUP, SRC, PRIMARY, SRC_HOST);
+    primary.replicas = vec![REPLICA];
+    let replica = LoggerConfig::replica(GROUP, SRC, REPLICA, PRIMARY, SRC_HOST);
+    let secondary = LoggerConfig::secondary(GROUP, SRC, SECONDARY, PRIMARY, SRC_HOST);
+    [(primary, 0x1066), (replica, 0x1068), (secondary, 0x1067)]
+}
+
+fn logger_case(seed: u64) -> Case {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut warmup = Script::new();
+    let mut head = 0u32;
+    for t in (0..600).step_by(10) {
+        let at = Time::from_millis(t);
+        match rng.random_range(0u32..7) {
+            0..=2 => {
+                head += 1;
+                if rng.random_range(0u32..4) != 0 {
+                    warmup.push((at, Step::Packet(SRC_HOST, data(head, "logged"))));
+                }
+            }
+            3 if head > 1 => {
+                let first = rng.random_range(1..head);
+                let requester = HostId(RX.raw() + rng.random_range(0u64..3));
+                let packet = nack(requester, first, first + 1);
+                warmup.push((at, Step::Packet(requester, packet)));
+            }
+            4 if head > 0 => {
+                let seq = rng.random_range(0..head + 1);
+                let ack = Packet::ReplAck {
+                    group: GROUP,
+                    source: SRC,
+                    seq: Seq(seq),
+                };
+                warmup.push((at, Step::Packet(REPLICA, ack)));
+            }
+            5 if head > 1 => {
+                let seq = rng.random_range(1..head);
+                warmup.push((at, Step::Packet(PRIMARY, retrans(seq))));
+            }
+            _ => warmup.push((at, Step::Timer)),
+        }
+    }
+    let future = with_polls(
+        600,
+        3_000,
+        20,
+        vec![
+            (650, Step::Packet(RX, nack(RX, 1, head))),
+            (800, Step::Packet(SRC_HOST, data(head + 2, "logged"))),
+        ],
+    );
+    let divergent = vec![
+        Step::Packet(SRC_HOST, data(head + 1, "logged")),
+        Step::Packet(RX, nack(RX, 1, 2)),
+        Step::Packet(
+            REPLICA,
+            Packet::ReplAck {
+                group: GROUP,
+                source: SRC,
+                seq: Seq(head),
+            },
+        ),
+        Step::Packet(
+            SRC_HOST,
+            Packet::AckerSelect {
+                group: GROUP,
+                source: SRC,
+                epoch: EpochId(1),
+                p_ack: 0.5,
+            },
+        ),
+        Step::Packet(SRC_HOST, term_announce(1, REPLICA)),
+        Step::Packet(
+            SRC_HOST,
+            Packet::ElectPrepare {
+                group: GROUP,
+                source: SRC,
+                term: 2,
+                candidate: SRC_HOST,
+            },
+        ),
+        Step::Timer,
+    ];
+    Case {
+        warmup,
+        future,
+        divergent,
+    }
+}
+
+#[test]
+fn a_sender_is_a_value() {
+    let case = sender_case();
+    assert_machine_is_a_value(sender, &case.warmup, &case.future, &case.divergent);
+}
+
+#[test]
+fn a_receiver_is_a_value() {
+    let case = receiver_case();
+    assert_machine_is_a_value(receiver, &case.warmup, &case.future, &case.divergent);
 }
 
 /// A primary with a replica, then a site secondary: one replicates, the
 /// other fetches from its parent and re-multicasts repairs.
 #[test]
 fn a_logger_is_a_value() {
-    let mut primary = LoggerConfig::primary(GROUP, SRC, PRIMARY, SRC_HOST);
-    primary.replicas = vec![REPLICA];
-    let secondary = LoggerConfig::secondary(GROUP, SRC, SECONDARY, PRIMARY, SRC_HOST);
-    for (config, seed) in [(primary, 0x1066), (secondary, 0x1067)] {
+    let [primary, _, secondary] = logger_configs();
+    for (config, seed) in [primary, secondary] {
+        let case = logger_case(seed);
         let fresh = || Logger::new(config.clone());
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut warmup = Script::new();
-        let mut head = 0u32;
-        for t in (0..600).step_by(10) {
-            let at = Time::from_millis(t);
-            match rng.random_range(0u32..7) {
-                0..=2 => {
-                    head += 1;
-                    if rng.random_range(0u32..4) != 0 {
-                        warmup.push((at, Step::Packet(SRC_HOST, data(head, "logged"))));
-                    }
-                }
-                3 if head > 1 => {
-                    let first = rng.random_range(1..head);
-                    let requester = HostId(RX.raw() + rng.random_range(0u64..3));
-                    let packet = nack(requester, first, first + 1);
-                    warmup.push((at, Step::Packet(requester, packet)));
-                }
-                4 if head > 0 => {
-                    let seq = rng.random_range(0..head + 1);
-                    let ack = Packet::ReplAck {
-                        group: GROUP,
-                        source: SRC,
-                        seq: Seq(seq),
-                    };
-                    warmup.push((at, Step::Packet(REPLICA, ack)));
-                }
-                5 if head > 1 => {
-                    let seq = rng.random_range(1..head);
-                    warmup.push((at, Step::Packet(PRIMARY, retrans(seq))));
-                }
-                _ => warmup.push((at, Step::Timer)),
-            }
-        }
-        let future = with_polls(
-            600,
-            3_000,
-            20,
-            vec![
-                (650, Step::Packet(RX, nack(RX, 1, head))),
-                (800, Step::Packet(SRC_HOST, data(head + 2, "logged"))),
-            ],
-        );
-        let divergent = [
-            Step::Packet(SRC_HOST, data(head + 1, "logged")),
-            Step::Packet(RX, nack(RX, 1, 2)),
-            Step::Packet(
-                REPLICA,
-                Packet::ReplAck {
-                    group: GROUP,
-                    source: SRC,
-                    seq: Seq(head),
-                },
-            ),
-            Step::Packet(
-                SRC_HOST,
-                Packet::AckerSelect {
-                    group: GROUP,
-                    source: SRC,
-                    epoch: EpochId(1),
-                    p_ack: 0.5,
-                },
-            ),
-            Step::Packet(SRC_HOST, term_announce(1, REPLICA)),
-            Step::Packet(
-                SRC_HOST,
-                Packet::ElectPrepare {
-                    group: GROUP,
-                    source: SRC,
-                    term: 2,
-                    candidate: SRC_HOST,
-                },
-            ),
-            Step::Timer,
-        ];
-        assert_machine_is_a_value(fresh, &warmup, &future, &divergent);
+        assert_machine_is_a_value(fresh, &case.warmup, &case.future, &case.divergent);
     }
+}
+
+/// Counts the trace records it is handed.
+#[derive(Default)]
+struct Counted(AtomicU64);
+
+impl TraceSink for Counted {
+    fn record(&self, _at_nanos: u64, _host: HostId, _event: &ProtocolEvent) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// `Machine::poll`'s contract along a run: after every step of `script`
+/// (fed by `step`), a clone polled at a seeded instant before the
+/// machine's next deadline, or within 10 s when it has none, emits no
+/// action and no trace record and keeps `state` as it was.
+fn assert_idle_polls_do_nothing<M: Machine + Clone, K: PartialEq + Debug>(
+    mut m: M,
+    script: &[(Time, Step)],
+    step: impl Fn(&mut M, Time, &Step),
+    state: impl Fn(&M) -> K,
+    seed: u64,
+) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut checked = 0;
+    m.on_start(Time::ZERO, &mut Actions::new());
+    let mut now = Time::ZERO;
+    for next in std::iter::once(None).chain(script.iter().map(Some)) {
+        if let Some((t, s)) = next {
+            now = *t;
+            step(&mut m, now, s);
+        }
+        let end = m.next_deadline().unwrap_or(now + Duration::from_secs(10));
+        if end <= now {
+            continue; // work is due: a poll here may act
+        }
+        let at_poll = Time::from_nanos(rng.random_range(now.nanos()..end.nanos()));
+        let mut idle = m.clone();
+        let records = Arc::new(Counted::default());
+        idle.set_tracer(Tracer::to(records.clone()));
+        let mut out = Actions::new();
+        idle.poll(at_poll, &mut out);
+        let label = format!("a poll at {at_poll:?} (now {now:?}, deadline {end:?})");
+        assert!(out.is_empty(), "{label} emitted {out:?}");
+        assert_eq!(records.0.load(Ordering::Relaxed), 0, "{label} traced");
+        assert_eq!(state(&idle), state(&m), "{label} changed the state");
+        checked += 1;
+    }
+    assert!(
+        checked > script.len() / 2,
+        "only {checked} idle instants checked"
+    );
+}
+
+/// Feeds a role one scripted step.
+fn step_role<M: Role>(m: &mut M, now: Time, step: &Step) {
+    feed(m, now, step);
+}
+
+/// Feeds a digest-less machine one packet or poll.
+fn step_packets<M: Machine>(m: &mut M, now: Time, step: &Step) {
+    let mut out = Actions::new();
+    match step.clone() {
+        Step::Packet(from, packet) => m.on_packet(now, from, packet, &mut out),
+        Step::Timer => m.poll(now, &mut out),
+        Step::Publish(_) => unreachable!("no application publishes here"),
+    }
+}
+
+#[test]
+fn a_poll_with_nothing_due_does_nothing() {
+    assert_idle_polls_do_nothing(
+        sender(),
+        &sender_case().script(),
+        step_role,
+        Sender::state_digest,
+        1,
+    );
+    assert_idle_polls_do_nothing(
+        receiver(),
+        &receiver_case().script(),
+        step_role,
+        Receiver::state_digest,
+        2,
+    );
+    for (config, seed) in logger_configs() {
+        assert_idle_polls_do_nothing(
+            Logger::new(config),
+            &logger_case(seed).script(),
+            step_role,
+            Logger::state_digest,
+            seed,
+        );
+    }
+}
+
+/// The same contract for the two machines without a digest: the SRM
+/// baseline member and the discovery client keep their next deadline.
+#[test]
+fn a_poll_with_nothing_due_does_nothing_without_a_digest() {
+    let mut rng = SmallRng::seed_from_u64(0x5141);
+    let mut script = Script::new();
+    let mut head = 0u32;
+    for t in (0..3_000).step_by(10) {
+        let at = Time::from_millis(t);
+        let peer = HostId(RX.raw() + 1 + rng.random_range(0u64..3));
+        match rng.random_range(0u32..8) {
+            0..=2 => {
+                head += 1;
+                // One in three data packets is lost.
+                if rng.random_range(0u32..3) != 0 {
+                    script.push((at, Step::Packet(SRC_HOST, data(head, "srm"))));
+                }
+            }
+            3 if head > 0 => {
+                let session = Packet::SrmSession {
+                    group: GROUP,
+                    member: peer,
+                    last_seq: Seq(head),
+                };
+                script.push((at, Step::Packet(peer, session)));
+            }
+            4 if head > 1 => {
+                let first = rng.random_range(1..head);
+                let srm_nack = Packet::SrmNack {
+                    group: GROUP,
+                    source: SRC,
+                    requester: peer,
+                    ranges: vec![SeqRange::single(Seq(first))],
+                };
+                script.push((at, Step::Packet(peer, srm_nack)));
+            }
+            5 if head > 1 => {
+                let repair = Packet::SrmRepair {
+                    group: GROUP,
+                    source: SRC,
+                    seq: Seq(rng.random_range(1..head)),
+                    responder: peer,
+                    payload: Bytes::from_static(b"srm"),
+                };
+                script.push((at, Step::Packet(peer, repair)));
+            }
+            _ => script.push((at, Step::Timer)),
+        }
+    }
+    let member = SrmMember::new(SrmConfig::new(GROUP, RX, SRC, SRC_HOST));
+    assert_idle_polls_do_nothing(member, &script, step_packets, SrmMember::next_deadline, 3);
+
+    // Discovery: polls walk the search through its scopes; a reply
+    // with a stale nonce is ignored, as any reply is once it ends.
+    let mut config = DiscoveryConfig::new(GROUP, RX);
+    config.retry_after = Some(Duration::from_millis(700));
+    let reply = Packet::DiscoveryReply {
+        group: GROUP,
+        nonce: 7,
+        logger: SECONDARY,
+        level: 1,
+    };
+    let script = with_polls(
+        0,
+        4_000,
+        30,
+        vec![
+            (130, Step::Packet(SECONDARY, reply.clone())),
+            (1_250, Step::Packet(SECONDARY, reply)),
+        ],
+    );
+    assert_idle_polls_do_nothing(
+        DiscoveryClient::new(config),
+        &script,
+        step_packets,
+        DiscoveryClient::next_deadline,
+        4,
+    );
 }

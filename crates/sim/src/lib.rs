@@ -15,7 +15,8 @@
 //!   [`lbrm_wire::Packet`]s over unicast and TTL-scoped multicast, set
 //!   timers, and draw from per-host deterministic RNG streams.
 //! * [`queue`] — the future-event queue behind the loop: a binary heap
-//!   on `(deadline, push count)`, FIFO among same-instant events.
+//!   of timers beside one of everything else, both on `(deadline, push
+//!   count)` from one counter, FIFO among same-instant events.
 //! * [`stats`] — per-segment-class, per-packet-kind traffic accounting
 //!   (the quantities the paper's evaluation counts), plus the
 //!   [`stats::BundleStats`] ledger modeling PDU-bundling framing
@@ -35,7 +36,7 @@ pub mod topology;
 pub mod world;
 
 pub use loss::LossModel;
-pub use queue::EventQueue;
+pub use queue::{EventQueue, Popped};
 pub use stats::{BundleStats, KindBundle, NetStats, SegmentClass};
 pub use time::SimTime;
 pub use topology::{SiteParams, Topology, TopologyBuilder};

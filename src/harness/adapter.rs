@@ -6,9 +6,11 @@
 //! * simulator start / packets / timers / scripted calls → driver
 //!   [`Input`]s,
 //! * drained [`Action`]s → simulator sends, joins, and local logs,
-//! * [`Machine::next_deadline`] → a single simulator timer (re-armed
-//!   after every event; spurious fires are harmless by the machine
-//!   contract).
+//! * [`Machine::next_deadline`] → a simulator poll timer, armed after
+//!   every event when the deadline moved earlier or the armed one has
+//!   passed. An armed timer is never cancelled, so one whose deadline
+//!   has since moved later still fires: the driver then sees nothing
+//!   due and skips the machine (see [`Input::Timer`]).
 //!
 //! Deliveries and notices are accumulated with their virtual timestamps
 //! so experiments can mine them after the run. Application behaviour
