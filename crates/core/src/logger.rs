@@ -14,7 +14,8 @@
 //!   be promoted on primary failure.
 //! * A **secondary** serves one site: it logs the multicast stream,
 //!   recovers its own misses from its parent (normally the primary) so at
-//!   most one NACK per site crosses the tail circuit, answers receivers'
+//!   most one NACK per site crosses the tail circuit — through the same
+//!   `Requests` table a receiver climbs, with one rung — answers receivers'
 //!   NACKs, re-multicasts site-scoped repairs when many receivers lost
 //!   the same packet, answers discovery queries, and volunteers as a
 //!   Designated Acker (§2.3).
@@ -32,7 +33,7 @@ use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId};
 use crate::gaps::{GapTracker, SeqUnwrapper};
 use crate::logstore::{LogStore, Retention};
 use crate::machine::{Action, Actions, Machine, Notice};
-use crate::recovery::{self, Authority, Origin};
+use crate::recovery::{self, Authority, Origin, Requests, Retry};
 use crate::time::{earliest, Time};
 use crate::trace::{ProtocolEvent, Tracer};
 
@@ -50,16 +51,13 @@ pub enum LoggerRole {
 /// Replication retransmit interval (§2.2.3).
 const REPL_RETRY: Duration = Duration::from_millis(500);
 
-/// Retry interval for unanswered parent fetches.
-const FETCH_RETRY: Duration = Duration::from_millis(500);
-
-/// Fetch attempts before concluding the parent is gone and asking the
-/// source to locate the current primary (§2.2.3).
-const FETCH_ATTEMPTS_MAX: u32 = 5;
-
-/// Total fetch attempts for one packet before abandoning it as
-/// unrecoverable.
-const FETCH_ABANDON_ATTEMPTS: u32 = 24;
+/// A parent fetch every 500 ms; after five unanswered, a secondary asks
+/// the source to locate the current primary (§2.2.3); 24 in all.
+const FETCHES: Retry = Retry {
+    every: Duration::from_millis(500),
+    per_rung: 5,
+    budget: 24,
+};
 
 /// Distinct requesters for one packet within [`REMULTICAST_WINDOW`] that
 /// trigger a site-scoped multicast repair instead of unicasts (§2.2.1).
@@ -81,8 +79,9 @@ pub struct LoggerConfig {
     pub role: LoggerRole,
     /// Hierarchy level advertised in discovery replies (0 = primary).
     pub level: u8,
-    /// Where to fetch missing packets: the primary for secondaries, the
-    /// source host for the primary.
+    /// Where to fetch missing packets at first: the primary for
+    /// secondaries, the source host for the primary. A promotion or a
+    /// new primary moves [`Logger::parent`], not this field.
     pub parent: HostId,
     /// The source's host (failover queries, acker unicasts).
     pub source_host: HostId,
@@ -160,15 +159,6 @@ impl LoggerConfig {
 }
 
 #[derive(Debug, Clone)]
-struct PendingFetch {
-    seq: Seq,
-    requesters: BTreeSet<HostId>,
-    next_fetch_at: Time,
-    attempts: u32,
-    total_attempts: u32,
-}
-
-#[derive(Debug, Clone)]
 struct RepairWindow {
     requesters: BTreeSet<HostId>,
     opened: Time,
@@ -181,13 +171,13 @@ struct RepairWindow {
 pub struct Logger {
     config: LoggerConfig,
     role: LoggerRole,
-    parent: HostId,
     store: LogStore,
     gaps: GapTracker,
     unwrapper: SeqUnwrapper,
     rng: SmallRng,
-    /// Misses awaiting recovery from the parent, keyed by unwrapped index.
-    pending: BTreeMap<u64, PendingFetch>,
+    /// Misses awaiting recovery from the parent (the one rung), keyed by
+    /// unwrapped index, each with the children to serve it to.
+    fetches: Requests<BTreeSet<HostId>>,
     /// Recent repair requests per packet (re-multicast decision).
     repairs: BTreeMap<u64, RepairWindow>,
     /// Epochs this logger volunteered for (most recent last).
@@ -218,12 +208,11 @@ impl Logger {
     pub fn new(config: LoggerConfig) -> Self {
         Logger {
             role: config.role,
-            parent: config.parent,
             store: LogStore::new(config.retention),
             gaps: GapTracker::new(),
             unwrapper: SeqUnwrapper::new(),
             rng: SmallRng::seed_from_u64(config.seed),
-            pending: BTreeMap::new(),
+            fetches: Requests::new(FETCHES, vec![config.parent]),
             repairs: BTreeMap::new(),
             volunteered: VecDeque::new(),
             repl_acked: BTreeMap::new(),
@@ -255,12 +244,11 @@ impl Logger {
         crate::machine::state_digest(&[
             &self.config,
             &self.role,
-            &self.parent,
             &self.store,
             &self.gaps,
             &self.unwrapper,
             &self.rng,
-            &self.pending,
+            &self.fetches,
             &self.repairs,
             &self.volunteered,
             &self.repl_acked,
@@ -289,7 +277,9 @@ impl Logger {
 
     /// The parent currently used for recovery.
     pub fn parent(&self) -> HostId {
-        self.parent
+        self.fetches
+            .top()
+            .expect("a logger fetches from one parent")
     }
 
     /// The log-authority term this logger last observed.
@@ -367,7 +357,8 @@ impl Logger {
                 None => {}
             }
         }
-        self.origin()
+        let c = &self.config;
+        Origin::new(c.group, c.source, c.host, &self.tracer)
             .repair(now, seq, payload, requester, site, out);
     }
 
@@ -380,24 +371,14 @@ impl Logger {
             return;
         }
         let idx = self.unwrapper.unwrap(seq);
-        let delay = if requester.is_some() {
-            Duration::ZERO
-        } else {
-            self.config.nack_delay
-        };
-        let entry = self.pending.entry(idx).or_insert(PendingFetch {
-            seq,
-            requesters: BTreeSet::new(),
-            next_fetch_at: now + delay,
-            attempts: 0,
-            total_attempts: 0,
-        });
+        let due = now + self.config.nack_delay;
+        let entry = self.fetches.open(idx, due, BTreeSet::new());
         if let Some(r) = requester {
-            entry.requesters.insert(r);
+            entry.data.insert(r);
             // Pull the fetch forward only if none has gone out yet — a
             // child's request must not duplicate an in-flight fetch.
-            if entry.attempts == 0 {
-                entry.next_fetch_at = entry.next_fetch_at.min(now);
+            if entry.tries == 0 {
+                entry.due = entry.due.min(now);
             }
         }
     }
@@ -422,12 +403,12 @@ impl Logger {
         }
         self.gaps.observe(seq);
         let idx = self.unwrapper.peek(seq);
-        if let Some(pending) = self.pending.remove(&idx) {
+        if let Some(fetch) = self.fetches.close(idx) {
             // Serve from the store (not the ingest argument): on a
             // duplicate insert the store kept the *original* buffer, and
             // every serve must share it.
             if let Some(payload) = self.store.get(seq) {
-                for r in pending.requesters {
+                for r in fetch.data {
                     self.serve(now, seq, payload.clone(), r, out);
                 }
             }
@@ -551,8 +532,9 @@ impl Logger {
             return;
         }
         self.role = LoggerRole::Primary;
-        self.level_is_primary();
-        self.parent = self.config.source_host;
+        self.config.level = 0;
+        // The primary's own parent is the source.
+        self.fetches.retarget(now, self.config.source_host, false);
         self.authority.claim(self.config.host);
         let host = self.config.host;
         self.tracer
@@ -570,33 +552,6 @@ impl Logger {
         self.replicate(now, out);
         self.last_logack = None;
         self.maybe_logack(out);
-    }
-
-    fn origin(&self) -> Origin<'_> {
-        Origin {
-            group: self.config.group,
-            source: self.config.source,
-            host: self.config.host,
-            tracer: &self.tracer,
-        }
-    }
-
-    /// Points recovery at `leader`, the parent from now on, and retries
-    /// pending fetches there at once.
-    fn retarget(&mut self, now: Time, leader: HostId) {
-        self.parent = leader;
-        for p in self.pending.values_mut() {
-            p.attempts = 0;
-            p.next_fetch_at = now;
-        }
-    }
-
-    fn level_is_primary(&mut self) {
-        self.config.level = 0;
-    }
-
-    fn level(&self) -> u8 {
-        self.config.level
     }
 }
 
@@ -771,7 +726,7 @@ impl Machine for Logger {
                         group,
                         nonce,
                         logger: self.config.host,
-                        level: self.level(),
+                        level: self.config.level,
                     },
                 });
             }
@@ -806,7 +761,7 @@ impl Machine for Logger {
                     self.promote(now, out);
                 } else if self.role != LoggerRole::Primary {
                     // Refresh the cached primary pointer.
-                    self.retarget(now, primary);
+                    self.fetches.retarget(now, primary, false);
                 }
             }
             Packet::ElectPrepare {
@@ -853,7 +808,7 @@ impl Machine for Logger {
                                 role: "logger_replica",
                             });
                     }
-                    self.retarget(now, leader);
+                    self.fetches.retarget(now, leader, true);
                 }
             }
             _ => {}
@@ -869,45 +824,12 @@ impl Machine for Logger {
         if self.next_deadline().is_none_or(|d| d > now) {
             return;
         }
-        // Parent fetches.
-        let due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| now >= p.next_fetch_at)
-            .map(|(&i, _)| i)
-            .collect();
-        if !due.is_empty() {
-            let mut ranges: Vec<SeqRange> = Vec::new();
-            let mut escalate = false;
-            for idx in due {
-                let Some(p) = self.pending.get_mut(&idx) else {
-                    continue;
-                };
-                if p.total_attempts >= FETCH_ABANDON_ATTEMPTS {
-                    // Unrecoverable (pre-origin, or aged out of every
-                    // upstream log): stop asking.
-                    self.pending.remove(&idx);
-                    continue;
-                }
-                p.attempts += 1;
-                p.total_attempts += 1;
-                p.next_fetch_at = now + FETCH_RETRY;
-                if p.attempts > FETCH_ATTEMPTS_MAX {
-                    // Periodically re-escalate while still retrying.
-                    escalate = true;
-                    p.attempts = 0;
-                }
-                recovery::coalesce(&mut ranges, p.seq);
-            }
-            let origin = self.origin();
-            origin.nack(now, self.parent, ranges, out);
-            if escalate && self.role == LoggerRole::Secondary {
-                // The parent looks dead: ask the source who is primary
-                // now; a PrimaryIs answer redirects pending fetches.
-                origin.primary_unresponsive(now, self.parent, out);
-                origin.locate_primary(self.config.source_host, out);
-            }
-        }
+        // Parent fetches. Only a secondary looks for a new primary when
+        // its parent goes quiet.
+        let c = &self.config;
+        let origin = Origin::new(c.group, c.source, c.host, &self.tracer);
+        let locate = (self.role == LoggerRole::Secondary).then_some(self.config.source_host);
+        self.fetches.poll(now, origin, locate, out, |_| {});
         // Replication retries.
         if let Some(at) = self.repl_next_at {
             if now >= at {
@@ -941,8 +863,7 @@ impl Machine for Logger {
     }
 
     fn next_deadline(&self) -> Option<Time> {
-        let mut d = self.pending.values().map(|p| p.next_fetch_at).min();
-        d = earliest(d, self.repl_next_at);
+        let mut d = earliest(self.fetches.next_due(), self.repl_next_at);
         if !self.store.is_empty() {
             d = earliest(d, Some(self.next_prune_at));
         }
@@ -1866,7 +1787,7 @@ mod tests {
             })
             .collect();
         l.on_packet(Time::ZERO, RX, flood_nack(ranges), &mut out);
-        assert!(l.pending.len() as u64 <= recovery::MAX_NACK_SEQS);
+        assert!(l.fetches.len() as u64 <= recovery::MAX_NACK_SEQS);
         l.poll(Time::ZERO, &mut out);
         let fetched: u64 = out
             .iter()

@@ -4,21 +4,21 @@
 //! numbers, a heartbeat repeating a sequence number it has not seen, and
 //! MaxIT idle expiry. Being *receiver-reliable*, it decides for itself
 //! what to recover — everything, nothing but the latest state, or a
-//! recent window — and pulls retransmissions from its recovery targets in
-//! order: the site's secondary logging server first, then the primary
-//! (§2.2.1's "next-higher-level" fallback), re-resolving the primary via
-//! the source when the hierarchy goes quiet (§2.2.3).
+//! recent window — and pulls retransmissions through a `Requests` table
+//! climbing its recovery targets: the site's secondary logging server
+//! first, then the primary (§2.2.1's "next-higher-level" fallback),
+//! re-resolving the primary via the source when the hierarchy goes quiet
+//! (§2.2.3).
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
-use lbrm_wire::packet::SeqRange;
 use lbrm_wire::{GroupId, HostId, Packet, Seq, SourceId};
 
 use crate::gaps::{span_start, GapTracker, Observation, SeqUnwrapper};
 use crate::heartbeat::HeartbeatConfig;
 use crate::machine::{Action, Actions, Delivery, LossSignal, Machine, Notice};
-use crate::recovery::{self, Authority, Origin};
+use crate::recovery::{Authority, Origin, Requests, Retry};
+use crate::sender::FAILOVER_BOUND;
 use crate::time::{earliest, Time};
 use crate::trace::{ProtocolEvent, Tracer};
 
@@ -46,16 +46,26 @@ pub enum ReliabilityMode {
 }
 
 /// Retry interval for unanswered NACKs.
-const NACK_RETRY: Duration = Duration::from_millis(400);
+const NACK_EVERY: Duration = Duration::from_millis(400);
 
-/// Total NACK attempts for one packet before abandoning it as
-/// unrecoverable (e.g. a packet older than every log's retention). A
-/// newly adopted log-authority term restarts the count.
-const MAX_RECOVERY_ATTEMPTS: u32 = 12;
+/// NACKs per recovery target before moving to the next one up (§2.2.1).
+const NACK_PER_RUNG: u32 = 3;
 
-/// NACK attempts per recovery target before moving to the next (§2.2.1's
-/// fallback to the next-higher level).
-const ATTEMPTS_PER_TARGET: u32 = 3;
+/// NACKs for one packet before abandoning it as unrecoverable (e.g. a
+/// packet older than every log's retention); new authority restarts the
+/// count. One [`FAILOVER_BOUND`] of NACKs, plus a rung's before the
+/// primary is asked and a rung's after the election (to escalate and
+/// learn the new leader): 8 + 3 + 3 = 14, one above the 13 the chaos
+/// matrix (seeds 1–2000) needs. A margin, not a guarantee: the count can
+/// start before the crash, and a round without a quorum starts over.
+const MAX_RECOVERY_ATTEMPTS: u32 =
+    (FAILOVER_BOUND.as_millis() as u32).div_ceil(NACK_EVERY.as_millis() as u32) + 2 * NACK_PER_RUNG;
+
+const NACKS: Retry = Retry {
+    every: NACK_EVERY,
+    per_rung: NACK_PER_RUNG,
+    budget: MAX_RECOVERY_ATTEMPTS,
+};
 
 /// Multiplier on the expected inter-packet interval before the idle
 /// alarm fires (covers one lost heartbeat plus jitter).
@@ -78,8 +88,9 @@ pub struct ReceiverConfig {
     /// avoids NACK implosion at the logger (§2.3.2, Appendix A).
     pub nack_delay: Duration,
     /// Recovery targets in preference order (site secondary first, then
-    /// the primary). Updated in place when a `PrimaryIs` announces a
-    /// promotion.
+    /// the primary): the ladder the receiver's requests climb.
+    /// [`Receiver::new`] moves them out, leaving this field empty; a
+    /// `PrimaryIs` or a new term replaces the last one.
     pub recovery_targets: Vec<HostId>,
     /// The source's host, consulted to re-locate the primary when every
     /// target is unresponsive.
@@ -116,16 +127,6 @@ impl ReceiverConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Recovery {
-    seq: Seq,
-    detected_at: Time,
-    next_nack_at: Time,
-    attempts: u32,
-    total_attempts: u32,
-    target_idx: usize,
-}
-
 /// Running statistics, exposed for experiments and applications.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReceiverStats {
@@ -153,8 +154,9 @@ fn idle_window(expected: Duration, maxit: Duration) -> Duration {
 pub struct Receiver {
     config: ReceiverConfig,
     gaps: GapTracker,
-    /// Open recoveries, keyed by the gap tracker's index of their seq.
-    pending: BTreeMap<u64, Recovery>,
+    /// Open recoveries, keyed by the gap tracker's index of their seq,
+    /// each with the time its loss was detected.
+    requests: Requests<Time>,
     last_source_packet_at: Option<Time>,
     /// Expected interval until the sender's next transmission, learned
     /// from heartbeat indices.
@@ -175,17 +177,16 @@ pub struct Receiver {
 
 impl Receiver {
     /// Creates a receiver.
-    pub fn new(config: ReceiverConfig) -> Self {
-        let authority = Authority::new(config.recovery_targets.last().copied());
+    pub fn new(mut config: ReceiverConfig) -> Self {
         Receiver {
+            authority: Authority::new(config.recovery_targets.last().copied()),
             expected_interval: config.heartbeat.h_min,
             idle_window: idle_window(config.heartbeat.h_min, config.maxit),
+            requests: Requests::new(NACKS, std::mem::take(&mut config.recovery_targets)),
             config,
             gaps: GapTracker::new(),
-            pending: BTreeMap::new(),
             last_source_packet_at: None,
             fresh: false,
-            authority,
             stats: ReceiverStats::default(),
             tracer: Tracer::disabled(),
         }
@@ -208,7 +209,7 @@ impl Receiver {
         crate::machine::state_digest(&[
             &self.config,
             &self.gaps,
-            &self.pending,
+            &self.requests,
             &self.last_source_packet_at,
             &self.expected_interval,
             &self.fresh,
@@ -255,7 +256,7 @@ impl Receiver {
 
     /// Number of losses currently being recovered.
     pub fn outstanding_recoveries(&self) -> usize {
-        self.pending.len()
+        self.requests.len()
     }
 
     fn touch_source(&mut self, now: Time, out: &mut Actions) {
@@ -301,14 +302,10 @@ impl Receiver {
                     let before = self.gaps.missing_count();
                     self.gaps.give_up_before(floor);
                     self.stats.abandoned += (before - self.gaps.missing_count()) as u64;
-                    if self.tracer.is_enabled() {
-                        for (_, r) in self.pending.range(..floor_idx) {
-                            let seq = r.seq;
-                            self.tracer
-                                .emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
-                        }
-                    }
-                    self.pending.retain(|&idx, _| idx >= floor_idx);
+                    let tracer = &self.tracer;
+                    self.requests.close_before(floor_idx, |seq| {
+                        tracer.emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
+                    });
                 }
             }
             ReliabilityMode::RecoverAll => {}
@@ -318,44 +315,8 @@ impl Receiver {
                 continue;
             }
             let idx = self.gaps.index(seq);
-            self.pending.entry(idx).or_insert(Recovery {
-                seq,
-                detected_at: now,
-                next_nack_at: now + self.config.nack_delay,
-                attempts: 0,
-                total_attempts: 0,
-                target_idx: 0,
-            });
+            self.requests.open(idx, now + self.config.nack_delay, now);
         }
-    }
-
-    /// Closes the recovery for `seq` (if one is open), emitting the
-    /// terminal `RepairReceived` + `Recovered` pair that anchors the
-    /// forensic timeline (`from` is the repair carrier's host and `kind`
-    /// the carrier packet kind) and the `Recovered` notice.
-    fn cancel_recovery(
-        &mut self,
-        now: Time,
-        seq: Seq,
-        from: HostId,
-        kind: &'static str,
-        out: &mut Actions,
-    ) {
-        let Some(rec) = self.pending.remove(&self.gaps.index(seq)) else {
-            return;
-        };
-        let after = now.since(rec.detected_at);
-        self.tracer
-            .emit(now.nanos(), || ProtocolEvent::RepairReceived {
-                seq,
-                from,
-                kind,
-            });
-        self.tracer.emit(now.nanos(), || ProtocolEvent::Recovered {
-            seq,
-            latency_nanos: after.as_nanos() as u64,
-        });
-        out.push(Action::Notice(Notice::Recovered { seq, after }));
     }
 
     /// Takes in an original (`recovered == false`) or a repair of `seq`
@@ -372,7 +333,6 @@ impl Receiver {
         recovered: bool,
         out: &mut Actions,
     ) {
-        let kind = if recovered { "retrans" } else { "data" };
         let gap = match self.gaps.observe(seq) {
             Observation::Duplicate => {
                 self.stats.duplicates += 1;
@@ -382,8 +342,20 @@ impl Receiver {
                 }
                 return;
             }
+            // The fill closes the open recovery, if any, with the
+            // `RepairReceived` + `Recovered` pair that ends its forensic
+            // timeline (`from` and `kind` name the carrier).
             Observation::Filled => {
-                self.cancel_recovery(now, seq, from, kind, out);
+                if let Some(rec) = self.requests.close(self.gaps.index(seq)) {
+                    let kind = if recovered { "retrans" } else { "data" };
+                    let after = now.since(rec.data);
+                    let latency_nanos = after.as_nanos() as u64;
+                    let at = now.nanos();
+                    let tracer = &self.tracer;
+                    tracer.emit(at, || ProtocolEvent::RepairReceived { seq, from, kind });
+                    tracer.emit(at, || ProtocolEvent::Recovered { seq, latency_nanos });
+                    out.push(Action::Notice(Notice::Recovered { seq, after }));
+                }
                 0
             }
             Observation::Ahead { gap } => gap,
@@ -393,32 +365,6 @@ impl Receiver {
         if gap > 0 {
             let last = seq.prev();
             self.on_loss(now, span_start(last, gap), last, LossSignal::SeqGap, out);
-        }
-    }
-
-    fn origin(&self) -> Origin<'_> {
-        Origin {
-            group: self.config.group,
-            source: self.config.source,
-            host: self.config.host,
-            tracer: &self.tracer,
-        }
-    }
-
-    /// The primary's address is a cached value (§2.2.3): `leader`
-    /// replaces the last-resort target, and recoveries already there
-    /// retry at once.
-    fn retarget(&mut self, now: Time, leader: HostId) {
-        if let Some(last) = self.config.recovery_targets.last_mut() {
-            *last = leader;
-        } else {
-            self.config.recovery_targets.push(leader);
-        }
-        for r in self.pending.values_mut() {
-            if r.target_idx + 1 >= self.config.recovery_targets.len() {
-                r.attempts = 0;
-                r.next_nack_at = now;
-            }
         }
     }
 
@@ -496,19 +442,14 @@ impl Machine for Receiver {
                 group: g,
                 source: s,
                 primary,
-            } if g == group && s == source => self.retarget(now, primary),
+            } if g == group && s == source => self.requests.retarget(now, primary, false),
             Packet::TermAnnounce {
                 group: g,
                 source: s,
                 term,
                 leader,
             } if g == group && s == source && self.authority.adopt(term, leader) => {
-                // The attempt budget says nobody can supply a packet; a
-                // newly elected leader is a supplier nobody has asked.
-                for r in self.pending.values_mut() {
-                    r.total_attempts = 0;
-                }
-                self.retarget(now, leader);
+                self.requests.retarget(now, leader, true);
             }
             _ => {}
         }
@@ -540,69 +481,27 @@ impl Machine for Receiver {
             }
         }
         // Recovery NACKs, batched per target.
-        if self.config.recovery_targets.is_empty() {
-            return;
-        }
-        let mut per_target: BTreeMap<HostId, Vec<SeqRange>> = BTreeMap::new();
-        let mut exhausted = false;
-        let due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, r)| now >= r.next_nack_at)
-            .map(|(&i, _)| i)
-            .collect();
-        let targets = &self.config.recovery_targets;
-        for idx in due {
-            let Some(r) = self.pending.get_mut(&idx) else {
-                continue;
-            };
-            if r.total_attempts >= MAX_RECOVERY_ATTEMPTS {
-                // Nobody can supply this packet (retention expired
-                // everywhere, or no leader answers): stop asking.
-                let seq = r.seq;
-                self.pending.remove(&idx);
-                self.gaps.abandon(seq);
-                self.stats.abandoned += 1;
-                self.tracer
-                    .emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
-                continue;
-            }
-            if r.attempts >= ATTEMPTS_PER_TARGET {
-                if r.target_idx + 1 < targets.len() {
-                    r.target_idx += 1;
-                    r.attempts = 0;
-                } else {
-                    // All targets exhausted: keep hammering the last one
-                    // but ask the source where the primary went.
-                    exhausted = true;
-                    r.attempts = 0;
-                }
-            }
-            r.attempts += 1;
-            r.total_attempts += 1;
-            r.next_nack_at = now + NACK_RETRY;
-            let target = targets[r.target_idx.min(targets.len() - 1)];
-            recovery::coalesce(per_target.entry(target).or_default(), r.seq);
-        }
-        let origin = self.origin();
-        for (target, ranges) in per_target {
-            origin.nack(now, target, ranges, out);
-        }
-        if let Some(&primary) = targets.last().filter(|_| exhausted) {
-            origin.primary_unresponsive(now, primary, out);
-            origin.locate_primary(self.config.source_host, out);
-        }
+        let c = &self.config;
+        let origin = Origin::new(c.group, c.source, c.host, &self.tracer);
+        let (gaps, stats) = (&mut self.gaps, &mut self.stats);
+        let locate = Some(self.config.source_host);
+        self.requests.poll(now, origin, locate, out, |seq| {
+            // Nobody can supply this packet (retention expired
+            // everywhere, or no leader answers): stop asking.
+            gaps.abandon(seq);
+            stats.abandoned += 1;
+            origin
+                .tracer
+                .emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
+        });
     }
 
     fn next_deadline(&self) -> Option<Time> {
-        let mut d = self
+        let idle = self
             .last_source_packet_at
             .filter(|_| self.fresh)
             .map(|t| t + self.idle_window + Duration::from_nanos(1));
-        for r in self.pending.values() {
-            d = earliest(d, Some(r.next_nack_at));
-        }
-        d
+        earliest(idle, self.requests.next_due())
     }
 }
 
@@ -612,6 +511,7 @@ mod tests {
     use crate::gaps::MAX_GAP_SPAN;
     use crate::machine::{deliveries, notices};
     use bytes::Bytes;
+    use lbrm_wire::packet::SeqRange;
     use lbrm_wire::EpochId;
 
     const GROUP: GroupId = GroupId(1);
@@ -869,7 +769,14 @@ mod tests {
             },
             &mut out,
         );
-        assert_eq!(r.config.recovery_targets, vec![SECONDARY, new_primary]);
+        // Only the last rung moved: a gap is still asked of the site
+        // secondary three times before the new primary.
+        r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
+        r.on_packet(Time::from_millis(1), SRC_HOST, data(3), &mut out);
+        assert_eq!(
+            nack_targets(&mut r, 4),
+            vec![SECONDARY, SECONDARY, SECONDARY, new_primary]
+        );
     }
 
     #[test]
@@ -1136,6 +1043,94 @@ mod tests {
         assert_eq!(nack_targets(&mut r, usize::MAX), vec![leader; budget - 2]);
         assert_eq!(r.outstanding_recoveries(), 0);
         assert_eq!(r.stats().abandoned, 1);
+    }
+
+    fn primary_is(primary: HostId) -> Packet {
+        Packet::PrimaryIs {
+            group: GROUP,
+            source: SRC,
+            primary,
+        }
+    }
+
+    #[test]
+    fn a_primary_is_naming_a_new_leader_restarts_a_spent_budget() {
+        // The new term's announcement was lost: every NACK goes to the
+        // dead primary. Its own name, repeated, is no news.
+        let budget = MAX_RECOVERY_ATTEMPTS as usize;
+        let cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![PRIMARY]);
+        let mut r = Receiver::new(cfg);
+        let mut out = Actions::new();
+        r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
+        r.on_packet(Time::from_millis(1), SRC_HOST, data(3), &mut out);
+        assert_eq!(nack_targets(&mut r, budget - 1), vec![PRIMARY; budget - 1]);
+        let now = r.next_deadline().unwrap();
+        r.on_packet(now, SRC_HOST, primary_is(PRIMARY), &mut out);
+        assert_eq!(nack_targets(&mut r, 1), vec![PRIMARY]);
+        // The budget is spent when the answer to a `LocatePrimary`
+        // names the new leader: the recovery asks it, with a whole
+        // budget, rather than giving up.
+        let leader = HostId(500);
+        let now = r.next_deadline().unwrap();
+        r.on_packet(now, SRC_HOST, primary_is(leader), &mut out);
+        assert_eq!(nack_targets(&mut r, usize::MAX), vec![leader; budget]);
+        assert_eq!(r.outstanding_recoveries(), 0);
+        assert_eq!(r.stats().abandoned, 1);
+    }
+
+    #[test]
+    fn an_election_after_twelve_nacks_still_recovers_from_the_new_leader() {
+        // Repairs from the primary were lost before it crashed, so the
+        // election lands after the 13th NACK, where a budget of 12 had
+        // already given the seq up. Until then the source still names
+        // the dead primary whenever it is asked.
+        let cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![PRIMARY]);
+        let mut r = Receiver::new(cfg);
+        let mut out = Actions::new();
+        r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
+        r.on_packet(Time::from_millis(1), SRC_HOST, data(3), &mut out);
+        let rtt = Duration::from_millis(20);
+        let mut asked = 0;
+        while asked <= 12 {
+            let Some(now) = r.next_deadline() else {
+                panic!("abandoned after {asked} NACKs, before the election");
+            };
+            out.clear();
+            r.poll(now, &mut out);
+            let locate = out.iter().any(|a| {
+                matches!(
+                    a,
+                    Action::Unicast {
+                        packet: Packet::LocatePrimary { .. },
+                        ..
+                    }
+                )
+            });
+            asked += out
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Unicast {
+                            to: PRIMARY,
+                            packet: Packet::Nack { .. }
+                        }
+                    )
+                })
+                .count();
+            if locate {
+                r.on_packet(now + rtt, SRC_HOST, primary_is(PRIMARY), &mut out);
+            }
+        }
+        let leader = HostId(500);
+        let now = r.next_deadline().unwrap();
+        r.on_packet(now, SRC_HOST, term_announce(1, leader), &mut out);
+        assert_eq!(nack_targets(&mut r, 1), vec![leader]);
+        out.clear();
+        r.on_packet(now + rtt, leader, retrans(2), &mut out);
+        assert_eq!(deliveries(&out).len(), 1);
+        assert_eq!(r.stats().recovered, 1);
+        assert_eq!(r.stats().abandoned, 0);
     }
 
     #[test]

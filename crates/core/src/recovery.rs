@@ -4,17 +4,20 @@
 //! same way a receiver asks its logger, and §2.2.3's failover (hardened
 //! here with terms) must make every role refuse a deposed primary. The
 //! sender, receiver and logger therefore keep one [`Authority`] each and
-//! emit requests and repairs through the functions below. What differs
-//! per role — whom to ask, how often, which packet kinds to fence —
-//! stays in the machine.
+//! emit requests and repairs through the functions below; receivers and
+//! loggers keep their open upstream requests in one [`Requests`] table.
+//! What differs per role — its [`Retry`] cadence, its target ladder,
+//! which packet kinds to fence — stays in the machine.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use bytes::Bytes;
 
 use lbrm_wire::packet::SeqRange;
 use lbrm_wire::{GroupId, HostId, Packet, Seq, SourceId, TtlScope};
 
+use crate::gaps::SeqUnwrapper;
 use crate::machine::{Action, Actions, Notice};
 use crate::time::Time;
 use crate::trace::{ProtocolEvent, Tracer};
@@ -103,7 +106,17 @@ pub struct Origin<'a> {
     pub tracer: &'a Tracer,
 }
 
-impl Origin<'_> {
+impl<'a> Origin<'a> {
+    /// `host` speaking for `source` in `group`, traced to `tracer`.
+    pub fn new(group: GroupId, source: SourceId, host: HostId, tracer: &'a Tracer) -> Self {
+        Origin {
+            group,
+            source,
+            host,
+            tracer,
+        }
+    }
+
     /// Unicasts one coalesced NACK batch to `target` and traces it as
     /// `NackSent`. An empty batch sends nothing.
     pub fn nack(self, now: Time, target: HostId, ranges: Vec<SeqRange>, out: &mut Actions) {
@@ -189,6 +202,177 @@ impl Origin<'_> {
     }
 }
 
+/// How one role asks upstream for a missing seq: every `every`, moving
+/// up the target ladder (§2.2.1) or, on its top rung, asking the source
+/// where the primary went (§2.2.3) after each `per_rung` requests, and
+/// abandoning the seq after `budget` (restarted by new authority).
+#[derive(Debug, Clone, Copy)]
+pub struct Retry {
+    pub every: Duration,
+    pub per_rung: u32,
+    pub budget: u32,
+}
+
+/// One open request for a missing seq, carrying the role's own data.
+#[derive(Debug, Clone)]
+pub struct Request<T> {
+    pub data: T,
+    /// When it is asked for next.
+    pub due: Time,
+    /// Requests to its rung since it climbed, escalated or retargeted.
+    pub tries: u32,
+    rung: usize,
+    total: u32,
+}
+
+/// The open upstream requests of one machine, keyed by the unwrapped
+/// index of their seq, and the ladder of hosts they climb: nearest
+/// first, the primary (or the primary's own parent, the source) on top.
+#[derive(Debug, Clone)]
+pub struct Requests<T> {
+    retry: Retry,
+    ladder: Vec<HostId>,
+    open: BTreeMap<u64, Request<T>>,
+}
+
+impl<T> Requests<T> {
+    /// No open request; `ladder` nearest first.
+    pub fn new(retry: Retry, ladder: Vec<HostId>) -> Self {
+        Requests {
+            retry,
+            ladder,
+            open: BTreeMap::new(),
+        }
+    }
+
+    /// The top rung, if any.
+    pub fn top(&self) -> Option<HostId> {
+        self.ladder.last().copied()
+    }
+
+    /// Number of open requests.
+    pub fn len(&self) -> usize {
+        self.open.len()
+    }
+
+    /// The request at `idx`, opened to fall due at `due` with `data`
+    /// unless one is open already.
+    pub fn open(&mut self, idx: u64, due: Time, data: T) -> &mut Request<T> {
+        self.open.entry(idx).or_insert(Request {
+            data,
+            due,
+            rung: 0,
+            tries: 0,
+            total: 0,
+        })
+    }
+
+    /// Closes and returns the request at `idx`, if open.
+    pub fn close(&mut self, idx: u64) -> Option<Request<T>> {
+        self.open.remove(&idx)
+    }
+
+    /// Closes every request below `idx`, in order, handing each seq to
+    /// `closed`.
+    pub fn close_before(&mut self, idx: u64, mut closed: impl FnMut(Seq)) {
+        let kept = self.open.split_off(&idx);
+        for i in std::mem::replace(&mut self.open, kept).into_keys() {
+            closed(SeqUnwrapper::rewrap(i));
+        }
+    }
+
+    /// When the earliest open request falls due.
+    pub fn next_due(&self) -> Option<Time> {
+        self.open.values().map(|r| r.due).min()
+    }
+
+    /// The primary's address is a cached value (§2.2.3): `leader` becomes
+    /// the top rung, and requests there restart their rung's count and
+    /// fall due at once. New authority — a newly adopted term
+    /// (`adopted`), or a leader other than the top rung — restarts every
+    /// request's budget too: the budget says nobody could supply a seq,
+    /// and a new leader is a supplier nobody has asked.
+    pub fn retarget(&mut self, now: Time, leader: HostId, adopted: bool) {
+        let fresh = adopted || self.top() != Some(leader);
+        self.ladder.pop();
+        self.ladder.push(leader);
+        let top = self.ladder.len() - 1;
+        for r in self.open.values_mut() {
+            if fresh {
+                r.total = 0;
+            }
+            if r.rung >= top {
+                r.tries = 0;
+                r.due = now;
+            }
+        }
+    }
+
+    /// Asks for everything due: one coalesced NACK per target, climbing
+    /// the ladder every `per_rung` requests. A request past its budget is
+    /// closed and its seq handed to `abandoned`. When a request has
+    /// exhausted the top rung and `locate` names the source's host, the
+    /// top rung is reported unresponsive and the source asked where the
+    /// primary went; the request keeps asking the top rung meanwhile.
+    pub fn poll(
+        &mut self,
+        now: Time,
+        origin: Origin<'_>,
+        locate: Option<HostId>,
+        out: &mut Actions,
+        mut abandoned: impl FnMut(Seq),
+    ) {
+        let Some(top) = self.ladder.len().checked_sub(1) else {
+            return;
+        };
+        let retry = self.retry;
+        let ladder = &self.ladder;
+        let mut per_target: BTreeMap<HostId, Vec<SeqRange>> = BTreeMap::new();
+        let (mut exhausted, mut spent) = (false, false);
+        for (&idx, r) in self.open.iter_mut().filter(|(_, r)| now >= r.due) {
+            if r.total >= retry.budget {
+                spent = true; // closed below, still due
+                continue;
+            }
+            if r.tries >= retry.per_rung {
+                if r.rung < top {
+                    r.rung += 1;
+                } else {
+                    exhausted = true;
+                }
+                r.tries = 0;
+            }
+            r.tries += 1;
+            r.total += 1;
+            r.due = now + retry.every;
+            // One ascending batch per target; a seq that follows the
+            // last range extends it.
+            let seq = SeqUnwrapper::rewrap(idx);
+            let ranges = per_target.entry(ladder[r.rung]).or_default();
+            match ranges.last_mut() {
+                Some(last) if last.last.next() == seq => last.last = seq,
+                _ => ranges.push(SeqRange::single(seq)),
+            }
+        }
+        if spent {
+            self.open.retain(|&idx, r| {
+                let keep = now < r.due || r.total < retry.budget;
+                if !keep {
+                    abandoned(SeqUnwrapper::rewrap(idx));
+                }
+                keep
+            });
+        }
+        for (target, ranges) in per_target {
+            origin.nack(now, target, ranges, out);
+        }
+        if let Some(source) = locate.filter(|_| exhausted) {
+            origin.primary_unresponsive(now, ladder[top], out);
+            origin.locate_primary(source, out);
+        }
+    }
+}
+
 /// Most sequence numbers one NACK datagram is honored for, across all
 /// its ranges. A NACK may carry
 /// [`MAX_NACK_RANGES`](lbrm_wire::codec::MAX_NACK_RANGES) ranges of up
@@ -224,15 +408,6 @@ pub fn nack_packets(ranges: &[SeqRange]) -> u32 {
     ranges.iter().fold(0u32, |n, r| {
         n.saturating_add(r.len().min(u64::from(u32::MAX)) as u32)
     })
-}
-
-/// Appends `seq` to an ascending NACK batch, extending the last range
-/// when `seq` follows it.
-pub fn coalesce(ranges: &mut Vec<SeqRange>, seq: Seq) {
-    match ranges.last_mut() {
-        Some(last) if last.last.next() == seq => last.last = seq,
-        _ => ranges.push(SeqRange::single(seq)),
-    }
 }
 
 #[cfg(test)]

@@ -47,6 +47,14 @@ const HANDOFF_ATTEMPTS_BEFORE_FAILOVER: u32 = 4;
 /// How long to wait for replica state reports during failover (§2.2.3).
 const FAILOVER_WAIT: Duration = Duration::from_millis(500);
 
+/// How long one failover round that reaches a quorum takes from the
+/// first unanswered handoff to the new term's announcement: 5 handoff
+/// rounds, the last starting the election, plus `FAILOVER_WAIT`, 3 s. A
+/// round without a quorum hands off again, as often as it takes.
+pub(crate) const FAILOVER_BOUND: Duration = HANDOFF_RETRY
+    .saturating_mul(HANDOFF_ATTEMPTS_BEFORE_FAILOVER + 1)
+    .saturating_add(FAILOVER_WAIT);
+
 /// Sender configuration.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
@@ -314,12 +322,8 @@ impl Sender {
     }
 
     fn origin(&self) -> Origin<'_> {
-        Origin {
-            group: self.config.group,
-            source: self.config.source,
-            host: self.config.host,
-            tracer: &self.tracer,
-        }
+        let c = &self.config;
+        Origin::new(c.group, c.source, c.host, &self.tracer)
     }
 
     /// The current term and its leader, as announced to the group.
@@ -1024,6 +1028,8 @@ mod tests {
         s.on_packet(now, replica_b, promise(replica_b, 2), &mut out);
         assert_eq!(s.primary(), replica_b);
         assert_eq!(s.term(), 1);
+        // The first handoff went out at 0: one round, within the bound.
+        assert!(now <= Time::ZERO + FAILOVER_BOUND, "elected at {now:?}");
         assert!(notices(&out)
             .iter()
             .any(|n| matches!(n, Notice::Promoted { new_primary } if *new_primary == replica_b)));

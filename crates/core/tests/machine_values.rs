@@ -9,6 +9,10 @@
 //! must act alike on what follows, so a state field the digest leaves
 //! out shows up as a failure.
 //!
+//! The receiver and logger runs go on past one whole request budget,
+//! with a `PrimaryIs` and a `TermAnnounce` part-way through it, so the
+//! rule covers retargets, budget restarts and abandonment.
+//!
 //! The same seeded runs check `Machine::poll`'s contract, which lets the
 //! `Driver` skip a timer with nothing due: before `next_deadline()` (or
 //! when it is `None`), a poll emits nothing, traces nothing and changes
@@ -223,6 +227,34 @@ fn term_announce(term: u32, leader: HostId) -> Packet {
     }
 }
 
+fn primary_is(primary: HostId) -> Packet {
+    Packet::PrimaryIs {
+        group: GROUP,
+        source: SRC,
+        primary,
+    }
+}
+
+/// Polls every 20 ms up to 3 s, then every 100 ms up to `to` ms, with
+/// `extra` interleaved.
+fn polls_until(to: u64, extra: Vec<(u64, Step)>) -> Script {
+    let mut script = with_polls(600, 3_000, 20, extra);
+    script.extend(with_polls(3_000, to, 100, Vec::new()));
+    script
+}
+
+/// Milliseconds of the last step of `script` that sent a NACK, fed to
+/// a fresh started machine.
+fn last_nack_ms<M: Role>(fresh: impl Fn() -> M, script: &[(Time, Step)]) -> u64 {
+    let mut m = started(&fresh);
+    let outputs = run(&mut m, script);
+    let nacked = script
+        .iter()
+        .zip(&outputs)
+        .rposition(|(_, o)| o.contains("Nack {"));
+    nacked.map_or(0, |k| script[k].0.nanos() / 1_000_000)
+}
+
 /// Timer polls every `step` ms over `[from, to)` ms, interleaved with
 /// `extra` at their own millisecond instants.
 fn with_polls(from: u64, to: u64, step: u64, extra: Vec<(u64, Step)>) -> Script {
@@ -355,13 +387,17 @@ fn receiver_case() -> Case {
     }
     let last = warmup.last().unwrap().0;
     warmup.push((last, Step::Packet(SRC_HOST, data(head + 1, "payload"))));
-    let future = with_polls(
-        600,
-        3_000,
-        20,
+    // Mid-budget: the primary named again (no news), then a new one,
+    // then a term for it; a whole budget later every recovery is given
+    // up.
+    let future = polls_until(
+        RECEIVER_UNTIL_MS,
         vec![
             (1_500, Step::Packet(SRC_HOST, heartbeat(head + 1, 2))),
+            (1_800, Step::Packet(SRC_HOST, primary_is(PRIMARY))),
             (2_500, Step::Packet(SRC_HOST, data(head + 3, "payload"))),
+            (2_600, Step::Packet(SRC_HOST, primary_is(REPLICA))),
+            (3_400, Step::Packet(SRC_HOST, term_announce(1, REPLICA))),
         ],
     );
     let divergent = vec![
@@ -433,13 +469,15 @@ fn logger_case(seed: u64) -> Case {
             _ => warmup.push((at, Step::Timer)),
         }
     }
-    let future = with_polls(
-        600,
-        3_000,
-        20,
+    // Mid-budget: a new parent, then a term for it; a whole budget
+    // later every fetch is given up.
+    let future = polls_until(
+        LOGGER_UNTIL_MS,
         vec![
             (650, Step::Packet(RX, nack(RX, 1, head))),
             (800, Step::Packet(SRC_HOST, data(head + 2, "logged"))),
+            (4_000, Step::Packet(SRC_HOST, primary_is(REPLICA))),
+            (6_000, Step::Packet(SRC_HOST, term_announce(1, REPLICA))),
         ],
     );
     let divergent = vec![
@@ -487,10 +525,24 @@ fn a_sender_is_a_value() {
     assert_machine_is_a_value(sender, &case.warmup, &case.future, &case.divergent);
 }
 
+/// Receiver runs end here: 14 NACKs at 400 ms after the term at 3.4 s,
+/// and slack.
+const RECEIVER_UNTIL_MS: u64 = 10_000;
+
+/// Logger runs end here: 24 fetches at 500 ms after the term at 6 s,
+/// and slack.
+const LOGGER_UNTIL_MS: u64 = 19_000;
+
 #[test]
 fn a_receiver_is_a_value() {
     let case = receiver_case();
     assert_machine_is_a_value(receiver, &case.warmup, &case.future, &case.divergent);
+    // The run outlasts the budget: every recovery it opened was asked
+    // for and given up before the end.
+    let mut r = started(&receiver);
+    run(&mut r, &case.script());
+    assert_eq!(r.outstanding_recoveries(), 0);
+    assert!(last_nack_ms(receiver, &case.script()) < RECEIVER_UNTIL_MS - 1_000);
 }
 
 /// A primary with a replica, then a site secondary: one replicates, the
@@ -502,6 +554,9 @@ fn a_logger_is_a_value() {
         let case = logger_case(seed);
         let fresh = || Logger::new(config.clone());
         assert_machine_is_a_value(fresh, &case.warmup, &case.future, &case.divergent);
+        // The run outlasts the fetch budget: fetching stops before it ends.
+        let last = last_nack_ms(fresh, &case.script());
+        assert!((6_000..LOGGER_UNTIL_MS - 1_000).contains(&last), "{last}");
     }
 }
 
