@@ -17,10 +17,15 @@ use lbrm::harness::DisScenarioConfig;
 use lbrm::sim::loss::LossModel;
 use lbrm::sim::time::SimTime;
 use lbrm::sim::topology::SiteParams;
-use lbrm_bench::doctor::run_scenario;
-use lbrm_core::trace::analyze::{analyze, AnalyzeConfig, RecoveryReport, TraceRecord};
+use lbrm_bench::doctor::{demo_run, run_scenario};
+use lbrm_core::trace::analyze::{
+    analyze, AnalyzeConfig, RecoveryOutcome, RecoveryReport, TraceRecord,
+};
 use lbrm_core::trace::{CollectorSink, OnlineAnalyzer, OnlineConfig, ProtocolEvent, TraceSink};
 use lbrm_wire::{EpochId, HostId, Seq};
+
+mod common;
+use common::fnv1a;
 
 /// The reference the correlator is checked against: sort, one
 /// straight-line pass over plain maps, exact `Histogram`s, every
@@ -911,4 +916,45 @@ fn tiny_reservoirs_keep_exact_totals() {
         b.recovered <= 8 || o.total.is_sampled(),
         "an overfull stage snapshot must say it is sampled"
     );
+}
+
+/// Over capacity the reservoirs keep a sample, and the kept timelines
+/// come back in close order. `trace_doctor --json` prints only their
+/// count, so the whole report's `Debug` rendering is pinned here, as
+/// recorded at `ed62318`: the built-in run (40 recoveries) with
+/// 16-sample reservoirs, and 5 000 synthetic recoveries with the default
+/// 4 096. A change that moves either hash moved the sample or its order.
+#[test]
+fn sampled_reports_are_pinned_in_close_order() {
+    let small = OnlineConfig {
+        stage_reservoir: 16,
+        timeline_reservoir: 16,
+        ..OnlineConfig::default()
+    };
+    let demo = demo_run(77, small).report;
+    let synthetic = fold(&synthetic_capture(5_000), OnlineConfig::default());
+    // One receiver recovers its losses in seq order.
+    let recovered: Vec<u32> = synthetic
+        .timelines
+        .iter()
+        .filter(|t| t.outcome == RecoveryOutcome::Recovered)
+        .map(|t| t.seq.raw())
+        .collect();
+    assert!(recovered.windows(2).all(|w| w[0] < w[1]));
+    for (label, report, want) in [
+        ("built-in run", &demo, (7_350, 0xaab1_84a6_e3e0_ab9f)),
+        (
+            "synthetic capture",
+            &synthetic,
+            (1_677_217, 0x23a0_a3d9_aeb2_b9aa),
+        ),
+    ] {
+        assert!(report.total.is_sampled(), "{label}");
+        let rendered = format!("{report:?}");
+        assert_eq!(
+            (rendered.len(), fnv1a(rendered.as_bytes())),
+            want,
+            "{label}: the sampled report moved"
+        );
+    }
 }

@@ -10,6 +10,9 @@ use std::process::{Command, Output};
 
 use lbrm_bench::experiments;
 
+mod common;
+use common::fnv1a;
+
 fn reproduce(args: &[&str], cwd: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(args)
@@ -45,13 +48,6 @@ fn bad_arguments_are_usage_errors_naming_the_keys() {
             assert!(stderr.contains(key), "{args:?}: {key} missing: {stderr}");
         }
     }
-}
-
-/// FNV-1a-64, as `golden_wire_bytes` hashes the wire corpus.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// The full report is byte-identical to the one recorded at `483ccf9`

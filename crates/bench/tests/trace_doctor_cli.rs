@@ -12,6 +12,9 @@ use lbrm_core::trace::analyze::{analyze, parse_json_lines, AnalyzeConfig, Recove
 use lbrm_core::trace::ProtocolEvent;
 use lbrm_wire::{EpochId, HostId, Seq};
 
+mod common;
+use common::fnv1a;
+
 fn doctor(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_trace_doctor"))
         .args(args)
@@ -244,4 +247,28 @@ fn out_of_order_replay_hints_at_batch() {
 
     let _ = std::fs::remove_file(shuffled);
     let _ = std::fs::remove_file(ordered);
+}
+
+/// The built-in run's JSON report, with the default reservoirs and with
+/// `--reservoir 16` (which samples its 40 recoveries), is byte-identical
+/// to the one recorded at `ed62318` (sha256 `eec65d69…` and
+/// `f7c66c19…`). A change that moves either hash moved a figure of the
+/// forensics report; re-record it on purpose.
+#[test]
+fn json_report_is_pinned() {
+    for (args, want) in [
+        (&["--json"][..], (777, 0x3f26_c90e_2fc8_c127)),
+        (
+            &["--reservoir", "16", "--json"][..],
+            (777, 0x979b_49a7_c882_3e70),
+        ),
+    ] {
+        let out = doctor(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert_eq!(
+            (out.stdout.len(), fnv1a(&out.stdout)),
+            want,
+            "trace_doctor {args:?} moved"
+        );
+    }
 }

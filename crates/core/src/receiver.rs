@@ -161,6 +161,9 @@ pub struct Receiver {
     /// Expected interval until the sender's next transmission, learned
     /// from heartbeat indices.
     expected_interval: Duration,
+    /// The heartbeat index `expected_interval` was learned from (`None`:
+    /// a data packet), so a repeated index costs no float arithmetic.
+    learned_from: Option<u32>,
     /// The window of silence tolerated before declaring the channel
     /// idle-dead, a function of `expected_interval` kept beside it (by
     /// [`learn_interval`](Self::learn_interval)) so the per-event
@@ -181,6 +184,7 @@ impl Receiver {
         Receiver {
             authority: Authority::new(config.recovery_targets.last().copied()),
             expected_interval: config.heartbeat.h_min,
+            learned_from: None,
             idle_window: idle_window(config.heartbeat.h_min, config.maxit),
             requests: Requests::new(NACKS, std::mem::take(&mut config.recovery_targets)),
             config,
@@ -221,6 +225,10 @@ impl Receiver {
     /// (`None` = a data packet, which resets the sender's schedule to
     /// `h_min`).
     fn learn_interval(&mut self, hb_index: Option<u32>) {
+        if hb_index == self.learned_from {
+            return;
+        }
+        self.learned_from = hb_index;
         let hb = &self.config.heartbeat;
         let interval = match hb_index {
             None => hb.h_min,

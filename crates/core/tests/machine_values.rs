@@ -11,7 +11,9 @@
 //!
 //! The receiver and logger runs go on past one whole request budget,
 //! with a `PrimaryIs` and a `TermAnnounce` part-way through it, so the
-//! rule covers retargets, budget restarts and abandonment.
+//! rule covers retargets, budget restarts and abandonment. Two receivers
+//! that differ only in the budget they have spent cover the budget
+//! count, which no single input moves on its own.
 //!
 //! The same seeded runs check `Machine::poll`'s contract, which lets the
 //! `Driver` skip a timer with nothing due: before `next_deadline()` (or
@@ -141,29 +143,32 @@ fn assert_machine_is_a_value<M: Role>(
     for (i, step) in divergent.iter().enumerate() {
         let mut changed = m.clone();
         feed(&mut changed, t0, step);
-        if changed.digest() == m.digest() {
-            assert_ne!(i, 0, "{step:?} must move the digest");
-            assert_eq!(
-                run(&mut changed, future),
-                run(&mut m.clone(), future),
-                "equal digests after {step:?}, yet the copies act differently"
-            );
-        }
+        assert!(
+            i > 0 || changed.digest() != m.digest(),
+            "{step:?} must move the digest"
+        );
+        assert_equal_digests_act_alike(&changed, &m, future, &format!("after {step:?}"));
     }
 
     let script: Script = warmup.iter().chain(future).cloned().collect();
     let mut m = started(&fresh);
     for (k, (at, step)) in script.iter().enumerate() {
-        let mut before = m.clone();
+        let before = m.clone();
         feed(&mut m, *at, step);
-        if m.digest() == before.digest() {
-            let rest = &script[k + 1..];
-            assert_eq!(
-                run(&mut before, rest),
-                run(&mut m.clone(), rest),
-                "{step:?} at {at:?} left the digest as it was, yet changed what follows"
-            );
-        }
+        let label = format!("before and after {step:?} at {at:?}");
+        assert_equal_digests_act_alike(&before, &m, &script[k + 1..], &label);
+    }
+}
+
+/// Equal digests mean equal behaviour: when `a` and `b` have equal
+/// digests, copies of them act alike on `rest`.
+fn assert_equal_digests_act_alike<M: Role>(a: &M, b: &M, rest: &[(Time, Step)], label: &str) {
+    if a.digest() == b.digest() {
+        assert_eq!(
+            run(&mut a.clone(), rest),
+            run(&mut b.clone(), rest),
+            "equal digests {label}, yet the copies act differently"
+        );
     }
 }
 
@@ -543,6 +548,57 @@ fn a_receiver_is_a_value() {
     run(&mut r, &case.script());
     assert_eq!(r.outstanding_recoveries(), 0);
     assert!(last_nack_ms(receiver, &case.script()) < RECEIVER_UNTIL_MS - 1_000);
+}
+
+/// Feeds `m` a poll at each of its deadlines until it has sent `nacks`
+/// NACKs; returns the instant of the last.
+fn poll_until_nacks(m: &mut Receiver, nacks: usize) -> Time {
+    let mut sent = 0;
+    loop {
+        let at = m.next_deadline().expect("a recovery is open");
+        if feed(m, at, &Step::Timer).contains("Nack {") {
+            sent += 1;
+            if sent == nacks {
+                return at;
+            }
+        }
+    }
+}
+
+/// Every input that spends request budget also moves a request's due
+/// time, its rung count or the term, so no step of the runs above shows
+/// a digest blind to the budget. Here the budget is the only difference:
+/// two receivers have sent 4 and 5 NACKs for one loss, both on the top
+/// rung, and a `PrimaryIs` naming the primary they already ask restarts
+/// both requests' rung counts and due times, but not their budgets.
+#[test]
+fn a_spent_budget_moves_the_receiver_digest() {
+    let mut four = started(&receiver);
+    feed(
+        &mut four,
+        Time::ZERO,
+        &Step::Packet(SRC_HOST, data(1, "payload")),
+    );
+    let lost = Step::Packet(SRC_HOST, data(3, "payload"));
+    feed(&mut four, Time::from_millis(10), &lost);
+    let mut five = four.clone();
+    poll_until_nacks(&mut four, 4);
+    let at = poll_until_nacks(&mut five, 5);
+    // Nothing else fell due in between: the copies differ only in the
+    // one request's NACK.
+    assert_eq!(four.next_deadline(), Some(at));
+    let primary = Step::Packet(SRC_HOST, primary_is(PRIMARY));
+    feed(&mut four, at, &primary);
+    feed(&mut five, at, &primary);
+
+    let from = at.nanos() / 1_000_000 + 1;
+    let rest = with_polls(from, RECEIVER_UNTIL_MS, 100, Vec::new());
+    assert_ne!(
+        run(&mut four.clone(), &rest),
+        run(&mut five.clone(), &rest),
+        "the fifth NACK must bring the abandonment forward"
+    );
+    assert_equal_digests_act_alike(&four, &five, &rest, "after 4 and 5 NACKs");
 }
 
 /// A primary with a replica, then a site secondary: one replicates, the

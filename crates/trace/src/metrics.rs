@@ -212,10 +212,14 @@ impl StreamingHistogram {
     /// raw samples are the reservoir and the snapshot carries exact
     /// count/sum/max totals.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut sorted = self.reservoir.clone();
-        sorted.sort_unstable();
+        self.clone().into_snapshot()
+    }
+
+    /// [`snapshot`](Self::snapshot), sorting the reservoir in place.
+    pub fn into_snapshot(mut self) -> HistogramSnapshot {
+        self.reservoir.sort_unstable();
         HistogramSnapshot {
-            sorted_nanos: sorted,
+            sorted_nanos: self.reservoir,
             totals: (self.count as usize > self.capacity).then_some(ExactTotals {
                 count: self.count,
                 sum: self.sum,

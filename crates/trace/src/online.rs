@@ -28,7 +28,8 @@
 //! iteration order is a pure function of the input), and the age index
 //! is a sorted queue that closing a timeline never touches. The maps
 //! [`finish`](OnlineAnalyzer::finish) walks in key order stay B-trees,
-//! and the still-open timelines are sorted once, there.
+//! except the two a record probes most, the still-open timelines and
+//! the duplicate counts, which are sorted once, there.
 //!
 //! **Fidelity contract.** With no live-cap and no horizon the report is
 //! exact up to reservoir sampling: while the number of recoveries stays
@@ -196,7 +197,12 @@ impl TimelineReservoir {
     }
 
     fn into_vec(mut self) -> Vec<RecoveryTimeline> {
-        self.kept.sort_by_key(|(i, _)| *i);
+        // Under capacity every offer was a push, in close order. Over
+        // it, sort the 16-byte (close index, slot) pairs and move each
+        // timeline into place once, not the timelines themselves.
+        if self.seen > self.kept.len() as u64 {
+            self.kept.sort_by_cached_key(|&(i, _)| i);
+        }
         self.kept.into_iter().map(|(_, t)| t).collect()
     }
 }
@@ -214,8 +220,9 @@ impl TimelineReservoir {
 #[derive(Debug, Clone)]
 pub struct OnlineAnalyzer {
     cfg: OnlineConfig,
-    // Correlation state. Hashed maps are only probed by key; the
-    // ordered ones are walked in key order by `finish`.
+    // Correlation state. Hashed maps are probed by key (`finish` sorts
+    // `open` and `dups_per_host_seq`); the ordered ones are walked in
+    // key order by `finish`.
     roles: FixedMap<u64, &'static str>,
     sent_at: FixedMap<u32, u64>,
     sent_epoch: BTreeMap<u32, u32>,
@@ -231,7 +238,7 @@ pub struct OnlineAnalyzer {
     /// live entries once it holds more than `2 * live + 64`.
     by_age: VecDeque<(u64, u64, u32)>,
     requests_per_seq: BTreeMap<u32, u64>,
-    dups_per_host_seq: BTreeMap<(u64, u32), u64>,
+    dups_per_host_seq: FixedMap<(u64, u32), u64>,
     last_tx: BTreeMap<u64, u64>,
     max_silence: BTreeMap<u64, u64>,
     truncated_gap_spans: u64,
@@ -289,7 +296,7 @@ impl OnlineAnalyzer {
             open: FixedMap::default(),
             by_age: VecDeque::new(),
             requests_per_seq: BTreeMap::new(),
-            dups_per_host_seq: BTreeMap::new(),
+            dups_per_host_seq: FixedMap::default(),
             last_tx: BTreeMap::new(),
             max_silence: BTreeMap::new(),
             truncated_gap_spans: 0,
@@ -522,9 +529,11 @@ impl OnlineAnalyzer {
 
         // Horizon age-out: close everything that has been open longer
         // than the horizon before correlating the new record.
+        let mut aged = false;
         if let Some(horizon) = self.cfg.horizon_nanos {
             let cutoff = at_nanos.saturating_sub(horizon);
             while self.oldest_detected().is_some_and(|d| d < cutoff) {
+                aged = true;
                 let (eh, es, o) = self.evict_oldest().expect("checked non-empty");
                 self.aged_out += 1;
                 self.unrecovered += 1;
@@ -704,6 +713,11 @@ impl OnlineAnalyzer {
             ProtocolEvent::StaleTermFenced { .. } => {
                 self.fenced_rejects += 1;
             }
+            // Nothing else moves correlation state: unless the horizon
+            // just closed timelines, the age queue and the meter read as
+            // they did after the previous record (once the meter has
+            // read at all: it never reads 0).
+            _ if !aged && self.peak_bytes > 0 => return,
             _ => {}
         }
         if self.by_age.len() > 2 * self.open.len() + 64 {
@@ -777,7 +791,13 @@ impl OnlineAnalyzer {
         // receiver served the same repair many times over means
         // requests are not being suppressed.
         let mut duplicate_repairs = 0u64;
-        for (&(host, s), &n) in &self.dups_per_host_seq {
+        let mut dups: Vec<((u64, u32), u64)> = self
+            .dups_per_host_seq
+            .iter()
+            .map(|(&k, &n)| (k, n))
+            .collect();
+        dups.sort_unstable_by_key(|&(key, _)| key);
+        for ((host, s), n) in dups {
             duplicate_repairs += n;
             if n > DUPLICATE_BOUND {
                 anomalies.push(Anomaly::ExcessDuplicateRepairs {
@@ -829,11 +849,11 @@ impl OnlineAnalyzer {
             recovered: self.recovered,
             abandoned: self.abandoned,
             unrecovered: self.unrecovered,
-            detection: self.detection.snapshot(),
-            request: self.request.snapshot(),
-            serve: self.serve.snapshot(),
-            return_leg: self.return_leg.snapshot(),
-            total: self.total.snapshot(),
+            detection: self.detection.into_snapshot(),
+            request: self.request.into_snapshot(),
+            serve: self.serve.into_snapshot(),
+            return_leg: self.return_leg.into_snapshot(),
+            total: self.total.into_snapshot(),
             sources: self.sources,
             duplicate_repairs,
             max_nack_fan_in,
@@ -1152,6 +1172,46 @@ mod tests {
         assert!(online.stream.peak_resident_bytes < batch.stream.peak_resident_bytes);
     }
 
+    fn closed_timeline(seq: u32) -> RecoveryTimeline {
+        RecoveryTimeline {
+            host: RX,
+            seq: Seq(seq),
+            sent_at_nanos: None,
+            detected_at_nanos: u64::from(seq),
+            first_nack_at_nanos: None,
+            nacks_sent: 0,
+            served_at_nanos: None,
+            served_by: None,
+            repaired_at_nanos: None,
+            source: RepairSource::Unknown,
+            outcome: RecoveryOutcome::Abandoned,
+            recovery_latency_nanos: None,
+        }
+    }
+
+    /// Over capacity, the kept sample comes back in close order: what a
+    /// stable sort of the kept `(close index, timeline)` pairs by index
+    /// returns, the restore `into_vec` once made.
+    #[test]
+    fn an_overfull_reservoir_returns_its_sample_in_close_order() {
+        for capacity in [1, 7, 64] {
+            for offered in [capacity - 1, capacity, capacity + 1, 10 * capacity + 3] {
+                let mut r = TimelineReservoir::new(capacity);
+                for seq in 0..offered as u32 {
+                    r.offer(closed_timeline(seq));
+                }
+                let mut oracle = r.kept.clone();
+                oracle.sort_by_key(|(i, _)| *i);
+                let want: Vec<String> = oracle.iter().map(|(_, t)| format!("{t:?}")).collect();
+                let got = r.into_vec();
+                assert_eq!(got.len(), offered.min(capacity));
+                assert!(got.windows(2).all(|w| w[0].seq.raw() < w[1].seq.raw()));
+                let got: Vec<String> = got.iter().map(|t| format!("{t:?}")).collect();
+                assert_eq!(got, want, "capacity {capacity}, {offered} offered");
+            }
+        }
+    }
+
     #[test]
     fn sink_adapter_feeds_the_analyzer_and_resets_on_finish() {
         let sink = OnlineAnalyzerSink::new(OnlineConfig::default());
@@ -1389,6 +1449,57 @@ mod tests {
                 assert_eq!(horizon.is_some(), !reference.aged_out.is_empty());
             }
         }
+    }
+
+    /// Records that change nothing skip the meter, yet the peak reads as
+    /// if it were read after every record, from the first one on.
+    #[test]
+    fn the_peak_meter_reads_as_if_metered_after_every_record() {
+        for seed in 0..4 {
+            let mut records = vec![rec(0, RX, ProtocolEvent::FreshnessLost)];
+            records.extend(churn_stream(seed, 2_000));
+            for horizon in [None, Some(20 * 1_000_000)] {
+                let mut a = OnlineAnalyzer::new(OnlineConfig {
+                    horizon_nanos: horizon,
+                    ..OnlineConfig::default()
+                });
+                let mut peak = 0;
+                for r in &records {
+                    a.push_record(r);
+                    peak = peak.max(a.approx_resident_bytes());
+                    assert_eq!(a.peak_resident_bytes(), peak, "seed {seed}");
+                }
+            }
+        }
+    }
+
+    /// A record that changes nothing itself may still age timelines
+    /// out, and the age queue is then compacted as after any other.
+    #[test]
+    fn an_ignored_record_that_ages_timelines_out_compacts_the_queue() {
+        let mut a = OnlineAnalyzer::new(OnlineConfig {
+            horizon_nanos: Some(100),
+            ..OnlineConfig::default()
+        });
+        let gap = |seq| ProtocolEvent::GapDetected {
+            first: Seq(seq),
+            last: Seq(seq),
+        };
+        a.push(0, RX, &gap(1)); // ages out at 120
+        a.push(50, RX, &gap(2)); // still open at 120
+        for seq in 3..69 {
+            a.push(60, RX, &gap(seq));
+            let recovered = ProtocolEvent::Recovered {
+                seq: Seq(seq),
+                latency_nanos: 1,
+            };
+            a.push(60, RX, &recovered);
+        }
+        // Two open entries and 66 closed ones behind them: at the bound.
+        assert_eq!(a.by_age.len(), 2 * a.open.len() + 64);
+        a.push(120, RX, &ProtocolEvent::FreshnessLost);
+        assert_eq!((a.live_timelines(), a.aged_out), (1, 1));
+        assert!(a.by_age.len() <= 2 * a.open.len() + 64);
     }
 
     /// `approx_resident_bytes` as metered when the age index held exactly
