@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use lbrm::harness::MachineActor;
 use lbrm_core::heartbeat::{analysis, HeartbeatConfig};
-use lbrm_core::sender::{HeartbeatScheme, Sender, SenderConfig};
+use lbrm_core::sender::{Sender, SenderConfig};
 use lbrm_sim::stats::SegmentClass;
 use lbrm_sim::time::SimTime;
 use lbrm_sim::topology::{SiteParams, TopologyBuilder};
@@ -28,9 +28,9 @@ pub const TERRAIN_DT: f64 = 120.0;
 /// Dynamic entities send one packet per second on average.
 pub const DYNAMIC_RATE: f64 = 1.0;
 
-/// Simulates `n` terrain entities for `secs` seconds and returns the
-/// measured per-entity heartbeat rate.
-pub fn sampled_rate(n: u64, secs: u64, scheme: HeartbeatScheme, seed: u64) -> f64 {
+/// Simulates `n` terrain entities running `heartbeat` for `secs` seconds
+/// and returns the measured per-entity heartbeat rate.
+pub fn sampled_rate(n: u64, secs: u64, heartbeat: HeartbeatConfig, seed: u64) -> f64 {
     let mut b = TopologyBuilder::new();
     let site = b.site(SiteParams::default());
     let hosts: Vec<HostId> = (0..n).map(|_| b.host(site)).collect();
@@ -39,7 +39,7 @@ pub fn sampled_rate(n: u64, secs: u64, scheme: HeartbeatScheme, seed: u64) -> f6
     for (i, &h) in hosts.iter().enumerate() {
         let group = GroupId(i as u32 + 1);
         let mut cfg = SenderConfig::new(group, SourceId(i as u64), h, sink);
-        cfg.scheme = scheme;
+        cfg.heartbeat = heartbeat;
         let mut actor = MachineActor::new(Sender::new(cfg), vec![]);
         // Each entity updates once, at a staggered time, then idles —
         // the terrain pattern (updates every ~2 min; we observe one
@@ -104,10 +104,13 @@ pub fn run() -> String {
 
     // Simulation cross-check on a sample of entities over one window.
     // The two schemes are independent seeded runs — sweep in parallel.
-    let samples = crate::parallel::par_map(
-        vec![HeartbeatScheme::Fixed, HeartbeatScheme::Variable],
-        |scheme| sampled_rate(40, 120, scheme, 5),
-    );
+    let fixed = HeartbeatConfig {
+        backoff: 1.0,
+        ..cfg
+    };
+    let samples = crate::parallel::par_map(vec![fixed, cfg], |heartbeat| {
+        sampled_rate(40, 120, heartbeat, 5)
+    });
     let (sample_fixed, sample_var) = (samples[0], samples[1]);
     out.push_str(&format!(
         "\nSimulated sample (40 entities, 120 s window): fixed {:.3} pkt/s/entity,\n\
@@ -136,9 +139,14 @@ mod tests {
 
     #[test]
     fn sampled_rates_track_analysis() {
-        let fixed = sampled_rate(10, 120, HeartbeatScheme::Fixed, 1);
+        let var_cfg = HeartbeatConfig::default();
+        let fixed_cfg = HeartbeatConfig {
+            backoff: 1.0,
+            ..var_cfg
+        };
+        let fixed = sampled_rate(10, 120, fixed_cfg, 1);
         assert!((fixed - 4.0).abs() < 0.5, "fixed sample {fixed}");
-        let var = sampled_rate(10, 120, HeartbeatScheme::Variable, 1);
+        let var = sampled_rate(10, 120, var_cfg, 1);
         assert!(var < 0.2, "variable sample {var}");
     }
 }

@@ -17,9 +17,10 @@ use lbrm_wire::{GroupId, SourceId};
 
 use crate::report::Table;
 
-/// Counts heartbeats a simulated sender emits with data every `dt`
-/// seconds over `n_intervals` intervals; returns the per-interval rate.
-pub fn simulated_rate(dt: f64, cfg: HeartbeatConfig, fixed: bool) -> f64 {
+/// Counts heartbeats a simulated sender running `cfg` emits with data
+/// every `dt` seconds over `n_intervals` intervals; returns the
+/// per-interval rate. `backoff: 1.0` is the fixed baseline.
+pub fn simulated_rate(dt: f64, cfg: HeartbeatConfig) -> f64 {
     let mut b = TopologyBuilder::new();
     let site = b.site(SiteParams::default());
     let src = b.host(site);
@@ -28,11 +29,6 @@ pub fn simulated_rate(dt: f64, cfg: HeartbeatConfig, fixed: bool) -> f64 {
     let mut world = World::new(b.build(), 4);
     let mut sender_cfg = SenderConfig::new(GroupId(1), SourceId(1), src, log);
     sender_cfg.heartbeat = cfg;
-    sender_cfg.scheme = if fixed {
-        lbrm_core::sender::HeartbeatScheme::Fixed
-    } else {
-        lbrm_core::sender::HeartbeatScheme::Variable
-    };
     let mut actor = MachineActor::new(Sender::new(sender_cfg), vec![]);
     let n_intervals = 8u64.max((200.0 / dt) as u64).min(200);
     for i in 0..=n_intervals {
@@ -75,7 +71,7 @@ pub fn run() -> String {
     let rows = crate::parallel::par_map(dts, |dt| {
         let fixed = analysis::fixed_rate(dt, 0.25);
         let variable = analysis::variable_rate(dt, &cfg);
-        let sim = simulated_rate(dt, cfg, false);
+        let sim = simulated_rate(dt, cfg);
         (dt, fixed, variable, sim)
     });
     for (dt, fixed, variable, sim) in rows {
@@ -104,15 +100,18 @@ mod tests {
     fn sim_agrees_with_analysis_at_dt_120() {
         let cfg = HeartbeatConfig::default();
         let analytic = analysis::variable_rate(120.0, &cfg);
-        let sim = simulated_rate(120.0, cfg, false);
+        let sim = simulated_rate(120.0, cfg);
         let rel = (sim - analytic).abs() / analytic;
         assert!(rel < 0.15, "sim {sim} vs analytic {analytic}");
     }
 
     #[test]
     fn fixed_sim_rate_near_4_per_sec() {
-        let cfg = HeartbeatConfig::default();
-        let sim = simulated_rate(60.0, cfg, true);
+        let cfg = HeartbeatConfig {
+            backoff: 1.0,
+            ..HeartbeatConfig::default()
+        };
+        let sim = simulated_rate(60.0, cfg);
         assert!((sim - 4.0).abs() < 0.2, "{sim}");
     }
 

@@ -16,14 +16,14 @@ fn parallel_sweep_matches_serial_byte_for_byte() {
         .map(|&dt| {
             format!(
                 "{:.4}",
-                fig4_heartbeat_overhead::simulated_rate(dt, HeartbeatConfig::default(), false)
+                fig4_heartbeat_overhead::simulated_rate(dt, HeartbeatConfig::default())
             )
         })
         .collect();
     let parallel = par_map_with_threads(dts, 4, |dt| {
         format!(
             "{:.4}",
-            fig4_heartbeat_overhead::simulated_rate(dt, HeartbeatConfig::default(), false)
+            fig4_heartbeat_overhead::simulated_rate(dt, HeartbeatConfig::default())
         )
     });
     assert_eq!(serial.join("\n"), parallel.join("\n"));

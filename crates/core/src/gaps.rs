@@ -369,11 +369,15 @@ impl GapTracker {
         removed
     }
 
-    /// Abandons recovery of everything before `seq` (exclusive): used by
-    /// latest-only / windowed reliability modes.
-    pub fn give_up_before(&mut self, seq: Seq) {
+    /// Abandons recovery of everything before `seq` (exclusive), handing
+    /// each missing sequence dropped to `dropped`, in order: used by
+    /// windowed reliability modes.
+    pub fn give_up_before(&mut self, seq: Seq, mut dropped: impl FnMut(Seq)) {
         let idx = self.index(seq);
-        self.missing.retain(|&m| m >= idx);
+        let kept = self.missing.split_off(&idx);
+        for m in std::mem::replace(&mut self.missing, kept) {
+            dropped(SeqUnwrapper::rewrap(m));
+        }
         if idx > self.floor {
             self.floor = idx.min(self.head);
         }
@@ -466,7 +470,9 @@ mod tests {
         t.observe(Seq(1));
         t.observe(Seq(10));
         assert_eq!(t.missing_count(), 8);
-        t.give_up_before(Seq(8));
+        let mut dropped = Vec::new();
+        t.give_up_before(Seq(8), |seq| dropped.push(seq.raw()));
+        assert_eq!(dropped, (2..8).collect::<Vec<_>>());
         assert_eq!(ranges(&t), vec![(8, 9)]);
     }
 

@@ -1,5 +1,5 @@
-//! Variable and fixed heartbeat schedules (§2.1), plus the closed-form
-//! overhead analysis behind Figures 4–5 and Table 1.
+//! The heartbeat schedule of §2.1, plus the closed-form overhead
+//! analysis behind Figures 4–5 and Table 1.
 //!
 //! The variable scheme clusters heartbeats right after a data packet:
 //! the inter-heartbeat time `h` is reset to `h_min` on every data
@@ -7,7 +7,9 @@
 //! `h_max`. Isolated losses are therefore detected within `h_min`, while
 //! an idle source converges to one heartbeat per `h_max` — the best of
 //! both worlds the paper quantifies as a ~50× bandwidth saving for DIS
-//! terrain.
+//! terrain. The fixed baseline the paper compares against (one
+//! heartbeat every `h_min`, as *wb* session messages behave) is the same
+//! schedule with `backoff: 1.0`.
 //!
 //! The schedule itself is pure arithmetic and emits nothing; each
 //! heartbeat the [`crate::sender::Sender`] actually transmits is
@@ -149,55 +151,6 @@ impl VariableHeartbeat {
     /// Current inter-heartbeat interval (diagnostics).
     pub fn current_interval(&self) -> Duration {
         self.h
-    }
-}
-
-/// A fixed heartbeat schedule: one heartbeat every `h`, reset on data —
-/// the baseline the paper compares against (and how *wb* session
-/// messages behave).
-#[derive(Debug, Clone)]
-pub struct FixedHeartbeat {
-    h: Duration,
-    next_at: Option<Time>,
-    hb_index: u32,
-}
-
-impl FixedHeartbeat {
-    /// Creates an idle fixed schedule with period `h`.
-    ///
-    /// # Panics
-    ///
-    /// If `h` is zero.
-    pub fn new(h: Duration) -> Self {
-        assert!(h > Duration::ZERO, "heartbeat period must be positive");
-        FixedHeartbeat {
-            h,
-            next_at: None,
-            hb_index: 0,
-        }
-    }
-
-    /// Notes a data transmission.
-    pub fn on_data_sent(&mut self, now: Time) {
-        self.hb_index = 0;
-        self.next_at = Some(now + self.h);
-    }
-
-    /// When the next heartbeat is due.
-    pub fn next_heartbeat_at(&self) -> Option<Time> {
-        self.next_at
-    }
-
-    /// `true` if a heartbeat is due.
-    pub fn due(&self, now: Time) -> bool {
-        self.next_at.is_some_and(|t| t <= now)
-    }
-
-    /// Notes a heartbeat transmission; returns its 1-based index.
-    pub fn on_heartbeat_sent(&mut self, now: Time) -> u32 {
-        self.hb_index += 1;
-        self.next_at = Some(now + self.h);
-        self.hb_index
     }
 }
 
@@ -360,15 +313,24 @@ mod tests {
     }
 
     #[test]
-    fn fixed_schedule_is_periodic() {
-        let mut hb = FixedHeartbeat::new(Duration::from_millis(250));
-        hb.on_data_sent(Time::ZERO);
-        let mut prev = Time::ZERO;
-        for i in 1..=8 {
-            let t = hb.next_heartbeat_at().unwrap();
-            assert_eq!(t - prev, Duration::from_millis(250));
-            assert_eq!(hb.on_heartbeat_sent(t), i);
-            prev = t;
+    fn a_backoff_of_one_is_the_fixed_schedule() {
+        // Exact instants at h_min = 100 ms too: a tenth of a second is no
+        // power-of-two fraction, so the interval's f64 round trip must
+        // give back exactly the `Duration` it started from.
+        for ms in [250, 100] {
+            let h = Duration::from_millis(ms);
+            let mut hb = VariableHeartbeat::new(HeartbeatConfig {
+                h_min: h,
+                backoff: 1.0,
+                ..cfg()
+            });
+            hb.on_data_sent(Time::ZERO);
+            for i in 1..=8 {
+                let t = hb.next_heartbeat_at().unwrap();
+                assert_eq!(t, Time::from_millis(ms * u64::from(i)));
+                assert_eq!(hb.on_heartbeat_sent(t), i);
+                assert_eq!(hb.current_interval(), h);
+            }
         }
     }
 

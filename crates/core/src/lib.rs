@@ -15,7 +15,8 @@
 //! * [`discovery::DiscoveryClient`] — expanding-ring scoped multicast
 //!   search for a nearby logging service (§2.2.1).
 //! * [`baseline`] — comparison protocols: the *wb*/SRM-style unorganized
-//!   recovery of §6 and the fixed-heartbeat scheme of §2.1.2.
+//!   recovery of §6 (the fixed heartbeat of §2.1.2 is the variable
+//!   schedule with `backoff: 1.0`).
 //!
 //! Machines implement [`machine::Machine`] and are driven through one
 //! [`machine::Driver`] by the deterministic simulator (`lbrm-sim`, for

@@ -3,12 +3,12 @@
 //! A receiver detects loss three ways (§2): a gap in data sequence
 //! numbers, a heartbeat repeating a sequence number it has not seen, and
 //! MaxIT idle expiry. Being *receiver-reliable*, it decides for itself
-//! what to recover — everything, nothing but the latest state, or a
-//! recent window — and pulls retransmissions through a `Requests` table
-//! climbing its recovery targets: the site's secondary logging server
-//! first, then the primary (§2.2.1's "next-higher-level" fallback),
-//! re-resolving the primary via the source when the hierarchy goes quiet
-//! (§2.2.3).
+//! what to recover — everything, or a recent window (a window of 0 keeps
+//! nothing but the latest state) — and pulls retransmissions through a
+//! `Requests` table climbing its recovery targets: the site's secondary
+//! logging server first, then the primary (§2.2.1's "next-higher-level"
+//! fallback), re-resolving the primary via the source when the hierarchy
+//! goes quiet (§2.2.3).
 
 use std::time::Duration;
 
@@ -35,13 +35,10 @@ pub enum ReliabilityMode {
     /// Recover every lost packet: on first contact, the whole stream
     /// back to its origin.
     RecoverAll,
-    /// Never recover; only the newest data matters (pure freshness). On
-    /// first contact, everything before the first packet heard is given
-    /// up.
-    LatestOnly,
     /// Recover only the newest `n` sequence numbers; older losses are
     /// abandoned. On first contact, the `n` numbers ending at the first
-    /// one heard.
+    /// one heard. `Window(0)` never recovers: only the newest data
+    /// matters (pure freshness).
     Window(u32),
 }
 
@@ -288,35 +285,17 @@ impl Receiver {
         }));
         self.tracer
             .emit(now.nanos(), || ProtocolEvent::GapDetected { first, last });
-        match self.config.mode {
-            ReliabilityMode::LatestOnly => {
-                let give_up_count = last.distance_from(first) as u64 + 1;
-                self.stats.abandoned += give_up_count;
-                if self.tracer.is_enabled() {
-                    for seq in first.iter_to(last) {
-                        if self.gaps.is_missing(seq) {
-                            self.tracer
-                                .emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
-                        }
-                    }
-                }
-                self.gaps.give_up_before(last.next());
-                return;
-            }
-            ReliabilityMode::Window(n) => {
-                if let Some(high) = self.gaps.highest() {
-                    let floor_idx = (self.gaps.index(high) + 1).saturating_sub(u64::from(n));
-                    let floor = SeqUnwrapper::rewrap(floor_idx);
-                    let before = self.gaps.missing_count();
-                    self.gaps.give_up_before(floor);
-                    self.stats.abandoned += (before - self.gaps.missing_count()) as u64;
-                    let tracer = &self.tracer;
-                    self.requests.close_before(floor_idx, |seq| {
-                        tracer.emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
-                    });
-                }
-            }
-            ReliabilityMode::RecoverAll => {}
+        if let (ReliabilityMode::Window(n), Some(high)) = (self.config.mode, self.gaps.highest()) {
+            // Everything missing below the window is given up, the gap
+            // just detected included, and each seq's timeline closes.
+            let floor_idx = (self.gaps.index(high) + 1).saturating_sub(u64::from(n));
+            let (stats, tracer) = (&mut self.stats, &self.tracer);
+            self.gaps
+                .give_up_before(SeqUnwrapper::rewrap(floor_idx), |seq| {
+                    stats.abandoned += 1;
+                    tracer.emit(now.nanos(), || ProtocolEvent::RecoveryAbandoned { seq });
+                });
+            self.requests.close_before(floor_idx);
         }
         for seq in first.iter_to(last) {
             if !self.gaps.is_missing(seq) {
@@ -788,22 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn latest_only_mode_abandons_losses() {
-        let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
-        cfg.mode = ReliabilityMode::LatestOnly;
-        let mut r = Receiver::new(cfg);
-        let mut out = Actions::new();
-        r.on_packet(Time::ZERO, SRC_HOST, data(1), &mut out);
-        r.on_packet(Time::from_millis(1), SRC_HOST, data(5), &mut out);
-        assert_eq!(r.outstanding_recoveries(), 0);
-        assert_eq!(r.stats().abandoned, 3);
-        // No NACKs ever.
-        out.clear();
-        r.poll(Time::from_secs(10), &mut out);
-        assert!(!out.iter().any(|a| matches!(a, Action::Unicast { .. })));
-    }
-
-    #[test]
     fn window_mode_recovers_only_recent() {
         let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
         cfg.mode = ReliabilityMode::Window(3);
@@ -846,6 +809,82 @@ mod tests {
         assert_eq!(deliveries(&out).len(), 2);
         assert_eq!(r.outstanding_recoveries(), 0);
         assert_eq!(r.stats().abandoned, 4, "#1, #2, #4 and the announced #6");
+        // No NACKs ever.
+        out.clear();
+        r.poll(Time::from_secs(10), &mut out);
+        assert!(!out.iter().any(|a| matches!(a, Action::Unicast { .. })));
+    }
+
+    #[test]
+    fn every_detected_seq_closes_on_the_trace_in_every_mode() {
+        use crate::trace::analyze::{analyze, AnalyzeConfig, RecoveryOutcome};
+        use crate::trace::{CollectorSink, ProtocolEvent};
+        use std::collections::BTreeSet;
+        use std::sync::Arc;
+
+        let modes = [
+            ReliabilityMode::RecoverAll,
+            ReliabilityMode::Window(0),
+            ReliabilityMode::Window(2),
+        ];
+        for mode in modes {
+            for first in [1, 5] {
+                let mut cfg = ReceiverConfig::new(GROUP, SRC, ME, SRC_HOST, vec![SECONDARY]);
+                cfg.mode = mode;
+                let mut r = Receiver::new(cfg);
+                let collector = Arc::new(CollectorSink::default());
+                r.set_tracer(Tracer::to(collector.clone()));
+                let mut out = Actions::new();
+                r.on_start(Time::ZERO, &mut out);
+                // First contact, then a 4-seq gap whose newest seq is
+                // repaired at once; nobody answers for the rest, so a
+                // `RecoverAll` receiver spends its budget on them.
+                r.on_packet(Time::ZERO, SRC_HOST, data(first), &mut out);
+                r.on_packet(Time::from_millis(1), SRC_HOST, data(first + 5), &mut out);
+                r.on_packet(
+                    Time::from_millis(2),
+                    SECONDARY,
+                    retrans(first + 4),
+                    &mut out,
+                );
+                for _ in 0..1000 {
+                    let Some(at) = r.next_deadline() else { break };
+                    r.poll(at, &mut out);
+                }
+                assert_eq!(r.next_deadline(), None, "{mode:?} from #{first} goes quiet");
+                let records = collector.take();
+                let detected: BTreeSet<u32> = records
+                    .iter()
+                    .filter_map(|rec| match rec.event {
+                        ProtocolEvent::GapDetected { first, last } => Some(first.iter_to(last)),
+                        _ => None,
+                    })
+                    .flatten()
+                    .map(Seq::raw)
+                    .collect();
+                let want: BTreeSet<u32> = (1..first).chain(first + 1..first + 5).collect();
+                assert_eq!(detected, want, "{mode:?} from #{first}");
+                let report = analyze(&records, &AnalyzeConfig::default());
+                let closed: BTreeSet<u32> = report
+                    .timelines
+                    .iter()
+                    .filter(|t| t.outcome != RecoveryOutcome::Unrecovered)
+                    .map(|t| t.seq.raw())
+                    .collect();
+                assert_eq!(closed, detected, "{mode:?} from #{first}");
+                assert!(
+                    report.is_clean(),
+                    "{mode:?} from #{first}: {:?}",
+                    report.anomalies
+                );
+                assert_eq!(report.unrecovered, 0, "{mode:?} from #{first}");
+                assert_eq!(
+                    r.stats().abandoned,
+                    report.abandoned as u64,
+                    "{mode:?} from #{first}"
+                );
+            }
+        }
     }
 
     #[test]

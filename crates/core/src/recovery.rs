@@ -272,13 +272,9 @@ impl<T> Requests<T> {
         self.open.remove(&idx)
     }
 
-    /// Closes every request below `idx`, in order, handing each seq to
-    /// `closed`.
-    pub fn close_before(&mut self, idx: u64, mut closed: impl FnMut(Seq)) {
-        let kept = self.open.split_off(&idx);
-        for i in std::mem::replace(&mut self.open, kept).into_keys() {
-            closed(SeqUnwrapper::rewrap(i));
-        }
+    /// Closes every request below `idx`.
+    pub fn close_before(&mut self, idx: u64) {
+        self.open = self.open.split_off(&idx);
     }
 
     /// When the earliest open request falls due.

@@ -19,23 +19,13 @@ use bytes::Bytes;
 use lbrm_wire::{EpochId, GroupId, HostId, Packet, Seq, SourceId, TtlScope};
 
 use crate::gaps::SeqUnwrapper;
-use crate::heartbeat::{FixedHeartbeat, HeartbeatConfig, VariableHeartbeat};
+use crate::heartbeat::{HeartbeatConfig, VariableHeartbeat};
 use crate::machine::{Action, Actions, Machine, Notice};
 use crate::recovery::{self, Authority, Origin};
 use crate::slab::SeqSlab;
 use crate::statack::{StatAck, StatAckConfig, StatAckOutput};
 use crate::time::{earliest, Time};
 use crate::trace::{ProtocolEvent, Tracer};
-
-/// Which heartbeat schedule the sender runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeartbeatScheme {
-    /// The paper's variable (exponential-backoff) scheme.
-    Variable,
-    /// The fixed-rate baseline (period = `h_min`), for comparison
-    /// experiments.
-    Fixed,
-}
 
 /// Retransmit un-logged packets to the primary at this interval (§2.2).
 const HANDOFF_RETRY: Duration = Duration::from_millis(500);
@@ -64,10 +54,9 @@ pub struct SenderConfig {
     pub source: SourceId,
     /// The host this sender runs on.
     pub host: HostId,
-    /// Heartbeat parameters.
+    /// Heartbeat parameters; `backoff: 1.0` is the fixed-rate baseline
+    /// (one heartbeat every `h_min`).
     pub heartbeat: HeartbeatConfig,
-    /// Variable (LBRM) or fixed (baseline) heartbeat.
-    pub scheme: HeartbeatScheme,
     /// The primary logging server.
     pub primary: HostId,
     /// Known replicas of the primary log (failover candidates).
@@ -86,46 +75,9 @@ impl SenderConfig {
             source,
             host,
             heartbeat: HeartbeatConfig::default(),
-            scheme: HeartbeatScheme::Variable,
             primary,
             replicas: Vec::new(),
             statack: None,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Schedule {
-    Variable(VariableHeartbeat),
-    Fixed(FixedHeartbeat),
-}
-
-impl Schedule {
-    fn on_data_sent(&mut self, now: Time) {
-        match self {
-            Schedule::Variable(h) => h.on_data_sent(now),
-            Schedule::Fixed(h) => h.on_data_sent(now),
-        }
-    }
-
-    fn next_at(&self) -> Option<Time> {
-        match self {
-            Schedule::Variable(h) => h.next_heartbeat_at(),
-            Schedule::Fixed(h) => h.next_heartbeat_at(),
-        }
-    }
-
-    fn due(&self, now: Time) -> bool {
-        match self {
-            Schedule::Variable(h) => h.due(now),
-            Schedule::Fixed(h) => h.due(now),
-        }
-    }
-
-    fn on_heartbeat_sent(&mut self, now: Time) -> u32 {
-        match self {
-            Schedule::Variable(h) => h.on_heartbeat_sent(now),
-            Schedule::Fixed(h) => h.on_heartbeat_sent(now),
         }
     }
 }
@@ -155,7 +107,7 @@ enum PrimaryHealth {
 #[derive(Clone)]
 pub struct Sender {
     config: SenderConfig,
-    schedule: Schedule,
+    schedule: VariableHeartbeat,
     statack: Option<StatAck>,
     unwrapper: SeqUnwrapper,
     next_seq: Seq,
@@ -185,14 +137,8 @@ pub struct Sender {
 impl Sender {
     /// Creates a sender.
     pub fn new(config: SenderConfig) -> Self {
-        let schedule = match config.scheme {
-            HeartbeatScheme::Variable => {
-                Schedule::Variable(VariableHeartbeat::new(config.heartbeat))
-            }
-            HeartbeatScheme::Fixed => Schedule::Fixed(FixedHeartbeat::new(config.heartbeat.h_min)),
-        };
         Sender {
-            schedule,
+            schedule: VariableHeartbeat::new(config.heartbeat),
             statack: None,
             unwrapper: SeqUnwrapper::new(),
             next_seq: Seq::FIRST,
@@ -777,7 +723,10 @@ impl Machine for Sender {
     }
 
     fn next_deadline(&self) -> Option<Time> {
-        let mut d = self.schedule.next_at().filter(|_| self.last_seq.is_some());
+        let mut d = self
+            .schedule
+            .next_heartbeat_at()
+            .filter(|_| self.last_seq.is_some());
         if let Some(sa) = &self.statack {
             d = earliest(d, sa.next_deadline());
         }
@@ -1124,23 +1073,28 @@ mod tests {
     }
 
     #[test]
-    fn fixed_scheme_heartbeats_at_constant_rate() {
-        let mut cfg = SenderConfig::new(GROUP, SRC, HOST, PRIMARY);
-        cfg.scheme = HeartbeatScheme::Fixed;
-        let mut s = Sender::new(cfg);
-        let mut out = Actions::new();
-        s.on_start(Time::ZERO, &mut out);
-        s.send(Time::ZERO, Bytes::from_static(b"x"), &mut out);
-        out.clear();
-        // Ten polls, 250 ms apart: ten heartbeats.
-        for i in 1..=10u64 {
-            s.poll(Time::from_millis(250 * i), &mut out);
+    fn a_backoff_of_one_heartbeats_at_a_constant_rate() {
+        for ms in [250, 100] {
+            let mut cfg = SenderConfig::new(GROUP, SRC, HOST, PRIMARY);
+            cfg.heartbeat.h_min = Duration::from_millis(ms);
+            cfg.heartbeat.backoff = 1.0;
+            let mut s = Sender::new(cfg);
+            let mut out = Actions::new();
+            s.on_start(Time::ZERO, &mut out);
+            s.send(Time::ZERO, Bytes::from_static(b"x"), &mut out);
+            out.clear();
+            // Ten heartbeats, each exactly `h_min` after the last.
+            for i in 1..=10u64 {
+                let due = Time::from_millis(ms * i);
+                assert_eq!(s.next_deadline(), Some(due));
+                s.poll(due, &mut out);
+            }
+            let hbs = sent_packets(&out)
+                .iter()
+                .filter(|p| matches!(p, Packet::Heartbeat { .. }))
+                .count();
+            assert_eq!(hbs, 10);
         }
-        let hbs = sent_packets(&out)
-            .iter()
-            .filter(|p| matches!(p, Packet::Heartbeat { .. }))
-            .count();
-        assert_eq!(hbs, 10);
     }
 
     #[test]

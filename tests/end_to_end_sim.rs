@@ -104,7 +104,7 @@ fn simulation_is_deterministic_in_seed() {
     );
 }
 
-/// Receiver-reliability: a LatestOnly receiver keeps up without ever
+/// Receiver-reliability: a `Window(0)` receiver keeps up without ever
 /// NACKing, while RecoverAll receivers in the same group do recover.
 #[test]
 fn reliability_modes_coexist() {
@@ -116,7 +116,7 @@ fn reliability_modes_coexist() {
     let mut sc = DisScenario::build(DisScenarioConfig {
         sites: 2,
         receivers_per_site: 4,
-        mode: ReliabilityMode::LatestOnly,
+        mode: ReliabilityMode::Window(0),
         site_params,
         seed: 9,
         ..DisScenarioConfig::default()
@@ -132,7 +132,7 @@ fn reliability_modes_coexist() {
             .actor::<MachineActor<Receiver>>(rx)
             .machine()
             .stats();
-        assert_eq!(stats.recovered, 0, "LatestOnly must not recover");
+        assert_eq!(stats.recovered, 0, "Window(0) must not recover");
         abandoned_total += stats.abandoned;
     }
     assert!(

@@ -12,6 +12,7 @@ use lbrm::sim::world::World;
 use lbrm_core::logger::{Logger, LoggerConfig};
 use lbrm_core::receiver::{Receiver, ReceiverConfig, ReliabilityMode};
 use lbrm_core::sender::{Sender, SenderConfig};
+use lbrm_core::trace::analyze::{analyze, AnalyzeConfig};
 use lbrm_core::trace::{CollectorSink, ProtocolEvent, Tracer};
 use lbrm_wire::{GroupId, SourceId};
 
@@ -37,7 +38,10 @@ fn late_joiner_backfills_recent_history() {
     );
     let mut cfg = ReceiverConfig::new(GROUP, SRC, joiner, src_host, vec![log_host]);
     cfg.mode = ReliabilityMode::Window(5);
-    world.add_actor(joiner, MachineActor::new(Receiver::new(cfg), vec![GROUP]));
+    let collector = Arc::new(CollectorSink::default());
+    let mut rx = MachineActor::new(Receiver::new(cfg), vec![GROUP]);
+    rx.set_tracer(Tracer::to(collector.clone()));
+    world.add_actor(joiner, rx);
 
     let mut sender = MachineActor::new(
         Sender::new(SenderConfig::new(GROUP, SRC, src_host, log_host)),
@@ -86,6 +90,12 @@ fn late_joiner_backfills_recent_history() {
         ],
         "{seqs:?}"
     );
+    // Giving #1 up is on the trace: the forensic verdict sees an
+    // abandonment, not a gap left open.
+    let report = analyze(&collector.take(), &AnalyzeConfig::default());
+    assert!(report.is_clean(), "{:?}", report.anomalies);
+    assert_eq!((report.abandoned, report.unrecovered), (1, 0));
+    assert_eq!(a.machine().stats().abandoned, 1);
 }
 
 #[test]
