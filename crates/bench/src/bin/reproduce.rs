@@ -1,7 +1,7 @@
-//! Runs every experiment in [`lbrm_bench::experiments::ALL`] — in
-//! parallel across cores, reported in that fixed order — regenerating
-//! all tables and figures of the paper's evaluation in one go (used to
-//! fill EXPERIMENTS.md). `reproduce --only <key>` runs one of them.
+//! Runs every experiment in [`lbrm_bench::experiments::ALL`], one after
+//! another in that fixed order, regenerating all tables and figures of
+//! the paper's evaluation in one go (used to fill EXPERIMENTS.md).
+//! `reproduce --only <key>` runs one of them.
 
 use lbrm_bench::experiments::ALL;
 
@@ -24,12 +24,8 @@ fn main() {
         },
         _ => usage(&format!("bad arguments: {}", args.join(" "))),
     };
-    // Sections are independent experiments, so they run on all cores;
-    // `run_sections` hands back (title, body) in input order and nothing
-    // prints until every body is in, so stdout — and the trace capture,
-    // written by the single `trace_summary` section — stays byte-identical
-    // to a serial run.
-    for (title, body) in lbrm_bench::parallel::run_sections(selected) {
+    for &(_, title, run) in selected {
+        let body = run();
         println!("{}", "=".repeat(72));
         println!("== {title}");
         println!("{}", "=".repeat(72));

@@ -16,7 +16,7 @@
 //!              [--write-trace PATH]
 //!              [--live [--admin-addr HOST:PORT] [--loss RATE]
 //!               [--spacing-ms N] [--settle-ms N] [--linger-ms N]
-//!               [--hub] [--port N]]
+//!               [--hub]]
 //!              [--follow TRACE.jsonl [--quiet-ms N]]
 //! ```
 //!
@@ -46,8 +46,11 @@
 //! the built-in scenario (CI uses this to generate a ≥1M-event capture
 //! via `--write-trace`).
 
-use std::io::Write as _;
+use std::fmt::Display;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,7 +86,15 @@ struct Args {
     settle_ms: u64,
     linger_ms: u64,
     hub: bool,
-    port: u16,
+}
+
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let v = it.next().ok_or(format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -111,110 +122,36 @@ fn parse_args() -> Result<Args, String> {
         settle_ms: 5_000,
         linger_ms: 0,
         hub: false,
-        port: 49_501,
     };
     let mut it = std::env::args().skip(1);
-    let next_val = |name: &str, it: &mut dyn Iterator<Item = String>| {
-        it.next().ok_or(format!("{name} needs a value"))
-    };
     while let Some(a) = it.next() {
+        let it = &mut it;
         match a.as_str() {
-            "--seed" => {
-                args.seed = next_val("--seed", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--seed" => args.seed = value(&a, it)?,
             "--json" => args.json = true,
-            "--write-json" => {
-                args.write_json = Some(next_val("--write-json", &mut it)?);
-            }
+            "--write-json" => args.write_json = Some(value(&a, it)?),
             "--assert-clean" => args.assert_clean = true,
             "--batch" => args.batch = true,
-            "--max-live-timelines" => {
-                args.max_live_timelines = Some(
-                    next_val("--max-live-timelines", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--max-live-timelines: {e}"))?,
-                );
-            }
-            "--horizon-ms" => {
-                args.horizon_ms = Some(
-                    next_val("--horizon-ms", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--horizon-ms: {e}"))?,
-                );
-            }
-            "--reservoir" => {
-                args.reservoir = Some(
-                    next_val("--reservoir", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--reservoir: {e}"))?,
-                );
-            }
+            "--max-live-timelines" => args.max_live_timelines = Some(value(&a, it)?),
+            "--horizon-ms" => args.horizon_ms = Some(value(&a, it)?),
+            "--reservoir" => args.reservoir = Some(value(&a, it)?),
             "--mem-budget" => {
-                args.mem_budget = Some(
-                    parse_bytes(&next_val("--mem-budget", &mut it)?)
-                        .map_err(|e| format!("--mem-budget: {e}"))?,
-                );
+                let budget: String = value(&a, it)?;
+                args.mem_budget = Some(parse_bytes(&budget).map_err(|e| format!("{a}: {e}"))?);
             }
-            "--sites" => {
-                args.sites = Some(
-                    next_val("--sites", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--sites: {e}"))?,
-                );
-            }
-            "--receivers" => {
-                args.receivers = Some(
-                    next_val("--receivers", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("--receivers: {e}"))?,
-                );
-            }
-            "--packets" => {
-                args.packets = next_val("--packets", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--packets: {e}"))?;
-            }
-            "--write-trace" => {
-                args.write_trace = Some(next_val("--write-trace", &mut it)?);
-            }
+            "--sites" => args.sites = Some(value(&a, it)?),
+            "--receivers" => args.receivers = Some(value(&a, it)?),
+            "--packets" => args.packets = value(&a, it)?,
+            "--write-trace" => args.write_trace = Some(value(&a, it)?),
             "--live" => args.live = true,
-            "--admin-addr" => {
-                args.admin_addr = Some(next_val("--admin-addr", &mut it)?);
-            }
+            "--admin-addr" => args.admin_addr = Some(value(&a, it)?),
             "--follow" => args.follow = true,
-            "--quiet-ms" => {
-                args.quiet_ms = next_val("--quiet-ms", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--quiet-ms: {e}"))?;
-            }
-            "--loss" => {
-                args.loss = next_val("--loss", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--loss: {e}"))?;
-            }
-            "--spacing-ms" => {
-                args.spacing_ms = next_val("--spacing-ms", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--spacing-ms: {e}"))?;
-            }
-            "--settle-ms" => {
-                args.settle_ms = next_val("--settle-ms", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--settle-ms: {e}"))?;
-            }
-            "--linger-ms" => {
-                args.linger_ms = next_val("--linger-ms", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--linger-ms: {e}"))?;
-            }
+            "--quiet-ms" => args.quiet_ms = value(&a, it)?,
+            "--loss" => args.loss = value(&a, it)?,
+            "--spacing-ms" => args.spacing_ms = value(&a, it)?,
+            "--settle-ms" => args.settle_ms = value(&a, it)?,
+            "--linger-ms" => args.linger_ms = value(&a, it)?,
             "--hub" => args.hub = true,
-            "--port" => {
-                args.port = next_val("--port", &mut it)?
-                    .parse()
-                    .map_err(|e| format!("--port: {e}"))?;
-            }
             "--help" | "-h" => {
                 return Err("usage: trace_doctor [TRACE.jsonl] [--seed N] [--json] \
                      [--write-json PATH] [--assert-clean] [--batch] \
@@ -222,7 +159,7 @@ fn parse_args() -> Result<Args, String> {
                      [--mem-budget BYTES[K|M|G]] [--sites N] [--receivers N] \
                      [--packets N] [--write-trace PATH] \
                      [--live [--admin-addr HOST:PORT] [--loss RATE] [--spacing-ms N] \
-                     [--settle-ms N] [--linger-ms N] [--hub] [--port N]] \
+                     [--settle-ms N] [--linger-ms N] [--hub]] \
                      [--follow TRACE.jsonl [--quiet-ms N]]"
                     .into());
             }
@@ -266,17 +203,22 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn online_config(args: &Args) -> OnlineConfig {
-    let mut cfg = OnlineConfig {
-        analyze: AnalyzeConfig::default(),
+    let default = OnlineConfig::default();
+    OnlineConfig {
         max_live_timelines: args.max_live_timelines,
         horizon_nanos: args.horizon_ms.map(|ms| ms * 1_000_000),
-        ..OnlineConfig::default()
-    };
-    if let Some(r) = args.reservoir {
-        cfg.stage_reservoir = r;
-        cfg.timeline_reservoir = r;
+        reservoir: args.reservoir.unwrap_or(default.reservoir),
+        ..default
     }
-    cfg
+}
+
+/// The `--write-trace` capture, when asked for.
+fn write_trace(args: &Args) -> Result<Option<Arc<JsonLinesSink<BufWriter<File>>>>, String> {
+    let Some(path) = &args.write_trace else {
+        return Ok(None);
+    };
+    let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    Ok(Some(Arc::new(JsonLinesSink::new(BufWriter::new(f)))))
 }
 
 fn run(args: &Args) -> Result<DoctorRun, String> {
@@ -294,7 +236,7 @@ fn run(args: &Args) -> Result<DoctorRun, String> {
         Some(path) => {
             // Stream the capture line-by-line: replaying a million-event
             // JSONL file costs the open timelines, not the file.
-            let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+            let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
             let run = replay_jsonl(std::io::BufReader::new(file), online_config(args))
                 .map_err(|e| format!("{path}: {e}"))?;
             let late = run.report.stream.out_of_order;
@@ -317,14 +259,7 @@ fn run(args: &Args) -> Result<DoctorRun, String> {
             // Sends run at 250 ms spacing from t = 1 s; leave the tail
             // room the demo run gives its 20 packets over 30 s.
             let until = SimTime::from_millis((1_000 + 250 * args.packets + 25_000).max(30_000));
-            let capture: Option<Arc<JsonLinesSink<std::io::BufWriter<std::fs::File>>>> =
-                match &args.write_trace {
-                    Some(path) => {
-                        let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-                        Some(Arc::new(JsonLinesSink::new(std::io::BufWriter::new(f))))
-                    }
-                    None => None,
-                };
+            let capture = write_trace(args)?;
             let extra = capture.clone().map(|s| s as Arc<dyn TraceSink>);
             let run = run_scenario(config, args.packets, until, online_config(args), extra).0;
             if let Some(sink) = capture {
@@ -339,7 +274,7 @@ fn run(args: &Args) -> Result<DoctorRun, String> {
 /// been quiet for `--quiet-ms`.
 fn run_follow(args: &Args) -> Result<DoctorRun, String> {
     let path = args.file.as_deref().expect("checked in parse_args");
-    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let quiet = Duration::from_millis(args.quiet_ms.max(1));
     follow_jsonl(
         std::io::BufReader::new(file),
@@ -355,14 +290,7 @@ fn run_follow(args: &Args) -> Result<DoctorRun, String> {
 /// run plus whether `--assert-clean` failed on events dropped at the
 /// sidecar sink.
 fn run_live_cmd(args: &Args) -> Result<(DoctorRun, bool), String> {
-    let capture: Option<Arc<JsonLinesSink<std::io::BufWriter<std::fs::File>>>> =
-        match &args.write_trace {
-            Some(path) => {
-                let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-                Some(Arc::new(JsonLinesSink::new(std::io::BufWriter::new(f))))
-            }
-            None => None,
-        };
+    let capture = write_trace(args)?;
     let opts = LiveOptions {
         receivers: args.receivers.map(|r| r as usize).unwrap_or(3),
         packets: args.packets,
@@ -370,7 +298,6 @@ fn run_live_cmd(args: &Args) -> Result<(DoctorRun, bool), String> {
         seed: args.seed,
         spacing: Duration::from_millis(args.spacing_ms),
         settle: Duration::from_millis(args.settle_ms),
-        port: args.port,
         use_hub: args.hub,
         admin_addr: args.admin_addr.clone(),
         capture: capture.clone().map(|s| s as Arc<dyn TraceSink>),
@@ -424,33 +351,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut live_failed = false;
-    let doc = if args.live {
-        match run_live_cmd(&args) {
-            Ok((d, failed)) => {
-                live_failed = failed;
-                d
-            }
-            Err(msg) => {
-                eprintln!("trace_doctor: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let outcome = if args.live {
+        run_live_cmd(&args)
     } else if args.follow {
-        match run_follow(&args) {
-            Ok(d) => d,
-            Err(msg) => {
-                eprintln!("trace_doctor: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
+        run_follow(&args).map(|d| (d, false))
     } else {
-        match run(&args) {
-            Ok(d) => d,
-            Err(msg) => {
-                eprintln!("trace_doctor: {msg}");
-                return ExitCode::FAILURE;
-            }
+        run(&args).map(|d| (d, false))
+    };
+    let (doc, live_failed) = match outcome {
+        Ok(r) => r,
+        Err(msg) => {
+            eprintln!("trace_doctor: {msg}");
+            return ExitCode::FAILURE;
         }
     };
 
@@ -489,7 +401,7 @@ fn main() -> ExitCode {
         print!("{}", doc.report.render());
     }
     if let Some(path) = &args.write_json {
-        if let Err(e) = std::fs::File::create(path).and_then(|mut f| {
+        if let Err(e) = File::create(path).and_then(|mut f| {
             f.write_all(doc.to_json().as_bytes())?;
             f.write_all(b"\n")
         }) {

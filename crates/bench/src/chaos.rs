@@ -25,6 +25,7 @@ use lbrm_core::logger::Logger;
 use lbrm_core::machine::Notice;
 use lbrm_core::sender::Sender;
 use lbrm_core::trace::analyze::{analyze, AnalyzeConfig, CollectorSink, RecoveryReport};
+use lbrm_core::trace::json::{self, Json};
 use lbrm_core::trace::{TraceSink, Tracer};
 use lbrm_sim::loss::LossModel;
 use lbrm_sim::time::SimTime;
@@ -103,22 +104,22 @@ impl ChaosOutcome {
             self.report.anomalies.len(),
         )
     }
+}
 
-    /// JSON object for the per-scenario report artifact.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"shape\":\"{}\",\"seed\":{},\"passed\":{},\
-             \"completeness\":{},\"elections\":{},\"fenced_rejects\":{},\
-             \"records\":{},\"report\":{}}}",
-            self.shape,
-            self.seed,
-            self.passed(),
-            self.completeness,
-            self.elections,
-            self.fenced_rejects,
-            self.records,
-            self.report.to_json(),
-        )
+/// One cell of the report artifact.
+impl Json for ChaosOutcome {
+    fn write_json(&self, out: &mut String) {
+        json::fields(|o| {
+            o.field("shape", self.shape)
+                .field("seed", self.seed)
+                .field("passed", self.passed())
+                .field("completeness", self.completeness)
+                .field("elections", self.elections)
+                .field("fenced_rejects", self.fenced_rejects)
+                .field("records", self.records)
+                .field("report", &self.report);
+        })
+        .write_json(out);
     }
 }
 
@@ -255,12 +256,10 @@ pub fn run_matrix(seeds: &[u64]) -> Vec<ChaosOutcome> {
 
 /// Wraps the matrix outcomes as one JSON report document.
 pub fn matrix_to_json(outcomes: &[ChaosOutcome]) -> String {
-    let cells: Vec<String> = outcomes.iter().map(|o| o.to_json()).collect();
-    format!(
-        "{{\"passed\":{},\"cells\":[{}]}}",
-        outcomes.iter().all(|o| o.passed()),
-        cells.join(",")
-    )
+    json::object(|o| {
+        o.field("passed", outcomes.iter().all(ChaosOutcome::passed))
+            .field("cells", outcomes);
+    })
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use lbrm::harness::{DisScenario, DisScenarioConfig};
 use lbrm_core::trace::analyze::RecoveryReport;
+use lbrm_core::trace::json;
 use lbrm_core::trace::{FanoutSink, OnlineAnalyzerSink, OnlineConfig, TraceSink};
 use lbrm_sim::loss::LossModel;
 use lbrm_sim::time::SimTime;
@@ -36,12 +37,11 @@ pub struct DoctorRun {
 impl DoctorRun {
     /// Wraps the report JSON with replay bookkeeping.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"records\":{},\"skipped\":{},\"report\":{}}}",
-            self.records,
-            self.skipped,
-            self.report.to_json()
-        )
+        json::object(|o| {
+            o.field("records", self.records)
+                .field("skipped", self.skipped)
+                .field("report", &self.report);
+        })
     }
 }
 

@@ -103,15 +103,12 @@ pub fn run() -> String {
     ));
 
     // Simulation cross-check on a sample of entities over one window.
-    // The two schemes are independent seeded runs — sweep in parallel.
     let fixed = HeartbeatConfig {
         backoff: 1.0,
         ..cfg
     };
-    let samples = crate::parallel::par_map(vec![fixed, cfg], |heartbeat| {
-        sampled_rate(40, 120, heartbeat, 5)
-    });
-    let (sample_fixed, sample_var) = (samples[0], samples[1]);
+    let sample_fixed = sampled_rate(40, 120, fixed, 5);
+    let sample_var = sampled_rate(40, 120, cfg, 5);
     out.push_str(&format!(
         "\nSimulated sample (40 entities, 120 s window): fixed {:.3} pkt/s/entity,\n\
          variable {:.3} pkt/s/entity → scaled to 100k entities: {:.0} vs {:.0} pkt/s.\n",

@@ -62,18 +62,12 @@ pub fn run() -> String {
          on every site's tail circuit)\n\n"
     ));
     let mut t = Table::new(&["hierarchy", "NACKs at primary", "complete"]);
-    let levels = vec![
+    for (levels, label) in [
         (1u8, "1-level (centralized)"),
         (2, "2-level (paper)"),
         (3, "3-level (+regional)"),
-    ];
-    // The three depths are independent simulations; run them in parallel
-    // and render in input order so the table is identical to a serial run.
-    let rows = crate::parallel::par_map(levels, |(levels, label)| {
+    ] {
         let (nacks, completeness) = run_level(sites, receivers, fanout, levels, 29);
-        (label, nacks, completeness)
-    });
-    for (label, nacks, completeness) in rows {
         t.row(&[
             label.into(),
             format!("{nacks}"),

@@ -92,11 +92,8 @@ pub fn run_variant(sites: usize, statack: bool, seed: u64) -> StatAckOutcome {
 /// Runs the experiment.
 pub fn run() -> String {
     let sites = 50;
-    // Independent seeded runs — sweep both variants in parallel.
-    let mut variants =
-        crate::parallel::par_map(vec![true, false], |statack| run_variant(sites, statack, 31));
-    let without = variants.pop().expect("two variants");
-    let with = variants.pop().expect("two variants");
+    let with = run_variant(sites, true, 31);
+    let without = run_variant(sites, false, 31);
 
     let mut out = String::new();
     out.push_str(&format!(

@@ -63,23 +63,14 @@ pub fn run() -> String {
         "variable (pkt/s)",
         "sim variable (pkt/s)",
     ]);
-    let dts = vec![
+    for dt in [
         0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, 1000.0,
-    ];
-    // Each dt point is an independent simulation; sweep them in parallel
-    // and render rows serially so the report is byte-identical either way.
-    let rows = crate::parallel::par_map(dts, |dt| {
-        let fixed = analysis::fixed_rate(dt, 0.25);
-        let variable = analysis::variable_rate(dt, &cfg);
-        let sim = simulated_rate(dt, cfg);
-        (dt, fixed, variable, sim)
-    });
-    for (dt, fixed, variable, sim) in rows {
+    ] {
         t.row(&[
             format!("{dt}"),
-            format!("{fixed:.4}"),
-            format!("{variable:.4}"),
-            format!("{sim:.4}"),
+            format!("{:.4}", analysis::fixed_rate(dt, 0.25)),
+            format!("{:.4}", analysis::variable_rate(dt, &cfg)),
+            format!("{:.4}", simulated_rate(dt, cfg)),
         ]);
     }
     out.push_str(&t.render());

@@ -92,11 +92,8 @@ pub fn run_variant(sites: usize, receivers: usize, distributed: bool, seed: u64)
 pub fn run() -> String {
     let sites = 50;
     let receivers = 20;
-    // The two variants are independent seeded runs — sweep in parallel.
-    let variants = crate::parallel::par_map(vec![false, true], |distributed| {
-        run_variant(sites, receivers, distributed, 11)
-    });
-    let (central, dist) = (variants[0], variants[1]);
+    let central = run_variant(sites, receivers, false, 11);
+    let dist = run_variant(sites, receivers, true, 11);
 
     let mut out = String::new();
     out.push_str(&format!(

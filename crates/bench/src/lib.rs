@@ -13,5 +13,4 @@ pub mod chaos;
 pub mod doctor;
 pub mod experiments;
 pub mod live;
-pub mod parallel;
 pub mod report;

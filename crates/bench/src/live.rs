@@ -12,7 +12,7 @@
 //! the side while the traffic flows.
 
 use std::collections::BTreeMap;
-use std::net::{Ipv4Addr, SocketAddr};
+use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,8 +41,6 @@ pub struct LiveOptions {
     pub spacing: Duration,
     /// How long to wait for stragglers after the last publish.
     pub settle: Duration,
-    /// UDP group port (each concurrent run needs its own).
-    pub port: u16,
     /// Force the in-process hub even if UDP multicast would work.
     pub use_hub: bool,
     /// Bind the HTTP admin surface here (e.g. `"127.0.0.1:0"`).
@@ -62,7 +60,6 @@ impl Default for LiveOptions {
             seed: 42,
             spacing: Duration::from_millis(25),
             settle: Duration::from_secs(5),
-            port: 49_501,
             use_hub: false,
             admin_addr: None,
             capture: None,
@@ -157,7 +154,7 @@ pub fn run_live(opts: LiveOptions, during: impl FnOnce(&LiveAir)) -> std::io::Re
     let udp = if opts.use_hub {
         None
     } else {
-        let bound = bind_udp(&opts, hosts);
+        let bound = bind_udp(hosts);
         if bound.is_none() {
             eprintln!("live doctor: UDP multicast unavailable, using in-process hub");
         }
@@ -197,12 +194,20 @@ fn rx_seed(seed: u64, i: usize) -> u64 {
     seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Binds `count` UDP transports, probing that multicast join actually
-/// works here. `None` means "this environment can't do it — use the
-/// hub".
-fn bind_udp(opts: &LiveOptions, count: u64) -> Option<Vec<UdpTransport>> {
+/// Binds `count` UDP transports on a group port of the run's own,
+/// probing that multicast join actually works here. `None` means "this
+/// environment can't do it — use the hub".
+///
+/// Every endpoint joins the group port with `SO_REUSEADDR`, so two runs
+/// on one port would each hear the other's stream. The port is one the
+/// kernel just handed out, released again for the endpoints to share.
+fn bind_udp(count: u64) -> Option<Vec<UdpTransport>> {
+    let port = UdpSocket::bind((Ipv4Addr::UNSPECIFIED, 0))
+        .and_then(|s| s.local_addr())
+        .ok()?
+        .port();
     let mut transports = (0..count)
-        .map(|_| UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(opts.port)).ok())
+        .map(|_| UdpTransport::bind(Ipv4Addr::LOCALHOST, GroupMap::new(port)).ok())
         .collect::<Option<Vec<_>>>()?;
     let probe = transports.first_mut()?;
     probe.join(DisScenario::GROUP).ok()?;

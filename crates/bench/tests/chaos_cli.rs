@@ -6,6 +6,9 @@
 
 use std::process::{Command, Output};
 
+mod common;
+use common::fnv1a;
+
 fn chaos(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_chaos"))
         .args(args)
@@ -38,4 +41,18 @@ fn unknown_arguments_are_usage_errors() {
         assert!(stderr.contains("usage: chaos"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: no cell may have run");
     }
+}
+
+/// Two cells' JSON document, byte-identical to the one recorded at
+/// `fbc8586`: its cell objects, the nested forensic report and the
+/// `completeness` float as `Display` prints it.
+#[test]
+fn json_matrix_is_pinned() {
+    let out = chaos(&["--shape", "primary-crash", "--seeds", "1,2", "--json"]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        (out.stdout.len(), fnv1a(&out.stdout)),
+        (1774, 0x441e_faa3_ece3_c6b3),
+        "chaos --json moved"
+    );
 }

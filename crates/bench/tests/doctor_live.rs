@@ -114,7 +114,6 @@ fn live_admin_routes_answer_in_flight_and_match_batch() {
         seed: 7,
         spacing: Duration::from_millis(15),
         settle: Duration::from_secs(8),
-        port: 49_611,
         admin_addr: Some("127.0.0.1:0".into()),
         capture: Some(capture.clone() as Arc<dyn TraceSink>),
         doctor: DoctorConfig {
@@ -201,7 +200,6 @@ fn live_bundled_run_publishes_send_gauges() {
         seed: 23,
         spacing: Duration::from_millis(10),
         settle: Duration::from_secs(8),
-        port: 49_613,
         admin_addr: Some("127.0.0.1:0".into()),
         doctor: DoctorConfig {
             tick: Duration::from_millis(25),
@@ -265,11 +263,39 @@ fn live_receivers_recover_the_streams_first_packets() {
         seed: 77,
         spacing: Duration::from_millis(40),
         settle: Duration::from_secs(6),
-        port: 49_615,
         ..LiveOptions::default()
     };
     let outcome = run_live(opts, |_| {}).expect("live run");
     assert_delivered_everything(&outcome, 30 * 3);
     let report = &outcome.finish.report;
     assert!(report.is_clean(), "{:?}", report.anomalies);
+}
+
+/// Two runs at once on one host keep their streams apart: each picks a
+/// group port of its own, so neither run's receivers hear the other's
+/// stream, whose copies would fill their induced drops.
+#[test]
+fn concurrent_live_runs_keep_their_streams_apart() {
+    let run = |seed| {
+        std::thread::spawn(move || {
+            let opts = LiveOptions {
+                receivers: 2,
+                packets: 15,
+                loss: 0.2,
+                seed,
+                spacing: Duration::from_millis(10),
+                settle: Duration::from_secs(8),
+                ..LiveOptions::default()
+            };
+            run_live(opts, |_| {}).expect("live run")
+        })
+    };
+    let runs = [run(5), run(6)];
+    for run in runs {
+        let outcome = run.join().expect("live run thread");
+        assert_delivered_everything(&outcome, 15 * 2);
+        assert!(outcome.induced_drops > 0, "seeded loss induced nothing");
+        let report = &outcome.finish.report;
+        assert!(report.is_clean(), "{:?}", report.anomalies);
+    }
 }

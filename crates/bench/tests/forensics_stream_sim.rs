@@ -832,7 +832,7 @@ fn analyze_is_exact_beyond_the_default_reservoir() {
     let cfg = AnalyzeConfig::default();
     let reference = oracle::analyze(&records, &cfg);
     assert_eq!(reference.timelines.len(), 5_000);
-    assert!(reference.timelines.len() > OnlineConfig::default().timeline_reservoir);
+    assert!(reference.timelines.len() > OnlineConfig::default().reservoir);
     assert_eq!(reference.unrecovered, 5);
     assert_eq!(reference.telescoping, reference.recovered);
 
@@ -841,8 +841,7 @@ fn analyze_is_exact_beyond_the_default_reservoir() {
     let unbounded = fold(
         &records,
         OnlineConfig {
-            stage_reservoir: usize::MAX,
-            timeline_reservoir: usize::MAX,
+            reservoir: usize::MAX,
             ..OnlineConfig::default()
         },
     );
@@ -889,8 +888,7 @@ fn tiny_reservoirs_keep_exact_totals() {
     let mut rng = 0xCA5_CADE_u64;
     let config = random_config(&mut rng);
     let cfg = OnlineConfig {
-        stage_reservoir: 8,
-        timeline_reservoir: 8,
+        reservoir: 8,
         ..OnlineConfig::default()
     };
     let (online, records) = run_and_capture(config, 16, SimTime::from_secs(40), cfg);
@@ -927,8 +925,7 @@ fn tiny_reservoirs_keep_exact_totals() {
 #[test]
 fn sampled_reports_are_pinned_in_close_order() {
     let small = OnlineConfig {
-        stage_reservoir: 16,
-        timeline_reservoir: 16,
+        reservoir: 16,
         ..OnlineConfig::default()
     };
     let demo = demo_run(77, small).report;

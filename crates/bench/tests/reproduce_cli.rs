@@ -2,13 +2,14 @@
 //! exactly that section of the full report, and anything it does not
 //! understand — an unknown key, `--only` without a value, an unknown
 //! flag — is a usage error (exit 2, key list on stderr) rather than a
-//! silent full run; and the full report and its trace capture are pinned
-//! byte for byte.
+//! silent full run; the full report and its trace capture are pinned
+//! byte for byte; and the registry is the whole section list.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::{Command, Output};
 
-use lbrm_bench::experiments;
+use lbrm_bench::experiments::{self, ALL};
 
 mod common;
 use common::fnv1a;
@@ -44,7 +45,7 @@ fn bad_arguments_are_usage_errors_naming_the_keys() {
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: reproduce"), "{args:?}: {stderr}");
-        for (key, ..) in experiments::ALL {
+        for (key, ..) in ALL {
             assert!(stderr.contains(key), "{args:?}: {key} missing: {stderr}");
         }
     }
@@ -88,4 +89,21 @@ fn full_report_is_pinned_and_saved_from_any_working_directory() {
         (44_206, 0xbcac_f7a7_f625_5810),
         "target/reproduce_trace.jsonl moved"
     );
+}
+
+/// Every experiment module is registered exactly once under its own
+/// name, so nothing `reproduce` can run is missing from `--only` and no
+/// module sits outside the full report.
+#[test]
+fn registry_lists_every_experiment_module_once() {
+    let modules: BTreeSet<&str> = include_str!("../src/experiments/mod.rs")
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';'))
+        .collect();
+    assert!(modules.len() >= 15, "mod.rs parse went wrong: {modules:?}");
+    let keys: BTreeSet<&str> = ALL.iter().map(|&(key, ..)| key).collect();
+    assert_eq!(keys.len(), ALL.len(), "duplicate key in ALL");
+    assert_eq!(keys, modules, "ALL and experiments/mod.rs disagree");
+    let titles: BTreeSet<&str> = ALL.iter().map(|&(_, title, _)| title).collect();
+    assert_eq!(titles.len(), ALL.len(), "duplicate section title in ALL");
 }

@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use lbrm_wire::{HostId, Seq};
 
+use crate::json::{self, Json};
 use crate::{lock, HistogramSnapshot, OnlineAnalyzer, OnlineConfig, ProtocolEvent, TraceSink};
 
 /// One recorded event: timestamp, emitting host, event.
@@ -768,104 +769,67 @@ impl RecoveryReport {
         s
     }
 
-    /// Machine-readable JSON summary (hand-rolled; no serde).
+    /// Machine-readable JSON summary.
     pub fn to_json(&self) -> String {
-        fn stage(s: &mut String, name: &str, h: &HistogramSnapshot) {
-            let _ = write!(
-                s,
-                "\"{name}\":{{\"count\":{},\"mean_ns\":{},\"p95_ns\":{},\"max_ns\":{}}}",
-                h.count(),
-                h.mean().as_nanos(),
-                h.percentile(0.95).as_nanos(),
-                h.max().as_nanos()
-            );
-        }
-        let mut s = String::with_capacity(512);
-        let _ = write!(
-            s,
-            "{{\"timelines\":{},\"recovered\":{},\"abandoned\":{},\"unrecovered\":{},\"telescoping\":{},",
-            self.timelines.len(),
-            self.recovered,
-            self.abandoned,
-            self.unrecovered,
-            self.telescoping
-        );
-        s.push_str("\"stages\":{");
-        for (i, (name, h)) in [
-            ("detection", &self.detection),
-            ("request", &self.request),
-            ("serve", &self.serve),
-            ("return", &self.return_leg),
-            ("total", &self.total),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                s.push(',');
-            }
-            stage(&mut s, name, h);
-        }
-        s.push_str("},\"sources\":{");
-        for (i, (src, n)) in self.sources.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{src}\":{n}");
-        }
-        let _ = write!(
-            s,
-            "}},\"duplicate_repairs\":{},\"max_nack_fan_in\":{},\"truncated_gap_spans\":{},\"fenced_rejects\":{},",
-            self.duplicate_repairs, self.max_nack_fan_in, self.truncated_gap_spans, self.fenced_rejects
-        );
-        let _ = write!(
-            s,
-            "\"stream\":{{\"streamed\":{},\"peak_live_timelines\":{},\"peak_resident_bytes\":{},\
-             \"force_evicted\":{},\"aged_out\":{},\"out_of_order\":{}}},",
-            self.stream.streamed,
-            self.stream.peak_live_timelines,
-            self.stream.peak_resident_bytes,
-            self.stream.force_evicted,
-            self.stream.aged_out,
-            self.stream.out_of_order
-        );
-        s.push_str("\"anomalies\":[");
-        for (i, a) in self.anomalies.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&anomaly_json(a));
-        }
-        let _ = write!(s, "],\"clean\":{}}}", self.is_clean());
-        s
+        json::to_string(self)
     }
 }
 
-/// Escapes `s` for use inside a JSON string.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl Json for RecoveryReport {
+    fn write_json(&self, out: &mut String) {
+        json::fields(|o| {
+            o.field("timelines", self.timelines.len())
+                .field("recovered", self.recovered)
+                .field("abandoned", self.abandoned)
+                .field("unrecovered", self.unrecovered)
+                .field("telescoping", self.telescoping)
+                .object("stages", |o| {
+                    for (name, h) in [
+                        ("detection", &self.detection),
+                        ("request", &self.request),
+                        ("serve", &self.serve),
+                        ("return", &self.return_leg),
+                        ("total", &self.total),
+                    ] {
+                        o.object(name, |o| {
+                            o.field("count", h.count())
+                                .field("mean_ns", h.mean().as_nanos())
+                                .field("p95_ns", h.percentile(0.95).as_nanos())
+                                .field("max_ns", h.max().as_nanos());
+                        });
+                    }
+                })
+                .field("sources", &self.sources)
+                .field("duplicate_repairs", self.duplicate_repairs)
+                .field("max_nack_fan_in", self.max_nack_fan_in)
+                .field("truncated_gap_spans", self.truncated_gap_spans)
+                .field("fenced_rejects", self.fenced_rejects)
+                .object("stream", |o| {
+                    let s = &self.stream;
+                    o.field("streamed", s.streamed)
+                        .field("peak_live_timelines", s.peak_live_timelines)
+                        .field("peak_resident_bytes", s.peak_resident_bytes)
+                        .field("force_evicted", s.force_evicted)
+                        .field("aged_out", s.aged_out)
+                        .field("out_of_order", s.out_of_order);
+                })
+                .field("anomalies", self.anomalies.as_slice())
+                .field("clean", self.is_clean());
+        })
+        .write_json(out);
     }
-    out
 }
 
-/// One anomaly as `{"kind":…,"detail":…}`, the object every report and
-/// admin route writes for it.
-pub(crate) fn anomaly_json(a: &Anomaly) -> String {
-    format!(
-        "{{\"kind\":\"{}\",\"detail\":\"{}\"}}",
-        a.kind(),
-        json_escape(&a.describe())
-    )
+/// `{"kind":…,"detail":…}`, the object every report and admin route
+/// writes for an anomaly.
+impl Json for Anomaly {
+    fn write_json(&self, out: &mut String) {
+        json::fields(|o| {
+            o.field("kind", self.kind())
+                .field("detail", self.describe());
+        })
+        .write_json(out);
+    }
 }
 
 /// Correlates a capture held in memory: counts the out-of-order pairs,
@@ -885,8 +849,7 @@ pub fn analyze(records: &[TraceRecord], cfg: &AnalyzeConfig) -> RecoveryReport {
         analyze: cfg.clone(),
         max_live_timelines: None,
         horizon_nanos: None,
-        stage_reservoir: usize::MAX,
-        timeline_reservoir: usize::MAX,
+        reservoir: usize::MAX,
     });
     for r in recs {
         analyzer.push_record(r);

@@ -45,7 +45,8 @@ use std::time::{Duration, Instant};
 
 use lbrm_wire::HostId;
 
-use crate::analyze::{anomaly_json, json_escape, Anomaly, RecoveryReport};
+use crate::analyze::{Anomaly, RecoveryReport};
+use crate::json;
 use crate::online::{LiveGap, OnlineAnalyzer, OnlineConfig};
 use crate::{lock, MetricsRegistry, ProtocolEvent, TraceSink};
 
@@ -509,83 +510,60 @@ impl DoctorHandle {
     /// counters and gauges.
     pub fn stats_json(&self) -> String {
         let st = lock(&self.inner.state);
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        s.push_str(&format!(
-            "\"uptime_ms\":{},\"ticks\":{},\"finished\":{},\"records\":{},\"dropped_events\":{}",
-            self.inner.started.elapsed().as_millis(),
-            st.ticks,
-            st.finished,
-            st.records,
-            self.inner.sink.dropped()
-        ));
-        s.push_str(&format!(
-            ",\"stream_end_ns\":{},\"live_timelines\":{},\"peak_live_timelines\":{},\"resident_bytes\":{},\"peak_resident_bytes\":{}",
-            st.end_nanos, st.live_count, st.peak_live, st.resident_bytes, st.peak_bytes
-        ));
-        s.push_str(&format!(
-            ",\"recovered\":{},\"abandoned\":{},\"unrecovered\":{},\"duplicate_repairs\":{},\"max_nack_fan_in\":{},\"anomalies\":{},\"recent_anomalies\":{}",
-            st.recovered,
-            st.abandoned,
-            st.unrecovered,
-            st.duplicate_repairs,
-            st.max_nack_fan_in,
-            st.committed,
-            st.recent.len()
-        ));
-        s.push_str(&format!(",\"healthy\":{}", st.health.healthy));
-        s.push_str(",\"net\":{");
         let regs = lock(&self.inner.registries);
-        for (i, (name, reg)) in regs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{{\"counters\":{{", json_escape(name)));
-            for (j, (k, v)) in reg.counters().iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{k}\":{v}"));
-            }
-            s.push_str("},\"gauges\":{");
-            for (j, (k, v)) in reg.gauges().iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{}\":{v}", json_escape(k)));
-            }
-            s.push_str("}}");
-        }
-        s.push_str("}}");
-        s
+        json::object(|o| {
+            o.field("uptime_ms", self.inner.started.elapsed().as_millis())
+                .field("ticks", st.ticks)
+                .field("finished", st.finished)
+                .field("records", st.records)
+                .field("dropped_events", self.inner.sink.dropped())
+                .field("stream_end_ns", st.end_nanos)
+                .field("live_timelines", st.live_count)
+                .field("peak_live_timelines", st.peak_live)
+                .field("resident_bytes", st.resident_bytes)
+                .field("peak_resident_bytes", st.peak_bytes)
+                .field("recovered", st.recovered)
+                .field("abandoned", st.abandoned)
+                .field("unrecovered", st.unrecovered)
+                .field("duplicate_repairs", st.duplicate_repairs)
+                .field("max_nack_fan_in", st.max_nack_fan_in)
+                .field("anomalies", st.committed)
+                .field("recent_anomalies", st.recent.len())
+                .field("healthy", st.health.healthy)
+                .object("net", |o| {
+                    for (name, reg) in regs.iter() {
+                        o.object(name, |o| {
+                            o.field("counters", reg.counters())
+                                .field("gauges", reg.gauges());
+                        });
+                    }
+                });
+        })
     }
 
     /// `GET /timelines/live`: count plus the oldest open recoveries.
     pub fn timelines_json(&self) -> String {
         let st = lock(&self.inner.state);
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"count\":{},\"listed\":{},\"oldest\":[",
-            st.live_count,
-            st.live_oldest.len()
-        ));
-        for (i, g) in st.live_oldest.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"host\":{},\"seq\":{},\"detected_at_ns\":{},\"age_ns\":{},\"nacks_sent\":{},\"served\":{},\"repaired\":{}}}",
-                g.host.raw(),
-                g.seq.raw(),
-                g.detected_at_nanos,
-                st.end_nanos.saturating_sub(g.detected_at_nanos),
-                g.nacks_sent,
-                g.served,
-                g.repaired
-            ));
-        }
-        s.push_str("]}");
-        s
+        let oldest: Vec<_> = st
+            .live_oldest
+            .iter()
+            .map(|g| {
+                json::fields(|o| {
+                    o.field("host", g.host.raw())
+                        .field("seq", g.seq.raw())
+                        .field("detected_at_ns", g.detected_at_nanos)
+                        .field("age_ns", st.end_nanos.saturating_sub(g.detected_at_nanos))
+                        .field("nacks_sent", g.nacks_sent)
+                        .field("served", g.served)
+                        .field("repaired", g.repaired);
+                })
+            })
+            .collect();
+        json::object(|o| {
+            o.field("count", st.live_count)
+                .field("listed", oldest.len())
+                .field("oldest", oldest.as_slice());
+        })
     }
 
     /// `GET /anomalies/tail?n=`: the last `n` anomalies of the current
@@ -593,41 +571,27 @@ impl DoctorHandle {
     pub fn anomalies_tail_json(&self, n: usize) -> String {
         let st = lock(&self.inner.state);
         let all = &st.snapshot_anomalies;
-        let start = all.len().saturating_sub(n);
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!("{{\"total\":{},\"tail\":[", all.len()));
-        for (i, a) in all[start..].iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&anomaly_json(a));
-        }
-        s.push_str("]}");
-        s
+        json::object(|o| {
+            o.field("total", all.len())
+                .field("tail", &all[all.len().saturating_sub(n)..]);
+        })
     }
 
     /// `GET /mem`: resident-state gauges against the configured
     /// budgets.
     pub fn mem_json(&self) -> String {
         let st = lock(&self.inner.state);
-        let online = &self.inner.cfg.online;
-        let cap = match online.max_live_timelines {
-            Some(c) => c.to_string(),
-            None => "null".into(),
-        };
-        let horizon = match online.horizon_nanos {
-            Some(h) => h.to_string(),
-            None => "null".into(),
-        };
-        format!(
-            "{{\"resident_bytes\":{},\"peak_resident_bytes\":{},\"live_timelines\":{},\"peak_live_timelines\":{},\"max_live_timelines\":{cap},\"horizon_ns\":{horizon},\"channel_capacity\":{},\"dropped_events\":{}}}",
-            st.resident_bytes,
-            st.peak_bytes,
-            st.live_count,
-            st.peak_live,
-            self.inner.cfg.channel_capacity,
-            self.inner.sink.dropped()
-        )
+        let cfg = &self.inner.cfg;
+        json::object(|o| {
+            o.field("resident_bytes", st.resident_bytes)
+                .field("peak_resident_bytes", st.peak_bytes)
+                .field("live_timelines", st.live_count)
+                .field("peak_live_timelines", st.peak_live)
+                .field("max_live_timelines", cfg.online.max_live_timelines)
+                .field("horizon_ns", cfg.online.horizon_nanos)
+                .field("channel_capacity", cfg.channel_capacity)
+                .field("dropped_events", self.inner.sink.dropped());
+        })
     }
 
     /// `GET /healthz` body and status: `(200, "ok")` or a 503 with
@@ -637,14 +601,12 @@ impl DoctorHandle {
         if h.healthy {
             (200, "ok\n".into())
         } else {
-            let reasons: Vec<String> = h
-                .reasons
-                .iter()
-                .map(|r| format!("\"{}\"", json_escape(r)))
-                .collect();
             (
                 503,
-                format!("{{\"healthy\":false,\"reasons\":[{}]}}", reasons.join(",")),
+                json::object(|o| {
+                    o.field("healthy", false)
+                        .field("reasons", h.reasons.as_slice());
+                }),
             )
         }
     }
@@ -668,9 +630,18 @@ fn json_response(status: u16, body: String) -> Response {
     }
 }
 
+fn error_response(status: u16, error: &str) -> Response {
+    json_response(
+        status,
+        json::object(|o| {
+            o.field("error", error);
+        }),
+    )
+}
+
 fn route(handle: &DoctorHandle, method: &str, path: &str, query: &str) -> Response {
     if method != "GET" {
-        return json_response(405, "{\"error\":\"method not allowed\"}".into());
+        return error_response(405, "method not allowed");
     }
     match path {
         "/stats" => json_response(200, handle.stats_json()),
@@ -683,10 +654,7 @@ fn route(handle: &DoctorHandle, method: &str, path: &str, query: &str) -> Respon
                     match v.parse::<usize>() {
                         Ok(parsed) => n = parsed,
                         Err(_) => {
-                            return json_response(
-                                400,
-                                "{\"error\":\"n must be a non-negative integer\"}".into(),
-                            );
+                            return error_response(400, "n must be a non-negative integer");
                         }
                     }
                 }
@@ -706,7 +674,7 @@ fn route(handle: &DoctorHandle, method: &str, path: &str, query: &str) -> Respon
                 json_response(status, body)
             }
         }
-        _ => json_response(404, "{\"error\":\"not found\"}".into()),
+        _ => error_response(404, "not found"),
     }
 }
 
@@ -757,7 +725,7 @@ fn serve_connection(stream: &mut TcpStream, handle: &DoctorHandle) -> std::io::R
         let (path, query) = target.split_once('?').unwrap_or((target, ""));
         route(handle, method, path, query)
     } else {
-        json_response(400, "{\"error\":\"line too long\"}".into())
+        error_response(400, "line too long")
     };
     let head = format!(
         "HTTP/1.0 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -1067,6 +1035,126 @@ mod tests {
         assert!(body.contains("\"finished\":true"), "{body}");
         assert!(body.contains("\"recovered\":4,"), "{body}");
         server.shutdown();
+    }
+
+    /// Every admin body byte for byte, on a stream whose seq 5 is never
+    /// repaired (so `finish()` commits an unrecovered gap and `/healthz`
+    /// is 503), with a registry whose names need escaping; plus
+    /// `/timelines/live` while that gap is still open.
+    #[test]
+    fn admin_bodies_are_pinned() {
+        use crate::{GaugeTable, Gauges};
+        static ROWS: GaugeTable = GaugeTable {
+            root: "net",
+            rows: &["sent", "bytes"],
+            hide_zero: false,
+        };
+        let finished = |online: OnlineConfig| {
+            let sidecar = DoctorSidecar::spawn(DoctorConfig {
+                tick: Duration::from_secs(3600),
+                online,
+                ..DoctorConfig::default()
+            });
+            let registry = Arc::new(MetricsRegistry::default());
+            let gauges = Arc::new(Gauges::new(&ROWS));
+            gauges.set(0, 7);
+            registry.attach("rx \"1\"\t", gauges);
+            sidecar.register_registry("live\\1", Arc::clone(&registry));
+            let sink = sidecar.sink();
+            for r in stream(12, Some(5)) {
+                sink.record(r.at_nanos, r.host, &r.event);
+                registry.record(r.at_nanos, r.host, &r.event);
+            }
+            let handle = sidecar.handle();
+            sidecar.finish();
+            handle
+        };
+        let body = |h: &DoctorHandle, path: &str, query: &str| {
+            let resp = route(h, "GET", path, query);
+            (resp.status, resp.body)
+        };
+
+        let h = finished(OnlineConfig::default());
+        let (status, stats) = body(&h, "/stats", "");
+        assert_eq!(status, 200);
+        let (uptime, stats) = stats.split_once(',').expect("uptime first");
+        assert!(uptime.starts_with("{\"uptime_ms\":"), "{uptime}");
+        assert_eq!(
+            stats,
+            r#""ticks":1,"finished":true,"records":37,"dropped_events":0,"stream_end_ns":1240000000,"live_timelines":0,"peak_live_timelines":2,"resident_bytes":0,"peak_resident_bytes":5284,"recovered":4,"abandoned":0,"unrecovered":1,"duplicate_repairs":0,"max_nack_fan_in":1,"anomalies":1,"recent_anomalies":1,"healthy":false,"net":{"live\\1":{"counters":{"data_sent":12,"gap_detected":5,"nack_sent":5,"recovered":4,"repair_received":4,"retrans_served_unicast":4,"role_announced":3},"gauges":{"net.rx \"1\"\t.bytes":0,"net.rx \"1\"\t.sent":7}}}}"#
+        );
+        assert_eq!(
+            body(&h, "/timelines/live", ""),
+            (200, r#"{"count":0,"listed":0,"oldest":[]}"#.into())
+        );
+        assert_eq!(
+            body(&h, "/anomalies/tail", "n=4"),
+            (
+                200,
+                r#"{"total":1,"tail":[{"kind":"unrecovered_gap","detail":"unrecovered gap: host 40 seq 5 detected at 510.000ms never filled"}]}"#.into()
+            )
+        );
+        assert_eq!(
+            body(&h, "/mem", ""),
+            (
+                200,
+                r#"{"resident_bytes":0,"peak_resident_bytes":5284,"live_timelines":0,"peak_live_timelines":2,"max_live_timelines":null,"horizon_ns":null,"channel_capacity":8192,"dropped_events":0}"#.into()
+            )
+        );
+        assert_eq!(
+            body(&h, "/healthz", ""),
+            (
+                503,
+                r#"{"healthy":false,"reasons":["1 unrecovered gap(s) committed in the last 25 tick(s)"]}"#.into()
+            )
+        );
+        assert_eq!(
+            body(&h, "/nope", ""),
+            (404, r#"{"error":"not found"}"#.into())
+        );
+        assert_eq!(
+            body(&h, "/anomalies/tail", "n=x"),
+            (
+                400,
+                r#"{"error":"n must be a non-negative integer"}"#.into()
+            )
+        );
+        assert_eq!(
+            route(&h, "POST", "/stats", "").body,
+            r#"{"error":"method not allowed"}"#
+        );
+
+        let h = finished(OnlineConfig {
+            max_live_timelines: Some(64),
+            horizon_nanos: Some(5_000_000_000),
+            ..OnlineConfig::default()
+        });
+        assert_eq!(
+            body(&h, "/mem", ""),
+            (
+                200,
+                r#"{"resident_bytes":0,"peak_resident_bytes":5284,"live_timelines":0,"peak_live_timelines":2,"max_live_timelines":64,"horizon_ns":5000000000,"channel_capacity":8192,"dropped_events":0}"#.into()
+            )
+        );
+
+        // In flight: one tick published from an analyzer holding the
+        // open gap.
+        let sidecar = DoctorSidecar::spawn(DoctorConfig {
+            tick: Duration::from_secs(3600),
+            ..DoctorConfig::default()
+        });
+        let mut analyzer = OnlineAnalyzer::new(OnlineConfig::default());
+        for r in stream(12, Some(5)) {
+            analyzer.push_record(&r);
+        }
+        run_tick(&sidecar.inner, &analyzer);
+        assert_eq!(
+            body(&sidecar.handle(), "/timelines/live", ""),
+            (
+                200,
+                r#"{"count":1,"listed":1,"oldest":[{"host":40,"seq":5,"detected_at_ns":510000000,"age_ns":730000000,"nacks_sent":1,"served":false,"repaired":false}]}"#.into()
+            )
+        );
     }
 
     /// Outside input: a request line that never ends is cut off at the

@@ -29,6 +29,7 @@
 //!   stage folding), with its own peak resident state reported in
 //!   [`analyze::StreamStats`]. [`OnlineAnalyzerSink`] plugs it straight
 //!   into a live run.
+//! * [`json`] — the one writer of every report and admin body.
 //!
 //! Timestamps cross the API as raw nanoseconds (`at_nanos`).
 //!
@@ -57,6 +58,7 @@ use analyze::FieldVal;
 
 pub mod analyze;
 pub mod doctor;
+pub mod json;
 mod metrics;
 mod online;
 mod sink;

@@ -33,7 +33,7 @@
 //!
 //! **Fidelity contract.** With no live-cap and no horizon the report is
 //! exact up to reservoir sampling: while the number of recoveries stays
-//! at or below the reservoir capacities the histograms and retained
+//! at or below the reservoir capacity the histograms and retained
 //! timelines hold every sample; beyond that, counts, means and maxima
 //! stay exact and percentiles answer from the reservoir. The reference
 //! the loop is checked against is the straight-line analyzer it
@@ -120,10 +120,9 @@ pub struct OnlineConfig {
     /// than this many nanoseconds before the current record is closed
     /// as unrecovered. `None` = open timelines live to end-of-stream.
     pub horizon_nanos: Option<u64>,
-    /// Raw-sample reservoir capacity per stage histogram.
-    pub stage_reservoir: usize,
-    /// Reservoir capacity for retained closed [`RecoveryTimeline`]s.
-    pub timeline_reservoir: usize,
+    /// Reservoir capacity of each stage histogram's raw samples and of
+    /// the retained closed [`RecoveryTimeline`]s.
+    pub reservoir: usize,
 }
 
 impl Default for OnlineConfig {
@@ -132,8 +131,7 @@ impl Default for OnlineConfig {
             analyze: AnalyzeConfig::default(),
             max_live_timelines: None,
             horizon_nanos: None,
-            stage_reservoir: 4096,
-            timeline_reservoir: 4096,
+            reservoir: 4096,
         }
     }
 }
@@ -283,8 +281,7 @@ pub struct OnlineAnalyzer {
 impl OnlineAnalyzer {
     /// A fresh analyzer with the given tunables.
     pub fn new(cfg: OnlineConfig) -> Self {
-        let stage = cfg.stage_reservoir;
-        let tl = cfg.timeline_reservoir;
+        let reservoir = cfg.reservoir;
         OnlineAnalyzer {
             cfg,
             roles: FixedMap::default(),
@@ -308,14 +305,14 @@ impl OnlineAnalyzer {
             recovered: 0,
             abandoned: 0,
             unrecovered: 0,
-            detection: StreamingHistogram::new(stage),
-            request: StreamingHistogram::new(stage),
-            serve: StreamingHistogram::new(stage),
-            return_leg: StreamingHistogram::new(stage),
-            total: StreamingHistogram::new(stage),
+            detection: StreamingHistogram::new(reservoir),
+            request: StreamingHistogram::new(reservoir),
+            serve: StreamingHistogram::new(reservoir),
+            return_leg: StreamingHistogram::new(reservoir),
+            total: StreamingHistogram::new(reservoir),
             sources: BTreeMap::new(),
             telescoping: 0,
-            timelines: TimelineReservoir::new(tl),
+            timelines: TimelineReservoir::new(reservoir),
             gap_anomalies: Vec::new(),
             records: 0,
             last_at: 0,
@@ -1154,8 +1151,7 @@ mod tests {
         let records = lossy_stream(600); // 200 recoveries
         let batch = analyze(&records, &AnalyzeConfig::default());
         let cfg = OnlineConfig {
-            stage_reservoir: 16,
-            timeline_reservoir: 8,
+            reservoir: 8,
             ..OnlineConfig::default()
         };
         let online = run_online(&records, cfg);
